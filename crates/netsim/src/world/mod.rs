@@ -47,8 +47,8 @@ pub(crate) struct WorldCore {
     grid: SpatialGrid,
     ledger: EnergyLedger,
     trace: Option<RingTrace>,
-    /// Reusable scratch for HELLO-beacon range queries.
-    hearers: Vec<u32>,
+    /// Every node's HELLO hearer list, revalidated against `grid`.
+    hearers: beacon::HearerCache,
     /// Plain-field kernel instrumentation (see [`KernelStats`]).
     stats: KernelStats,
 }
@@ -112,7 +112,7 @@ impl<A: Application> World<A> {
                 nodes: NodeStore::new(),
                 ledger: EnergyLedger::new(),
                 trace: None,
-                hearers: Vec::new(),
+                hearers: beacon::HearerCache::default(),
                 stats: KernelStats::default(),
             },
             apps: Vec::new(),
@@ -151,12 +151,14 @@ impl<A: Application> World<A> {
             self.queue = EventQueue::with_backend(cfg.queue_backend);
         }
         // The grid keeps its buckets only while the cell size (derived from
-        // the radio range) is unchanged; a new range needs a new geometry.
+        // the radio range) is unchanged; a new range needs a new geometry,
+        // whose clock restarts, so no cached hearer list may outlive it.
         if self.core.grid.cell_size() == cfg.range.max(1.0) {
             self.core.grid.clear();
         } else {
             self.core.grid = SpatialGrid::new(cfg.range.max(1.0));
         }
+        self.core.hearers.clear();
         self.core.cfg = cfg;
         self.core.tx_model = tx_model;
         self.core.mobility_model = mobility_model;

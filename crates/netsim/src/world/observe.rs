@@ -20,6 +20,11 @@ pub struct KernelStats {
     /// `QueueStats::occupancy_bins`: bin 0 is "no hearers", bin `i`
     /// covers `2^(i-1) ≤ n < 2^i`, the last bin collects 64+.
     pub hello_fanout_bins: [u64; 8],
+    /// Beacons whose cached hearer list was still exact. Worlds small
+    /// enough to scan their nodes count neither hits nor misses.
+    pub hello_cache_hits: u64,
+    /// Beacons whose hearer list was recomputed by a grid range query.
+    pub hello_cache_misses: u64,
 }
 
 impl KernelStats {
@@ -97,6 +102,8 @@ impl<A: Application> World<A> {
         registry.counter("kernel.events_processed").add(self.events_processed);
         registry.counter("kernel.hello_beacons").add(self.core.stats.hello_beacons);
         registry.counter("kernel.timers_fired").add(self.core.stats.timers_fired);
+        registry.counter("kernel.hello_cache_hits").add(self.core.stats.hello_cache_hits);
+        registry.counter("kernel.hello_cache_misses").add(self.core.stats.hello_cache_misses);
         let fanout =
             registry.histogram("kernel.hello_fanout", &[0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0]);
         for (&value, &count) in

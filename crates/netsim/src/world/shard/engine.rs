@@ -12,7 +12,7 @@
 
 use imobif_geom::{Point2, SpatialGrid};
 
-use super::super::beacon::SMALL_WORLD_SCAN;
+use super::super::beacon::{BeaconView, HearerCache};
 use super::super::kernel::Event;
 use super::super::observe::KernelStats;
 use super::xfer::{Dlv, ObsGroup, RepPatch, ShardOutbox};
@@ -95,7 +95,9 @@ pub(super) struct Shard<A: Application> {
     pub(super) ledger: EnergyLedger,
     pub(super) outbox: Outbox<A::Msg>,
     pub(super) trace: Option<Vec<(XKey, TraceEvent)>>,
-    pub(super) hearers: Vec<u32>,
+    /// The owned nodes' HELLO hearer lists (slot-indexed), revalidated
+    /// against the replica grid.
+    pub(super) hearers: HearerCache,
     /// Monotonic beacon counter; stamps destination observation runs so a
     /// beacon can open at most one group per destination.
     pub(super) beacon_stamp: u64,
@@ -117,7 +119,7 @@ impl<A: Application> Shard<A> {
             ledger: EnergyLedger::new(),
             outbox: Outbox::new(),
             trace: None,
-            hearers: Vec::new(),
+            hearers: HearerCache::default(),
             beacon_stamp: 0,
             stats: KernelStats::default(),
             events_processed: 0,
@@ -412,24 +414,18 @@ impl<A: Application> Shard<A> {
         }
         let pos = self.nodes.position(slot);
         let residual = self.nodes.residual(slot);
-        if rep.positions.len() <= SMALL_WORLD_SCAN {
-            let r_sq = sh.cfg.range * sh.cfg.range;
-            self.hearers.clear();
-            self.hearers.extend((0..rep.positions.len()).filter_map(|i| {
-                (i != node.index() && rep.alive[i] && pos.distance_sq_to(rep.positions[i]) <= r_sq)
-                    .then_some(i as u32)
-            }));
-        } else {
-            rep.grid.query_range_into(pos, sh.cfg.range, &mut self.hearers);
-            self.hearers.retain(|&k| k != node.raw());
-            self.hearers.sort_unstable();
-        }
-        self.stats.hello_beacons += 1;
-        self.stats.hello_fanout_bins[KernelStats::fanout_bin(self.hearers.len())] += 1;
         self.beacon_stamp += 1;
         let stamp = self.beacon_stamp;
         let time = self.time;
-        for &h in &self.hearers {
+        let view = BeaconView {
+            positions: &rep.positions,
+            alive: &rep.alive,
+            grid: &rep.grid,
+            range: sh.cfg.range,
+        };
+        let slots = self.nodes.len();
+        let hearers = self.hearers.hearers(&view, &mut self.stats, node, slot, slots, pos);
+        for &h in hearers {
             let (dsi, dslot) = sh.owner[h as usize];
             let run = &mut xout.obs[dsi as usize];
             if run.mark != stamp {

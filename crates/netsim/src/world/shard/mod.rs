@@ -869,10 +869,11 @@ impl<A: Application> ShardedWorld<A> {
     /// never touch the registry). No-op on a disabled registry.
     ///
     /// Families: `shard.*` pipeline/fast-forward/xfer/pool counters,
-    /// per-shard `shard.s{i}.events_processed`, and — when span tracing
-    /// is on — `spans.{recorded,evicted}` plus per-scope
-    /// `shard.{coord|s{i}}.{phase}_wall_us` histograms and
-    /// `..._secs` totals, with `shard.pool.utilization` derived from the
+    /// per-shard `shard.s{i}.events_processed`,
+    /// `kernel.hello_cache_{hits,misses}` summed over shards, and — when
+    /// span tracing is on — `spans.{recorded,evicted}` plus per-scope
+    /// `shard.{coord|s{i}}.{phase}_wall_us` histograms and `..._secs`
+    /// totals, with `shard.pool.utilization` derived from the
     /// compute/barrier-wait ratio. With tracing enabled,
     /// `trace.{recorded,evicted}` mirrors the serial world's family
     /// (sharded traces are unbounded, so `evicted` is always 0).
@@ -892,6 +893,9 @@ impl<A: Application> ShardedWorld<A> {
         registry.counter("shard.xfer.observations_applied").add(c.observations_applied);
         registry.counter("shard.xfer.replica_patches").add(c.replica_patches);
         registry.counter("shard.pool.jobs").add(c.pool_jobs);
+        let kernel = self.kernel_stats();
+        registry.counter("kernel.hello_cache_hits").add(kernel.hello_cache_hits);
+        registry.counter("kernel.hello_cache_misses").add(kernel.hello_cache_misses);
         registry.gauge("shard.pool.max_queue_depth").set(c.pool_max_depth as f64);
         let workers = self.threads.min(self.shards.len());
         registry.gauge("shard.pool.workers").set(workers as f64);
@@ -1111,6 +1115,8 @@ impl<A: Application> ShardedWorld<A> {
         for s in &self.shards {
             total.hello_beacons += s.stats.hello_beacons;
             total.timers_fired += s.stats.timers_fired;
+            total.hello_cache_hits += s.stats.hello_cache_hits;
+            total.hello_cache_misses += s.stats.hello_cache_misses;
             for (acc, &bin) in total.hello_fanout_bins.iter_mut().zip(&s.stats.hello_fanout_bins) {
                 *acc += bin;
             }

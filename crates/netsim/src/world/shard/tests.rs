@@ -448,6 +448,88 @@ proptest::proptest! {
     }
 }
 
+// ----------------------------------------------------------- hearer cache
+
+/// A 7×7 lattice inside `BOUNDS`: past the small-world scan, so beacons go
+/// through the replica grid and the shards' hearer caches.
+fn lattice_scenario() -> Scenario {
+    Scenario {
+        positions: (0..49)
+            .map(|i| Point2::new((i % 7) as f64 * 14.0 + 3.0, (i / 7) as f64 * 14.0 + 3.0))
+            .collect(),
+        joules: 10.0,
+        move_y: 90.0,
+        timers: vec![0, 300, 600, 900, 1200],
+        run_micros: 4_000_000,
+    }
+}
+
+/// The run's fingerprint plus what depends on the hearer lists alone: the
+/// kernel counters (fan-out bins) and what each node saw in its table.
+fn cache_fingerprint(
+    w: &mut ShardedWorld<Echo>,
+    sc: &Scenario,
+) -> (Fingerprint, KernelStats, Vec<usize>) {
+    let f = run_scenario(w, sc);
+    let seen =
+        (0..sc.positions.len() as u32).map(|i| w.app(NodeId::new(i)).seen_neighbors).collect();
+    (f, w.kernel_stats(), seen)
+}
+
+#[test]
+fn hello_cache_is_shard_count_invariant_and_publishes() {
+    let sc = lattice_scenario();
+    let mut one = make_sharded(1);
+    let base = cache_fingerprint(&mut one, &sc);
+    assert!(base.1.hello_cache_hits > 0 && base.1.hello_cache_misses > 0);
+    assert_eq!(base.1.hello_cache_hits + base.1.hello_cache_misses, base.1.hello_beacons);
+    let mut four = make_sharded(4);
+    four.set_threads(2);
+    assert_eq!(cache_fingerprint(&mut four, &sc), base);
+
+    let reg = imobif_obs::Registry::enabled();
+    four.publish_metrics(&reg);
+    let snap = reg.snapshot();
+    assert_eq!(snap.counter("kernel.hello_cache_hits"), Some(base.1.hello_cache_hits));
+    assert_eq!(snap.counter("kernel.hello_cache_misses"), Some(base.1.hello_cache_misses));
+    imobif_obs::promlint::lint(&snap.to_prometheus()).expect("kernel families lint clean");
+}
+
+#[test]
+fn reset_with_a_new_range_matches_fresh() {
+    let cfg = SimConfig { range: 20.0, ..SimConfig::default() };
+    let sc = lattice_scenario();
+    let mut fresh = ShardedWorld::new(
+        cfg,
+        Arc::new(PowerLawModel::paper_default(2.0).unwrap()),
+        Arc::new(LinearMobilityCost::new(0.5).unwrap()),
+        BOUNDS,
+        4,
+    )
+    .unwrap();
+    let want = cache_fingerprint(&mut fresh, &sc);
+
+    // Fill the caches at the default 30 m range on the same lattice: the
+    // stale entries' centers match the next run's nodes, and their stamps
+    // are far ahead of the replacement grid's restarted clock.
+    let mut reused = make_sharded(4);
+    let warm = cache_fingerprint(&mut reused, &sc);
+    assert!(warm.1.hello_cache_hits > 0);
+    reused
+        .reset_into(
+            cfg,
+            Arc::new(PowerLawModel::paper_default(2.0).unwrap()),
+            Arc::new(LinearMobilityCost::new(0.5).unwrap()),
+            BOUNDS,
+            4,
+            &mut Vec::new(),
+        )
+        .unwrap();
+    let got = cache_fingerprint(&mut reused, &sc);
+    assert_eq!(got.0.fnv, want.0.fnv);
+    assert_eq!(got, want);
+}
+
 // ------------------------------------------------------------------ spans
 
 #[test]

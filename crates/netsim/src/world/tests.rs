@@ -6,7 +6,7 @@
 use super::kernel::{Effect, EffectBuf, TimerKind};
 use super::*;
 use crate::trace::TraceEvent;
-use crate::{EnergyCategory, NodeCtx, SimDuration};
+use crate::{EnergyCategory, NeighborEntry, NodeCtx, SimDuration};
 use imobif_energy::{LinearMobilityCost, PowerLawModel};
 
 /// Test protocol: forwards a counter along a chain and records receipt.
@@ -437,12 +437,157 @@ fn beacon_grid_and_scan_paths_agree() {
         }
         let mut fx = EffectBuf::new();
         beacon::hello_beacon(&mut w.core, NodeId::new(2), &mut fx);
-        w.core.hearers.clone()
+        (0..w.node_count())
+            .filter(|&i| !w.core.nodes.neighbor_table(i).is_empty())
+            .collect::<Vec<_>>()
     };
     let small = hearers_of(0);
     let large = hearers_of(beacon::SMALL_WORLD_SCAN);
     assert_eq!(small, vec![0, 1, 3, 4], "30 m range hears ±2 hops at 12 m spacing");
     assert_eq!(small, large);
+}
+
+/// Node positions on a `side × side` lattice: past the small-world scan,
+/// so beacons go through the grid and the hearer cache.
+fn lattice(side: usize, spacing: f64) -> Vec<Point2> {
+    (0..side * side)
+        .map(|i| Point2::new((i % side) as f64 * spacing, (i / side) as f64 * spacing))
+        .collect()
+}
+
+#[test]
+fn hello_cache_hits_in_a_static_world_and_publishes() {
+    let mut w = make_world();
+    for p in lattice(7, 14.0) {
+        w.add_node(p, Battery::new(1.0).unwrap(), Echo::default());
+    }
+    w.start();
+    w.run_until(SimTime::from_micros(5_000_000));
+    let stats = *w.kernel_stats();
+    // Nothing moves: each node misses once, on its first beacon.
+    assert_eq!(stats.hello_cache_misses, 49);
+    assert_eq!(stats.hello_cache_hits + stats.hello_cache_misses, stats.hello_beacons);
+    assert!(stats.hello_cache_hits >= 4 * 49);
+
+    let registry = imobif_obs::Registry::enabled();
+    w.publish_metrics(&registry);
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("kernel.hello_cache_hits"), Some(stats.hello_cache_hits));
+    assert_eq!(snap.counter("kernel.hello_cache_misses"), Some(stats.hello_cache_misses));
+    imobif_obs::promlint::lint(&snap.to_prometheus()).expect("kernel families lint clean");
+}
+
+proptest::proptest! {
+    /// Every beacon's hearer list equals the brute-force set over random
+    /// moves, deaths and beacons, including beacons sent from a position
+    /// the grid has not caught up with (a sharded node between its own
+    /// move and the next barrier).
+    #[test]
+    fn prop_cached_hearers_match_brute_force(
+        coords in proptest::collection::vec((0.0..120.0f64, 0.0..120.0f64), 33..60),
+        steps in proptest::collection::vec((0u8..8, 0usize..60, 0.0..120.0f64, 0.0..120.0f64), 1..300),
+    ) {
+        let range = 30.0;
+        let mut positions: Vec<Point2> = coords.iter().map(|&(x, y)| Point2::new(x, y)).collect();
+        let n = positions.len();
+        let mut alive = vec![true; n];
+        let mut grid = SpatialGrid::new(range);
+        for (i, &p) in positions.iter().enumerate() {
+            grid.insert(i as u32, p);
+        }
+        let mut cache = beacon::HearerCache::default();
+        let mut stats = KernelStats::default();
+        for (op, who, x, y) in steps {
+            let i = who % n;
+            let target = Point2::new(x, y);
+            match op {
+                0 | 1 if alive[i] => {
+                    // A short move, so lists change by a member or two.
+                    let (p, _) = positions[i].step_toward(target, 8.0);
+                    positions[i] = p;
+                    grid.update(i as u32, p);
+                }
+                2 if alive[i] && x < 15.0 => {
+                    alive[i] = false;
+                    grid.remove(i as u32);
+                }
+                _ => {
+                    let from = if op == 3 { target } else { positions[i] };
+                    let view = beacon::BeaconView {
+                        positions: &positions,
+                        alive: &alive,
+                        grid: &grid,
+                        range,
+                    };
+                    let got = cache.hearers(&view, &mut stats, NodeId::new(i as u32), i, n, from);
+                    let want: Vec<u32> = (0..n)
+                        .filter(|&j| {
+                            j != i && alive[j] && from.distance_sq_to(positions[j]) <= range * range
+                        })
+                        .map(|j| j as u32)
+                        .collect();
+                    proptest::prop_assert_eq!(got, &want[..]);
+                }
+            }
+        }
+        proptest::prop_assert_eq!(
+            stats.hello_cache_hits + stats.hello_cache_misses,
+            stats.hello_beacons
+        );
+    }
+}
+
+/// Everything the reset-with-a-new-range test compares: the trace FNV,
+/// the kernel counters (fan-out bins come straight from the hearer lists)
+/// and every node's neighbor table.
+fn cache_fingerprint(w: &mut World<Echo>) -> (u64, KernelStats, Vec<Vec<NeighborEntry>>) {
+    let ids: Vec<NodeId> = lattice(7, 14.0)
+        .into_iter()
+        .map(|p| w.add_node(p, Battery::new(10.0).unwrap(), Echo::default()))
+        .collect();
+    w.enable_tracing(1 << 16);
+    for pair in ids.windows(2) {
+        w.app_mut(pair[0]).forward_to = Some(pair[1]);
+    }
+    // A mover crossing the lattice invalidates the windows it passes.
+    w.app_mut(ids[8]).move_target = Some(Point2::new(80.0, 80.0));
+    w.start();
+    for i in 0..8 {
+        w.schedule_timer(ids[0], SimDuration::from_millis(i * 300), i);
+    }
+    w.run_until(SimTime::from_micros(4_000_000));
+    let events = w.trace().expect("tracing enabled").events();
+    let fnv = imobif_obs::fnv1a64(crate::trace::events_to_jsonl(&events).as_bytes());
+    let now = w.time();
+    let tables = (0..ids.len()).map(|i| w.core.nodes.neighbor_table(i).fresh(now)).collect();
+    (fnv, *w.kernel_stats(), tables)
+}
+
+#[test]
+fn reset_with_a_new_range_matches_fresh() {
+    let cfg = |range: f64| SimConfig { range, ..SimConfig::default() };
+    let models =
+        || -> (Box<dyn imobif_energy::TxEnergyModel>, Box<dyn imobif_energy::MobilityCostModel>) {
+            (
+                Box::new(PowerLawModel::paper_default(2.0).unwrap()),
+                Box::new(LinearMobilityCost::new(0.5).unwrap()),
+            )
+        };
+    let (tx, mob) = models();
+    let mut fresh: World<Echo> = World::new(cfg(20.0), tx, mob).unwrap();
+    let want = cache_fingerprint(&mut fresh);
+
+    // Fill the caches at range 30 on the same lattice: every stale entry's
+    // center matches a node of the next run, and its stamp is far ahead of
+    // the replacement grid's restarted clock.
+    let mut reused = make_world();
+    assert_eq!(reused.config().range, 30.0);
+    let warm = cache_fingerprint(&mut reused);
+    assert!(warm.1.hello_cache_hits > 0);
+    let (tx, mob) = models();
+    reused.reset_into(cfg(20.0), tx, mob, &mut Vec::new()).unwrap();
+    let got = cache_fingerprint(&mut reused);
+    assert_eq!(got, want);
 }
 
 /// A scenario script for the reset-equivalence tests: a chain of nodes

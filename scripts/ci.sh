@@ -4,10 +4,11 @@
 # Everything here runs fully offline (dependencies are vendored); a clean
 # exit means the tree is in a committable state.
 #
-# `ci.sh --smoke` runs only the fast subset — release build plus the
+# `ci.sh --smoke` runs only the fast subset — release build, the
 # scale_bench smoke gates (steady-state allocations, arena reuse,
-# 1-vs-N-shard determinism, a reduced 100k-node arena) — and targets a
-# total wall time under ~60s on a warm build cache.
+# 1-vs-N-shard determinism, a reduced 100k-node arena), and the benchmark
+# package's tests and `bench --smoke` — and targets a total wall time of
+# about two minutes on a warm build cache.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -104,6 +105,15 @@ echo "    $scenario_fnv"
     exit 1
 }
 
+echo "==> benchmark package: tests + bench --smoke (pinned fingerprints)"
+# The benchmark lives in its own workspace (perfbench/). `bench` exits
+# nonzero when any round panics or breaks its pinned output fingerprint.
+bench_dir=$(mktemp -d)
+trap 'rm -f "${smoke_out:-}"; rm -rf "$spans_dir" "$bench_dir"' EXIT
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+cargo run --release -q --manifest-path perfbench/Cargo.toml --bin bench -- \
+    --smoke --out "$bench_dir" >/dev/null
+
 if [[ "$SMOKE" == "1" ]]; then
     echo "==> ci OK (smoke subset)"
     exit 0
@@ -111,7 +121,7 @@ fi
 
 echo "==> observability smoke (manifest + metrics artifacts, trace tooling)"
 obs_dir=$(mktemp -d)
-trap 'rm -f "${smoke_out:-}"; rm -rf "$obs_dir" "$spans_dir"' EXIT
+trap 'rm -f "${smoke_out:-}"; rm -rf "$obs_dir" "$spans_dir" "$bench_dir"' EXIT
 # A small figure run with metrics on must emit a manifest that validates
 # and carries nonzero kernel readings.
 cargo run --release -q -p imobif-experiments --bin imobif -- \
