@@ -103,4 +103,4 @@ pub use node::{NodeRef, NodeStore};
 pub use stats::{EnergyCategory, EnergyLedger, NodeEnergy};
 pub use time::{SimDuration, SimTime};
 pub use world::shard::{EpochProfile, ShardLayout, ShardedWorld, DEFAULT_SPAN_CAPACITY};
-pub use world::{Effect, KernelStats, TimerKind, World};
+pub use world::{KernelStats, World};

@@ -1,18 +1,13 @@
-//! The periodic HELLO service: each beacon broadcasts the node's identity,
-//! position and residual energy to every node in radio range, refreshing
-//! their neighbor tables (the paper's prescribed triple).
-//!
-//! Neighbor tables and the HELLO energy/stats are this subsystem's own
-//! state; the reschedule and a possible battery death are returned as
-//! [`Effect`]s. Who hears a beacon is decided by [`HearerCache::hearers`],
-//! which the shard engine calls too.
+//! Who hears a HELLO beacon: [`HearerCache::hearers`], the one hearer
+//! search both engines' beacon handler calls (see
+//! [`engine`](super::engine)), over whatever [`BeaconView`] the engine's
+//! `Reach` exposes — the serial world's live columns and grid, or a
+//! shard's epoch replica.
 
 use imobif_geom::{Point2, SpatialGrid};
 
-use super::kernel::{Effect, EffectBuf, TimerKind};
 use super::observe::KernelStats;
-use super::WorldCore;
-use crate::{EnergyCategory, NodeId};
+use crate::NodeId;
 
 /// Below this many nodes, HELLO neighbor discovery scans the node array
 /// instead of using the spatial grid and the hearer cache: the pinned-path
@@ -22,7 +17,7 @@ pub(super) const SMALL_WORLD_SCAN: usize = 32;
 /// What a beacon's hearer search reads of the other nodes: position and
 /// liveness columns indexed by global node id, a grid holding exactly the
 /// live nodes, and the radio range.
-pub(super) struct BeaconView<'a> {
+pub(crate) struct BeaconView<'a> {
     pub(super) positions: &'a [Point2],
     pub(super) alive: &'a [bool],
     pub(super) grid: &'a SpatialGrid,
@@ -166,40 +161,4 @@ impl HearerCache {
             self.pool.reserve_exact(need.max(self.pool.len() / 8));
         }
     }
-}
-
-/// Broadcasts one HELLO beacon from `node` (if alive), updates every
-/// hearer's neighbor table, and reschedules the next beacon. A node that
-/// cannot afford the beacon dies instead and its beacon chain stops.
-pub(super) fn hello_beacon(core: &mut WorldCore, node: NodeId, fx: &mut EffectBuf) {
-    if !core.nodes.is_alive(node.index()) {
-        return;
-    }
-    if core.cfg.hello.charge_energy {
-        // Beacons are broadcast at full range power.
-        let e = core.tx_model.energy(core.cfg.range, core.cfg.hello.bits as f64);
-        if core.nodes.battery_mut(node.index()).try_consume(e).is_err() {
-            fx.push(Effect::Kill { node });
-            return;
-        }
-        core.ledger.charge(node, EnergyCategory::Hello, e);
-    }
-    let pos = core.nodes.position(node.index());
-    let residual = core.nodes.residual(node.index());
-    let view = BeaconView {
-        positions: core.nodes.positions(),
-        alive: core.nodes.alive_flags(),
-        grid: &core.grid,
-        range: core.cfg.range,
-    };
-    let slots = core.nodes.len();
-    let hearers = core.hearers.hearers(&view, &mut core.stats, node, node.index(), slots, pos);
-    let now = core.time;
-    for &k in hearers {
-        let hearer = k as usize;
-        if core.nodes.is_alive(hearer) {
-            core.nodes.neighbor_table_mut(hearer).observe(node, pos, residual, now);
-        }
-    }
-    fx.push(Effect::Timer { node, delay: core.cfg.hello.period, kind: TimerKind::Beacon });
 }

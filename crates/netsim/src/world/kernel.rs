@@ -1,120 +1,123 @@
-//! The event loop: pops kernel events, runs application hooks, converts
-//! their [`Action`]s into [`Effect`]s, and applies effects in order.
+//! The serial world's [`Reach`] and its run loop.
 //!
-//! Every cross-cutting consequence a subsystem produces — scheduling a
-//! delivery or timer, killing a node, recording a trace event — flows
-//! through [`World::apply`]. Nothing else touches the event queue or the
-//! trace ring mid-event, which makes that loop the single interception
-//! point for future fault injection and sharding.
+//! [`SerialReach`] is the serial half of the engine seam: every node reads
+//! every other node's live columns, and every consequence takes hold at
+//! once — a delivery goes on the world's own queue, a beacon refreshes the
+//! hearers' tables as it is sent, and a move or death updates the spatial
+//! grid. The handlers themselves live in [`engine`](super::engine).
 
-use imobif_geom::Point2;
+use imobif_energy::{MobilityCostModel, TxEnergyModel};
+use imobif_geom::{Point2, SpatialGrid};
 
-use super::{beacon, delivery, mobility, observe, World};
-use crate::trace::TraceEvent;
-use crate::{Action, Application, NodeCtx, NodeId, Outbox, SimDuration, SimTime};
+use super::beacon::BeaconView;
+use super::engine::{Event, Reach};
+use super::World;
+use crate::node::NodeStore;
+use crate::trace::{RingTrace, TraceEvent, TraceSink};
+use crate::{Application, EventQueue, NodeId, SimConfig, SimDuration, SimTime};
 
-/// Internal kernel events.
-#[derive(Debug)]
-pub(super) enum Event<M> {
-    /// A packet arriving at `to`.
-    Deliver { from: NodeId, to: NodeId, msg: M },
-    /// An application timer firing at `node`.
-    AppTimer { node: NodeId, tag: u64 },
-    /// A periodic HELLO beacon due at `node`.
-    HelloBeacon { node: NodeId },
-    /// An externally scheduled failure (churn / duty-cycle schedules): take
-    /// `node` out of service when the clock reaches the event, unless it
-    /// already died.
-    ScheduledKill { node: NodeId },
+/// What the serial world adds to its engine: configuration, energy models,
+/// a spatial grid holding exactly the live nodes, and the trace ring.
+pub(super) struct SerialReach {
+    pub(super) cfg: SimConfig,
+    pub(super) tx_model: Box<dyn TxEnergyModel>,
+    pub(super) mobility_model: Box<dyn MobilityCostModel>,
+    pub(super) grid: SpatialGrid,
+    pub(super) trace: Option<RingTrace>,
 }
 
-/// What an [`Effect::Timer`] wakes up when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimerKind {
-    /// An application timer delivered to `Application::on_timer`.
-    App {
-        /// Opaque tag handed back to the application.
-        tag: u64,
-    },
-    /// The node's next periodic HELLO beacon.
-    Beacon,
-}
+impl<M> Reach<M> for SerialReach {
+    const GROUND_TRUTH: bool = true;
 
-/// A typed cross-cutting consequence returned by a subsystem and applied
-/// by the kernel.
-///
-/// Subsystems mutate their own domain state directly (batteries, ledger,
-/// positions, neighbor tables) but never reach into the event queue, the
-/// trace ring, or another subsystem; those consequences are returned as
-/// effects instead. The kernel applies each batch in push order, which
-/// fixes the trace and scheduling order exactly (DESIGN.md §10):
-///
-/// * a successful send records `Sent` *then* schedules the delivery;
-/// * an unaffordable send kills the sender (recording `Died`) *then*
-///   records `Dropped`;
-/// * a mid-step death records the partial `Moved` *then* `Died`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Effect {
-    /// Schedule the in-flight message for delivery after `delay`. The
-    /// message payload itself stays with the kernel (it is the one generic
-    /// piece of an otherwise plain-data effect) and is paired with this
-    /// effect when it is applied.
-    Send {
-        /// The transmitting node.
-        from: NodeId,
-        /// The receiving node.
-        to: NodeId,
-        /// Transmission delay (link rate + hop latency).
-        delay: SimDuration,
-    },
-    /// Move `node` toward `target`, by at most `max_step` meters.
-    Move {
-        /// The moving node.
-        node: NodeId,
-        /// Where the node wants to end up.
-        target: Point2,
-        /// Per-packet movement budget in meters (paper §4).
-        max_step: f64,
-    },
-    /// Schedule a wake-up for `node` after `delay`.
-    Timer {
-        /// The node to wake.
-        node: NodeId,
-        /// How far in the future the timer fires.
-        delay: SimDuration,
-        /// Which service the wake-up drives.
-        kind: TimerKind,
-    },
-    /// Take `node` out of service (battery below the per-action
-    /// requirement — the paper's death condition).
-    Kill {
-        /// The dying node.
-        node: NodeId,
-    },
-    /// Record a kernel trace event.
-    Trace(TraceEvent),
-}
+    fn cfg(&self) -> &SimConfig {
+        &self.cfg
+    }
 
-/// Fixed-capacity inline buffer collecting the effects of one subsystem
-/// call. No operation produces more than two effects (see [`Effect`]), so
-/// two slots suffice without ever touching the heap — the hot path stays
-/// allocation-free, and the buffer stays small enough that its per-event
-/// zero-initialization is noise.
-pub(super) struct EffectBuf {
-    pub(super) slots: [Option<Effect>; 2],
-    pub(super) len: usize,
-}
+    fn tx_model(&self) -> &dyn TxEnergyModel {
+        self.tx_model.as_ref()
+    }
 
-impl EffectBuf {
-    #[inline]
-    pub(super) const fn new() -> Self {
-        EffectBuf { slots: [None; 2], len: 0 }
+    fn mobility_model(&self) -> &dyn MobilityCostModel {
+        self.mobility_model.as_ref()
     }
 
     #[inline]
-    pub(super) fn push(&mut self, effect: Effect) {
-        self.slots[self.len] = Some(effect);
-        self.len += 1;
+    fn slot_of(&self, id: NodeId) -> usize {
+        id.index()
+    }
+
+    #[inline]
+    fn peer_position(&self, nodes: &NodeStore, to: NodeId) -> Point2 {
+        nodes.position(to.index())
+    }
+
+    #[inline]
+    fn schedule(
+        &mut self,
+        queue: &mut EventQueue<Event<M>>,
+        at: SimTime,
+        _slot: usize,
+        _id: NodeId,
+        event: Event<M>,
+    ) {
+        queue.push(at, event);
+    }
+
+    #[inline]
+    fn deliver(
+        &mut self,
+        queue: &mut EventQueue<Event<M>>,
+        _now: SimTime,
+        _slot: usize,
+        from: NodeId,
+        to: NodeId,
+        arrival: SimTime,
+        msg: M,
+    ) {
+        queue.push(arrival, Event::Deliver { from, to, msg });
+    }
+
+    fn beacon_view<'a>(&'a self, nodes: &'a NodeStore) -> BeaconView<'a> {
+        BeaconView {
+            positions: nodes.positions(),
+            alive: nodes.alive_flags(),
+            grid: &self.grid,
+            range: self.cfg.range,
+        }
+    }
+
+    fn hear(
+        &mut self,
+        nodes: &mut NodeStore,
+        hearers: &[u32],
+        origin: NodeId,
+        position: Point2,
+        residual: f64,
+        now: SimTime,
+    ) {
+        for &k in hearers {
+            let hearer = k as usize;
+            if nodes.is_alive(hearer) {
+                nodes.neighbor_table_mut(hearer).observe(origin, position, residual, now);
+            }
+        }
+    }
+
+    #[inline]
+    fn moved(&mut self, id: NodeId, to: Point2) {
+        self.grid.update(id.raw(), to);
+    }
+
+    #[inline]
+    fn died(&mut self, id: NodeId) {
+        self.grid.remove(id.raw());
+    }
+
+    #[inline]
+    fn trace(&mut self, _slot: usize, _id: NodeId, event: impl FnOnce() -> TraceEvent) {
+        if let Some(trace) = &mut self.trace {
+            trace.record(&event());
+        }
     }
 }
 
@@ -128,104 +131,23 @@ impl<A: Application> World<A> {
     pub fn start(&mut self) {
         assert!(!self.started, "start() called twice");
         self.started = true;
-        if self.core.cfg.hello.enabled {
+        let now = self.engine.time;
+        if self.reach.cfg.hello.enabled {
             // Beacons fire immediately at start so neighbor tables are
             // populated before the first data packet; the queue's sequence
             // numbers give a deterministic beacon order.
-            for i in 0..self.core.nodes.len() {
-                self.queue.push(self.core.time, Event::HelloBeacon { node: NodeId::new(i as u32) });
+            for i in 0..self.engine.nodes.len() {
+                self.engine.queue.push(now, Event::HelloBeacon { node: NodeId::new(i as u32) });
             }
         }
-        for i in 0..self.core.nodes.len() {
-            let id = NodeId::new(i as u32);
-            if !self.core.nodes.is_alive(i) {
-                continue;
-            }
-            self.dispatch(id, |app, ctx, out| app.on_start(ctx, out));
-        }
-    }
-
-    /// Runs one application hook with a context built from disjoint field
-    /// borrows (`apps` mutable, everything else shared), then converts the
-    /// actions the hook pushed into effects and applies them, in push
-    /// order.
-    ///
-    /// The outbox is taken out of `self` for the duration of the call so
-    /// the action loop can borrow the world mutably; its backing storage is
-    /// put back afterwards, so the steady state allocates nothing.
-    pub(super) fn dispatch<F>(&mut self, id: NodeId, f: F)
-    where
-        F: FnOnce(&mut A, &NodeCtx<'_>, &mut Outbox<A::Msg>),
-    {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        outbox.clear();
-        {
-            let ctx = NodeCtx {
-                id,
-                now: self.core.time,
-                store: &self.core.nodes,
-                slot: id.index(),
-                truth: Some(&self.core.nodes),
-                tx_model: self.core.tx_model.as_ref(),
-                mobility_model: self.core.mobility_model.as_ref(),
-                hello_enabled: self.core.cfg.hello.enabled,
-            };
-            f(&mut self.apps[id.index()], &ctx, &mut outbox);
-        }
-        for action in outbox.drain() {
-            if !self.core.nodes.is_alive(id.index()) {
-                // A previous action in this batch killed the node.
-                break;
-            }
-            let mut fx = EffectBuf::new();
-            match action {
-                Action::Send { to, bits, msg, category } => {
-                    delivery::send(&mut self.core, id, to, bits, category, &mut fx);
-                    self.apply(&mut fx, Some(msg));
-                }
-                Action::SetTimer { delay, tag } => {
-                    fx.push(Effect::Timer { node: id, delay, kind: TimerKind::App { tag } });
-                    self.apply(&mut fx, None);
-                }
-                Action::MoveToward { target, max_step } => {
-                    fx.push(Effect::Move { node: id, target, max_step });
-                    self.apply(&mut fx, None);
-                }
+        for i in 0..self.engine.nodes.len() {
+            if self.engine.nodes.is_alive(i) {
+                let id = NodeId::new(i as u32);
+                self.engine.dispatch(&mut self.reach, id, i, |app, ctx, out| {
+                    app.on_start(ctx, out);
+                });
             }
         }
-        self.outbox = outbox;
-    }
-
-    /// Applies a batch of subsystem effects in push order — the single
-    /// point where scheduling, death and trace consequences take hold.
-    ///
-    /// `msg` carries the payload of the (at most one) [`Effect::Send`] in
-    /// the batch; see [`Effect::Send`] for why it travels separately.
-    fn apply(&mut self, fx: &mut EffectBuf, mut msg: Option<A::Msg>) {
-        for i in 0..fx.len {
-            let effect = fx.slots[i].take().expect("effect slot populated");
-            match effect {
-                Effect::Send { from, to, delay } => {
-                    let m = msg.take().expect("a Send effect pairs with the action's message");
-                    self.queue.push(self.core.time + delay, Event::Deliver { from, to, msg: m });
-                }
-                Effect::Move { node, target, max_step } => {
-                    let mut sub = EffectBuf::new();
-                    mobility::move_node(&mut self.core, node, target, max_step, &mut sub);
-                    self.apply(&mut sub, None);
-                }
-                Effect::Timer { node, delay, kind } => {
-                    let event = match kind {
-                        TimerKind::App { tag } => Event::AppTimer { node, tag },
-                        TimerKind::Beacon => Event::HelloBeacon { node },
-                    };
-                    self.queue.push(self.core.time + delay, event);
-                }
-                Effect::Kill { node } => mobility::kill(&mut self.core, node),
-                Effect::Trace(event) => observe::emit(&mut self.core, event),
-            }
-        }
-        fx.len = 0;
     }
 
     /// Processes the next event. Returns `false` when the queue is empty.
@@ -235,54 +157,18 @@ impl<A: Application> World<A> {
     /// Panics if the world was not started.
     pub fn step(&mut self) -> bool {
         assert!(self.started, "step() before start()");
-        let Some((t, event)) = self.queue.pop() else {
-            return false;
-        };
-        // The clock never runs backwards even if an action scheduled
-        // something "in the past".
-        self.core.time = self.core.time.max(t);
-        self.events_processed += 1;
-        match event {
-            Event::Deliver { from, to, msg } => {
-                let mut fx = EffectBuf::new();
-                if delivery::receive(&mut self.core, from, to, &mut fx) {
-                    self.apply(&mut fx, None);
-                    self.dispatch(to, |app, ctx, out| app.on_message(ctx, from, msg, out));
-                } else {
-                    self.apply(&mut fx, None);
-                }
-            }
-            Event::AppTimer { node, tag } => {
-                if self.core.nodes.is_alive(node.index()) {
-                    self.core.stats.timers_fired += 1;
-                    self.dispatch(node, |app, ctx, out| app.on_timer(ctx, tag, out));
-                }
-            }
-            Event::HelloBeacon { node } => {
-                let mut fx = EffectBuf::new();
-                beacon::hello_beacon(&mut self.core, node, &mut fx);
-                self.apply(&mut fx, None);
-            }
-            Event::ScheduledKill { node } => {
-                if self.core.nodes.is_alive(node.index()) {
-                    let mut fx = EffectBuf::new();
-                    fx.push(Effect::Kill { node });
-                    self.apply(&mut fx, None);
-                }
-            }
-        }
-        true
+        self.engine.step(&mut self.reach)
     }
 
     /// Runs until the clock passes `deadline` or the queue drains.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
+        while let Some(t) = self.engine.queue.peek_time() {
             if t > deadline {
                 break;
             }
             self.step();
         }
-        self.core.time = self.core.time.max(deadline);
+        self.engine.time = self.engine.time.max(deadline);
     }
 
     /// Runs until `stop` returns `true` (checked after every event) or the
@@ -298,15 +184,15 @@ impl<A: Application> World<A> {
     /// Schedules an application timer from outside (used by experiment
     /// drivers to kick off flow sources).
     pub fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) {
-        self.queue.push(self.core.time + delay, Event::AppTimer { node, tag });
+        self.engine.queue.push(self.engine.time + delay, Event::AppTimer { node, tag });
     }
 
     /// Schedules `node` to fail (leave service) after `delay` — the hook
-    /// churn and duty-cycle schedules lower into. When the event fires it
-    /// flows through the ordinary [`Effect::Kill`] path, so the ledger
-    /// records the death and a `Died` trace event is emitted exactly as for
-    /// a battery death; a node that already died is left untouched.
+    /// churn and duty-cycle schedules lower into. When the event fires the
+    /// node dies through the same path as a battery death, so the ledger
+    /// records the death and a `Died` trace event is emitted; a node that
+    /// already died is left untouched.
     pub fn schedule_kill(&mut self, node: NodeId, delay: SimDuration) {
-        self.queue.push(self.core.time + delay, Event::ScheduledKill { node });
+        self.engine.queue.push(self.engine.time + delay, Event::ScheduledKill { node });
     }
 }

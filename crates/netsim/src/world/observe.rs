@@ -1,8 +1,8 @@
 //! Observability: trace emission, plain-field kernel counters, and the
 //! one bridge that flushes them into an [`imobif_obs::Registry`].
 
-use super::{World, WorldCore};
-use crate::trace::{RingTrace, TraceEvent, TraceSink};
+use super::World;
+use crate::trace::RingTrace;
 use crate::{Application, EnergyCategory, NodeId};
 
 /// Plain-field kernel instrumentation, sibling to
@@ -38,15 +38,6 @@ impl KernelStats {
     }
 }
 
-/// Records `event` into the trace ring, if tracing is enabled. The only
-/// writer: every subsystem's trace output arrives here, via
-/// [`super::Effect::Trace`] or a direct call from `kill`.
-pub(super) fn emit(core: &mut WorldCore, event: TraceEvent) {
-    if let Some(trace) = &mut core.trace {
-        trace.record(&event);
-    }
-}
-
 impl<A: Application> World<A> {
     /// Enables in-memory tracing, keeping the most recent `capacity`
     /// kernel events (see [`crate::trace`]).
@@ -55,20 +46,20 @@ impl<A: Application> World<A> {
     ///
     /// Panics if `capacity` is zero.
     pub fn enable_tracing(&mut self, capacity: usize) {
-        self.core.trace = Some(RingTrace::new(capacity));
+        self.reach.trace = Some(RingTrace::new(capacity));
     }
 
     /// The trace ring, if tracing is enabled.
     #[must_use]
     pub fn trace(&self) -> Option<&RingTrace> {
-        self.core.trace.as_ref()
+        self.reach.trace.as_ref()
     }
 
     /// Plain-field kernel instrumentation accumulated since construction or
     /// the last reset.
     #[must_use]
     pub fn kernel_stats(&self) -> &KernelStats {
-        &self.core.stats
+        &self.engine.stats
     }
 
     /// Flushes every plain-field stat — queue, kernel, energy ledger,
@@ -84,7 +75,7 @@ impl<A: Application> World<A> {
         if !registry.is_enabled() {
             return;
         }
-        let q = self.queue.stats();
+        let q = self.engine.queue.stats();
         registry.counter("queue.pushes").add(q.pushes);
         registry.counter("queue.pops").add(q.pops);
         registry.gauge("queue.max_len").set(q.max_len as f64);
@@ -99,20 +90,20 @@ impl<A: Application> World<A> {
             occupancy.observe_n(value as f64, count);
         }
 
-        registry.counter("kernel.events_processed").add(self.events_processed);
-        registry.counter("kernel.hello_beacons").add(self.core.stats.hello_beacons);
-        registry.counter("kernel.timers_fired").add(self.core.stats.timers_fired);
-        registry.counter("kernel.hello_cache_hits").add(self.core.stats.hello_cache_hits);
-        registry.counter("kernel.hello_cache_misses").add(self.core.stats.hello_cache_misses);
+        registry.counter("kernel.events_processed").add(self.engine.events_processed);
+        registry.counter("kernel.hello_beacons").add(self.engine.stats.hello_beacons);
+        registry.counter("kernel.timers_fired").add(self.engine.stats.timers_fired);
+        registry.counter("kernel.hello_cache_hits").add(self.engine.stats.hello_cache_hits);
+        registry.counter("kernel.hello_cache_misses").add(self.engine.stats.hello_cache_misses);
         let fanout =
             registry.histogram("kernel.hello_fanout", &[0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0]);
         for (&value, &count) in
-            KernelStats::FANOUT_BIN_VALUES.iter().zip(&self.core.stats.hello_fanout_bins)
+            KernelStats::FANOUT_BIN_VALUES.iter().zip(&self.engine.stats.hello_fanout_bins)
         {
             fanout.observe_n(value as f64, count);
         }
 
-        let totals = self.core.ledger.totals();
+        let totals = self.engine.ledger.totals();
         for (category, joules) in [
             (EnergyCategory::Data, totals.data),
             (EnergyCategory::Mobility, totals.mobility),
@@ -121,15 +112,15 @@ impl<A: Application> World<A> {
         ] {
             registry.float_counter(&format!("energy.{}_joules", category.as_str())).add(joules);
         }
-        registry.counter("packets.sent").add(self.core.ledger.packets_sent);
-        registry.counter("packets.delivered").add(self.core.ledger.packets_delivered);
-        registry.counter("packets.dropped").add(self.core.ledger.packets_dropped);
-        let deaths = (0..self.core.nodes.len())
-            .filter(|&i| self.core.ledger.death_time(NodeId::new(i as u32)).is_some())
+        registry.counter("packets.sent").add(self.engine.ledger.packets_sent);
+        registry.counter("packets.delivered").add(self.engine.ledger.packets_delivered);
+        registry.counter("packets.dropped").add(self.engine.ledger.packets_dropped);
+        let deaths = (0..self.engine.nodes.len())
+            .filter(|&i| self.engine.ledger.death_time(NodeId::new(i as u32)).is_some())
             .count() as u64;
         registry.counter("kernel.node_deaths").add(deaths);
 
-        if let Some(trace) = &self.core.trace {
+        if let Some(trace) = &self.reach.trace {
             registry.counter("trace.recorded").add(trace.total_recorded());
             registry.counter("trace.evicted").add(trace.evicted());
         }

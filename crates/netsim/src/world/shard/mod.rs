@@ -2,6 +2,11 @@
 //! each owning its nodes' state and a local calendar queue, coupled only
 //! through deterministic epoch barriers.
 //!
+//! A shard embeds the same [`Engine`](super::engine::Engine) as the
+//! serial [`World`](crate::World) and runs the same handlers; only its
+//! [`Reach`](super::engine::Reach) differs (`reach.rs`: replica reads,
+//! keyed queue and trace, outbox emission).
+//!
 //! # Epoch-barrier protocol (DESIGN.md §11–12)
 //!
 //! The conservative-window argument: every cross-node interaction has a
@@ -19,7 +24,8 @@
 //! 2. every active shard drains its local queue up to (exclusive) the
 //!    window end, reading remote state only from the epoch-frozen replica
 //!    snapshot and pushing cross-shard consequences into its
-//!    per-destination outbox runs;
+//!    per-destination outbox runs. One epoch loop serves every thread
+//!    count: the active shards run in place, or on the worker pool;
 //! 3. at the barrier, deliveries are k-way merged per destination in their
 //!    shard-count-independent key order `(time, origin node, per-node
 //!    sequence)` and enqueued on the owner shards, grouped HELLO
@@ -51,9 +57,9 @@
 //! HELLO-disabled mode) cannot cross shards, so sharded worlds require
 //! `cfg.hello.enabled`.
 
-mod engine;
 mod pool;
 mod profile;
+mod reach;
 #[cfg(test)]
 mod tests;
 mod xfer;
@@ -67,17 +73,17 @@ use imobif_geom::Point2;
 use imobif_obs::span::phase;
 use imobif_obs::{Registry, SpanSink, COORD_SHARD};
 
-use super::kernel::Event;
+use super::engine::{self, Event};
 use super::observe::KernelStats;
 use crate::trace::TraceEvent;
 use crate::{
     Application, NeighborTable, NodeEnergy, NodeId, SimConfig, SimDuration, SimError, SimTime,
     TopologyView,
 };
-use engine::{Replica, Shard, SharedCtx, XKey};
 use pool::{Job, WorkerCtx, WorkerPool};
 use profile::EpochCounters;
 pub use profile::EpochProfile;
+use reach::{Replica, Shard, SharedCtx, XKey};
 use xfer::{MergeScratch, RepPatch, ShardOutbox};
 
 /// Span ring capacity used by [`ShardedWorld::enable_epoch_profiling`];
@@ -183,7 +189,7 @@ impl Scheduler {
         self.mark.resize(shards.len(), 0);
         self.epoch_id = 0;
         for (i, s) in shards.iter().enumerate() {
-            if let Some(t) = s.queue.peek_time() {
+            if let Some(t) = s.engine.queue.peek_time() {
                 self.heap.push(Reverse((t, i as u32)));
             }
         }
@@ -194,7 +200,7 @@ impl Scheduler {
     fn next_pending<A: Application>(&mut self, shards: &[Shard<A>]) -> Option<SimTime> {
         loop {
             let &Reverse((t, s)) = self.heap.peek()?;
-            match shards[s as usize].queue.peek_time() {
+            match shards[s as usize].engine.queue.peek_time() {
                 Some(a) if a == t => return Some(t),
                 Some(a) => {
                     self.heap.pop();
@@ -228,7 +234,7 @@ impl Scheduler {
             if self.mark[s as usize] == eid {
                 continue;
             }
-            let Some(a) = shards[s as usize].queue.peek_time() else { continue };
+            let Some(a) = shards[s as usize].engine.queue.peek_time() else { continue };
             if a != t {
                 self.heap.push(Reverse((a, s)));
                 continue;
@@ -255,7 +261,7 @@ impl Scheduler {
             } else {
                 self.woken[i - self.active.len()]
             };
-            if let Some(t) = shards[s as usize].queue.peek_time() {
+            if let Some(t) = shards[s as usize].engine.queue.peek_time() {
                 self.heap.push(Reverse((t, s)));
             }
         }
@@ -422,11 +428,7 @@ impl<A: Application> ShardedWorld<A> {
         let replica = Arc::get_mut(&mut self.replica).expect("replica uniquely held between runs");
         replica.positions.clear();
         replica.alive.clear();
-        if replica.grid.cell_size() == cfg.range.max(1.0) {
-            replica.grid.clear();
-        } else {
-            replica.grid = imobif_geom::SpatialGrid::new(cfg.range.max(1.0));
-        }
+        engine::reset_grid(&mut replica.grid, cfg.range);
         self.cfg = cfg;
         self.layout = layout;
         self.tx_model = tx_model;
@@ -447,22 +449,11 @@ impl<A: Application> ShardedWorld<A> {
         assert!(!self.started, "nodes must be added before start()");
         let id = NodeId::new(self.owner.len() as u32);
         let si = self.layout.shard_of(position);
-        let table = match self.spare_tables.pop() {
-            Some(mut t) => {
-                t.reset(self.cfg.hello.ttl);
-                t
-            }
-            None => NeighborTable::new(self.cfg.hello.ttl),
-        };
         let shard = &mut self.shards[si];
-        let slot = shard.nodes.push(position, battery, table);
-        shard.apps.push(app);
-        shard.globals.push(id);
-        shard.qseq.push(0);
-        shard.eseq.push(0);
-        shard.ledger.grow_to(shard.nodes.len());
+        let ttl = self.cfg.hello.ttl;
+        let slot = shard.add_node(position, battery, app, ttl, &mut self.spare_tables);
         self.owner.push((si as u32, slot as u32));
-        let alive = shard.nodes.is_alive(slot);
+        let alive = shard.engine.nodes.is_alive(slot);
         let replica = Arc::get_mut(&mut self.replica).expect("replica uniquely held between runs");
         replica.positions.push(position);
         replica.alive.push(alive);
@@ -482,12 +473,11 @@ impl<A: Application> ShardedWorld<A> {
     pub fn start(&mut self) {
         assert!(!self.started, "start() called twice");
         self.started = true;
-        for i in 0..self.owner.len() {
-            let (si, slot) = self.owner[i];
+        for (i, &(si, slot)) in self.owner.iter().enumerate() {
             let id = NodeId::new(i as u32);
-            let shard = &mut self.shards[si as usize];
-            let key = shard.qkey(slot as usize, id);
-            shard.queue.push_keyed(SimTime::ZERO, key, Event::HelloBeacon { node: id });
+            let Shard { engine, keys } = &mut self.shards[si as usize];
+            let beacon = Event::HelloBeacon { node: id };
+            keys.push(&mut engine.queue, SimTime::ZERO, slot as usize, id, beacon);
         }
         let Self {
             cfg,
@@ -503,7 +493,6 @@ impl<A: Application> ShardedWorld<A> {
             spans,
             ..
         } = self;
-        let owner: &[(u32, u32)] = owner;
         let sh = SharedCtx {
             cfg,
             tx_model: tx_model.as_ref(),
@@ -511,15 +500,14 @@ impl<A: Application> ShardedWorld<A> {
             owner,
         };
         for (i, &(si, slot)) in owner.iter().enumerate() {
-            let id = NodeId::new(i as u32);
-            let shard = &mut shards[si as usize];
-            if !shard.nodes.is_alive(slot as usize) {
-                continue;
+            let (engine, mut reach) =
+                shards[si as usize].split(&sh, replica, &mut outs[si as usize]);
+            if engine.nodes.is_alive(slot as usize) {
+                let id = NodeId::new(i as u32);
+                engine.dispatch(&mut reach, id, slot as usize, |app, ctx, out| {
+                    app.on_start(ctx, out);
+                });
             }
-            let xout = &mut outs[si as usize];
-            shard.dispatch(&sh, replica, xout, id, slot as usize, |app, ctx, out| {
-                app.on_start(ctx, out);
-            });
         }
         sched.active.clear();
         sched.active.extend(0..shards.len() as u32);
@@ -540,9 +528,8 @@ impl<A: Application> ShardedWorld<A> {
     pub fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) {
         let (si, slot) = self.locate(node);
         let at = self.time + delay;
-        let shard = &mut self.shards[si];
-        let key = shard.qkey(slot, node);
-        shard.queue.push_keyed(at, key, Event::AppTimer { node, tag });
+        let Shard { engine, keys } = &mut self.shards[si];
+        keys.push(&mut engine.queue, at, slot, node, Event::AppTimer { node, tag });
     }
 
     /// Runs epochs until the clock passes `deadline` or every queue drains.
@@ -559,122 +546,28 @@ impl<A: Application> ShardedWorld<A> {
         A::Msg: Send + 'static,
     {
         assert!(self.started, "run_until() before start()");
-        let epoch = self.cfg.hop_latency;
         let workers = self.threads.min(self.shards.len());
-        if workers <= 1 {
-            self.run_epochs_serial(deadline, epoch);
-        } else {
-            self.run_epochs_pooled(deadline, epoch, workers);
-        }
-        self.time = self.time.max(deadline);
-    }
-
-    fn run_epochs_serial(&mut self, deadline: SimTime, epoch: SimDuration) {
+        // The pool and its owned context exist only for multi-threaded
+        // runs; a single worker runs the active shards in place.
+        let pool_ctx = (workers > 1).then(|| {
+            if self.worker_pool.as_ref().is_none_or(|p| p.workers() != workers) {
+                self.worker_pool = Some(WorkerPool::new(workers));
+            }
+            Arc::new(WorkerCtx {
+                cfg: self.cfg,
+                tx_model: Arc::clone(&self.tx_model),
+                mobility_model: Arc::clone(&self.mobility_model),
+                owner: self.owner.clone(),
+            })
+        });
+        let epoch = self.cfg.hop_latency;
+        let backend = self.cfg.queue_backend;
         let dense = self.dense_epochs;
         let Self {
             cfg,
             tx_model,
             mobility_model,
             owner,
-            shards,
-            outs,
-            replica,
-            sched,
-            merge,
-            counters,
-            spans,
-            time,
-            ..
-        } = self;
-        let owner: &[(u32, u32)] = owner;
-        let sh = SharedCtx {
-            cfg,
-            tx_model: tx_model.as_ref(),
-            mobility_model: mobility_model.as_ref(),
-            owner,
-        };
-        sched.rebuild(shards);
-        // End of the previous window this run, for fast-forward detection.
-        let mut prev_end: Option<SimTime> = None;
-        loop {
-            let t0 = spans.as_ref().map(|sp| sp.now_us());
-            let next = if dense {
-                shards.iter().filter_map(|s| s.queue.peek_time()).min()
-            } else {
-                sched.next_pending(shards)
-            };
-            let Some(next) = next else { break };
-            if next > deadline {
-                break;
-            }
-            let eid = counters.epochs;
-            let end = next + epoch;
-            if dense {
-                sched.active.clear();
-                sched.active.extend(0..shards.len() as u32);
-            } else {
-                sched.collect_active(shards, end, deadline);
-            }
-            if let Some(pe) = prev_end {
-                if next > pe {
-                    counters.fast_forward_epochs += 1;
-                    counters.fast_forward_us_skipped += next.as_micros() - pe.as_micros();
-                }
-            }
-            prev_end = Some(end);
-            counters.epochs += 1;
-            counters.shard_epochs += sched.active.len() as u64;
-            counters.idle_shard_epochs_skipped += (shards.len() - sched.active.len()) as u64;
-            if let Some(sp) = spans.as_mut() {
-                let now = sp.now_us();
-                sp.record(phase::SCHED, COORD_SHARD, eid, t0.unwrap_or(now), now);
-            }
-            for &s in &sched.active {
-                let c0 = spans.as_ref().map(|sp| sp.now_us());
-                shards[s as usize].run_epoch(&sh, replica, &mut outs[s as usize], end, deadline);
-                if let Some(sp) = spans.as_mut() {
-                    let now = sp.now_us();
-                    sp.record(phase::COMPUTE, s, eid, c0.unwrap_or(now), now);
-                }
-            }
-            apply_epoch(
-                shards,
-                outs,
-                sched,
-                Arc::get_mut(replica).expect("replica uniquely held between epochs"),
-                merge,
-                counters,
-                spans,
-                eid,
-            );
-            if !dense {
-                sched.repush(shards);
-            }
-            *time = (*time).max(end.min(deadline));
-        }
-    }
-
-    fn run_epochs_pooled(&mut self, deadline: SimTime, epoch: SimDuration, workers: usize)
-    where
-        A: Send + 'static,
-        A::Msg: Send + 'static,
-    {
-        let recreate = match &self.worker_pool {
-            Some(p) => p.workers() != workers,
-            None => true,
-        };
-        if recreate {
-            self.worker_pool = Some(WorkerPool::new(workers));
-        }
-        let ctx = Arc::new(WorkerCtx {
-            cfg: self.cfg,
-            tx_model: Arc::clone(&self.tx_model),
-            mobility_model: Arc::clone(&self.mobility_model),
-            owner: self.owner.clone(),
-        });
-        let backend = self.cfg.queue_backend;
-        let dense = self.dense_epochs;
-        let Self {
             shards,
             outs,
             replica,
@@ -688,13 +581,20 @@ impl<A: Application> ShardedWorld<A> {
             time,
             ..
         } = self;
-        let pool = worker_pool.as_ref().expect("pool created above");
+        let sh = SharedCtx {
+            cfg,
+            tx_model: tx_model.as_ref(),
+            mobility_model: mobility_model.as_ref(),
+            owner,
+        };
+        let pool = pool_ctx.map(|ctx| (worker_pool.as_ref().expect("pool created above"), ctx));
         sched.rebuild(shards);
+        // End of the previous window this run, for fast-forward detection.
         let mut prev_end: Option<SimTime> = None;
         loop {
             let t0 = spans.as_ref().map(|sp| sp.now_us());
             let next = if dense {
-                shards.iter().filter_map(|s| s.queue.peek_time()).min()
+                shards.iter().filter_map(|s| s.engine.queue.peek_time()).min()
             } else {
                 sched.next_pending(shards)
             };
@@ -720,45 +620,64 @@ impl<A: Application> ShardedWorld<A> {
             counters.epochs += 1;
             counters.shard_epochs += sched.active.len() as u64;
             counters.idle_shard_epochs_skipped += (shards.len() - sched.active.len()) as u64;
-            counters.pool_jobs += sched.active.len() as u64;
-            counters.pool_max_depth = counters.pool_max_depth.max(sched.active.len() as u64);
+            if pool.is_some() {
+                counters.pool_jobs += sched.active.len() as u64;
+                counters.pool_max_depth = counters.pool_max_depth.max(sched.active.len() as u64);
+            }
             if let Some(sp) = spans.as_mut() {
                 let now = sp.now_us();
                 sp.record(phase::SCHED, COORD_SHARD, eid, t0.unwrap_or(now), now);
             }
-            // Workers time their own compute spans against a copy of the
-            // sink's clock and ship `(start, end)` back with each `Done`.
-            let clock = spans.as_ref().map(|sp| sp.clock());
-            let t1 = spans.as_ref().map(|sp| sp.now_us());
-            for &s in &sched.active {
-                let shard = std::mem::replace(
-                    &mut shards[s as usize],
-                    spare_shards.pop().unwrap_or_else(|| Shard::new(backend)),
-                );
-                let out =
-                    std::mem::replace(&mut outs[s as usize], spare_outs.pop().unwrap_or_default());
-                pool.submit(Job {
-                    idx: s,
-                    shard,
-                    out,
-                    end,
-                    deadline,
-                    rep: Arc::clone(replica),
-                    ctx: Arc::clone(&ctx),
-                    clock,
-                });
-            }
-            for _ in 0..sched.active.len() {
-                let done = pool.collect();
-                if let (Some(sp), Some((a, b))) = (spans.as_mut(), done.span_us) {
-                    sp.record(phase::COMPUTE, done.idx, eid, a, b);
+            match &pool {
+                None => {
+                    for &s in &sched.active {
+                        let c0 = spans.as_ref().map(|sp| sp.now_us());
+                        let out = &mut outs[s as usize];
+                        shards[s as usize].run_epoch(&sh, replica, out, end, deadline);
+                        if let Some(sp) = spans.as_mut() {
+                            let now = sp.now_us();
+                            sp.record(phase::COMPUTE, s, eid, c0.unwrap_or(now), now);
+                        }
+                    }
                 }
-                spare_shards.push(std::mem::replace(&mut shards[done.idx as usize], done.shard));
-                spare_outs.push(std::mem::replace(&mut outs[done.idx as usize], done.out));
-            }
-            if let Some(sp) = spans.as_mut() {
-                let now = sp.now_us();
-                sp.record(phase::BARRIER_WAIT, COORD_SHARD, eid, t1.unwrap_or(now), now);
+                Some((pool, ctx)) => {
+                    // Workers time their own compute spans against a copy
+                    // of the sink's clock and ship `(start, end)` back with
+                    // each `Done`.
+                    let clock = spans.as_ref().map(|sp| sp.clock());
+                    let t1 = spans.as_ref().map(|sp| sp.now_us());
+                    for &s in &sched.active {
+                        let shard = std::mem::replace(
+                            &mut shards[s as usize],
+                            spare_shards.pop().unwrap_or_else(|| Shard::new(backend)),
+                        );
+                        let spare_out = spare_outs.pop().unwrap_or_default();
+                        let out = std::mem::replace(&mut outs[s as usize], spare_out);
+                        pool.submit(Job {
+                            idx: s,
+                            shard,
+                            out,
+                            end,
+                            deadline,
+                            rep: Arc::clone(replica),
+                            ctx: Arc::clone(ctx),
+                            clock,
+                        });
+                    }
+                    for _ in 0..sched.active.len() {
+                        let done = pool.collect();
+                        if let (Some(sp), Some((a, b))) = (spans.as_mut(), done.span_us) {
+                            sp.record(phase::COMPUTE, done.idx, eid, a, b);
+                        }
+                        let idx = done.idx as usize;
+                        spare_shards.push(std::mem::replace(&mut shards[idx], done.shard));
+                        spare_outs.push(std::mem::replace(&mut outs[idx], done.out));
+                    }
+                    if let Some(sp) = spans.as_mut() {
+                        let now = sp.now_us();
+                        sp.record(phase::BARRIER_WAIT, COORD_SHARD, eid, t1.unwrap_or(now), now);
+                    }
+                }
             }
             apply_epoch(
                 shards,
@@ -775,6 +694,7 @@ impl<A: Application> ShardedWorld<A> {
             }
             *time = (*time).max(end.min(deadline));
         }
+        self.time = self.time.max(deadline);
     }
 
     #[inline]
@@ -901,11 +821,13 @@ impl<A: Application> ShardedWorld<A> {
         registry.gauge("shard.pool.workers").set(workers as f64);
         registry.gauge("shard.count").set(self.shards.len() as f64);
         for (i, s) in self.shards.iter().enumerate() {
-            registry.counter(&format!("shard.s{i}.events_processed")).add(s.events_processed);
+            registry
+                .counter(&format!("shard.s{i}.events_processed"))
+                .add(s.engine.events_processed);
         }
-        if self.shards.iter().any(|s| s.trace.is_some()) {
+        if self.shards.iter().any(|s| s.keys.trace.is_some()) {
             let recorded: u64 =
-                self.shards.iter().map(|s| s.trace.as_ref().map_or(0, Vec::len) as u64).sum();
+                self.shards.iter().map(|s| s.keys.trace.as_ref().map_or(0, Vec::len) as u64).sum();
             registry.counter("trace.recorded").add(recorded);
             registry.counter("trace.evicted").add(0);
         }
@@ -955,14 +877,14 @@ impl<A: Application> ShardedWorld<A> {
         for (i, &(si, slot)) in self.owner.iter().enumerate() {
             let sh = &self.shards[si as usize];
             let slot = slot as usize;
-            let alive = sh.nodes.is_alive(slot);
+            let alive = sh.engine.nodes.is_alive(slot);
             if self.replica.alive[i] != alive {
                 return Err(format!(
                     "node {i}: replica alive={}, ground truth={}",
                     self.replica.alive[i], alive
                 ));
             }
-            let truth = sh.nodes.position(slot);
+            let truth = sh.engine.nodes.position(slot);
             let rep = self.replica.positions[i];
             if truth.x.to_bits() != rep.x.to_bits() || truth.y.to_bits() != rep.y.to_bits() {
                 return Err(format!(
@@ -988,80 +910,80 @@ impl<A: Application> ShardedWorld<A> {
     #[must_use]
     pub fn is_alive(&self, id: NodeId) -> bool {
         let (si, slot) = self.locate(id);
-        self.shards[si].nodes.is_alive(slot)
+        self.shards[si].engine.nodes.is_alive(slot)
     }
 
     /// Position of a node (the owner shard's live value).
     #[must_use]
     pub fn position(&self, id: NodeId) -> Point2 {
         let (si, slot) = self.locate(id);
-        self.shards[si].nodes.position(slot)
+        self.shards[si].engine.nodes.position(slot)
     }
 
     /// Residual energy of a node, in joules.
     #[must_use]
     pub fn residual_energy(&self, id: NodeId) -> f64 {
         let (si, slot) = self.locate(id);
-        self.shards[si].nodes.residual(slot)
+        self.shards[si].engine.nodes.residual(slot)
     }
 
     /// Total distance a node has moved, in meters.
     #[must_use]
     pub fn total_moved(&self, id: NodeId) -> f64 {
         let (si, slot) = self.locate(id);
-        self.shards[si].nodes.total_moved(slot)
+        self.shards[si].engine.nodes.total_moved(slot)
     }
 
     /// The application instance of a node.
     #[must_use]
     pub fn app(&self, id: NodeId) -> &A {
         let (si, slot) = self.locate(id);
-        &self.shards[si].apps[slot]
+        &self.shards[si].engine.apps[slot]
     }
 
     /// Mutable access to a node's application instance (for flow setup by
     /// experiment drivers).
     pub fn app_mut(&mut self, id: NodeId) -> &mut A {
         let (si, slot) = self.locate(id);
-        &mut self.shards[si].apps[slot]
+        &mut self.shards[si].engine.apps[slot]
     }
 
     /// Number of pending events across all shards.
     #[must_use]
     pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum()
+        self.shards.iter().map(|s| s.engine.queue.len()).sum()
     }
 
     /// Kernel events processed across all shards since construction or the
     /// last reset.
     #[must_use]
     pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.events_processed).sum()
+        self.shards.iter().map(|s| s.engine.events_processed).sum()
     }
 
     /// Packets sent across all shards.
     #[must_use]
     pub fn packets_sent(&self) -> u64 {
-        self.shards.iter().map(|s| s.ledger.packets_sent).sum()
+        self.shards.iter().map(|s| s.engine.ledger.packets_sent).sum()
     }
 
     /// Packets delivered across all shards.
     #[must_use]
     pub fn packets_delivered(&self) -> u64 {
-        self.shards.iter().map(|s| s.ledger.packets_delivered).sum()
+        self.shards.iter().map(|s| s.engine.ledger.packets_delivered).sum()
     }
 
     /// Packets dropped across all shards.
     #[must_use]
     pub fn packets_dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.ledger.packets_dropped).sum()
+        self.shards.iter().map(|s| s.engine.ledger.packets_dropped).sum()
     }
 
     /// Per-category energy expenditure of one node.
     #[must_use]
     pub fn node_energy(&self, id: NodeId) -> NodeEnergy {
         let (si, slot) = self.locate(id);
-        *self.shards[si].ledger.node(NodeId::new(slot as u32))
+        *self.shards[si].engine.ledger.node(NodeId::new(slot as u32))
     }
 
     /// Network-wide energy totals.
@@ -1073,7 +995,7 @@ impl<A: Application> ShardedWorld<A> {
     pub fn totals(&self) -> NodeEnergy {
         let mut t = NodeEnergy::default();
         for &(si, slot) in &self.owner {
-            let e = self.shards[si as usize].ledger.node(NodeId::new(slot));
+            let e = self.shards[si as usize].engine.ledger.node(NodeId::new(slot));
             t.data += e.data;
             t.mobility += e.mobility;
             t.hello += e.hello;
@@ -1086,7 +1008,7 @@ impl<A: Application> ShardedWorld<A> {
     #[must_use]
     pub fn death_time(&self, id: NodeId) -> Option<SimTime> {
         let (si, slot) = self.locate(id);
-        self.shards[si].ledger.death_time(NodeId::new(slot as u32))
+        self.shards[si].engine.ledger.death_time(NodeId::new(slot as u32))
     }
 
     /// The earliest death and its node (ties broken by lowest global id) —
@@ -1095,7 +1017,7 @@ impl<A: Application> ShardedWorld<A> {
     pub fn first_death(&self) -> Option<(NodeId, SimTime)> {
         let mut best: Option<(NodeId, SimTime)> = None;
         for (i, &(si, slot)) in self.owner.iter().enumerate() {
-            if let Some(t) = self.shards[si as usize].ledger.death_time(NodeId::new(slot)) {
+            if let Some(t) = self.shards[si as usize].engine.ledger.death_time(NodeId::new(slot)) {
                 let better = match best {
                     None => true,
                     Some((_, bt)) => t < bt,
@@ -1113,11 +1035,13 @@ impl<A: Application> ShardedWorld<A> {
     pub fn kernel_stats(&self) -> KernelStats {
         let mut total = KernelStats::default();
         for s in &self.shards {
-            total.hello_beacons += s.stats.hello_beacons;
-            total.timers_fired += s.stats.timers_fired;
-            total.hello_cache_hits += s.stats.hello_cache_hits;
-            total.hello_cache_misses += s.stats.hello_cache_misses;
-            for (acc, &bin) in total.hello_fanout_bins.iter_mut().zip(&s.stats.hello_fanout_bins) {
+            total.hello_beacons += s.engine.stats.hello_beacons;
+            total.timers_fired += s.engine.stats.timers_fired;
+            total.hello_cache_hits += s.engine.stats.hello_cache_hits;
+            total.hello_cache_misses += s.engine.stats.hello_cache_misses;
+            for (acc, &bin) in
+                total.hello_fanout_bins.iter_mut().zip(&s.engine.stats.hello_fanout_bins)
+            {
                 *acc += bin;
             }
         }
@@ -1141,8 +1065,8 @@ impl<A: Application> ShardedWorld<A> {
     /// sample long runs.
     pub fn enable_tracing(&mut self) {
         for s in &mut self.shards {
-            if s.trace.is_none() {
-                s.trace = Some(Vec::new());
+            if s.keys.trace.is_none() {
+                s.keys.trace = Some(Vec::new());
             }
         }
     }
@@ -1154,7 +1078,7 @@ impl<A: Application> ShardedWorld<A> {
     pub fn merged_trace(&self) -> Vec<TraceEvent> {
         let mut keyed: Vec<(XKey, TraceEvent)> = Vec::new();
         for s in &self.shards {
-            if let Some(t) = &s.trace {
+            if let Some(t) = &s.keys.trace {
                 keyed.extend(t.iter().copied());
             }
         }
@@ -1174,7 +1098,7 @@ impl<A: Application> ShardedWorld<A> {
     /// ever evicted and this equals the merged trace length.
     #[must_use]
     pub fn trace_events_recorded(&self) -> u64 {
-        self.shards.iter().map(|s| s.trace.as_ref().map_or(0, Vec::len) as u64).sum()
+        self.shards.iter().map(|s| s.keys.trace.as_ref().map_or(0, Vec::len) as u64).sum()
     }
 }
 
@@ -1257,8 +1181,9 @@ fn apply_epoch<A: Application>(
                     // at application time: hearers that died inside the
                     // epoch never record the observation, at any shard
                     // count.
-                    if dest.nodes.is_alive(slot as usize) {
-                        dest.nodes
+                    if dest.engine.nodes.is_alive(slot as usize) {
+                        dest.engine
+                            .nodes
                             .neighbor_table_mut(slot as usize)
                             .observe(g.origin, g.position, g.residual, g.time);
                     }
@@ -1294,12 +1219,9 @@ fn apply_epoch<A: Application>(
             let upto = limit.map_or(run.len(), |lk| run.partition_point(|x| x.key < lk));
             delivers += upto as u64;
             for x in run.drain(..upto) {
-                let key = dest.qkey(x.slot as usize, x.to);
-                dest.queue.push_keyed(
-                    x.arrival,
-                    key,
-                    Event::Deliver { from: x.from, to: x.to, msg: x.msg },
-                );
+                let Shard { engine, keys } = dest;
+                let event = Event::Deliver { from: x.from, to: x.to, msg: x.msg };
+                keys.push(&mut engine.queue, x.arrival, x.slot as usize, x.to, event);
             }
             if let Some(head) = run.first() {
                 merge.heap.push(std::cmp::Reverse((head.key, s)));

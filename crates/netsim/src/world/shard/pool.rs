@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use imobif_energy::{MobilityCostModel, TxEnergyModel};
 use imobif_obs::SpanClock;
 
-use super::engine::{Replica, Shard, SharedCtx};
+use super::reach::{Replica, Shard, SharedCtx};
 use super::xfer::ShardOutbox;
 use crate::{Application, SimConfig, SimTime};
 

@@ -54,9 +54,10 @@ pub(super) struct EpochCounters {
 }
 
 /// Cumulative epoch-pipeline counters and wall-time attribution. A
-/// point-in-time view derived by [`ShardedWorld::epoch_profile`]
-/// (crate::ShardedWorld::epoch_profile); see the module docs for how each
-/// field is sourced and how the format changed with span tracing.
+/// point-in-time view derived by
+/// [`ShardedWorld::epoch_profile`](crate::ShardedWorld::epoch_profile);
+/// see the module docs for how each field is sourced and how the format
+/// changed with span tracing.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct EpochProfile {
     /// Barrier-delimited windows executed.

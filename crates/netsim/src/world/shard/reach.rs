@@ -1,0 +1,308 @@
+//! One shard: an [`Engine`] over the nodes it owns, and the sharded
+//! [`Reach`] its handlers run through.
+//!
+//! A shard mutates only its own state (batteries, positions, neighbor
+//! tables, local ledger, local queue). Every consequence that touches
+//! another node — a packet delivery, a HELLO observation, a position or
+//! liveness change other shards must see — goes into the epoch's
+//! [`ShardOutbox`], partitioned by destination shard at emission, and is
+//! applied at the next epoch barrier (see [`xfer`](super::xfer) for the
+//! run layout and the ordering argument).
+
+use imobif_energy::{Battery, MobilityCostModel, TxEnergyModel};
+use imobif_geom::{Point2, SpatialGrid};
+
+use super::super::beacon::BeaconView;
+use super::super::engine::{Engine, Event, Reach};
+use super::xfer::{Dlv, ObsGroup, RepPatch, ShardOutbox};
+use crate::node::NodeStore;
+use crate::trace::TraceEvent;
+use crate::{
+    Application, EventQueue, NeighborTable, NodeId, QueueBackend, SimConfig, SimDuration, SimTime,
+};
+
+/// Deterministic total order for cross-shard deliveries and trace events:
+/// `(emission time, emitting node, per-node emission sequence)`. The key is
+/// independent of shard assignment — ordering between *different* nodes
+/// never consults `seq`, and one node's `seq` values are assigned in its
+/// own event order, which every shard layout reproduces. That is what
+/// makes the barrier merge (and the merged trace) bit-identical at any
+/// shard count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(super) struct XKey {
+    pub(super) time: SimTime,
+    pub(super) origin: u32,
+    pub(super) seq: u32,
+}
+
+/// The epoch-frozen global snapshot every shard reads: position and
+/// liveness columns (the same struct-of-arrays layout as [`NodeStore`])
+/// indexed by global node id, plus a spatial grid over the live nodes for
+/// beacon fan-out queries. Only the barrier writes it, from the owner
+/// shards' [`RepPatch`] runs — O(changes) per epoch, never a rebuild. The
+/// coordinator hands it to workers behind an `Arc` and regains exclusive
+/// access (`Arc::get_mut`) once every worker has reported its epoch done.
+#[derive(Debug)]
+pub(super) struct Replica {
+    pub(super) positions: Vec<Point2>,
+    pub(super) alive: Vec<bool>,
+    pub(super) grid: SpatialGrid,
+}
+
+impl Replica {
+    pub(super) fn new(cell_size: f64) -> Self {
+        Replica { positions: Vec::new(), alive: Vec::new(), grid: SpatialGrid::new(cell_size) }
+    }
+}
+
+/// Read-only simulation context shared by every shard: configuration,
+/// energy models, and the global owner map (`global id → (shard, slot)`).
+pub(super) struct SharedCtx<'a> {
+    pub(super) cfg: &'a SimConfig,
+    pub(super) tx_model: &'a dyn TxEnergyModel,
+    pub(super) mobility_model: &'a dyn MobilityCostModel,
+    pub(super) owner: &'a [(u32, u32)],
+}
+
+/// A shard's per-node key sequences and its keyed trace: what makes every
+/// queue key, delivery key and trace key independent of the shard layout.
+#[derive(Debug, Default)]
+pub(super) struct ShardKeys {
+    /// Per-slot sequence for queue keys (`(id << 32) | seq`).
+    qseq: Vec<u32>,
+    /// Per-slot sequence for [`XKey`]s (deliveries and trace events).
+    eseq: Vec<u32>,
+    pub(super) trace: Option<Vec<(XKey, TraceEvent)>>,
+    /// Monotonic beacon counter; stamps destination observation runs so a
+    /// beacon can open at most one group per destination.
+    beacon_stamp: u64,
+}
+
+impl ShardKeys {
+    /// Queues `event` for `id` (local `slot`) under the next key of its
+    /// ascending per-node sequence.
+    pub(super) fn push<M>(
+        &mut self,
+        queue: &mut EventQueue<Event<M>>,
+        at: SimTime,
+        slot: usize,
+        id: NodeId,
+        event: Event<M>,
+    ) {
+        let s = self.qseq[slot];
+        self.qseq[slot] = s.wrapping_add(1);
+        queue.push_keyed(at, (u64::from(id.raw()) << 32) | u64::from(s), event);
+    }
+
+    fn ekey(&mut self, slot: usize, id: NodeId, time: SimTime) -> XKey {
+        let s = self.eseq[slot];
+        self.eseq[slot] = s.wrapping_add(1);
+        XKey { time, origin: id.raw(), seq: s }
+    }
+}
+
+/// One spatial shard: an engine over the nodes it owns (locally indexed)
+/// and their key sequences. Cross-shard effects go into the epoch's
+/// [`ShardOutbox`], which the coordinator owns and passes in.
+pub(super) struct Shard<A: Application> {
+    pub(super) engine: Engine<A>,
+    pub(super) keys: ShardKeys,
+}
+
+impl<A: Application> Shard<A> {
+    pub(super) fn new(backend: QueueBackend) -> Self {
+        Shard { engine: Engine::new(backend), keys: ShardKeys::default() }
+    }
+
+    /// Returns the shard to its just-constructed state, recycling neighbor
+    /// tables and application instances.
+    pub(super) fn clear_into(
+        &mut self,
+        backend: QueueBackend,
+        spare_tables: &mut Vec<NeighborTable>,
+        recycled_apps: &mut Vec<A>,
+    ) {
+        self.engine.clear_into(backend, spare_tables, recycled_apps);
+        let keys = &mut self.keys;
+        keys.qseq.clear();
+        keys.eseq.clear();
+        keys.trace = None;
+        keys.beacon_stamp = 0;
+    }
+
+    /// Admits a node (see [`Engine::add_node`]) and returns its slot.
+    pub(super) fn add_node(
+        &mut self,
+        position: Point2,
+        battery: Battery,
+        app: A,
+        ttl: SimDuration,
+        spare_tables: &mut Vec<NeighborTable>,
+    ) -> usize {
+        self.keys.qseq.push(0);
+        self.keys.eseq.push(0);
+        self.engine.add_node(position, battery, app, ttl, spare_tables)
+    }
+
+    /// The engine and the reach its handlers run through this epoch.
+    pub(super) fn split<'a>(
+        &'a mut self,
+        sh: &'a SharedCtx<'a>,
+        rep: &'a Replica,
+        xout: &'a mut ShardOutbox<A::Msg>,
+    ) -> (&'a mut Engine<A>, ShardReach<'a, A::Msg>) {
+        (&mut self.engine, ShardReach { sh, rep, xout, keys: &mut self.keys })
+    }
+
+    /// Runs every local event strictly before `end` (and at or before
+    /// `deadline`), reading the epoch-frozen `rep` snapshot for all remote
+    /// state and emitting cross-shard effects into `xout`.
+    pub(super) fn run_epoch(
+        &mut self,
+        sh: &SharedCtx<'_>,
+        rep: &Replica,
+        xout: &mut ShardOutbox<A::Msg>,
+        end: SimTime,
+        deadline: SimTime,
+    ) {
+        let (engine, mut reach) = self.split(sh, rep, xout);
+        while let Some(t) = engine.queue.peek_time() {
+            if t >= end || t > deadline {
+                break;
+            }
+            engine.step(&mut reach);
+        }
+    }
+}
+
+/// The sharded [`Reach`]: remote state comes from the epoch-frozen
+/// [`Replica`], and every consequence for another node is keyed into the
+/// epoch's [`ShardOutbox`].
+pub(super) struct ShardReach<'a, M> {
+    sh: &'a SharedCtx<'a>,
+    rep: &'a Replica,
+    xout: &'a mut ShardOutbox<M>,
+    keys: &'a mut ShardKeys,
+}
+
+impl<M> Reach<M> for ShardReach<'_, M> {
+    /// Ground-truth peer reads cannot cross shards.
+    const GROUND_TRUTH: bool = false;
+
+    fn cfg(&self) -> &SimConfig {
+        self.sh.cfg
+    }
+
+    fn tx_model(&self) -> &dyn TxEnergyModel {
+        self.sh.tx_model
+    }
+
+    fn mobility_model(&self) -> &dyn MobilityCostModel {
+        self.sh.mobility_model
+    }
+
+    #[inline]
+    fn slot_of(&self, id: NodeId) -> usize {
+        self.sh.owner[id.index()].1 as usize
+    }
+
+    /// The receiver's replica position — uniformly for local *and* remote
+    /// receivers, which is what keeps the energy charge independent of the
+    /// shard count.
+    #[inline]
+    fn peer_position(&self, _nodes: &NodeStore, to: NodeId) -> Point2 {
+        self.rep.positions[to.index()]
+    }
+
+    #[inline]
+    fn schedule(
+        &mut self,
+        queue: &mut EventQueue<Event<M>>,
+        at: SimTime,
+        slot: usize,
+        id: NodeId,
+        event: Event<M>,
+    ) {
+        self.keys.push(queue, at, slot, id, event);
+    }
+
+    /// Local deliveries also go through the outbox: enqueueing them early
+    /// would consume the target's queue sequence out of global key order.
+    fn deliver(
+        &mut self,
+        _queue: &mut EventQueue<Event<M>>,
+        now: SimTime,
+        slot: usize,
+        from: NodeId,
+        to: NodeId,
+        arrival: SimTime,
+        msg: M,
+    ) {
+        let (dsi, dslot) = self.sh.owner[to.index()];
+        let key = self.keys.ekey(slot, from, now);
+        self.xout.dlv[dsi as usize].push(Dlv { key, arrival, from, to, slot: dslot, msg });
+    }
+
+    fn beacon_view<'a>(&'a self, _nodes: &'a NodeStore) -> BeaconView<'a> {
+        BeaconView {
+            positions: &self.rep.positions,
+            alive: &self.rep.alive,
+            grid: &self.rep.grid,
+            range: self.sh.cfg.range,
+        }
+    }
+
+    /// Emits the observations as one grouped run entry per destination
+    /// shard, applied at the next barrier — HELLO processing latency of at
+    /// most one epoch, identical at every shard count.
+    fn hear(
+        &mut self,
+        _nodes: &mut NodeStore,
+        hearers: &[u32],
+        origin: NodeId,
+        position: Point2,
+        residual: f64,
+        now: SimTime,
+    ) {
+        self.keys.beacon_stamp += 1;
+        let stamp = self.keys.beacon_stamp;
+        for &h in hearers {
+            let (dsi, dslot) = self.sh.owner[h as usize];
+            let run = &mut self.xout.obs[dsi as usize];
+            if run.mark != stamp {
+                run.mark = stamp;
+                run.groups.push(ObsGroup {
+                    time: now,
+                    origin,
+                    position,
+                    residual,
+                    start: run.slots.len() as u32,
+                    len: 0,
+                });
+            }
+            run.slots.push(dslot);
+            run.groups.last_mut().expect("group opened above").len += 1;
+        }
+    }
+
+    #[inline]
+    fn moved(&mut self, id: NodeId, to: Point2) {
+        self.xout.rep.push(RepPatch::Moved { node: id, to });
+    }
+
+    #[inline]
+    fn died(&mut self, id: NodeId) {
+        self.xout.rep.push(RepPatch::Died { node: id });
+    }
+
+    /// Keys the record by its emission time (every record carries it) and
+    /// the emitting node's next sequence number.
+    #[inline]
+    fn trace(&mut self, slot: usize, id: NodeId, event: impl FnOnce() -> TraceEvent) {
+        if self.keys.trace.is_some() {
+            let event = event();
+            let key = self.keys.ekey(slot, id, event.time());
+            self.keys.trace.as_mut().expect("checked").push((key, event));
+        }
+    }
+}

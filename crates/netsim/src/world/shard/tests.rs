@@ -1,10 +1,15 @@
-//! Sharded-world tests: shard-count/thread-count invariance, effect-order
-//! pins in the merged trace, reset identity, and layout geometry.
+//! Sharded-world tests: shard-count/thread-count invariance, the ordering
+//! rules and the serial/sharded agreement run on both engines, reset
+//! identity, and layout geometry.
 
+use super::super::beacon::{BeaconView, SMALL_WORLD_SCAN};
+use super::super::engine::{Engine, Reach};
 use super::*;
-use crate::trace::TraceEvent;
-use crate::{EnergyCategory, NodeCtx, Outbox};
+use crate::node::NodeStore;
+use crate::trace::{RingTrace, TraceEvent};
+use crate::{EnergyCategory, EventQueue, NodeCtx, NodeEnergy, Outbox, World};
 use imobif_energy::{LinearMobilityCost, PowerLawModel};
+use imobif_geom::SpatialGrid;
 
 /// Test protocol: forwards a counter along a chain, optionally moves on
 /// receipt, and records what it saw.
@@ -40,12 +45,26 @@ impl Application for Echo {
 const BOUNDS: (Point2, Point2) = (Point2 { x: 0.0, y: 0.0 }, Point2 { x: 100.0, y: 100.0 });
 
 fn make_sharded(shards: usize) -> ShardedWorld<Echo> {
+    make_sharded_with(SimConfig::default(), shards)
+}
+
+fn make_sharded_with(cfg: SimConfig, shards: usize) -> ShardedWorld<Echo> {
     ShardedWorld::new(
-        SimConfig::default(),
+        cfg,
         Arc::new(PowerLawModel::paper_default(2.0).unwrap()),
         Arc::new(LinearMobilityCost::new(0.5).unwrap()),
         BOUNDS,
         shards,
+    )
+    .unwrap()
+}
+
+/// The serial twin of [`make_sharded_with`]: same models, same config.
+fn make_serial(cfg: SimConfig) -> World<Echo> {
+    World::new(
+        cfg,
+        Box::new(PowerLawModel::paper_default(2.0).unwrap()),
+        Box::new(LinearMobilityCost::new(0.5).unwrap()),
     )
     .unwrap()
 }
@@ -66,6 +85,8 @@ struct Fingerprint {
     positions: Vec<Point2>,
     energies: Vec<u64>,
     total_moved: Vec<u64>,
+    deaths: Vec<Option<SimTime>>,
+    receipts: Vec<Vec<(NodeId, u32)>>,
     sent: u64,
     delivered: u64,
     dropped: u64,
@@ -77,44 +98,166 @@ struct Fingerprint {
     fnv: u64,
 }
 
-fn run_scenario(w: &mut ShardedWorld<Echo>, sc: &Scenario) -> Fingerprint {
-    let ids: Vec<NodeId> = sc
-        .positions
-        .iter()
-        .map(|&p| w.add_node(p, Battery::new(sc.joules).unwrap(), Echo::default()))
-        .collect();
-    w.enable_tracing();
+impl Fingerprint {
+    /// The books alone: everything but the trace.
+    fn books(mut self) -> Self {
+        self.trace.clear();
+        self.fnv = 0;
+        self
+    }
+}
+
+fn energy_bits(e: NodeEnergy) -> [u64; 4] {
+    [e.data.to_bits(), e.mobility.to_bits(), e.hello.to_bits(), e.notification.to_bits()]
+}
+
+/// Both engines behind one interface, so a scenario, its fingerprint and
+/// the ordering table run unchanged on the serial and the sharded world.
+trait Driver {
+    fn add(&mut self, p: Point2, joules: f64) -> NodeId;
+    fn echo(&mut self, id: NodeId) -> &mut Echo;
+    fn trace_on(&mut self);
+    fn begin(&mut self);
+    fn timer(&mut self, id: NodeId, millis: u64, tag: u64);
+    fn run_to(&mut self, t: SimTime);
+    fn fingerprint(&self, ids: &[NodeId]) -> Fingerprint;
+    /// Whether `hearer`'s neighbor table holds `origin`.
+    fn heard(&self, hearer: NodeId, origin: NodeId) -> bool;
+    fn stats(&self) -> KernelStats;
+    /// Trace records kept so far.
+    fn records(&self) -> u64;
+    /// Hands `event` to the engine's [`Reach`] as `id`'s trace record.
+    fn reach_trace(&mut self, id: NodeId, event: fn() -> TraceEvent);
+}
+
+impl Driver for World<Echo> {
+    fn add(&mut self, p: Point2, joules: f64) -> NodeId {
+        self.add_node(p, Battery::new(joules).unwrap(), Echo::default())
+    }
+    fn echo(&mut self, id: NodeId) -> &mut Echo {
+        self.app_mut(id)
+    }
+    fn trace_on(&mut self) {
+        self.enable_tracing(1 << 16);
+    }
+    fn begin(&mut self) {
+        self.start();
+    }
+    fn timer(&mut self, id: NodeId, millis: u64, tag: u64) {
+        self.schedule_timer(id, SimDuration::from_millis(millis), tag);
+    }
+    fn run_to(&mut self, t: SimTime) {
+        self.run_until(t);
+    }
+    fn fingerprint(&self, ids: &[NodeId]) -> Fingerprint {
+        let ledger = self.ledger();
+        let trace = self.trace().map(RingTrace::events).unwrap_or_default();
+        Fingerprint {
+            positions: ids.iter().map(|&id| self.position(id)).collect(),
+            energies: ids.iter().map(|&id| self.residual_energy(id).to_bits()).collect(),
+            total_moved: ids.iter().map(|&id| self.node(id).total_moved().to_bits()).collect(),
+            deaths: ids.iter().map(|&id| ledger.death_time(id)).collect(),
+            receipts: ids.iter().map(|&id| self.app(id).received.clone()).collect(),
+            sent: ledger.packets_sent,
+            delivered: ledger.packets_delivered,
+            dropped: ledger.packets_dropped,
+            totals: energy_bits(ledger.totals()),
+            first_death: ledger.first_death(),
+            events_processed: self.events_processed(),
+            time: self.time(),
+            fnv: imobif_obs::fnv1a64(crate::trace::events_to_jsonl(&trace).as_bytes()),
+            trace,
+        }
+    }
+    fn heard(&self, hearer: NodeId, origin: NodeId) -> bool {
+        self.node(hearer).neighbor_table().get(origin, self.time()).is_some()
+    }
+    fn stats(&self) -> KernelStats {
+        *self.kernel_stats()
+    }
+    fn records(&self) -> u64 {
+        self.trace().map_or(0, RingTrace::total_recorded)
+    }
+    fn reach_trace(&mut self, id: NodeId, event: fn() -> TraceEvent) {
+        Reach::<u32>::trace(&mut self.reach, id.index(), id, event);
+    }
+}
+
+impl Driver for ShardedWorld<Echo> {
+    fn add(&mut self, p: Point2, joules: f64) -> NodeId {
+        self.add_node(p, Battery::new(joules).unwrap(), Echo::default())
+    }
+    fn echo(&mut self, id: NodeId) -> &mut Echo {
+        self.app_mut(id)
+    }
+    fn trace_on(&mut self) {
+        self.enable_tracing();
+    }
+    fn begin(&mut self) {
+        self.start();
+    }
+    fn timer(&mut self, id: NodeId, millis: u64, tag: u64) {
+        self.schedule_timer(id, SimDuration::from_millis(millis), tag);
+    }
+    fn run_to(&mut self, t: SimTime) {
+        self.run_until(t);
+    }
+    fn fingerprint(&self, ids: &[NodeId]) -> Fingerprint {
+        Fingerprint {
+            positions: ids.iter().map(|&id| self.position(id)).collect(),
+            energies: ids.iter().map(|&id| self.residual_energy(id).to_bits()).collect(),
+            total_moved: ids.iter().map(|&id| self.total_moved(id).to_bits()).collect(),
+            deaths: ids.iter().map(|&id| self.death_time(id)).collect(),
+            receipts: ids.iter().map(|&id| self.app(id).received.clone()).collect(),
+            sent: self.packets_sent(),
+            delivered: self.packets_delivered(),
+            dropped: self.packets_dropped(),
+            totals: energy_bits(self.totals()),
+            first_death: self.first_death(),
+            events_processed: self.events_processed(),
+            time: self.time(),
+            trace: self.merged_trace(),
+            fnv: self.trace_fnv(),
+        }
+    }
+    fn heard(&self, hearer: NodeId, origin: NodeId) -> bool {
+        let (si, slot) = self.locate(hearer);
+        self.shards[si].engine.nodes.neighbor_table(slot).get(origin, self.time()).is_some()
+    }
+    fn stats(&self) -> KernelStats {
+        self.kernel_stats()
+    }
+    fn records(&self) -> u64 {
+        self.trace_events_recorded()
+    }
+    fn reach_trace(&mut self, id: NodeId, event: fn() -> TraceEvent) {
+        let (si, slot) = self.locate(id);
+        let sh = SharedCtx {
+            cfg: &self.cfg,
+            tx_model: self.tx_model.as_ref(),
+            mobility_model: self.mobility_model.as_ref(),
+            owner: &self.owner,
+        };
+        let (_, mut reach) = self.shards[si].split(&sh, &self.replica, &mut self.outs[si]);
+        reach.trace(slot, id, event);
+    }
+}
+
+fn run_scenario(w: &mut impl Driver, sc: &Scenario) -> Fingerprint {
+    let ids: Vec<NodeId> = sc.positions.iter().map(|&p| w.add(p, sc.joules)).collect();
+    w.trace_on();
     for pair in ids.windows(2) {
-        w.app_mut(pair[0]).forward_to = Some(pair[1]);
+        w.echo(pair[0]).forward_to = Some(pair[1]);
     }
     if ids.len() > 1 {
-        w.app_mut(ids[1]).move_target = Some(Point2::new(50.0, sc.move_y));
+        w.echo(ids[1]).move_target = Some(Point2::new(50.0, sc.move_y));
     }
-    w.start();
+    w.begin();
     for (i, &t) in sc.timers.iter().enumerate() {
-        w.schedule_timer(ids[0], SimDuration::from_millis(t), i as u64);
+        w.timer(ids[0], t, i as u64);
     }
-    w.run_until(SimTime::from_micros(sc.run_micros));
-    let totals = w.totals();
-    Fingerprint {
-        positions: ids.iter().map(|&id| w.position(id)).collect(),
-        energies: ids.iter().map(|&id| w.residual_energy(id).to_bits()).collect(),
-        total_moved: ids.iter().map(|&id| w.total_moved(id).to_bits()).collect(),
-        sent: w.packets_sent(),
-        delivered: w.packets_delivered(),
-        dropped: w.packets_dropped(),
-        totals: [
-            totals.data.to_bits(),
-            totals.mobility.to_bits(),
-            totals.hello.to_bits(),
-            totals.notification.to_bits(),
-        ],
-        first_death: w.first_death(),
-        events_processed: w.events_processed(),
-        time: w.time(),
-        trace: w.merged_trace(),
-        fnv: w.trace_fnv(),
-    }
+    w.run_to(SimTime::from_micros(sc.run_micros));
+    w.fingerprint(&ids)
 }
 
 // ---------------------------------------------------------------- layout
@@ -209,66 +352,507 @@ fn hello_observations_cross_shard_boundaries() {
     assert_eq!(stats.hello_fanout_bins.iter().sum::<u64>(), stats.hello_beacons);
 }
 
-#[test]
-fn trace_pins_sent_before_delivered() {
-    let mut w = make_sharded(2);
-    let sc = Scenario {
-        positions: vec![Point2::new(40.0, 50.0), Point2::new(60.0, 50.0)],
-        joules: 10.0,
-        move_y: 50.0,
-        timers: vec![5],
-        run_micros: 2_000_000,
-    };
-    let fp = run_scenario(&mut w, &sc);
-    let sent_at = fp.trace.iter().position(|e| matches!(e, TraceEvent::Sent { .. }));
-    let delivered_at = fp.trace.iter().position(|e| matches!(e, TraceEvent::Delivered { .. }));
-    assert!(sent_at.unwrap() < delivered_at.unwrap(), "Sent precedes its Delivered");
+// ------------------------------------------------------ both engines
+
+/// One row of the ordering table: a small world, one source timer, and
+/// the rule its outcome must show on both engines.
+struct Rule {
+    name: &'static str,
+    charge_hello: bool,
+    nodes: Vec<(Point2, f64)>,
+    /// `(sender, receiver)` for the source and its one relay hop.
+    forward: Option<(usize, usize)>,
+    /// Packets the sender sends, one every 5 ms from 5 ms on.
+    packets: u64,
+    /// A node that steps toward a target on every receipt.
+    mover: Option<(usize, Point2)>,
+    run_millis: u64,
+    check: fn(&Outcome),
 }
 
-#[test]
-fn trace_pins_died_then_dropped_on_unaffordable_send() {
-    let mut w = make_sharded(2);
-    let a = w.add_node(Point2::new(40.0, 50.0), Battery::new(1e-6).unwrap(), Echo::default());
-    let b = w.add_node(Point2::new(60.0, 50.0), Battery::new(10.0).unwrap(), Echo::default());
-    w.app_mut(a).forward_to = Some(b);
-    w.enable_tracing();
-    w.start();
-    w.schedule_timer(a, SimDuration::from_millis(5), 0);
-    w.run_until(SimTime::from_micros(1_000_000));
-    let trace = w.merged_trace();
-    let died = trace.iter().position(|e| matches!(e, TraceEvent::Died { .. })).unwrap();
-    let dropped = trace.iter().position(|e| matches!(e, TraceEvent::Dropped { .. })).unwrap();
-    assert!(died < dropped, "the kernel order: Kill (recording Died) then Dropped");
-    assert!(!trace.iter().any(|e| matches!(e, TraceEvent::Sent { .. })));
-    assert!(!w.is_alive(a));
-    assert_eq!(w.first_death().unwrap().0, a);
+struct Outcome {
+    fp: Fingerprint,
+    stats: KernelStats,
+    /// `heard_by[i]`: the nodes whose neighbor tables hold node `i`.
+    heard_by: Vec<Vec<usize>>,
 }
 
-#[test]
-fn trace_pins_partial_moved_then_died_on_midstep_death() {
-    let mut w = make_sharded(2);
-    // b can afford receiving (free) but not the full 1 m step (cost 0.5/m):
-    // budget 0.3 J ⇒ 0.6 m partial move, then death.
-    let a = w.add_node(Point2::new(40.0, 50.0), Battery::new(10.0).unwrap(), Echo::default());
-    let b = w.add_node(Point2::new(60.0, 50.0), Battery::new(0.3).unwrap(), Echo::default());
-    w.app_mut(a).forward_to = Some(b);
-    w.app_mut(b).move_target = Some(Point2::new(60.0, 90.0));
-    w.enable_tracing();
-    w.start();
-    w.schedule_timer(a, SimDuration::from_millis(5), 0);
-    w.run_until(SimTime::from_micros(1_000_000));
-    let trace = w.merged_trace();
-    let moved = trace.iter().position(|e| matches!(e, TraceEvent::Moved { .. })).unwrap();
-    let died = trace.iter().position(|e| matches!(e, TraceEvent::Died { .. })).unwrap();
-    assert!(moved < died, "partial Moved strictly precedes Died");
-    match &trace[moved] {
-        TraceEvent::Moved { energy, to, .. } => {
-            assert!((energy - 0.3).abs() < 1e-9, "the whole residual is spent");
-            assert!((to.y - 50.0 - 0.6).abs() < 1e-9, "moved exactly as far as affordable");
-        }
-        other => panic!("expected Moved, got {other:?}"),
+impl Outcome {
+    fn position_of(&self, kind: fn(&TraceEvent) -> bool) -> usize {
+        self.fp.trace.iter().position(kind).expect("the record is in the trace")
     }
-    assert!(!w.is_alive(b));
+
+    fn count(&self, kind: fn(&TraceEvent) -> bool) -> usize {
+        self.fp.trace.iter().filter(|e| kind(e)).count()
+    }
+}
+
+fn run_rule(w: &mut impl Driver, rule: &Rule, traced: bool) -> Outcome {
+    let ids: Vec<NodeId> = rule.nodes.iter().map(|&(p, joules)| w.add(p, joules)).collect();
+    if traced {
+        w.trace_on();
+    }
+    if let Some((from, to)) = rule.forward {
+        w.echo(ids[from]).forward_to = Some(ids[to]);
+    }
+    if let Some((node, target)) = rule.mover {
+        w.echo(ids[node]).move_target = Some(target);
+    }
+    w.begin();
+    if let Some((from, _)) = rule.forward {
+        for k in 0..rule.packets {
+            w.timer(ids[from], 5 * (k + 1), k);
+        }
+    }
+    w.run_to(SimTime::from_micros(rule.run_millis * 1000));
+    let heard_by = ids
+        .iter()
+        .map(|&origin| (0..ids.len()).filter(|&h| w.heard(ids[h], origin)).collect())
+        .collect();
+    Outcome { fp: w.fingerprint(&ids), stats: w.stats(), heard_by }
+}
+
+fn ordering_rules() -> Vec<Rule> {
+    let pair = |a: f64, b: f64| vec![(Point2::new(40.0, 50.0), a), (Point2::new(60.0, 50.0), b)];
+    let row = |pad: usize| {
+        let mut nodes: Vec<_> =
+            (0..6).map(|i| (Point2::new(10.0 + 12.0 * i as f64, 50.0), 1.0)).collect();
+        nodes.extend((0..pad).map(|j| (Point2::new(1000.0 + j as f64, 900.0), 1.0)));
+        nodes
+    };
+    vec![
+        Rule {
+            name: "a live destination receives the packet",
+            charge_hello: false,
+            nodes: pair(10.0, 10.0),
+            forward: Some((0, 1)),
+            packets: 1,
+            mover: None,
+            run_millis: 1000,
+            check: |o| {
+                let sent = o.position_of(|e| matches!(e, TraceEvent::Sent { .. }));
+                let delivered = o.position_of(|e| matches!(e, TraceEvent::Delivered { .. }));
+                assert!(sent < delivered);
+                assert_eq!((o.fp.sent, o.fp.delivered, o.fp.dropped), (1, 1, 0));
+                assert_eq!(o.fp.receipts[1], [(NodeId::new(0), 0)]);
+            },
+        },
+        Rule {
+            name: "a dead destination drops the packet",
+            charge_hello: false,
+            nodes: pair(10.0, 0.0),
+            forward: Some((0, 1)),
+            packets: 1,
+            mover: None,
+            run_millis: 1000,
+            check: |o| {
+                let sent = o.position_of(|e| matches!(e, TraceEvent::Sent { .. }));
+                let dropped = o.position_of(|e| matches!(e, TraceEvent::Dropped { .. }));
+                assert!(sent < dropped);
+                assert_eq!((o.fp.sent, o.fp.delivered, o.fp.dropped), (1, 0, 1));
+                assert!(o.fp.receipts[1].is_empty());
+            },
+        },
+        Rule {
+            name: "Died comes before Dropped on an unaffordable send",
+            charge_hello: false,
+            nodes: pair(1e-6, 10.0),
+            forward: Some((0, 1)),
+            packets: 1,
+            mover: None,
+            run_millis: 1000,
+            check: |o| {
+                let died = o.position_of(|e| matches!(e, TraceEvent::Died { .. }));
+                let dropped = o.position_of(|e| matches!(e, TraceEvent::Dropped { .. }));
+                assert!(died < dropped);
+                assert_eq!(o.count(|e| matches!(e, TraceEvent::Sent { .. })), 0);
+                assert_eq!((o.fp.sent, o.fp.dropped), (0, 1));
+                assert_eq!(o.fp.deaths[0], Some(SimTime::from_micros(5_000)));
+            },
+        },
+        Rule {
+            name: "an affordable step moves the full step",
+            charge_hello: false,
+            nodes: pair(10.0, 10.0),
+            forward: Some((0, 1)),
+            packets: 1,
+            mover: Some((1, Point2::new(60.0, 90.0))),
+            run_millis: 1000,
+            check: |o| {
+                let moved = o.position_of(|e| matches!(e, TraceEvent::Moved { .. }));
+                assert!(
+                    matches!(o.fp.trace[moved], TraceEvent::Moved { energy, .. } if energy == 0.5)
+                );
+                assert_eq!(o.fp.positions[1], Point2::new(60.0, 51.0));
+                assert_eq!(o.fp.deaths[1], None);
+            },
+        },
+        Rule {
+            name: "a partial Moved comes before Died",
+            charge_hello: false,
+            // 0.3 J at 0.5 J/m buys 0.6 m of the 1 m step.
+            nodes: pair(10.0, 0.3),
+            forward: Some((0, 1)),
+            packets: 1,
+            mover: Some((1, Point2::new(60.0, 90.0))),
+            run_millis: 1000,
+            check: |o| {
+                let moved = o.position_of(|e| matches!(e, TraceEvent::Moved { .. }));
+                let died = o.position_of(|e| matches!(e, TraceEvent::Died { .. }));
+                assert!(moved < died);
+                let TraceEvent::Moved { energy, to, .. } = o.fp.trace[moved] else {
+                    unreachable!()
+                };
+                assert!((energy - 0.3).abs() < 1e-9, "the whole residual is spent");
+                assert!((to.y - 50.6).abs() < 1e-9, "moved exactly as far as affordable");
+                assert_eq!(o.fp.energies[1], 0.0f64.to_bits());
+            },
+        },
+        Rule {
+            name: "a step at exactly 0 J stays put and dies",
+            charge_hello: false,
+            // The first receipt's full 1 m step spends exactly the 0.5 J
+            // the node holds; the second finds nothing left to spend.
+            nodes: pair(10.0, 0.5),
+            forward: Some((0, 1)),
+            packets: 2,
+            mover: Some((1, Point2::new(60.0, 90.0))),
+            run_millis: 1000,
+            check: |o| {
+                let died = o.position_of(|e| matches!(e, TraceEvent::Died { .. }));
+                let spent: Vec<f64> = o.fp.trace[..died]
+                    .iter()
+                    .filter_map(|e| match *e {
+                        TraceEvent::Moved { energy, .. } => Some(energy),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(spent, [0.5, 0.0]);
+                assert_eq!(o.fp.positions[1], Point2::new(60.0, 51.0));
+                assert_eq!(o.fp.total_moved[1], 1.0f64.to_bits());
+                assert!(o.fp.deaths[1].is_some());
+            },
+        },
+        Rule {
+            name: "a zero-length step does nothing",
+            charge_hello: false,
+            nodes: pair(10.0, 10.0),
+            forward: Some((0, 1)),
+            packets: 1,
+            mover: Some((1, Point2::new(60.0, 50.0))),
+            run_millis: 1000,
+            check: |o| {
+                assert_eq!(o.count(|e| matches!(e, TraceEvent::Moved { .. })), 0);
+                assert_eq!(o.fp.positions[1], Point2::new(60.0, 50.0));
+                assert_eq!(o.fp.total_moved[1], 0.0f64.to_bits());
+                assert_eq!(o.fp.totals[1], 0.0f64.to_bits(), "no mobility energy");
+            },
+        },
+        Rule {
+            name: "a funded beacon reschedules at the HELLO period",
+            charge_hello: true,
+            nodes: vec![(Point2::new(10.0, 10.0), 10.0)],
+            forward: None,
+            packets: 0,
+            mover: None,
+            run_millis: 3500,
+            check: |o| {
+                // Beacons at t = 0, 1, 2 and 3 s.
+                assert_eq!(o.stats.hello_beacons, 4);
+                assert_eq!(o.fp.events_processed, 4);
+                let per_beacon = PowerLawModel::paper_default(2.0).unwrap().energy(30.0, 512.0);
+                let hello = f64::from_bits(o.fp.totals[2]);
+                assert!((hello - 4.0 * per_beacon).abs() < 1e-12);
+            },
+        },
+        Rule {
+            name: "an unfunded beacon kills its node",
+            charge_hello: true,
+            nodes: vec![(Point2::new(10.0, 10.0), 1e-12)],
+            forward: None,
+            packets: 0,
+            mover: None,
+            run_millis: 3500,
+            check: |o| {
+                assert_eq!(o.stats.hello_beacons, 0);
+                assert_eq!(o.fp.events_processed, 1, "the beacon chain stops");
+                assert_eq!(o.fp.deaths[0], Some(SimTime::ZERO));
+                assert!(matches!(o.fp.trace[..], [TraceEvent::Died { .. }]));
+            },
+        },
+        Rule {
+            name: "the scan path finds the hearers",
+            charge_hello: false,
+            nodes: row(0),
+            forward: None,
+            packets: 0,
+            mover: None,
+            run_millis: 500,
+            check: |o| {
+                assert_eq!(o.stats.hello_cache_hits + o.stats.hello_cache_misses, 0);
+                assert_eq!(o.heard_by[2], [0, 1, 3, 4], "30 m range hears ±2 hops at 12 m");
+            },
+        },
+        Rule {
+            name: "the grid path finds the same hearers",
+            charge_hello: false,
+            nodes: row(SMALL_WORLD_SCAN),
+            forward: None,
+            packets: 0,
+            mover: None,
+            run_millis: 500,
+            check: |o| {
+                assert!(o.stats.hello_cache_misses > 0);
+                assert_eq!(o.heard_by[2], [0, 1, 3, 4], "30 m range hears ±2 hops at 12 m");
+            },
+        },
+    ]
+}
+
+/// The handlers' rules, one table, checked on the serial world and on a
+/// four-shard world (whose 2×2 layout puts the rows' senders and receivers
+/// in different shards). Every row also runs untraced: the books must not
+/// change, no record may be kept, and neither engine's `Reach` may build a
+/// record while tracing is off. The order of a send's `Sent` record and its
+/// delivery shows in no engine output; `handlers_call_their_reach_in_rule_order`
+/// checks it, with the other ordering rules, on the calls themselves.
+#[test]
+fn handler_ordering_rules_hold_on_both_engines() {
+    fn check(engine: &str, rule: &Rule, mut traced: impl Driver, mut untraced: impl Driver) {
+        let on = run_rule(&mut traced, rule, true);
+        (rule.check)(&on);
+        let off = run_rule(&mut untraced, rule, false);
+        assert_eq!(
+            off.fp.books(),
+            on.fp.books(),
+            "{engine}: {}: books depend on tracing",
+            rule.name
+        );
+        assert_eq!(untraced.records(), 0, "{engine}: {}", rule.name);
+        untraced.reach_trace(NodeId::new(0), || panic!("a record was built with tracing off"));
+        let kept = traced.records();
+        traced.reach_trace(NodeId::new(0), || TraceEvent::Died {
+            time: SimTime::ZERO,
+            node: NodeId::new(0),
+        });
+        assert_eq!(traced.records(), kept + 1, "{engine}: tracing on keeps the record");
+    }
+    for rule in &ordering_rules() {
+        let mut cfg = SimConfig::default();
+        cfg.hello.charge_energy = rule.charge_hello;
+        check("serial", rule, make_serial(cfg), make_serial(cfg));
+        check("sharded", rule, make_sharded_with(cfg, 4), make_sharded_with(cfg, 4));
+    }
+}
+
+/// One call a handler made on its [`Reach`].
+#[derive(Debug, PartialEq)]
+enum Call {
+    Schedule(SimTime),
+    Deliver(NodeId),
+    Hear(Vec<u32>),
+    Moved(NodeId),
+    Died(NodeId),
+    Trace(&'static str),
+}
+
+/// A third [`Reach`]: ground truth and one queue, like the serial world's,
+/// but it publishes nothing and logs every call the handlers make. Some
+/// ordering rules are invisible in an engine's outputs (the serial world
+/// keeps its trace and its queue apart), so the table above cannot see
+/// them; the calls can.
+struct LogReach {
+    cfg: SimConfig,
+    tx_model: PowerLawModel,
+    mobility_model: LinearMobilityCost,
+    grid: SpatialGrid,
+    calls: Vec<Call>,
+}
+
+impl Reach<u32> for LogReach {
+    const GROUND_TRUTH: bool = true;
+
+    fn cfg(&self) -> &SimConfig {
+        &self.cfg
+    }
+    fn tx_model(&self) -> &dyn TxEnergyModel {
+        &self.tx_model
+    }
+    fn mobility_model(&self) -> &dyn MobilityCostModel {
+        &self.mobility_model
+    }
+    fn slot_of(&self, id: NodeId) -> usize {
+        id.index()
+    }
+    fn peer_position(&self, nodes: &NodeStore, to: NodeId) -> Point2 {
+        nodes.position(to.index())
+    }
+    fn schedule(
+        &mut self,
+        queue: &mut EventQueue<Event<u32>>,
+        at: SimTime,
+        _slot: usize,
+        _id: NodeId,
+        event: Event<u32>,
+    ) {
+        self.calls.push(Call::Schedule(at));
+        queue.push(at, event);
+    }
+    fn deliver(
+        &mut self,
+        queue: &mut EventQueue<Event<u32>>,
+        _now: SimTime,
+        _slot: usize,
+        from: NodeId,
+        to: NodeId,
+        arrival: SimTime,
+        msg: u32,
+    ) {
+        self.calls.push(Call::Deliver(to));
+        queue.push(arrival, Event::Deliver { from, to, msg });
+    }
+    fn beacon_view<'a>(&'a self, nodes: &'a NodeStore) -> BeaconView<'a> {
+        BeaconView {
+            positions: nodes.positions(),
+            alive: nodes.alive_flags(),
+            grid: &self.grid,
+            range: self.cfg.range,
+        }
+    }
+    fn hear(
+        &mut self,
+        _: &mut NodeStore,
+        hearers: &[u32],
+        _: NodeId,
+        _: Point2,
+        _: f64,
+        _: SimTime,
+    ) {
+        self.calls.push(Call::Hear(hearers.to_vec()));
+    }
+    fn moved(&mut self, id: NodeId, _to: Point2) {
+        self.calls.push(Call::Moved(id));
+    }
+    fn died(&mut self, id: NodeId) {
+        self.calls.push(Call::Died(id));
+    }
+    fn trace(&mut self, _slot: usize, _id: NodeId, event: impl FnOnce() -> TraceEvent) {
+        self.calls.push(Call::Trace(event().kind()));
+    }
+}
+
+/// Runs `act` on an engine of two nodes 20 m apart holding `joules` (HELLO
+/// charged) and returns the calls its handlers made on their [`Reach`].
+fn reach_calls(joules: [f64; 2], act: impl FnOnce(&mut Engine<Echo>, &mut LogReach)) -> Vec<Call> {
+    let mut cfg = SimConfig::default();
+    cfg.hello.charge_energy = true;
+    let mut reach = LogReach {
+        cfg,
+        tx_model: PowerLawModel::paper_default(2.0).unwrap(),
+        mobility_model: LinearMobilityCost::new(0.5).unwrap(),
+        grid: SpatialGrid::new(cfg.range),
+        calls: Vec::new(),
+    };
+    let mut engine = Engine::new(cfg.queue_backend);
+    for (x, j) in [(40.0, joules[0]), (60.0, joules[1])] {
+        let battery = Battery::new(j).unwrap();
+        engine.add_node(Point2::new(x, 50.0), battery, Echo::default(), cfg.hello.ttl, &mut vec![]);
+    }
+    act(&mut engine, &mut reach);
+    reach.calls
+}
+
+/// The handlers' ordering rules as calls on the [`Reach`] both engines
+/// implement.
+#[test]
+fn handlers_call_their_reach_in_rule_order() {
+    use Call::{Deliver, Died, Hear, Moved, Schedule, Trace};
+    let (a, b) = (NodeId::new(0), NodeId::new(1));
+    let send = |engine: &mut Engine<Echo>, reach: &mut LogReach| {
+        engine.dispatch(reach, a, 0, |_, _, out| out.send(b, 8000, 0, EnergyCategory::Data));
+    };
+    let step_toward = |target: Point2| {
+        move |engine: &mut Engine<Echo>, reach: &mut LogReach| {
+            engine.dispatch(reach, b, 1, |_, _, out| out.move_toward(target, 1.0));
+        }
+    };
+    let up = step_toward(Point2::new(60.0, 90.0));
+    let event = |event: Event<u32>| {
+        move |engine: &mut Engine<Echo>, reach: &mut LogReach| {
+            engine.queue.push(SimTime::ZERO, event);
+            assert!(engine.step(reach));
+        }
+    };
+    let beacon = || event(Event::HelloBeacon { node: a });
+
+    assert_eq!(reach_calls([10.0, 10.0], send), [Trace("sent"), Deliver(b)], "Sent, then deliver");
+    assert_eq!(
+        reach_calls([1e-6, 10.0], send),
+        [Died(a), Trace("died"), Trace("dropped")],
+        "an unaffordable send: Died, then Dropped"
+    );
+    assert_eq!(
+        reach_calls([10.0, 0.0], event(Event::Deliver { from: a, to: b, msg: 0 })),
+        [Trace("dropped")],
+        "a dead destination"
+    );
+    assert_eq!(reach_calls([10.0, 10.0], up), [Moved(b), Trace("moved")], "a full step");
+    assert_eq!(
+        reach_calls([10.0, 0.3], up),
+        [Moved(b), Trace("moved"), Died(b), Trace("died")],
+        "a partial step: Moved, then Died"
+    );
+    let twice = |engine: &mut Engine<Echo>, reach: &mut LogReach| {
+        up(engine, reach);
+        up(engine, reach);
+    };
+    assert_eq!(
+        reach_calls([10.0, 0.5], twice),
+        [Moved(b), Trace("moved"), Trace("moved"), Died(b), Trace("died")],
+        "a step at exactly 0 J publishes no move"
+    );
+    assert_eq!(reach_calls([10.0, 10.0], step_toward(Point2::new(60.0, 50.0))), [], "zero-length");
+    assert_eq!(
+        reach_calls([10.0, 10.0], beacon()),
+        [Hear(vec![1]), Schedule(SimTime::ZERO + SimConfig::default().hello.period)],
+        "a funded beacon reschedules at the HELLO period"
+    );
+    assert_eq!(reach_calls([1e-12, 10.0], beacon()), [Died(a), Trace("died")], "unfunded beacon");
+}
+
+/// Where none of the documented serial-vs-sharded deltas can show — no
+/// hook reads its neighbor table, and no node moves or dies within an
+/// epoch of a beacon or of a send to it — the serial world and the
+/// sharded world at 1 and 4 shards produce the same run. This is the check
+/// that catches one `Reach` impl diverging while each engine stays
+/// self-consistent.
+#[test]
+fn serial_and_sharded_engines_agree_where_no_delta_can_show() {
+    let mut cfg = SimConfig::default();
+    cfg.hello.charge_energy = true;
+    let sc = Scenario {
+        positions: (0..6).map(|i| Point2::new(10.0 + 16.0 * i as f64, 50.0)).collect(),
+        joules: 0.3,
+        move_y: 90.0,
+        timers: vec![0, 340, 680, 1020, 1360, 1700],
+        run_micros: 20_000_000,
+    };
+    let agreed = |fp: Fingerprint| {
+        let jsonl = crate::trace::events_to_jsonl(&fp.trace);
+        let mut trace: Vec<&str> = jsonl.lines().collect();
+        trace.sort_unstable();
+        let trace: Vec<String> = trace.into_iter().map(str::to_owned).collect();
+        let counts = [fp.sent, fp.delivered, fp.dropped, fp.events_processed];
+        (fp.energies, fp.totals, fp.deaths, counts, fp.receipts, trace)
+    };
+    let serial = agreed(run_scenario(&mut make_serial(cfg), &sc));
+    let (_, _, deaths, counts, _, trace) = &serial;
+    assert!(deaths[1].is_some() && counts[2] > 0, "the relay dies and later packets drop");
+    assert!(trace.iter().any(|l| l.contains("\"moved\"")), "the relay moves before dying");
+    for shards in [1, 4] {
+        let sharded = agreed(run_scenario(&mut make_sharded_with(cfg, shards), &sc));
+        assert_eq!(sharded, serial, "{shards}-shard run diverged from the serial world");
+    }
 }
 
 // ------------------------------------------------------------- invariance

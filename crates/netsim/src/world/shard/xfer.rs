@@ -33,7 +33,7 @@
 
 use imobif_geom::Point2;
 
-use super::engine::XKey;
+use super::reach::XKey;
 use crate::{NodeId, SimTime};
 
 /// One cross-shard packet delivery, keyed for the barrier merge.
@@ -73,7 +73,7 @@ pub(super) struct ObsRun {
 }
 
 /// A keyless replica delta: the owner shard's position/liveness changes,
-/// applied to the epoch-frozen [`Replica`](super::engine::Replica) in
+/// applied to the epoch-frozen [`Replica`](super::reach::Replica) in
 /// emission order.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum RepPatch {

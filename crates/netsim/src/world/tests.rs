@@ -1,12 +1,11 @@
-//! Facade-level kernel tests: event ordering, energy charging, death
-//! semantics, tracing, and the reset-equivalence guarantees. Focused
-//! subsystem tests live with each submodule's logic via the effect pins in
-//! `kernel_effects_*` below.
+//! Serial-world tests: energy charging, death semantics, tracing, the
+//! hearer cache, and the reset-equivalence guarantees. The ordering rules
+//! the handlers share with the sharded world are pinned on both engines by
+//! `handler_ordering_rules_hold_on_both_engines` in `shard/tests.rs`.
 
-use super::kernel::{Effect, EffectBuf, TimerKind};
 use super::*;
 use crate::trace::TraceEvent;
-use crate::{EnergyCategory, NeighborEntry, NodeCtx, SimDuration};
+use crate::{EnergyCategory, NeighborEntry, NodeCtx, Outbox, SimDuration};
 use imobif_energy::{LinearMobilityCost, PowerLawModel};
 
 /// Test protocol: forwards a counter along a chain and records receipt.
@@ -82,7 +81,7 @@ fn kernel_stats_and_publish_metrics_flush_everything() {
     let mut w = make_world();
     // Default config beacons for free; charge them so the hello energy
     // category shows up in the published metrics.
-    w.core.cfg.hello.charge_energy = true;
+    w.reach.cfg.hello.charge_energy = true;
     let ids = chain(&mut w, 3, 20.0, 10.0);
     w.app_mut(ids[0]).forward_to = Some(ids[1]);
     w.start();
@@ -98,12 +97,12 @@ fn kernel_stats_and_publish_metrics_flush_everything() {
         stats.hello_beacons,
         "every beacon records one fan-out sample"
     );
-    assert!(w.queue.stats().pushes > 0);
+    assert!(w.engine.queue.stats().pushes > 0);
 
     let registry = imobif_obs::Registry::enabled();
     w.publish_metrics(&registry);
     let snap = registry.snapshot();
-    assert_eq!(snap.counter("queue.pushes"), Some(w.queue.stats().pushes));
+    assert_eq!(snap.counter("queue.pushes"), Some(w.engine.queue.stats().pushes));
     assert_eq!(snap.counter("kernel.events_processed"), Some(w.events_processed()));
     assert_eq!(snap.counter("kernel.hello_beacons"), Some(stats.hello_beacons));
     assert!(snap.float("energy.hello_joules").unwrap() > 0.0);
@@ -112,7 +111,10 @@ fn kernel_stats_and_publish_metrics_flush_everything() {
     assert_eq!(snap.counter("trace.recorded"), Some(w.trace().unwrap().total_recorded()));
     // Publishing again accumulates counters (batch semantics).
     w.publish_metrics(&registry);
-    assert_eq!(registry.snapshot().counter("queue.pushes"), Some(2 * w.queue.stats().pushes));
+    assert_eq!(
+        registry.snapshot().counter("queue.pushes"),
+        Some(2 * w.engine.queue.stats().pushes)
+    );
     // A disabled registry records nothing.
     let off = imobif_obs::Registry::disabled();
     w.publish_metrics(&off);
@@ -127,7 +129,7 @@ fn kernel_stats_and_publish_metrics_flush_everything() {
     )
     .unwrap();
     assert_eq!(*w.kernel_stats(), KernelStats::default());
-    assert_eq!(w.queue.stats().pushes, 0);
+    assert_eq!(w.engine.queue.stats().pushes, 0);
 }
 
 #[test]
@@ -282,171 +284,6 @@ fn tracing_records_kernel_events_in_order() {
     assert!(w2.trace().is_none());
 }
 
-// ---- focused subsystem tests: each pins one module's effect contract ----
-
-fn core_world(batteries: &[(f64, f64, f64)]) -> World<Echo> {
-    let mut w = make_world();
-    // Trace effects are only produced when tracing is on; enable it so the
-    // effect pins below can observe the full ordering contract.
-    w.enable_tracing(64);
-    for &(x, y, joules) in batteries {
-        w.add_node(Point2::new(x, y), Battery::new(joules).unwrap(), Echo::default());
-    }
-    w
-}
-
-#[test]
-fn delivery_send_effects_success_then_failure() {
-    // Success: Trace(Sent) strictly before Send — the packet is recorded
-    // from the pre-schedule position.
-    let mut w = core_world(&[(0.0, 0.0, 10.0), (20.0, 0.0, 10.0)]);
-    let (a, b) = (NodeId::new(0), NodeId::new(1));
-    let mut fx = EffectBuf::new();
-    delivery::send(&mut w.core, a, b, 8000, EnergyCategory::Data, &mut fx);
-    assert!(matches!(fx.slots[0], Some(Effect::Trace(TraceEvent::Sent { .. }))));
-    assert!(matches!(fx.slots[1], Some(Effect::Send { from, to, .. }) if from == a && to == b));
-    assert_eq!(fx.len, 2);
-    assert_eq!(w.core.ledger.packets_sent, 1);
-
-    // Failure: Kill strictly before Trace(Dropped) — Died precedes Dropped
-    // in the trace, the order the JSONL fingerprints pin.
-    let mut w = core_world(&[(0.0, 0.0, 1e-9), (20.0, 0.0, 10.0)]);
-    let mut fx = EffectBuf::new();
-    delivery::send(&mut w.core, a, b, 8000, EnergyCategory::Data, &mut fx);
-    assert!(matches!(fx.slots[0], Some(Effect::Kill { node }) if node == a));
-    assert!(matches!(fx.slots[1], Some(Effect::Trace(TraceEvent::Dropped { .. }))));
-    assert_eq!(w.core.ledger.packets_dropped, 1);
-    assert_eq!(w.core.ledger.packets_sent, 0);
-}
-
-#[test]
-fn delivery_receive_drops_for_dead_destination() {
-    let mut w = core_world(&[(0.0, 0.0, 10.0), (20.0, 0.0, 10.0)]);
-    let (a, b) = (NodeId::new(0), NodeId::new(1));
-    let mut fx = EffectBuf::new();
-    assert!(delivery::receive(&mut w.core, a, b, &mut fx));
-    assert!(matches!(fx.slots[0], Some(Effect::Trace(TraceEvent::Delivered { .. }))));
-    mobility::kill(&mut w.core, b);
-    let mut fx = EffectBuf::new();
-    assert!(!delivery::receive(&mut w.core, a, b, &mut fx));
-    assert!(matches!(fx.slots[0], Some(Effect::Trace(TraceEvent::Dropped { .. }))));
-    assert_eq!(w.core.ledger.packets_delivered, 1);
-    assert_eq!(w.core.ledger.packets_dropped, 1);
-}
-
-#[test]
-fn mobility_move_effects_full_step_and_mid_step_death() {
-    // Affordable: one Moved trace, position and grid updated, no Kill.
-    let mut w = core_world(&[(0.0, 0.0, 10.0)]);
-    let a = NodeId::new(0);
-    let mut fx = EffectBuf::new();
-    mobility::move_node(&mut w.core, a, Point2::new(10.0, 0.0), 1.0, &mut fx);
-    assert_eq!(fx.len, 1);
-    assert!(matches!(fx.slots[0], Some(Effect::Trace(TraceEvent::Moved { .. }))));
-    assert_eq!(w.core.nodes.position(0), Point2::new(1.0, 0.0));
-
-    // Unaffordable: partial Moved strictly before Kill.
-    let mut w = core_world(&[(0.0, 0.0, 0.2)]);
-    let mut fx = EffectBuf::new();
-    mobility::move_node(&mut w.core, a, Point2::new(10.0, 0.0), 1.0, &mut fx);
-    assert_eq!(fx.len, 2);
-    assert!(matches!(fx.slots[0], Some(Effect::Trace(TraceEvent::Moved { .. }))));
-    assert!(matches!(fx.slots[1], Some(Effect::Kill { node }) if node == a));
-    // 0.2 J at 0.5 J/m bought 0.4 m; the battery is exactly drained.
-    assert!((w.core.nodes.position(0).x - 0.4).abs() < 1e-12);
-    assert_eq!(w.core.nodes.residual(0), 0.0);
-
-    // A degenerate step (already at the target) produces no effects.
-    let mut w = core_world(&[(5.0, 5.0, 10.0)]);
-    let mut fx = EffectBuf::new();
-    mobility::move_node(&mut w.core, a, Point2::new(5.0, 5.0), 1.0, &mut fx);
-    assert_eq!(fx.len, 0);
-}
-
-#[test]
-fn effects_skip_trace_when_untraced() {
-    // With tracing off the kernel would drop Trace effects anyway, so the
-    // subsystems never construct them: only the operative effects remain.
-    let mut w = make_world();
-    let a = w.add_node(Point2::ORIGIN, Battery::new(10.0).unwrap(), Echo::default());
-    let b = w.add_node(Point2::new(20.0, 0.0), Battery::new(10.0).unwrap(), Echo::default());
-    let mut fx = EffectBuf::new();
-    delivery::send(&mut w.core, a, b, 8000, EnergyCategory::Data, &mut fx);
-    assert_eq!(fx.len, 1);
-    assert!(matches!(fx.slots[0], Some(Effect::Send { .. })));
-    let mut fx = EffectBuf::new();
-    assert!(delivery::receive(&mut w.core, a, b, &mut fx));
-    assert_eq!(fx.len, 0);
-    let mut fx = EffectBuf::new();
-    mobility::move_node(&mut w.core, a, Point2::new(10.0, 0.0), 1.0, &mut fx);
-    assert_eq!(fx.len, 0, "a full affordable step is pure state mutation");
-    // The ledger still sees everything: the books never depend on tracing.
-    assert_eq!(w.core.ledger.packets_sent, 1);
-    assert_eq!(w.core.ledger.packets_delivered, 1);
-    assert!(w.core.ledger.node(a).mobility > 0.0);
-}
-
-#[test]
-fn beacon_effects_reschedule_or_kill() {
-    // A live, funded node beacons and reschedules at the HELLO period.
-    let mut w = core_world(&[(0.0, 0.0, 10.0), (20.0, 0.0, 10.0)]);
-    let a = NodeId::new(0);
-    let mut fx = EffectBuf::new();
-    beacon::hello_beacon(&mut w.core, a, &mut fx);
-    assert_eq!(fx.len, 1);
-    let period = w.core.cfg.hello.period;
-    assert!(matches!(
-        fx.slots[0],
-        Some(Effect::Timer { node, delay, kind: TimerKind::Beacon })
-            if node == a && delay == period
-    ));
-    assert_eq!(w.core.stats.hello_beacons, 1);
-    // The neighbor heard it.
-    assert_eq!(w.core.nodes.neighbor_table(1).fresh(w.core.time).len(), 1);
-
-    // A node that cannot afford the beacon dies and stops beaconing.
-    let mut cfg = SimConfig::default();
-    cfg.hello.charge_energy = true;
-    let mut w: World<Echo> = World::new(
-        cfg,
-        Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-        Box::new(LinearMobilityCost::new(0.5).unwrap()),
-    )
-    .unwrap();
-    let a_id = w.add_node(Point2::ORIGIN, Battery::new(1e-12).unwrap(), Echo::default());
-    let mut fx = EffectBuf::new();
-    beacon::hello_beacon(&mut w.core, a_id, &mut fx);
-    assert_eq!(fx.len, 1);
-    assert!(matches!(fx.slots[0], Some(Effect::Kill { node }) if node == a_id));
-}
-
-#[test]
-fn beacon_grid_and_scan_paths_agree() {
-    // Same geometry twice: once under the linear-scan threshold, once
-    // padded past it with out-of-range nodes, must observe identical
-    // hearer sets.
-    let hearers_of = |pad: usize| {
-        let mut w = make_world();
-        for i in 0..6 {
-            let p = Point2::new(i as f64 * 12.0, 0.0);
-            w.add_node(p, Battery::new(1.0).unwrap(), Echo::default());
-        }
-        for j in 0..pad {
-            let p = Point2::new(1000.0 + j as f64, 900.0);
-            w.add_node(p, Battery::new(1.0).unwrap(), Echo::default());
-        }
-        let mut fx = EffectBuf::new();
-        beacon::hello_beacon(&mut w.core, NodeId::new(2), &mut fx);
-        (0..w.node_count())
-            .filter(|&i| !w.core.nodes.neighbor_table(i).is_empty())
-            .collect::<Vec<_>>()
-    };
-    let small = hearers_of(0);
-    let large = hearers_of(beacon::SMALL_WORLD_SCAN);
-    assert_eq!(small, vec![0, 1, 3, 4], "30 m range hears ±2 hops at 12 m spacing");
-    assert_eq!(small, large);
-}
-
 /// Node positions on a `side × side` lattice: past the small-world scan,
 /// so beacons go through the grid and the hearer cache.
 fn lattice(side: usize, spacing: f64) -> Vec<Point2> {
@@ -559,7 +396,7 @@ fn cache_fingerprint(w: &mut World<Echo>) -> (u64, KernelStats, Vec<Vec<Neighbor
     let events = w.trace().expect("tracing enabled").events();
     let fnv = imobif_obs::fnv1a64(crate::trace::events_to_jsonl(&events).as_bytes());
     let now = w.time();
-    let tables = (0..ids.len()).map(|i| w.core.nodes.neighbor_table(i).fresh(now)).collect();
+    let tables = (0..ids.len()).map(|i| w.engine.nodes.neighbor_table(i).fresh(now)).collect();
     (fnv, *w.kernel_stats(), tables)
 }
 

@@ -4,7 +4,9 @@
 # Everything here runs fully offline (dependencies are vendored); a clean
 # exit means the tree is in a committable state.
 #
-# `ci.sh --smoke` runs only the fast subset — release build, the
+# `ci.sh --smoke` runs only the fast subset — release build, the pin
+# tests (the serial trace pins, the shard-sweep and thread-sweep pins, the
+# fig6 CSV pin, and the zero-allocation warmed sharded epoch), the
 # scale_bench smoke gates (steady-state allocations, arena reuse,
 # 1-vs-N-shard determinism, a reduced 100k-node arena), and the benchmark
 # package's tests and `bench --smoke` — and targets a total wall time of
@@ -45,6 +47,12 @@ if [[ "$SMOKE" == "0" ]]; then
     smoke_out=$(mktemp)
     trap 'rm -f "$smoke_out"' EXIT
     cargo run --release -q -p imobif-bench --bin hotpath_bench -- "$smoke_out" >/dev/null
+fi
+
+if [[ "$SMOKE" == "1" ]]; then
+    echo "==> pin tests (serial traces, shard and thread sweeps, fig6 CSV, epoch allocations)"
+    cargo test --release -q --test determinism --test trace_causality
+    cargo test --release -q -p imobif-bench --test span_determinism --test span_allocs
 fi
 
 echo "==> scaling bench smoke (scale_bench --smoke: allocation + determinism gates)"

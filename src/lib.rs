@@ -8,10 +8,10 @@
 //! * [`energy`] — power/energy models (`E_T(d, l) = l·(a + b·d^α)`,
 //!   `E_M(d) = k·d`), batteries, power–distance tables, regression.
 //! * [`netsim`] — deterministic discrete-event wireless network simulator
-//!   (event queue, unit-disk medium, HELLO beaconing, routing). The world
-//!   is a facade over typed subsystems — kernel, delivery, mobility,
-//!   beacon, observe — that communicate through a typed `Effect` enum
-//!   applied at a single interception point (DESIGN.md §10).
+//!   (event queue, unit-disk medium, HELLO beaconing, routing). The serial
+//!   world and every shard of the sharded world run one event loop, whose
+//!   handlers are generic over how a node reaches the others
+//!   (DESIGN.md §10).
 //! * [`core`] — the iMobif framework itself: the `FlowOperations` algorithm,
 //!   mobility strategies, cost/benefit aggregation and the notification
 //!   protocol (paper §2–§3). The per-packet math is the pure
