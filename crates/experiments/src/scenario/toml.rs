@@ -120,8 +120,8 @@ pub fn parse(text: &str) -> Result<Table, ParseError> {
         let mut cur = Cursor::new(raw, line_no);
         cur.skip_ws();
         match cur.peek() {
-            None | Some('#') => {}
-            Some('[') => path = parse_header(&mut cur, &mut root)?,
+            None | Some(b'#') => {}
+            Some(b'[') => path = parse_header(&mut cur, &mut root)?,
             Some(_) => parse_key_value(&mut cur, &mut root, &path)?,
         }
     }
@@ -133,7 +133,7 @@ pub fn parse(text: &str) -> Result<Table, ParseError> {
 fn parse_header(cur: &mut Cursor<'_>, root: &mut Table) -> Result<Vec<String>, ParseError> {
     let header_pos = cur.pos();
     cur.bump(); // '['
-    let aot = cur.peek() == Some('[');
+    let aot = cur.peek() == Some(b'[');
     if aot {
         cur.bump();
     }
@@ -141,29 +141,27 @@ fn parse_header(cur: &mut Cursor<'_>, root: &mut Table) -> Result<Vec<String>, P
     loop {
         cur.skip_ws();
         let seg_pos = cur.pos();
-        let seg = cur.bare_key()?;
+        let seg = cur.bare_key();
         if seg.is_empty() {
             return Err(ParseError::at(seg_pos, "expected a key inside table header"));
         }
-        segments.push(seg);
+        segments.push(seg.to_owned());
         cur.skip_ws();
         match cur.peek() {
-            Some('.') => {
-                cur.bump();
-            }
-            Some(']') => break,
+            Some(b'.') => cur.bump(),
+            Some(b']') => break,
             _ => return Err(ParseError::at(cur.pos(), "expected `.` or `]` in table header")),
         }
     }
     cur.bump(); // ']'
     if aot {
-        if cur.peek() != Some(']') {
+        if cur.peek() != Some(b']') {
             return Err(ParseError::at(cur.pos(), "expected `]]` to close array-of-tables header"));
         }
         cur.bump();
     }
     cur.skip_ws();
-    if !matches!(cur.peek(), None | Some('#')) {
+    if !matches!(cur.peek(), None | Some(b'#')) {
         return Err(ParseError::at(cur.pos(), "unexpected characters after table header"));
     }
     // Navigate to the parent, creating intermediate tables as needed.
@@ -198,23 +196,23 @@ fn parse_key_value(
     path: &[String],
 ) -> Result<(), ParseError> {
     let key_pos = cur.pos();
-    let key = cur.bare_key()?;
+    let key = cur.bare_key();
     if key.is_empty() {
         return Err(ParseError::at(key_pos, "expected a key"));
     }
     cur.skip_ws();
-    if cur.peek() != Some('=') {
+    if cur.peek() != Some(b'=') {
         return Err(ParseError::at(cur.pos(), format!("expected `=` after key `{key}`")));
     }
     cur.bump();
     cur.skip_ws();
     let value = cur.value()?;
     cur.skip_ws();
-    if !matches!(cur.peek(), None | Some('#')) {
+    if !matches!(cur.peek(), None | Some(b'#')) {
         return Err(ParseError::at(cur.pos(), "unexpected characters after value"));
     }
     let table = descend(root, path, key_pos)?;
-    if table.get(&key).is_some() {
+    if table.get(key).is_some() {
         return Err(ParseError::at(key_pos, format!("duplicate key `{key}`")));
     }
     table.insert(key, key_pos, Item::Value(value));
@@ -247,59 +245,75 @@ fn descend<'a>(
     Ok(current)
 }
 
-/// A single-line character cursor with 1-based column tracking.
+/// A single-line byte cursor with 1-based column tracking. Columns count
+/// characters: a multi-byte UTF-8 character advances the column once, on
+/// its leading byte. Keys and numbers are read as slices of the line, so a
+/// key allocates once, at its exact size, and a number not at all.
 struct Cursor<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
+    text: &'a str,
+    at: usize,
     line: u32,
     col: u32,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(line_text: &'a str, line: u32) -> Self {
-        Cursor { chars: line_text.chars().peekable(), line, col: 1 }
+    fn new(text: &'a str, line: u32) -> Self {
+        Cursor { text, at: 0, line, col: 1 }
     }
 
-    fn pos(&mut self) -> Pos {
+    fn pos(&self) -> Pos {
         Pos { line: self.line, col: self.col }
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.at).copied()
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next();
-        if c.is_some() {
-            self.col += 1;
+    fn bump(&mut self) {
+        if let Some(b) = self.peek() {
+            self.at += 1;
+            // UTF-8 continuation bytes belong to the character already
+            // counted.
+            if b & 0xC0 != 0x80 {
+                self.col += 1;
+            }
         }
-        c
+    }
+
+    /// The next character, consumed whole.
+    fn bump_char(&mut self) -> Option<char> {
+        let c = self.text[self.at..].chars().next()?;
+        self.at += c.len_utf8();
+        self.col += 1;
+        Some(c)
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t')) {
+        while matches!(self.peek(), Some(b' ' | b'\t')) {
             self.bump();
         }
     }
 
-    fn bare_key(&mut self) -> Result<String, ParseError> {
-        let mut out = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
-                out.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        Ok(out)
+    /// Consumes the longest run of bytes matching `keep`, which must match
+    /// only ASCII bytes, and returns it.
+    fn take_while(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.at;
+        let len = self.text.as_bytes()[start..].iter().take_while(|&&b| keep(b)).count();
+        self.at += len;
+        self.col += len as u32;
+        &self.text[start..self.at]
+    }
+
+    fn bare_key(&mut self) -> &'a str {
+        self.take_while(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
     }
 
     fn value(&mut self) -> Result<TomlValue, ParseError> {
         match self.peek() {
             None => Err(ParseError::at(self.pos(), "expected a value")),
-            Some('"') => self.string().map(TomlValue::Str),
-            Some('[') => self.array(),
-            Some('t' | 'f') => self.boolean(),
+            Some(b'"') => self.string().map(TomlValue::Str),
+            Some(b'[') => self.array(),
+            Some(b't' | b'f') => self.boolean(),
             Some(_) => self.number(),
         }
     }
@@ -309,25 +323,32 @@ impl<'a> Cursor<'a> {
         self.bump(); // opening quote
         let mut out = String::new();
         loop {
-            match self.bump() {
+            // Copy the run up to the next quote or escape in one piece.
+            out.push_str(self.take_text());
+            match self.peek() {
                 None => return Err(ParseError::at(start, "unterminated string")),
-                Some('"') => return Ok(out),
-                Some('\\') => {
+                Some(b'"') => {
+                    self.bump();
+                    return Ok(out);
+                }
+                _ => {
+                    self.bump(); // '\\'
                     let esc_pos = self.pos();
-                    match self.bump() {
+                    match self.bump_char() {
                         Some('"') => out.push('"'),
                         Some('\\') => out.push('\\'),
                         Some('n') => out.push('\n'),
                         Some('r') => out.push('\r'),
                         Some('t') => out.push('\t'),
                         Some('u') => {
-                            let mut hex = String::new();
+                            let hex_start = self.at;
                             for _ in 0..4 {
-                                hex.push(self.bump().ok_or_else(|| {
+                                self.bump_char().ok_or_else(|| {
                                     ParseError::at(esc_pos, "truncated \\u escape")
-                                })?);
+                                })?;
                             }
-                            let code = u32::from_str_radix(&hex, 16).map_err(|_| {
+                            let hex = &self.text[hex_start..self.at];
+                            let code = u32::from_str_radix(hex, 16).map_err(|_| {
                                 ParseError::at(esc_pos, format!("bad \\u escape `{hex}`"))
                             })?;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -343,9 +364,19 @@ impl<'a> Cursor<'a> {
                         }
                     }
                 }
-                Some(c) => out.push(c),
             }
         }
+    }
+
+    /// Consumes string content up to the next quote or backslash (or the
+    /// line's end), characters of any width included.
+    fn take_text(&mut self) -> &'a str {
+        let start = self.at;
+        let len = self.text[start..].find(['"', '\\']).unwrap_or(self.text.len() - start);
+        let run = &self.text[start..start + len];
+        self.at += len;
+        self.col += run.chars().count() as u32;
+        run
     }
 
     fn array(&mut self) -> Result<TomlValue, ParseError> {
@@ -355,7 +386,7 @@ impl<'a> Cursor<'a> {
             self.skip_ws();
             match self.peek() {
                 None => return Err(ParseError::at(self.pos(), "expected `]` to close array")),
-                Some(']') => {
+                Some(b']') => {
                     self.bump();
                     return Ok(TomlValue::Array(items));
                 }
@@ -363,10 +394,8 @@ impl<'a> Cursor<'a> {
                     items.push(self.value()?);
                     self.skip_ws();
                     match self.peek() {
-                        Some(',') => {
-                            self.bump();
-                        }
-                        Some(']') => {}
+                        Some(b',') => self.bump(),
+                        Some(b']') => {}
                         _ => {
                             return Err(ParseError::at(self.pos(), "expected `,` or `]` in array"));
                         }
@@ -378,29 +407,21 @@ impl<'a> Cursor<'a> {
 
     fn boolean(&mut self) -> Result<TomlValue, ParseError> {
         let pos = self.pos();
-        let word = self.bare_key()?;
-        match word.as_str() {
+        match self.bare_key() {
             "true" => Ok(TomlValue::Bool(true)),
             "false" => Ok(TomlValue::Bool(false)),
-            _ => Err(ParseError::at(pos, format!("expected a value, found `{word}`"))),
+            word => Err(ParseError::at(pos, format!("expected a value, found `{word}`"))),
         }
     }
 
     fn number(&mut self) -> Result<TomlValue, ParseError> {
         let pos = self.pos();
-        let mut raw = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || matches!(c, '+' | '-' | '.' | 'e' | 'E' | '_') {
-                raw.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
+        let raw = self.take_while(|b| b.is_ascii_digit() || b"+-.eE_".contains(&b));
         if raw.is_empty() {
             return Err(ParseError::at(pos, "expected a value"));
         }
-        let cleaned: String = raw.chars().filter(|&c| c != '_').collect();
+        let cleaned: std::borrow::Cow<'_, str> =
+            if raw.contains('_') { raw.replace('_', "").into() } else { raw.into() };
         if !cleaned.contains(['.', 'e', 'E']) {
             if let Ok(i) = cleaned.parse::<i64>() {
                 return Ok(TomlValue::Int(i));
@@ -482,6 +503,17 @@ mod tests {
         // Bad array separator.
         let err = parse("xs = [1 2]\n").unwrap_err();
         assert_eq!((err.line, err.col), (1, 9));
+    }
+
+    #[test]
+    fn columns_count_characters_not_bytes() {
+        // `é` is two bytes but one column: the bad value starts at column 9.
+        let err = parse("s = \"é\" x\n").unwrap_err();
+        assert_eq!((err.line, err.col), (1, 9));
+        let err = parse("k = \"é\\q\"\n").unwrap_err();
+        assert_eq!((err.line, err.col), (1, 8), "{err}");
+        let doc = parse("s = \"a\\u00e9b\" # ü\n").unwrap();
+        assert_eq!(doc.get("s").unwrap().1, &Item::Value(TomlValue::Str("aéb".into())));
     }
 
     #[test]

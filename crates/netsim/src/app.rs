@@ -4,8 +4,9 @@
 use imobif_energy::{MobilityCostModel, TxEnergyModel};
 use imobif_geom::Point2;
 
+use crate::hello::Beacon;
 use crate::node::NodeStore;
-use crate::{EnergyCategory, NeighborEntry, NodeId, SimDuration, SimTime};
+use crate::{EnergyCategory, NeighborEntry, NeighborView, NodeId, SimDuration, SimTime};
 
 /// A protocol running on every node of a [`crate::World`].
 ///
@@ -179,6 +180,10 @@ pub struct NodeCtx<'a> {
     pub(crate) store: &'a NodeStore,
     /// Index of this node within `store`.
     pub(crate) slot: usize,
+    /// The beacon board, indexed by node id, that the node's linked
+    /// neighbor entries read: the serial world's live column, or a shard's
+    /// epoch replica.
+    pub(crate) board: &'a [Beacon],
     /// Ground-truth store indexed by global node id, for the
     /// perfect-information mode used when HELLO is disabled. `None` in
     /// sharded worlds, where no ground-truth remote reads exist.
@@ -216,7 +221,12 @@ impl NodeCtx<'_> {
     /// Fresh neighbor-table entries, sorted by id.
     #[must_use]
     pub fn neighbors(&self) -> Vec<NeighborEntry> {
-        self.store.neighbor_table(self.slot).fresh(self.now)
+        self.neighbor_view().fresh(self.now)
+    }
+
+    #[inline]
+    fn neighbor_view(&self) -> NeighborView<'_> {
+        self.store.neighbor_table(self.slot).view_with(self.board)
     }
 
     /// What this node knows about `peer`.
@@ -228,8 +238,7 @@ impl NodeCtx<'_> {
     #[must_use]
     pub fn peer_info(&self, peer: NodeId) -> Option<PeerInfo> {
         if self.hello_enabled {
-            self.store
-                .neighbor_table(self.slot)
+            self.neighbor_view()
                 .get(peer, self.now)
                 .map(|e| PeerInfo { position: e.position, residual_energy: e.residual_energy })
         } else {

@@ -21,7 +21,10 @@
 //!   greedy geographic (the paper's choice), Dijkstra (baseline/oracle) and
 //!   simplified AODV.
 //! * [`NeighborTable`] — per-node HELLO-maintained neighbor state, exactly
-//!   the identity/location/residual-energy triple the paper prescribes.
+//!   the identity/location/residual-energy triple the paper prescribes,
+//!   read through a [`NeighborView`]: a beacon writes its record once, on a
+//!   per-node board, and a table changes only when its node joins or
+//!   leaves a peer's hearer set.
 //!
 //! # Determinism
 //!
@@ -96,7 +99,7 @@ pub use app::{Action, Application, NodeCtx, Outbox, PeerInfo};
 pub use config::{HelloConfig, SimConfig};
 pub use error::{RouteError, SimError};
 pub use event::{EventQueue, QueueBackend, QueueStats};
-pub use hello::{NeighborEntry, NeighborTable};
+pub use hello::{NeighborEntry, NeighborTable, NeighborView};
 pub use id::{FlowId, NodeId};
 pub use medium::TopologyView;
 pub use node::{NodeRef, NodeStore};

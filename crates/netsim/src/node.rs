@@ -3,7 +3,8 @@
 use imobif_energy::Battery;
 use imobif_geom::Point2;
 
-use crate::{NeighborTable, NodeId};
+use crate::hello::Beacon;
+use crate::{NeighborTable, NeighborView, NodeId};
 
 /// The kernel-side state of every wireless node, laid out as a struct of
 /// arrays: positions, batteries, liveness flags, odometers and neighbor
@@ -122,10 +123,10 @@ impl NodeStore {
         self.total_moved[i]
     }
 
-    /// The neighbor table of slot `i`.
-    #[must_use]
+    /// The neighbor table of slot `i`; its linked entries read the beacon
+    /// board.
     #[inline]
-    pub fn neighbor_table(&self, i: usize) -> &NeighborTable {
+    pub(crate) fn neighbor_table(&self, i: usize) -> &NeighborTable {
         &self.neighbors[i]
     }
 
@@ -163,12 +164,14 @@ impl NodeStore {
 #[derive(Debug, Clone, Copy)]
 pub struct NodeRef<'a> {
     store: &'a NodeStore,
+    /// The beacon board the node's linked neighbor entries read.
+    board: &'a [Beacon],
     index: usize,
 }
 
 impl<'a> NodeRef<'a> {
-    pub(crate) fn new(store: &'a NodeStore, index: usize) -> Self {
-        NodeRef { store, index }
+    pub(crate) fn new(store: &'a NodeStore, board: &'a [Beacon], index: usize) -> Self {
+        NodeRef { store, board, index }
     }
 
     /// The node's identity (world stores index nodes by id).
@@ -209,8 +212,8 @@ impl<'a> NodeRef<'a> {
 
     /// The node's neighbor table.
     #[must_use]
-    pub fn neighbor_table(&self) -> &'a NeighborTable {
-        self.store.neighbor_table(self.index)
+    pub fn neighbor_table(&self) -> NeighborView<'a> {
+        self.store.neighbor_table(self.index).view_with(self.board)
     }
 }
 

@@ -1,8 +1,8 @@
-//! Who hears a HELLO beacon: [`HearerCache::hearers`], the one hearer
-//! search both engines' beacon handler calls (see
-//! [`engine`](super::engine)), over whatever [`BeaconView`] the engine's
-//! `Reach` exposes — the serial world's live columns and grid, or a
-//! shard's epoch replica.
+//! Who hears a HELLO beacon, and who started or stopped hearing it:
+//! [`HearerCache::links`], the one hearer search both engines' beacon
+//! handler calls (see [`engine`](super::engine)), over whatever
+//! [`BeaconView`] the engine's `Reach` exposes — the serial world's live
+//! columns and grid, or a shard's epoch replica.
 
 use imobif_geom::{Point2, SpatialGrid};
 
@@ -10,8 +10,9 @@ use super::observe::KernelStats;
 use crate::NodeId;
 
 /// Below this many nodes, HELLO neighbor discovery scans the node array
-/// instead of using the spatial grid and the hearer cache: the pinned-path
-/// experiment worlds carry only the flow's relays, a dozen distance checks.
+/// instead of using the spatial grid's range query and its change stamps:
+/// the pinned-path experiment worlds carry only the flow's relays, a dozen
+/// distance checks.
 pub(super) const SMALL_WORLD_SCAN: usize = 32;
 
 /// What a beacon's hearer search reads of the other nodes: position and
@@ -24,44 +25,62 @@ pub(crate) struct BeaconView<'a> {
     pub(super) range: f64,
 }
 
-/// One node's cached hearer list, `pool[offset..offset + len]` inside a
-/// reserved run of `cap` words. It is exact for a beacon from `center`
-/// while the grid window around `center` is unchanged since `stamp`.
+/// How one beacon's hearer set differs from the previous beacon's of the
+/// same node: the hearers that joined and the ones that left, each
+/// ascending by id. Both are empty when the set is unchanged.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Links<'a> {
+    pub(crate) joined: &'a [u32],
+    pub(crate) left: &'a [u32],
+}
+
+/// Pool words before every list: its owner's slot and its capacity.
+const HEADER: usize = 2;
+
+/// One node's latest hearer list, `pool[offset..offset + len]`, inside a
+/// run of the pool that starts with a [`HEADER`]. `offset` 0 means no run.
+/// The list is still exact for a beacon from `center` while the grid
+/// window around `center` is unchanged since `stamp`.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     center: Point2,
     stamp: u64,
     offset: u32,
-    len: u16,
-    cap: u16,
+    len: u32,
 }
 
 impl Entry {
     /// Holds no list: a NaN center equals no beacon position.
     const EMPTY: Entry =
-        Entry { center: Point2::new(f64::NAN, f64::NAN), stamp: 0, offset: 0, len: 0, cap: 0 };
+        Entry { center: Point2::new(f64::NAN, f64::NAN), stamp: 0, offset: 0, len: 0 };
 }
 
-/// Every node's HELLO hearer list, kept between beacons and revalidated in
-/// `O(window slots)` against the grid's change stamps instead of
-/// recomputed by a range query, a filter and a sort.
+/// Every node's latest HELLO hearer list: the authoritative record of who
+/// hears it, which is what lets a beacon write neighbor tables only where
+/// its hearer set changed. A list is revalidated in `O(window slots)`
+/// against the grid's change stamps instead of recomputed by a range
+/// query, a filter and a sort; a recomputed list is diffed against the
+/// stored one.
 ///
 /// Storage is one flat 32-byte [`Entry`] per node plus a single `u32` pool
-/// holding every list, so the cache costs about `32 + 4 × fan-out` bytes a
-/// node. A list that outgrows its run moves to the end of the pool (with a
-/// quarter of headroom); the run it left is garbage until the pool is full
-/// and at least half garbage, when every list is dropped and refills on
-/// its node's next beacon — no allocation. A list longer than `u16::MAX`
-/// is never cached.
+/// holding every list behind a two-word header, so the cache costs about
+/// `40 + 4 × fan-out` bytes a node. A list that outgrows its run moves to
+/// the end of the pool (with a quarter of headroom); the run it left is
+/// garbage until the pool is full and at least half garbage, when the
+/// live runs are compacted in place — no list is ever dropped, and no
+/// allocation is made.
 #[derive(Debug, Default)]
 pub(super) struct HearerCache {
     /// Indexed by the caller's node slot.
     entries: Vec<Entry>,
     pool: Vec<u32>,
-    /// Pool words no entry reserves any more.
+    /// Pool words no entry owns any more.
     garbage: usize,
     /// The latest scanned or recomputed list.
     scratch: Vec<u32>,
+    /// The latest beacon's [`Links`].
+    joined: Vec<u32>,
+    left: Vec<u32>,
 }
 
 impl HearerCache {
@@ -71,19 +90,23 @@ impl HearerCache {
         self.pool.clear();
         self.garbage = 0;
         self.scratch.clear();
+        self.joined.clear();
+        self.left.clear();
     }
 
-    /// The nodes that hear a beacon `node` sends from `pos`: every live
-    /// node other than `node` within range, ascending by id. `slot` is the
-    /// node's cache entry, one of `slots` the caller owns.
+    /// The change in the set of nodes that hear a beacon `node` sends from
+    /// `pos` — every live node other than `node` within range — since the
+    /// node's previous beacon. `slot` is the node's entry, one of `slots`
+    /// the caller owns.
     ///
-    /// The list is cached unless the world is small enough to scan, and is
-    /// reused while the beacon position matches the cached one and
-    /// [`SpatialGrid::window_unchanged_since`] holds. The stored position
-    /// is what catches a sharded node whose own move reaches the replica
-    /// grid only at the next barrier. Counts the beacon, its fan-out and
-    /// the cache hit or miss into `stats`.
-    pub(super) fn hearers(
+    /// A world small enough to scan recomputes the set every beacon.
+    /// Beyond that, the stored list is reused while the beacon position
+    /// matches the stored one and [`SpatialGrid::window_unchanged_since`]
+    /// holds. The stored position is what catches a sharded node whose own
+    /// move reaches the replica grid only at the next barrier. Counts the
+    /// beacon, its fan-out, its link changes and the cache hit or miss
+    /// into `stats`.
+    pub(super) fn links(
         &mut self,
         view: &BeaconView<'_>,
         stats: &mut KernelStats,
@@ -91,8 +114,14 @@ impl HearerCache {
         slot: usize,
         slots: usize,
         pos: Point2,
-    ) -> &[u32] {
-        let list: &[u32] = if view.positions.len() <= SMALL_WORLD_SCAN {
+    ) -> Links<'_> {
+        if self.entries.len() < slots {
+            self.entries.resize(slots, Entry::EMPTY);
+        }
+        self.joined.clear();
+        self.left.clear();
+        let e = self.entries[slot];
+        let len = if view.positions.len() <= SMALL_WORLD_SCAN {
             let r_sq = view.range * view.range;
             self.scratch.clear();
             self.scratch.extend((0..view.positions.len()).filter_map(|i| {
@@ -101,64 +130,117 @@ impl HearerCache {
                     && pos.distance_sq_to(view.positions[i]) <= r_sq)
                     .then_some(i as u32)
             }));
-            &self.scratch
+            self.store(slot, pos, view.grid.clock())
+        } else if e.center == pos && view.grid.window_unchanged_since(pos, view.range, e.stamp) {
+            stats.hello_cache_hits += 1;
+            e.len as usize
         } else {
-            if self.entries.len() < slots {
-                self.entries.resize(slots, Entry::EMPTY);
-            }
-            let e = self.entries[slot];
-            if e.center == pos && view.grid.window_unchanged_since(pos, view.range, e.stamp) {
-                stats.hello_cache_hits += 1;
-                &self.pool[e.offset as usize..][..usize::from(e.len)]
-            } else {
-                stats.hello_cache_misses += 1;
-                self.refill(view, node, slot, pos);
-                &self.scratch
-            }
+            stats.hello_cache_misses += 1;
+            view.grid.query_range_into(pos, view.range, &mut self.scratch);
+            self.scratch.retain(|&k| k != node.raw());
+            self.scratch.sort_unstable();
+            self.store(slot, pos, view.grid.clock())
         };
         stats.hello_beacons += 1;
-        stats.hello_fanout_bins[KernelStats::fanout_bin(list.len())] += 1;
-        list
+        stats.hello_fanout_bins[KernelStats::fanout_bin(len)] += 1;
+        stats.hello_link_changes += (self.joined.len() + self.left.len()) as u64;
+        Links { joined: &self.joined, left: &self.left }
     }
 
-    /// Recomputes `node`'s list into `scratch` and stores it in its entry.
-    fn refill(&mut self, view: &BeaconView<'_>, node: NodeId, slot: usize, pos: Point2) {
-        view.grid.query_range_into(pos, view.range, &mut self.scratch);
-        self.scratch.retain(|&k| k != node.raw());
-        self.scratch.sort_unstable();
-        let Ok(len) = u16::try_from(self.scratch.len()) else {
-            self.entries[slot] = Entry::EMPTY;
-            return;
-        };
-        let mut e = self.entries[slot];
-        if len > e.cap {
-            self.garbage += usize::from(e.cap);
-            // A list that grew once tends to keep changing; give it room.
-            let cap = if e.cap == 0 { len } else { len.saturating_add(len / 4 + 1) };
-            self.make_room(usize::from(cap));
-            e.offset = self.pool.len() as u32;
-            e.cap = cap;
-            self.pool.resize(self.pool.len() + usize::from(cap), 0);
+    /// Diffs `scratch` against `slot`'s stored list into `joined` and
+    /// `left`, then stores it. Returns its length.
+    fn store(&mut self, slot: usize, center: Point2, stamp: u64) -> usize {
+        let e = self.entries[slot];
+        let old = &self.pool[e.offset as usize..][..e.len as usize];
+        let len = self.scratch.len();
+        let mut offset = e.offset as usize;
+        // Most recomputed lists are unchanged: no diff, no copy.
+        if old != self.scratch {
+            diff_sorted(old, &self.scratch, &mut self.joined, &mut self.left);
+            let cap = if offset == 0 { 0 } else { self.pool[offset - 1] as usize };
+            if len > cap {
+                // Give up the run first, so a compaction reclaims it.
+                self.entries[slot] = Entry::EMPTY;
+                if offset != 0 {
+                    self.garbage += HEADER + cap;
+                }
+                // A list that grew once tends to keep changing; give it room.
+                let cap = if cap == 0 { len } else { len + len / 4 + 1 };
+                self.make_room(HEADER + cap);
+                offset = self.pool.len() + HEADER;
+                assert!(offset + cap <= u32::MAX as usize, "hearer pool outgrew u32 offsets");
+                self.pool.extend_from_slice(&[slot as u32, cap as u32]);
+                self.pool.resize(offset + cap, 0);
+            }
+            self.pool[offset..][..len].copy_from_slice(&self.scratch);
         }
-        self.pool[e.offset as usize..][..usize::from(len)].copy_from_slice(&self.scratch);
-        self.entries[slot] = Entry { center: pos, stamp: view.grid.clock(), len, ..e };
+        self.entries[slot] = Entry { center, stamp, offset: offset as u32, len: len as u32 };
+        len
     }
 
-    /// Ensures the pool has room for `need` more words: by dropping every
-    /// list when the pool is full and at least half garbage, else by
-    /// growing it by an eighth (not doubling: the pool is most of the
-    /// cache's memory).
+    /// Ensures the pool has room for `need` more words: by compacting it
+    /// when it is full and at least half garbage, else by growing it by an
+    /// eighth (not doubling: the pool is most of the cache's memory).
     fn make_room(&mut self, need: usize) {
         if self.pool.len() + need <= self.pool.capacity() {
             return;
         }
         if self.garbage * 2 >= self.pool.len() {
-            self.entries.fill(Entry::EMPTY);
-            self.pool.clear();
-            self.garbage = 0;
+            self.compact();
         }
         if self.pool.len() + need > self.pool.capacity() {
             self.pool.reserve_exact(need.max(self.pool.len() / 8));
         }
     }
+
+    /// Slides every owned run down over the garbage, in pool order. A run
+    /// is owned when its header's slot still points at it.
+    fn compact(&mut self) {
+        let (mut read, mut write) = (0, 0);
+        while read < self.pool.len() {
+            let (owner, cap) = (self.pool[read] as usize, self.pool[read + 1] as usize);
+            let run = HEADER + cap;
+            if self.entries[owner].offset as usize == read + HEADER {
+                self.pool.copy_within(read..read + run, write);
+                self.entries[owner].offset = (write + HEADER) as u32;
+                write += run;
+            }
+            read += run;
+        }
+        self.pool.truncate(write);
+        self.garbage = 0;
+    }
+}
+
+#[cfg(test)]
+impl HearerCache {
+    /// Pool words in use: shrinks only when [`HearerCache::compact`] runs
+    /// (or on a clear).
+    pub(super) fn pool_len(&self) -> usize {
+        self.pool.len()
+    }
+}
+
+/// Merges two ascending id lists: ids only in `new` go to `joined`, ids
+/// only in `old` to `left`.
+fn diff_sorted(old: &[u32], new: &[u32], joined: &mut Vec<u32>, left: &mut Vec<u32>) {
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() && j < new.len() {
+        match old[i].cmp(&new[j]) {
+            std::cmp::Ordering::Less => {
+                left.push(old[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                joined.push(new[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    left.extend_from_slice(&old[i..]);
+    joined.extend_from_slice(&new[j..]);
 }

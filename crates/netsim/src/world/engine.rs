@@ -25,8 +25,9 @@
 use imobif_energy::{Battery, MobilityCostModel, TxEnergyModel};
 use imobif_geom::{Point2, SpatialGrid};
 
-use super::beacon::{BeaconView, HearerCache};
+use super::beacon::{BeaconView, HearerCache, Links};
 use super::observe::KernelStats;
+use crate::hello::Beacon;
 use crate::node::NodeStore;
 use crate::trace::TraceEvent;
 use crate::{
@@ -102,16 +103,23 @@ pub(crate) trait Reach<M> {
     /// What a beacon's hearer search reads of the other nodes.
     fn beacon_view<'a>(&'a self, nodes: &'a NodeStore) -> BeaconView<'a>;
 
-    /// Makes `hearers` observe one beacon's `(origin, position, residual)`
-    /// triple, sent at `now`.
+    /// The beacon board, indexed by node id, that hooks and dying nodes
+    /// read linked neighbor entries from: the engine's own column `own`, or
+    /// a copy of it.
+    fn board<'a>(&'a self, own: &'a [Beacon]) -> &'a [Beacon];
+
+    /// Publishes `origin`'s beacon: `record` is its new board record, and
+    /// `links` the hearers that joined or left its hearer set. A joiner
+    /// links `origin`; a leaver freezes `prev`, the previous record, which
+    /// is the last beacon it heard. Link changes for dead hearers are
+    /// skipped: a dying node froze its links.
     fn hear(
         &mut self,
         nodes: &mut NodeStore,
-        hearers: &[u32],
         origin: NodeId,
-        position: Point2,
-        residual: f64,
-        now: SimTime,
+        record: Beacon,
+        prev: Beacon,
+        links: Links<'_>,
     );
 
     /// Publishes that `id` now stands at `to`.
@@ -136,9 +144,12 @@ pub(crate) struct Engine<A: Application> {
     /// Reusable action buffer handed to application hooks: one allocation
     /// for the whole run instead of a fresh `Vec` per event.
     outbox: Outbox<A::Msg>,
+    /// Slot-indexed beacon board: each node's latest HELLO beacon, written
+    /// whole at start ([`Engine::fill_board`]).
+    pub(super) board: Vec<Beacon>,
     /// Every node's HELLO hearer list, revalidated against the grid of
     /// the [`Reach::beacon_view`].
-    hearers: HearerCache,
+    pub(super) hearers: HearerCache,
     /// Plain-field kernel instrumentation (see [`KernelStats`]).
     pub(super) stats: KernelStats,
     /// The latest event time processed.
@@ -155,6 +166,7 @@ impl<A: Application> Engine<A> {
             queue: EventQueue::with_backend(backend),
             ledger: EnergyLedger::new(),
             outbox: Outbox::new(),
+            board: Vec::new(),
             hearers: HearerCache::default(),
             stats: KernelStats::default(),
             time: SimTime::ZERO,
@@ -180,6 +192,7 @@ impl<A: Application> Engine<A> {
         }
         self.ledger.clear();
         self.outbox.clear();
+        self.board.clear();
         self.hearers.clear();
         self.stats = KernelStats::default();
         self.time = SimTime::ZERO;
@@ -207,6 +220,20 @@ impl<A: Application> Engine<A> {
         self.apps.push(app);
         self.ledger.grow_to(self.nodes.len());
         slot
+    }
+
+    /// Writes the board once every node is added: one exact-size column,
+    /// each record its node's state at time zero. No table links a node
+    /// before its first beacon, so no hearer reads these records.
+    pub(super) fn fill_board(&mut self) {
+        let nodes = &self.nodes;
+        self.board.clear();
+        self.board.reserve_exact(nodes.len());
+        self.board.extend((0..nodes.len()).map(|slot| Beacon {
+            position: nodes.position(slot),
+            residual_energy: nodes.residual(slot),
+            heard_at: SimTime::ZERO,
+        }));
     }
 
     /// Processes the next event. Returns `false` when the queue is empty.
@@ -270,6 +297,7 @@ impl<A: Application> Engine<A> {
                 now: self.time,
                 store: &self.nodes,
                 slot,
+                board: reach.board(&self.board),
                 truth: R::GROUND_TRUTH.then_some(&self.nodes),
                 tx_model: reach.tx_model(),
                 mobility_model: reach.mobility_model(),
@@ -392,6 +420,9 @@ impl<A: Application> Engine<A> {
         // that killed the node, so never spendable. It is deliberately not
         // added to the ledger — it was not consumed.
         let _stranded = self.nodes.kill(slot);
+        // A dead node hears nothing more: its linked entries keep the
+        // records it last heard.
+        self.nodes.neighbor_table_mut(slot).freeze_all(reach.board(&self.board));
         let time = self.time;
         self.ledger.record_death(NodeId::new(slot as u32), time);
         reach.died(id);
@@ -399,9 +430,10 @@ impl<A: Application> Engine<A> {
     }
 
     /// Broadcasts one HELLO beacon from `node` (if alive) — its identity,
-    /// position and residual energy, the paper's prescribed triple — to
-    /// every hearer, and reschedules the next one. A node that cannot
-    /// afford the beacon dies instead, and its beacon chain stops.
+    /// position and residual energy, the paper's prescribed triple — and
+    /// reschedules the next one. The beacon writes its record on the board
+    /// once; tables change only where the hearer set did. A node that
+    /// cannot afford the beacon dies instead, and its beacon chain stops.
     fn hello_beacon<R: Reach<A::Msg>>(&mut self, reach: &mut R, node: NodeId) {
         let slot = reach.slot_of(node);
         if !self.nodes.is_alive(slot) {
@@ -418,11 +450,16 @@ impl<A: Application> Engine<A> {
             self.ledger.charge(NodeId::new(slot as u32), EnergyCategory::Hello, e);
         }
         let pos = self.nodes.position(slot);
-        let residual = self.nodes.residual(slot);
+        let record = Beacon {
+            position: pos,
+            residual_energy: self.nodes.residual(slot),
+            heard_at: self.time,
+        };
+        let prev = std::mem::replace(&mut self.board[slot], record);
         let slots = self.nodes.len();
         let view = reach.beacon_view(&self.nodes);
-        let hearers = self.hearers.hearers(&view, &mut self.stats, node, slot, slots, pos);
-        reach.hear(&mut self.nodes, hearers, node, pos, residual, self.time);
+        let links = self.hearers.links(&view, &mut self.stats, node, slot, slots, pos);
+        reach.hear(&mut self.nodes, node, record, prev, links);
         let at = self.time + hello.period;
         reach.schedule(&mut self.queue, at, slot, node, Event::HelloBeacon { node });
     }

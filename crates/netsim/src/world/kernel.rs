@@ -2,16 +2,18 @@
 //!
 //! [`SerialReach`] is the serial half of the engine seam: every node reads
 //! every other node's live columns, and every consequence takes hold at
-//! once — a delivery goes on the world's own queue, a beacon refreshes the
-//! hearers' tables as it is sent, and a move or death updates the spatial
+//! once — a delivery goes on the world's own queue, a beacon's link
+//! changes reach the hearers' tables as it is sent, hooks read the
+//! engine's own beacon board, and a move or death updates the spatial
 //! grid. The handlers themselves live in [`engine`](super::engine).
 
 use imobif_energy::{MobilityCostModel, TxEnergyModel};
 use imobif_geom::{Point2, SpatialGrid};
 
-use super::beacon::BeaconView;
+use super::beacon::{BeaconView, Links};
 use super::engine::{Event, Reach};
 use super::World;
+use crate::hello::Beacon;
 use crate::node::NodeStore;
 use crate::trace::{RingTrace, TraceEvent, TraceSink};
 use crate::{Application, EventQueue, NodeId, SimConfig, SimDuration, SimTime};
@@ -86,19 +88,29 @@ impl<M> Reach<M> for SerialReach {
         }
     }
 
+    #[inline]
+    fn board<'a>(&'a self, own: &'a [Beacon]) -> &'a [Beacon] {
+        own
+    }
+
+    /// The engine already wrote `record` on its own board, which hooks
+    /// read; only the links change here.
     fn hear(
         &mut self,
         nodes: &mut NodeStore,
-        hearers: &[u32],
         origin: NodeId,
-        position: Point2,
-        residual: f64,
-        now: SimTime,
+        _record: Beacon,
+        prev: Beacon,
+        links: Links<'_>,
     ) {
-        for &k in hearers {
-            let hearer = k as usize;
-            if nodes.is_alive(hearer) {
-                nodes.neighbor_table_mut(hearer).observe(origin, position, residual, now);
+        for &k in links.left {
+            if nodes.is_alive(k as usize) {
+                nodes.neighbor_table_mut(k as usize).freeze(origin, prev);
+            }
+        }
+        for &k in links.joined {
+            if nodes.is_alive(k as usize) {
+                nodes.neighbor_table_mut(k as usize).join(origin);
             }
         }
     }
@@ -122,8 +134,8 @@ impl<M> Reach<M> for SerialReach {
 }
 
 impl<A: Application> World<A> {
-    /// Starts the world: schedules HELLO beacons and runs each
-    /// application's `on_start` hook in node-id order.
+    /// Starts the world: writes the beacon board, schedules HELLO beacons
+    /// and runs each application's `on_start` hook in node-id order.
     ///
     /// # Panics
     ///
@@ -131,6 +143,7 @@ impl<A: Application> World<A> {
     pub fn start(&mut self) {
         assert!(!self.started, "start() called twice");
         self.started = true;
+        self.engine.fill_board();
         let now = self.engine.time;
         if self.reach.cfg.hello.enabled {
             // Beacons fire immediately at start so neighbor tables are

@@ -168,7 +168,7 @@ impl<A: Application> World<A> {
     /// Kernel state of a node. Panics if `id` is out of range.
     #[must_use]
     pub fn node(&self, id: NodeId) -> NodeRef<'_> {
-        NodeRef::new(&self.engine.nodes, id.index())
+        NodeRef::new(&self.engine.nodes, &self.engine.board, id.index())
     }
 
     /// Position of a node.

@@ -25,6 +25,10 @@ pub struct KernelStats {
     pub hello_cache_hits: u64,
     /// Beacons whose hearer list was recomputed by a grid range query.
     pub hello_cache_misses: u64,
+    /// Neighbor-table links the beacons changed: hearers that joined a
+    /// beacon's hearer set plus hearers that left it. A beacon whose hearer
+    /// set is unchanged writes no table and adds nothing here.
+    pub hello_link_changes: u64,
 }
 
 impl KernelStats {
@@ -95,6 +99,7 @@ impl<A: Application> World<A> {
         registry.counter("kernel.timers_fired").add(self.engine.stats.timers_fired);
         registry.counter("kernel.hello_cache_hits").add(self.engine.stats.hello_cache_hits);
         registry.counter("kernel.hello_cache_misses").add(self.engine.stats.hello_cache_misses);
+        registry.counter("kernel.hello_link_changes").add(self.engine.stats.hello_link_changes);
         let fanout =
             registry.histogram("kernel.hello_fanout", &[0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0]);
         for (&value, &count) in

@@ -26,11 +26,12 @@
 //!    snapshot and pushing cross-shard consequences into its
 //!    per-destination outbox runs. One epoch loop serves every thread
 //!    count: the active shards run in place, or on the worker pool;
-//! 3. at the barrier, deliveries are k-way merged per destination in their
-//!    shard-count-independent key order `(time, origin node, per-node
-//!    sequence)` and enqueued on the owner shards, grouped HELLO
-//!    observations update hearer tables, and keyless replica patches
-//!    update the frozen position/liveness snapshot in O(changes).
+//! 3. at the barrier, keyless replica patches update the frozen
+//!    position, liveness and beacon-board snapshot in O(changes), grouped
+//!    HELLO link changes update hearer tables, and deliveries are k-way
+//!    merged per destination in their shard-count-independent key order
+//!    `(time, origin node, per-node sequence)` and enqueued on the owner
+//!    shards.
 //!
 //! Because the delivery keys, the per-node queue keys, and the window
 //! boundaries are all derived from values independent of the shard
@@ -75,6 +76,7 @@ use imobif_obs::{Registry, SpanSink, COORD_SHARD};
 
 use super::engine::{self, Event};
 use super::observe::KernelStats;
+use crate::hello::Beacon;
 use crate::trace::TraceEvent;
 use crate::{
     Application, NeighborTable, NodeEnergy, NodeId, SimConfig, SimDuration, SimError, SimTime,
@@ -84,7 +86,7 @@ use pool::{Job, WorkerCtx, WorkerPool};
 use profile::EpochCounters;
 pub use profile::EpochProfile;
 use reach::{Replica, Shard, SharedCtx, XKey};
-use xfer::{MergeScratch, RepPatch, ShardOutbox};
+use xfer::{MergeScratch, RepPatch, ShardOutbox, LEAVE};
 
 /// Span ring capacity used by [`ShardedWorld::enable_epoch_profiling`];
 /// callers wanting longer raw-span retention use
@@ -428,6 +430,7 @@ impl<A: Application> ShardedWorld<A> {
         let replica = Arc::get_mut(&mut self.replica).expect("replica uniquely held between runs");
         replica.positions.clear();
         replica.alive.clear();
+        replica.board.clear();
         engine::reset_grid(&mut replica.grid, cfg.range);
         self.cfg = cfg;
         self.layout = layout;
@@ -463,9 +466,11 @@ impl<A: Application> ShardedWorld<A> {
         id
     }
 
-    /// Starts the world: schedules every node's HELLO beacon chain and runs
-    /// `on_start` hooks, both in global node-id order, then performs one
-    /// barrier exchange so start-time effects are applied.
+    /// Starts the world: writes the beacon boards (every owner's and the
+    /// replica's copy, each sized once), schedules every node's HELLO
+    /// beacon chain and runs `on_start` hooks, both in global node-id
+    /// order, then performs one barrier exchange so start-time effects are
+    /// applied.
     ///
     /// # Panics
     ///
@@ -473,6 +478,13 @@ impl<A: Application> ShardedWorld<A> {
     pub fn start(&mut self) {
         assert!(!self.started, "start() called twice");
         self.started = true;
+        for shard in &mut self.shards {
+            shard.engine.fill_board();
+        }
+        let replica = Arc::get_mut(&mut self.replica).expect("replica uniquely held between runs");
+        replica.board.reserve_exact(self.owner.len());
+        let owners = self.owner.iter().map(|&(si, slot)| (si as usize, slot as usize));
+        replica.board.extend(owners.map(|(si, slot)| self.shards[si].engine.board[slot]));
         for (i, &(si, slot)) in self.owner.iter().enumerate() {
             let id = NodeId::new(i as u32);
             let Shard { engine, keys } = &mut self.shards[si as usize];
@@ -790,10 +802,10 @@ impl<A: Application> ShardedWorld<A> {
     ///
     /// Families: `shard.*` pipeline/fast-forward/xfer/pool counters,
     /// per-shard `shard.s{i}.events_processed`,
-    /// `kernel.hello_cache_{hits,misses}` summed over shards, and — when
-    /// span tracing is on — `spans.{recorded,evicted}` plus per-scope
-    /// `shard.{coord|s{i}}.{phase}_wall_us` histograms and `..._secs`
-    /// totals, with `shard.pool.utilization` derived from the
+    /// `kernel.hello_{cache_hits,cache_misses,link_changes}` summed over
+    /// shards, and — when span tracing is on — `spans.{recorded,evicted}`
+    /// plus per-scope `shard.{coord|s{i}}.{phase}_wall_us` histograms and
+    /// `..._secs` totals, with `shard.pool.utilization` derived from the
     /// compute/barrier-wait ratio. With tracing enabled,
     /// `trace.{recorded,evicted}` mirrors the serial world's family
     /// (sharded traces are unbounded, so `evicted` is always 0).
@@ -816,6 +828,7 @@ impl<A: Application> ShardedWorld<A> {
         let kernel = self.kernel_stats();
         registry.counter("kernel.hello_cache_hits").add(kernel.hello_cache_hits);
         registry.counter("kernel.hello_cache_misses").add(kernel.hello_cache_misses);
+        registry.counter("kernel.hello_link_changes").add(kernel.hello_link_changes);
         registry.gauge("shard.pool.max_queue_depth").set(c.pool_max_depth as f64);
         let workers = self.threads.min(self.shards.len());
         registry.gauge("shard.pool.workers").set(workers as f64);
@@ -870,8 +883,9 @@ impl<A: Application> ShardedWorld<A> {
 
     /// Test hook: checks that the delta-synced replica exactly matches a
     /// from-scratch snapshot of every shard's ground truth (bitwise
-    /// positions, liveness, and grid membership). Valid between runs —
-    /// the replica is intentionally one barrier stale *inside* an epoch.
+    /// positions, liveness, beacon records, and grid membership). Valid
+    /// between runs after [`ShardedWorld::start`], which writes the boards
+    /// — the replica is intentionally one barrier stale *inside* an epoch.
     #[doc(hidden)]
     pub fn verify_replica_sync(&self) -> Result<(), String> {
         for (i, &(si, slot)) in self.owner.iter().enumerate() {
@@ -890,6 +904,12 @@ impl<A: Application> ShardedWorld<A> {
                 return Err(format!(
                     "node {i}: replica position {rep:?} != ground truth {truth:?}"
                 ));
+            }
+            let (own, rep) = (sh.engine.board[slot], self.replica.board[i]);
+            let bits =
+                |b: Beacon| [b.position.x, b.position.y, b.residual_energy].map(f64::to_bits);
+            if bits(own) != bits(rep) || own.heard_at != rep.heard_at {
+                return Err(format!("node {i}: replica beacon {rep:?} != owner's {own:?}"));
             }
             match (alive, self.replica.grid.position(i as u32)) {
                 (true, Some(g))
@@ -1039,6 +1059,7 @@ impl<A: Application> ShardedWorld<A> {
             total.timers_fired += s.engine.stats.timers_fired;
             total.hello_cache_hits += s.engine.stats.hello_cache_hits;
             total.hello_cache_misses += s.engine.stats.hello_cache_misses;
+            total.hello_link_changes += s.engine.stats.hello_link_changes;
             for (acc, &bin) in
                 total.hello_fanout_bins.iter_mut().zip(&s.engine.stats.hello_fanout_bins)
             {
@@ -1118,9 +1139,9 @@ impl<A: Application> std::fmt::Debug for ShardedWorld<A> {
 ///
 /// * Replica patches first (source-by-source: per-node order is preserved
 ///   within a source run, and patches for different nodes commute).
-/// * Grouped observations next, destination-major for table locality —
-///   observations need no merge (overwrite-by-id into a sorted table;
-///   same-origin order comes from the single source run).
+/// * Grouped link changes next, destination-major for table locality —
+///   they need no merge (changes for different origins touch different
+///   entries; same-origin order comes from the single source run).
 /// * Deliveries last, k-way merged per destination in strict global key
 ///   order, because applying one consumes the target's queue sequence and
 ///   downstream tie-breaks depend on it. Destinations that receive a
@@ -1139,7 +1160,7 @@ fn apply_epoch<A: Application>(
 ) {
     sched.woken.clear();
     let mut delivers = 0u64;
-    let mut observations = 0u64;
+    let mut links = 0u64;
     let mut patches = 0u64;
     let t_rep = spans.as_ref().map(|sp| sp.now_us());
     for &s in &sched.active {
@@ -1159,6 +1180,7 @@ fn apply_epoch<A: Application>(
                         replica.grid.remove(node.raw());
                     }
                 }
+                RepPatch::Beacon { node, record } => replica.board[node.index()] = record,
             }
         }
     }
@@ -1171,25 +1193,29 @@ fn apply_epoch<A: Application>(
     };
     for (d, dest) in shards.iter_mut().enumerate() {
         for &s in &sched.active {
-            let run = &mut outs[s as usize].obs[d];
+            let run = &mut outs[s as usize].links[d];
             if run.groups.is_empty() {
                 continue;
             }
             for g in &run.groups {
-                for &slot in &run.slots[g.start as usize..(g.start + g.len) as usize] {
+                for &change in &run.slots[g.start as usize..(g.start + g.len) as usize] {
                     // Liveness is checked against the owner's ground truth
-                    // at application time: hearers that died inside the
-                    // epoch never record the observation, at any shard
+                    // at application time: a hearer that died inside the
+                    // epoch froze its links at the board it could read,
+                    // and takes no change from this epoch, at any shard
                     // count.
-                    if dest.engine.nodes.is_alive(slot as usize) {
-                        dest.engine
-                            .nodes
-                            .neighbor_table_mut(slot as usize)
-                            .observe(g.origin, g.position, g.residual, g.time);
+                    let slot = (change & !LEAVE) as usize;
+                    if dest.engine.nodes.is_alive(slot) {
+                        let table = dest.engine.nodes.neighbor_table_mut(slot);
+                        if change & LEAVE == 0 {
+                            table.join(g.origin);
+                        } else {
+                            table.freeze(g.origin, g.frozen);
+                        }
                     }
                 }
             }
-            observations += run.slots.len() as u64;
+            links += run.slots.len() as u64;
             run.groups.clear();
             run.slots.clear();
         }
@@ -1233,6 +1259,6 @@ fn apply_epoch<A: Application>(
         sp.record(phase::XFER_MERGE, COORD_SHARD, epoch_id, t_dlv.unwrap_or(now), now);
     }
     counters.delivers_merged += delivers;
-    counters.observations_applied += observations;
+    counters.observations_applied += links;
     counters.replica_patches += patches;
 }

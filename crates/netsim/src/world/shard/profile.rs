@@ -38,9 +38,11 @@ pub(super) struct EpochCounters {
     pub(super) idle_shard_epochs_skipped: u64,
     /// Cross-shard deliveries routed through the k-way merge.
     pub(super) delivers_merged: u64,
-    /// Individual hearer observations recorded at barriers.
+    /// HELLO link changes (a hearer joining or leaving a beacon's hearer
+    /// set) applied at barriers, dead hearers' skipped ones included.
     pub(super) observations_applied: u64,
-    /// Replica position/liveness patches applied at barriers.
+    /// Replica position, liveness and beacon-board patches applied at
+    /// barriers.
     pub(super) replica_patches: u64,
     /// Windows whose start jumped past the previous window's end — the
     /// activity scheduler fast-forwarding over idle sim time.
@@ -70,9 +72,11 @@ pub struct EpochProfile {
     pub idle_shard_epochs_skipped: u64,
     /// Cross-shard deliveries routed through the k-way merge.
     pub delivers_merged: u64,
-    /// Individual hearer observations recorded at barriers.
+    /// HELLO link changes (a hearer joining or leaving a beacon's hearer
+    /// set) applied at barriers, dead hearers' skipped ones included.
     pub observations_applied: u64,
-    /// Replica position/liveness patches applied at barriers.
+    /// Replica position, liveness and beacon-board patches applied at
+    /// barriers.
     pub replica_patches: u64,
     /// Wall-clock seconds choosing windows and active shards.
     pub sched_secs: f64,

@@ -2,19 +2,20 @@
 //! [`Reach`] its handlers run through.
 //!
 //! A shard mutates only its own state (batteries, positions, neighbor
-//! tables, local ledger, local queue). Every consequence that touches
-//! another node — a packet delivery, a HELLO observation, a position or
-//! liveness change other shards must see — goes into the epoch's
-//! [`ShardOutbox`], partitioned by destination shard at emission, and is
-//! applied at the next epoch barrier (see [`xfer`](super::xfer) for the
-//! run layout and the ordering argument).
+//! tables, beacon board, local ledger, local queue). Every consequence that
+//! touches another node — a packet delivery, a HELLO link change, a
+//! position, liveness or beacon record other shards must see — goes into
+//! the epoch's [`ShardOutbox`], partitioned by destination shard at
+//! emission, and is applied at the next epoch barrier (see
+//! [`xfer`](super::xfer) for the run layout and the ordering argument).
 
 use imobif_energy::{Battery, MobilityCostModel, TxEnergyModel};
 use imobif_geom::{Point2, SpatialGrid};
 
-use super::super::beacon::BeaconView;
+use super::super::beacon::{BeaconView, Links};
 use super::super::engine::{Engine, Event, Reach};
-use super::xfer::{Dlv, ObsGroup, RepPatch, ShardOutbox};
+use super::xfer::{Dlv, LinkGroup, RepPatch, ShardOutbox, LEAVE};
+use crate::hello::Beacon;
 use crate::node::NodeStore;
 use crate::trace::TraceEvent;
 use crate::{
@@ -36,22 +37,32 @@ pub(super) struct XKey {
 }
 
 /// The epoch-frozen global snapshot every shard reads: position and
-/// liveness columns (the same struct-of-arrays layout as [`NodeStore`])
-/// indexed by global node id, plus a spatial grid over the live nodes for
-/// beacon fan-out queries. Only the barrier writes it, from the owner
-/// shards' [`RepPatch`] runs — O(changes) per epoch, never a rebuild. The
-/// coordinator hands it to workers behind an `Arc` and regains exclusive
-/// access (`Arc::get_mut`) once every worker has reported its epoch done.
+/// liveness columns (the same struct-of-arrays layout as [`NodeStore`]) and
+/// the beacon board, indexed by global node id, plus a spatial grid over
+/// the live nodes for beacon fan-out queries. Only the barrier writes it,
+/// from the owner shards' [`RepPatch`] runs — O(changes) per epoch, never a
+/// rebuild. The coordinator hands it to workers behind an `Arc` and
+/// regains exclusive access (`Arc::get_mut`) once every worker has
+/// reported its epoch done.
 #[derive(Debug)]
 pub(super) struct Replica {
     pub(super) positions: Vec<Point2>,
     pub(super) alive: Vec<bool>,
+    /// Every node's latest beacon as of the last barrier: what linked
+    /// neighbor entries read, so a beacon reaches its hearers' tables at
+    /// the next barrier, like every other cross-node effect.
+    pub(super) board: Vec<Beacon>,
     pub(super) grid: SpatialGrid,
 }
 
 impl Replica {
     pub(super) fn new(cell_size: f64) -> Self {
-        Replica { positions: Vec::new(), alive: Vec::new(), grid: SpatialGrid::new(cell_size) }
+        Replica {
+            positions: Vec::new(),
+            alive: Vec::new(),
+            board: Vec::new(),
+            grid: SpatialGrid::new(cell_size),
+        }
     }
 }
 
@@ -73,8 +84,8 @@ pub(super) struct ShardKeys {
     /// Per-slot sequence for [`XKey`]s (deliveries and trace events).
     eseq: Vec<u32>,
     pub(super) trace: Option<Vec<(XKey, TraceEvent)>>,
-    /// Monotonic beacon counter; stamps destination observation runs so a
-    /// beacon can open at most one group per destination.
+    /// Monotonic beacon counter; stamps destination link runs so a beacon
+    /// can open at most one group per destination.
     beacon_stamp: u64,
 }
 
@@ -252,35 +263,38 @@ impl<M> Reach<M> for ShardReach<'_, M> {
         }
     }
 
-    /// Emits the observations as one grouped run entry per destination
-    /// shard, applied at the next barrier — HELLO processing latency of at
-    /// most one epoch, identical at every shard count.
+    /// Hooks and dying nodes read the replica's board: a beacon reaches
+    /// every table at the next barrier, local hearers included.
+    #[inline]
+    fn board<'a>(&'a self, _own: &'a [Beacon]) -> &'a [Beacon] {
+        &self.rep.board
+    }
+
+    /// Sends the record as a replica patch and the link changes as one
+    /// grouped run entry per destination shard, all applied at the next
+    /// barrier — HELLO processing latency of at most one epoch, identical
+    /// at every shard count.
     fn hear(
         &mut self,
         _nodes: &mut NodeStore,
-        hearers: &[u32],
         origin: NodeId,
-        position: Point2,
-        residual: f64,
-        now: SimTime,
+        record: Beacon,
+        prev: Beacon,
+        links: Links<'_>,
     ) {
+        self.xout.rep.push(RepPatch::Beacon { node: origin, record });
         self.keys.beacon_stamp += 1;
         let stamp = self.keys.beacon_stamp;
-        for &h in hearers {
+        let joins = links.joined.iter().map(|&h| (h, 0));
+        for (h, leave) in joins.chain(links.left.iter().map(|&h| (h, LEAVE))) {
             let (dsi, dslot) = self.sh.owner[h as usize];
-            let run = &mut self.xout.obs[dsi as usize];
+            let run = &mut self.xout.links[dsi as usize];
             if run.mark != stamp {
                 run.mark = stamp;
-                run.groups.push(ObsGroup {
-                    time: now,
-                    origin,
-                    position,
-                    residual,
-                    start: run.slots.len() as u32,
-                    len: 0,
-                });
+                let start = run.slots.len() as u32;
+                run.groups.push(LinkGroup { origin, frozen: prev, start, len: 0 });
             }
-            run.slots.push(dslot);
+            run.slots.push(dslot | leave);
             run.groups.last_mut().expect("group opened above").len += 1;
         }
     }

@@ -2,12 +2,15 @@
 //! rules and the serial/sharded agreement run on both engines, reset
 //! identity, and layout geometry.
 
-use super::super::beacon::{BeaconView, SMALL_WORLD_SCAN};
+use super::super::beacon::{BeaconView, Links, SMALL_WORLD_SCAN};
 use super::super::engine::{Engine, Reach};
 use super::*;
+use crate::hello::Beacon;
 use crate::node::NodeStore;
 use crate::trace::{RingTrace, TraceEvent};
-use crate::{EnergyCategory, EventQueue, NodeCtx, NodeEnergy, Outbox, World};
+use crate::{
+    EnergyCategory, EventQueue, NeighborEntry, NeighborView, NodeCtx, NodeEnergy, Outbox, World,
+};
 use imobif_energy::{LinearMobilityCost, PowerLawModel};
 use imobif_geom::SpatialGrid;
 
@@ -96,6 +99,8 @@ struct Fingerprint {
     time: SimTime,
     trace: Vec<TraceEvent>,
     fnv: u64,
+    /// Every node's fresh neighbor view at the end, as bits.
+    tables: Vec<Vec<[u64; 5]>>,
 }
 
 impl Fingerprint {
@@ -109,6 +114,25 @@ impl Fingerprint {
 
 fn energy_bits(e: NodeEnergy) -> [u64; 4] {
     [e.data.to_bits(), e.mobility.to_bits(), e.hello.to_bits(), e.notification.to_bits()]
+}
+
+/// A neighbor view's fresh entries at `now`, each as `[id, x, y, residual,
+/// heard at]` bits.
+fn table_bits(view: NeighborView<'_>, now: SimTime) -> Vec<[u64; 5]> {
+    let bits = |e: NeighborEntry| {
+        let [x, y, r] = [e.position.x, e.position.y, e.residual_energy].map(f64::to_bits);
+        [u64::from(e.id.raw()), x, y, r, e.heard_at.as_micros()]
+    };
+    view.iter_fresh(now).map(bits).collect()
+}
+
+impl<A: Application> ShardedWorld<A> {
+    /// `id`'s neighbor table, read through the replica board as its hooks
+    /// read it.
+    fn table(&self, id: NodeId) -> NeighborView<'_> {
+        let (si, slot) = self.locate(id);
+        self.shards[si].engine.nodes.neighbor_table(slot).view_with(&self.replica.board)
+    }
 }
 
 /// Both engines behind one interface, so a scenario, its fingerprint and
@@ -167,6 +191,10 @@ impl Driver for World<Echo> {
             time: self.time(),
             fnv: imobif_obs::fnv1a64(crate::trace::events_to_jsonl(&trace).as_bytes()),
             trace,
+            tables: ids
+                .iter()
+                .map(|&id| table_bits(self.node(id).neighbor_table(), self.time()))
+                .collect(),
         }
     }
     fn heard(&self, hearer: NodeId, origin: NodeId) -> bool {
@@ -218,11 +246,11 @@ impl Driver for ShardedWorld<Echo> {
             time: self.time(),
             trace: self.merged_trace(),
             fnv: self.trace_fnv(),
+            tables: ids.iter().map(|&id| table_bits(self.table(id), self.time())).collect(),
         }
     }
     fn heard(&self, hearer: NodeId, origin: NodeId) -> bool {
-        let (si, slot) = self.locate(hearer);
-        self.shards[si].engine.nodes.neighbor_table(slot).get(origin, self.time()).is_some()
+        self.table(hearer).get(origin, self.time()).is_some()
     }
     fn stats(&self) -> KernelStats {
         self.kernel_stats()
@@ -650,7 +678,8 @@ fn handler_ordering_rules_hold_on_both_engines() {
 enum Call {
     Schedule(SimTime),
     Deliver(NodeId),
-    Hear(Vec<u32>),
+    /// The hearers that joined and left.
+    Hear(Vec<u32>, Vec<u32>),
     Moved(NodeId),
     Died(NodeId),
     Trace(&'static str),
@@ -719,16 +748,11 @@ impl Reach<u32> for LogReach {
             range: self.cfg.range,
         }
     }
-    fn hear(
-        &mut self,
-        _: &mut NodeStore,
-        hearers: &[u32],
-        _: NodeId,
-        _: Point2,
-        _: f64,
-        _: SimTime,
-    ) {
-        self.calls.push(Call::Hear(hearers.to_vec()));
+    fn board<'a>(&'a self, own: &'a [Beacon]) -> &'a [Beacon] {
+        own
+    }
+    fn hear(&mut self, _: &mut NodeStore, _: NodeId, _: Beacon, _: Beacon, links: Links<'_>) {
+        self.calls.push(Call::Hear(links.joined.to_vec(), links.left.to_vec()));
     }
     fn moved(&mut self, id: NodeId, _to: Point2) {
         self.calls.push(Call::Moved(id));
@@ -758,6 +782,7 @@ fn reach_calls(joules: [f64; 2], act: impl FnOnce(&mut Engine<Echo>, &mut LogRea
         let battery = Battery::new(j).unwrap();
         engine.add_node(Point2::new(x, 50.0), battery, Echo::default(), cfg.hello.ttl, &mut vec![]);
     }
+    engine.fill_board();
     act(&mut engine, &mut reach);
     reach.calls
 }
@@ -814,7 +839,7 @@ fn handlers_call_their_reach_in_rule_order() {
     assert_eq!(reach_calls([10.0, 10.0], step_toward(Point2::new(60.0, 50.0))), [], "zero-length");
     assert_eq!(
         reach_calls([10.0, 10.0], beacon()),
-        [Hear(vec![1]), Schedule(SimTime::ZERO + SimConfig::default().hello.period)],
+        [Hear(vec![1], vec![]), Schedule(SimTime::ZERO + SimConfig::default().hello.period)],
         "a funded beacon reschedules at the HELLO period"
     );
     assert_eq!(reach_calls([1e-12, 10.0], beacon()), [Died(a), Trace("died")], "unfunded beacon");
@@ -1076,7 +1101,156 @@ fn hello_cache_is_shard_count_invariant_and_publishes() {
     let snap = reg.snapshot();
     assert_eq!(snap.counter("kernel.hello_cache_hits"), Some(base.1.hello_cache_hits));
     assert_eq!(snap.counter("kernel.hello_cache_misses"), Some(base.1.hello_cache_misses));
+    assert_eq!(snap.counter("kernel.hello_link_changes"), Some(base.1.hello_link_changes));
     imobif_obs::promlint::lint(&snap.to_prometheus()).expect("kernel families lint clean");
+}
+
+/// On a static sharded world the first round's barrier links every
+/// hearer; afterwards a beacon sends only its board record, so no link run
+/// carries anything and no table is written.
+#[test]
+fn static_world_stops_writing_tables_after_the_first_round() {
+    let sc = lattice_scenario();
+    let mut w = make_sharded(4);
+    for &p in &sc.positions {
+        w.add(p, sc.joules);
+    }
+    w.start();
+    w.run_until(SimTime::from_micros(500_000));
+    let first = w.counters.observations_applied;
+    let links: usize = (0..sc.positions.len() as u32).map(|i| w.table(NodeId::new(i)).len()).sum();
+    assert_eq!(first, links as u64, "one join per hearer of a first-round beacon");
+    assert_eq!(w.kernel_stats().hello_link_changes, first);
+    let patches = w.counters.replica_patches;
+    w.run_until(SimTime::from_micros(5_000_000));
+    assert_eq!(w.counters.observations_applied, first, "no link change after the first round");
+    assert_eq!(w.kernel_stats().hello_link_changes, first);
+    let beacons = w.kernel_stats().hello_beacons;
+    assert_eq!(beacons, 6 * sc.positions.len() as u64, "rounds at 0, 1, …, 5 s");
+    assert_eq!(w.counters.replica_patches - patches, beacons - 49, "one board patch a beacon");
+    w.verify_replica_sync().expect("the replica board matches the owners'");
+}
+
+/// Oracle protocol: an app timer moves its node up to 12 m toward the
+/// target its tag carries in centimeters, `x << 32 | y`.
+#[derive(Debug, Default)]
+struct Walker;
+
+impl Application for Walker {
+    type Msg = u32;
+
+    fn on_message(&mut self, _: &NodeCtx<'_>, _: NodeId, _: u32, _: &mut Outbox<u32>) {}
+
+    fn on_timer(&mut self, _: &NodeCtx<'_>, tag: u64, out: &mut Outbox<u32>) {
+        let cm = |v: u64| (v & 0xffff_ffff) as f64 / 100.0;
+        out.move_toward(Point2::new(cm(tag >> 32), cm(tag)), 12.0);
+    }
+}
+
+proptest::proptest! {
+    /// The sharded twin of the serial reference oracle: after every epoch,
+    /// every node's view — dead ones included — equals a push table that
+    /// observes each beacon of the epoch into every hearer the epoch's
+    /// replica shows, skipping hearers dead at the barrier. That is the
+    /// rule the barrier applied when beacons carried their payload to each
+    /// hearer.
+    ///
+    /// Nodes walk on timers, fail on scheduled kills (some at a beacon
+    /// instant, when peers' records are still in flight), and a
+    /// beacon-sized battery dies at its third charged beacon; 1-5 shards,
+    /// one or two workers, and worlds on both sides of the small-world
+    /// scan. A leaver frozen with its origin's new record, a death that
+    /// freezes its links from its own shard's board, a lost leave mark or
+    /// a link change applied to a dead hearer fails the comparison.
+    #[test]
+    fn prop_sharded_board_and_links_match_barrier_push_tables(
+        coords in proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64, 0u8..4), 2..48),
+        moves in proptest::collection::vec(
+            (0usize..48, 0u64..5_000, 0.0..100.0f64, 0.0..100.0f64),
+            0..40,
+        ),
+        kills in proptest::collection::vec((0usize..48, 0u64..5, 0u64..1_000), 0..6),
+        shards in 1usize..6,
+        threads in 1usize..3,
+    ) {
+        let mut cfg = SimConfig::default();
+        cfg.hello.charge_energy = true;
+        let tx = PowerLawModel::paper_default(2.0).unwrap();
+        let per_beacon = tx.energy(cfg.range, cfg.hello.bits as f64);
+        let mut w = ShardedWorld::new(
+            cfg,
+            Arc::new(tx),
+            Arc::new(LinearMobilityCost::new(0.5).unwrap()),
+            BOUNDS,
+            shards,
+        )
+        .unwrap();
+        w.set_threads(threads);
+        let n = coords.len();
+        for &(x, y, kind) in &coords {
+            let joules = if kind == 0 { 2.5 * per_beacon } else { 1e3 };
+            w.add_node(Point2::new(x, y), Battery::new(joules).unwrap(), Walker);
+        }
+        w.start();
+        for &(who, ms, x, y) in &moves {
+            let tag = ((x * 100.0) as u64) << 32 | (y * 100.0) as u64;
+            w.schedule_timer(NodeId::new((who % n) as u32), SimDuration::from_millis(ms), tag);
+        }
+        for &(who, secs, ms) in &kills {
+            let id = NodeId::new((who % n) as u32);
+            // Every other kill lands on a beacon instant.
+            let offset = if ms % 2 == 0 { 0 } else { ms * 1_000 };
+            let at = SimTime::from_micros(secs * 1_000_000 + offset);
+            let (si, slot) = w.locate(id);
+            let Shard { engine, keys } = &mut w.shards[si];
+            keys.push(&mut engine.queue, at, slot, id, Event::ScheduledKill { node: id });
+        }
+        let mut push: Vec<NeighborTable> =
+            (0..n).map(|_| NeighborTable::new(cfg.hello.ttl)).collect();
+        let r_sq = cfg.range * cfg.range;
+        let deadline = SimTime::from_micros(6_000_000);
+        let next_event = |w: &ShardedWorld<Walker>| {
+            w.shards.iter().filter_map(|s| s.engine.queue.peek_time()).min()
+        };
+        while let Some(next) = next_event(&w).filter(|&t| t <= deadline) {
+            let rep = &*w.replica;
+            let (positions, alive, board) =
+                (rep.positions.clone(), rep.alive.clone(), rep.board.clone());
+            // Runs exactly the epoch `next` opens.
+            let end = next + cfg.hop_latency;
+            w.run_until(SimTime::from_micros(end.as_micros() - 1));
+            for (j, &was) in board.iter().enumerate() {
+                // Every charged beacon lowers the residual: a changed record
+                // is a beacon sent this epoch.
+                let record = w.replica.board[j];
+                if record == was {
+                    continue;
+                }
+                proptest::prop_assert!(next <= record.heard_at && record.heard_at < end);
+                let origin = NodeId::new(j as u32);
+                for (i, table) in push.iter_mut().enumerate() {
+                    let heard = i != j
+                        && alive[i]
+                        && record.position.distance_sq_to(positions[i]) <= r_sq;
+                    if heard && w.is_alive(NodeId::new(i as u32)) {
+                        let Beacon { position, residual_energy, heard_at } = record;
+                        table.observe(origin, position, residual_energy, heard_at);
+                    }
+                }
+            }
+            let now = w.time();
+            for (h, table) in push.iter().enumerate() {
+                let (got, want) = (w.table(NodeId::new(h as u32)), table.view());
+                proptest::prop_assert_eq!(got.fresh(now), want.fresh(now), "node {h} at {now:?}");
+                proptest::prop_assert_eq!(got.len(), want.len(), "node {} knows the same peers", h);
+                for j in (0..n as u32).map(NodeId::new) {
+                    proptest::prop_assert_eq!(got.get(j, now), want.get(j, now));
+                }
+            }
+        }
+        let sync = w.verify_replica_sync();
+        proptest::prop_assert!(sync.is_ok(), "replica diverged: {:?}", sync);
+    }
 }
 
 #[test]

@@ -15,17 +15,18 @@
 //!   the source runs of each destination — no sort. Strict key order
 //!   matters here because applying a delivery consumes the *target's*
 //!   queue sequence, which downstream tie-breaks depend on.
-//! * **Observations** ([`ObsGroup`]) are grouped: one group per beacon per
-//!   destination shard plus a flat array of destination-local hearer
-//!   slots, instead of one full-size effect per hearer. Applying an
-//!   observation is an idempotent-by-id overwrite into a sorted neighbor
-//!   table, so observations of *different* origins commute and
-//!   observations of the *same* origin are already ordered within their
-//!   single source run — groups need no key and no merge at all.
-//! * **Replica patches** ([`RepPatch`]) are keyless position/liveness
-//!   deltas. A node's patches all come from its one owner shard (runs
-//!   preserve per-node order) and patches for different nodes touch
-//!   disjoint replica entries, so runs are applied source-by-source.
+//! * **Link changes** ([`LinkGroup`]) are grouped: one group per beacon per
+//!   destination shard whose hearers joined or left the beacon's hearer
+//!   set, plus a flat array of destination-local hearer slots, each
+//!   marked join or leave. A beacon whose hearer set is unchanged sends
+//!   none; its record travels as a replica patch instead. Changes for
+//!   *different* origins touch different table entries and commute, and
+//!   changes for the *same* origin are already ordered within their single
+//!   source run — groups need no key and no merge at all.
+//! * **Replica patches** ([`RepPatch`]) are keyless position, liveness and
+//!   beacon-board deltas. A node's patches all come from its one owner
+//!   shard (runs preserve per-node order) and patches for different nodes
+//!   touch disjoint replica entries, so runs are applied source-by-source.
 //!
 //! The buffers are owned by the coordinator (not the shard), sized to the
 //! shard count, and recycled every epoch: steady-state barriers allocate
@@ -34,6 +35,7 @@
 use imobif_geom::Point2;
 
 use super::reach::XKey;
+use crate::hello::Beacon;
 use crate::{NodeId, SimTime};
 
 /// One cross-shard packet delivery, keyed for the barrier merge.
@@ -48,37 +50,40 @@ pub(super) struct Dlv<M> {
     pub(super) msg: M,
 }
 
-/// One HELLO beacon's observations landing in one destination shard: the
-/// shared beacon payload plus a `start..start + len` window into the
-/// destination run's flat hearer-slot array.
+/// Marks a leaver in [`LinkRun::slots`]; a slot without it is a joiner.
+pub(super) const LEAVE: u32 = 1 << 31;
+
+/// One HELLO beacon's link changes landing in one destination shard: the
+/// origin, the record its leavers freeze (the origin's previous beacon),
+/// and a `start..start + len` window into the run's flat slot array.
 #[derive(Debug, Clone, Copy)]
-pub(super) struct ObsGroup {
-    pub(super) time: SimTime,
+pub(super) struct LinkGroup {
     pub(super) origin: NodeId,
-    pub(super) position: Point2,
-    pub(super) residual: f64,
+    pub(super) frozen: Beacon,
     pub(super) start: u32,
     pub(super) len: u32,
 }
 
-/// The observation run for one destination shard.
+/// The link-change run for one destination shard.
 #[derive(Debug, Default)]
-pub(super) struct ObsRun {
-    pub(super) groups: Vec<ObsGroup>,
-    /// Destination-local hearer slots, windowed by the groups.
+pub(super) struct LinkRun {
+    pub(super) groups: Vec<LinkGroup>,
+    /// Destination-local hearer slots, windowed by the groups; a leaver's
+    /// slot carries [`LEAVE`].
     pub(super) slots: Vec<u32>,
     /// Beacon stamp that last opened a group here (emission-side scratch:
     /// lets a beacon detect "first hearer in this destination" in O(1)).
     pub(super) mark: u64,
 }
 
-/// A keyless replica delta: the owner shard's position/liveness changes,
-/// applied to the epoch-frozen [`Replica`](super::reach::Replica) in
-/// emission order.
+/// A keyless replica delta: the owner shard's position, liveness and
+/// beacon-board changes, applied to the epoch-frozen
+/// [`Replica`](super::reach::Replica) in emission order.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum RepPatch {
     Moved { node: NodeId, to: Point2 },
     Died { node: NodeId },
+    Beacon { node: NodeId, record: Beacon },
 }
 
 /// One shard's outgoing effects for the current epoch, partitioned by
@@ -88,15 +93,15 @@ pub(super) enum RepPatch {
 pub(super) struct ShardOutbox<M> {
     /// `dlv[d]`: deliveries bound for shard `d`, in local key order.
     pub(super) dlv: Vec<Vec<Dlv<M>>>,
-    /// `obs[d]`: grouped observations bound for shard `d`.
-    pub(super) obs: Vec<ObsRun>,
+    /// `links[d]`: grouped link changes bound for shard `d`.
+    pub(super) links: Vec<LinkRun>,
     /// Replica deltas for nodes this shard owns.
     pub(super) rep: Vec<RepPatch>,
 }
 
 impl<M> Default for ShardOutbox<M> {
     fn default() -> Self {
-        ShardOutbox { dlv: Vec::new(), obs: Vec::new(), rep: Vec::new() }
+        ShardOutbox { dlv: Vec::new(), links: Vec::new(), rep: Vec::new() }
     }
 }
 
@@ -105,17 +110,17 @@ impl<M> ShardOutbox<M> {
     /// leftover contents and emission marks (capacity is kept).
     pub(super) fn reset_dests(&mut self, dests: usize) {
         self.dlv.truncate(dests);
-        self.obs.truncate(dests);
+        self.links.truncate(dests);
         for run in &mut self.dlv {
             run.clear();
         }
-        for run in &mut self.obs {
+        for run in &mut self.links {
             run.groups.clear();
             run.slots.clear();
             run.mark = 0;
         }
         self.dlv.resize_with(dests, Vec::new);
-        self.obs.resize_with(dests, ObsRun::default);
+        self.links.resize_with(dests, LinkRun::default);
         self.rep.clear();
     }
 }

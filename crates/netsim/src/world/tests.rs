@@ -3,6 +3,7 @@
 //! the handlers share with the sharded world are pinned on both engines by
 //! `handler_ordering_rules_hold_on_both_engines` in `shard/tests.rs`.
 
+use super::engine::Event;
 use super::*;
 use crate::trace::TraceEvent;
 use crate::{EnergyCategory, NeighborEntry, NodeCtx, Outbox, SimDuration};
@@ -299,8 +300,16 @@ fn hello_cache_hits_in_a_static_world_and_publishes() {
         w.add_node(p, Battery::new(1.0).unwrap(), Echo::default());
     }
     w.start();
+    // The first round links every hearer; after it, beacons write only
+    // their board records.
+    w.run_until(SimTime::from_micros(500_000));
+    let first = *w.kernel_stats();
+    assert_eq!(first.hello_beacons, 49);
+    let links: usize = (0..49).map(|i| w.node(NodeId::new(i)).neighbor_table().len()).sum();
+    assert_eq!(first.hello_link_changes, links as u64, "one join per hearer of a beacon");
     w.run_until(SimTime::from_micros(5_000_000));
     let stats = *w.kernel_stats();
+    assert_eq!(stats.hello_link_changes, first.hello_link_changes, "no table write after");
     // Nothing moves: each node misses once, on its first beacon.
     assert_eq!(stats.hello_cache_misses, 49);
     assert_eq!(stats.hello_cache_hits + stats.hello_cache_misses, stats.hello_beacons);
@@ -311,14 +320,16 @@ fn hello_cache_hits_in_a_static_world_and_publishes() {
     let snap = registry.snapshot();
     assert_eq!(snap.counter("kernel.hello_cache_hits"), Some(stats.hello_cache_hits));
     assert_eq!(snap.counter("kernel.hello_cache_misses"), Some(stats.hello_cache_misses));
+    assert_eq!(snap.counter("kernel.hello_link_changes"), Some(stats.hello_link_changes));
     imobif_obs::promlint::lint(&snap.to_prometheus()).expect("kernel families lint clean");
 }
 
 proptest::proptest! {
-    /// Every beacon's hearer list equals the brute-force set over random
-    /// moves, deaths and beacons, including beacons sent from a position
-    /// the grid has not caught up with (a sharded node between its own
-    /// move and the next barrier).
+    /// Every beacon's link changes are the difference between the
+    /// brute-force hearer sets of the node's previous beacon and this one,
+    /// over random moves, deaths and beacons, including beacons sent from a
+    /// position the grid has not caught up with (a sharded node between its
+    /// own move and the next barrier).
     #[test]
     fn prop_cached_hearers_match_brute_force(
         coords in proptest::collection::vec((0.0..120.0f64, 0.0..120.0f64), 33..60),
@@ -334,6 +345,7 @@ proptest::proptest! {
         }
         let mut cache = beacon::HearerCache::default();
         let mut stats = KernelStats::default();
+        let mut heard: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (op, who, x, y) in steps {
             let i = who % n;
             let target = Point2::new(x, y);
@@ -356,14 +368,20 @@ proptest::proptest! {
                         grid: &grid,
                         range,
                     };
-                    let got = cache.hearers(&view, &mut stats, NodeId::new(i as u32), i, n, from);
+                    let got = cache.links(&view, &mut stats, NodeId::new(i as u32), i, n, from);
                     let want: Vec<u32> = (0..n)
                         .filter(|&j| {
                             j != i && alive[j] && from.distance_sq_to(positions[j]) <= range * range
                         })
                         .map(|j| j as u32)
                         .collect();
-                    proptest::prop_assert_eq!(got, &want[..]);
+                    let prev = std::mem::replace(&mut heard[i], want);
+                    let joined: Vec<u32> =
+                        heard[i].iter().copied().filter(|k| !prev.contains(k)).collect();
+                    let left: Vec<u32> =
+                        prev.iter().copied().filter(|k| !heard[i].contains(k)).collect();
+                    proptest::prop_assert_eq!(got.joined, &joined[..]);
+                    proptest::prop_assert_eq!(got.left, &left[..]);
                 }
             }
         }
@@ -371,6 +389,129 @@ proptest::proptest! {
             stats.hello_cache_hits + stats.hello_cache_misses,
             stats.hello_beacons
         );
+    }
+}
+
+proptest::proptest! {
+    /// The beacon board plus link diffs give every node — dead ones
+    /// included — the same neighbor view as the push tables they replace,
+    /// where every beacon is observed into the table of every live hearer.
+    ///
+    /// The sequences mix beacons, short moves (a node with a beacon-sized
+    /// battery dies mid-step), scheduled deaths and charged beacons that
+    /// kill their sender, over a near cluster and a far one offset by
+    /// whole grid-table widths, so their cells alias onto the same grid
+    /// slots. Without a crowd the world is small enough to scan. With one,
+    /// the crowd then gathers, every hearer list grows past its run, and
+    /// the pool must compact. A leaver frozen with its origin's new record
+    /// instead of the previous one fails the comparison.
+    #[test]
+    fn prop_board_and_links_match_push_tables(
+        coords in proptest::collection::vec((0.0..90.0f64, 0.0..90.0f64, 0u8..4), 4..40),
+        steps in proptest::collection::vec(
+            (0u8..10, 0usize..40, 0.0..90.0f64, 0.0..90.0f64, 0u64..400),
+            1..150,
+        ),
+        crowd in 0u8..2,
+    ) {
+        // Whole widths of every grid table these worlds reach.
+        const FAR: f64 = 30.0 * 1024.0;
+        const CROWD: usize = 24;
+        let mut cfg = SimConfig::default();
+        cfg.hello.charge_energy = true;
+        let tx = PowerLawModel::paper_default(2.0).unwrap();
+        let per_beacon = tx.energy(cfg.range, cfg.hello.bits as f64);
+        let mut w: World<Echo> =
+            World::new(cfg, Box::new(tx), Box::new(LinearMobilityCost::new(0.5).unwrap())).unwrap();
+        let mut offsets = Vec::new();
+        for &(x, y, kind) in &coords {
+            let off = if kind == 1 { FAR } else { 0.0 };
+            // Kind 0 pays for two and a half beacons: it dies at its third.
+            let joules = if kind == 0 { 2.5 * per_beacon } else { 10.0 };
+            w.add_node(Point2::new(x + off, y), Battery::new(joules).unwrap(), Echo::default());
+            offsets.push(off);
+        }
+        let n = coords.len();
+        let ring = |k: usize| {
+            let a = k as f64 * std::f64::consts::TAU / CROWD as f64;
+            Point2::new(300.0 + 60.0 * a.cos(), 300.0 + 60.0 * a.sin())
+        };
+        let crowd = if crowd == 1 { CROWD } else { 0 };
+        for k in 0..crowd {
+            // Enough for the 60 m walk at 0.5 J/m.
+            w.add_node(ring(k), Battery::new(40.0).unwrap(), Echo::default());
+        }
+        let total = n + crowd;
+        // The world is driven event by event, never started.
+        w.engine.fill_board();
+        let mut push: Vec<NeighborTable> =
+            (0..total).map(|_| NeighborTable::new(cfg.hello.ttl)).collect();
+        let mut now = SimTime::ZERO;
+        let mut compactions = 0;
+        // Runs one event at `now`; a beacon that goes out is pushed into the
+        // table of every live hearer.
+        let mut op = |w: &mut World<Echo>, push: &mut [NeighborTable], now, event| {
+            let pool = w.engine.hearers.pool_len();
+            let beacon = match event {
+                Event::HelloBeacon { node } if w.is_alive(node) => Some(node),
+                _ => None,
+            };
+            w.engine.queue.push(now, event);
+            assert!(w.engine.step(&mut w.reach));
+            // Drop the beacon the handler rescheduled: the sequence decides.
+            w.engine.queue.clear();
+            if let Some(id) = beacon.filter(|&id| w.is_alive(id)) {
+                let (pos, residual) = (w.position(id), w.residual_energy(id));
+                for (h, table) in push.iter_mut().enumerate() {
+                    let hearer = NodeId::new(h as u32);
+                    let in_range = pos.distance_sq_to(w.position(hearer)) <= cfg.range * cfg.range;
+                    if hearer != id && w.is_alive(hearer) && in_range {
+                        table.observe(id, pos, residual, now);
+                    }
+                }
+            }
+            compactions += usize::from(w.engine.hearers.pool_len() < pool);
+        };
+        for (kind, who, x, y, dt) in steps {
+            let i = who % n;
+            let id = NodeId::new(i as u32);
+            now += SimDuration::from_millis(dt);
+            w.engine.time = now;
+            match kind {
+                0..=3 => {
+                    let target = Point2::new(x + offsets[i], y);
+                    w.engine.dispatch(&mut w.reach, id, i, |_, _, out| out.move_toward(target, 8.0));
+                }
+                4 if x < 20.0 => op(&mut w, &mut push, now, Event::ScheduledKill { node: id }),
+                _ => op(&mut w, &mut push, now, Event::HelloBeacon { node: id }),
+            }
+            assert_views_match(&w, &push, now);
+        }
+        for _ in 0..if crowd > 0 { 20 } else { 0 } {
+            now += SimDuration::from_millis(250);
+            w.engine.time = now;
+            for k in n..total {
+                let id = NodeId::new(k as u32);
+                let center = Point2::new(300.0, 300.0);
+                w.engine.dispatch(&mut w.reach, id, k, |_, _, out| out.move_toward(center, 3.0));
+                op(&mut w, &mut push, now, Event::HelloBeacon { node: id });
+            }
+            assert_views_match(&w, &push, now);
+        }
+        proptest::prop_assert!(crowd == 0 || compactions > 0, "the gathering crowd compacts");
+    }
+}
+
+/// Every node's view — `fresh`, `len` and `get` for every peer — equals
+/// its push table's.
+fn assert_views_match(w: &World<Echo>, push: &[NeighborTable], now: SimTime) {
+    for (h, table) in push.iter().enumerate() {
+        let (got, want) = (w.node(NodeId::new(h as u32)).neighbor_table(), table.view());
+        assert_eq!(got.fresh(now), want.fresh(now), "node {h} at {now:?}");
+        assert_eq!(got.len(), want.len(), "node {h} knows the same peers");
+        for j in (0..push.len() as u32).map(NodeId::new) {
+            assert_eq!(got.get(j, now), want.get(j, now), "node {h}, peer {j:?}");
+        }
     }
 }
 
@@ -396,7 +537,7 @@ fn cache_fingerprint(w: &mut World<Echo>) -> (u64, KernelStats, Vec<Vec<Neighbor
     let events = w.trace().expect("tracing enabled").events();
     let fnv = imobif_obs::fnv1a64(crate::trace::events_to_jsonl(&events).as_bytes());
     let now = w.time();
-    let tables = (0..ids.len()).map(|i| w.engine.nodes.neighbor_table(i).fresh(now)).collect();
+    let tables = ids.iter().map(|&id| w.node(id).neighbor_table().fresh(now)).collect();
     (fnv, *w.kernel_stats(), tables)
 }
 

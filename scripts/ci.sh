@@ -6,11 +6,13 @@
 #
 # `ci.sh --smoke` runs only the fast subset — release build, the pin
 # tests (the serial trace pins, the shard-sweep and thread-sweep pins, the
-# fig6 CSV pin, and the zero-allocation warmed sharded epoch), the
-# scale_bench smoke gates (steady-state allocations, arena reuse,
-# 1-vs-N-shard determinism, a reduced 100k-node arena), and the benchmark
-# package's tests and `bench --smoke` — and targets a total wall time of
-# about two minutes on a warm build cache.
+# fig6 CSV pin, the zero-allocation warmed sharded epoch, and the spec
+# parser's allocation ceiling), the simulator's unit tests (among them the
+# neighbor-table oracle and the shard invariance checks), the scale_bench
+# smoke gates (steady-state allocations, arena reuse, 1-vs-N-shard
+# determinism, a reduced 100k-node arena), and the benchmark package's
+# tests and `bench --smoke` — and targets a total wall time of about two
+# minutes on a warm build cache.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -50,9 +52,13 @@ if [[ "$SMOKE" == "0" ]]; then
 fi
 
 if [[ "$SMOKE" == "1" ]]; then
-    echo "==> pin tests (serial traces, shard and thread sweeps, fig6 CSV, epoch allocations)"
+    echo "==> pin tests (serial traces, shard and thread sweeps, fig6 CSV, allocation gates)"
     cargo test --release -q --test determinism --test trace_causality
-    cargo test --release -q -p imobif-bench --test span_determinism --test span_allocs
+    cargo test --release -q -p imobif-bench --test span_determinism --test span_allocs \
+        --test spec_parse_allocs
+
+    echo "==> simulator unit tests (neighbor-table oracle, shard invariance)"
+    cargo test --release -q -p imobif-netsim --lib
 fi
 
 echo "==> scaling bench smoke (scale_bench --smoke: allocation + determinism gates)"
