@@ -1,10 +1,9 @@
-//! A counting global allocator for the benchmark runner.
+//! A counting global allocator for the benchmark and the allocation gates.
 //!
 //! The simulator crates forbid `unsafe`, so allocation accounting lives
-//! here in bench-only code: the `hotpath_bench` binary installs
-//! [`CountingAlloc`] as its `#[global_allocator]` and reads the counters
-//! around measured regions to prove the steady-state packet path allocates
-//! nothing.
+//! here in bench-only code: a binary installs [`CountingAlloc`] as its
+//! `#[global_allocator]` and reads the counters around measured regions,
+//! for example to prove the steady-state packet path allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

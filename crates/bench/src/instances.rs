@@ -1,62 +1,35 @@
-//! End-to-end instance scenarios shared by the criterion benches and the
-//! `hotpath_bench` runner: the paper's Fig. 6 default flow under each
-//! mobility mode, plus a HELLO-dense arena that stresses the beaconing path.
-//!
-//! Every scenario is parameterized by a [`Variant`] — which event-queue
-//! backend the kernel runs on and whether the relay decision cache is
-//! enabled — so the same workload can be timed before and after the hot-path
-//! optimizations. The two variants produce bit-identical simulations (the
-//! `perf_equivalence` integration tests assert this); only the wall clock
-//! differs.
+//! End-to-end instance scenarios shared by the `perfbench` benchmark and
+//! the allocation and determinism tests under `tests/`: the paper's Fig. 6
+//! default flow, constant-density arenas on the serial and the sharded
+//! engine, and HELLO-dense arenas that stress the beaconing path.
 
 use std::sync::Arc;
 
-use imobif::{install_flow, DecisionCacheConfig, FlowSpec, ImobifApp, ImobifConfig, MobilityMode};
+use imobif::{install_flow, FlowSpec, ImobifApp, ImobifConfig, MobilityMode};
 use imobif_energy::Battery;
 use imobif_experiments::config::ScenarioConfig;
 use imobif_experiments::runner::{build_strategy, StrategyChoice};
 use imobif_experiments::topology::draw_scenario;
 use imobif_geom::Point2;
-use imobif_netsim::{
-    FlowId, NodeId, QueueBackend, ShardedWorld, SimConfig, SimDuration, SimTime, TopologyView,
-    World,
-};
+use imobif_netsim::routing::GreedyRouter;
+use imobif_netsim::{FlowId, NodeId, ShardedWorld, SimDuration, SimTime, TopologyView, World};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One before/after configuration of the hot-path knobs.
+/// The simulator configuration a builder runs. It has one value: the
+/// event-queue and decision-cache switches it once chose between are
+/// gone, and the builders always run the shipping defaults. It remains a
+/// parameter of [`build_fig6`] and [`build_scale_arena`] because the
+/// benchmark's call sites pass it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Variant {
-    /// Event-queue backend the kernel runs on.
-    pub backend: QueueBackend,
-    /// Whether relays memoize their per-flow mobility decisions.
-    pub cache_enabled: bool,
-}
+#[non_exhaustive]
+pub struct Variant;
 
 impl Variant {
-    /// The pre-optimization configuration: binary-heap future-event list,
-    /// every packet re-evaluates the strategy from scratch.
-    #[must_use]
-    pub fn before() -> Self {
-        Variant { backend: QueueBackend::BinaryHeap, cache_enabled: false }
-    }
-
-    /// The optimized configuration: calendar queue plus decision cache.
+    /// The shipping configuration: calendar queue, decision cache on.
     #[must_use]
     pub fn after() -> Self {
-        Variant { backend: QueueBackend::Calendar, cache_enabled: true }
-    }
-
-    /// Short identifier for reports ("before" / "after").
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        if self == Variant::before() {
-            "before"
-        } else if self == Variant::after() {
-            "after"
-        } else {
-            "custom"
-        }
+        Variant
     }
 }
 
@@ -104,31 +77,24 @@ impl Fig6Run {
 }
 
 /// Builds the paper's Fig. 6 default scenario (`draw_index`-th flow of
-/// [`ScenarioConfig::paper_default`]) under `mode`, with the hot-path knobs
-/// set by `variant`.
+/// [`ScenarioConfig::paper_default`]) under `mode`.
 ///
 /// # Panics
 ///
 /// Panics on an invalid default config — a bug, not a runtime condition.
 #[must_use]
-pub fn build_fig6(mode: MobilityMode, variant: Variant, draw_index: u64) -> Fig6Run {
+pub fn build_fig6(mode: MobilityMode, _variant: Variant, draw_index: u64) -> Fig6Run {
     let cfg = ScenarioConfig::paper_default();
     let draw = draw_scenario(&cfg, draw_index);
     let strategy = build_strategy(&cfg, StrategyChoice::MinEnergy);
 
-    let sim_cfg = SimConfig { queue_backend: variant.backend, ..cfg.sim_config() };
     let mut world: World<ImobifApp> = World::new(
-        sim_cfg,
+        cfg.sim_config(),
         Box::new(cfg.tx_model().expect("validated config")),
         Box::new(cfg.mobility_model().expect("validated config")),
     )
     .expect("validated sim config");
-    let app_cfg = ImobifConfig {
-        mode,
-        max_step: cfg.max_step,
-        cache: DecisionCacheConfig { enabled: variant.cache_enabled, ..Default::default() },
-        ..Default::default()
-    };
+    let app_cfg = ImobifConfig { mode, max_step: cfg.max_step, ..Default::default() };
     let ids: Vec<NodeId> = draw
         .flow
         .path
@@ -163,10 +129,10 @@ pub fn build_fig6(mode: MobilityMode, variant: Variant, draw_index: u64) -> Fig6
     Fig6Run { world, flow, ids, total_bits: draw.flow.flow_bits, cap }
 }
 
-/// A large multi-flow arena for the scaling benchmarks: every node deployed
-/// (unlike the pinned-path experiment worlds), several concurrent flows
-/// paced at once, so the kernel's beacon/grid/queue machinery is exercised
-/// at `node_count` scale.
+/// A large multi-flow arena for the benchmark's arena workloads: every
+/// node deployed (unlike the pinned-path experiment worlds), several
+/// concurrent flows paced at once, so the kernel's beacon/grid/queue
+/// machinery is exercised at `node_count` scale.
 pub struct ScaleArenaRun {
     /// The simulated world (flows installed, world started).
     pub world: World<ImobifApp>,
@@ -208,11 +174,9 @@ impl ScaleArenaRun {
 pub fn build_scale_arena(
     node_count: usize,
     n_flows: usize,
-    variant: Variant,
+    _variant: Variant,
     seed: u64,
 ) -> ScaleArenaRun {
-    use imobif_netsim::routing::{GreedyRouter, Router};
-
     let cfg = ScenarioConfig {
         node_count,
         area_side: 150.0 * (node_count as f64 / 100.0).sqrt(),
@@ -221,19 +185,14 @@ pub fn build_scale_arena(
     };
     cfg.validate().expect("scaled config is valid");
     let strategy = build_strategy(&cfg, StrategyChoice::MinEnergy);
-    let sim_cfg = SimConfig { queue_backend: variant.backend, ..cfg.sim_config() };
     let mut world: World<ImobifApp> = World::new(
-        sim_cfg,
+        cfg.sim_config(),
         Box::new(cfg.tx_model().expect("validated config")),
         Box::new(cfg.mobility_model().expect("validated config")),
     )
     .expect("validated sim config");
-    let app_cfg = ImobifConfig {
-        mode: MobilityMode::Informed,
-        max_step: cfg.max_step,
-        cache: DecisionCacheConfig { enabled: variant.cache_enabled, ..Default::default() },
-        ..Default::default()
-    };
+    let app_cfg =
+        ImobifConfig { mode: MobilityMode::Informed, max_step: cfg.max_step, ..Default::default() };
     let mut rng = StdRng::seed_from_u64(seed);
     let positions: Vec<Point2> = (0..node_count)
         .map(|_| Point2::new(rng.gen_range(0.0..cfg.area_side), rng.gen_range(0.0..cfg.area_side)))
@@ -287,8 +246,8 @@ pub fn build_scale_arena(
     ScaleArenaRun { world, flows, packet_bits: cfg.packet_bits }
 }
 
-/// A [`ShardedWorld`] variant of [`ScaleArenaRun`] for the shard/thread
-/// scaling curves: the same constant-density deployment and flow recipe,
+/// A [`ShardedWorld`] variant of [`ScaleArenaRun`] for the shard and
+/// thread sweeps: the same constant-density deployment and flow recipe,
 /// run through the epoch-barrier engine so shard count and thread count can
 /// sweep while the trace fingerprint stays fixed.
 pub struct ShardedArenaRun {
@@ -326,8 +285,8 @@ impl ShardedArenaRun {
 /// bit-identical regardless.
 ///
 /// Delegates to [`imobif_experiments::spans_tools::build_sharded_workload`]
-/// so the `imobif spans` CLI and the benchmark suite profile the exact same
-/// FNV-pinned workload.
+/// so the `imobif spans` CLI, the benchmark and the pin tests run the exact
+/// same FNV-pinned workload.
 ///
 /// When `trace` is set the world records its merged cross-shard trace (used
 /// by the determinism sweep; costs memory at 100k nodes, so the throughput
@@ -360,20 +319,16 @@ pub fn build_sharded_arena(
 ///
 /// Panics on an invalid default config — a bug, not a runtime condition.
 #[must_use]
-pub fn build_hello_dense(variant: Variant) -> World<ImobifApp> {
+pub fn build_hello_dense() -> World<ImobifApp> {
     let cfg = ScenarioConfig::paper_default();
     let strategy = build_strategy(&cfg, StrategyChoice::MinEnergy);
-    let sim_cfg = SimConfig { queue_backend: variant.backend, ..cfg.sim_config() };
     let mut world: World<ImobifApp> = World::new(
-        sim_cfg,
+        cfg.sim_config(),
         Box::new(cfg.tx_model().expect("validated config")),
         Box::new(cfg.mobility_model().expect("validated config")),
     )
     .expect("validated sim config");
-    let app_cfg = ImobifConfig {
-        cache: DecisionCacheConfig { enabled: variant.cache_enabled, ..Default::default() },
-        ..Default::default()
-    };
+    let app_cfg = ImobifConfig::default();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     for _ in 0..cfg.node_count {
         let p = Point2::new(rng.gen_range(0.0..cfg.area_side), rng.gen_range(0.0..cfg.area_side));
@@ -401,20 +356,16 @@ pub fn build_hello_dense(variant: Variant) -> World<ImobifApp> {
 pub fn build_sharded_hello_dense(shards: usize) -> ShardedWorld<ImobifApp> {
     let cfg = ScenarioConfig::paper_default();
     let strategy = build_strategy(&cfg, StrategyChoice::MinEnergy);
-    let sim_cfg = SimConfig { queue_backend: QueueBackend::Calendar, ..cfg.sim_config() };
     let bounds = (Point2::new(0.0, 0.0), Point2::new(cfg.area_side, cfg.area_side));
     let mut world: ShardedWorld<ImobifApp> = ShardedWorld::new(
-        sim_cfg,
+        cfg.sim_config(),
         std::sync::Arc::new(cfg.tx_model().expect("validated config")),
         std::sync::Arc::new(cfg.mobility_model().expect("validated config")),
         bounds,
         shards,
     )
     .expect("validated sim config");
-    let app_cfg = ImobifConfig {
-        cache: DecisionCacheConfig { enabled: true, ..Default::default() },
-        ..Default::default()
-    };
+    let app_cfg = ImobifConfig::default();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     for _ in 0..cfg.node_count {
         let p = Point2::new(rng.gen_range(0.0..cfg.area_side), rng.gen_range(0.0..cfg.area_side));
@@ -433,21 +384,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn variants_label_and_differ() {
-        assert_eq!(Variant::before().label(), "before");
-        assert_eq!(Variant::after().label(), "after");
-        assert_ne!(Variant::before(), Variant::after());
-    }
-
-    #[test]
-    fn fig6_run_completes_identically_across_variants() {
-        let mut a = build_fig6(MobilityMode::Informed, Variant::before(), 3);
-        let mut b = build_fig6(MobilityMode::Informed, Variant::after(), 3);
-        a.run_to_completion();
-        b.run_to_completion();
-        assert_eq!(a.delivered_bits(), b.delivered_bits());
-        assert_eq!(a.world.events_processed(), b.world.events_processed());
-        assert!(a.delivered_bits() > 0);
+    fn fig6_run_delivers_the_whole_flow() {
+        let mut run = build_fig6(MobilityMode::Informed, Variant::after(), 3);
+        run.run_to_completion();
+        assert!(run.total_bits > 0);
+        assert_eq!(run.delivered_bits(), run.total_bits);
     }
 
     #[test]
@@ -473,7 +414,7 @@ mod tests {
 
     #[test]
     fn hello_dense_processes_beacons() {
-        let mut w = build_hello_dense(Variant::after());
+        let mut w = build_hello_dense();
         w.run_until(SimTime::from_micros(10_000_000));
         // 100 nodes beacon every second: ≥ 100 nodes × 10 s beacon timers.
         assert!(w.events_processed() >= 1_000);

@@ -1,42 +1,13 @@
-//! Shared helpers for the iMobif benchmark suite (see `benches/`).
+//! Shared benchmark scenarios and allocation accounting for the iMobif
+//! reproduction.
 //!
-//! The real figure data is regenerated by the `imobif-experiments` binary;
-//! the benches here measure how fast each figure's pipeline and the hot
-//! simulator components run, at reduced scale so `cargo bench` finishes in
-//! minutes.
+//! [`instances`] builds the scenarios: the paper's Fig. 6 flow,
+//! constant-density arenas on the serial and the sharded engine, and
+//! HELLO-dense arenas. [`alloc_track`] is a counting global allocator. The
+//! `perfbench` benchmark builds on both. So do this crate's tests, which
+//! carry the allocation, determinism and overhead gates: each allocation
+//! gate is its own test binary, because the allocator's counters are
+//! process-global.
 
 pub mod alloc_track;
 pub mod instances;
-
-use imobif_geom::Point2;
-use imobif_netsim::TopologyView;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Builds a deterministic 100-node topology like the paper's arena.
-#[must_use]
-pub fn paper_topology(seed: u64) -> TopologyView {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let positions: Vec<Point2> = (0..100)
-        .map(|_| Point2::new(rng.gen_range(0.0..150.0), rng.gen_range(0.0..150.0)))
-        .collect();
-    TopologyView::new(positions, vec![true; 100], 30.0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn topology_is_deterministic() {
-        let a = paper_topology(1);
-        let b = paper_topology(1);
-        assert_eq!(a.node_count(), 100);
-        for i in 0..100u32 {
-            assert_eq!(
-                a.position(imobif_netsim::NodeId::new(i)),
-                b.position(imobif_netsim::NodeId::new(i))
-            );
-        }
-    }
-}

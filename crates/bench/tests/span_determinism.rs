@@ -1,28 +1,35 @@
-//! Span tracing must be invisible to the simulation: with spans disabled
-//! the sweep-workload fingerprints and the fig6 figure bytes must equal
-//! the pins recorded before the span layer landed, and enabling spans (or
-//! pooled workers) must not move them. The thread-sweep workload must
-//! reproduce its pin at one and at two worker threads.
+//! Shard count, worker threads, the epoch schedule and span tracing must be
+//! invisible to the simulation. The sweep workload must reproduce its pins
+//! at every shard count, under the dense step-every-epoch schedule, and
+//! with spans and pooled workers on, and its delta-synced replica must
+//! match ground truth. The thread-sweep workload must reproduce its pin at
+//! every worker count, and the fig6 figure bytes their pin with the metrics
+//! registry disabled and enabled.
 
 use imobif_bench::instances::{build_sharded_arena, ShardedArenaRun};
 use imobif_experiments::figures::fig6;
+use imobif_experiments::obs::{disable_metrics, enable_metrics};
+use imobif_experiments::runner::clear_memos;
 use imobif_netsim::{SimTime, DEFAULT_SPAN_CAPACITY};
 use imobif_obs::fnv1a64;
 
-/// PR 7's recorded fingerprints for the sweep workload (1 000 nodes,
-/// 8 flows, seed 2025, 10 sim-secs; identical at every shard count).
-const PR7_SWEEP_TRACE_FNV: u64 = 0x20de_a642_2e6d_913c;
-/// See [`PR7_SWEEP_TRACE_FNV`].
-const PR7_SWEEP_SUMMARY_FNV: u64 = 0xbca0_645b_b9b7_1a01;
+/// The recorded fingerprints of the sweep workload (1 000 nodes, 8 flows,
+/// seed 2025, 10 sim-secs; identical at every shard count).
+const SWEEP_TRACE_FNV: u64 = 0x20de_a642_2e6d_913c;
+/// See [`SWEEP_TRACE_FNV`].
+const SWEEP_SUMMARY_FNV: u64 = 0xbca0_645b_b9b7_1a01;
 /// The thread-sweep trace fingerprint (5 000 nodes, 16 flows, 8 shards,
 /// seed 2025, 10 sim-secs; identical at every worker-thread count).
 const THREAD_SWEEP_TRACE_FNV: u64 = 0x112d_658e_8cfd_184f;
 /// FNV-1a 64 of `fig6::run(8, 2025).to_csv()` at the pre-observability
 /// tip — the figure bytes the instrumented engine must still produce.
-const PR7_FIG6_CSV_FNV: u64 = 0x67fd_e585_6d82_96c6;
+const FIG6_CSV_FNV: u64 = 0x67fd_e585_6d82_96c6;
 
-/// The summary fingerprint the scale benchmark pins: packet totals, event
-/// count, bit-exact energy totals, and the first death.
+/// Shard counts the sweep workload runs at.
+const SHARD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// The summary fingerprint the sweep pins: packet totals, event count,
+/// bit-exact energy totals, and the first death.
 fn summary_fnv(run: &ShardedArenaRun) -> u64 {
     let totals = run.world.totals();
     let summary = format!(
@@ -41,31 +48,50 @@ fn summary_fnv(run: &ShardedArenaRun) -> u64 {
     fnv1a64(summary.as_bytes())
 }
 
-#[test]
-fn sweep_pins_hold_with_spans_disabled_and_enabled() {
-    let deadline = SimTime::from_micros(10_000_000);
+/// Runs the sweep workload at `shards`, letting `setup` adjust the world
+/// first, checks both pins and the replica against ground truth, and
+/// returns the finished run.
+fn assert_sweep_pins(
+    shards: usize,
+    label: &str,
+    setup: impl FnOnce(&mut ShardedArenaRun),
+) -> ShardedArenaRun {
+    let mut run = build_sharded_arena(1_000, 8, shards, 2025, true);
+    setup(&mut run);
+    run.run_until_time(SimTime::from_micros(10_000_000));
+    assert!(run.delivered_packets() > 0, "sweep arena must deliver packets ({label})");
+    assert_eq!(run.world.trace_fnv(), SWEEP_TRACE_FNV, "trace FNV drifted ({label})");
+    assert_eq!(summary_fnv(&run), SWEEP_SUMMARY_FNV, "summary FNV drifted ({label})");
+    if let Err(e) = run.world.verify_replica_sync() {
+        panic!("replica diverged from ground truth ({label}): {e}");
+    }
+    run
+}
 
-    // Shipping default: spans disabled, serial.
-    let mut plain = build_sharded_arena(1_000, 8, 8, 2025, true);
-    plain.run_until_time(deadline);
-    assert_eq!(plain.world.trace_fnv(), PR7_SWEEP_TRACE_FNV, "trace FNV drifted (spans off)");
-    assert_eq!(summary_fnv(&plain), PR7_SWEEP_SUMMARY_FNV, "summary FNV drifted (spans off)");
+#[test]
+fn sweep_pins_hold_at_every_shard_count_schedule_and_span_setting() {
+    // Shipping default: activity-scheduled epochs, spans disabled, serial.
+    for shards in SHARD_COUNTS {
+        assert_sweep_pins(shards, &format!("{shards} shards"), |_| {});
+    }
+
+    // The dense step-every-epoch schedule is the reference the
+    // fast-forwarding scheduler must reproduce.
+    assert_sweep_pins(8, "dense epochs", |run| run.world.set_dense_epochs(true));
 
     // Full span tracing plus pooled workers: observability may cost wall
     // time, never results.
-    let mut spanned = build_sharded_arena(1_000, 8, 8, 2025, true);
-    spanned.world.enable_spans(DEFAULT_SPAN_CAPACITY);
-    spanned.world.set_threads(2);
-    spanned.run_until_time(deadline);
-    assert_eq!(spanned.world.trace_fnv(), PR7_SWEEP_TRACE_FNV, "trace FNV drifted (spans on)");
-    assert_eq!(summary_fnv(&spanned), PR7_SWEEP_SUMMARY_FNV, "summary FNV drifted (spans on)");
+    let spanned = assert_sweep_pins(8, "spans on, 2 threads", |run| {
+        run.world.enable_spans(DEFAULT_SPAN_CAPACITY);
+        run.world.set_threads(2);
+    });
     let sink = spanned.world.spans().expect("spans enabled");
     assert!(sink.recorded() > 0, "spanned run must actually record spans");
 }
 
 #[test]
-fn thread_sweep_pin_holds_at_one_and_two_threads() {
-    for threads in [1, 2] {
+fn thread_sweep_pin_holds_at_one_two_and_four_threads() {
+    for threads in [1, 2, 4] {
         let mut run = build_sharded_arena(5_000, 16, 8, 2025, true);
         run.world.set_threads(threads);
         run.run_until_time(SimTime::from_micros(10_000_000));
@@ -79,10 +105,22 @@ fn thread_sweep_pin_holds_at_one_and_two_threads() {
 
 #[test]
 fn fig6_csv_pin_holds() {
-    let csv = fig6::run(8, 2025).to_csv();
-    assert_eq!(
-        fnv1a64(csv.as_bytes()),
-        PR7_FIG6_CSV_FNV,
-        "fig6 CSV bytes drifted from the pre-observability pin"
+    // Cleared memos make each run simulate its cases instead of replaying
+    // the previous run's results.
+    clear_memos();
+    let disabled = fnv1a64(fig6::run(8, 2025).to_csv().as_bytes());
+    let registry = enable_metrics();
+    clear_memos();
+    let enabled = fnv1a64(fig6::run(8, 2025).to_csv().as_bytes());
+    disable_metrics();
+    assert!(
+        registry.snapshot().counter("queue.pushes").unwrap_or(0) > 0,
+        "the enabled registry must have captured the fig6 runs"
     );
+    for (label, hash) in [("disabled", disabled), ("enabled", enabled)] {
+        assert_eq!(
+            hash, FIG6_CSV_FNV,
+            "fig6 CSV bytes with metrics {label} drifted from the pre-observability pin"
+        );
+    }
 }

@@ -87,7 +87,6 @@ mod flow;
 mod header;
 mod mode;
 mod oracle;
-pub mod patterns;
 mod registry;
 mod relaxation;
 pub mod relay_selection;

@@ -14,9 +14,6 @@
 //!
 //! * [`Battery`] — residual-energy accounting (Assumption 3: "a node can
 //!   measure its residual energy").
-//! * [`PowerDistanceTable`] — a power–distance table learned from samples
-//!   (Assumption 4: nodes "maintain a power-distance table based on
-//!   historical data").
 //! * [`fit_power_law`] / [`fit_alpha_prime`] — the regression the
 //!   maximum-lifetime strategy uses to obtain its exponent `α'`
 //!   (paper §3.2: "the parameter α' is obtained through regression on
@@ -51,13 +48,11 @@ mod error;
 mod mobility;
 mod power;
 mod regression;
-mod table;
 mod threshold;
 
 pub use battery::Battery;
 pub use error::EnergyError;
-pub use mobility::{LinearMobilityCost, MobilityCostModel, StartupMobilityCost};
+pub use mobility::{LinearMobilityCost, MobilityCostModel};
 pub use power::{PowerLawModel, TxEnergyModel};
 pub use regression::{fit_alpha_prime, fit_power_law, PowerLawFit};
-pub use table::PowerDistanceTable;
 pub use threshold::{mobility_break_even_bits, BreakEven};

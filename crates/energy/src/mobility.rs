@@ -108,90 +108,6 @@ impl fmt::Display for LinearMobilityCost {
     }
 }
 
-/// A locomotion law with a fixed start-up overhead:
-/// `E_M(d) = c₀·1{d>0} + k·d`.
-///
-/// Real actuators pay to spin up regardless of distance. The paper's model
-/// is the `c₀ = 0` special case; the workspace uses this variant in
-/// ablations to show how start-up costs shift the mobility break-even
-/// threshold (frequent tiny per-packet steps become disproportionately
-/// expensive).
-///
-/// # Example
-///
-/// ```rust
-/// use imobif_energy::{MobilityCostModel, StartupMobilityCost};
-///
-/// let m = StartupMobilityCost::new(0.2, 0.5)?;
-/// assert_eq!(m.cost(0.0), 0.0);       // not moving is free
-/// assert_eq!(m.cost(10.0), 5.2);      // 0.2 start-up + 5.0 travel
-/// # Ok::<(), imobif_energy::EnergyError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StartupMobilityCost {
-    startup: f64,
-    k: f64,
-}
-
-impl StartupMobilityCost {
-    /// Creates the model with start-up cost `startup` (J) and per-meter
-    /// cost `k` (J/m).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnergyError::InvalidParameter`] unless both are finite and
-    /// non-negative.
-    pub fn new(startup: f64, k: f64) -> Result<Self, EnergyError> {
-        if !startup.is_finite() || startup < 0.0 {
-            return Err(EnergyError::InvalidParameter { name: "startup" });
-        }
-        if !k.is_finite() || k < 0.0 {
-            return Err(EnergyError::InvalidParameter { name: "k" });
-        }
-        Ok(StartupMobilityCost { startup, k })
-    }
-
-    /// The start-up overhead in joules.
-    #[must_use]
-    pub fn startup(&self) -> f64 {
-        self.startup
-    }
-
-    /// The per-meter cost in J/m.
-    #[must_use]
-    pub fn k(&self) -> f64 {
-        self.k
-    }
-}
-
-impl MobilityCostModel for StartupMobilityCost {
-    fn cost(&self, d: f64) -> f64 {
-        debug_assert!(d >= -1e-9, "negative movement distance {d}");
-        let d = d.max(0.0);
-        if d == 0.0 {
-            0.0
-        } else {
-            self.startup + self.k * d
-        }
-    }
-
-    fn reachable_distance(&self, budget: f64) -> f64 {
-        if budget <= self.startup {
-            return 0.0;
-        }
-        if self.k == 0.0 {
-            return f64::INFINITY;
-        }
-        (budget - self.startup) / self.k
-    }
-}
-
-impl fmt::Display for StartupMobilityCost {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "E_M(d) = {} + {}·d", self.startup, self.k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,55 +150,7 @@ mod tests {
         assert_eq!(q.reachable_distance(0.0), 0.0);
     }
 
-    #[test]
-    fn startup_cost_is_zero_at_rest() {
-        let m = StartupMobilityCost::new(0.2, 0.5).unwrap();
-        assert_eq!(m.cost(0.0), 0.0);
-        assert!((m.cost(1e-9) - 0.2).abs() < 1e-9);
-        assert_eq!(m.startup(), 0.2);
-        assert_eq!(m.k(), 0.5);
-    }
-
-    #[test]
-    fn startup_reachable_distance_accounts_for_overhead() {
-        let m = StartupMobilityCost::new(1.0, 0.5).unwrap();
-        assert_eq!(m.reachable_distance(0.5), 0.0); // cannot even start
-        assert_eq!(m.reachable_distance(1.0), 0.0);
-        assert_eq!(m.reachable_distance(2.0), 2.0); // 1 J overhead + 1 J travel
-        let free = StartupMobilityCost::new(1.0, 0.0).unwrap();
-        assert_eq!(free.reachable_distance(2.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn startup_rejects_bad_parameters() {
-        assert!(StartupMobilityCost::new(-1.0, 0.5).is_err());
-        assert!(StartupMobilityCost::new(0.1, -0.5).is_err());
-        assert!(StartupMobilityCost::new(f64::NAN, 0.5).is_err());
-    }
-
-    #[test]
-    fn zero_startup_matches_linear() {
-        let s = StartupMobilityCost::new(0.0, 0.7).unwrap();
-        let l = LinearMobilityCost::new(0.7).unwrap();
-        for d in [0.0, 0.5, 3.0, 100.0] {
-            assert_eq!(s.cost(d), l.cost(d));
-        }
-    }
-
     proptest! {
-        #[test]
-        fn prop_startup_reachable_inverts_cost(
-            c0 in 0.0..5.0f64, k in 0.01..10.0f64, budget in 0.0..100.0f64,
-        ) {
-            let m = StartupMobilityCost::new(c0, k).unwrap();
-            let d = m.reachable_distance(budget);
-            if d > 0.0 {
-                prop_assert!((m.cost(d) - budget).abs() < 1e-9);
-            } else {
-                prop_assert!(budget <= c0 + 1e-12);
-            }
-        }
-
         #[test]
         fn prop_reachable_distance_inverts_cost(
             k in 0.01..10.0f64, budget in 0.0..100.0f64,

@@ -10,10 +10,8 @@ use crate::EnergyError;
 ///
 /// The paper (§4) uses the classic first-order radio law
 /// `P(d) = a + b·d^α`, interpreted as joules per bit, so that transmitting
-/// `l` bits over a hop of length `d` costs `E_T(d, l) = l·P(d)`. The trait
-/// abstracts over the analytic model ([`PowerLawModel`]) and the empirical
-/// [`crate::PowerDistanceTable`] a deployed node would actually consult
-/// (Assumption 4).
+/// `l` bits over a hop of length `d` costs `E_T(d, l) = l·P(d)`. The
+/// simulator uses the analytic model, [`PowerLawModel`].
 ///
 /// Implementations must be monotone non-decreasing in `d` for `d ≥ 0`.
 pub trait TxEnergyModel: fmt::Debug + Send + Sync {

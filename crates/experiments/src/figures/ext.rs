@@ -518,7 +518,7 @@ pub fn run_multiflow_with(params: &ExtParams, seed: u64) -> MultiFlowStudy {
     let n_concurrent = params.multiflow_concurrent;
     use imobif::{install_flow, FlowSpec, ImobifApp, ImobifConfig, MobilityMode};
     use imobif_energy::Battery;
-    use imobif_netsim::routing::{GreedyRouter, Router};
+    use imobif_netsim::routing::GreedyRouter;
     use imobif_netsim::{FlowId, NodeId, SimTime, TopologyView, World};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -183,19 +183,6 @@ pub fn from_compiled_runs(
     }
 }
 
-/// The pre-scenario-layer inline path, kept verbatim for the bench suite's
-/// spec-vs-hardcoded paired gate. Must stay byte-identical to [`run`].
-#[must_use]
-pub fn run_hardcoded(n_flows: u64, seed: u64) -> Fig6Result {
-    let vs = variants();
-    let specs: Vec<BatchSpec> =
-        vs.iter().map(|v| (variant_config(v, seed), StrategyChoice::MinEnergy)).collect();
-    let batches = run_batches(&specs, n_flows);
-    Fig6Result {
-        panels: vs.into_iter().zip(batches).map(|(v, cases)| panel_from_cases(v, &cases)).collect(),
-    }
-}
-
 impl Fig6Result {
     /// Markdown summary mirroring the paper's per-panel averages.
     #[must_use]
@@ -282,16 +269,6 @@ mod tests {
         assert_eq!(v[0].mean_flow_bits, 8e5);
         assert!(v[1..].iter().all(|x| x.mean_flow_bits == 8e6));
         assert_eq!(v[4].alpha, 3.0);
-    }
-
-    #[test]
-    fn spec_path_matches_hardcoded_path() {
-        // The shipped fig6.toml must lower to exactly the configs the old
-        // inline code built — same memo keys, same results, same bytes.
-        let spec = run(4, 11);
-        let hard = run_hardcoded(4, 11);
-        assert_eq!(spec, hard);
-        assert_eq!(spec.to_csv(), hard.to_csv());
     }
 
     #[test]

@@ -105,6 +105,14 @@ fn json_specs_flow_through_the_same_builder() {
 }
 
 #[test]
+fn deeply_nested_json_spec_is_a_parse_error() {
+    let n = 200_000;
+    let spec = format!("{{\"name\": {}{}}}", "[".repeat(n), "]".repeat(n));
+    let err = ScenarioSpec::parse(&spec).expect_err("nesting beyond the JSON limit");
+    assert!(err.msg.contains("nesting deeper than"), "unexpected error: {}", err.msg);
+}
+
+#[test]
 fn compile_validates_and_labels_runs() {
     let bad = "name = \"x\"\n[base]\nrange = -1.0\n";
     let spec = ScenarioSpec::parse(bad).expect("parses fine; compile rejects");

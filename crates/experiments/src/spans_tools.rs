@@ -1,8 +1,8 @@
 //! Sharded-workload span tooling behind `imobif spans summary|dump|flame`.
 //!
-//! The workload is the constant-density scale arena used by the benchmark
-//! suite's shard/thread scaling curves (`imobif-bench` delegates its
-//! builder here so the CLI profiles *exactly* the FNV-pinned workload):
+//! The workload is the constant-density scale arena of the shard and
+//! thread sweeps (`imobif-bench` delegates its builder here so the CLI
+//! profiles *exactly* the FNV-pinned workload):
 //! `node_count` iMobif nodes uniformly placed on a square sized for
 //! constant density, `n_flows` greedy-routed flows of 8 Mbit each, run
 //! through the epoch-barrier engine. Span tracing is enabled for the whole
@@ -13,13 +13,11 @@ use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use imobif::{install_flow, DecisionCacheConfig, FlowSpec, ImobifApp, ImobifConfig, MobilityMode};
+use imobif::{install_flow, FlowSpec, ImobifApp, ImobifConfig, MobilityMode};
 use imobif_energy::Battery;
 use imobif_geom::Point2;
-use imobif_netsim::routing::{GreedyRouter, Router};
-use imobif_netsim::{
-    FlowId, NodeId, QueueBackend, ShardedWorld, SimConfig, SimDuration, SimTime, TopologyView,
-};
+use imobif_netsim::routing::GreedyRouter;
+use imobif_netsim::{FlowId, NodeId, ShardedWorld, SimDuration, SimTime, TopologyView};
 use imobif_obs::{PhaseAgg, Registry, COORD_SHARD};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,22 +79,17 @@ pub fn build_sharded_workload(
     };
     cfg.validate().expect("scaled config is valid");
     let strategy = build_strategy(&cfg, StrategyChoice::MinEnergy);
-    let sim_cfg = SimConfig { queue_backend: QueueBackend::Calendar, ..cfg.sim_config() };
     let bounds = (Point2::new(0.0, 0.0), Point2::new(cfg.area_side, cfg.area_side));
     let mut world: ShardedWorld<ImobifApp> = ShardedWorld::new(
-        sim_cfg,
+        cfg.sim_config(),
         Arc::new(cfg.tx_model().expect("validated config")),
         Arc::new(cfg.mobility_model().expect("validated config")),
         bounds,
         shards,
     )
     .expect("validated sim config");
-    let app_cfg = ImobifConfig {
-        mode: MobilityMode::Informed,
-        max_step: cfg.max_step,
-        cache: DecisionCacheConfig { enabled: true, ..Default::default() },
-        ..Default::default()
-    };
+    let app_cfg =
+        ImobifConfig { mode: MobilityMode::Informed, max_step: cfg.max_step, ..Default::default() };
     let mut rng = StdRng::seed_from_u64(seed);
     let positions: Vec<Point2> = (0..node_count)
         .map(|_| Point2::new(rng.gen_range(0.0..cfg.area_side), rng.gen_range(0.0..cfg.area_side)))

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use imobif_geom::{FxHashMap, Point2, Rect};
-use imobif_netsim::routing::{GreedyRouter, Router};
+use imobif_netsim::routing::GreedyRouter;
 use imobif_netsim::{NodeId, TopologyView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{QueueBackend, SimDuration, SimError};
+use crate::{SimDuration, SimError};
 
 /// Configuration of the HELLO beaconing subsystem.
 ///
@@ -61,10 +61,6 @@ pub struct SimConfig {
     pub hop_latency: SimDuration,
     /// HELLO beaconing parameters.
     pub hello: HelloConfig,
-    /// Which data structure backs the future-event list. Both backends pop
-    /// in an identical order; the calendar queue is faster, the binary heap
-    /// is the reference fallback (kept selectable for A/B benchmarks).
-    pub queue_backend: QueueBackend,
 }
 
 impl Default for SimConfig {
@@ -74,7 +70,6 @@ impl Default for SimConfig {
             link_rate_bps: 1_000_000.0,
             hop_latency: SimDuration::from_millis(1),
             hello: HelloConfig::default(),
-            queue_backend: QueueBackend::default(),
         }
     }
 }

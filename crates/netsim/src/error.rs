@@ -48,8 +48,6 @@ pub enum RouteError {
         /// The node where forwarding stalled.
         stuck_at: NodeId,
     },
-    /// No path exists between source and destination in the range graph.
-    Disconnected,
     /// Source and destination are the same node.
     TrivialFlow,
     /// An endpoint id was unknown or dead.
@@ -62,7 +60,6 @@ impl fmt::Display for RouteError {
             RouteError::NoProgress { stuck_at } => {
                 write!(f, "greedy routing stuck at {stuck_at} (local maximum)")
             }
-            RouteError::Disconnected => write!(f, "source and destination are disconnected"),
             RouteError::TrivialFlow => write!(f, "source equals destination"),
             RouteError::BadEndpoint(id) => write!(f, "endpoint {id} is unknown or dead"),
         }
@@ -79,7 +76,6 @@ mod tests {
     fn displays_are_informative() {
         assert!(SimError::UnknownNode(NodeId::new(3)).to_string().contains("n3"));
         assert!(SimError::InvalidConfig { field: "range" }.to_string().contains("range"));
-        assert!(RouteError::Disconnected.to_string().contains("disconnected"));
         assert!(RouteError::TrivialFlow.to_string().contains("source"));
         assert!(RouteError::BadEndpoint(NodeId::new(1)).to_string().contains("n1"));
     }

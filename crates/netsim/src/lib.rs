@@ -18,8 +18,7 @@
 //!   receive a read-only [`NodeCtx`] and push [`Action`]s into a reusable
 //!   [`Outbox`]. The iMobif framework (crate `imobif`) is an `Application`.
 //! * [`routing`] — pure path computation over [`TopologyView`] snapshots:
-//!   greedy geographic (the paper's choice), Dijkstra (baseline/oracle) and
-//!   simplified AODV.
+//!   greedy geographic forwarding, the paper's choice.
 //! * [`NeighborTable`] — per-node HELLO-maintained neighbor state, exactly
 //!   the identity/location/residual-energy triple the paper prescribes,
 //!   read through a [`NeighborView`]: a beacon writes its record once, on a
@@ -98,7 +97,7 @@ mod world;
 pub use app::{Action, Application, NodeCtx, Outbox, PeerInfo};
 pub use config::{HelloConfig, SimConfig};
 pub use error::{RouteError, SimError};
-pub use event::{EventQueue, QueueBackend, QueueStats};
+pub use event::{EventQueue, QueueStats};
 pub use hello::{NeighborEntry, NeighborTable, NeighborView};
 pub use id::{FlowId, NodeId};
 pub use medium::TopologyView;

@@ -2,8 +2,6 @@
 
 use crate::{NodeId, RouteError, TopologyView};
 
-use super::{check_endpoints, Router};
-
 /// Greedy geographic routing: each node forwards to its neighbor closest to
 /// the destination, requiring strict progress.
 ///
@@ -18,7 +16,7 @@ use super::{check_endpoints, Router};
 ///
 /// ```rust
 /// use imobif_geom::Point2;
-/// use imobif_netsim::routing::{GreedyRouter, Router};
+/// use imobif_netsim::routing::GreedyRouter;
 /// use imobif_netsim::{NodeId, TopologyView};
 ///
 /// let topo = TopologyView::new(
@@ -36,8 +34,19 @@ use super::{check_endpoints, Router};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedyRouter;
 
-impl Router for GreedyRouter {
-    fn route(
+impl GreedyRouter {
+    /// Computes a path from `src` to `dst`.
+    ///
+    /// The returned vector starts with `src`, ends with `dst`, has no
+    /// repeated nodes, and every consecutive pair is within radio range.
+    ///
+    /// # Errors
+    ///
+    /// * [`RouteError::TrivialFlow`] if `src == dst`;
+    /// * [`RouteError::BadEndpoint`] if either endpoint is dead or unknown;
+    /// * [`RouteError::NoProgress`] when forwarding reaches a local
+    ///   maximum, which includes every disconnected pair.
+    pub fn route(
         &self,
         topo: &TopologyView,
         src: NodeId,
@@ -76,6 +85,26 @@ impl Router for GreedyRouter {
         }
         Ok(path)
     }
+}
+
+/// Rejects unknown, dead or identical endpoints.
+fn check_endpoints(topo: &TopologyView, src: NodeId, dst: NodeId) -> Result<(), RouteError> {
+    if src.index() >= topo.node_count() {
+        return Err(RouteError::BadEndpoint(src));
+    }
+    if dst.index() >= topo.node_count() {
+        return Err(RouteError::BadEndpoint(dst));
+    }
+    if src == dst {
+        return Err(RouteError::TrivialFlow);
+    }
+    if !topo.is_alive(src) {
+        return Err(RouteError::BadEndpoint(src));
+    }
+    if !topo.is_alive(dst) {
+        return Err(RouteError::BadEndpoint(dst));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,72 +1,16 @@
 //! Routing substrate: path computation over topology snapshots.
 //!
 //! The paper's evaluation "uses greedy routing to forward packets from the
-//! source to the destination" (§4) and names AODV as the kind of protocol
-//! managing the routing table (§2). This module provides:
-//!
-//! * [`GreedyRouter`] — greedy geographic forwarding, the paper's choice;
-//! * [`DijkstraRouter`] — global shortest paths (min-hop or min-energy), a
-//!   baseline and test oracle;
-//! * [`AodvRouter`] — a simplified AODV route discovery with control-packet
-//!   accounting.
-//!
-//! All routers are pure functions over a [`crate::TopologyView`]; the
-//! returned path starts at the source and ends at the destination.
+//! source to the destination" (§4), so [`GreedyRouter`] — greedy
+//! geographic forwarding — is the one router. It is a pure function over a
+//! [`crate::TopologyView`]; the returned path starts at the source and ends
+//! at the destination.
 
-mod aodv;
-mod dijkstra;
 mod greedy;
 
-pub use aodv::{AodvRouter, AodvStats};
-pub use dijkstra::{DijkstraRouter, LinkWeight};
 pub use greedy::GreedyRouter;
 
-use crate::{NodeId, RouteError, TopologyView};
-
-/// A path-computation strategy over a topology snapshot.
-pub trait Router: std::fmt::Debug {
-    /// Computes a path from `src` to `dst`.
-    ///
-    /// The returned vector starts with `src`, ends with `dst`, has no
-    /// repeated nodes, and every consecutive pair is within radio range.
-    ///
-    /// # Errors
-    ///
-    /// * [`RouteError::TrivialFlow`] if `src == dst`;
-    /// * [`RouteError::BadEndpoint`] if either endpoint is dead or unknown;
-    /// * [`RouteError::NoProgress`] / [`RouteError::Disconnected`] when no
-    ///   path can be found.
-    fn route(
-        &self,
-        topo: &TopologyView,
-        src: NodeId,
-        dst: NodeId,
-    ) -> Result<Vec<NodeId>, RouteError>;
-}
-
-/// Validates endpoints shared by all routers.
-pub(crate) fn check_endpoints(
-    topo: &TopologyView,
-    src: NodeId,
-    dst: NodeId,
-) -> Result<(), RouteError> {
-    if src.index() >= topo.node_count() {
-        return Err(RouteError::BadEndpoint(src));
-    }
-    if dst.index() >= topo.node_count() {
-        return Err(RouteError::BadEndpoint(dst));
-    }
-    if src == dst {
-        return Err(RouteError::TrivialFlow);
-    }
-    if !topo.is_alive(src) {
-        return Err(RouteError::BadEndpoint(src));
-    }
-    if !topo.is_alive(dst) {
-        return Err(RouteError::BadEndpoint(dst));
-    }
-    Ok(())
-}
+use crate::{NodeId, TopologyView};
 
 /// Debug-checks the router postcondition (used by tests).
 #[must_use]

@@ -32,7 +32,7 @@ use crate::node::NodeStore;
 use crate::trace::TraceEvent;
 use crate::{
     Action, Application, EnergyCategory, EnergyLedger, EventQueue, NeighborTable, NodeCtx, NodeId,
-    Outbox, QueueBackend, SimConfig, SimDuration, SimTime,
+    Outbox, SimConfig, SimDuration, SimTime,
 };
 
 /// Internal kernel events.
@@ -159,11 +159,11 @@ pub(crate) struct Engine<A: Application> {
 }
 
 impl<A: Application> Engine<A> {
-    pub(super) fn new(backend: QueueBackend) -> Self {
+    pub(super) fn new() -> Self {
         Engine {
             nodes: NodeStore::new(),
             apps: Vec::new(),
-            queue: EventQueue::with_backend(backend),
+            queue: EventQueue::new(),
             ledger: EnergyLedger::new(),
             outbox: Outbox::new(),
             board: Vec::new(),
@@ -179,17 +179,12 @@ impl<A: Application> Engine<A> {
     /// instances to `recycled_apps`.
     pub(super) fn clear_into(
         &mut self,
-        backend: QueueBackend,
         spare_tables: &mut Vec<NeighborTable>,
         recycled_apps: &mut Vec<A>,
     ) {
         self.nodes.drain_tables_into(spare_tables);
         recycled_apps.append(&mut self.apps);
-        if self.queue.backend() == backend {
-            self.queue.clear();
-        } else {
-            self.queue = EventQueue::with_backend(backend);
-        }
+        self.queue.clear();
         self.ledger.clear();
         self.outbox.clear();
         self.board.clear();

@@ -72,7 +72,7 @@ impl<A: Application> World<A> {
     ) -> Result<Self, SimError> {
         cfg.validate()?;
         Ok(World {
-            engine: Engine::new(cfg.queue_backend),
+            engine: Engine::new(),
             reach: SerialReach {
                 grid: SpatialGrid::new(cfg.range.max(1.0)),
                 cfg,
@@ -105,7 +105,7 @@ impl<A: Application> World<A> {
         recycled_apps: &mut Vec<A>,
     ) -> Result<(), SimError> {
         cfg.validate()?;
-        self.engine.clear_into(cfg.queue_backend, &mut self.spare_tables, recycled_apps);
+        self.engine.clear_into(&mut self.spare_tables, recycled_apps);
         engine::reset_grid(&mut self.reach.grid, cfg.range);
         self.reach.cfg = cfg;
         self.reach.tx_model = tx_model;

@@ -88,10 +88,9 @@ pub use profile::EpochProfile;
 use reach::{Replica, Shard, SharedCtx, XKey};
 use xfer::{MergeScratch, RepPatch, ShardOutbox, LEAVE};
 
-/// Span ring capacity used by [`ShardedWorld::enable_epoch_profiling`];
-/// callers wanting longer raw-span retention use
-/// [`ShardedWorld::enable_spans`] directly (phase aggregates are exact at
-/// any capacity).
+/// A span ring capacity for [`ShardedWorld::enable_spans`] that holds the
+/// raw spans of a typical run (phase aggregates are exact at any
+/// capacity).
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
 
 /// The spatial partition: a `gx × gy` grid of rectangular cells over the
@@ -341,7 +340,7 @@ impl<A: Application> ShardedWorld<A> {
         Self::validate_sharding(&cfg, shards)?;
         let layout = ShardLayout::new(bounds.0, bounds.1, shards);
         let n = layout.shard_count();
-        let shards = (0..n).map(|_| Shard::new(cfg.queue_backend)).collect();
+        let shards = (0..n).map(|_| Shard::new()).collect();
         let outs = (0..n)
             .map(|_| {
                 let mut o = ShardOutbox::default();
@@ -411,15 +410,14 @@ impl<A: Application> ShardedWorld<A> {
         Self::validate_sharding(&cfg, shards)?;
         let layout = ShardLayout::new(bounds.0, bounds.1, shards);
         for s in &mut self.shards {
-            s.clear_into(cfg.queue_backend, &mut self.spare_tables, recycled_apps);
+            s.clear_into(&mut self.spare_tables, recycled_apps);
         }
         let n = layout.shard_count();
         self.shards.truncate(n);
         while self.shards.len() < n {
-            self.shards
-                .push(self.spare_shards.pop().unwrap_or_else(|| Shard::new(cfg.queue_backend)));
+            self.shards.push(self.spare_shards.pop().unwrap_or_else(Shard::new));
             let shard = self.shards.last_mut().expect("just pushed");
-            shard.clear_into(cfg.queue_backend, &mut self.spare_tables, recycled_apps);
+            shard.clear_into(&mut self.spare_tables, recycled_apps);
         }
         self.outs.truncate(n);
         self.outs.resize_with(n, ShardOutbox::default);
@@ -573,7 +571,6 @@ impl<A: Application> ShardedWorld<A> {
             })
         });
         let epoch = self.cfg.hop_latency;
-        let backend = self.cfg.queue_backend;
         let dense = self.dense_epochs;
         let Self {
             cfg,
@@ -661,7 +658,7 @@ impl<A: Application> ShardedWorld<A> {
                     for &s in &sched.active {
                         let shard = std::mem::replace(
                             &mut shards[s as usize],
-                            spare_shards.pop().unwrap_or_else(|| Shard::new(backend)),
+                            spare_shards.pop().unwrap_or_else(Shard::new),
                         );
                         let spare_out = spare_outs.pop().unwrap_or_default();
                         let out = std::mem::replace(&mut outs[s as usize], spare_out);
@@ -780,16 +777,8 @@ impl<A: Application> ShardedWorld<A> {
         self.spans.as_deref()
     }
 
-    /// Enables per-epoch cost attribution (see [`EpochProfile`]) — an
-    /// alias for [`ShardedWorld::enable_spans`] with the default ring
-    /// capacity, since the profile is derived from the span aggregates.
-    pub fn enable_epoch_profiling(&mut self) {
-        self.enable_spans(DEFAULT_SPAN_CAPACITY);
-    }
-
     /// The epoch profile derived from the always-on pipeline counters and
-    /// the span aggregates; `None` until span tracing/profiling is
-    /// enabled. See [`profile`](EpochProfile)'s module docs for the
+    /// the span aggregates; `None` until span tracing is enabled. See [`profile`](EpochProfile)'s module docs for the
     /// format change vs the pre-span profiler.
     #[must_use]
     pub fn epoch_profile(&self) -> Option<EpochProfile> {

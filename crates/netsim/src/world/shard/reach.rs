@@ -18,9 +18,7 @@ use super::xfer::{Dlv, LinkGroup, RepPatch, ShardOutbox, LEAVE};
 use crate::hello::Beacon;
 use crate::node::NodeStore;
 use crate::trace::TraceEvent;
-use crate::{
-    Application, EventQueue, NeighborTable, NodeId, QueueBackend, SimConfig, SimDuration, SimTime,
-};
+use crate::{Application, EventQueue, NeighborTable, NodeId, SimConfig, SimDuration, SimTime};
 
 /// Deterministic total order for cross-shard deliveries and trace events:
 /// `(emission time, emitting node, per-node emission sequence)`. The key is
@@ -121,19 +119,18 @@ pub(super) struct Shard<A: Application> {
 }
 
 impl<A: Application> Shard<A> {
-    pub(super) fn new(backend: QueueBackend) -> Self {
-        Shard { engine: Engine::new(backend), keys: ShardKeys::default() }
+    pub(super) fn new() -> Self {
+        Shard { engine: Engine::new(), keys: ShardKeys::default() }
     }
 
     /// Returns the shard to its just-constructed state, recycling neighbor
     /// tables and application instances.
     pub(super) fn clear_into(
         &mut self,
-        backend: QueueBackend,
         spare_tables: &mut Vec<NeighborTable>,
         recycled_apps: &mut Vec<A>,
     ) {
-        self.engine.clear_into(backend, spare_tables, recycled_apps);
+        self.engine.clear_into(spare_tables, recycled_apps);
         let keys = &mut self.keys;
         keys.qseq.clear();
         keys.eseq.clear();

@@ -777,7 +777,7 @@ fn reach_calls(joules: [f64; 2], act: impl FnOnce(&mut Engine<Echo>, &mut LogRea
         grid: SpatialGrid::new(cfg.range),
         calls: Vec::new(),
     };
-    let mut engine = Engine::new(cfg.queue_backend);
+    let mut engine = Engine::new();
     for (x, j) in [(40.0, joules[0]), (60.0, joules[1])] {
         let battery = Battery::new(j).unwrap();
         engine.add_node(Point2::new(x, 50.0), battery, Echo::default(), cfg.hello.ttl, &mut vec![]);
@@ -1329,7 +1329,7 @@ fn epoch_profile_is_derived_from_counters_and_span_aggregates() {
     let sc = invariance_scenario();
     let mut w = make_sharded(4);
     assert!(w.epoch_profile().is_none(), "no profile before enabling");
-    w.enable_epoch_profiling();
+    w.enable_spans(DEFAULT_SPAN_CAPACITY);
     let _ = run_scenario(&mut w, &sc);
     let p = w.epoch_profile().expect("profiling enabled");
     assert!(p.epochs > 0);

@@ -1,5 +1,6 @@
 //! Minimal JSON: an ordered value model, a renderer, and a
-//! recursive-descent parser.
+//! recursive-descent parser whose nesting depth is capped at
+//! [`MAX_DEPTH`], so hostile input cannot overflow the stack.
 //!
 //! The vendored `serde` is a no-op stub (offline build), so everything that
 //! needs to cross a process boundary — manifests, metrics artifacts, JSONL
@@ -9,6 +10,12 @@
 //! exactly through `str::parse::<f64>()`.
 
 use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// Each level is one stack frame of the recursive-descent parser, so
+/// without a cap a document of a few hundred kilobytes of `[` overflows
+/// the stack. serde_json uses the same limit.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Object keys keep insertion order so rendered artifacts are
 /// deterministic and diff-friendly.
@@ -125,10 +132,11 @@ impl Json {
     }
 
     /// Parses a complete JSON document (trailing whitespace allowed).
+    /// Arrays and objects may nest at most [`MAX_DEPTH`] deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -161,8 +169,12 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value. `depth` counts the arrays and objects enclosing it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -178,7 +190,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -206,7 +218,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                entries.push((key, parse_value(bytes, pos)?));
+                entries.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -298,7 +310,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::Json;
+    use super::{Json, MAX_DEPTH};
 
     #[test]
     fn render_parse_round_trip() {
@@ -330,6 +342,25 @@ mod tests {
         assert!(Json::parse("[1,2,]").is_err());
         assert!(Json::parse("{} x").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let n = 200_000;
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let doc = format!("{}0{}", open.repeat(n), close.repeat(n));
+            let err = Json::parse(&doc).expect_err("200,000 levels must be rejected");
+            let at = MAX_DEPTH * open.len();
+            assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} at byte {at}"));
+        }
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let mut value = Json::parse(&at_limit).expect("a document at the limit parses");
+        for _ in 1..MAX_DEPTH {
+            value = value.as_arr().expect("nested array")[0].clone();
+        }
+        assert_eq!(value, Json::Arr(vec![]));
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

@@ -4,15 +4,35 @@
 # Everything here runs fully offline (dependencies are vendored); a clean
 # exit means the tree is in a committable state.
 #
-# `ci.sh --smoke` runs only the fast subset — release build, the pin
-# tests (the serial trace pins, the shard-sweep and thread-sweep pins, the
-# fig6 CSV pin, the zero-allocation warmed sharded epoch, and the spec
-# parser's allocation ceiling), the simulator's unit tests (among them the
-# neighbor-table oracle and the shard invariance checks), the scale_bench
-# smoke gates (steady-state allocations, arena reuse, 1-vs-N-shard
-# determinism, a reduced 100k-node arena), and the benchmark package's
-# tests and `bench --smoke` — and targets a total wall time of about two
-# minutes on a warm build cache.
+# `ci.sh --smoke` runs only the fast subset — release build, the release
+# pin and allocation tests, the simulator's unit tests (among them the
+# neighbor-table oracle and the shard invariance checks), the timing
+# ratios, and the benchmark package's tests and `bench --smoke` — and
+# targets a total wall time of under a minute on a warm build cache.
+#
+# Where each gate lives:
+#   - serial trace pins: tests/trace_causality.rs and tests/determinism.rs
+#   - shard sweep: trace + summary FNVs pinned at 1/2/4/8/16 shards, under
+#     dense epochs (fast-forward == dense), with spans and pooled workers
+#     on, and the delta-synced replica == ground truth:
+#     crates/bench/tests/span_determinism.rs
+#   - thread sweep: trace FNV pinned at 1/2/4 workers: span_determinism.rs
+#   - fig6 CSV pinned with the metrics registry disabled and enabled:
+#     span_determinism.rs, plus the spec-driven run in the scenario smoke
+#   - fig6 CSV identical at 1/4/16 batch workers:
+#     crates/experiments/tests/thread_determinism.rs
+#   - allocation gates, each its own test binary (the counting allocator is
+#     process-global), all in crates/bench/tests/:
+#       fig6_allocs.rs       warmed Fig. 6 instance: 0 per delivered packet
+#       hello_allocs.rs      warmed hello_dense: 0 over 60 sim-s
+#       replicate_allocs.rs  arena replicates after the first: mean < 16
+#       span_allocs.rs       warmed sharded epochs: 0, spans off and on
+#       spec_parse_allocs.rs parsing the shipped specs: <= 300
+#   - timing ratios (release only): disabled metrics >= 0.99, disabled
+#     spans >= 0.99, 16 vs 1 shard <= 1.10:
+#     crates/bench/tests/overhead_ratios.rs
+#   - 100k-node arena builds and delivers: `bench --smoke`'s arena_100k
+#     summary pin
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -44,52 +64,27 @@ if [[ "$SMOKE" == "0" ]]; then
 
     echo "==> cargo doc (no-deps, warnings denied)"
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
-
-    echo "==> bench smoke (hotpath_bench, throwaway output)"
-    smoke_out=$(mktemp)
-    trap 'rm -f "$smoke_out"' EXIT
-    cargo run --release -q -p imobif-bench --bin hotpath_bench -- "$smoke_out" >/dev/null
 fi
 
 if [[ "$SMOKE" == "1" ]]; then
     echo "==> pin tests (serial traces, shard and thread sweeps, fig6 CSV, allocation gates)"
     cargo test --release -q --test determinism --test trace_causality
     cargo test --release -q -p imobif-bench --test span_determinism --test span_allocs \
-        --test spec_parse_allocs
+        --test spec_parse_allocs --test fig6_allocs --test hello_allocs \
+        --test replicate_allocs
 
     echo "==> simulator unit tests (neighbor-table oracle, shard invariance)"
     cargo test --release -q -p imobif-netsim --lib
 fi
 
-echo "==> scaling bench smoke (scale_bench --smoke: allocation + determinism gates)"
-# Gates enforced inside the binary (nonzero exit on violation):
-#   - steady-state heap allocations per delivered packet == 0
-#   - hello steady-state allocation growth == 0 (calendar bucket recycling)
-#   - arena-backed replicates after the first allocate < 813 (PR 1's
-#     fresh-world per-instance figure)
-#   - figure CSV byte-identical across worker counts
-#   - sharded world: trace + summary fingerprints bit-identical at every
-#     shard count (1/2/4/8/16) and every worker-thread count
-#   - shard overhead: 16-shard serial ev/s within 1.10x of 1-shard on the
-#     full sweep workload (the epoch-barrier tax stays dead)
-#   - a warmed sharded hello_dense world allocates exactly 0 times per
-#     epoch (outboxes, scheduler, merge cursor all on recycled storage)
-#   - replica-delta equivalence: fast-forward trace FNV == dense
-#     step-every-epoch FNV, and the delta-synced replica == ground truth
-#   - a reduced 100k-node constant-density arena builds and delivers packets
-#   - disabled-mode metrics overhead within 1% (paired in-process ratio)
-#   - disabled-span overhead on the sharded engine within 1% (paired
-#     in-process ratio; disabled spans read no clock and build no span)
-#   - fig6 CSV bytes identical to the pre-observability tip with the
-#     registry disabled AND enabled
-#   - scenario-spec overhead: the spec-compiled fig6 path within 1% of the
-#     hard-coded path (paired in-process ratio), byte-identical CSV, and an
-#     allocation delta that does not grow with the flow count
-cargo run --release -q -p imobif-bench --bin scale_bench -- --smoke >/dev/null
+echo "==> timing ratios (disabled metrics and spans >= 0.99, 16 vs 1 shard <= 1.10)"
+# Release only: the test is ignored in debug builds, where timing means
+# nothing. One #[test], so no two timed runs overlap.
+cargo test --release -q -p imobif-bench --test overhead_ratios
 
 echo "==> spans flame smoke (collapsed stacks + SVG + sharded manifest)"
 spans_dir=$(mktemp -d)
-trap 'rm -f "${smoke_out:-}"; rm -rf "$spans_dir"' EXIT
+trap 'rm -rf "$spans_dir"' EXIT
 cargo run --release -q -p imobif-experiments --bin imobif -- \
     spans flame --nodes 300 --flows 4 --shards 4 --secs 5 --out "$spans_dir" >/dev/null
 # Every folded line must parse as `scope;phase value`.
@@ -123,7 +118,7 @@ echo "==> benchmark package: tests + bench --smoke (pinned fingerprints)"
 # The benchmark lives in its own workspace (perfbench/). `bench` exits
 # nonzero when any round panics or breaks its pinned output fingerprint.
 bench_dir=$(mktemp -d)
-trap 'rm -f "${smoke_out:-}"; rm -rf "$spans_dir" "$bench_dir"' EXIT
+trap 'rm -rf "$spans_dir" "$bench_dir"' EXIT
 cargo test --release -q --manifest-path perfbench/Cargo.toml
 cargo run --release -q --manifest-path perfbench/Cargo.toml --bin bench -- \
     --smoke --out "$bench_dir" >/dev/null
@@ -135,7 +130,7 @@ fi
 
 echo "==> observability smoke (manifest + metrics artifacts, trace tooling)"
 obs_dir=$(mktemp -d)
-trap 'rm -f "${smoke_out:-}"; rm -rf "$obs_dir" "$spans_dir" "$bench_dir"' EXIT
+trap 'rm -rf "$obs_dir" "$spans_dir" "$bench_dir"' EXIT
 # A small figure run with metrics on must emit a manifest that validates
 # and carries nonzero kernel readings.
 cargo run --release -q -p imobif-experiments --bin imobif -- \

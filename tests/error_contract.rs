@@ -59,7 +59,6 @@ fn netsim_errors_round_trip() {
     check_leaf(SimError::InvalidConfig { field: "range" });
     for e in [
         RouteError::NoProgress { stuck_at: NodeId::new(4) },
-        RouteError::Disconnected,
         RouteError::TrivialFlow,
         RouteError::BadEndpoint(NodeId::new(1)),
     ] {

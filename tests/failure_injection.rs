@@ -10,7 +10,7 @@ use imobif::{
 };
 use imobif_energy::{Battery, LinearMobilityCost, PowerLawModel};
 use imobif_geom::Point2;
-use imobif_netsim::routing::{AodvRouter, DijkstraRouter, GreedyRouter, LinkWeight, Router};
+use imobif_netsim::routing::GreedyRouter;
 use imobif_netsim::{FlowId, NodeId, RouteError, SimConfig, SimTime, TopologyView, World};
 
 fn world_with(points: &[(f64, f64)], energies: &[f64]) -> (World<ImobifApp>, Vec<NodeId>) {
@@ -46,11 +46,6 @@ fn all_routers_reject_disconnected_pairs() {
     );
     let (a, b) = (NodeId::new(0), NodeId::new(1));
     assert!(matches!(GreedyRouter.route(&topo, a, b), Err(RouteError::NoProgress { .. })));
-    assert_eq!(
-        DijkstraRouter::new(LinkWeight::Hops).route(&topo, a, b).unwrap_err(),
-        RouteError::Disconnected
-    );
-    assert_eq!(AodvRouter.route(&topo, a, b).unwrap_err(), RouteError::Disconnected);
 }
 
 #[test]

@@ -2,10 +2,11 @@
 //!
 //! Instance results and recorded traces are bit-identical whether the
 //! engine-wide registry is the default disabled one or a live one, and a
-//! live registry captures the metric families the ISSUE promises (event
-//! queue, decision cache, per-category energy). The allocation side of the
-//! zero-cost claim is gated in `scale_bench --smoke` (steady-state allocs
-//! must be exactly 0 with the kernel counters compiled in).
+//! live registry captures the promised metric families (event queue,
+//! decision cache, per-category energy). The allocation side of the
+//! zero-cost claim is gated in `crates/bench/tests/fig6_allocs.rs`
+//! (steady-state allocs must be exactly 0 with the kernel counters
+//! compiled in).
 
 use std::sync::Mutex;
 

@@ -1,8 +1,7 @@
-//! The hot-path optimizations must be *invisible* in simulation results:
-//! the decision cache and the calendar event queue may only change how fast
-//! a run executes, never what happens in it. These tests run the same
-//! informed-mobility scenario with each knob flipped and require the full
-//! kernel traces to be bit-for-bit identical.
+//! The decision cache must be *invisible* in simulation results: it may
+//! only change how fast a run executes, never what happens in it. This
+//! test runs the same informed-mobility scenario with the cache on and off
+//! and requires the full kernel traces to be bit-for-bit identical.
 
 use std::sync::Arc;
 
@@ -13,15 +12,14 @@ use imobif::{
 use imobif_energy::{Battery, LinearMobilityCost, PowerLawModel};
 use imobif_geom::Point2;
 use imobif_netsim::trace::TraceEvent;
-use imobif_netsim::{FlowId, NodeId, QueueBackend, SimConfig, SimTime, World};
+use imobif_netsim::{FlowId, NodeId, SimConfig, SimTime, World};
 
 /// Runs the 5-node zigzag informed-mobility scenario and returns its full
 /// trace plus the summed relay cache counters.
-fn run_scenario(cache_enabled: bool, backend: QueueBackend) -> (Vec<TraceEvent>, u64, u64) {
+fn run_scenario(cache_enabled: bool) -> (Vec<TraceEvent>, u64, u64) {
     let strategy: Arc<dyn MobilityStrategy> = Arc::new(MinEnergyStrategy::new());
-    let sim_cfg = SimConfig { queue_backend: backend, ..SimConfig::default() };
     let mut w = World::new(
-        sim_cfg,
+        SimConfig::default(),
         Box::new(PowerLawModel::paper_default(2.0).unwrap()),
         Box::new(LinearMobilityCost::new(0.5).unwrap()),
     )
@@ -60,8 +58,8 @@ fn run_scenario(cache_enabled: bool, backend: QueueBackend) -> (Vec<TraceEvent>,
 
 #[test]
 fn decision_cache_does_not_change_the_trace() {
-    let (cached, hits, misses) = run_scenario(true, QueueBackend::Calendar);
-    let (uncached, no_hits, _) = run_scenario(false, QueueBackend::Calendar);
+    let (cached, hits, misses) = run_scenario(true);
+    let (uncached, no_hits, _) = run_scenario(false);
 
     // The cache must actually engage — otherwise this test proves nothing.
     assert!(hits > 0, "expected cache hits in a steady 200 s flow, got {hits}");
@@ -74,22 +72,6 @@ fn decision_cache_does_not_change_the_trace() {
         "cached and uncached runs produced different event counts"
     );
     for (i, (a, b)) in cached.iter().zip(&uncached).enumerate() {
-        assert_eq!(a, b, "trace diverges at event {i}");
-    }
-}
-
-#[test]
-fn queue_backends_produce_identical_traces() {
-    let (calendar, ..) = run_scenario(true, QueueBackend::Calendar);
-    let (heap, ..) = run_scenario(true, QueueBackend::BinaryHeap);
-
-    assert!(!calendar.is_empty());
-    assert_eq!(
-        calendar.len(),
-        heap.len(),
-        "calendar and heap runs produced different event counts"
-    );
-    for (i, (a, b)) in calendar.iter().zip(&heap).enumerate() {
         assert_eq!(a, b, "trace diverges at event {i}");
     }
 }

@@ -17,7 +17,9 @@ use imobif_obs::fnv1a64;
 /// FNV-1a64 of the canonical informed-mode run's full JSONL kernel trace,
 /// recorded before the world/decision subsystem split. Any refactor of the
 /// kernel, mobility, beacon, or delivery subsystems must reproduce this trace
-/// byte for byte.
+/// byte for byte. The binary-heap event queue, the reference the calendar
+/// queue replaced, produced the same value, so this pin also checks the
+/// calendar's pop order on a whole run.
 const INFORMED_RUN_TRACE_FNV: u64 = 0x7812_64e5_cdd6_e29f;
 
 fn informed_world() -> (World<ImobifApp>, Vec<NodeId>) {
