@@ -88,12 +88,7 @@ pub fn build_fig6(mode: MobilityMode, _variant: Variant, draw_index: u64) -> Fig
     let draw = draw_scenario(&cfg, draw_index);
     let strategy = build_strategy(&cfg, StrategyChoice::MinEnergy);
 
-    let mut world: World<ImobifApp> = World::new(
-        cfg.sim_config(),
-        Box::new(cfg.tx_model().expect("validated config")),
-        Box::new(cfg.mobility_model().expect("validated config")),
-    )
-    .expect("validated sim config");
+    let mut world: World<ImobifApp> = World::new(cfg.sim_config()).expect("validated sim config");
     let app_cfg = ImobifConfig { mode, max_step: cfg.max_step, ..Default::default() };
     let ids: Vec<NodeId> = draw
         .flow
@@ -185,12 +180,7 @@ pub fn build_scale_arena(
     };
     cfg.validate().expect("scaled config is valid");
     let strategy = build_strategy(&cfg, StrategyChoice::MinEnergy);
-    let mut world: World<ImobifApp> = World::new(
-        cfg.sim_config(),
-        Box::new(cfg.tx_model().expect("validated config")),
-        Box::new(cfg.mobility_model().expect("validated config")),
-    )
-    .expect("validated sim config");
+    let mut world: World<ImobifApp> = World::new(cfg.sim_config()).expect("validated sim config");
     let app_cfg =
         ImobifConfig { mode: MobilityMode::Informed, max_step: cfg.max_step, ..Default::default() };
     let mut rng = StdRng::seed_from_u64(seed);
@@ -322,12 +312,7 @@ pub fn build_sharded_arena(
 pub fn build_hello_dense() -> World<ImobifApp> {
     let cfg = ScenarioConfig::paper_default();
     let strategy = build_strategy(&cfg, StrategyChoice::MinEnergy);
-    let mut world: World<ImobifApp> = World::new(
-        cfg.sim_config(),
-        Box::new(cfg.tx_model().expect("validated config")),
-        Box::new(cfg.mobility_model().expect("validated config")),
-    )
-    .expect("validated sim config");
+    let mut world: World<ImobifApp> = World::new(cfg.sim_config()).expect("validated sim config");
     let app_cfg = ImobifConfig::default();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     for _ in 0..cfg.node_count {
@@ -357,14 +342,8 @@ pub fn build_sharded_hello_dense(shards: usize) -> ShardedWorld<ImobifApp> {
     let cfg = ScenarioConfig::paper_default();
     let strategy = build_strategy(&cfg, StrategyChoice::MinEnergy);
     let bounds = (Point2::new(0.0, 0.0), Point2::new(cfg.area_side, cfg.area_side));
-    let mut world: ShardedWorld<ImobifApp> = ShardedWorld::new(
-        cfg.sim_config(),
-        std::sync::Arc::new(cfg.tx_model().expect("validated config")),
-        std::sync::Arc::new(cfg.mobility_model().expect("validated config")),
-        bounds,
-        shards,
-    )
-    .expect("validated sim config");
+    let mut world: ShardedWorld<ImobifApp> =
+        ShardedWorld::new(cfg.sim_config(), bounds, shards).expect("validated sim config");
     let app_cfg = ImobifConfig::default();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     for _ in 0..cfg.node_count {

@@ -21,7 +21,7 @@
 //! by [`DecisionCache`], and — per the ROADMAP — shardable: a decision
 //! depends only on its inputs, never on when or where it runs.
 
-use imobif_energy::{MobilityCostModel, TxEnergyModel};
+use imobif_energy::{LinearMobilityCost, PowerLawModel};
 use imobif_geom::Point2;
 use serde::{Deserialize, Serialize};
 
@@ -60,8 +60,8 @@ pub struct Decision {
 pub fn evaluate_relay(
     strategy: &dyn MobilityStrategy,
     inputs: &DecisionInputs,
-    tx: &dyn TxEnergyModel,
-    mobility: &dyn MobilityCostModel,
+    tx: &PowerLawModel,
+    mobility: &LinearMobilityCost,
 ) -> Option<Decision> {
     strategy.next_position(&inputs.triple).map(|target| {
         let sample = PerfSample::compute(

@@ -115,8 +115,8 @@ impl PerfSample {
         target: imobif_geom::Point2,
         next_position: imobif_geom::Point2,
         residual_flow_bits: f64,
-        tx: &dyn imobif_energy::TxEnergyModel,
-        mobility: &dyn imobif_energy::MobilityCostModel,
+        tx: &imobif_energy::PowerLawModel,
+        mobility: &imobif_energy::LinearMobilityCost,
     ) -> PerfSample {
         let e = residual_energy;
         let cap = residual_flow_bits.max(0.0);
@@ -186,7 +186,7 @@ pub enum ImobifMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imobif_energy::{LinearMobilityCost, PowerLawModel, TxEnergyModel};
+    use imobif_energy::{LinearMobilityCost, PowerLawModel};
     use imobif_geom::Point2;
     use proptest::prelude::*;
 

@@ -42,16 +42,12 @@
 //! ```rust
 //! use std::sync::Arc;
 //! use imobif::{install_flow, FlowSpec, ImobifApp, ImobifConfig, MinEnergyStrategy};
-//! use imobif_energy::{Battery, LinearMobilityCost, PowerLawModel};
+//! use imobif_energy::Battery;
 //! use imobif_geom::Point2;
 //! use imobif_netsim::{FlowId, SimConfig, SimTime, World};
 //!
 //! // Three nodes: a zigzag relay between source and destination.
-//! let mut world = World::new(
-//!     SimConfig::default(),
-//!     Box::new(PowerLawModel::paper_default(2.0)?),
-//!     Box::new(LinearMobilityCost::new(0.5)?),
-//! )?;
+//! let mut world = World::new(SimConfig::default())?;
 //! let strategy = Arc::new(MinEnergyStrategy::new());
 //! let cfg = ImobifConfig::default();
 //! let mut add = |x: f64, y: f64, world: &mut World<ImobifApp>| {

@@ -9,7 +9,7 @@
 //! local decision making." The oracle here *is* that global calculation —
 //! the upper bound a distributed mechanism should approach.
 
-use imobif_energy::{mobility_break_even_bits, EnergyError, MobilityCostModel, TxEnergyModel};
+use imobif_energy::{mobility_break_even_bits, EnergyError, LinearMobilityCost, PowerLawModel};
 use imobif_geom::{Point2, Polyline};
 
 /// Decides, with global information, whether enabling the
@@ -45,8 +45,8 @@ use imobif_geom::{Point2, Polyline};
 /// ```
 pub fn oracle_decision(
     path_positions: &[Point2],
-    tx: &dyn TxEnergyModel,
-    mobility: &dyn MobilityCostModel,
+    tx: &PowerLawModel,
+    mobility: &LinearMobilityCost,
     flow_bits: f64,
 ) -> Result<OracleDecision, EnergyError> {
     let path = Polyline::new(path_positions.to_vec())

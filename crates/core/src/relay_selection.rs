@@ -14,7 +14,7 @@
 //! greedily assigns the nearest available candidate to each slot, and
 //! keeps the cheapest plan.
 
-use imobif_energy::{MobilityCostModel, TxEnergyModel};
+use imobif_energy::{LinearMobilityCost, PowerLawModel};
 use imobif_geom::{Point2, Segment};
 use imobif_netsim::{NodeId, TopologyView};
 
@@ -75,8 +75,8 @@ pub fn plan_relays(
     topo: &TopologyView,
     src: NodeId,
     dst: NodeId,
-    tx: &dyn TxEnergyModel,
-    mobility: &dyn MobilityCostModel,
+    tx: &PowerLawModel,
+    mobility: &LinearMobilityCost,
     flow_bits: f64,
     max_relays: usize,
 ) -> Option<RelayPlan> {

@@ -214,18 +214,13 @@ pub fn install_flow(world: &mut impl FlowHost, spec: &FlowSpec) -> Result<(), Fl
 mod tests {
     use super::*;
     use crate::{ImobifConfig, MinEnergyStrategy};
-    use imobif_energy::{Battery, LinearMobilityCost, PowerLawModel};
+    use imobif_energy::Battery;
     use imobif_geom::Point2;
     use imobif_netsim::SimConfig;
     use std::sync::Arc;
 
     fn world_with_line(n: usize) -> (World<ImobifApp>, Vec<NodeId>) {
-        let mut w = World::new(
-            SimConfig::default(),
-            Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-            Box::new(LinearMobilityCost::new(0.5).unwrap()),
-        )
-        .unwrap();
+        let mut w = World::new(SimConfig::default()).unwrap();
         let ids = (0..n)
             .map(|i| {
                 w.add_node(
@@ -297,14 +292,7 @@ mod tests {
         // 1-shard run as the bit-exactness reference for 4 shards.
         let run = |shards: usize| {
             let bounds = (Point2::new(0.0, 0.0), Point2::new(80.0, 40.0));
-            let mut w = ShardedWorld::new(
-                SimConfig::default(),
-                Arc::new(PowerLawModel::paper_default(2.0).unwrap()),
-                Arc::new(LinearMobilityCost::new(0.5).unwrap()),
-                bounds,
-                shards,
-            )
-            .unwrap();
+            let mut w = ShardedWorld::new(SimConfig::default(), bounds, shards).unwrap();
             let strategy = Arc::new(MinEnergyStrategy::new());
             let cfg = ImobifConfig::default();
             let add = |x: f64, y: f64, w: &mut ShardedWorld<ImobifApp>| {

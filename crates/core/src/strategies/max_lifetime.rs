@@ -77,7 +77,7 @@ impl MaxLifetimeStrategy {
     ///
     /// Propagates regression errors from [`imobif_energy::fit_alpha_prime`].
     pub fn fitted(
-        model: &dyn imobif_energy::TxEnergyModel,
+        model: &imobif_energy::PowerLawModel,
         d_min: f64,
         d_max: f64,
     ) -> Result<Self, imobif_energy::EnergyError> {

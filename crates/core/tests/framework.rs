@@ -8,20 +8,12 @@ use imobif::{
     install_flow, FlowSpec, ImobifApp, ImobifConfig, MaxLifetimeStrategy, MinEnergyStrategy,
     MobilityMode, MobilityStrategy,
 };
-use imobif_energy::{Battery, LinearMobilityCost, PowerLawModel};
+use imobif_energy::Battery;
 use imobif_geom::{Point2, Polyline};
 use imobif_netsim::{FlowId, NodeId, SimConfig, SimTime, World};
 
-const ALPHA: f64 = 2.0;
-const K: f64 = 0.5;
-
 fn make_world(mode: MobilityMode, strategy: Arc<dyn MobilityStrategy>) -> World<ImobifApp> {
-    let mut w = World::new(
-        SimConfig::default(),
-        Box::new(PowerLawModel::paper_default(ALPHA).unwrap()),
-        Box::new(LinearMobilityCost::new(K).unwrap()),
-    )
-    .unwrap();
+    let mut w = World::new(SimConfig::default()).unwrap();
     let _ = (&mut w, mode, strategy);
     w
 }

@@ -32,6 +32,17 @@ pub enum EnergyError {
     },
     /// A regression was attempted on too few or degenerate samples.
     InsufficientSamples,
+    /// A count parameter lay outside the range a run admits.
+    OutOfRange {
+        /// Name of the offending parameter.
+        name: &'static str,
+        /// The value given.
+        value: u64,
+        /// Smallest admitted value.
+        min: u64,
+        /// Largest admitted value.
+        max: u64,
+    },
 }
 
 impl fmt::Display for EnergyError {
@@ -45,6 +56,9 @@ impl fmt::Display for EnergyError {
             }
             EnergyError::InsufficientSamples => {
                 write!(f, "regression needs at least two distinct positive samples")
+            }
+            EnergyError::OutOfRange { name, value, min, max } => {
+                write!(f, "parameter `{name}` = {value} lies outside {min}..={max}")
             }
         }
     }
@@ -64,6 +78,8 @@ mod tests {
         assert!(msg.contains("1.0"));
         assert!(EnergyError::InvalidParameter { name: "alpha" }.to_string().contains("alpha"));
         assert!(!EnergyError::InsufficientSamples.to_string().is_empty());
+        let range = EnergyError::OutOfRange { name: "flows", value: 0, min: 1, max: 9 };
+        assert_eq!(range.to_string(), "parameter `flows` = 0 lies outside 1..=9");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //!
 //! * **Transmission**: the minimum power to reach distance `d` is
 //!   `P(d) = a + b·d^α`, so transmitting `l` bits costs
-//!   `E_T(d, l) = l·(a + b·d^α)` — see [`PowerLawModel`] / [`TxEnergyModel`].
+//!   `E_T(d, l) = l·(a + b·d^α)` — see [`PowerLawModel`].
 //! * **Mobility**: moving distance `d` costs `E_M(d) = k·d` —
-//!   see [`LinearMobilityCost`] / [`MobilityCostModel`].
+//!   see [`LinearMobilityCost`].
 //!
 //! On top of these the crate provides what the framework's assumptions
 //! require of each node:
@@ -28,7 +28,7 @@
 //! # Example
 //!
 //! ```rust
-//! use imobif_energy::{LinearMobilityCost, MobilityCostModel, PowerLawModel, TxEnergyModel};
+//! use imobif_energy::{LinearMobilityCost, PowerLawModel};
 //!
 //! let tx = PowerLawModel::new(1e-7, 1e-9, 2.0)?;
 //! let mv = LinearMobilityCost::new(0.5)?;
@@ -52,7 +52,7 @@ mod threshold;
 
 pub use battery::Battery;
 pub use error::EnergyError;
-pub use mobility::{LinearMobilityCost, MobilityCostModel};
-pub use power::{PowerLawModel, TxEnergyModel};
+pub use mobility::LinearMobilityCost;
+pub use power::PowerLawModel;
 pub use regression::{fit_alpha_prime, fit_power_law, PowerLawFit};
 pub use threshold::{mobility_break_even_bits, BreakEven};

@@ -1,4 +1,4 @@
-//! Mobility cost models: `E_M(d) = k·d`.
+//! The locomotion cost model: `E_M(d) = k·d`.
 
 use std::fmt;
 
@@ -6,52 +6,16 @@ use serde::{Deserialize, Serialize};
 
 use crate::EnergyError;
 
-/// A model of the energy a node spends to move.
-///
-/// The paper (§4) uses `E_M(d) = k·d`, where `k` "denotes the energy
-/// consumption for traversing unit distance, and thus is dependent on the
-/// path condition and the node mass". The trait exists so ablations can
-/// substitute other locomotion laws without touching the framework.
-///
-/// Implementations must satisfy `cost(0) = 0` and be monotone non-decreasing
-/// in `d`.
-pub trait MobilityCostModel: fmt::Debug + Send + Sync {
-    /// Energy in joules to move `d` meters. `d` must be non-negative;
-    /// implementations may clamp small negative floating-point noise.
-    fn cost(&self, d: f64) -> f64;
-
-    /// Farthest distance reachable with `budget` joules, in meters.
-    ///
-    /// Default implementation bisects `cost`; linear models override with
-    /// the closed form.
-    fn reachable_distance(&self, budget: f64) -> f64 {
-        if budget <= 0.0 {
-            return 0.0;
-        }
-        let (mut lo, mut hi) = (0.0, 1.0);
-        while self.cost(hi) < budget && hi < 1e12 {
-            hi *= 2.0;
-        }
-        for _ in 0..128 {
-            let mid = 0.5 * (lo + hi);
-            if self.cost(mid) <= budget {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-}
-
 /// The paper's linear locomotion law `E_M(d) = k·d`.
 ///
-/// The evaluation sweeps `k ∈ {0.1, 0.5, 1.0}` J/m.
+/// The paper (§4) says `k` "denotes the energy consumption for traversing
+/// unit distance, and thus is dependent on the path condition and the node
+/// mass"; the evaluation sweeps `k ∈ {0.1, 0.5, 1.0}` J/m.
 ///
 /// # Example
 ///
 /// ```rust
-/// use imobif_energy::{LinearMobilityCost, MobilityCostModel};
+/// use imobif_energy::LinearMobilityCost;
 ///
 /// let m = LinearMobilityCost::new(0.5)?;
 /// assert_eq!(m.cost(10.0), 5.0);
@@ -83,15 +47,19 @@ impl LinearMobilityCost {
     pub fn k(&self) -> f64 {
         self.k
     }
-}
 
-impl MobilityCostModel for LinearMobilityCost {
-    fn cost(&self, d: f64) -> f64 {
+    /// Energy in joules to move `d` meters. `d` must be non-negative; small
+    /// negative floating-point noise is clamped to zero.
+    #[must_use]
+    pub fn cost(&self, d: f64) -> f64 {
         debug_assert!(d >= -1e-9, "negative movement distance {d}");
         self.k * d.max(0.0)
     }
 
-    fn reachable_distance(&self, budget: f64) -> f64 {
+    /// Farthest distance reachable with `budget` joules, in meters:
+    /// infinite when movement is free and the budget positive.
+    #[must_use]
+    pub fn reachable_distance(&self, budget: f64) -> f64 {
         if budget <= 0.0 || self.k == 0.0 {
             if self.k == 0.0 && budget > 0.0 {
                 return f64::INFINITY;
@@ -133,21 +101,6 @@ mod tests {
         assert_eq!(m.cost(1e6), 0.0);
         assert_eq!(m.reachable_distance(1.0), f64::INFINITY);
         assert_eq!(m.reachable_distance(0.0), 0.0);
-    }
-
-    #[test]
-    fn default_bisection_matches_closed_form() {
-        /// A quadratic locomotion law used to exercise the default method.
-        #[derive(Debug)]
-        struct Quadratic;
-        impl MobilityCostModel for Quadratic {
-            fn cost(&self, d: f64) -> f64 {
-                d * d
-            }
-        }
-        let q = Quadratic;
-        assert!((q.reachable_distance(9.0) - 3.0).abs() < 1e-6);
-        assert_eq!(q.reachable_distance(0.0), 0.0);
     }
 
     proptest! {

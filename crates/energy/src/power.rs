@@ -1,4 +1,4 @@
-//! Transmission energy models: `E_T(d, l) = l · (a + b·d^α)`.
+//! The transmission energy model: `E_T(d, l) = l · (a + b·d^α)`.
 
 use std::fmt;
 
@@ -6,48 +6,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::EnergyError;
 
-/// A model of the per-bit energy required to transmit across distance `d`.
-///
-/// The paper (§4) uses the classic first-order radio law
-/// `P(d) = a + b·d^α`, interpreted as joules per bit, so that transmitting
-/// `l` bits over a hop of length `d` costs `E_T(d, l) = l·P(d)`. The
-/// simulator uses the analytic model, [`PowerLawModel`].
-///
-/// Implementations must be monotone non-decreasing in `d` for `d ≥ 0`.
-pub trait TxEnergyModel: fmt::Debug + Send + Sync {
-    /// Energy to transmit one bit across distance `d` meters, in joules.
-    ///
-    /// `d` must be non-negative; implementations may clamp small negative
-    /// floating-point noise to zero.
-    fn energy_per_bit(&self, d: f64) -> f64;
-
-    /// Energy to transmit `bits` bits across distance `d`, in joules.
-    ///
-    /// This is the paper's `E_T(d, l)`.
-    fn energy(&self, d: f64, bits: f64) -> f64 {
-        bits * self.energy_per_bit(d)
-    }
-
-    /// Number of bits a node with `residual` joules can push across a hop of
-    /// length `d` — the paper's "number of sustainable data bits" metric
-    /// (§2), computed in Fig. 1 as `e / E_T(d, 1)`.
-    ///
-    /// Returns `0.0` for a non-positive residual and `f64::INFINITY` when
-    /// the per-bit energy is zero (a degenerate model).
-    fn sustainable_bits(&self, residual: f64, d: f64) -> f64 {
-        if residual <= 0.0 {
-            return 0.0;
-        }
-        let per_bit = self.energy_per_bit(d);
-        if per_bit <= 0.0 {
-            f64::INFINITY
-        } else {
-            residual / per_bit
-        }
-    }
-}
-
 /// The analytic first-order radio model `P(d) = a + b·d^α` (J/bit).
+///
+/// The paper (§4) interprets `P(d)` as joules per bit, so that transmitting
+/// `l` bits over a hop of length `d` costs `E_T(d, l) = l·P(d)`. `P` is
+/// monotone non-decreasing in `d` for `d ≥ 0`.
 ///
 /// Paper §4 sets `a = 10⁻⁷ J/bit` and varies `α ∈ {2, 3}`; the OCR dropped
 /// `b`'s exponent, and this workspace calibrates `b = 10⁻⁸ J·m^−α/bit` so
@@ -57,7 +20,7 @@ pub trait TxEnergyModel: fmt::Debug + Send + Sync {
 /// # Example
 ///
 /// ```rust
-/// use imobif_energy::{PowerLawModel, TxEnergyModel};
+/// use imobif_energy::PowerLawModel;
 ///
 /// let m = PowerLawModel::new(1e-7, 1e-9, 2.0)?;
 /// assert_eq!(m.energy_per_bit(0.0), 1e-7);
@@ -123,10 +86,12 @@ impl PowerLawModel {
     pub fn alpha(&self) -> f64 {
         self.alpha
     }
-}
 
-impl TxEnergyModel for PowerLawModel {
-    fn energy_per_bit(&self, d: f64) -> f64 {
+    /// Energy to transmit one bit across distance `d` meters, in joules:
+    /// `P(d)`. `d` must be non-negative; small negative floating-point
+    /// noise is clamped to zero.
+    #[must_use]
+    pub fn energy_per_bit(&self, d: f64) -> f64 {
         debug_assert!(d >= -1e-9, "negative transmission distance {d}");
         let d = d.max(0.0);
         // The paper's exponents are small integers and this runs for every
@@ -141,6 +106,32 @@ impl TxEnergyModel for PowerLawModel {
             d.powf(self.alpha)
         };
         self.a + self.b * d_alpha
+    }
+
+    /// Energy to transmit `bits` bits across distance `d`, in joules: the
+    /// paper's `E_T(d, l)`.
+    #[must_use]
+    pub fn energy(&self, d: f64, bits: f64) -> f64 {
+        bits * self.energy_per_bit(d)
+    }
+
+    /// Number of bits a node with `residual` joules can push across a hop
+    /// of length `d` — the paper's "number of sustainable data bits" metric
+    /// (§2), computed in Fig. 1 as `e / E_T(d, 1)`.
+    ///
+    /// Returns `0.0` for a non-positive residual and `f64::INFINITY` when
+    /// the per-bit energy is zero.
+    #[must_use]
+    pub fn sustainable_bits(&self, residual: f64, d: f64) -> f64 {
+        if residual <= 0.0 {
+            return 0.0;
+        }
+        let per_bit = self.energy_per_bit(d);
+        if per_bit <= 0.0 {
+            f64::INFINITY
+        } else {
+            residual / per_bit
+        }
     }
 }
 
@@ -201,13 +192,6 @@ mod tests {
         let m = PowerLawModel::paper_default(2.0).unwrap();
         let s = m.to_string();
         assert!(s.contains("d^2"));
-    }
-
-    #[test]
-    fn model_is_object_safe() {
-        let m = PowerLawModel::paper_default(2.0).unwrap();
-        let dyn_model: &dyn TxEnergyModel = &m;
-        assert_eq!(dyn_model.energy_per_bit(0.0), 1e-7);
     }
 
     proptest! {

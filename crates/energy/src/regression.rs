@@ -11,7 +11,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{EnergyError, TxEnergyModel};
+use crate::{EnergyError, PowerLawModel};
 
 /// Result of fitting `y ≈ c·x^γ` to samples, by least squares on
 /// `ln y = ln c + γ·ln x`.
@@ -121,7 +121,7 @@ pub fn fit_power_law(samples: &[(f64, f64)]) -> Result<PowerLawFit, EnergyError>
 /// # Ok::<(), imobif_energy::EnergyError>(())
 /// ```
 pub fn fit_alpha_prime(
-    model: &dyn TxEnergyModel,
+    model: &PowerLawModel,
     d_min: f64,
     d_max: f64,
     n: usize,

@@ -11,7 +11,7 @@
 use imobif_geom::Polyline;
 use serde::{Deserialize, Serialize};
 
-use crate::{EnergyError, MobilityCostModel, TxEnergyModel};
+use crate::{EnergyError, LinearMobilityCost, PowerLawModel};
 
 /// The outcome of a global break-even analysis for one flow path.
 ///
@@ -83,8 +83,8 @@ impl BreakEven {
 /// vertices' worth of structure to optimize (source equals destination).
 pub fn mobility_break_even_bits(
     path: &Polyline,
-    tx: &dyn TxEnergyModel,
-    mobility: &dyn MobilityCostModel,
+    tx: &PowerLawModel,
+    mobility: &LinearMobilityCost,
 ) -> Result<BreakEven, EnergyError> {
     if path.chord().is_degenerate() {
         return Err(EnergyError::InvalidParameter { name: "path chord" });

@@ -25,7 +25,7 @@ use imobif::MobilityMode;
 use imobif_netsim::trace::{events_from_jsonl, events_to_jsonl};
 use imobif_obs::{fnv1a64, PhaseTimer, Registry, RunManifest, ScenarioInfo};
 
-use crate::config::ScenarioConfig;
+use crate::config::{check_flows, ScenarioConfig};
 use crate::figures::{ext, fig5, fig6, fig7, fig8};
 use crate::runner::StrategyChoice;
 use crate::scenario::{Adapter, ScenarioSpec};
@@ -93,7 +93,10 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "all" | "fig5" | "fig6" | "fig7" | "fig8" | "ext" => args.targets.push(a.clone()),
-            "--flows" => args.flows = parse_value(it.next(), "--flows")?,
+            "--flows" => {
+                let flows = parse_value(it.next(), "--flows")?;
+                args.flows = check_flows(flows).map_err(|e| format!("bad --flows: {e}"))?;
+            }
             "--seed" => args.seed = parse_value(it.next(), "--seed")?,
             "--out" => {
                 args.out = Some(PathBuf::from(it.next().ok_or("--out needs a value")?));
@@ -754,6 +757,16 @@ mod tests {
     }
 
     #[test]
+    fn figure_command_rejects_zero_flows() {
+        assert_eq!(run(&argv(&["fig7", "--flows", "0"])), 2);
+    }
+
+    #[test]
+    fn scenario_run_rejects_zero_flows() {
+        assert_eq!(run(&argv(&["scenario", "run", "fig7", "--flows", "0"])), 2);
+    }
+
+    #[test]
     fn config_hash_tracks_inputs() {
         let a = parse_figure_args(&argv(&["fig6", "--flows", "7"])).unwrap();
         let b = parse_figure_args(&argv(&["fig6", "--flows", "8"])).unwrap();
@@ -830,6 +843,7 @@ mod tests {
 
     #[test]
     fn scenario_run_is_deterministic_and_writes_manifest() {
+        let _g = crate::test_lock();
         let dir1 = std::env::temp_dir().join(format!("imobif-scn-a-{}", std::process::id()));
         let dir2 = std::env::temp_dir().join(format!("imobif-scn-b-{}", std::process::id()));
         let d1 = dir1.to_str().unwrap().to_string();

@@ -6,6 +6,25 @@ use imobif_energy::{EnergyError, LinearMobilityCost, PowerLawModel};
 use imobif_netsim::{SimConfig, SimDuration};
 use serde::{Deserialize, Serialize};
 
+/// Largest replicate count (`flows`) one run accepts.
+pub const MAX_FLOWS: u64 = 100_000;
+
+/// Largest arena a scenario may draw (`node_count`).
+pub const MAX_NODES: usize = 1_000_000;
+
+/// Checks a replicate count against `1..=MAX_FLOWS`.
+///
+/// # Errors
+///
+/// Returns [`EnergyError::OutOfRange`] naming `flows` and the limit.
+pub fn check_flows(flows: u64) -> Result<u64, EnergyError> {
+    if (1..=MAX_FLOWS).contains(&flows) {
+        Ok(flows)
+    } else {
+        Err(EnergyError::OutOfRange { name: "flows", value: flows, min: 1, max: MAX_FLOWS })
+    }
+}
+
 /// How node batteries are initialized.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum EnergyInit {
@@ -221,10 +240,17 @@ impl ScenarioConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`EnergyError::InvalidParameter`] naming the first bad field.
+    /// Returns [`EnergyError::OutOfRange`] unless `node_count` lies in
+    /// `2..=MAX_NODES`, else [`EnergyError::InvalidParameter`] naming the
+    /// first bad field.
     pub fn validate(&self) -> Result<(), EnergyError> {
-        if self.node_count < 2 {
-            return Err(EnergyError::InvalidParameter { name: "node_count" });
+        if !(2..=MAX_NODES).contains(&self.node_count) {
+            return Err(EnergyError::OutOfRange {
+                name: "node_count",
+                value: self.node_count as u64,
+                min: 2,
+                max: MAX_NODES as u64,
+            });
         }
         if !(self.area_side.is_finite() && self.area_side > 0.0) {
             return Err(EnergyError::InvalidParameter { name: "area_side" });
@@ -314,10 +340,21 @@ impl ScenarioConfig {
         LinearMobilityCost::new(self.k)
     }
 
-    /// The simulator configuration for this scenario.
+    /// The simulator configuration for this scenario: its radio range and
+    /// both energy models.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a model parameter is invalid (call
+    /// [`ScenarioConfig::validate`] first).
     #[must_use]
     pub fn sim_config(&self) -> SimConfig {
-        SimConfig { range: self.range, ..SimConfig::default() }
+        SimConfig {
+            range: self.range,
+            tx: self.tx_model().expect("validated config"),
+            mobility: self.mobility_model().expect("validated config"),
+            ..SimConfig::default()
+        }
     }
 
     /// Packet pacing interval as a [`SimDuration`].

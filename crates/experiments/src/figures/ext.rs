@@ -550,12 +550,7 @@ pub fn run_multiflow_with(params: &ExtParams, seed: u64) -> MultiFlowStudy {
 
     let run = |mode: MobilityMode| -> (f64, bool, usize) {
         let strategy = crate::runner::build_strategy(&cfg, StrategyChoice::MinEnergy);
-        let mut world: World<ImobifApp> = World::new(
-            cfg.sim_config(),
-            Box::new(cfg.tx_model().expect("valid")),
-            Box::new(cfg.mobility_model().expect("valid")),
-        )
-        .expect("valid sim config");
+        let mut world: World<ImobifApp> = World::new(cfg.sim_config()).expect("valid sim config");
         let app_cfg = ImobifConfig { mode, max_step: cfg.max_step, ..Default::default() };
         for &p in &positions {
             world.add_node(

@@ -39,6 +39,7 @@ pub mod cli;
 pub mod config;
 pub mod figures;
 pub mod flame;
+mod memo;
 pub mod metrics;
 pub mod obs;
 pub mod render;
@@ -48,3 +49,13 @@ pub mod scenario;
 pub mod spans_tools;
 pub mod topology;
 pub mod trace_tools;
+
+/// Serializes the tests that touch process-wide state — that clear or read
+/// the memos and their hit/miss totals, set the batch thread count, or swap
+/// the metrics registry — so parallel test threads cannot observe each
+/// other's changes.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -1,11 +1,10 @@
 //! Process-wide metrics plumbing for the experiment engine.
 //!
-//! The engine instruments itself against a single shared
-//! [`Registry`](imobif_obs::Registry). By default that registry is
-//! *disabled*: every handle the engine asks for is a detached dummy, so
-//! instrumented code paths stay allocation- and branch-free (the hot
-//! kernel counters are plain `u64`s flushed once per run — see
-//! `World::publish_metrics`). The CLI swaps in an enabled registry with
+//! The engine instruments itself against a single shared [`Registry`]. By
+//! default that registry is *disabled*: every handle the engine asks for
+//! is a detached dummy, so instrumented code paths stay allocation- and
+//! branch-free (the hot kernel counters are plain `u64`s flushed once per
+//! run — see `World::publish_metrics`). The CLI swaps in an enabled registry with
 //! [`enable_metrics`] when the user passes `--metrics`.
 
 use std::sync::{Arc, Mutex, OnceLock};
@@ -78,21 +77,13 @@ pub fn trace_health(snap: &Snapshot) -> TraceHealth {
     }
 }
 
-/// Serializes tests that swap the process-wide registry slot, so parallel
-/// test threads cannot observe each other's enabled/disabled state.
-#[cfg(test)]
-pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn default_registry_is_disabled() {
-        let _g = test_guard();
+        let _g = crate::test_lock();
         // Other tests may have installed one; force the default state.
         disable_metrics();
         assert!(!registry().is_enabled());
@@ -104,7 +95,7 @@ mod tests {
 
     #[test]
     fn enable_metrics_swaps_the_slot() {
-        let _g = test_guard();
+        let _g = crate::test_lock();
         let reg = enable_metrics();
         assert!(registry().is_enabled());
         reg.counter("test.visible").inc();
@@ -128,6 +119,7 @@ mod tests {
 
     #[test]
     fn memo_metrics_publish_as_gauges() {
+        let _g = crate::test_lock();
         let reg = Registry::enabled();
         publish_memo_metrics(&reg);
         publish_memo_metrics(&reg); // idempotent: gauges, not counters

@@ -1,14 +1,14 @@
 //! Instance and batch runners: one flow under one mobility mode, end to end.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use imobif::{
     install_flow, FlowSpec, ImobifApp, ImobifConfig, MaxLifetimeStrategy, MinEnergyStrategy,
     MobilityMode, MobilityStrategy, StrategyRegistry,
 };
 use imobif_energy::Battery;
-use imobif_geom::{FxHashMap, Point2};
+use imobif_geom::Point2;
 use imobif_netsim::trace::TraceEvent;
 use imobif_netsim::{FlowId, NodeId, SimDuration, SimTime, World};
 use serde::{Deserialize, Serialize};
@@ -17,6 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{ChurnModel, ScenarioConfig};
+use crate::memo::{count_lookup, ShardedMemo};
 use crate::topology::{clear_draw_memo, draw_memo_counters, draw_scenario, TopologyDraw};
 
 /// Which of the paper's two strategies an experiment runs.
@@ -187,8 +188,6 @@ fn run_instance_inner(
     registry: &Arc<StrategyRegistry>,
     trace_capacity: Option<usize>,
 ) -> (InstanceResult, Option<Vec<TraceEvent>>) {
-    let tx = cfg.tx_model().expect("validated config");
-    let mv = cfg.mobility_model().expect("validated config");
     // Self-profiling: with metrics on, the engine times its own phases
     // (arena reset, simulation run) into float counters — CPU-seconds,
     // summed across worker threads. With metrics off no clock is read.
@@ -196,13 +195,10 @@ fn run_instance_inner(
     let t_reset = obs.is_enabled().then(std::time::Instant::now);
     let mut world: World<ImobifApp> = match arena.world.take() {
         Some(mut w) => {
-            w.reset_into(cfg.sim_config(), Box::new(tx), Box::new(mv), &mut arena.spare_apps)
-                .expect("validated sim config");
+            w.reset_into(cfg.sim_config(), &mut arena.spare_apps).expect("validated sim config");
             w
         }
-        None => {
-            World::new(cfg.sim_config(), Box::new(tx), Box::new(mv)).expect("validated sim config")
-        }
+        None => World::new(cfg.sim_config()).expect("validated sim config"),
     };
     if let Some(t0) = t_reset {
         obs.float_counter("phase.arena_reset_secs").add(t0.elapsed().as_secs_f64());
@@ -428,59 +424,9 @@ impl CaseKey {
 /// few hundred entries.
 const CASE_MEMO_CAP: usize = 8192;
 
-/// How many ways each memo map is split. A power of two so the shard pick
-/// is a mask; 8 is plenty — the batch engine caps at 16 workers, and two
-/// workers only contend when their keys land in the same eighth.
-const MEMO_SHARDS: usize = 8;
-
-/// A memo map sharded [`MEMO_SHARDS`] ways by key hash. The single global
-/// mutex it replaces serialized every worker on every case lookup; with
-/// sharding, lookups for different keys almost never touch the same lock.
-/// Entries are immutable once inserted (results are pure functions of their
-/// keys), so `get` clones the value out and drops the lock immediately.
-struct ShardedMemo<K, V> {
-    shards: [Mutex<FxHashMap<K, V>>; MEMO_SHARDS],
-}
-
-impl<K: std::hash::Hash + Eq, V: Clone> ShardedMemo<K, V> {
-    fn new() -> Self {
-        ShardedMemo { shards: std::array::from_fn(|_| Mutex::new(FxHashMap::default())) }
-    }
-
-    fn shard(&self, key: &K) -> &Mutex<FxHashMap<K, V>> {
-        use std::hash::Hasher;
-        let mut h = imobif_geom::hash::FxHasher::default();
-        key.hash(&mut h);
-        // Use high bits: FxHasher's low bits are the map's bucket index, so
-        // taking them for the shard pick would correlate the two.
-        &self.shards[(h.finish() >> 56) as usize & (MEMO_SHARDS - 1)]
-    }
-
-    fn get(&self, key: &K) -> Option<V> {
-        self.shard(key).lock().expect("memo shard lock").get(key).cloned()
-    }
-
-    /// Inserts unless the key is already present, clearing the target shard
-    /// first if it reached its slice of `cap` (the same bound-by-discard
-    /// policy the unsharded memo used, applied per shard).
-    fn insert_if_absent(&self, key: K, value: V, cap: usize) {
-        let mut shard = self.shard(&key).lock().expect("memo shard lock");
-        if shard.len() >= cap.div_ceil(MEMO_SHARDS) {
-            shard.clear();
-        }
-        shard.entry(key).or_insert(value);
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("memo shard lock").clear();
-        }
-    }
-}
-
 fn case_memo() -> &'static ShardedMemo<CaseKey, CaseResult> {
     static MEMO: OnceLock<ShardedMemo<CaseKey, CaseResult>> = OnceLock::new();
-    MEMO.get_or_init(ShardedMemo::new)
+    MEMO.get_or_init(|| ShardedMemo::new(CASE_MEMO_CAP))
 }
 
 /// Memo key for a *no-mobility baseline* instance: only the config fields
@@ -533,7 +479,7 @@ impl BaselineKey {
 
 fn baseline_memo() -> &'static ShardedMemo<BaselineKey, InstanceResult> {
     static MEMO: OnceLock<ShardedMemo<BaselineKey, InstanceResult>> = OnceLock::new();
-    MEMO.get_or_init(ShardedMemo::new)
+    MEMO.get_or_init(|| ShardedMemo::new(usize::MAX))
 }
 
 /// Process-lifetime memo hit/miss totals. Monotone; [`clear_memos`] empties
@@ -624,48 +570,42 @@ fn run_case_in(
     registry: &Arc<StrategyRegistry>,
 ) -> CaseResult {
     let key = CaseKey::of(cfg, choice, index);
-    if let Some(hit) = case_memo().get(&key) {
-        CASE_MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-        return hit;
-    }
-    CASE_MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
-    let obs = crate::obs::registry();
-    let t_draw = obs.is_enabled().then(std::time::Instant::now);
-    let draw = draw_scenario(cfg, index);
-    if let Some(t0) = t_draw {
-        obs.float_counter("phase.scenario_draw_secs").add(t0.elapsed().as_secs_f64());
-    }
-    let bkey = BaselineKey::of(cfg, index);
-    let cached_baseline = baseline_memo().get(&bkey);
-    match &cached_baseline {
-        Some(_) => BASELINE_MEMO_HITS.fetch_add(1, Ordering::Relaxed),
-        None => BASELINE_MEMO_MISSES.fetch_add(1, Ordering::Relaxed),
-    };
-    let no_mobility = match cached_baseline {
-        Some(hit) => hit,
-        None => {
-            let r =
-                run_instance_in(arena, cfg, &draw, MobilityMode::NoMobility, strategy, registry);
-            baseline_memo().insert_if_absent(bkey, r.clone(), usize::MAX);
-            r
+    let (case, missed) = case_memo().get_or_compute(key, || {
+        let obs = crate::obs::registry();
+        let t_draw = obs.is_enabled().then(std::time::Instant::now);
+        let draw = draw_scenario(cfg, index);
+        if let Some(t0) = t_draw {
+            obs.float_counter("phase.scenario_draw_secs").add(t0.elapsed().as_secs_f64());
         }
-    };
-    let case = CaseResult {
-        draw_index: index,
-        flow_bits: draw.flow.flow_bits,
-        path_len: draw.flow.path.len(),
-        no_mobility,
-        cost_unaware: run_instance_in(
-            arena,
-            cfg,
-            &draw,
-            MobilityMode::CostUnaware,
-            strategy,
-            registry,
-        ),
-        informed: run_instance_in(arena, cfg, &draw, MobilityMode::Informed, strategy, registry),
-    };
-    case_memo().insert_if_absent(key, case.clone(), CASE_MEMO_CAP);
+        let (no_mobility, missed) = baseline_memo()
+            .get_or_compute(BaselineKey::of(cfg, index), || {
+                run_instance_in(arena, cfg, &draw, MobilityMode::NoMobility, strategy, registry)
+            });
+        count_lookup(missed, &BASELINE_MEMO_HITS, &BASELINE_MEMO_MISSES);
+        CaseResult {
+            draw_index: index,
+            flow_bits: draw.flow.flow_bits,
+            path_len: draw.flow.path.len(),
+            no_mobility,
+            cost_unaware: run_instance_in(
+                arena,
+                cfg,
+                &draw,
+                MobilityMode::CostUnaware,
+                strategy,
+                registry,
+            ),
+            informed: run_instance_in(
+                arena,
+                cfg,
+                &draw,
+                MobilityMode::Informed,
+                strategy,
+                registry,
+            ),
+        }
+    });
+    count_lookup(missed, &CASE_MEMO_HITS, &CASE_MEMO_MISSES);
     case
 }
 
@@ -781,6 +721,7 @@ mod tests {
 
     #[test]
     fn batch_is_deterministic_and_sorted() {
+        let _g = crate::test_lock();
         let cfg = quick_cfg();
         let a = run_batch(&cfg, 4, StrategyChoice::MinEnergy);
         // Clear the memos so the second run genuinely recomputes every case
@@ -858,7 +799,7 @@ mod tests {
 
     #[test]
     fn metrics_enabled_runs_publish_and_do_not_change_results() {
-        let _g = crate::obs::test_guard();
+        let _g = crate::test_lock();
         let cfg = quick_cfg();
         let draw = draw_scenario(&cfg, 3);
         let strategy = build_strategy(&cfg, StrategyChoice::MinEnergy);
@@ -882,6 +823,7 @@ mod tests {
 
     #[test]
     fn memo_stats_accumulate_hits_and_misses() {
+        let _g = crate::test_lock();
         let cfg = ScenarioConfig { seed: 4242, ..quick_cfg() };
         clear_memos();
         let before = memo_stats();
@@ -897,6 +839,7 @@ mod tests {
 
     #[test]
     fn case_memo_serves_repeat_requests() {
+        let _g = crate::test_lock();
         let cfg = ScenarioConfig { seed: 77, ..quick_cfg() };
         clear_memos();
         let first = run_batch(&cfg, 2, StrategyChoice::MinEnergy);
@@ -930,6 +873,7 @@ mod tests {
 
     #[test]
     fn churned_batches_replay_from_memo_without_aliasing() {
+        let _g = crate::test_lock();
         let churned = ScenarioConfig {
             seed: 909,
             churn: ChurnModel::RelayExponential { mean_secs: 30.0 },

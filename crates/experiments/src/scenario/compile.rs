@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use crate::config::ScenarioConfig;
+use crate::config::{check_flows, ScenarioConfig};
 use crate::runner::{run_batches, BatchSpec, CaseResult, StrategyChoice};
 
 use super::spec::{Adapter, ExtParams, ScenarioSpec};
@@ -41,8 +41,7 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::Invalid`] naming the first run whose
-    /// configuration fails [`ScenarioConfig::validate`].
+    /// As [`ScenarioSpec::compile_with`].
     pub fn compile(&self) -> Result<CompiledScenario, ScenarioError> {
         self.compile_with(None, None)
     }
@@ -54,13 +53,17 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::Invalid`] naming the first run whose
-    /// configuration fails [`ScenarioConfig::validate`].
+    /// Returns [`ScenarioError::Invalid`] labelled with the scenario name
+    /// if the replicate count lies outside `1..=MAX_FLOWS`
+    /// ([`check_flows`]), else naming the first run whose configuration
+    /// fails [`ScenarioConfig::validate`].
     pub fn compile_with(
         &self,
         seed: Option<u64>,
         flows: Option<u64>,
     ) -> Result<CompiledScenario, ScenarioError> {
+        let flows = check_flows(flows.unwrap_or(self.flows))
+            .map_err(|error| ScenarioError::Invalid { label: self.name.clone(), error })?;
         let mut runs = Vec::new();
         if self.variants.is_empty() {
             runs.push(CompiledRun { label: self.name.clone(), config: self.base });
@@ -81,7 +84,7 @@ impl ScenarioSpec {
             name: self.name.clone(),
             adapter: self.adapter,
             strategy: self.strategy,
-            flows: flows.unwrap_or(self.flows),
+            flows,
             runs,
             ext: self.ext.clone().unwrap_or_else(ExtParams::paper),
         })

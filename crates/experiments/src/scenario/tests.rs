@@ -127,6 +127,21 @@ fn compile_validates_and_labels_runs() {
 }
 
 #[test]
+fn compile_rejects_a_spec_with_zero_flows() {
+    let spec = ScenarioSpec::parse("name = \"z\"\nflows = 0\n").expect("parses");
+    let err = spec.compile().expect_err("zero replicates would average to NaN").to_string();
+    assert!(err.contains("`flows` = 0") && err.contains("1..=100000"), "{err}");
+}
+
+#[test]
+fn compile_rejects_an_arena_above_max_nodes() {
+    let spec =
+        ScenarioSpec::parse("name = \"big\"\n[base]\nnode_count = 4000000000\n").expect("parses");
+    let err = spec.compile().expect_err("4e9 nodes exceed MAX_NODES").to_string();
+    assert!(err.contains("`node_count` = 4000000000") && err.contains("2..=1000000"), "{err}");
+}
+
+#[test]
 fn compile_with_overrides_seed_and_flows() {
     let spec = builtin("fig6").expect("builtin");
     let compiled = spec.compile_with(Some(77), Some(5)).expect("compiles");
@@ -192,6 +207,7 @@ fn new_families_compile_to_their_advertised_models() {
 
 #[test]
 fn generic_runs_are_seed_reproducible() {
+    let _g = crate::test_lock();
     // Same spec, fresh memos: byte-identical CSV. Different seed: different
     // results. This is the determinism contract for the new families.
     let spec = builtin("churn").expect("builtin");

@@ -10,7 +10,6 @@
 //! per-phase aggregates, and the always-on epoch counters.
 
 use std::io::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 use imobif::{install_flow, FlowSpec, ImobifApp, ImobifConfig, MobilityMode};
@@ -80,14 +79,8 @@ pub fn build_sharded_workload(
     cfg.validate().expect("scaled config is valid");
     let strategy = build_strategy(&cfg, StrategyChoice::MinEnergy);
     let bounds = (Point2::new(0.0, 0.0), Point2::new(cfg.area_side, cfg.area_side));
-    let mut world: ShardedWorld<ImobifApp> = ShardedWorld::new(
-        cfg.sim_config(),
-        Arc::new(cfg.tx_model().expect("validated config")),
-        Arc::new(cfg.mobility_model().expect("validated config")),
-        bounds,
-        shards,
-    )
-    .expect("validated sim config");
+    let mut world: ShardedWorld<ImobifApp> =
+        ShardedWorld::new(cfg.sim_config(), bounds, shards).expect("validated sim config");
     let app_cfg =
         ImobifConfig { mode: MobilityMode::Informed, max_step: cfg.max_step, ..Default::default() };
     let mut rng = StdRng::seed_from_u64(seed);

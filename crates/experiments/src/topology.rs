@@ -1,15 +1,16 @@
 //! Random topologies and flow draws.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-use imobif_geom::{FxHashMap, Point2, Rect};
+use imobif_geom::{Point2, Rect};
 use imobif_netsim::routing::GreedyRouter;
 use imobif_netsim::{NodeId, TopologyView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{EnergyInit, ScenarioConfig, TopologyFamily};
+use crate::memo::{count_lookup, ShardedMemo};
 
 /// One randomly drawn flow: endpoints and the pinned greedy route.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,9 +175,9 @@ impl DrawKey {
 /// `imobif-experiments all --flows 100` run needs ~100 entries.
 const DRAW_MEMO_CAP: usize = 4096;
 
-fn draw_memo() -> &'static Mutex<FxHashMap<DrawKey, Arc<DrawSkeleton>>> {
-    static MEMO: OnceLock<Mutex<FxHashMap<DrawKey, Arc<DrawSkeleton>>>> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(FxHashMap::default()))
+fn draw_memo() -> &'static ShardedMemo<DrawKey, Arc<DrawSkeleton>> {
+    static MEMO: OnceLock<ShardedMemo<DrawKey, Arc<DrawSkeleton>>> = OnceLock::new();
+    MEMO.get_or_init(|| ShardedMemo::new(DRAW_MEMO_CAP))
 }
 
 /// Process-lifetime draw-memo hit/miss totals, surfaced through
@@ -192,18 +193,19 @@ pub(crate) fn draw_memo_counters() -> (u64, u64) {
 /// Empties the topology-draw memo. Benchmarks call this between timed runs
 /// so each run pays the full drawing cost it claims to measure.
 pub fn clear_draw_memo() {
-    draw_memo().lock().expect("draw memo lock").clear();
+    draw_memo().clear();
 }
 
 fn draw_skeleton(cfg: &ScenarioConfig, index: u64) -> Arc<DrawSkeleton> {
-    let key = DrawKey::of(cfg, index);
-    if let Some(hit) = draw_memo().lock().expect("draw memo lock").get(&key) {
-        DRAW_MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-        return Arc::clone(hit);
-    }
-    DRAW_MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
+    let (skeleton, missed) =
+        draw_memo().get_or_compute(DrawKey::of(cfg, index), || compute_skeleton(cfg, index));
+    count_lookup(missed, &DRAW_MEMO_HITS, &DRAW_MEMO_MISSES);
+    skeleton
+}
+
+fn compute_skeleton(cfg: &ScenarioConfig, index: u64) -> Arc<DrawSkeleton> {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ (index.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
-    let skeleton = loop {
+    loop {
         let positions = sample_positions(cfg, &mut rng);
         let energies = sample_energies(cfg, &mut rng);
         let topo = TopologyView::new(positions.clone(), vec![true; positions.len()], cfg.range);
@@ -226,17 +228,10 @@ fn draw_skeleton(cfg: &ScenarioConfig, index: u64) -> Arc<DrawSkeleton> {
             break;
         }
         if let Some((src, dst, path, flow_u)) = found {
-            break Arc::new(DrawSkeleton { positions, energies, src, dst, path, flow_u });
+            return Arc::new(DrawSkeleton { positions, energies, src, dst, path, flow_u });
         }
         // Pathological topology: redraw everything.
-    };
-    let mut memo = draw_memo().lock().expect("draw memo lock");
-    if memo.len() >= DRAW_MEMO_CAP {
-        memo.clear();
     }
-    // Under concurrency another worker may have inserted the same key; both
-    // computed identical skeletons, so either value serves.
-    Arc::clone(memo.entry(key).or_insert(skeleton))
 }
 
 /// Draws a complete scenario instance: a fresh topology, energies, and a
@@ -383,6 +378,7 @@ mod tests {
 
     #[test]
     fn family_draws_are_deterministic_and_distinct() {
+        let _g = crate::test_lock();
         let mut c = cfg();
         c.topology = TopologyFamily::Clustered { clusters: 5, spread: 15.0 };
         let a = draw_scenario(&c, 0);

@@ -1,12 +1,12 @@
 //! The application layer: the trait protocol code implements to run on
 //! simulated nodes.
 
-use imobif_energy::{MobilityCostModel, TxEnergyModel};
+use imobif_energy::{LinearMobilityCost, PowerLawModel};
 use imobif_geom::Point2;
 
 use crate::hello::Beacon;
 use crate::node::NodeStore;
-use crate::{EnergyCategory, NeighborEntry, NeighborView, NodeId, SimDuration, SimTime};
+use crate::{EnergyCategory, NeighborEntry, NeighborView, NodeId, SimConfig, SimDuration, SimTime};
 
 /// A protocol running on every node of a [`crate::World`].
 ///
@@ -152,11 +152,9 @@ pub enum Action<M> {
     },
 }
 
-/// What a node can observe about a peer: position and residual energy.
-///
-/// With HELLO beaconing enabled this is the (possibly slightly stale)
-/// neighbor-table view the paper describes; with beaconing disabled the
-/// kernel substitutes ground truth (a perfect-information mode for tests).
+/// What a node can observe about a peer: position and residual energy, as
+/// its neighbor table holds them from the peer's last HELLO beacon
+/// (possibly slightly stale), the view the paper describes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeerInfo {
     /// The peer's position.
@@ -184,13 +182,8 @@ pub struct NodeCtx<'a> {
     /// neighbor entries read: the serial world's live column, or a shard's
     /// epoch replica.
     pub(crate) board: &'a [Beacon],
-    /// Ground-truth store indexed by global node id, for the
-    /// perfect-information mode used when HELLO is disabled. `None` in
-    /// sharded worlds, where no ground-truth remote reads exist.
-    pub(crate) truth: Option<&'a NodeStore>,
-    pub(crate) tx_model: &'a dyn TxEnergyModel,
-    pub(crate) mobility_model: &'a dyn MobilityCostModel,
-    pub(crate) hello_enabled: bool,
+    /// The run's configuration, which holds the energy models.
+    pub(crate) cfg: &'a SimConfig,
 }
 
 impl NodeCtx<'_> {
@@ -229,58 +222,26 @@ impl NodeCtx<'_> {
         self.store.neighbor_table(self.slot).view_with(self.board)
     }
 
-    /// What this node knows about `peer`.
-    ///
-    /// With HELLO enabled, the knowledge comes from the neighbor table and
-    /// is `None` for peers never heard from (or heard too long ago). With
-    /// HELLO disabled, ground truth is returned for any live node (sharded
-    /// worlds have no ground-truth store, so they require HELLO).
+    /// What this node knows about `peer`: its neighbor-table entry, or
+    /// `None` for peers never heard from (or heard too long ago).
     #[must_use]
     pub fn peer_info(&self, peer: NodeId) -> Option<PeerInfo> {
-        if self.hello_enabled {
-            self.neighbor_view()
-                .get(peer, self.now)
-                .map(|e| PeerInfo { position: e.position, residual_energy: e.residual_energy })
-        } else {
-            let truth = self.truth?;
-            let i = peer.index();
-            (i < truth.len() && truth.is_alive(i)).then(|| PeerInfo {
-                position: truth.position(i),
-                residual_energy: truth.residual(i),
-            })
-        }
-    }
-
-    /// Energy to transmit `bits` bits across `d` meters — the paper's
-    /// `E_T(d, l)`.
-    #[must_use]
-    pub fn tx_energy(&self, d: f64, bits: f64) -> f64 {
-        self.tx_model.energy(d, bits)
-    }
-
-    /// Per-bit transmission energy across `d` meters — `E_T(d, 1)`.
-    #[must_use]
-    pub fn tx_energy_per_bit(&self, d: f64) -> f64 {
-        self.tx_model.energy_per_bit(d)
-    }
-
-    /// Energy to move `d` meters — the paper's `E_M(d)`.
-    #[must_use]
-    pub fn mobility_cost(&self, d: f64) -> f64 {
-        self.mobility_model.cost(d)
+        self.neighbor_view()
+            .get(peer, self.now)
+            .map(|e| PeerInfo { position: e.position, residual_energy: e.residual_energy })
     }
 
     /// The node's transmission-energy estimator, for callers that need to
     /// sample it (e.g. fitting the max-lifetime exponent `α'`).
     #[must_use]
-    pub fn tx_model(&self) -> &dyn TxEnergyModel {
-        self.tx_model
+    pub fn tx_model(&self) -> &PowerLawModel {
+        &self.cfg.tx
     }
 
     /// The node's movement-cost estimator (paper Assumption 3: nodes can
     /// measure or estimate the energy needed to move).
     #[must_use]
-    pub fn mobility_model(&self) -> &dyn MobilityCostModel {
-        self.mobility_model
+    pub fn mobility_model(&self) -> &LinearMobilityCost {
+        &self.cfg.mobility
     }
 }

@@ -1,5 +1,6 @@
 //! Simulator configuration.
 
+use imobif_energy::{LinearMobilityCost, PowerLawModel};
 use serde::{Deserialize, Serialize};
 
 use crate::{SimDuration, SimError};
@@ -11,9 +12,6 @@ use crate::{SimDuration, SimError};
 /// residual energy information into these HELLO messages."
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HelloConfig {
-    /// Whether beaconing runs at all. With beaconing off, peer lookups fall
-    /// back to ground truth (a "perfect information" mode useful in tests).
-    pub enabled: bool,
     /// Beacon period.
     pub period: SimDuration,
     /// Beacon size in bits.
@@ -29,7 +27,6 @@ pub struct HelloConfig {
 impl Default for HelloConfig {
     fn default() -> Self {
         HelloConfig {
-            enabled: true,
             period: SimDuration::from_secs(1),
             bits: 512,
             ttl: SimDuration::from_secs(3),
@@ -38,7 +35,8 @@ impl Default for HelloConfig {
     }
 }
 
-/// Configuration of the simulation kernel.
+/// Configuration of the simulation kernel, including the two energy laws
+/// every node is charged by (paper §4).
 ///
 /// # Example
 ///
@@ -47,6 +45,8 @@ impl Default for HelloConfig {
 ///
 /// let cfg = SimConfig::default();
 /// assert_eq!(cfg.range, 30.0);
+/// assert_eq!(cfg.tx.alpha(), 2.0);
+/// assert_eq!(cfg.mobility.k(), 0.5);
 /// cfg.validate().unwrap();
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -61,15 +61,23 @@ pub struct SimConfig {
     pub hop_latency: SimDuration,
     /// HELLO beaconing parameters.
     pub hello: HelloConfig,
+    /// Transmission energy law `E_T(d, l) = l·(a + b·d^α)`.
+    pub tx: PowerLawModel,
+    /// Locomotion energy law `E_M(d) = k·d`.
+    pub mobility: LinearMobilityCost,
 }
 
 impl Default for SimConfig {
+    /// The paper's setup: 30 m range, `a = 10⁻⁷`, `b = 10⁻⁸`, `α = 2` and
+    /// `k = 0.5` J/m.
     fn default() -> Self {
         SimConfig {
             range: 30.0,
             link_rate_bps: 1_000_000.0,
             hop_latency: SimDuration::from_millis(1),
             hello: HelloConfig::default(),
+            tx: PowerLawModel::paper_default(2.0).expect("the paper's constants are valid"),
+            mobility: LinearMobilityCost::new(0.5).expect("the paper's k is valid"),
         }
     }
 }
@@ -80,8 +88,8 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] naming the first offending field:
-    /// `range` and `link_rate_bps` must be positive and finite, the HELLO
-    /// period must be non-zero when beaconing is enabled.
+    /// `range` and `link_rate_bps` must be positive and finite, and the
+    /// HELLO period non-zero.
     pub fn validate(&self) -> Result<(), SimError> {
         if !self.range.is_finite() || self.range <= 0.0 {
             return Err(SimError::InvalidConfig { field: "range" });
@@ -89,7 +97,7 @@ impl SimConfig {
         if !self.link_rate_bps.is_finite() || self.link_rate_bps <= 0.0 {
             return Err(SimError::InvalidConfig { field: "link_rate_bps" });
         }
-        if self.hello.enabled && self.hello.period == SimDuration::ZERO {
+        if self.hello.period == SimDuration::ZERO {
             return Err(SimError::InvalidConfig { field: "hello.period" });
         }
         Ok(())
@@ -122,8 +130,6 @@ mod tests {
         cfg.link_rate_bps = 1e6;
         cfg.hello.period = SimDuration::ZERO;
         assert_eq!(cfg.validate().unwrap_err(), SimError::InvalidConfig { field: "hello.period" });
-        cfg.hello.enabled = false;
-        cfg.validate().unwrap();
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! # Example
 //!
 //! ```rust
-//! use imobif_energy::{Battery, LinearMobilityCost, PowerLawModel};
+//! use imobif_energy::Battery;
 //! use imobif_geom::Point2;
 //! use imobif_netsim::{
 //!     Application, EnergyCategory, NodeCtx, NodeId, Outbox, SimConfig, SimDuration, SimTime,
@@ -64,11 +64,8 @@
 //!     }
 //! }
 //!
-//! let mut world = World::new(
-//!     SimConfig::default(),
-//!     Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-//!     Box::new(LinearMobilityCost::new(0.5).unwrap()),
-//! ).unwrap();
+//! // The paper's energy laws: a = 1e-7, b = 1e-8, α = 2 and k = 0.5.
+//! let mut world = World::new(SimConfig::default()).unwrap();
 //! let a = world.add_node(Point2::new(0.0, 0.0), Battery::new(1.0).unwrap(), Pong);
 //! let _b = world.add_node(Point2::new(20.0, 0.0), Battery::new(1.0).unwrap(), Pong);
 //! world.start();

@@ -1,7 +1,7 @@
 //! Structured event tracing.
 //!
 //! The kernel can mirror every externally visible state change — sends,
-//! deliveries, drops, movements, deaths — into a [`TraceSink`]. Traces are
+//! deliveries, drops, movements, deaths — into a [`RingTrace`]. Traces are
 //! how the integration tests assert causality ("the disable notification
 //! was sent *before* the relay stopped moving") and how users debug
 //! protocol behavior without println-ing from inside applications.
@@ -9,7 +9,6 @@
 //! Tracing is off by default and costs nothing when disabled.
 
 use std::collections::VecDeque;
-use std::io::{self, Write};
 
 use imobif_geom::Point2;
 use imobif_obs::Json;
@@ -205,40 +204,6 @@ impl TraceEvent {
     }
 }
 
-/// Writes each [`TraceEvent`] as one JSON line, so traces can leave the
-/// process and be re-read by `imobif trace` (or any JSONL consumer).
-pub struct JsonlTraceWriter<W: Write> {
-    writer: W,
-    written: u64,
-}
-
-impl<W: Write> JsonlTraceWriter<W> {
-    /// Wraps `writer`; nothing is written until events are recorded.
-    pub fn new(writer: W) -> Self {
-        JsonlTraceWriter { writer, written: 0 }
-    }
-
-    /// Events written so far.
-    #[must_use]
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> io::Result<W> {
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-}
-
-impl<W: Write> TraceSink for JsonlTraceWriter<W> {
-    fn record(&mut self, event: &TraceEvent) {
-        // TraceSink is infallible by contract; IO errors surface at flush.
-        let _ = writeln!(self.writer, "{}", event.to_json().render());
-        self.written += 1;
-    }
-}
-
 /// Serializes events as JSONL text.
 #[must_use]
 pub fn events_to_jsonl(events: &[TraceEvent]) -> String {
@@ -262,18 +227,12 @@ pub fn events_from_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
         .collect()
 }
 
-/// A consumer of kernel events.
-pub trait TraceSink {
-    /// Called once per event, in simulation order.
-    fn record(&mut self, event: &TraceEvent);
-}
-
 /// A bounded in-memory trace: keeps the most recent `capacity` events.
 ///
 /// # Example
 ///
 /// ```rust
-/// use imobif_netsim::trace::{RingTrace, TraceEvent, TraceSink};
+/// use imobif_netsim::trace::{RingTrace, TraceEvent};
 /// use imobif_netsim::{NodeId, SimTime};
 ///
 /// let mut ring = RingTrace::new(2);
@@ -338,10 +297,10 @@ impl RingTrace {
     pub fn filtered(&self, mut keep: impl FnMut(&TraceEvent) -> bool) -> Vec<TraceEvent> {
         self.events.iter().filter(|e| keep(e)).copied().collect()
     }
-}
 
-impl TraceSink for RingTrace {
-    fn record(&mut self, event: &TraceEvent) {
+    /// Keeps `event`, evicting the oldest retained event when full. The
+    /// kernel calls this once per event, in simulation order.
+    pub fn record(&mut self, event: &TraceEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.evicted += 1;
@@ -435,18 +394,6 @@ mod tests {
         assert_eq!(text.lines().count(), events.len());
         let back = events_from_jsonl(&text).expect("valid JSONL");
         assert_eq!(back, events);
-    }
-
-    #[test]
-    fn jsonl_writer_sink_matches_events_to_jsonl() {
-        let events = one_of_each();
-        let mut writer = JsonlTraceWriter::new(Vec::new());
-        for e in &events {
-            writer.record(e);
-        }
-        assert_eq!(writer.written(), events.len() as u64);
-        let bytes = writer.into_inner().unwrap();
-        assert_eq!(String::from_utf8(bytes).unwrap(), events_to_jsonl(&events));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   records `Dropped`;
 //! * a mid-step death records the partial `Moved` *then* `Died`.
 
-use imobif_energy::{Battery, MobilityCostModel, TxEnergyModel};
+use imobif_energy::Battery;
 use imobif_geom::{Point2, SpatialGrid};
 
 use super::beacon::{BeaconView, HearerCache, Links};
@@ -57,18 +57,8 @@ pub(crate) enum Event<M> {
 /// records. The generic `trace` method keeps the trait from ever being a
 /// trait object: the handlers are compiled once per impl.
 pub(crate) trait Reach<M> {
-    /// Whether hooks may read every node's live state
-    /// ([`NodeCtx::truth`]).
-    const GROUND_TRUTH: bool;
-
-    /// The run's configuration.
+    /// The run's configuration, energy models included.
     fn cfg(&self) -> &SimConfig;
-
-    /// The transmission energy model.
-    fn tx_model(&self) -> &dyn TxEnergyModel;
-
-    /// The locomotion cost model.
-    fn mobility_model(&self) -> &dyn MobilityCostModel;
 
     /// The engine slot holding node `id`.
     fn slot_of(&self, id: NodeId) -> usize;
@@ -293,10 +283,7 @@ impl<A: Application> Engine<A> {
                 store: &self.nodes,
                 slot,
                 board: reach.board(&self.board),
-                truth: R::GROUND_TRUTH.then_some(&self.nodes),
-                tx_model: reach.tx_model(),
-                mobility_model: reach.mobility_model(),
-                hello_enabled: reach.cfg().hello.enabled,
+                cfg: reach.cfg(),
             };
             f(&mut self.apps[slot], &ctx, &mut outbox);
         }
@@ -343,7 +330,7 @@ impl<A: Application> Engine<A> {
         category: EnergyCategory,
     ) {
         let d = self.nodes.position(slot).distance_to(reach.peer_position(&self.nodes, to));
-        let e = reach.tx_model().energy(d, bits as f64);
+        let e = reach.cfg().tx.energy(d, bits as f64);
         let time = self.time;
         if self.nodes.battery_mut(slot).try_consume(e).is_err() {
             self.ledger.packets_dropped += 1;
@@ -359,7 +346,7 @@ impl<A: Application> Engine<A> {
     }
 
     /// Moves `id` toward `target` by at most `max_step` meters, charging
-    /// the mobility cost model. A node that cannot afford the full step
+    /// the locomotion law. A node that cannot afford the full step
     /// moves as far as its battery allows, drains, and dies mid-step.
     fn move_node<R: Reach<A::Msg>>(
         &mut self,
@@ -374,7 +361,7 @@ impl<A: Application> Engine<A> {
         if moved <= 0.0 {
             return;
         }
-        let cost = reach.mobility_model().cost(moved);
+        let cost = reach.cfg().mobility.cost(moved);
         let residual = self.nodes.residual(slot);
         let time = self.time;
         let full_step = cost <= residual;
@@ -387,7 +374,7 @@ impl<A: Application> Engine<A> {
             // Move as far as the battery allows, then die mid-step. A node
             // that can afford no distance at all stays put, and only its
             // death is published.
-            let affordable = reach.mobility_model().reachable_distance(residual).min(moved);
+            let affordable = reach.cfg().mobility.reachable_distance(residual).min(moved);
             if affordable > 0.0 && affordable.is_finite() {
                 (new_pos, moved) = pos.step_toward(target, affordable);
                 self.nodes.set_position(slot, new_pos, moved);
@@ -437,7 +424,7 @@ impl<A: Application> Engine<A> {
         let (range, hello) = (reach.cfg().range, reach.cfg().hello);
         if hello.charge_energy {
             // Beacons are broadcast at full range power.
-            let e = reach.tx_model().energy(range, hello.bits as f64);
+            let e = reach.cfg().tx.energy(range, hello.bits as f64);
             if self.nodes.battery_mut(slot).try_consume(e).is_err() {
                 self.kill(reach, slot, node);
                 return;

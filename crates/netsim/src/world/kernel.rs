@@ -7,7 +7,6 @@
 //! engine's own beacon board, and a move or death updates the spatial
 //! grid. The handlers themselves live in [`engine`](super::engine).
 
-use imobif_energy::{MobilityCostModel, TxEnergyModel};
 use imobif_geom::{Point2, SpatialGrid};
 
 use super::beacon::{BeaconView, Links};
@@ -15,32 +14,20 @@ use super::engine::{Event, Reach};
 use super::World;
 use crate::hello::Beacon;
 use crate::node::NodeStore;
-use crate::trace::{RingTrace, TraceEvent, TraceSink};
+use crate::trace::{RingTrace, TraceEvent};
 use crate::{Application, EventQueue, NodeId, SimConfig, SimDuration, SimTime};
 
-/// What the serial world adds to its engine: configuration, energy models,
-/// a spatial grid holding exactly the live nodes, and the trace ring.
+/// What the serial world adds to its engine: configuration, a spatial grid
+/// holding exactly the live nodes, and the trace ring.
 pub(super) struct SerialReach {
     pub(super) cfg: SimConfig,
-    pub(super) tx_model: Box<dyn TxEnergyModel>,
-    pub(super) mobility_model: Box<dyn MobilityCostModel>,
     pub(super) grid: SpatialGrid,
     pub(super) trace: Option<RingTrace>,
 }
 
 impl<M> Reach<M> for SerialReach {
-    const GROUND_TRUTH: bool = true;
-
     fn cfg(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    fn tx_model(&self) -> &dyn TxEnergyModel {
-        self.tx_model.as_ref()
-    }
-
-    fn mobility_model(&self) -> &dyn MobilityCostModel {
-        self.mobility_model.as_ref()
     }
 
     #[inline]
@@ -145,13 +132,11 @@ impl<A: Application> World<A> {
         self.started = true;
         self.engine.fill_board();
         let now = self.engine.time;
-        if self.reach.cfg.hello.enabled {
-            // Beacons fire immediately at start so neighbor tables are
-            // populated before the first data packet; the queue's sequence
-            // numbers give a deterministic beacon order.
-            for i in 0..self.engine.nodes.len() {
-                self.engine.queue.push(now, Event::HelloBeacon { node: NodeId::new(i as u32) });
-            }
+        // Beacons fire immediately at start so neighbor tables are populated
+        // before the first data packet; the queue's sequence numbers give a
+        // deterministic beacon order.
+        for i in 0..self.engine.nodes.len() {
+            self.engine.queue.push(now, Event::HelloBeacon { node: NodeId::new(i as u32) });
         }
         for i in 0..self.engine.nodes.len() {
             if self.engine.nodes.is_alive(i) {

@@ -19,7 +19,7 @@ mod tests;
 
 pub use observe::KernelStats;
 
-use imobif_energy::{Battery, MobilityCostModel, TxEnergyModel};
+use imobif_energy::Battery;
 use imobif_geom::{Point2, SpatialGrid};
 
 use crate::node::NodeRef;
@@ -65,31 +65,21 @@ impl<A: Application> World<A> {
     ///
     /// Returns [`SimError::InvalidConfig`] if the configuration fails
     /// [`SimConfig::validate`].
-    pub fn new(
-        cfg: SimConfig,
-        tx_model: Box<dyn TxEnergyModel>,
-        mobility_model: Box<dyn MobilityCostModel>,
-    ) -> Result<Self, SimError> {
+    pub fn new(cfg: SimConfig) -> Result<Self, SimError> {
         cfg.validate()?;
         Ok(World {
             engine: Engine::new(),
-            reach: SerialReach {
-                grid: SpatialGrid::new(cfg.range.max(1.0)),
-                cfg,
-                tx_model,
-                mobility_model,
-                trace: None,
-            },
+            reach: SerialReach { grid: SpatialGrid::new(cfg.range.max(1.0)), cfg, trace: None },
             started: false,
             spare_tables: Vec::new(),
         })
     }
 
     /// Returns the world to its just-constructed state under a (possibly
-    /// different) configuration and models, keeping every allocation for
-    /// the next replicate; application instances are drained into
-    /// `recycled_apps` so the caller can reuse theirs too. A reset world is
-    /// observationally identical to a fresh `World::new(cfg, …)` — the same
+    /// different) configuration, keeping every allocation for the next
+    /// replicate; application instances are drained into `recycled_apps`
+    /// so the caller can reuse theirs too. A reset world is
+    /// observationally identical to a fresh `World::new(cfg)` — the same
     /// setup produces a bit-identical event trace (asserted by a property
     /// test). Tracing is disabled by the reset, matching a fresh world.
     ///
@@ -100,31 +90,15 @@ impl<A: Application> World<A> {
     pub fn reset_into(
         &mut self,
         cfg: SimConfig,
-        tx_model: Box<dyn TxEnergyModel>,
-        mobility_model: Box<dyn MobilityCostModel>,
         recycled_apps: &mut Vec<A>,
     ) -> Result<(), SimError> {
         cfg.validate()?;
         self.engine.clear_into(&mut self.spare_tables, recycled_apps);
         engine::reset_grid(&mut self.reach.grid, cfg.range);
         self.reach.cfg = cfg;
-        self.reach.tx_model = tx_model;
-        self.reach.mobility_model = mobility_model;
         self.reach.trace = None;
         self.started = false;
         Ok(())
-    }
-
-    /// Like [`World::reset_into`] (same error contract), dropping the old
-    /// application instances instead of recycling them.
-    pub fn reset(
-        &mut self,
-        cfg: SimConfig,
-        tx_model: Box<dyn TxEnergyModel>,
-        mobility_model: Box<dyn MobilityCostModel>,
-    ) -> Result<(), SimError> {
-        let mut dropped = Vec::new();
-        self.reset_into(cfg, tx_model, mobility_model, &mut dropped)
     }
 
     /// Adds a node with its application instance, returning its id.

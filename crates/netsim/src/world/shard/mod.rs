@@ -54,9 +54,7 @@
 //! * beacon hearer sets come from the snapshot positions/liveness.
 //!
 //! All deltas are identical at every shard count, so experiments compare
-//! sharded runs against sharded runs. Ground-truth peer reads (the
-//! HELLO-disabled mode) cannot cross shards, so sharded worlds require
-//! `cfg.hello.enabled`.
+//! sharded runs against sharded runs.
 
 mod pool;
 mod profile;
@@ -69,7 +67,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use imobif_energy::{Battery, MobilityCostModel, TxEnergyModel};
+use imobif_energy::Battery;
 use imobif_geom::Point2;
 use imobif_obs::span::phase;
 use imobif_obs::{Registry, SpanSink, COORD_SHARD};
@@ -282,8 +280,6 @@ impl Scheduler {
 pub struct ShardedWorld<A: Application> {
     cfg: SimConfig,
     layout: ShardLayout,
-    tx_model: Arc<dyn TxEnergyModel + Send + Sync>,
-    mobility_model: Arc<dyn MobilityCostModel + Send + Sync>,
     shards: Vec<Shard<A>>,
     /// Per-source outboxes, owned by the coordinator so barriers can read
     /// a source's runs while mutating destination shards.
@@ -319,23 +315,13 @@ impl<A: Application> ShardedWorld<A> {
     /// Creates an empty sharded world over the deployment rectangle
     /// `bounds` with `shards` spatial shards.
     ///
-    /// The energy models are shared (`Arc`) rather than owned (`Box`)
-    /// because the persistent worker pool hands them to its threads.
-    ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] if the configuration fails
-    /// [`SimConfig::validate`], if `hello.enabled` is false (sharded worlds
-    /// have no cross-shard ground truth), if `hop_latency` is zero (the
-    /// epoch width — the conservative-window argument needs positive
-    /// lookahead), or if `shards` is zero.
-    pub fn new(
-        cfg: SimConfig,
-        tx_model: Arc<dyn TxEnergyModel + Send + Sync>,
-        mobility_model: Arc<dyn MobilityCostModel + Send + Sync>,
-        bounds: (Point2, Point2),
-        shards: usize,
-    ) -> Result<Self, SimError> {
+    /// [`SimConfig::validate`], if `hop_latency` is zero (the epoch width —
+    /// the conservative-window argument needs positive lookahead), or if
+    /// `shards` is zero.
+    pub fn new(cfg: SimConfig, bounds: (Point2, Point2), shards: usize) -> Result<Self, SimError> {
         cfg.validate()?;
         Self::validate_sharding(&cfg, shards)?;
         let layout = ShardLayout::new(bounds.0, bounds.1, shards);
@@ -352,8 +338,6 @@ impl<A: Application> ShardedWorld<A> {
             replica: Arc::new(Replica::new(cfg.range.max(1.0))),
             cfg,
             layout,
-            tx_model,
-            mobility_model,
             shards,
             outs,
             owner: Vec::new(),
@@ -373,9 +357,6 @@ impl<A: Application> ShardedWorld<A> {
     }
 
     fn validate_sharding(cfg: &SimConfig, shards: usize) -> Result<(), SimError> {
-        if !cfg.hello.enabled {
-            return Err(SimError::InvalidConfig { field: "hello.enabled" });
-        }
         if cfg.hop_latency == SimDuration::ZERO {
             return Err(SimError::InvalidConfig { field: "hop_latency" });
         }
@@ -400,8 +381,6 @@ impl<A: Application> ShardedWorld<A> {
     pub fn reset_into(
         &mut self,
         cfg: SimConfig,
-        tx_model: Arc<dyn TxEnergyModel + Send + Sync>,
-        mobility_model: Arc<dyn MobilityCostModel + Send + Sync>,
         bounds: (Point2, Point2),
         shards: usize,
         recycled_apps: &mut Vec<A>,
@@ -432,8 +411,6 @@ impl<A: Application> ShardedWorld<A> {
         engine::reset_grid(&mut replica.grid, cfg.range);
         self.cfg = cfg;
         self.layout = layout;
-        self.tx_model = tx_model;
-        self.mobility_model = mobility_model;
         self.counters = EpochCounters::default();
         if let Some(sp) = &mut self.spans {
             sp.clear();
@@ -489,26 +466,8 @@ impl<A: Application> ShardedWorld<A> {
             let beacon = Event::HelloBeacon { node: id };
             keys.push(&mut engine.queue, SimTime::ZERO, slot as usize, id, beacon);
         }
-        let Self {
-            cfg,
-            tx_model,
-            mobility_model,
-            owner,
-            shards,
-            outs,
-            replica,
-            sched,
-            merge,
-            counters,
-            spans,
-            ..
-        } = self;
-        let sh = SharedCtx {
-            cfg,
-            tx_model: tx_model.as_ref(),
-            mobility_model: mobility_model.as_ref(),
-            owner,
-        };
+        let Self { cfg, owner, shards, outs, replica, sched, merge, counters, spans, .. } = self;
+        let sh = SharedCtx { cfg, owner };
         for (i, &(si, slot)) in owner.iter().enumerate() {
             let (engine, mut reach) =
                 shards[si as usize].split(&sh, replica, &mut outs[si as usize]);
@@ -563,19 +522,12 @@ impl<A: Application> ShardedWorld<A> {
             if self.worker_pool.as_ref().is_none_or(|p| p.workers() != workers) {
                 self.worker_pool = Some(WorkerPool::new(workers));
             }
-            Arc::new(WorkerCtx {
-                cfg: self.cfg,
-                tx_model: Arc::clone(&self.tx_model),
-                mobility_model: Arc::clone(&self.mobility_model),
-                owner: self.owner.clone(),
-            })
+            Arc::new(WorkerCtx { cfg: self.cfg, owner: self.owner.clone() })
         });
         let epoch = self.cfg.hop_latency;
         let dense = self.dense_epochs;
         let Self {
             cfg,
-            tx_model,
-            mobility_model,
             owner,
             shards,
             outs,
@@ -590,12 +542,7 @@ impl<A: Application> ShardedWorld<A> {
             time,
             ..
         } = self;
-        let sh = SharedCtx {
-            cfg,
-            tx_model: tx_model.as_ref(),
-            mobility_model: mobility_model.as_ref(),
-            owner,
-        };
+        let sh = SharedCtx { cfg, owner };
         let pool = pool_ctx.map(|ctx| (worker_pool.as_ref().expect("pool created above"), ctx));
         sched.rebuild(shards);
         // End of the previous window this run, for fast-forward detection.

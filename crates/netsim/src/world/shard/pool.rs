@@ -25,7 +25,6 @@
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
-use imobif_energy::{MobilityCostModel, TxEnergyModel};
 use imobif_obs::SpanClock;
 
 use super::reach::{Replica, Shard, SharedCtx};
@@ -33,24 +32,17 @@ use super::xfer::ShardOutbox;
 use crate::{Application, SimConfig, SimTime};
 
 /// Read-only per-run context shared with the workers: an owned snapshot of
-/// the configuration and owner map plus shared handles to the energy
-/// models. Rebuilt once per `run_until` (the owner map is append-only
-/// between resets, so a snapshot taken at run entry is exact).
+/// the configuration and owner map. Rebuilt once per `run_until` (the owner
+/// map is append-only between resets, so a snapshot taken at run entry is
+/// exact).
 pub(super) struct WorkerCtx {
     pub(super) cfg: SimConfig,
-    pub(super) tx_model: Arc<dyn TxEnergyModel + Send + Sync>,
-    pub(super) mobility_model: Arc<dyn MobilityCostModel + Send + Sync>,
     pub(super) owner: Vec<(u32, u32)>,
 }
 
 impl WorkerCtx {
     pub(super) fn shared(&self) -> SharedCtx<'_> {
-        SharedCtx {
-            cfg: &self.cfg,
-            tx_model: self.tx_model.as_ref(),
-            mobility_model: self.mobility_model.as_ref(),
-            owner: &self.owner,
-        }
+        SharedCtx { cfg: &self.cfg, owner: &self.owner }
     }
 }
 

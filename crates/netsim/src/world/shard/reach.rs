@@ -9,7 +9,7 @@
 //! emission, and is applied at the next epoch barrier (see
 //! [`xfer`](super::xfer) for the run layout and the ordering argument).
 
-use imobif_energy::{Battery, MobilityCostModel, TxEnergyModel};
+use imobif_energy::Battery;
 use imobif_geom::{Point2, SpatialGrid};
 
 use super::super::beacon::{BeaconView, Links};
@@ -64,12 +64,10 @@ impl Replica {
     }
 }
 
-/// Read-only simulation context shared by every shard: configuration,
-/// energy models, and the global owner map (`global id → (shard, slot)`).
+/// Read-only simulation context shared by every shard: configuration and
+/// the global owner map (`global id → (shard, slot)`).
 pub(super) struct SharedCtx<'a> {
     pub(super) cfg: &'a SimConfig,
-    pub(super) tx_model: &'a dyn TxEnergyModel,
-    pub(super) mobility_model: &'a dyn MobilityCostModel,
     pub(super) owner: &'a [(u32, u32)],
 }
 
@@ -194,19 +192,8 @@ pub(super) struct ShardReach<'a, M> {
 }
 
 impl<M> Reach<M> for ShardReach<'_, M> {
-    /// Ground-truth peer reads cannot cross shards.
-    const GROUND_TRUTH: bool = false;
-
     fn cfg(&self) -> &SimConfig {
         self.sh.cfg
-    }
-
-    fn tx_model(&self) -> &dyn TxEnergyModel {
-        self.sh.tx_model
-    }
-
-    fn mobility_model(&self) -> &dyn MobilityCostModel {
-        self.sh.mobility_model
     }
 
     #[inline]

@@ -11,7 +11,7 @@ use crate::trace::{RingTrace, TraceEvent};
 use crate::{
     EnergyCategory, EventQueue, NeighborEntry, NeighborView, NodeCtx, NodeEnergy, Outbox, World,
 };
-use imobif_energy::{LinearMobilityCost, PowerLawModel};
+use imobif_energy::PowerLawModel;
 use imobif_geom::SpatialGrid;
 
 /// Test protocol: forwards a counter along a chain, optionally moves on
@@ -52,24 +52,12 @@ fn make_sharded(shards: usize) -> ShardedWorld<Echo> {
 }
 
 fn make_sharded_with(cfg: SimConfig, shards: usize) -> ShardedWorld<Echo> {
-    ShardedWorld::new(
-        cfg,
-        Arc::new(PowerLawModel::paper_default(2.0).unwrap()),
-        Arc::new(LinearMobilityCost::new(0.5).unwrap()),
-        BOUNDS,
-        shards,
-    )
-    .unwrap()
+    ShardedWorld::new(cfg, BOUNDS, shards).unwrap()
 }
 
-/// The serial twin of [`make_sharded_with`]: same models, same config.
+/// The serial twin of [`make_sharded_with`]: same config.
 fn make_serial(cfg: SimConfig) -> World<Echo> {
-    World::new(
-        cfg,
-        Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-        Box::new(LinearMobilityCost::new(0.5).unwrap()),
-    )
-    .unwrap()
+    World::new(cfg).unwrap()
 }
 
 #[derive(Debug, Clone)]
@@ -260,12 +248,7 @@ impl Driver for ShardedWorld<Echo> {
     }
     fn reach_trace(&mut self, id: NodeId, event: fn() -> TraceEvent) {
         let (si, slot) = self.locate(id);
-        let sh = SharedCtx {
-            cfg: &self.cfg,
-            tx_model: self.tx_model.as_ref(),
-            mobility_model: self.mobility_model.as_ref(),
-            owner: &self.owner,
-        };
+        let sh = SharedCtx { cfg: &self.cfg, owner: &self.owner };
         let (_, mut reach) = self.shards[si].split(&sh, &self.replica, &mut self.outs[si]);
         reach.trace(slot, id, event);
     }
@@ -318,19 +301,8 @@ fn layout_maps_every_point_to_a_valid_cell() {
 
 #[test]
 fn sharded_world_rejects_unshardable_configs() {
-    let mk = |cfg: SimConfig, shards: usize| {
-        ShardedWorld::<Echo>::new(
-            cfg,
-            Arc::new(PowerLawModel::paper_default(2.0).unwrap()),
-            Arc::new(LinearMobilityCost::new(0.5).unwrap()),
-            BOUNDS,
-            shards,
-        )
-        .map(|_| ())
-    };
-    let mut no_hello = SimConfig::default();
-    no_hello.hello.enabled = false;
-    assert_eq!(mk(no_hello, 2), Err(SimError::InvalidConfig { field: "hello.enabled" }));
+    let mk =
+        |cfg: SimConfig, shards: usize| ShardedWorld::<Echo>::new(cfg, BOUNDS, shards).map(|_| ());
     let no_lookahead = SimConfig { hop_latency: SimDuration::ZERO, ..SimConfig::default() };
     assert_eq!(mk(no_lookahead, 2), Err(SimError::InvalidConfig { field: "hop_latency" }));
     assert_eq!(mk(SimConfig::default(), 0), Err(SimError::InvalidConfig { field: "shards" }));
@@ -685,30 +657,20 @@ enum Call {
     Trace(&'static str),
 }
 
-/// A third [`Reach`]: ground truth and one queue, like the serial world's,
+/// A third [`Reach`]: live columns and one queue, like the serial world's,
 /// but it publishes nothing and logs every call the handlers make. Some
 /// ordering rules are invisible in an engine's outputs (the serial world
 /// keeps its trace and its queue apart), so the table above cannot see
 /// them; the calls can.
 struct LogReach {
     cfg: SimConfig,
-    tx_model: PowerLawModel,
-    mobility_model: LinearMobilityCost,
     grid: SpatialGrid,
     calls: Vec<Call>,
 }
 
 impl Reach<u32> for LogReach {
-    const GROUND_TRUTH: bool = true;
-
     fn cfg(&self) -> &SimConfig {
         &self.cfg
-    }
-    fn tx_model(&self) -> &dyn TxEnergyModel {
-        &self.tx_model
-    }
-    fn mobility_model(&self) -> &dyn MobilityCostModel {
-        &self.mobility_model
     }
     fn slot_of(&self, id: NodeId) -> usize {
         id.index()
@@ -770,13 +732,7 @@ impl Reach<u32> for LogReach {
 fn reach_calls(joules: [f64; 2], act: impl FnOnce(&mut Engine<Echo>, &mut LogReach)) -> Vec<Call> {
     let mut cfg = SimConfig::default();
     cfg.hello.charge_energy = true;
-    let mut reach = LogReach {
-        cfg,
-        tx_model: PowerLawModel::paper_default(2.0).unwrap(),
-        mobility_model: LinearMobilityCost::new(0.5).unwrap(),
-        grid: SpatialGrid::new(cfg.range),
-        calls: Vec::new(),
-    };
+    let mut reach = LogReach { cfg, grid: SpatialGrid::new(cfg.range), calls: Vec::new() };
     let mut engine = Engine::new();
     for (x, j) in [(40.0, joules[0]), (60.0, joules[1])] {
         let battery = Battery::new(j).unwrap();
@@ -986,16 +942,7 @@ proptest::proptest! {
         };
         let _ = run_scenario(&mut reused, &warmup);
         let mut apps = Vec::new();
-        reused
-            .reset_into(
-                SimConfig::default(),
-                Arc::new(PowerLawModel::paper_default(2.0).unwrap()),
-                Arc::new(LinearMobilityCost::new(0.5).unwrap()),
-                BOUNDS,
-                shards,
-                &mut apps,
-            )
-            .unwrap();
+        reused.reset_into(SimConfig::default(), BOUNDS, shards, &mut apps).unwrap();
         proptest::prop_assert_eq!(apps.len(), warm_n, "old apps are recycled to the caller");
         let got = run_scenario(&mut reused, &sc);
         proptest::prop_assert_eq!(&got, &want);
@@ -1175,16 +1122,8 @@ proptest::proptest! {
     ) {
         let mut cfg = SimConfig::default();
         cfg.hello.charge_energy = true;
-        let tx = PowerLawModel::paper_default(2.0).unwrap();
-        let per_beacon = tx.energy(cfg.range, cfg.hello.bits as f64);
-        let mut w = ShardedWorld::new(
-            cfg,
-            Arc::new(tx),
-            Arc::new(LinearMobilityCost::new(0.5).unwrap()),
-            BOUNDS,
-            shards,
-        )
-        .unwrap();
+        let per_beacon = cfg.tx.energy(cfg.range, cfg.hello.bits as f64);
+        let mut w = ShardedWorld::new(cfg, BOUNDS, shards).unwrap();
         w.set_threads(threads);
         let n = coords.len();
         for &(x, y, kind) in &coords {
@@ -1257,14 +1196,7 @@ proptest::proptest! {
 fn reset_with_a_new_range_matches_fresh() {
     let cfg = SimConfig { range: 20.0, ..SimConfig::default() };
     let sc = lattice_scenario();
-    let mut fresh = ShardedWorld::new(
-        cfg,
-        Arc::new(PowerLawModel::paper_default(2.0).unwrap()),
-        Arc::new(LinearMobilityCost::new(0.5).unwrap()),
-        BOUNDS,
-        4,
-    )
-    .unwrap();
+    let mut fresh = ShardedWorld::new(cfg, BOUNDS, 4).unwrap();
     let want = cache_fingerprint(&mut fresh, &sc);
 
     // Fill the caches at the default 30 m range on the same lattice: the
@@ -1273,16 +1205,7 @@ fn reset_with_a_new_range_matches_fresh() {
     let mut reused = make_sharded(4);
     let warm = cache_fingerprint(&mut reused, &sc);
     assert!(warm.1.hello_cache_hits > 0);
-    reused
-        .reset_into(
-            cfg,
-            Arc::new(PowerLawModel::paper_default(2.0).unwrap()),
-            Arc::new(LinearMobilityCost::new(0.5).unwrap()),
-            BOUNDS,
-            4,
-            &mut Vec::new(),
-        )
-        .unwrap();
+    reused.reset_into(cfg, BOUNDS, 4, &mut Vec::new()).unwrap();
     let got = cache_fingerprint(&mut reused, &sc);
     assert_eq!(got.0.fnv, want.0.fnv);
     assert_eq!(got, want);
@@ -1408,15 +1331,7 @@ fn reset_clears_spans_and_counters() {
     let _ = run_scenario(&mut w, &sc);
     assert!(w.epoch_profile().expect("enabled").epochs > 0);
     let mut apps = Vec::new();
-    w.reset_into(
-        SimConfig::default(),
-        Arc::new(PowerLawModel::paper_default(2.0).unwrap()),
-        Arc::new(LinearMobilityCost::new(0.5).unwrap()),
-        BOUNDS,
-        4,
-        &mut apps,
-    )
-    .unwrap();
+    w.reset_into(SimConfig::default(), BOUNDS, 4, &mut apps).unwrap();
     let p = w.epoch_profile().expect("span enablement survives reset");
     assert_eq!(p.epochs, 0);
     assert_eq!(w.spans().unwrap().recorded(), 0);

@@ -7,7 +7,7 @@ use super::engine::Event;
 use super::*;
 use crate::trace::TraceEvent;
 use crate::{EnergyCategory, NeighborEntry, NodeCtx, Outbox, SimDuration};
-use imobif_energy::{LinearMobilityCost, PowerLawModel};
+use imobif_energy::PowerLawModel;
 
 /// Test protocol: forwards a counter along a chain and records receipt.
 #[derive(Debug, Default)]
@@ -38,12 +38,7 @@ impl Application for Echo {
 }
 
 fn make_world() -> World<Echo> {
-    World::new(
-        SimConfig::default(),
-        Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-        Box::new(LinearMobilityCost::new(0.5).unwrap()),
-    )
-    .unwrap()
+    World::new(SimConfig::default()).unwrap()
 }
 
 fn chain(world: &mut World<Echo>, n: usize, spacing: f64, joules: f64) -> Vec<NodeId> {
@@ -122,13 +117,7 @@ fn kernel_stats_and_publish_metrics_flush_everything() {
     assert!(off.snapshot().entries.is_empty());
     // Reset clears the plain-field stats with the rest of the world.
     let mut recycled = Vec::new();
-    w.reset_into(
-        SimConfig::default(),
-        Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-        Box::new(LinearMobilityCost::new(0.5).unwrap()),
-        &mut recycled,
-    )
-    .unwrap();
+    w.reset_into(SimConfig::default(), &mut recycled).unwrap();
     assert_eq!(*w.kernel_stats(), KernelStats::default());
     assert_eq!(w.engine.queue.stats().pushes, 0);
 }
@@ -204,12 +193,7 @@ fn hello_populates_neighbor_tables() {
 fn hello_energy_charged_when_enabled() {
     let mut cfg = SimConfig::default();
     cfg.hello.charge_energy = true;
-    let mut w: World<Echo> = World::new(
-        cfg,
-        Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-        Box::new(LinearMobilityCost::new(0.5).unwrap()),
-    )
-    .unwrap();
+    let mut w: World<Echo> = World::new(cfg).unwrap();
     let a = w.add_node(Point2::ORIGIN, Battery::new(10.0).unwrap(), Echo::default());
     w.start();
     w.run_until(SimTime::from_micros(3_500_000));
@@ -419,10 +403,8 @@ proptest::proptest! {
         const CROWD: usize = 24;
         let mut cfg = SimConfig::default();
         cfg.hello.charge_energy = true;
-        let tx = PowerLawModel::paper_default(2.0).unwrap();
-        let per_beacon = tx.energy(cfg.range, cfg.hello.bits as f64);
-        let mut w: World<Echo> =
-            World::new(cfg, Box::new(tx), Box::new(LinearMobilityCost::new(0.5).unwrap())).unwrap();
+        let per_beacon = cfg.tx.energy(cfg.range, cfg.hello.bits as f64);
+        let mut w: World<Echo> = World::new(cfg).unwrap();
         let mut offsets = Vec::new();
         for &(x, y, kind) in &coords {
             let off = if kind == 1 { FAR } else { 0.0 };
@@ -544,15 +526,7 @@ fn cache_fingerprint(w: &mut World<Echo>) -> (u64, KernelStats, Vec<Vec<Neighbor
 #[test]
 fn reset_with_a_new_range_matches_fresh() {
     let cfg = |range: f64| SimConfig { range, ..SimConfig::default() };
-    let models =
-        || -> (Box<dyn imobif_energy::TxEnergyModel>, Box<dyn imobif_energy::MobilityCostModel>) {
-            (
-                Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-                Box::new(LinearMobilityCost::new(0.5).unwrap()),
-            )
-        };
-    let (tx, mob) = models();
-    let mut fresh: World<Echo> = World::new(cfg(20.0), tx, mob).unwrap();
+    let mut fresh: World<Echo> = World::new(cfg(20.0)).unwrap();
     let want = cache_fingerprint(&mut fresh);
 
     // Fill the caches at range 30 on the same lattice: every stale entry's
@@ -562,8 +536,7 @@ fn reset_with_a_new_range_matches_fresh() {
     assert_eq!(reused.config().range, 30.0);
     let warm = cache_fingerprint(&mut reused);
     assert!(warm.1.hello_cache_hits > 0);
-    let (tx, mob) = models();
-    reused.reset_into(cfg(20.0), tx, mob, &mut Vec::new()).unwrap();
+    reused.reset_into(cfg(20.0), &mut Vec::new()).unwrap();
     let got = cache_fingerprint(&mut reused);
     assert_eq!(got, want);
 }
@@ -649,14 +622,7 @@ fn reset_world_is_bit_identical_to_fresh() {
     };
     let _ = run_scenario(&mut reused, &warmup);
     let mut apps = Vec::new();
-    reused
-        .reset_into(
-            SimConfig::default(),
-            Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-            Box::new(LinearMobilityCost::new(0.5).unwrap()),
-            &mut apps,
-        )
-        .unwrap();
+    reused.reset_into(SimConfig::default(), &mut apps).unwrap();
     assert_eq!(apps.len(), 7, "old apps are recycled to the caller");
     let got = run_scenario(&mut reused, &sc);
     assert_eq!(got, want);
@@ -694,13 +660,7 @@ proptest::proptest! {
             run_micros: 3_000_000,
         };
         let _ = run_scenario(&mut reused, &warmup);
-        reused
-            .reset(
-                SimConfig::default(),
-                Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-                Box::new(LinearMobilityCost::new(0.5).unwrap()),
-            )
-            .unwrap();
+        reused.reset_into(SimConfig::default(), &mut Vec::new()).unwrap();
         let got = run_scenario(&mut reused, &sc);
         proptest::prop_assert_eq!(got, want);
     }

@@ -1,7 +1,7 @@
 //! A hand-rolled linter for the Prometheus text exposition format.
 //!
-//! CI and unit tests run [`lint`] over [`Snapshot::to_prometheus`]
-//! (crate::registry::Snapshot::to_prometheus) output so an exporter
+//! CI and unit tests run [`lint`] over
+//! [`Snapshot::to_prometheus`](crate::Snapshot::to_prometheus) output so an exporter
 //! regression (bad metric name, missing `+Inf` bucket, non-cumulative
 //! histogram) fails before a scrape ever sees it. The checks follow the
 //! text-format grammar, with one deliberate strictness beyond it: every

@@ -16,7 +16,7 @@ use imobif::{
     install_flow, FlowSpec, ImobifApp, ImobifConfig, MinEnergyStrategy, MobilityMode,
     MobilityStrategy,
 };
-use imobif_energy::{Battery, LinearMobilityCost, PowerLawModel};
+use imobif_energy::{Battery, PowerLawModel};
 use imobif_geom::{Point2, Polyline};
 use imobif_netsim::{FlowId, NodeId, SimConfig, SimTime, World};
 
@@ -42,12 +42,7 @@ fn sketch(points: &[Point2]) -> String {
 
 fn main() {
     let strategy: Arc<dyn MobilityStrategy> = Arc::new(MinEnergyStrategy::new());
-    let mut world = World::new(
-        SimConfig::default(),
-        Box::new(PowerLawModel::paper_default(2.0).expect("valid model")),
-        Box::new(LinearMobilityCost::new(0.5).expect("valid model")),
-    )
-    .expect("valid sim config");
+    let mut world = World::new(SimConfig::default()).expect("valid sim config");
     let cfg = ImobifConfig { mode: MobilityMode::CostUnaware, ..Default::default() };
     let ids: Vec<NodeId> = NODES
         .iter()
@@ -103,7 +98,6 @@ fn main() {
 }
 
 fn path_energy_per_bit(path: &Polyline) -> f64 {
-    use imobif_energy::TxEnergyModel;
     let model = PowerLawModel::paper_default(2.0).expect("valid model");
     path.hop_lengths().iter().map(|&d| model.energy_per_bit(d)).sum()
 }

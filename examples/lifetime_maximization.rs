@@ -21,7 +21,7 @@ use imobif::{
     install_flow, FlowSpec, ImobifApp, ImobifConfig, MaxLifetimeStrategy, MobilityMode,
     MobilityStrategy,
 };
-use imobif_energy::{Battery, LinearMobilityCost, PowerLawModel};
+use imobif_energy::Battery;
 use imobif_geom::{Point2, Polyline};
 use imobif_netsim::{FlowId, NodeId, SimConfig, SimTime, World};
 
@@ -44,15 +44,10 @@ struct Outcome {
 }
 
 fn run(mode: MobilityMode) -> Outcome {
-    let model = PowerLawModel::paper_default(2.0).expect("valid model");
+    let sim = SimConfig::default();
     let strategy: Arc<dyn MobilityStrategy> =
-        Arc::new(MaxLifetimeStrategy::fitted(&model, 1.0, 30.0).expect("valid range"));
-    let mut world = World::new(
-        SimConfig::default(),
-        Box::new(model),
-        Box::new(LinearMobilityCost::new(0.5).expect("valid model")),
-    )
-    .expect("valid sim config");
+        Arc::new(MaxLifetimeStrategy::fitted(&sim.tx, 1.0, 30.0).expect("valid range"));
+    let mut world = World::new(sim).expect("valid sim config");
     let cfg = ImobifConfig { mode, ..Default::default() };
     let ids: Vec<NodeId> = NODES
         .iter()

@@ -17,18 +17,13 @@ use imobif::{
     install_flow, FlowSpec, ImobifApp, ImobifConfig, MinEnergyStrategy, MobilityMode,
     MobilityStrategy,
 };
-use imobif_energy::{Battery, LinearMobilityCost, PowerLawModel};
+use imobif_energy::Battery;
 use imobif_geom::Point2;
 use imobif_netsim::{FlowId, SimConfig, SimTime, World};
 
 fn main() {
     let strategy: Arc<dyn MobilityStrategy> = Arc::new(MinEnergyStrategy::new());
-    let mut world = World::new(
-        SimConfig::default(),
-        Box::new(PowerLawModel::paper_default(2.0).expect("valid model")),
-        Box::new(LinearMobilityCost::new(0.5).expect("valid model")),
-    )
-    .expect("valid sim config");
+    let mut world = World::new(SimConfig::default()).expect("valid sim config");
     let cfg = ImobifConfig { mode: MobilityMode::CostUnaware, ..Default::default() };
     let add = |x: f64, y: f64, world: &mut World<ImobifApp>| {
         world.add_node(

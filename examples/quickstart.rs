@@ -18,7 +18,7 @@ use imobif::{
     install_flow, FlowSpec, ImobifApp, ImobifConfig, MinEnergyStrategy, MobilityMode,
     MobilityStrategy,
 };
-use imobif_energy::{Battery, LinearMobilityCost, PowerLawModel};
+use imobif_energy::Battery;
 use imobif_geom::{Point2, Polyline};
 use imobif_netsim::{FlowId, NodeId, SimConfig, SimTime, World};
 
@@ -33,12 +33,7 @@ const FLOW_BITS: u64 = 48_000_000; // 6 MB
 
 fn run(mode: MobilityMode) -> (World<ImobifApp>, Vec<NodeId>) {
     let strategy: Arc<dyn MobilityStrategy> = Arc::new(MinEnergyStrategy::new());
-    let mut world = World::new(
-        SimConfig::default(),
-        Box::new(PowerLawModel::paper_default(2.0).expect("valid model")),
-        Box::new(LinearMobilityCost::new(0.5).expect("valid model")),
-    )
-    .expect("valid sim config");
+    let mut world = World::new(SimConfig::default()).expect("valid sim config");
     let cfg = ImobifConfig { mode, ..Default::default() };
     let ids: Vec<NodeId> = NODES
         .iter()

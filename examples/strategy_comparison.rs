@@ -16,7 +16,7 @@ use imobif::{
     install_flow, FlowSpec, ImobifApp, ImobifConfig, MinEnergyStrategy, MobilityMode,
     MobilityStrategy,
 };
-use imobif_energy::{Battery, LinearMobilityCost, PowerLawModel};
+use imobif_energy::Battery;
 use imobif_geom::Point2;
 use imobif_netsim::{FlowId, NodeId, SimConfig, SimTime, World};
 
@@ -24,12 +24,7 @@ const NODES: [(f64, f64); 5] = [(0.0, 0.0), (14.0, 10.0), (32.0, -10.0), (50.0, 
 
 fn run(mode: MobilityMode, flow_bits: u64) -> (f64, f64, u64) {
     let strategy: Arc<dyn MobilityStrategy> = Arc::new(MinEnergyStrategy::new());
-    let mut world = World::new(
-        SimConfig::default(),
-        Box::new(PowerLawModel::paper_default(2.0).expect("valid model")),
-        Box::new(LinearMobilityCost::new(0.5).expect("valid model")),
-    )
-    .expect("valid sim config");
+    let mut world = World::new(SimConfig::default()).expect("valid sim config");
     let cfg = ImobifConfig { mode, ..Default::default() };
     let ids: Vec<NodeId> = NODES
         .iter()

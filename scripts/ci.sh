@@ -63,7 +63,7 @@ if [[ "$SMOKE" == "0" ]]; then
     cargo clippy --workspace --all-targets -- -D warnings
 
     echo "==> cargo doc (no-deps, warnings denied)"
-    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${FIRST_PARTY[@]}"
 fi
 
 if [[ "$SMOKE" == "1" ]]; then

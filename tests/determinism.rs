@@ -6,7 +6,7 @@ use std::sync::Arc;
 use imobif::{
     install_flow, FlowSpec, HybridStrategy, ImobifApp, ImobifConfig, MobilityMode, MobilityStrategy,
 };
-use imobif_energy::{Battery, LinearMobilityCost, PowerLawModel};
+use imobif_energy::Battery;
 use imobif_experiments::config::ScenarioConfig;
 use imobif_experiments::runner::{run_batch, StrategyChoice};
 use imobif_experiments::topology::draw_scenario;
@@ -27,12 +27,7 @@ const GRID_WORLD_TRACE_FNV: u64 = 0x905d_c5b4_7cec_bd17;
 fn grid_world_trace_jsonl() -> String {
     let strategy: Arc<dyn MobilityStrategy> =
         Arc::new(HybridStrategy::new(0.5, 2.0).expect("paper-default hybrid"));
-    let mut w = World::new(
-        SimConfig::default(),
-        Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-        Box::new(LinearMobilityCost::new(0.5).unwrap()),
-    )
-    .unwrap();
+    let mut w = World::new(SimConfig::default()).unwrap();
     let cfg = ImobifConfig { mode: MobilityMode::Informed, ..Default::default() };
     let mut ids: Vec<NodeId> = Vec::new();
     // Relay path: a shallow zig-zag from x=0 to x=144, hops of 24 m.

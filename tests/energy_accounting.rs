@@ -8,18 +8,13 @@ use imobif::{
     install_flow, FlowSpec, ImobifApp, ImobifConfig, MinEnergyStrategy, MobilityMode,
     MobilityStrategy,
 };
-use imobif_energy::{Battery, LinearMobilityCost, PowerLawModel};
+use imobif_energy::Battery;
 use imobif_geom::Point2;
 use imobif_netsim::{FlowId, NodeId, SimConfig, SimTime, World};
 
 fn build(mode: MobilityMode, energies: &[f64]) -> (World<ImobifApp>, Vec<NodeId>) {
     let strategy: Arc<dyn MobilityStrategy> = Arc::new(MinEnergyStrategy::new());
-    let mut world = World::new(
-        SimConfig::default(),
-        Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-        Box::new(LinearMobilityCost::new(0.5).unwrap()),
-    )
-    .unwrap();
+    let mut world = World::new(SimConfig::default()).unwrap();
     let cfg = ImobifConfig { mode, ..Default::default() };
     let pts = [(0.0, 0.0), (14.0, 10.0), (32.0, -10.0), (50.0, 10.0), (64.0, 0.0)];
     let ids: Vec<NodeId> = pts
@@ -107,12 +102,7 @@ fn hello_energy_is_categorized() {
     let mut sim_cfg = SimConfig::default();
     sim_cfg.hello.charge_energy = true;
     let strategy: Arc<dyn MobilityStrategy> = Arc::new(MinEnergyStrategy::new());
-    let mut w: World<ImobifApp> = World::new(
-        sim_cfg,
-        Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-        Box::new(LinearMobilityCost::new(0.5).unwrap()),
-    )
-    .unwrap();
+    let mut w: World<ImobifApp> = World::new(sim_cfg).unwrap();
     let app_cfg = ImobifConfig::default();
     let a = w.add_node(
         Point2::ORIGIN,

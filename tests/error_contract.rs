@@ -48,6 +48,7 @@ fn energy_errors_round_trip() {
         EnergyError::Depleted { required: 2.0, available: 0.5 },
         EnergyError::InvalidParameter { name: "alpha" },
         EnergyError::InsufficientSamples,
+        EnergyError::OutOfRange { name: "flows", value: 0, min: 1, max: 100 },
     ] {
         check_leaf(e);
     }

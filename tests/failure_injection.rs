@@ -8,19 +8,14 @@ use imobif::{
     install_flow, FlowSetupError, FlowSpec, ImobifApp, ImobifConfig, MinEnergyStrategy,
     MobilityMode, MobilityStrategy,
 };
-use imobif_energy::{Battery, LinearMobilityCost, PowerLawModel};
+use imobif_energy::Battery;
 use imobif_geom::Point2;
 use imobif_netsim::routing::GreedyRouter;
 use imobif_netsim::{FlowId, NodeId, RouteError, SimConfig, SimTime, TopologyView, World};
 
 fn world_with(points: &[(f64, f64)], energies: &[f64]) -> (World<ImobifApp>, Vec<NodeId>) {
     let strategy: Arc<dyn MobilityStrategy> = Arc::new(MinEnergyStrategy::new());
-    let mut world = World::new(
-        SimConfig::default(),
-        Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-        Box::new(LinearMobilityCost::new(0.5).unwrap()),
-    )
-    .unwrap();
+    let mut world = World::new(SimConfig::default()).unwrap();
     let cfg = ImobifConfig { mode: MobilityMode::Informed, ..Default::default() };
     let ids = points
         .iter()

@@ -9,7 +9,7 @@ use imobif::{
     install_flow, DecisionCacheConfig, FlowSpec, ImobifApp, ImobifConfig, MinEnergyStrategy,
     MobilityMode, MobilityStrategy,
 };
-use imobif_energy::{Battery, LinearMobilityCost, PowerLawModel};
+use imobif_energy::Battery;
 use imobif_geom::Point2;
 use imobif_netsim::trace::TraceEvent;
 use imobif_netsim::{FlowId, NodeId, SimConfig, SimTime, World};
@@ -18,12 +18,7 @@ use imobif_netsim::{FlowId, NodeId, SimConfig, SimTime, World};
 /// trace plus the summed relay cache counters.
 fn run_scenario(cache_enabled: bool) -> (Vec<TraceEvent>, u64, u64) {
     let strategy: Arc<dyn MobilityStrategy> = Arc::new(MinEnergyStrategy::new());
-    let mut w = World::new(
-        SimConfig::default(),
-        Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-        Box::new(LinearMobilityCost::new(0.5).unwrap()),
-    )
-    .unwrap();
+    let mut w = World::new(SimConfig::default()).unwrap();
     let app_cfg = ImobifConfig {
         mode: MobilityMode::Informed,
         cache: DecisionCacheConfig { enabled: cache_enabled, ..Default::default() },

@@ -8,7 +8,7 @@ use imobif::{
     install_flow, FlowSpec, ImobifApp, ImobifConfig, MinEnergyStrategy, MobilityMode,
     MobilityStrategy,
 };
-use imobif_energy::{Battery, LinearMobilityCost, PowerLawModel};
+use imobif_energy::Battery;
 use imobif_geom::Point2;
 use imobif_netsim::trace::{events_to_jsonl, TraceEvent};
 use imobif_netsim::{EnergyCategory, FlowId, NodeId, SimConfig, SimTime, World};
@@ -24,12 +24,7 @@ const INFORMED_RUN_TRACE_FNV: u64 = 0x7812_64e5_cdd6_e29f;
 
 fn informed_world() -> (World<ImobifApp>, Vec<NodeId>) {
     let strategy: Arc<dyn MobilityStrategy> = Arc::new(MinEnergyStrategy::new());
-    let mut w = World::new(
-        SimConfig::default(),
-        Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-        Box::new(LinearMobilityCost::new(0.5).unwrap()),
-    )
-    .unwrap();
+    let mut w = World::new(SimConfig::default()).unwrap();
     let cfg = ImobifConfig { mode: MobilityMode::Informed, ..Default::default() };
     let pts = [(0.0, 0.0), (14.0, 10.0), (32.0, -10.0), (50.0, 10.0), (64.0, 0.0)];
     let ids = pts
@@ -99,12 +94,7 @@ fn informed_run_trace_fingerprint_is_pinned() {
 #[test]
 fn no_mobility_traces_contain_no_movement_or_notifications() {
     let strategy: Arc<dyn MobilityStrategy> = Arc::new(MinEnergyStrategy::new());
-    let mut w = World::new(
-        SimConfig::default(),
-        Box::new(PowerLawModel::paper_default(2.0).unwrap()),
-        Box::new(LinearMobilityCost::new(0.5).unwrap()),
-    )
-    .unwrap();
+    let mut w = World::new(SimConfig::default()).unwrap();
     let cfg = ImobifConfig { mode: MobilityMode::NoMobility, ..Default::default() };
     let pts = [(0.0, 0.0), (14.0, 10.0), (32.0, -10.0), (50.0, 10.0), (64.0, 0.0)];
     let ids: Vec<NodeId> = pts
