@@ -121,7 +121,7 @@ fn sweep_events_per_sec(shards: usize) -> f64 {
     for _ in 0..SHARD_REPS {
         let mut run = build_sharded_arena(1_000, 8, shards, 2025, false);
         let t0 = Instant::now();
-        run.run_until_time(SimTime::from_micros(10_000_000));
+        run.world.run_until(SimTime::from_micros(10_000_000));
         best = best.max(run.world.events_processed() as f64 / t0.elapsed().as_secs_f64());
     }
     best

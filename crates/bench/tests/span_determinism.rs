@@ -6,11 +6,13 @@
 //! every worker count, and the fig6 figure bytes their pin with the metrics
 //! registry disabled and enabled.
 
-use imobif_bench::instances::{build_sharded_arena, ShardedArenaRun};
+use imobif::ImobifApp;
+use imobif_bench::instances::build_sharded_arena;
+use imobif_experiments::arena::ArenaRun;
 use imobif_experiments::figures::fig6;
 use imobif_experiments::obs::{disable_metrics, enable_metrics};
 use imobif_experiments::runner::clear_memos;
-use imobif_netsim::{SimTime, DEFAULT_SPAN_CAPACITY};
+use imobif_netsim::{ShardedWorld, SimTime, DEFAULT_SPAN_CAPACITY};
 use imobif_obs::fnv1a64;
 
 /// The recorded fingerprints of the sweep workload (1 000 nodes, 8 flows,
@@ -30,7 +32,7 @@ const SHARD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// The summary fingerprint the sweep pins: packet totals, event count,
 /// bit-exact energy totals, and the first death.
-fn summary_fnv(run: &ShardedArenaRun) -> u64 {
+fn summary_fnv(run: &ArenaRun<ShardedWorld<ImobifApp>>) -> u64 {
     let totals = run.world.totals();
     let summary = format!(
         "{},{},{},{},{},{:016x},{:016x},{:016x},{:016x},{:?}",
@@ -54,11 +56,11 @@ fn summary_fnv(run: &ShardedArenaRun) -> u64 {
 fn assert_sweep_pins(
     shards: usize,
     label: &str,
-    setup: impl FnOnce(&mut ShardedArenaRun),
-) -> ShardedArenaRun {
+    setup: impl FnOnce(&mut ArenaRun<ShardedWorld<ImobifApp>>),
+) -> ArenaRun<ShardedWorld<ImobifApp>> {
     let mut run = build_sharded_arena(1_000, 8, shards, 2025, true);
     setup(&mut run);
-    run.run_until_time(SimTime::from_micros(10_000_000));
+    run.world.run_until(SimTime::from_micros(10_000_000));
     assert!(run.delivered_packets() > 0, "sweep arena must deliver packets ({label})");
     assert_eq!(run.world.trace_fnv(), SWEEP_TRACE_FNV, "trace FNV drifted ({label})");
     assert_eq!(summary_fnv(&run), SWEEP_SUMMARY_FNV, "summary FNV drifted ({label})");
@@ -94,7 +96,7 @@ fn thread_sweep_pin_holds_at_one_two_and_four_threads() {
     for threads in [1, 2, 4] {
         let mut run = build_sharded_arena(5_000, 16, 8, 2025, true);
         run.world.set_threads(threads);
-        run.run_until_time(SimTime::from_micros(10_000_000));
+        run.world.run_until(SimTime::from_micros(10_000_000));
         assert_eq!(
             run.world.trace_fnv(),
             THREAD_SWEEP_TRACE_FNV,

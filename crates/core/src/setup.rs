@@ -4,32 +4,50 @@ use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
+use imobif_energy::Battery;
+use imobif_geom::Point2;
 use imobif_netsim::{FlowId, NodeId, ShardedWorld, SimDuration, World};
 use serde::{Deserialize, Serialize};
 
 use crate::{FlowEntry, ImobifApp, SourceFlow};
 
-/// A world flows can be installed into: the minimal surface
-/// [`install_flow`] needs, implemented by both the sequential
-/// [`World`] and the sharded [`ShardedWorld`] so experiment drivers share
-/// one validated setup path.
+/// A world of iMobif agents that experiments can populate, start and
+/// install flows into: the surface [`install_flow`] and the experiments'
+/// world builders need, implemented by both the sequential [`World`] and
+/// the sharded [`ShardedWorld`] so each world-building recipe is written
+/// once for both engines.
 pub trait FlowHost {
+    /// Adds a node; valid only before [`FlowHost::start`].
+    fn add_node(&mut self, position: Point2, battery: Battery, app: ImobifApp) -> NodeId;
+    /// Starts the world: schedules every node's HELLO chain.
+    fn start(&mut self);
     /// Number of nodes in the world.
     fn node_count(&self) -> usize;
     /// Whether `id` is alive.
     fn is_alive(&self, id: NodeId) -> bool;
     /// The iMobif agent at `id`.
+    fn app(&self, id: NodeId) -> &ImobifApp;
+    /// The iMobif agent at `id`, mutably.
     fn app_mut(&mut self, id: NodeId) -> &mut ImobifApp;
     /// Schedules the source's kick-off timer.
     fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64);
 }
 
 impl FlowHost for World<ImobifApp> {
+    fn add_node(&mut self, position: Point2, battery: Battery, app: ImobifApp) -> NodeId {
+        World::add_node(self, position, battery, app)
+    }
+    fn start(&mut self) {
+        World::start(self);
+    }
     fn node_count(&self) -> usize {
         World::node_count(self)
     }
     fn is_alive(&self, id: NodeId) -> bool {
         World::is_alive(self, id)
+    }
+    fn app(&self, id: NodeId) -> &ImobifApp {
+        World::app(self, id)
     }
     fn app_mut(&mut self, id: NodeId) -> &mut ImobifApp {
         World::app_mut(self, id)
@@ -40,11 +58,20 @@ impl FlowHost for World<ImobifApp> {
 }
 
 impl FlowHost for ShardedWorld<ImobifApp> {
+    fn add_node(&mut self, position: Point2, battery: Battery, app: ImobifApp) -> NodeId {
+        ShardedWorld::add_node(self, position, battery, app)
+    }
+    fn start(&mut self) {
+        ShardedWorld::start(self);
+    }
     fn node_count(&self) -> usize {
         ShardedWorld::node_count(self)
     }
     fn is_alive(&self, id: NodeId) -> bool {
         ShardedWorld::is_alive(self, id)
+    }
+    fn app(&self, id: NodeId) -> &ImobifApp {
+        ShardedWorld::app(self, id)
     }
     fn app_mut(&mut self, id: NodeId) -> &mut ImobifApp {
         ShardedWorld::app_mut(self, id)

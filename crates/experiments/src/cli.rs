@@ -25,10 +25,10 @@ use imobif::MobilityMode;
 use imobif_netsim::trace::{events_from_jsonl, events_to_jsonl};
 use imobif_obs::{fnv1a64, PhaseTimer, Registry, RunManifest, ScenarioInfo};
 
-use crate::config::{check_flows, ScenarioConfig};
-use crate::figures::{ext, fig5, fig6, fig7, fig8};
+use crate::config::{check_flows, ScenarioConfig, MAX_FLOWS, MAX_NODES};
+use crate::render::render_scenario;
 use crate::runner::StrategyChoice;
-use crate::scenario::{Adapter, ScenarioSpec};
+use crate::scenario::{CompiledScenario, ScenarioSpec};
 use crate::spans_tools::{self, SpansRunSpec};
 use crate::trace_tools;
 
@@ -142,6 +142,63 @@ fn write_artifact(out: Option<&Path>, name: &str, content: &str) {
     }
 }
 
+/// What a command records about its run in `run_manifest.json`, besides
+/// the phase timings and the metrics snapshot every manifest carries.
+struct RunInfo {
+    tool: &'static str,
+    targets: Vec<String>,
+    config_hash: u64,
+    seed: u64,
+    flows: u64,
+    threads: usize,
+    scenario: Option<ScenarioInfo>,
+}
+
+/// Writes `run_manifest.json` into `out` (default: the working directory),
+/// embedding the full snapshot of `registry` so one JSON file is the
+/// complete run artifact, and with `prom` the same metrics as
+/// `metrics.prom`.
+fn write_manifest(
+    out: Option<&Path>,
+    info: RunInfo,
+    timer: PhaseTimer,
+    registry: &Registry,
+    prom: bool,
+) {
+    let dir = Some(out.unwrap_or(Path::new(".")));
+    let snapshot = registry.snapshot();
+    let manifest = RunManifest {
+        tool: info.tool.to_string(),
+        targets: info.targets,
+        config_hash: info.config_hash,
+        seed: info.seed,
+        flows: u32::try_from(info.flows).unwrap_or(u32::MAX),
+        threads: info.threads,
+        phases: timer.into_phases(),
+        trace: crate::obs::trace_health(&snapshot),
+        scenario: info.scenario,
+        metrics: snapshot,
+    };
+    write_artifact(dir, "run_manifest.json", &manifest.render());
+    if prom {
+        write_artifact(dir, "metrics.prom", &manifest.metrics.to_prometheus());
+    }
+}
+
+/// Renders `compiled` ([`render_scenario`]), prints its markdown and
+/// writes its artifacts into `out`; with `fnv`, also prints each
+/// artifact's FNV-1a 64.
+fn emit(compiled: &CompiledScenario, out: Option<&Path>, fnv: bool) {
+    let rendered = render_scenario(compiled);
+    println!("{}", rendered.markdown);
+    for (name, content) in &rendered.artifacts {
+        write_artifact(out, name, content);
+        if fnv {
+            println!("fnv {name} {:#018x}", fnv1a64(content.as_bytes()));
+        }
+    }
+}
+
 /// FNV-1a over the canonical rendering of the run configuration: the
 /// manifest's config hash changes whenever any input that can change the
 /// output does.
@@ -156,6 +213,9 @@ fn config_hash(args: &FigureArgs) -> u64 {
     fnv1a64(canonical.as_bytes())
 }
 
+/// `imobif [all|fig5|…|ext]`: each target is its builtin spec, compiled
+/// with `--seed`/`--flows` and rendered exactly as `imobif scenario run`
+/// renders it.
 fn figures_cmd(argv: &[String]) -> Result<(), String> {
     let args = parse_figure_args(argv)?;
     if args.prom && !args.metrics {
@@ -163,128 +223,31 @@ fn figures_cmd(argv: &[String]) -> Result<(), String> {
     }
     let registry = if args.metrics { crate::obs::enable_metrics() } else { crate::obs::registry() };
     let mut timer = PhaseTimer::new();
-    let wants =
-        |t: &str| args.targets.iter().any(|x| x == t) || args.targets.iter().any(|x| x == "all");
-    let out = args.out.as_deref();
     println!("# iMobif reproduction — figure regeneration");
     println!("\nflows per experiment: {}; seed: {}\n", args.flows, args.seed);
-
-    if wants("fig5") {
-        let t = Instant::now();
-        timer.start("fig5");
-        let r = fig5::run(args.seed);
-        println!("{}", r.to_markdown());
-        timer.start("render");
-        write_artifact(out, "fig5_placements.csv", &r.to_csv());
-        let svg = crate::render::placements_svg(&[&r.original, &r.min_energy, &r.max_lifetime]);
-        write_artifact(out, "fig5_placements.svg", &svg);
-        eprintln!("fig5 done in {:.1}s", t.elapsed().as_secs_f64());
-    }
-    if wants("fig6") {
-        let t = Instant::now();
-        timer.start("fig6");
-        let r = fig6::run(args.flows, args.seed);
-        println!("{}", r.to_markdown());
-        timer.start("render");
-        write_artifact(out, "fig6_ratios.csv", &r.to_csv());
-        // One scatter SVG per panel, like the paper's six scatter plots.
-        for panel in &r.panels {
-            use crate::chart::{render_chart, Mark, Series};
-            let cu: Vec<(f64, f64)> =
-                panel.points.iter().map(|p| (p.index as f64, p.cost_unaware_ratio)).collect();
-            let inf: Vec<(f64, f64)> =
-                panel.points.iter().map(|p| (p.index as f64, p.informed_ratio)).collect();
-            let svg = render_chart(
-                &format!(
-                    "{} — k={}, α={}, mean {:.0} KB",
-                    panel.variant.label,
-                    panel.variant.k,
-                    panel.variant.alpha,
-                    panel.variant.mean_flow_bits / 8e3
-                ),
-                "flow index",
-                "energy consumption ratio",
-                Mark::Scatter,
-                &[Series::new("cost-unaware", cu), Series::new("imobif", inf)],
-                Some(1.0),
-            );
-            write_artifact(out, &format!("{}_scatter.svg", panel.variant.label), &svg);
+    for name in ["fig5", "fig6", "fig7", "fig8", "ext"] {
+        if !args.targets.iter().any(|t| t == name || t == "all") {
+            continue;
         }
-        eprintln!("fig6 done in {:.1}s", t.elapsed().as_secs_f64());
-    }
-    if wants("fig7") {
         let t = Instant::now();
-        timer.start("fig7");
-        let r = fig7::run(args.flows, args.seed);
-        println!("{}", r.to_markdown());
-        timer.start("render");
-        write_artifact(out, "fig7_notifications.csv", &r.to_csv());
-        eprintln!("fig7 done in {:.1}s", t.elapsed().as_secs_f64());
+        timer.start(name);
+        let compiled = crate::scenario::compile_builtin(name, args.seed, Some(args.flows));
+        emit(&compiled, args.out.as_deref(), false);
+        eprintln!("{name} done in {:.1}s", t.elapsed().as_secs_f64());
     }
-    if wants("fig8") {
-        let t = Instant::now();
-        timer.start("fig8");
-        let r = fig8::run(args.flows, args.seed);
-        println!("{}", r.to_markdown());
-        timer.start("render");
-        write_artifact(out, "fig8_lifetime_cdf.csv", &r.to_csv());
-        {
-            use crate::chart::{render_chart, Mark, Series};
-            let svg = render_chart(
-                "fig8 — system lifetime ratio CDF",
-                "system lifetime ratio",
-                "cumulative fraction of flows",
-                Mark::StepLine,
-                &[
-                    Series::new("cost-unaware", r.cost_unaware_cdf.clone()),
-                    Series::new("imobif", r.informed_cdf.clone()),
-                ],
-                None,
-            );
-            write_artifact(out, "fig8_lifetime_cdf.svg", &svg);
-        }
-        eprintln!("fig8 done in {:.1}s", t.elapsed().as_secs_f64());
-    }
-    if wants("ext") {
-        let t = Instant::now();
-        timer.start("ext");
-        // Extensions use a smaller batch: five sweeps of full batches.
-        let n = args.flows.div_ceil(4).max(4);
-        println!("{}", ext::run_estimate_sensitivity(n, args.seed).to_markdown());
-        println!("{}", ext::run_oracle_comparison(n, args.seed).to_markdown());
-        println!("{}", ext::run_initial_status(n, args.seed).to_markdown());
-        println!("{}", ext::run_step_sweep(n, args.seed).to_markdown());
-        println!("{}", ext::run_relay_selection(n, args.seed).to_markdown());
-        println!("{}", ext::run_horizon_ablation(n, args.seed).to_markdown());
-        println!("{}", ext::run_hybrid_sweep(n, args.seed).to_markdown());
-        println!("{}", ext::run_multiflow(8, args.seed).to_markdown());
-        eprintln!("ext done in {:.1}s", t.elapsed().as_secs_f64());
-    }
-    timer.finish();
 
     if args.metrics {
         crate::obs::publish_memo_metrics(&registry);
-        let snapshot = registry.snapshot();
-        let manifest = RunManifest {
-            tool: "imobif-experiments".to_string(),
+        let info = RunInfo {
+            tool: "imobif-experiments",
             targets: args.targets.clone(),
             config_hash: config_hash(&args),
             seed: args.seed,
-            flows: u32::try_from(args.flows).unwrap_or(u32::MAX),
+            flows: args.flows,
             threads: crate::runner::thread_count(),
-            phases: timer.into_phases(),
-            trace: crate::obs::trace_health(&snapshot),
             scenario: None,
-            metrics: snapshot,
         };
-        // The manifest embeds the full metrics snapshot, so one JSON file
-        // is the complete run artifact; default to the working directory
-        // when no --out was given.
-        let artifact_dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-        write_artifact(Some(&artifact_dir), "run_manifest.json", &manifest.render());
-        if args.prom {
-            write_artifact(Some(&artifact_dir), "metrics.prom", &manifest.metrics.to_prometheus());
-        }
+        write_manifest(args.out.as_deref(), info, timer, &registry, args.prom);
     }
     Ok(())
 }
@@ -411,90 +374,31 @@ fn scenario_run(argv: &[String]) -> Result<(), String> {
     let registry = if args.metrics { crate::obs::enable_metrics() } else { crate::obs::registry() };
     let mut timer = PhaseTimer::new();
     timer.start("run");
-    let out = args.out.as_deref();
     let seed = compiled.runs[0].config.seed;
     println!("# scenario `{}` — adapter {}", compiled.name, compiled.adapter.name());
     println!("\nflows per run: {}; seed: {}\n", compiled.flows, seed);
-
-    // Each CSV artifact keeps the name the corresponding figure command
-    // writes, so spec-driven runs diff cleanly against figure runs.
-    let mut csvs: Vec<(String, String)> = Vec::new();
-    match compiled.adapter {
-        Adapter::Fig5 => {
-            let r = fig5::from_config(&compiled.runs[0].config);
-            println!("{}", r.to_markdown());
-            csvs.push(("fig5_placements.csv".into(), r.to_csv()));
-        }
-        Adapter::Fig6 => {
-            let r = fig6::from_compiled_runs(&compiled.runs, compiled.strategy, compiled.flows);
-            println!("{}", r.to_markdown());
-            csvs.push(("fig6_ratios.csv".into(), r.to_csv()));
-        }
-        Adapter::Fig7 => {
-            let r = fig7::from_config(&compiled.runs[0].config, compiled.strategy, compiled.flows);
-            println!("{}", r.to_markdown());
-            csvs.push(("fig7_notifications.csv".into(), r.to_csv()));
-        }
-        Adapter::Fig8 => {
-            let r = fig8::from_config(&compiled.runs[0].config, compiled.strategy, compiled.flows);
-            println!("{}", r.to_markdown());
-            csvs.push(("fig8_lifetime_cdf.csv".into(), r.to_csv()));
-        }
-        Adapter::Ext => {
-            // Mirror the figure command's batch sizing for the sweeps.
-            let n = compiled.flows.div_ceil(4).max(4);
-            let p = &compiled.ext;
-            println!("{}", ext::run_estimate_sensitivity_with(p, n, seed).to_markdown());
-            println!("{}", ext::run_oracle_comparison(n, seed).to_markdown());
-            println!("{}", ext::run_initial_status_with(p, n, seed).to_markdown());
-            println!("{}", ext::run_step_sweep_with(p, n, seed).to_markdown());
-            println!("{}", ext::run_relay_selection_with(p, n, seed).to_markdown());
-            println!("{}", ext::run_horizon_ablation(n, seed).to_markdown());
-            println!("{}", ext::run_hybrid_sweep_with(p, n, seed).to_markdown());
-            println!("{}", ext::run_multiflow_with(p, seed).to_markdown());
-        }
-        Adapter::Generic => {
-            let r = crate::scenario::run_generic(&compiled);
-            println!("{}", r.to_markdown());
-            csvs.push((format!("{}_cases.csv", compiled.name), r.to_csv()));
-        }
-    }
-    for (name, content) in &csvs {
-        write_artifact(out, name, content);
-        if args.fnv {
-            println!("fnv {name} {:#018x}", fnv1a64(content.as_bytes()));
-        }
-    }
-    timer.finish();
+    emit(&compiled, args.out.as_deref(), args.fnv);
 
     if args.metrics {
         crate::obs::publish_memo_metrics(&registry);
-        let snapshot = registry.snapshot();
         let spec_toml = spec.to_toml();
-        let manifest = RunManifest {
-            tool: "imobif-scenario".to_string(),
+        let info = RunInfo {
+            tool: "imobif-scenario",
             targets: vec![compiled.name.clone()],
             config_hash: fnv1a64(
                 format!("scenario={spec_toml};flows={};seed={seed}", compiled.flows).as_bytes(),
             ),
             seed,
-            flows: u32::try_from(compiled.flows).unwrap_or(u32::MAX),
+            flows: compiled.flows,
             threads: crate::runner::thread_count(),
-            phases: timer.into_phases(),
-            trace: crate::obs::trace_health(&snapshot),
             scenario: Some(ScenarioInfo {
                 name: compiled.name.clone(),
                 spec_hash: fnv1a64(spec_toml.as_bytes()),
                 adapter: compiled.adapter.name().to_string(),
                 runs: u32::try_from(compiled.runs.len()).unwrap_or(u32::MAX),
             }),
-            metrics: snapshot,
         };
-        let artifact_dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-        write_artifact(Some(&artifact_dir), "run_manifest.json", &manifest.render());
-        if args.prom {
-            write_artifact(Some(&artifact_dir), "metrics.prom", &manifest.metrics.to_prometheus());
-        }
+        write_manifest(args.out.as_deref(), info, timer, &registry, args.prom);
     }
     Ok(())
 }
@@ -543,6 +447,9 @@ fn trace_record(argv: &[String]) -> Result<(), String> {
             "--cap" => cap = parse_value(it.next(), "--cap")?,
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
+    }
+    if cap == 0 {
+        return Err("bad --cap: the trace ring must hold at least 1 event".to_string());
     }
     let cfg = ScenarioConfig { seed, ..ScenarioConfig::paper_default() };
     let (result, events) = trace_tools::record_case(&cfg, index, mode, choice, cap);
@@ -628,10 +535,21 @@ fn parse_spans_args(argv: &[String]) -> Result<(SpansRunSpec, Option<PathBuf>), 
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    if spec.shards == 0 || spec.nodes == 0 || spec.secs == 0 {
-        return Err("--nodes, --shards and --secs must be positive".to_string());
+    if spec.shards == 0 {
+        return Err("bad --shards: must be positive".to_string());
     }
+    check_range("--nodes", spec.nodes as u64, 2, MAX_NODES as u64)?;
+    check_range("--flows", spec.flows as u64, 0, MAX_FLOWS)?;
+    check_range("--secs", spec.secs, 1, spans_tools::MAX_SECS)?;
     Ok((spec, out))
+}
+
+fn check_range(flag: &str, value: u64, min: u64, max: u64) -> Result<(), String> {
+    if (min..=max).contains(&value) {
+        Ok(())
+    } else {
+        Err(format!("bad {flag}: {value} lies outside {min}..={max}"))
+    }
 }
 
 fn spans_config_hash(sub: &str, spec: &SpansRunSpec) -> u64 {
@@ -659,7 +577,7 @@ fn spans_cmd(argv: &[String]) -> Result<(), String> {
     }
     let mut timer = PhaseTimer::new();
     timer.start("build");
-    let mut run = spans_tools::prepare(&spec);
+    let mut run = spans_tools::prepare(&spec).map_err(|e| format!("bad --nodes/--flows: {e}"))?;
     timer.start("run");
     spans_tools::drive(&mut run, &spec);
     timer.start("export");
@@ -694,22 +612,16 @@ fn spans_cmd(argv: &[String]) -> Result<(), String> {
     if out.is_some() {
         let registry = Registry::enabled();
         run.world.publish_metrics(&registry);
-        timer.finish();
-        let snapshot = registry.snapshot();
-        let manifest = RunManifest {
-            tool: "imobif-spans".to_string(),
+        let info = RunInfo {
+            tool: "imobif-spans",
             targets: vec![format!("spans-{sub}")],
             config_hash: spans_config_hash(sub, &spec),
             seed: spec.seed,
-            flows: u32::try_from(spec.flows).unwrap_or(u32::MAX),
+            flows: spec.flows as u64,
             threads: spec.threads,
-            phases: timer.into_phases(),
-            trace: crate::obs::trace_health(&snapshot),
             scenario: None,
-            metrics: snapshot,
         };
-        write_artifact(out, "run_manifest.json", &manifest.render());
-        write_artifact(out, "metrics.prom", &manifest.metrics.to_prometheus());
+        write_manifest(out, info, timer, &registry, true);
     }
     Ok(())
 }
@@ -815,6 +727,54 @@ mod tests {
             spans_config_hash("flame", &d),
             spans_config_hash("flame", &SpansRunSpec { seed: 1, ..d })
         );
+    }
+
+    #[test]
+    fn trace_record_rejects_a_zero_capacity_ring() {
+        assert_eq!(run(&argv(&["trace", "record", "--cap", "0"])), 2);
+    }
+
+    #[test]
+    fn spans_rejects_a_one_node_arena() {
+        let err = parse_spans_args(&argv(&["--nodes", "1"])).unwrap_err();
+        assert!(err.contains("--nodes") && err.contains("2..=1000000"), "{err}");
+        assert_eq!(run(&argv(&["spans", "summary", "--nodes", "1", "--flows", "1"])), 2);
+    }
+
+    #[test]
+    fn spans_rejects_an_arena_too_small_to_route_its_flows() {
+        // Three nodes all hear each other: no flow gets a relay.
+        assert_eq!(run(&argv(&["spans", "summary", "--nodes", "3", "--flows", "1"])), 2);
+    }
+
+    #[test]
+    fn spans_rejects_a_run_longer_than_max_secs() {
+        let secs = u64::MAX.to_string();
+        let err = parse_spans_args(&argv(&["--secs", &secs])).unwrap_err();
+        assert!(err.contains("--secs") && err.contains("1..=1000000"), "{err}");
+        assert_eq!(run(&argv(&["spans", "summary", "--nodes", "120", "--secs", &secs])), 2);
+    }
+
+    #[test]
+    fn figure_and_scenario_commands_write_the_same_artifacts() {
+        let _g = crate::test_lock();
+        let base = std::env::temp_dir().join(format!("imobif-fig-vs-scn-{}", std::process::id()));
+        let files = |dir: &Path| -> std::collections::BTreeMap<String, Vec<u8>> {
+            let paths = fs::read_dir(dir).expect("artifacts written").map(|e| e.unwrap().path());
+            let name = |p: &Path| p.file_name().expect("a file").to_string_lossy().into_owned();
+            paths.map(|p| (name(&p), fs::read(&p).expect("read"))).collect()
+        };
+        for fig in ["fig5", "fig6", "fig7", "fig8"] {
+            let (a, b) = (base.join(format!("{fig}-fig")), base.join(format!("{fig}-scn")));
+            let flags = ["--flows", "8", "--seed", "2025", "--out"];
+            let (a_s, b_s) = (a.to_str().expect("utf-8"), b.to_str().expect("utf-8"));
+            assert_eq!(run(&argv(&[&[fig][..], &flags, &[a_s]].concat())), 0);
+            assert_eq!(run(&argv(&[&["scenario", "run", fig][..], &flags, &[b_s]].concat())), 0);
+            let (from_fig, from_scn) = (files(&a), files(&b));
+            assert!(from_fig.keys().eq(from_scn.keys()), "{fig}: artifact names differ");
+            assert!(from_fig == from_scn, "{fig}: artifact bytes differ");
+        }
+        let _ = fs::remove_dir_all(&base);
     }
 
     #[test]

@@ -76,10 +76,7 @@ pub struct Fig5Result {
 /// energy-proportional spacing rather than deaths).
 #[must_use]
 pub fn run(seed: u64) -> Fig5Result {
-    let compiled = scenario::builtin("fig5")
-        .expect("fig5 is a builtin")
-        .compile_with(Some(seed), None)
-        .expect("shipped fig5 spec is valid");
+    let compiled = scenario::compile_builtin("fig5", seed, None);
     from_config(&compiled.runs[0].config)
 }
 

@@ -12,10 +12,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::ScenarioConfig;
 use crate::metrics::{fraction_below, Summary};
 use crate::report::{csv_block, fmt2, fmt4, markdown_table};
-use crate::runner::{run_batch, run_batches, BatchSpec, CaseResult, StrategyChoice};
+use crate::runner::{run_batches, BatchSpec, CaseResult, StrategyChoice};
 use crate::scenario::{self, CompiledRun};
 
 /// One Fig. 6 panel's parameter set.
@@ -29,18 +28,6 @@ pub struct Fig6Variant {
     pub alpha: f64,
     /// Mean flow length in bits.
     pub mean_flow_bits: f64,
-}
-
-/// The paper's six panels (panel (b) reuses panel (a)'s runs).
-#[must_use]
-pub fn variants() -> Vec<Fig6Variant> {
-    vec![
-        Fig6Variant { label: "fig6a".into(), k: 0.5, alpha: 2.0, mean_flow_bits: 8e5 },
-        Fig6Variant { label: "fig6c".into(), k: 0.5, alpha: 2.0, mean_flow_bits: 8e6 },
-        Fig6Variant { label: "fig6d".into(), k: 1.0, alpha: 2.0, mean_flow_bits: 8e6 },
-        Fig6Variant { label: "fig6e".into(), k: 0.1, alpha: 2.0, mean_flow_bits: 8e6 },
-        Fig6Variant { label: "fig6f".into(), k: 0.5, alpha: 3.0, mean_flow_bits: 8e6 },
-    ]
 }
 
 /// Per-flow data point of one panel.
@@ -82,25 +69,6 @@ pub struct Fig6Panel {
     /// transmission energy ("the mobility cost is much higher than the
     /// transmission cost for short flows").
     pub mobility_exceeds_transmission: f64,
-}
-
-fn variant_config(variant: &Fig6Variant, seed: u64) -> ScenarioConfig {
-    let cfg = ScenarioConfig {
-        k: variant.k,
-        alpha: variant.alpha,
-        mean_flow_bits: variant.mean_flow_bits,
-        seed,
-        ..ScenarioConfig::paper_default()
-    };
-    cfg.validate().expect("variant config is valid");
-    cfg
-}
-
-/// Runs one Fig. 6 panel with `n_flows` random flows.
-#[must_use]
-pub fn run_variant(variant: &Fig6Variant, n_flows: u64, seed: u64) -> Fig6Panel {
-    let cases = run_batch(&variant_config(variant, seed), n_flows, StrategyChoice::MinEnergy);
-    panel_from_cases(variant.clone(), &cases)
 }
 
 fn panel_from_cases(variant: Fig6Variant, cases: &[CaseResult]) -> Fig6Panel {
@@ -148,10 +116,7 @@ pub struct Fig6Result {
 /// share the drawn scenarios.
 #[must_use]
 pub fn run(n_flows: u64, seed: u64) -> Fig6Result {
-    let compiled = scenario::builtin("fig6")
-        .expect("fig6 is a builtin")
-        .compile_with(Some(seed), Some(n_flows))
-        .expect("shipped fig6 spec is valid");
+    let compiled = scenario::compile_builtin("fig6", seed, Some(n_flows));
     from_compiled_runs(&compiled.runs, compiled.strategy, compiled.flows)
 }
 
@@ -264,17 +229,30 @@ mod tests {
 
     #[test]
     fn variant_list_matches_paper() {
-        let v = variants();
-        assert_eq!(v.len(), 5);
-        assert_eq!(v[0].mean_flow_bits, 8e5);
-        assert!(v[1..].iter().all(|x| x.mean_flow_bits == 8e6));
-        assert_eq!(v[4].alpha, 3.0);
+        // (label, k, α, mean flow bits) of panels (a), (c)–(f).
+        let runs = scenario::compile_builtin("fig6", 7, Some(12)).runs;
+        let panels: Vec<(&str, f64, f64, f64)> = runs
+            .iter()
+            .map(|r| (r.label.as_str(), r.config.k, r.config.alpha, r.config.mean_flow_bits))
+            .collect();
+        assert_eq!(
+            panels,
+            [
+                ("fig6a", 0.5, 2.0, 8e5),
+                ("fig6c", 0.5, 2.0, 8e6),
+                ("fig6d", 1.0, 2.0, 8e6),
+                ("fig6e", 0.1, 2.0, 8e6),
+                ("fig6f", 0.5, 3.0, 8e6),
+            ]
+        );
     }
 
     #[test]
     fn short_flow_panel_shows_paper_shape() {
-        // Small batch: enough to see the qualitative contrast.
-        let panel = run_variant(&variants()[0], 12, 7);
+        // Small batch of panel (a): enough to see the qualitative contrast.
+        let c = scenario::compile_builtin("fig6", 7, Some(12));
+        let panel = &from_compiled_runs(&c.runs[..1], c.strategy, c.flows).panels[0];
+        assert_eq!(panel.variant.label, "fig6a");
         assert_eq!(panel.points.len(), 12);
         // Cost-unaware wastes energy on short flows…
         assert!(

@@ -29,10 +29,7 @@ pub struct Fig7Result {
 /// notifications.
 #[must_use]
 pub fn run(n_flows: u64, seed: u64) -> Fig7Result {
-    let compiled = scenario::builtin("fig7")
-        .expect("fig7 is a builtin")
-        .compile_with(Some(seed), Some(n_flows))
-        .expect("shipped fig7 spec is valid");
+    let compiled = scenario::compile_builtin("fig7", seed, Some(n_flows));
     from_config(&compiled.runs[0].config, compiled.strategy, compiled.flows)
 }
 

@@ -40,10 +40,7 @@ pub struct Fig8Result {
 /// under the three approaches.
 #[must_use]
 pub fn run(n_flows: u64, seed: u64) -> Fig8Result {
-    let compiled = scenario::builtin("fig8")
-        .expect("fig8 is a builtin")
-        .compile_with(Some(seed), Some(n_flows))
-        .expect("shipped fig8 spec is valid");
+    let compiled = scenario::compile_builtin("fig8", seed, Some(n_flows));
     from_config(&compiled.runs[0].config, compiled.strategy, compiled.flows)
 }
 

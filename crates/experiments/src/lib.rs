@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod arena;
 pub mod chart;
 pub mod cli;
 pub mod config;

@@ -1,13 +1,132 @@
-//! Minimal SVG rendering for placement figures.
+//! Rendering: a compiled scenario to its report and artifacts, and the
+//! SVG placement figure.
+//!
+//! `render_scenario` is the one spec-to-artifacts path: `imobif <fig>`
+//! compiles the builtin spec and `imobif scenario run` compiles any spec,
+//! and both hand the result to it, so the two commands write the same
+//! files.
 //!
 //! Paper Fig. 5 is a picture: node positions with marker size proportional
-//! to residual energy, before and after each mobility strategy. This module
-//! renders the same picture from [`crate::figures::fig5::Placement`] data —
-//! pure string building, no dependencies.
+//! to residual energy, before and after each mobility strategy.
+//! [`placements_svg`] renders the same picture from
+//! [`crate::figures::fig5::Placement`] data — pure string building, no
+//! dependencies.
 
 use std::fmt::Write as _;
 
+use crate::chart::{render_chart, Mark, Series};
 use crate::figures::fig5::Placement;
+use crate::figures::fig6::Fig6Panel;
+use crate::figures::{ext, fig5, fig6, fig7, fig8};
+use crate::scenario::{run_generic, Adapter, CompiledScenario};
+
+/// A compiled scenario's rendered output.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Rendered {
+    /// The markdown report.
+    pub markdown: String,
+    /// `(file name, content)` of each CSV/SVG artifact, in write order.
+    pub artifacts: Vec<(String, String)>,
+}
+
+/// Runs `compiled` through its adapter and renders the result.
+///
+/// The figure adapters name their artifacts after the paper figure: a CSV
+/// per figure (`fig6_ratios.csv`, …), the Fig. 5 placement SVG, one
+/// scatter SVG per Fig. 6 panel (`fig6a_scatter.svg`, …) and the Fig. 8
+/// CDF SVG. The generic adapter writes `<name>_cases.csv`. The extension
+/// battery writes markdown only; its sweeps run
+/// `flows.div_ceil(4).max(4)` replicates each, and its multi-flow arena
+/// `ext.multiflow_concurrent` flows.
+#[must_use]
+pub(crate) fn render_scenario(compiled: &CompiledScenario) -> Rendered {
+    let (cfg, strategy, flows) = (&compiled.runs[0].config, compiled.strategy, compiled.flows);
+    let mut artifacts: Vec<(String, String)> = Vec::new();
+    let markdown = match compiled.adapter {
+        Adapter::Fig5 => {
+            let r = fig5::from_config(cfg);
+            artifacts.push(("fig5_placements.csv".into(), r.to_csv()));
+            let svg = placements_svg(&[&r.original, &r.min_energy, &r.max_lifetime]);
+            artifacts.push(("fig5_placements.svg".into(), svg));
+            r.to_markdown()
+        }
+        Adapter::Fig6 => {
+            let r = fig6::from_compiled_runs(&compiled.runs, strategy, flows);
+            artifacts.push(("fig6_ratios.csv".into(), r.to_csv()));
+            // One scatter SVG per panel, like the paper's scatter plots.
+            for panel in &r.panels {
+                artifacts
+                    .push((format!("{}_scatter.svg", panel.variant.label), scatter_svg(panel)));
+            }
+            r.to_markdown()
+        }
+        Adapter::Fig7 => {
+            let r = fig7::from_config(cfg, strategy, flows);
+            artifacts.push(("fig7_notifications.csv".into(), r.to_csv()));
+            r.to_markdown()
+        }
+        Adapter::Fig8 => {
+            let r = fig8::from_config(cfg, strategy, flows);
+            artifacts.push(("fig8_lifetime_cdf.csv".into(), r.to_csv()));
+            let svg = render_chart(
+                "fig8 — system lifetime ratio CDF",
+                "system lifetime ratio",
+                "cumulative fraction of flows",
+                Mark::StepLine,
+                &[
+                    Series::new("cost-unaware", r.cost_unaware_cdf.clone()),
+                    Series::new("imobif", r.informed_cdf.clone()),
+                ],
+                None,
+            );
+            artifacts.push(("fig8_lifetime_cdf.svg".into(), svg));
+            r.to_markdown()
+        }
+        Adapter::Ext => {
+            let (p, n, seed) = (&compiled.ext, flows.div_ceil(4).max(4), cfg.seed);
+            [
+                ext::run_estimate_sensitivity_with(p, n, seed).to_markdown(),
+                ext::run_oracle_comparison(n, seed).to_markdown(),
+                ext::run_initial_status_with(p, n, seed).to_markdown(),
+                ext::run_step_sweep_with(p, n, seed).to_markdown(),
+                ext::run_relay_selection_with(p, n, seed).to_markdown(),
+                ext::run_horizon_ablation(n, seed).to_markdown(),
+                ext::run_hybrid_sweep_with(p, n, seed).to_markdown(),
+                ext::run_multiflow_with(p, seed).to_markdown(),
+            ]
+            .join("\n")
+        }
+        Adapter::Generic => {
+            let r = run_generic(compiled);
+            artifacts.push((format!("{}_cases.csv", compiled.name), r.to_csv()));
+            r.to_markdown()
+        }
+    };
+    Rendered { markdown, artifacts }
+}
+
+/// One Fig. 6 panel's scatter plot: per-flow energy ratios of cost-unaware
+/// mobility and iMobif against the no-mobility baseline at 1.
+fn scatter_svg(panel: &Fig6Panel) -> String {
+    let cu: Vec<(f64, f64)> =
+        panel.points.iter().map(|p| (p.index as f64, p.cost_unaware_ratio)).collect();
+    let inf: Vec<(f64, f64)> =
+        panel.points.iter().map(|p| (p.index as f64, p.informed_ratio)).collect();
+    render_chart(
+        &format!(
+            "{} — k={}, α={}, mean {:.0} KB",
+            panel.variant.label,
+            panel.variant.k,
+            panel.variant.alpha,
+            panel.variant.mean_flow_bits / 8e3
+        ),
+        "flow index",
+        "energy consumption ratio",
+        Mark::Scatter,
+        &[Series::new("cost-unaware", cu), Series::new("imobif", inf)],
+        Some(1.0),
+    )
+}
 
 /// Size of one rendered panel in pixels.
 const PANEL: f64 = 320.0;

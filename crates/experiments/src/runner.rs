@@ -109,12 +109,8 @@ impl InstanceArena {
     }
 }
 
-/// Runs one flow instance under `mode`.
-///
-/// The world contains only the flow-path nodes: the paper's other 90+ nodes
-/// neither transmit nor move during a single one-to-one flow, so omitting
-/// them changes no measured quantity while keeping batches fast. Routing
-/// already happened against the full topology in [`draw_scenario`].
+/// Runs one flow instance under `mode`, in the path-only world
+/// [`setup_instance`] builds.
 ///
 /// # Panics
 ///
@@ -179,40 +175,58 @@ pub fn run_instance_traced(
     (result, trace.expect("tracing was enabled"))
 }
 
-fn run_instance_inner(
-    arena: &mut InstanceArena,
+/// The flow of a started path-only instance world, as
+/// [`setup_instance`] installed it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InstanceFlow {
+    /// Path node ids, source first.
+    pub ids: Vec<NodeId>,
+    /// The installed flow.
+    pub flow: FlowId,
+    /// Flow length in bits.
+    pub total_bits: u64,
+    /// Simulated-time cap: pacing time plus slack for in-flight packets.
+    pub cap: SimTime,
+}
+
+impl InstanceFlow {
+    /// The destination node.
+    #[must_use]
+    pub fn dst(&self) -> NodeId {
+        *self.ids.last().expect("paths have >= 3 nodes")
+    }
+}
+
+/// Sets up one flow instance in a new or freshly reset `world`: adds the
+/// draw's path nodes (agents recycled from `spare_apps` while any are
+/// left), starts the world, installs the drawn flow as flow 0 under
+/// `mode`, and lowers the scenario's churn schedule into kill events.
+///
+/// The world contains only the flow-path nodes: the paper's other 90+ nodes
+/// neither transmit nor move during a single one-to-one flow, so omitting
+/// them changes no measured quantity while keeping batches fast. Routing
+/// already happened against the full topology in [`draw_scenario`].
+///
+/// # Panics
+///
+/// Panics if the world is already started or flow installation fails —
+/// both indicate a bug in the calling experiment code.
+pub fn setup_instance(
+    world: &mut World<ImobifApp>,
+    spare_apps: &mut Vec<ImobifApp>,
     cfg: &ScenarioConfig,
     draw: &TopologyDraw,
     mode: MobilityMode,
     strategy: &Arc<dyn MobilityStrategy>,
     registry: &Arc<StrategyRegistry>,
-    trace_capacity: Option<usize>,
-) -> (InstanceResult, Option<Vec<TraceEvent>>) {
-    // Self-profiling: with metrics on, the engine times its own phases
-    // (arena reset, simulation run) into float counters — CPU-seconds,
-    // summed across worker threads. With metrics off no clock is read.
-    let obs = crate::obs::registry();
-    let t_reset = obs.is_enabled().then(std::time::Instant::now);
-    let mut world: World<ImobifApp> = match arena.world.take() {
-        Some(mut w) => {
-            w.reset_into(cfg.sim_config(), &mut arena.spare_apps).expect("validated sim config");
-            w
-        }
-        None => World::new(cfg.sim_config()).expect("validated sim config"),
-    };
-    if let Some(t0) = t_reset {
-        obs.float_counter("phase.arena_reset_secs").add(t0.elapsed().as_secs_f64());
-    }
-    if let Some(capacity) = trace_capacity {
-        world.enable_tracing(capacity);
-    }
+) -> InstanceFlow {
     let app_cfg = ImobifConfig { mode, max_step: cfg.max_step, ..Default::default() };
     let ids: Vec<NodeId> = draw
         .flow
         .path
         .iter()
         .map(|&orig| {
-            let app = match arena.spare_apps.pop() {
+            let app = match spare_apps.pop() {
                 Some(mut a) => {
                     a.reset(app_cfg, Arc::clone(registry));
                     a
@@ -242,7 +256,7 @@ fn run_instance_inner(
         // nodes with.
         strategy: strategy.kind(),
     };
-    install_flow(&mut world, &spec).expect("drawn paths are valid");
+    install_flow(world, &spec).expect("drawn paths are valid");
 
     // Lower the churn schedule into kernel kill events. Deterministic per
     // instance: the schedule rng is seeded from the scenario seed and the
@@ -261,14 +275,45 @@ fn run_instance_inner(
         }
     }
 
-    let total = draw.flow.flow_bits;
-    let src = ids[0];
-    let dst = *ids.last().expect("paths have >= 3 nodes");
     // Generous cap: pacing time plus slack for in-flight packets.
     let cap = SimTime::ZERO
         + SimDuration::from_secs_f64(
             0.5 + spec.packet_count() as f64 * cfg.packet_interval_secs + 60.0,
         );
+    InstanceFlow { ids, flow, total_bits: draw.flow.flow_bits, cap }
+}
+
+fn run_instance_inner(
+    arena: &mut InstanceArena,
+    cfg: &ScenarioConfig,
+    draw: &TopologyDraw,
+    mode: MobilityMode,
+    strategy: &Arc<dyn MobilityStrategy>,
+    registry: &Arc<StrategyRegistry>,
+    trace_capacity: Option<usize>,
+) -> (InstanceResult, Option<Vec<TraceEvent>>) {
+    // Self-profiling: with metrics on, the engine times its own phases
+    // (arena reset, simulation run) into float counters — CPU-seconds,
+    // summed across worker threads. With metrics off no clock is read.
+    let obs = crate::obs::registry();
+    let t_reset = obs.is_enabled().then(std::time::Instant::now);
+    let mut world: World<ImobifApp> = match arena.world.take() {
+        Some(mut w) => {
+            w.reset_into(cfg.sim_config(), &mut arena.spare_apps).expect("validated sim config");
+            w
+        }
+        None => World::new(cfg.sim_config()).expect("validated sim config"),
+    };
+    if let Some(t0) = t_reset {
+        obs.float_counter("phase.arena_reset_secs").add(t0.elapsed().as_secs_f64());
+    }
+    if let Some(capacity) = trace_capacity {
+        world.enable_tracing(capacity);
+    }
+    let InstanceFlow { ids, flow, total_bits: total, cap } =
+        setup_instance(&mut world, &mut arena.spare_apps, cfg, draw, mode, strategy, registry);
+    let src = ids[0];
+    let dst = *ids.last().expect("paths have >= 3 nodes");
     let t_run = obs.is_enabled().then(std::time::Instant::now);
     world.run_while(|w| {
         w.time() < cap

@@ -14,8 +14,8 @@
 //!
 //! The paper figures ship as specs under `examples/scenarios/` (see
 //! [`builtin`]); `figures::fig5`–`fig8` and `figures::ext` are thin chart
-//! adapters over the compiled runs, pinned bit-identical to the old
-//! hard-coded paths.
+//! adapters over the compiled runs, and `render::render_scenario` turns
+//! any compiled scenario into its report and artifacts.
 
 pub mod compile;
 pub mod spec;
@@ -116,6 +116,22 @@ pub fn builtin(name: &str) -> Option<&'static ScenarioSpec> {
             .collect()
     });
     parsed.iter().find(|(n, _)| *n == name).map(|(_, s)| s)
+}
+
+/// A builtin scenario compiled with `seed` (and `flows`, if given) in
+/// place of its own: how `imobif <fig>` and the figures' `run` functions
+/// build their runs.
+///
+/// # Panics
+///
+/// Panics if `name` is not a builtin or `flows` lies outside
+/// `1..=MAX_FLOWS`.
+#[must_use]
+pub(crate) fn compile_builtin(name: &str, seed: u64, flows: Option<u64>) -> CompiledScenario {
+    builtin(name)
+        .unwrap_or_else(|| panic!("`{name}` is not a builtin scenario"))
+        .compile_with(Some(seed), flows)
+        .unwrap_or_else(|e| panic!("builtin `{name}`: {e}"))
 }
 
 #[cfg(test)]

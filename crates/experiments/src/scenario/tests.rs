@@ -1,11 +1,10 @@
 //! Scenario-layer tests: golden round-trips over the shipped specs,
-//! malformed-input diagnostics, and compile-pipeline pins against the
-//! pre-spec hard-coded configurations.
+//! malformed-input diagnostics, and the compile pipeline's overrides and
+//! limits.
 
 use proptest::prelude::*;
 
 use crate::config::{ChurnModel, EnergyInit, ScenarioConfig, TopologyFamily};
-use crate::figures::fig6;
 use crate::runner::StrategyChoice;
 
 use super::*;
@@ -154,25 +153,6 @@ fn compile_with_overrides_seed_and_flows() {
 }
 
 #[test]
-fn fig6_spec_reproduces_hardcoded_variants_field_for_field() {
-    let compiled = builtin("fig6").expect("builtin").compile().expect("compiles");
-    let variants = fig6::variants();
-    assert_eq!(compiled.runs.len(), variants.len());
-    assert_eq!(compiled.strategy, StrategyChoice::MinEnergy);
-    for (run, v) in compiled.runs.iter().zip(&variants) {
-        assert_eq!(run.label, v.label);
-        let expected = ScenarioConfig {
-            k: v.k,
-            alpha: v.alpha,
-            mean_flow_bits: v.mean_flow_bits,
-            seed: 2025,
-            ..ScenarioConfig::paper_default()
-        };
-        assert_eq!(run.config, expected, "run `{}` must match the hard-coded config", run.label);
-    }
-}
-
-#[test]
 fn ext_spec_pins_the_paper_parameters() {
     let spec = builtin("ext").expect("builtin");
     assert_eq!(spec.ext.as_ref().expect("ext block shipped"), &ExtParams::paper());
@@ -222,24 +202,6 @@ fn generic_runs_are_seed_reproducible() {
 }
 
 proptest! {
-    /// Any (seed, flows) override of the fig6 spec lowers to exactly the
-    /// configs the old hard-coded path would build.
-    #[test]
-    fn fig6_compile_matches_hardcoded_for_any_override(seed in 0u64..1_000_000, flows in 1u64..500) {
-        let compiled = builtin("fig6").unwrap().compile_with(Some(seed), Some(flows)).unwrap();
-        prop_assert_eq!(compiled.flows, flows);
-        for (run, v) in compiled.runs.iter().zip(fig6::variants()) {
-            let expected = ScenarioConfig {
-                k: v.k,
-                alpha: v.alpha,
-                mean_flow_bits: v.mean_flow_bits,
-                seed,
-                ..ScenarioConfig::paper_default()
-            };
-            prop_assert_eq!(run.config, expected);
-        }
-    }
-
     /// Round-tripping survives arbitrary numeric overrides: floats render
     /// with `{:?}` which is exact.
     #[test]

@@ -1,8 +1,8 @@
 //! Sharded-workload span tooling behind `imobif spans summary|dump|flame`.
 //!
-//! The workload is the constant-density scale arena of the shard and
-//! thread sweeps (`imobif-bench` delegates its builder here so the CLI
-//! profiles *exactly* the FNV-pinned workload):
+//! The workload is the constant-density arena of
+//! [`crate::arena::build_arena`] on a [`ShardedWorld`], the same
+//! FNV-pinned workload the benchmark's shard and thread sweeps build:
 //! `node_count` iMobif nodes uniformly placed on a square sized for
 //! constant density, `n_flows` greedy-routed flows of 8 Mbit each, run
 //! through the epoch-barrier engine. Span tracing is enabled for the whole
@@ -12,130 +12,17 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use imobif::{install_flow, FlowSpec, ImobifApp, ImobifConfig, MobilityMode};
-use imobif_energy::Battery;
-use imobif_geom::Point2;
-use imobif_netsim::routing::GreedyRouter;
-use imobif_netsim::{FlowId, NodeId, ShardedWorld, SimDuration, SimTime, TopologyView};
+use imobif::ImobifApp;
+use imobif_netsim::{ShardedWorld, SimTime};
 use imobif_obs::{PhaseAgg, Registry, COORD_SHARD};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-use crate::config::ScenarioConfig;
+use crate::arena::{build_arena, sharded_world, ArenaError, ArenaRun};
 use crate::flame::scope_label;
-use crate::runner::{build_strategy, StrategyChoice};
 
-/// A built sharded workload: world started, flows installed.
-pub struct ShardedRun {
-    /// The sharded world (flows installed, world started).
-    pub world: ShardedWorld<ImobifApp>,
-    /// `(flow, destination)` pairs for delivery accounting.
-    pub flows: Vec<(FlowId, NodeId)>,
-    /// Payload bits per packet (for packet counting).
-    pub packet_bits: u64,
-}
-
-impl ShardedRun {
-    /// Payload packets delivered across all flows so far.
-    #[must_use]
-    pub fn delivered_packets(&self) -> u64 {
-        self.flows
-            .iter()
-            .map(|&(flow, dst)| {
-                self.world.app(dst).dest(flow).map_or(0, |d| d.received_bits) / self.packet_bits
-            })
-            .sum()
-    }
-}
-
-/// Builds the constant-density sharded arena: `node_count` nodes uniformly
-/// placed on a square scaled for constant density (the paper's 100-node
-/// density), `n_flows` greedy-routed 8-Mbit flows, min-energy informed
-/// mobility, calendar queue. Positions, paths, and flow specs are drawn
-/// from one seeded stream, so equal `(node_count, n_flows, seed)` produce
-/// bit-identical simulations at any shard/thread count.
-///
-/// When `trace` is set the world records its merged cross-shard trace
-/// (costs memory at large node counts).
-///
-/// # Panics
-///
-/// Panics if the scaled config is invalid or fewer than `n_flows` routable
-/// source/destination pairs exist — a setup bug, not a runtime condition.
-#[must_use]
-pub fn build_sharded_workload(
-    node_count: usize,
-    n_flows: usize,
-    shards: usize,
-    seed: u64,
-    trace: bool,
-) -> ShardedRun {
-    let cfg = ScenarioConfig {
-        node_count,
-        area_side: 150.0 * (node_count as f64 / 100.0).sqrt(),
-        seed,
-        ..ScenarioConfig::paper_default()
-    };
-    cfg.validate().expect("scaled config is valid");
-    let strategy = build_strategy(&cfg, StrategyChoice::MinEnergy);
-    let bounds = (Point2::new(0.0, 0.0), Point2::new(cfg.area_side, cfg.area_side));
-    let mut world: ShardedWorld<ImobifApp> =
-        ShardedWorld::new(cfg.sim_config(), bounds, shards).expect("validated sim config");
-    let app_cfg =
-        ImobifConfig { mode: MobilityMode::Informed, max_step: cfg.max_step, ..Default::default() };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let positions: Vec<Point2> = (0..node_count)
-        .map(|_| Point2::new(rng.gen_range(0.0..cfg.area_side), rng.gen_range(0.0..cfg.area_side)))
-        .collect();
-    let ids: Vec<NodeId> = positions
-        .iter()
-        .map(|&p| {
-            world.add_node(
-                p,
-                Battery::new(1e5).expect("valid"),
-                ImobifApp::new(app_cfg, strategy.clone()),
-            )
-        })
-        .collect();
-    if trace {
-        world.enable_tracing();
-    }
-    world.start();
-
-    let topo = TopologyView::new(positions, vec![true; node_count], cfg.range);
-    let mut flows = Vec::with_capacity(n_flows);
-    let mut attempts = 0;
-    while flows.len() < n_flows {
-        attempts += 1;
-        assert!(attempts < 200 * n_flows, "arena must admit {n_flows} routable flows");
-        let src = ids[rng.gen_range(0..node_count)];
-        let dst = ids[rng.gen_range(0..node_count)];
-        if src == dst {
-            continue;
-        }
-        let Ok(path) = GreedyRouter.route(&topo, src, dst) else {
-            continue;
-        };
-        if path.len() < 3 {
-            continue;
-        }
-        let flow = FlowId::new(flows.len() as u32);
-        let spec = FlowSpec {
-            flow,
-            path,
-            total_bits: 8_000_000,
-            packet_bits: cfg.packet_bits,
-            interval: cfg.packet_interval(),
-            initial_mobility_enabled: cfg.initial_mobility_enabled,
-            estimate_factor: cfg.estimate_factor,
-            start_delay: SimDuration::from_millis(500),
-            strategy: strategy.kind(),
-        };
-        install_flow(&mut world, &spec).expect("routed paths are valid");
-        flows.push((flow, dst));
-    }
-    ShardedRun { world, flows, packet_bits: cfg.packet_bits }
-}
+/// Largest simulated run `imobif spans` accepts, in seconds (`--secs`):
+/// about 11.6 simulated days, far below where the run's microsecond
+/// deadlines could overflow.
+pub const MAX_SECS: u64 = 1_000_000;
 
 /// Parameters of one `imobif spans` run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,19 +61,29 @@ impl Default for SpansRunSpec {
 }
 
 /// Builds the workload for `spec` with span tracing enabled.
-#[must_use]
-pub fn prepare(spec: &SpansRunSpec) -> ShardedRun {
-    let mut run = build_sharded_workload(spec.nodes, spec.flows, spec.shards, spec.seed, false);
+///
+/// # Errors
+///
+/// As [`build_arena`]: the node count is out of range, or the arena
+/// cannot route `spec.flows` flows.
+///
+/// # Panics
+///
+/// Panics if `spec.shards` is zero.
+pub fn prepare(spec: &SpansRunSpec) -> Result<ArenaRun<ShardedWorld<ImobifApp>>, ArenaError> {
+    let mut run =
+        build_arena(spec.nodes, spec.flows, spec.seed, |cfg| sharded_world(cfg, spec.shards))?;
     run.world.enable_spans(spec.span_cap);
     run.world.set_threads(spec.threads);
-    run
+    Ok(run)
 }
 
 /// Runs the workload to `spec.secs` of simulated time, in slices so a
 /// `--progress` line (epochs/sec, mean active shards, sim fraction, ETA)
 /// can refresh on stderr between slices. Slicing does not perturb results:
 /// epoch windows are aligned to the deadline-free schedule either way.
-pub fn drive(run: &mut ShardedRun, spec: &SpansRunSpec) {
+/// `spec.secs` must not exceed [`MAX_SECS`].
+pub fn drive(run: &mut ArenaRun<ShardedWorld<ImobifApp>>, spec: &SpansRunSpec) {
     const SLICES: u64 = 40;
     let total_us = spec.secs * 1_000_000;
     let t0 = Instant::now();
@@ -226,7 +123,7 @@ pub fn drive(run: &mut ShardedRun, spec: &SpansRunSpec) {
 /// Span aggregates in deterministic report order: coordinator scope first,
 /// then shards ascending; phases alphabetically within a scope.
 #[must_use]
-pub fn sorted_aggregates(run: &ShardedRun) -> Vec<PhaseAgg> {
+pub fn sorted_aggregates(run: &ArenaRun<ShardedWorld<ImobifApp>>) -> Vec<PhaseAgg> {
     let mut aggs: Vec<PhaseAgg> =
         run.world.spans().map(|sp| sp.aggregates().to_vec()).unwrap_or_default();
     // COORD_SHARD is u32::MAX; map it below every real shard index.
@@ -238,7 +135,7 @@ pub fn sorted_aggregates(run: &ShardedRun) -> Vec<PhaseAgg> {
 /// Markdown report: run parameters, epoch-pipeline counters, and a
 /// per-`(scope, phase)` wall-time table.
 #[must_use]
-pub fn summary_markdown(run: &ShardedRun, spec: &SpansRunSpec) -> String {
+pub fn summary_markdown(run: &ArenaRun<ShardedWorld<ImobifApp>>, spec: &SpansRunSpec) -> String {
     let p = run.world.epoch_profile().unwrap_or_default();
     let sp = run.world.spans();
     let (recorded, evicted) = sp.map_or((0, 0), |s| (s.recorded(), s.evicted()));
@@ -300,7 +197,7 @@ mod tests {
     #[test]
     fn prepare_drive_summarize_round_trip() {
         let spec = tiny_spec();
-        let mut run = prepare(&spec);
+        let mut run = prepare(&spec).expect("valid arena");
         drive(&mut run, &spec);
         assert_eq!(run.world.time(), SimTime::from_micros(spec.secs * 1_000_000));
         let p = run.world.epoch_profile().expect("spans enabled");
@@ -319,10 +216,9 @@ mod tests {
     #[test]
     fn sliced_drive_matches_single_run_until() {
         let spec = tiny_spec();
-        let mut sliced = prepare(&spec);
+        let mut sliced = prepare(&spec).expect("valid arena");
         drive(&mut sliced, &spec);
-        let mut whole =
-            build_sharded_workload(spec.nodes, spec.flows, spec.shards, spec.seed, false);
+        let mut whole = prepare(&spec).expect("valid arena");
         whole.world.run_until(SimTime::from_micros(spec.secs * 1_000_000));
         assert_eq!(sliced.world.events_processed(), whole.world.events_processed());
         assert_eq!(sliced.world.packets_delivered(), whole.world.packets_delivered());

@@ -33,6 +33,14 @@
 #     crates/bench/tests/overhead_ratios.rs
 #   - 100k-node arena builds and delivers: `bench --smoke`'s arena_100k
 #     summary pin
+#   - `imobif <fig>` and `scenario run <fig>` write the same artifacts:
+#     figure_and_scenario_commands_write_the_same_artifacts (cli.rs)
+#
+# The sweeps, gates and benchmark build their worlds with
+# crates/bench/src/instances.rs, thin wrappers over
+# crates/experiments/src/arena.rs and runner::setup_instance. The
+# benchmark builds `--locked`: a dependency edit fails here instead of
+# rewriting perfbench/Cargo.lock.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -119,8 +127,8 @@ echo "==> benchmark package: tests + bench --smoke (pinned fingerprints)"
 # nonzero when any round panics or breaks its pinned output fingerprint.
 bench_dir=$(mktemp -d)
 trap 'rm -rf "$spans_dir" "$bench_dir"' EXIT
-cargo test --release -q --manifest-path perfbench/Cargo.toml
-cargo run --release -q --manifest-path perfbench/Cargo.toml --bin bench -- \
+cargo test --release -q --locked --manifest-path perfbench/Cargo.toml
+cargo run --release -q --locked --manifest-path perfbench/Cargo.toml --bin bench -- \
     --smoke --out "$bench_dir" >/dev/null
 
 if [[ "$SMOKE" == "1" ]]; then
