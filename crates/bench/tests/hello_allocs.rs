@@ -2,9 +2,9 @@
 //!
 //! A single test in its own binary: the counting allocator's totals are
 //! process-global, so any concurrently running test would pollute the
-//! window. Every beacon round lands its batch in a different calendar
-//! bucket; drained buckets hand their storage to the next cold one, so a
-//! warmed beacon-only world must allocate nothing.
+//! window. Every beacon round rides the event queue's lane, a ring buffer
+//! that keeps its capacity from round to round, so a warmed beacon-only
+//! world must allocate nothing.
 
 use imobif_bench::alloc_track::{self, CountingAlloc};
 use imobif_bench::instances::build_hello_dense;

@@ -27,7 +27,7 @@ use imobif_obs::{fnv1a64, PhaseTimer, Registry, RunManifest, ScenarioInfo};
 
 use crate::config::{check_flows, ScenarioConfig, MAX_FLOWS, MAX_NODES};
 use crate::render::render_scenario;
-use crate::runner::StrategyChoice;
+use crate::runner::{StrategyChoice, MAX_THREADS};
 use crate::scenario::{CompiledScenario, ScenarioSpec};
 use crate::spans_tools::{self, SpansRunSpec};
 use crate::trace_tools;
@@ -103,8 +103,7 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
             }
             "--threads" => {
                 // 0 = automatic; results are byte-identical at any setting.
-                let t: usize = parse_value(it.next(), "--threads")?;
-                crate::runner::set_thread_count(t);
+                crate::runner::set_thread_count(parse_threads(it.next())?);
             }
             "--metrics" => args.metrics = true,
             "--prom" => args.prom = true,
@@ -116,6 +115,14 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
         args.targets.push("all".to_string());
     }
     Ok(args)
+}
+
+/// A batch `--threads` value: `0..=MAX_THREADS`, where 0 picks the count
+/// automatically.
+fn parse_threads(v: Option<&String>) -> Result<usize, String> {
+    let threads: usize = parse_value(v, "--threads")?;
+    check_range("--threads", threads as u64, 0, MAX_THREADS as u64)?;
+    Ok(threads)
 }
 
 fn parse_value<T: std::str::FromStr>(v: Option<&String>, flag: &str) -> Result<T, String>
@@ -345,10 +352,7 @@ fn parse_scenario_run_args(argv: &[String]) -> Result<ScenarioRunArgs, String> {
             "--flows" => args.flows = Some(parse_value(it.next(), "--flows")?),
             "--seed" => args.seed = Some(parse_value(it.next(), "--seed")?),
             "--out" => args.out = Some(PathBuf::from(it.next().ok_or("--out needs a value")?)),
-            "--threads" => {
-                let t: usize = parse_value(it.next(), "--threads")?;
-                crate::runner::set_thread_count(t);
-            }
+            "--threads" => crate::runner::set_thread_count(parse_threads(it.next())?),
             "--metrics" => args.metrics = true,
             "--prom" => args.prom = true,
             "--fnv" => args.fnv = true,
@@ -448,9 +452,7 @@ fn trace_record(argv: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    if cap == 0 {
-        return Err("bad --cap: the trace ring must hold at least 1 event".to_string());
-    }
+    check_range("--cap", cap as u64, 1, trace_tools::MAX_TRACE_CAP as u64)?;
     let cfg = ScenarioConfig { seed, ..ScenarioConfig::paper_default() };
     let (result, events) = trace_tools::record_case(&cfg, index, mode, choice, cap);
     let jsonl = events_to_jsonl(&events);
@@ -535,9 +537,9 @@ fn parse_spans_args(argv: &[String]) -> Result<(SpansRunSpec, Option<PathBuf>), 
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    if spec.shards == 0 {
-        return Err("bad --shards: must be positive".to_string());
-    }
+    check_range("--shards", spec.shards as u64, 1, spans_tools::MAX_SHARDS as u64)?;
+    check_range("--threads", spec.threads as u64, 1, MAX_THREADS as u64)?;
+    check_range("--span-cap", spec.span_cap as u64, 1, spans_tools::MAX_SPAN_CAP as u64)?;
     check_range("--nodes", spec.nodes as u64, 2, MAX_NODES as u64)?;
     check_range("--flows", spec.flows as u64, 0, MAX_FLOWS)?;
     check_range("--secs", spec.secs, 1, spans_tools::MAX_SECS)?;
@@ -732,6 +734,43 @@ mod tests {
     #[test]
     fn trace_record_rejects_a_zero_capacity_ring() {
         assert_eq!(run(&argv(&["trace", "record", "--cap", "0"])), 2);
+    }
+
+    #[test]
+    fn trace_record_rejects_a_ring_above_its_ceiling() {
+        // Rejected before the ring is reserved or a case is drawn.
+        let cap = (trace_tools::MAX_TRACE_CAP + 1).to_string();
+        let err = trace_record(&argv(&["--cap", &cap])).unwrap_err();
+        assert!(err.contains("--cap") && err.contains("1..=4194304"), "{err}");
+        assert_eq!(run(&argv(&["trace", "record", "--cap", &cap])), 2);
+    }
+
+    #[test]
+    fn batch_thread_counts_above_the_ceiling_are_rejected() {
+        // Rejected while parsing: no thread count is set, no batch runs.
+        let over = (MAX_THREADS + 1).to_string();
+        let err = parse_figure_args(&argv(&["fig6", "--threads", &over])).unwrap_err();
+        assert!(err.contains("--threads") && err.contains("0..=256"), "{err}");
+        assert_eq!(run(&argv(&["fig6", "--threads", &over])), 2);
+        assert_eq!(run(&argv(&["scenario", "run", "fig6", "--threads", &over])), 2);
+        assert_eq!(run(&argv(&["fig6", "--threads", &u64::MAX.to_string()])), 2);
+    }
+
+    #[test]
+    fn spans_sizing_flags_above_their_ceilings_are_rejected() {
+        // Each is rejected by the parser, before any world, pool or ring
+        // is built.
+        for (flag, over, range) in [
+            ("--shards", spans_tools::MAX_SHARDS + 1, "1..=1024"),
+            ("--threads", MAX_THREADS + 1, "1..=256"),
+            ("--span-cap", spans_tools::MAX_SPAN_CAP + 1, "1..=4194304"),
+        ] {
+            let over = over.to_string();
+            let err = parse_spans_args(&argv(&[flag, &over])).unwrap_err();
+            assert!(err.contains(flag) && err.contains(range), "{err}");
+            assert_eq!(run(&argv(&["spans", "summary", flag, &over])), 2, "{flag}");
+            assert!(parse_spans_args(&argv(&[flag, "0"])).is_err(), "{flag} 0");
+        }
     }
 
     #[test]

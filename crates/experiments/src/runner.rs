@@ -581,6 +581,11 @@ pub fn clear_memos() {
 /// `0` means "pick automatically from available parallelism".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
+/// Largest worker-thread count the command line accepts (`--threads`):
+/// far above any useful setting, far below where spawning that many OS
+/// threads strains the host.
+pub const MAX_THREADS: usize = 256;
+
 /// Overrides how many worker threads [`run_batches`] spawns; `0` restores
 /// the automatic choice. Output is byte-identical at every setting — the
 /// integration tests assert figure CSVs match across 1, 4 and 16 threads —
@@ -686,8 +691,10 @@ pub fn run_batches(specs: &[BatchSpec], n_flows: u64) -> Vec<Vec<CaseResult>> {
     // phase is lock-free and the results come out already ordered.
     let slots: Vec<OnceLock<CaseResult>> = (0..total).map(|_| OnceLock::new()).collect();
     let next = AtomicU64::new(0);
+    // A worker beyond the case count would find nothing to claim.
+    let workers = (thread_count() as u64).min(total);
     std::thread::scope(|scope| {
-        for _ in 0..thread_count() {
+        for _ in 0..workers {
             scope.spawn(|| {
                 let mut arena = InstanceArena::new();
                 loop {

@@ -24,6 +24,15 @@ use crate::flame::scope_label;
 /// deadlines could overflow.
 pub const MAX_SECS: u64 = 1_000_000;
 
+/// Largest shard count `imobif spans` accepts (`--shards`). Every shard
+/// keeps an outbox run per destination shard, so the table grows with the
+/// square of the count: about 84 MB of run headers at the ceiling.
+pub const MAX_SHARDS: usize = 1024;
+
+/// Largest span ring `imobif spans` accepts (`--span-cap`), in spans. The
+/// ring is reserved up front: 192 MiB at the ceiling.
+pub const MAX_SPAN_CAP: usize = 1 << 22;
+
 /// Parameters of one `imobif spans` run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpansRunSpec {

@@ -17,6 +17,10 @@ use crate::config::ScenarioConfig;
 use crate::runner::{build_strategy, run_instance_traced, InstanceResult, StrategyChoice};
 use crate::topology::draw_scenario;
 
+/// Largest trace ring `imobif trace record` accepts (`--cap`), in events.
+/// The ring is reserved up front: 224 MiB at the ceiling.
+pub const MAX_TRACE_CAP: usize = 1 << 22;
+
 /// Records one flow case under `mode` with kernel tracing on, returning the
 /// measured result and the captured event stream.
 ///

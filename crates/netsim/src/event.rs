@@ -7,15 +7,28 @@
 //! the bucket under the cursor is sorted once when the cursor reaches it,
 //! and events beyond the window wait in an overflow heap that is drained
 //! into the ring as the window slides forward. For the simulator's workload
-//! (deliveries milliseconds ahead, timers/beacons a second ahead) every
-//! push is an O(1) append: a 1 s reschedule is always inside the ~2.1 s
-//! window, regardless of where the cursor sits.
+//! (deliveries milliseconds ahead, timers a second ahead) every push is an
+//! O(1) append: a 1 s reschedule is always inside the ~2.1 s window,
+//! regardless of where the cursor sits. A burst of events at the cursor's
+//! own instant is O(1) per push too, as long as each one carries a larger
+//! key than the last.
 //!
-//! It pops in exactly `(time, insertion sequence)` order; the property
-//! tests compare its pop sequence against a binary-heap oracle.
+//! Beside the calendar runs the **monotone lane**: a FIFO for one stream
+//! whose `(time, key)` only increase, such as the HELLO beacons every node
+//! sends at exactly `k·P`. A lane push is an append and a lane pop takes
+//! the front, so the stream never enters a bucket, is never sorted and
+//! never sizes the calendar's recycled storage. `pop` and `peek_time` take
+//! whichever of the lane's head and the calendar's head has the smaller
+//! `(time, key)`. A lane push whose key is not above the lane's tail goes
+//! to the calendar instead (and the push reports it), so the merge is exact
+//! for any caller.
+//!
+//! It pops in exactly `(time, key)` order, where the key is the insertion
+//! sequence or a caller-chosen tiebreak; the property tests compare its pop
+//! sequence, lane included, against a binary-heap oracle.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::SimTime;
 
@@ -38,15 +51,18 @@ const NUM_BUCKETS: usize = 64;
 /// atomics, no branches on an observability handle, no allocation — so the
 /// queue costs the same whether or not anyone is watching. They are flushed
 /// into an `imobif-obs` registry once per run by the world's
-/// `publish_metrics` (see `world.rs`), which is the only place that ever
-/// reads them.
+/// `publish_metrics` (see `world/observe.rs`), which is the only place that
+/// ever reads them.
+///
+/// `pushes`, `pops` and `max_len` count the whole queue, monotone lane
+/// included; the other fields describe the calendar alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Total events pushed.
+    /// Total events pushed, lane pushes included.
     pub pushes: u64,
-    /// Total events popped.
+    /// Total events popped, lane pops included.
     pub pops: u64,
-    /// High-water mark of pending events.
+    /// High-water mark of pending events, lane and calendar together.
     pub max_len: u64,
     /// Calendar only: pushes that landed beyond the window, in the
     /// overflow heap ("overflow-heap falls").
@@ -102,6 +118,9 @@ impl QueueStats {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     calendar: Calendar<E>,
+    /// The monotone lane: ascending by `(time, seq)`, so its front is its
+    /// earliest event (see the module docs).
+    lane: VecDeque<Scheduled<E>>,
     next_seq: u64,
     stats: QueueStats,
 }
@@ -134,6 +153,10 @@ impl<E> PartialEq for Scheduled<E> {
 
 impl<E> Eq for Scheduled<E> {}
 
+/// One calendar bucket: a ring buffer, so the cursor bucket gains an
+/// event at either end in O(1).
+type Bucket<E> = VecDeque<Scheduled<E>>;
+
 /// The calendar behind an [`EventQueue`].
 ///
 /// The ring covers a *sliding window* of `NUM_BUCKETS` consecutive global
@@ -145,8 +168,9 @@ impl<E> Eq for Scheduled<E> {}
 /// Invariants maintained by every operation:
 ///
 /// * when `len > 0`, the bucket under the cursor is non-empty and sorted
-///   *descending* by `(time, seq)`, so the next event to pop is its last
-///   element and `peek` is O(1);
+///   *descending* by `(time, seq)`, so the next event to pop is its back
+///   element and `peek` is O(1); an event larger than every other in the
+///   bucket goes on its front, also O(1);
 /// * every ring event's global bucket lies in `[gcursor, gcursor + 64)`;
 /// * the overflow heap holds only events at or beyond `gcursor + 64` — it
 ///   is drained into the ring every time the window slides forward.
@@ -157,7 +181,7 @@ impl<E> Eq for Scheduled<E> {}
 /// through the overflow heap.
 #[derive(Debug)]
 struct Calendar<E> {
-    buckets: Vec<Vec<Scheduled<E>>>,
+    buckets: Vec<Bucket<E>>,
     /// Bit `i` set ⇔ `buckets[i]` is non-empty.
     occupancy: u64,
     /// Index of the current bucket within the ring (`gcursor % 64`).
@@ -167,14 +191,14 @@ struct Calendar<E> {
     gcursor: u64,
     /// Events scheduled beyond the current window, earliest first.
     overflow: BinaryHeap<Scheduled<E>>,
-    /// Storage recycled from drained buckets. A periodic workload (HELLO
-    /// beacons, pacing timers) drops its whole batch into one bucket per
-    /// period, and each period lands on a different ring slot — so without
-    /// recycling, every cold slot regrows a `Vec` from zero (a full doubling
-    /// chain of allocations) while the capacity of the slot just drained
-    /// sits stranded until the ring wraps. Handing drained storage to the
-    /// next cold bucket makes steady-state pushes allocation-free.
-    spares: Vec<Vec<Scheduled<E>>>,
+    /// Storage recycled from drained buckets. A periodic workload (pacing
+    /// timers) drops its whole batch into one bucket per period, and each
+    /// period lands on a different ring slot — so without recycling, every
+    /// cold slot regrows a bucket from zero (a full doubling chain of
+    /// allocations) while the capacity of the slot just drained sits
+    /// stranded until the ring wraps. Handing drained storage to the next
+    /// cold bucket makes steady-state pushes allocation-free.
+    spares: Vec<Bucket<E>>,
     /// High-water bucket capacity seen at recycle time. When a cold bucket
     /// warms with the spare pool empty (the first ring revolution, before
     /// anything has drained), it reserves this much in one shot instead of
@@ -187,7 +211,7 @@ struct Calendar<E> {
 impl<E> Calendar<E> {
     fn new() -> Self {
         Calendar {
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            buckets: (0..NUM_BUCKETS).map(|_| VecDeque::new()).collect(),
             occupancy: 0,
             cursor: 0,
             gcursor: 0,
@@ -206,7 +230,7 @@ impl<E> Calendar<E> {
     /// first push — or, when nothing is pooled yet, a single full-size
     /// reservation at the high-water capacity so the cold start pays one
     /// allocation per bucket instead of a doubling chain.
-    fn warm(bucket: &mut Vec<Scheduled<E>>, spares: &mut Vec<Vec<Scheduled<E>>>, cap_hint: usize) {
+    fn warm(bucket: &mut Bucket<E>, spares: &mut Vec<Bucket<E>>, cap_hint: usize) {
         if bucket.capacity() == 0 {
             if let Some(spare) = spares.pop() {
                 *bucket = spare;
@@ -233,6 +257,9 @@ impl<E> Calendar<E> {
         let bucket = &mut self.buckets[idx];
         self.cap_hint = self.cap_hint.max(bucket.capacity());
         if bucket.capacity() > 0 && self.spares.len() < NUM_BUCKETS {
+            // Rewinds the empty ring buffer to its start, so the appends
+            // that refill it stay contiguous for the sort.
+            bucket.clear();
             self.spares.push(std::mem::take(bucket));
         }
     }
@@ -246,23 +273,29 @@ impl<E> Calendar<E> {
             self.gcursor = g;
             self.cursor = Self::ring_index(t);
             Self::warm(&mut self.buckets[self.cursor], &mut self.spares, self.cap_hint);
-            self.buckets[self.cursor].push(item);
+            self.buckets[self.cursor].push_back(item);
             self.note_cap(self.cursor);
             self.occupancy |= 1 << self.cursor;
         } else if g <= self.gcursor {
             // At or before the cursor bucket (including "in the past"):
-            // insert into the sorted cursor bucket so ordering holds.
+            // insert into the sorted cursor bucket so ordering holds. The
+            // largest key so far — the next event of a same-instant burst
+            // — goes on the front in O(1).
             let key = (item.time, item.seq);
             let bucket = &mut self.buckets[self.cursor];
-            let pos = bucket.partition_point(|s| (s.time, s.seq) > key);
-            bucket.insert(pos, item);
+            if bucket.front().is_some_and(|s| (s.time, s.seq) < key) {
+                bucket.push_front(item);
+            } else {
+                let pos = bucket.partition_point(|s| (s.time, s.seq) > key);
+                bucket.insert(pos, item);
+            }
             self.note_cap(self.cursor);
         } else if g < self.gcursor + NUM_BUCKETS as u64 {
             // Inside the window: O(1) append, sorted when the cursor gets
             // there.
             let idx = Self::ring_index(t);
             Self::warm(&mut self.buckets[idx], &mut self.spares, self.cap_hint);
-            self.buckets[idx].push(item);
+            self.buckets[idx].push_back(item);
             self.note_cap(idx);
             self.occupancy |= 1 << idx;
         } else {
@@ -272,29 +305,40 @@ impl<E> Calendar<E> {
         self.len += 1;
     }
 
+    #[inline(always)]
     fn peek(&self) -> Option<&Scheduled<E>> {
         if self.len == 0 {
             return None;
         }
-        self.buckets[self.cursor].last()
+        self.buckets[self.cursor].back()
     }
 
+    // The fast path is inlined into `EventQueue::pop`, and so into the
+    // event loop; draining a bucket, the rarer case, stays out of line.
+    #[inline(always)]
     fn pop(&mut self, stats: &mut QueueStats) -> Option<Scheduled<E>> {
         if self.len == 0 {
             return None;
         }
         let item = self.buckets[self.cursor]
-            .pop()
+            .pop_back()
             .expect("calendar invariant: cursor bucket non-empty while len > 0");
         self.len -= 1;
         if self.buckets[self.cursor].is_empty() {
-            self.occupancy &= !(1 << self.cursor);
-            self.recycle(self.cursor);
-            if self.len > 0 {
-                self.advance(stats);
-            }
+            self.drained(stats);
         }
         Some(item)
+    }
+
+    /// Retires the emptied cursor bucket and, while events remain, slides
+    /// the window on to the next one.
+    #[inline(never)]
+    fn drained(&mut self, stats: &mut QueueStats) {
+        self.occupancy &= !(1 << self.cursor);
+        self.recycle(self.cursor);
+        if self.len > 0 {
+            self.advance(stats);
+        }
     }
 
     /// Slides the window forward to the next non-empty bucket — the next
@@ -338,7 +382,7 @@ impl<E> Calendar<E> {
             stats.overflow_drained += 1;
             let idx = Self::ring_index(item.time.as_micros());
             Self::warm(&mut self.buckets[idx], &mut self.spares, self.cap_hint);
-            self.buckets[idx].push(item);
+            self.buckets[idx].push_back(item);
             self.occupancy |= 1 << idx;
         }
         // The earliest pending event sits in the (non-empty) cursor bucket.
@@ -346,7 +390,9 @@ impl<E> Calendar<E> {
     }
 
     fn sort_cursor_bucket(&mut self) {
-        self.buckets[self.cursor].sort_unstable_by_key(|s| std::cmp::Reverse((s.time, s.seq)));
+        self.buckets[self.cursor]
+            .make_contiguous()
+            .sort_unstable_by_key(|s| std::cmp::Reverse((s.time, s.seq)));
     }
 
     /// Empties the calendar while keeping every bucket's allocation (and
@@ -367,7 +413,12 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        EventQueue { calendar: Calendar::new(), next_seq: 0, stats: QueueStats::default() }
+        EventQueue {
+            calendar: Calendar::new(),
+            lane: VecDeque::new(),
+            next_seq: 0,
+            stats: QueueStats::default(),
+        }
     }
 
     /// Plain-field instrumentation accumulated since construction or the
@@ -377,20 +428,22 @@ impl<E> EventQueue<E> {
         &self.stats
     }
 
+    /// The next insertion sequence number.
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
     /// Schedules `event` at `time`.
     ///
     /// Scheduling in the past is allowed (the event fires "immediately" from
     /// the caller's perspective); the world clamps such events to its
     /// current clock.
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         self.calendar.push(Scheduled { time, seq, event }, &mut self.stats);
-        self.stats.pushes += 1;
-        let len = self.len() as u64;
-        if len > self.stats.max_len {
-            self.stats.max_len = len;
-        }
+        self.count_push();
     }
 
     /// Schedules `event` at `time` under a caller-chosen tiebreak key
@@ -401,10 +454,50 @@ impl<E> EventQueue<E> {
     /// events by `(node id << 32) | per-node sequence`, which makes the pop
     /// order of any pair of nodes' events independent of which other nodes
     /// share the queue — the property that keeps N-shard runs bit-identical
-    /// to 1-shard runs. A queue must use either `push` or `push_keyed`
+    /// to 1-shard runs. A queue must use either the sequence (`push`,
+    /// `push_lane`) or caller keys (`push_keyed`, `push_lane_keyed`)
     /// exclusively; mixing them can collide keys.
     pub fn push_keyed(&mut self, time: SimTime, key: u64, event: E) {
         self.calendar.push(Scheduled { time, seq: key, event }, &mut self.stats);
+        self.count_push();
+    }
+
+    /// Schedules `event` at `time` on the monotone lane, under the next
+    /// insertion sequence number, and returns `true`. If `time` lies before
+    /// the lane's latest event the lane would fall out of order, so the
+    /// event goes to the calendar instead and the call returns `false`:
+    /// either way it pops in exact `(time, seq)` order.
+    ///
+    /// Meant for a stream whose times only rise, such as a fixed-period
+    /// beacon rescheduled at its pop time plus the period: its events then
+    /// never enter a calendar bucket.
+    pub fn push_lane(&mut self, time: SimTime, event: E) -> bool {
+        let seq = self.take_seq();
+        self.push_to_lane(Scheduled { time, seq, event })
+    }
+
+    /// [`EventQueue::push_lane`] under a caller-chosen key (see
+    /// [`EventQueue::push_keyed`]): the event joins the lane if
+    /// `(time, key)` is above the lane's latest event, and the calendar
+    /// otherwise. Returns whether it joined the lane.
+    pub fn push_lane_keyed(&mut self, time: SimTime, key: u64, event: E) -> bool {
+        self.push_to_lane(Scheduled { time, seq: key, event })
+    }
+
+    fn push_to_lane(&mut self, item: Scheduled<E>) -> bool {
+        let in_order =
+            self.lane.back().is_none_or(|tail| (tail.time, tail.seq) < (item.time, item.seq));
+        if in_order {
+            self.lane.push_back(item);
+        } else {
+            self.calendar.push(item, &mut self.stats);
+        }
+        self.count_push();
+        in_order
+    }
+
+    #[inline]
+    fn count_push(&mut self) {
         self.stats.pushes += 1;
         let len = self.len() as u64;
         if len > self.stats.max_len {
@@ -412,27 +505,44 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Removes and returns the earliest event.
+    /// Removes and returns the earliest event: the lane's head or the
+    /// calendar's, whichever has the smaller `(time, key)`.
     // Always inlined into the event loop. Out of line, the fast path copies
     // the popped entry field by field through a return slot, and the serial
     // 5 000-node arena benchmark (`arena_5k_serial`) ran measurably slower.
     #[inline(always)]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let item = self.calendar.pop(&mut self.stats);
+        let item = if self.lane_first() {
+            self.lane.pop_front()
+        } else {
+            self.calendar.pop(&mut self.stats)
+        };
         self.stats.pops += item.is_some() as u64;
         item.map(|s| (s.time, s.event))
+    }
+
+    /// Whether the earliest pending event is the lane's head.
+    #[inline(always)]
+    fn lane_first(&self) -> bool {
+        match (self.lane.front(), self.calendar.peek()) {
+            (Some(l), Some(c)) => (l.time, l.seq) < (c.time, c.seq),
+            (lane, _) => lane.is_some(),
+        }
     }
 
     /// Time of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.calendar.peek().map(|s| s.time)
+        match (self.lane.front(), self.calendar.peek()) {
+            (Some(l), Some(c)) => Some(l.time.min(c.time)),
+            (l, c) => l.or(c).map(|s| s.time),
+        }
     }
 
-    /// Number of pending events.
+    /// Number of pending events, lane included.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.calendar.len
+        self.calendar.len + self.lane.len()
     }
 
     /// Returns `true` if no events are pending.
@@ -443,7 +553,8 @@ impl<E> EventQueue<E> {
 
     /// Drops every pending event and resets the insertion-sequence counter,
     /// returning the queue to its freshly-constructed state while keeping
-    /// the backing allocations (calendar buckets, overflow heap) for reuse.
+    /// the backing allocations (calendar buckets, overflow heap, lane) for
+    /// reuse.
     ///
     /// After `clear()` the queue is observationally identical to a new
     /// queue: the same pushes pop in the same order with the same internal
@@ -452,6 +563,20 @@ impl<E> EventQueue<E> {
         self.next_seq = 0;
         self.stats = QueueStats::default();
         self.calendar.clear();
+        self.lane.clear();
+    }
+
+    /// The events on the lane, earliest first.
+    #[cfg(test)]
+    pub(crate) fn lane_events(&self) -> impl Iterator<Item = &E> {
+        self.lane.iter().map(|s| &s.event)
+    }
+
+    /// The events in the calendar (ring and overflow), in no order.
+    #[cfg(test)]
+    pub(crate) fn calendar_events(&self) -> impl Iterator<Item = &E> {
+        let ring = self.calendar.buckets.iter().flatten();
+        ring.chain(self.calendar.overflow.iter()).map(|s| &s.event)
     }
 }
 
@@ -599,6 +724,60 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "later");
     }
 
+    #[test]
+    fn lane_and_calendar_merge_by_time_then_key() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros;
+        assert!(q.push_lane(t(10), "lane-0"));
+        q.push(t(10), "cal-1");
+        assert!(q.push_lane(t(10), "lane-2"));
+        q.push(t(5), "cal-3");
+        assert_eq!((q.len(), q.peek_time()), (4, Some(t(5))));
+        assert_eq!(q.pop(), Some((t(5), "cal-3")));
+        assert_eq!(q.pop(), Some((t(10), "lane-0")));
+        assert_eq!(q.pop(), Some((t(10), "cal-1")));
+        assert_eq!((q.len(), q.peek_time()), (1, Some(t(10))));
+        assert_eq!(q.pop(), Some((t(10), "lane-2")));
+        assert_eq!((q.len(), q.peek_time(), q.pop()), (0, None, None));
+        let stats = *q.stats();
+        assert_eq!((stats.pushes, stats.pops, stats.max_len), (4, 4, 4));
+    }
+
+    #[test]
+    fn lane_push_below_its_tail_goes_to_the_calendar() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros;
+        assert!(q.push_lane_keyed(t(20), 5, 'a'));
+        assert!(!q.push_lane_keyed(t(20), 3, 'b'), "a smaller key at the tail's instant");
+        assert!(!q.push_lane_keyed(t(10), 9, 'c'), "an earlier instant");
+        assert!(q.push_lane_keyed(t(20), 6, 'd'));
+        assert_eq!(q.lane_events().count(), 2);
+        assert_eq!(q.calendar_events().count(), 2);
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(popped, [(t(10), 'c'), (t(20), 'b'), (t(20), 'a'), (t(20), 'd')]);
+        // Once the lane drains, any push joins it again.
+        assert!(q.push_lane_keyed(t(1), 0, 'e'));
+        q.clear();
+        assert_eq!((q.len(), q.lane_events().count()), (0, 0));
+        assert_eq!(*q.stats(), QueueStats::default());
+    }
+
+    #[test]
+    fn same_instant_bursts_pop_in_key_order() {
+        // Rising keys at the cursor's instant take the O(1) front append;
+        // a falling key still takes its sorted place.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(7);
+        for key in (0..50u64).chain([3_000, 1_000, 2_000]) {
+            q.push_keyed(t, key * 10, key);
+        }
+        q.push_keyed(t, 15, 100);
+        let keys: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, k)| k).collect();
+        let mut want: Vec<u64> = (0..50).chain([1_000, 2_000, 3_000]).collect();
+        want.insert(2, 100);
+        assert_eq!(keys, want);
+    }
+
     /// A future-event list [`run_schedule`] can push to and pop from: the
     /// calendar under test or the binary-heap oracle.
     trait FutureEvents {
@@ -642,6 +821,116 @@ mod tests {
         }
         popped
     }
+
+    /// The lane schedule [`prop_lane_merges_exactly`] drives through the
+    /// queue and the heap oracle side by side, in one key mode.
+    struct LaneHarness {
+        q: EventQueue<usize>,
+        oracle: BinaryHeap<Scheduled<usize>>,
+        /// Caller keys `(node << 32) | per-node sequence`, as a shard
+        /// keys its queue; otherwise the queue's own sequence.
+        keyed: bool,
+        seq: u64,
+        node_seq: Vec<u32>,
+        period: u64,
+        /// Per pushed event: its node and whether it is periodic.
+        kinds: Vec<(u32, bool)>,
+        /// Per pushed event: whether it joined the lane.
+        on_lane: Vec<bool>,
+        lane_len: usize,
+        lane_tail: (SimTime, u64),
+        strays_on_lane: usize,
+    }
+
+    impl LaneHarness {
+        fn new(keyed: bool, nodes: u32, period: u64) -> Self {
+            let mut h = LaneHarness {
+                q: EventQueue::new(),
+                oracle: BinaryHeap::new(),
+                keyed,
+                seq: 0,
+                node_seq: vec![0; nodes as usize],
+                period,
+                kinds: Vec::new(),
+                on_lane: Vec::new(),
+                lane_len: 0,
+                lane_tail: (SimTime::ZERO, 0),
+                strays_on_lane: 0,
+            };
+            // The first round: every stream at t = 0, in node order.
+            for node in 0..nodes {
+                h.push(SimTime::ZERO, node, true, true);
+            }
+            h
+        }
+
+        /// Pushes one event, on the lane or the calendar, and checks a
+        /// lane push lands where the fallback rule says.
+        fn push(&mut self, at: SimTime, node: u32, periodic: bool, lane: bool) {
+            let uid = self.kinds.len();
+            let key = if self.keyed {
+                let s = &mut self.node_seq[node as usize];
+                *s += 1;
+                (u64::from(node) << 32) | u64::from(*s - 1)
+            } else {
+                self.seq += 1;
+                self.seq - 1
+            };
+            let joined = match (lane, self.keyed) {
+                (false, false) => {
+                    self.q.push(at, uid);
+                    false
+                }
+                (false, true) => {
+                    self.q.push_keyed(at, key, uid);
+                    false
+                }
+                (true, false) => self.q.push_lane(at, uid),
+                (true, true) => self.q.push_lane_keyed(at, key, uid),
+            };
+            if lane {
+                let fits = self.lane_len == 0 || self.lane_tail < (at, key);
+                assert_eq!(joined, fits, "lane push at {at:?} key {key}");
+                if periodic && self.strays_on_lane == 0 {
+                    assert!(joined, "a periodic stream alone stays on the lane");
+                }
+            }
+            if joined {
+                self.lane_len += 1;
+                self.lane_tail = (at, key);
+                self.strays_on_lane += usize::from(!periodic);
+            }
+            self.kinds.push((node, periodic));
+            self.on_lane.push(joined);
+            self.oracle.push(Scheduled { time: at, seq: key, event: uid });
+        }
+
+        /// Pops both sides and compares; a popped periodic event goes back
+        /// on the lane one period later while `repush` holds.
+        fn pop(&mut self, repush: bool) -> Option<SimTime> {
+            let got = self.q.pop();
+            assert_eq!(got, self.oracle.pop().map(|s| (s.time, s.event)));
+            let (t, uid) = got?;
+            if self.on_lane[uid] {
+                self.lane_len -= 1;
+                self.strays_on_lane -= usize::from(!self.kinds[uid].1);
+            }
+            let (node, periodic) = self.kinds[uid];
+            if periodic && repush {
+                self.push(t + crate::SimDuration::from_micros(self.period), node, true, true);
+            }
+            Some(t)
+        }
+
+        fn check(&self) {
+            assert_eq!(self.q.len(), self.oracle.len());
+            assert_eq!(self.q.peek_time(), self.oracle.peek().map(|s| s.time));
+        }
+    }
+
+    /// Periods the lane proptest draws from: tick-sized, sub-bucket, one
+    /// bucket, the HELLO period, and beyond the window (overflow heap).
+    const LANE_PERIODS: [u64; 5] = [1, 700, BUCKET_WIDTH_MICROS, 1_000_000, RING_SPAN_MICROS * 3];
 
     proptest! {
         /// Popping always yields a non-decreasing time sequence, and
@@ -717,6 +1006,47 @@ mod tests {
             while let Some((t, _)) = q.pop() {
                 prop_assert!(t >= clock);
                 clock = t;
+            }
+        }
+
+        /// Random interleavings of a periodic lane stream (`nodes` streams
+        /// from t = 0, each popped event pushed again one period later),
+        /// one-shot calendar pushes at the stream's instants or just after,
+        /// stray lane pushes that may fall below the lane's tail, and pops:
+        /// in both key modes the queue pops exactly as the heap oracle, and
+        /// its `len` and `peek_time` agree after every step. Steps
+        /// `(op, a, b, c)`: op 0–1 pops; op 2 pushes a one-shot for node
+        /// `c` at the `a`th period instant from the clock, plus `b` µs when
+        /// `c` is odd; op 3 pushes a one-shot for node `c` on the lane, at
+        /// the `(a - 1)`th instant, plus `b` µs when `c` is odd — below the
+        /// lane's tail, at its instant (where the key decides) or above.
+        #[test]
+        fn prop_lane_merges_exactly(
+            nodes in 1u32..6,
+            period in 0usize..LANE_PERIODS.len(),
+            script in proptest::collection::vec((0u8..4, 0u64..4, 0u64..40_000, 0u32..8), 0..160),
+        ) {
+            let period = LANE_PERIODS[period];
+            for keyed in [false, true] {
+                let mut h = LaneHarness::new(keyed, nodes, period);
+                h.check();
+                let mut now = SimTime::ZERO;
+                for &(op, a, b, c) in &script {
+                    match op {
+                        0 | 1 => now = h.pop(true).unwrap_or(now),
+                        _ => {
+                            let lane = op == 3;
+                            let instant = (now.as_micros() / period + a).saturating_sub(u64::from(lane));
+                            let at = instant * period + if c % 2 == 1 { b } else { 0 };
+                            h.push(SimTime::from_micros(at), c % nodes, false, lane);
+                        }
+                    }
+                    h.check();
+                }
+                while h.pop(false).is_some() {
+                    h.check();
+                }
+                prop_assert!(h.q.is_empty());
             }
         }
     }

@@ -76,6 +76,21 @@ pub(crate) trait Reach<M> {
         event: Event<M>,
     );
 
+    /// Queues the next event of `id`'s fixed-period stream — its HELLO
+    /// beacon — on the queue's monotone lane, under the key
+    /// [`Reach::schedule`] would give it. Every node's first beacon goes at
+    /// the same instant, in node-id order, and each later one at its pop
+    /// time plus the fixed period; pops come in `(time, key)` order, so
+    /// both engines' keys reach the lane in rising order.
+    fn schedule_periodic(
+        &mut self,
+        queue: &mut EventQueue<Event<M>>,
+        at: SimTime,
+        slot: usize,
+        id: NodeId,
+        event: Event<M>,
+    );
+
     /// Schedules the arrival of a packet `from` (engine slot `slot`) sent
     /// at `now`.
     #[allow(clippy::too_many_arguments)]
@@ -443,7 +458,7 @@ impl<A: Application> Engine<A> {
         let links = self.hearers.links(&view, &mut self.stats, node, slot, slots, pos);
         reach.hear(&mut self.nodes, node, record, prev, links);
         let at = self.time + hello.period;
-        reach.schedule(&mut self.queue, at, slot, node, Event::HelloBeacon { node });
+        reach.schedule_periodic(&mut self.queue, at, slot, node, Event::HelloBeacon { node });
     }
 }
 

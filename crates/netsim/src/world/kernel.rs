@@ -52,6 +52,20 @@ impl<M> Reach<M> for SerialReach {
         queue.push(at, event);
     }
 
+    /// The global sequence only rises, and the clock never runs back.
+    #[inline]
+    fn schedule_periodic(
+        &mut self,
+        queue: &mut EventQueue<Event<M>>,
+        at: SimTime,
+        _slot: usize,
+        _id: NodeId,
+        event: Event<M>,
+    ) {
+        let in_lane = queue.push_lane(at, event);
+        debug_assert!(in_lane, "a beacon at {at:?} fell below the lane's tail");
+    }
+
     #[inline]
     fn deliver(
         &mut self,
@@ -134,9 +148,11 @@ impl<A: Application> World<A> {
         let now = self.engine.time;
         // Beacons fire immediately at start so neighbor tables are populated
         // before the first data packet; the queue's sequence numbers give a
-        // deterministic beacon order.
+        // deterministic beacon order. The whole round goes on the lane.
         for i in 0..self.engine.nodes.len() {
-            self.engine.queue.push(now, Event::HelloBeacon { node: NodeId::new(i as u32) });
+            let node = NodeId::new(i as u32);
+            let beacon = Event::HelloBeacon { node };
+            self.reach.schedule_periodic(&mut self.engine.queue, now, i, node, beacon);
         }
         for i in 0..self.engine.nodes.len() {
             if self.engine.nodes.is_alive(i) {

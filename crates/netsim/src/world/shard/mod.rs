@@ -464,7 +464,7 @@ impl<A: Application> ShardedWorld<A> {
             let id = NodeId::new(i as u32);
             let Shard { engine, keys } = &mut self.shards[si as usize];
             let beacon = Event::HelloBeacon { node: id };
-            keys.push(&mut engine.queue, SimTime::ZERO, slot as usize, id, beacon);
+            keys.push_periodic(&mut engine.queue, SimTime::ZERO, slot as usize, id, beacon);
         }
         let Self { cfg, owner, shards, outs, replica, sched, merge, counters, spans, .. } = self;
         let sh = SharedCtx { cfg, owner };

@@ -86,8 +86,15 @@ pub(super) struct ShardKeys {
 }
 
 impl ShardKeys {
-    /// Queues `event` for `id` (local `slot`) under the next key of its
-    /// ascending per-node sequence.
+    /// The next queue key of `id` (local `slot`): `(id << 32) | seq`, from
+    /// its ascending per-node sequence.
+    fn qkey(&mut self, slot: usize, id: NodeId) -> u64 {
+        let s = self.qseq[slot];
+        self.qseq[slot] = s.wrapping_add(1);
+        (u64::from(id.raw()) << 32) | u64::from(s)
+    }
+
+    /// Queues `event` for `id` (local `slot`) under its next queue key.
     pub(super) fn push<M>(
         &mut self,
         queue: &mut EventQueue<Event<M>>,
@@ -96,9 +103,25 @@ impl ShardKeys {
         id: NodeId,
         event: Event<M>,
     ) {
-        let s = self.qseq[slot];
-        self.qseq[slot] = s.wrapping_add(1);
-        queue.push_keyed(at, (u64::from(id.raw()) << 32) | u64::from(s), event);
+        let key = self.qkey(slot, id);
+        queue.push_keyed(at, key, event);
+    }
+
+    /// Queues `id`'s next beacon on the lane under its next queue key. The
+    /// shard's clock never runs back, and beacons that pop at one instant
+    /// pop in key order, which is node-id order: the keys of their
+    /// successors rise with the id.
+    pub(super) fn push_periodic<M>(
+        &mut self,
+        queue: &mut EventQueue<Event<M>>,
+        at: SimTime,
+        slot: usize,
+        id: NodeId,
+        event: Event<M>,
+    ) {
+        let key = self.qkey(slot, id);
+        let in_lane = queue.push_lane_keyed(at, key, event);
+        debug_assert!(in_lane, "node {id:?}'s beacon at {at:?} fell below the lane's tail");
     }
 
     fn ekey(&mut self, slot: usize, id: NodeId, time: SimTime) -> XKey {
@@ -219,6 +242,18 @@ impl<M> Reach<M> for ShardReach<'_, M> {
         event: Event<M>,
     ) {
         self.keys.push(queue, at, slot, id, event);
+    }
+
+    #[inline]
+    fn schedule_periodic(
+        &mut self,
+        queue: &mut EventQueue<Event<M>>,
+        at: SimTime,
+        slot: usize,
+        id: NodeId,
+        event: Event<M>,
+    ) {
+        self.keys.push_periodic(queue, at, slot, id, event);
     }
 
     /// Local deliveries also go through the outbox: enqueueing them early

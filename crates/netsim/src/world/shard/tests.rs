@@ -352,6 +352,31 @@ fn hello_observations_cross_shard_boundaries() {
     assert_eq!(stats.hello_fanout_bins.iter().sum::<u64>(), stats.hello_beacons);
 }
 
+#[test]
+fn beacon_rounds_ride_each_shards_lane_not_its_calendar() {
+    let mut w = make_sharded(4);
+    for i in 0..300 {
+        let p = Point2::new(2.0 + (i % 20) as f64 * 5.0, 2.0 + (i / 20) as f64 * 6.5);
+        w.add_node(p, Battery::new(1.0).unwrap(), Echo::default());
+    }
+    // Each shard's lane holds its own nodes' beacons in global id order.
+    let expected: Vec<Vec<NodeId>> = (0..4)
+        .map(|s| {
+            let owned = w.owner.iter().enumerate().filter(|(_, o)| o.0 == s);
+            owned.map(|(i, _)| NodeId::new(i as u32)).collect()
+        })
+        .collect();
+    assert!(expected.iter().all(|nodes| nodes.len() > 30), "every shard owns nodes");
+    let layout = |w: &ShardedWorld<Echo>| -> Vec<(Vec<NodeId>, usize)> {
+        w.shards.iter().map(|s| crate::world::tests::beacon_layout(&s.engine.queue)).collect()
+    };
+    let want: Vec<(Vec<NodeId>, usize)> = expected.into_iter().map(|n| (n, 0)).collect();
+    w.start();
+    assert_eq!(layout(&w), want, "the first round");
+    w.run_until(SimTime::from_micros(1_500_000));
+    assert_eq!(layout(&w), want, "the second round");
+}
+
 // ------------------------------------------------------ both engines
 
 /// One row of the ordering table: a small world, one source timer, and
@@ -649,6 +674,8 @@ fn handler_ordering_rules_hold_on_both_engines() {
 #[derive(Debug, PartialEq)]
 enum Call {
     Schedule(SimTime),
+    /// A lane push: the next event of a fixed-period stream.
+    Periodic(SimTime),
     Deliver(NodeId),
     /// The hearers that joined and left.
     Hear(Vec<u32>, Vec<u32>),
@@ -688,6 +715,17 @@ impl Reach<u32> for LogReach {
     ) {
         self.calls.push(Call::Schedule(at));
         queue.push(at, event);
+    }
+    fn schedule_periodic(
+        &mut self,
+        queue: &mut EventQueue<Event<u32>>,
+        at: SimTime,
+        _slot: usize,
+        _id: NodeId,
+        event: Event<u32>,
+    ) {
+        self.calls.push(Call::Periodic(at));
+        assert!(queue.push_lane(at, event));
     }
     fn deliver(
         &mut self,
@@ -747,7 +785,7 @@ fn reach_calls(joules: [f64; 2], act: impl FnOnce(&mut Engine<Echo>, &mut LogRea
 /// implement.
 #[test]
 fn handlers_call_their_reach_in_rule_order() {
-    use Call::{Deliver, Died, Hear, Moved, Schedule, Trace};
+    use Call::{Deliver, Died, Hear, Moved, Periodic, Trace};
     let (a, b) = (NodeId::new(0), NodeId::new(1));
     let send = |engine: &mut Engine<Echo>, reach: &mut LogReach| {
         engine.dispatch(reach, a, 0, |_, _, out| out.send(b, 8000, 0, EnergyCategory::Data));
@@ -795,8 +833,8 @@ fn handlers_call_their_reach_in_rule_order() {
     assert_eq!(reach_calls([10.0, 10.0], step_toward(Point2::new(60.0, 50.0))), [], "zero-length");
     assert_eq!(
         reach_calls([10.0, 10.0], beacon()),
-        [Hear(vec![1], vec![]), Schedule(SimTime::ZERO + SimConfig::default().hello.period)],
-        "a funded beacon reschedules at the HELLO period"
+        [Hear(vec![1], vec![]), Periodic(SimTime::ZERO + SimConfig::default().hello.period)],
+        "a funded beacon reschedules on the lane at the HELLO period"
     );
     assert_eq!(reach_calls([1e-12, 10.0], beacon()), [Died(a), Trace("died")], "unfunded beacon");
 }

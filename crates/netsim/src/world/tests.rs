@@ -277,6 +277,31 @@ fn lattice(side: usize, spacing: f64) -> Vec<Point2> {
         .collect()
 }
 
+/// The nodes whose beacons sit on `queue`'s lane, in lane order, and the
+/// number of beacons in its calendar.
+pub(super) fn beacon_layout<M>(queue: &crate::EventQueue<Event<M>>) -> (Vec<NodeId>, usize) {
+    let lane = queue.lane_events().map(|e| match e {
+        Event::HelloBeacon { node } => *node,
+        _ => panic!("only beacons ride the lane"),
+    });
+    let in_calendar = queue.calendar_events().filter(|e| matches!(e, Event::HelloBeacon { .. }));
+    (lane.collect(), in_calendar.count())
+}
+
+#[test]
+fn beacon_rounds_ride_the_lane_not_the_calendar() {
+    let mut w = make_world();
+    for p in lattice(18, 14.0) {
+        w.add_node(p, Battery::new(1.0).unwrap(), Echo::default());
+    }
+    let all: Vec<NodeId> = (0..18 * 18).map(NodeId::new).collect();
+    w.start();
+    assert_eq!(beacon_layout(&w.engine.queue), (all.clone(), 0), "the first round");
+    // Mid-period, every beacon has gone out once and come back on the lane.
+    w.run_until(SimTime::from_micros(1_500_000));
+    assert_eq!(beacon_layout(&w.engine.queue), (all, 0), "the second round");
+}
+
 #[test]
 fn hello_cache_hits_in_a_static_world_and_publishes() {
     let mut w = make_world();

@@ -5,10 +5,12 @@
 # exit means the tree is in a committable state.
 #
 # `ci.sh --smoke` runs only the fast subset — release build, the release
-# pin and allocation tests, the simulator's unit tests (among them the
-# neighbor-table oracle and the shard invariance checks), the timing
-# ratios, and the benchmark package's tests and `bench --smoke` — and
-# targets a total wall time of under a minute on a warm build cache.
+# pin and allocation tests, the simulator's unit tests in release and in
+# debug (among them the neighbor-table oracle, the shard invariance checks
+# and the event queue's lane oracle, whose debug assertions only a debug
+# build keeps), the timing ratios, and the benchmark package's tests and
+# `bench --smoke` — and targets a total wall time of under a minute on a
+# warm build cache.
 #
 # Where each gate lives:
 #   - serial trace pins: tests/trace_causality.rs and tests/determinism.rs
@@ -30,7 +32,21 @@
 #       spec_parse_allocs.rs parsing the shipped specs: <= 300
 #   - timing ratios (release only): disabled metrics >= 0.99, disabled
 #     spans >= 0.99, 16 vs 1 shard <= 1.10:
-#     crates/bench/tests/overhead_ratios.rs
+#     crates/bench/tests/overhead_ratios.rs; a same-instant burst of 2^15
+#     events < 24x one of 2^12: crates/bench/tests/burst_scaling.rs
+#   - event queue lane == binary-heap oracle, both key modes, with stray
+#     pushes below the lane's tail: prop_lane_merges_exactly
+#     (crates/netsim/src/event.rs); every beacon round on the lane, none in
+#     the calendar: beacon_rounds_ride_the_lane_not_the_calendar
+#     (world/tests.rs) and beacon_rounds_ride_each_shards_lane_not_its_calendar
+#     (world/shard/tests.rs); the beacon streams' rising-key debug
+#     assertions hold in the debug run of the simulator's unit tests
+#   - sizing-flag ceilings exit 2 before anything is built, in
+#     crates/experiments/src/cli.rs: `--threads` on figures and `scenario
+#     run` (batch_thread_counts_above_the_ceiling_are_rejected), `spans
+#     --shards/--threads/--span-cap`
+#     (spans_sizing_flags_above_their_ceilings_are_rejected), `trace record
+#     --cap` (trace_record_rejects_a_ring_above_its_ceiling)
 #   - 100k-node arena builds and delivers: `bench --smoke`'s arena_100k
 #     summary pin
 #   - `imobif <fig>` and `scenario run <fig>` write the same artifacts:
@@ -81,14 +97,18 @@ if [[ "$SMOKE" == "1" ]]; then
         --test spec_parse_allocs --test fig6_allocs --test hello_allocs \
         --test replicate_allocs
 
-    echo "==> simulator unit tests (neighbor-table oracle, shard invariance)"
+    echo "==> simulator unit tests (neighbor-table oracle, shard invariance, queue lane)"
     cargo test --release -q -p imobif-netsim --lib
+    # Debug too: the queue's and the beacon streams' debug assertions are
+    # compiled out of the release run.
+    cargo test -q -p imobif-netsim --lib
 fi
 
-echo "==> timing ratios (disabled metrics and spans >= 0.99, 16 vs 1 shard <= 1.10)"
-# Release only: the test is ignored in debug builds, where timing means
-# nothing. One #[test], so no two timed runs overlap.
-cargo test --release -q -p imobif-bench --test overhead_ratios
+echo "==> timing ratios (disabled metrics and spans >= 0.99, 16 vs 1 shard <= 1.10, linear bursts)"
+# Release only: the tests are ignored in debug builds, where timing means
+# nothing. One #[test] per binary, and cargo runs the binaries one at a
+# time, so no two timed runs overlap.
+cargo test --release -q -p imobif-bench --test overhead_ratios --test burst_scaling
 
 echo "==> spans flame smoke (collapsed stacks + SVG + sharded manifest)"
 spans_dir=$(mktemp -d)
