@@ -25,7 +25,7 @@ use imobif_netsim::{ShardedWorld, SimTime, World};
 pub struct Variant;
 
 impl Variant {
-    /// The shipping configuration: calendar queue, decision cache on.
+    /// The shipping configuration: the one event queue, decision cache on.
     #[must_use]
     pub fn after() -> Self {
         Variant

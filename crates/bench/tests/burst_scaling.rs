@@ -1,10 +1,12 @@
-//! Scaling gate: a burst of events at one instant costs linear time.
+//! Scaling gate: a burst of events at one instant costs no more than
+//! `n log n` time.
 //!
-//! Every push of a same-instant burst lands in the calendar's cursor
-//! bucket, with a key above all the others. The bucket must take it in
-//! O(1), so 2^15 pushes (and the pops that drain them) must cost less than
-//! [`MAX_RATIO`] times 2^12 of them: linear code reads about 8×, a bucket
-//! that shifts its whole contents per push about 64×.
+//! Every push of a same-instant burst goes on the event queue's heap with
+//! a key above all the others, so it sifts up zero levels, and each pop
+//! costs O(log n). So 2^15 pushes (and the pops that drain them) must cost
+//! less than [`MAX_RATIO`] times 2^12 of them: `n log n` code reads about
+//! 10× (12–13× on a 2-CPU x86-64 host, the larger heap spilling out of
+//! cache), a queue that shifts its whole contents per push about 64×.
 //!
 //! One `#[test]`, so no two timed runs overlap. Timing is meaningless in
 //! an unoptimized build, so the test runs only in release:

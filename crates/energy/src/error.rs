@@ -43,6 +43,15 @@ pub enum EnergyError {
         /// Largest admitted value.
         max: u64,
     },
+    /// A parameter asks for more simulated time than a run admits.
+    SimTimeTooLong {
+        /// Name of the offending parameter.
+        name: &'static str,
+        /// The simulated seconds it asks for.
+        secs: f64,
+        /// The most simulated seconds admitted.
+        max_secs: f64,
+    },
 }
 
 impl fmt::Display for EnergyError {
@@ -59,6 +68,13 @@ impl fmt::Display for EnergyError {
             }
             EnergyError::OutOfRange { name, value, min, max } => {
                 write!(f, "parameter `{name}` = {value} lies outside {min}..={max}")
+            }
+            EnergyError::SimTimeTooLong { name, secs, max_secs } => {
+                write!(
+                    f,
+                    "parameter `{name}` asks for {secs:e} simulated seconds, above the limit of \
+                     {max_secs:e}"
+                )
             }
         }
     }
@@ -80,6 +96,12 @@ mod tests {
         assert!(!EnergyError::InsufficientSamples.to_string().is_empty());
         let range = EnergyError::OutOfRange { name: "flows", value: 0, min: 1, max: 9 };
         assert_eq!(range.to_string(), "parameter `flows` = 0 lies outside 1..=9");
+        let long =
+            EnergyError::SimTimeTooLong { name: "churn.mean_secs", secs: 1e300, max_secs: 1e9 };
+        assert_eq!(
+            long.to_string(),
+            "parameter `churn.mean_secs` asks for 1e300 simulated seconds, above the limit of 1e9"
+        );
     }
 
     #[test]

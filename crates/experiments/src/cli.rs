@@ -841,6 +841,28 @@ mod tests {
     }
 
     #[test]
+    fn specs_beyond_the_sim_time_and_ext_limits_exit_2() {
+        let dir = std::env::temp_dir().join(format!("imobif-scn-limits-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("temp dir");
+        let specs = [
+            "[base]\npacket_interval_secs = 1e14\n",
+            "[base.churn]\nmodel = \"relay_exponential\"\nmean_secs = 1e300\n",
+            "[base]\nmean_flow_bits = 1e30\n",
+            "adapter = \"ext\"\n[ext]\nlambdas = [2.0]\n",
+            "adapter = \"ext\"\n[ext]\nmultiflow_flow_bits = 0\n",
+            "adapter = \"ext\"\n[ext]\nestimate_factors = [-1.0]\n",
+        ];
+        for (i, body) in specs.iter().enumerate() {
+            let path = dir.join(format!("limit{i}.toml"));
+            fs::write(&path, format!("name = \"limit{i}\"\n{body}")).expect("spec written");
+            let path = path.to_str().expect("utf-8 temp path");
+            assert_eq!(run(&argv(&["scenario", "validate", path])), 2, "validate {body}");
+            assert_eq!(run(&argv(&["scenario", "run", path, "--flows", "1"])), 2, "run {body}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn scenario_run_is_deterministic_and_writes_manifest() {
         let _g = crate::test_lock();
         let dir1 = std::env::temp_dir().join(format!("imobif-scn-a-{}", std::process::id()));

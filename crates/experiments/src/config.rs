@@ -12,6 +12,12 @@ pub const MAX_FLOWS: u64 = 100_000;
 /// Largest arena a scenario may draw (`node_count`).
 pub const MAX_NODES: usize = 1_000_000;
 
+/// Most simulated seconds one spec value may ask for: a packet interval, a
+/// churn mean, or a flow's mean paced time (about 32 years). Exponential
+/// draws reach about 37 times their mean, and 37 × 10⁹ s still lies 500
+/// times inside the ~1.8 × 10¹³ s a `SimTime` holds.
+pub const MAX_SIM_SECS: f64 = 1e9;
+
 /// Checks a replicate count against `1..=MAX_FLOWS`.
 ///
 /// # Errors
@@ -22,6 +28,20 @@ pub fn check_flows(flows: u64) -> Result<u64, EnergyError> {
         Ok(flows)
     } else {
         Err(EnergyError::OutOfRange { name: "flows", value: flows, min: 1, max: MAX_FLOWS })
+    }
+}
+
+/// Checks that `secs` simulated seconds, asked for by the parameter
+/// `name`, lie within [`MAX_SIM_SECS`].
+///
+/// # Errors
+///
+/// Returns [`EnergyError::SimTimeTooLong`] naming `name` and the limit.
+pub(crate) fn check_sim_secs(name: &'static str, secs: f64) -> Result<(), EnergyError> {
+    if secs <= MAX_SIM_SECS {
+        Ok(())
+    } else {
+        Err(EnergyError::SimTimeTooLong { name, secs, max_secs: MAX_SIM_SECS })
     }
 }
 
@@ -241,7 +261,9 @@ impl ScenarioConfig {
     /// # Errors
     ///
     /// Returns [`EnergyError::OutOfRange`] unless `node_count` lies in
-    /// `2..=MAX_NODES`, else [`EnergyError::InvalidParameter`] naming the
+    /// `2..=MAX_NODES`, [`EnergyError::SimTimeTooLong`] if the packet
+    /// interval, the churn mean or the mean flow's paced time exceeds
+    /// [`MAX_SIM_SECS`], else [`EnergyError::InvalidParameter`] naming the
     /// first bad field.
     pub fn validate(&self) -> Result<(), EnergyError> {
         if !(2..=MAX_NODES).contains(&self.node_count) {
@@ -267,6 +289,8 @@ impl ScenarioConfig {
         if !(self.packet_interval_secs.is_finite() && self.packet_interval_secs > 0.0) {
             return Err(EnergyError::InvalidParameter { name: "packet_interval_secs" });
         }
+        check_sim_secs("packet_interval_secs", self.packet_interval_secs)?;
+        check_sim_secs("mean_flow_bits", self.paced_secs(self.mean_flow_bits))?;
         if !(self.max_step.is_finite() && self.max_step > 0.0) {
             return Err(EnergyError::InvalidParameter { name: "max_step" });
         }
@@ -313,6 +337,7 @@ impl ScenarioConfig {
                 if !(mean_secs.is_finite() && mean_secs > 0.0) {
                     return Err(EnergyError::InvalidParameter { name: "churn.mean_secs" });
                 }
+                check_sim_secs("churn.mean_secs", mean_secs)?;
             }
         }
         // Model parameters validated by their constructors:
@@ -361,6 +386,12 @@ impl ScenarioConfig {
     #[must_use]
     pub fn packet_interval(&self) -> SimDuration {
         SimDuration::from_secs_f64(self.packet_interval_secs)
+    }
+
+    /// Simulated seconds a source takes to pace out a `bits`-bit flow.
+    #[must_use]
+    pub(crate) fn paced_secs(&self, bits: f64) -> f64 {
+        bits / self.packet_bits as f64 * self.packet_interval_secs
     }
 }
 

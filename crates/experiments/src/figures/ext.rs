@@ -563,7 +563,7 @@ pub fn run_multiflow_with(params: &ExtParams, seed: u64) -> MultiFlowStudy {
         for spec in &specs {
             install_flow(&mut world, spec).expect("routed specs are valid");
         }
-        let horizon = SimTime::from_micros((flow_bits / 8_000 + 60) * 1_000_000);
+        let horizon = SimTime::from_micros((flow_bits / 8_000 + 60).saturating_mul(1_000_000));
         world.run_while(|w| w.time() < horizon);
         let delivered = specs.iter().all(|s| {
             let dst = *s.path.last().expect("non-empty");

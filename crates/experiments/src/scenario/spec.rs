@@ -6,7 +6,9 @@ use std::fmt::Write as _;
 
 use imobif_obs::Json;
 
-use crate::config::{ChurnModel, EnergyInit, ScenarioConfig, TopologyFamily};
+use crate::config::{
+    check_sim_secs, ChurnModel, EnergyInit, ScenarioConfig, TopologyFamily, MAX_FLOWS,
+};
 use crate::runner::StrategyChoice;
 
 use super::toml::{self, Item, ParseError, Pos, Table, TomlValue};
@@ -530,32 +532,80 @@ fn parse_churn(t: &Table, at: Pos) -> Result<ChurnModel, ParseError> {
     })
 }
 
+/// Parses the `[ext]` table, checking each value where its position is at
+/// hand. The studies pace every flow at the paper's packet size and rate,
+/// so a flow length is bounded by the time that pacing takes.
 fn parse_ext(t: &Table) -> Result<ExtParams, ParseError> {
     let mut p = ExtParams::paper();
     for (key, pos, item) in &t.entries {
+        let pos = *pos;
         match key.as_str() {
-            "estimate_factors" => p.estimate_factors = expect_f64_array(item, *pos, key)?,
-            "steps" => p.steps = expect_f64_array(item, *pos, key)?,
-            "lambdas" => p.lambdas = expect_f64_array(item, *pos, key)?,
-            "multiflow_concurrent" => {
-                p.multiflow_concurrent = u32::try_from(expect_u64(item, *pos, key)?)
-                    .map_err(|_| ParseError::at(*pos, "multiflow_concurrent out of range"))?;
+            "estimate_factors" => p.estimate_factors = positive_f64s(item, pos, key)?,
+            "steps" => p.steps = positive_f64s(item, pos, key)?,
+            "lambdas" => {
+                p.lambdas = expect_f64_array(item, pos, key)?;
+                if let Some(l) = p.lambdas.iter().find(|l| !(0.0..=1.0).contains(*l)) {
+                    let msg = format!("`lambdas` entries must lie in [0, 1], not {l:?}");
+                    return Err(ParseError::at(pos, msg));
+                }
             }
-            "multiflow_flow_bits" => p.multiflow_flow_bits = expect_u64(item, *pos, key)?,
-            "relay_flow_bits" => p.relay_flow_bits = expect_u64(item, *pos, key)?,
+            "multiflow_concurrent" => {
+                let n = expect_u64(item, pos, key)?;
+                if !(1..=MAX_FLOWS).contains(&n) {
+                    let msg = format!("`multiflow_concurrent` = {n} lies outside 1..={MAX_FLOWS}");
+                    return Err(ParseError::at(pos, msg));
+                }
+                p.multiflow_concurrent = n as u32;
+            }
+            "multiflow_flow_bits" => {
+                p.multiflow_flow_bits = flow_bits(item, pos, "multiflow_flow_bits")?;
+            }
+            "relay_flow_bits" => p.relay_flow_bits = flow_bits(item, pos, "relay_flow_bits")?,
             "relay_max" => {
-                p.relay_max = usize::try_from(expect_u64(item, *pos, key)?)
-                    .map_err(|_| ParseError::at(*pos, "relay_max out of range"))?;
+                p.relay_max = usize::try_from(expect_u64(item, pos, key)?)
+                    .map_err(|_| ParseError::at(pos, "relay_max out of range"))?;
             }
             "initial_status_mean_flow_bits" => {
-                p.initial_status_mean_flow_bits = expect_f64(item, *pos, key)?;
+                let key = "initial_status_mean_flow_bits";
+                let bits = expect_f64(item, pos, key)?;
+                if !(bits.is_finite() && bits > 0.0) {
+                    return Err(ParseError::at(pos, format!("`{key}` must be a positive number")));
+                }
+                check_paced(bits, pos, key)?;
+                p.initial_status_mean_flow_bits = bits;
             }
             other => {
-                return Err(ParseError::at(*pos, format!("unknown key `{other}` in [ext]")));
+                return Err(ParseError::at(pos, format!("unknown key `{other}` in [ext]")));
             }
         }
     }
     Ok(p)
+}
+
+/// A sweep of finite, positive numbers.
+fn positive_f64s(item: &Item, pos: Pos, key: &str) -> Result<Vec<f64>, ParseError> {
+    let xs = expect_f64_array(item, pos, key)?;
+    match xs.iter().find(|x| !(x.is_finite() && **x > 0.0)) {
+        Some(x) => Err(ParseError::at(pos, format!("`{key}` entries must be positive, not {x:?}"))),
+        None => Ok(xs),
+    }
+}
+
+/// A fixed flow length: at least one bit, paced within the time limit.
+fn flow_bits(item: &Item, pos: Pos, key: &'static str) -> Result<u64, ParseError> {
+    let bits = expect_u64(item, pos, key)?;
+    if bits == 0 {
+        return Err(ParseError::at(pos, format!("`{key}` must be at least 1")));
+    }
+    check_paced(bits as f64, pos, key)?;
+    Ok(bits)
+}
+
+/// Checks that pacing `bits` at the paper's packet size and rate stays
+/// within [`crate::config::MAX_SIM_SECS`].
+fn check_paced(bits: f64, pos: Pos, key: &'static str) -> Result<(), ParseError> {
+    let secs = ScenarioConfig::paper_default().paced_secs(bits);
+    check_sim_secs(key, secs).map_err(|e| ParseError::at(pos, e.to_string()))
 }
 
 // ---- typed accessors over the document model ----

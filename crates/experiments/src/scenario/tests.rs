@@ -140,6 +140,83 @@ fn compile_rejects_an_arena_above_max_nodes() {
     assert!(err.contains("`node_count` = 4000000000") && err.contains("2..=1000000"), "{err}");
 }
 
+/// Compiles `base` (a `[base]` table body) and returns the error text.
+fn compile_error(base: &str) -> String {
+    let spec = ScenarioSpec::parse(&format!("name = \"long\"\n[base]\n{base}")).expect("parses");
+    spec.compile().expect_err("beyond the sim-time ceiling").to_string()
+}
+
+#[test]
+fn compile_rejects_a_packet_interval_beyond_the_sim_time_ceiling() {
+    let err = compile_error("packet_interval_secs = 1e14\n");
+    assert!(err.contains("`packet_interval_secs` asks for 1e14") && err.contains("1e9"), "{err}");
+}
+
+#[test]
+fn compile_rejects_a_churn_mean_beyond_the_sim_time_ceiling() {
+    let err = compile_error("[base.churn]\nmodel = \"relay_exponential\"\nmean_secs = 1e300\n");
+    assert!(err.contains("`churn.mean_secs` asks for 1e300") && err.contains("1e9"), "{err}");
+}
+
+#[test]
+fn compile_rejects_a_mean_flow_paced_beyond_the_sim_time_ceiling() {
+    // 1e30 bits in 8 000-bit packets at one per second: 1.25e26 sim-s.
+    let err = compile_error("mean_flow_bits = 1e30\n");
+    assert!(err.contains("`mean_flow_bits` asks for 1.25e26") && err.contains("1e9"), "{err}");
+    // The shipped specs' longest mean flow, fig5's 5 MB, paces 5 000 sim-s.
+    let longest = BUILTIN_NAMES
+        .iter()
+        .flat_map(|n| builtin(n).expect("builtin").compile().expect("compiles").runs)
+        .map(|r| r.config.paced_secs(r.config.mean_flow_bits))
+        .fold(0.0, f64::max);
+    assert!(longest == 5e3 && longest * 1e5 < crate::config::MAX_SIM_SECS, "{longest}");
+}
+
+/// Parses a spec whose `[ext]` table holds `line` on line 4, column 1,
+/// and returns the error.
+fn ext_error(line: &str) -> toml::ParseError {
+    let text = format!("name = \"x\"\nadapter = \"ext\"\n[ext]\n{line}\n");
+    ScenarioSpec::parse(&text).expect_err("an out-of-range [ext] value")
+}
+
+#[test]
+fn ext_keys_are_range_checked_at_their_position() {
+    let cases = [
+        ("estimate_factors = [1.0, -1.0]", "`estimate_factors` entries must be positive, not -1.0"),
+        ("estimate_factors = [0]", "`estimate_factors` entries must be positive, not 0.0"),
+        ("steps = [0.0]", "`steps` entries must be positive, not 0.0"),
+        ("steps = [1e400]", "`steps` entries must be positive, not inf"),
+        ("lambdas = [0.5, 2.0]", "`lambdas` entries must lie in [0, 1], not 2.0"),
+        ("lambdas = [-0.1]", "`lambdas` entries must lie in [0, 1], not -0.1"),
+        ("multiflow_concurrent = 0", "`multiflow_concurrent` = 0 lies outside 1..=100000"),
+        ("multiflow_concurrent = 100001", "`multiflow_concurrent` = 100001 lies outside 1..=100000"),
+        ("multiflow_flow_bits = 0", "`multiflow_flow_bits` must be at least 1"),
+        (
+            "multiflow_flow_bits = 9000000000000",
+            "parameter `multiflow_flow_bits` asks for 1.125e9 simulated seconds, above the limit of 1e9",
+        ),
+        ("relay_flow_bits = 0", "`relay_flow_bits` must be at least 1"),
+        (
+            "relay_flow_bits = 18000000000000000000",
+            "parameter `relay_flow_bits` asks for 2.25e15 simulated seconds, above the limit of 1e9",
+        ),
+        ("initial_status_mean_flow_bits = 0.0", "`initial_status_mean_flow_bits` must be a positive number"),
+        (
+            "initial_status_mean_flow_bits = 1e30",
+            "parameter `initial_status_mean_flow_bits` asks for 1.25e26 simulated seconds, above the limit of 1e9",
+        ),
+    ];
+    for (line, msg) in cases {
+        let err = ext_error(line);
+        assert_eq!((err.line, err.col, err.msg.as_str()), (4, 1, msg), "{line}");
+    }
+    // The limits themselves are admitted.
+    let edge = "name = \"x\"\n[ext]\nlambdas = [0.0, 1.0]\nmultiflow_concurrent = 100000\n\
+                multiflow_flow_bits = 8000000000000\nrelay_flow_bits = 1\n";
+    let ext = ScenarioSpec::parse(edge).expect("at the limits").ext.expect("an [ext] table");
+    assert_eq!((ext.multiflow_concurrent, ext.multiflow_flow_bits), (100_000, 8_000_000_000_000));
+}
+
 #[test]
 fn compile_with_overrides_seed_and_flows() {
     let spec = builtin("fig6").expect("builtin");

@@ -16,9 +16,9 @@ pub struct KernelStats {
     pub hello_beacons: u64,
     /// Application timers dispatched.
     pub timers_fired: u64,
-    /// HELLO fan-out (hearers per beacon) binned by bit length, like
-    /// `QueueStats::occupancy_bins`: bin 0 is "no hearers", bin `i`
-    /// covers `2^(i-1) ≤ n < 2^i`, the last bin collects 64+.
+    /// HELLO fan-out (hearers per beacon) binned by bit length: bin 0 is
+    /// "no hearers", bin `i` covers `2^(i-1) ≤ n < 2^i`, the last bin
+    /// collects 64+.
     pub hello_fanout_bins: [u64; 8],
     /// Beacons whose cached hearer list was still exact. Worlds small
     /// enough to scan their nodes count neither hits nor misses.
@@ -83,16 +83,6 @@ impl<A: Application> World<A> {
         registry.counter("queue.pushes").add(q.pushes);
         registry.counter("queue.pops").add(q.pops);
         registry.gauge("queue.max_len").set(q.max_len as f64);
-        registry.counter("queue.overflow_pushes").add(q.overflow_pushes);
-        registry.counter("queue.overflow_drained").add(q.overflow_drained);
-        registry.counter("queue.window_slides").add(q.window_slides);
-        let occupancy =
-            registry.histogram("queue.occupied_buckets", &[0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0]);
-        for (&value, &count) in
-            crate::event::QueueStats::OCCUPANCY_BIN_VALUES.iter().zip(&q.occupancy_bins)
-        {
-            occupancy.observe_n(value as f64, count);
-        }
 
         registry.counter("kernel.events_processed").add(self.engine.events_processed);
         registry.counter("kernel.hello_beacons").add(self.engine.stats.hello_beacons);

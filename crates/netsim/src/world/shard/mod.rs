@@ -1,5 +1,5 @@
 //! Spatially sharded world: the kernel partitioned into a grid of shards,
-//! each owning its nodes' state and a local calendar queue, coupled only
+//! each owning its nodes' state and a local event queue, coupled only
 //! through deterministic epoch barriers.
 //!
 //! A shard embeds the same [`Engine`](super::engine::Engine) as the

@@ -353,7 +353,7 @@ fn hello_observations_cross_shard_boundaries() {
 }
 
 #[test]
-fn beacon_rounds_ride_each_shards_lane_not_its_calendar() {
+fn beacon_rounds_ride_each_shards_lane_not_its_heap() {
     let mut w = make_sharded(4);
     for i in 0..300 {
         let p = Point2::new(2.0 + (i % 20) as f64 * 5.0, 2.0 + (i / 20) as f64 * 6.5);

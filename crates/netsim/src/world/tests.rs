@@ -278,18 +278,18 @@ fn lattice(side: usize, spacing: f64) -> Vec<Point2> {
 }
 
 /// The nodes whose beacons sit on `queue`'s lane, in lane order, and the
-/// number of beacons in its calendar.
+/// number of beacons on its heap.
 pub(super) fn beacon_layout<M>(queue: &crate::EventQueue<Event<M>>) -> (Vec<NodeId>, usize) {
     let lane = queue.lane_events().map(|e| match e {
         Event::HelloBeacon { node } => *node,
         _ => panic!("only beacons ride the lane"),
     });
-    let in_calendar = queue.calendar_events().filter(|e| matches!(e, Event::HelloBeacon { .. }));
-    (lane.collect(), in_calendar.count())
+    let on_heap = queue.heap_events().filter(|e| matches!(e, Event::HelloBeacon { .. }));
+    (lane.collect(), on_heap.count())
 }
 
 #[test]
-fn beacon_rounds_ride_the_lane_not_the_calendar() {
+fn beacon_rounds_ride_the_lane_not_the_heap() {
     let mut w = make_world();
     for p in lattice(18, 14.0) {
         w.add_node(p, Battery::new(1.0).unwrap(), Echo::default());

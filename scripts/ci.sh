@@ -8,9 +8,9 @@
 # pin and allocation tests, the simulator's unit tests in release and in
 # debug (among them the neighbor-table oracle, the shard invariance checks
 # and the event queue's lane oracle, whose debug assertions only a debug
-# build keeps), the timing ratios, and the benchmark package's tests and
-# `bench --smoke` — and targets a total wall time of under a minute on a
-# warm build cache.
+# build keeps), the timing ratios, the reproduction-record check, and the
+# benchmark package's tests and `bench --smoke` — and targets a total wall
+# time of under a minute on a warm build cache.
 #
 # Where each gate lives:
 #   - serial trace pins: tests/trace_causality.rs and tests/determinism.rs
@@ -34,11 +34,12 @@
 #     spans >= 0.99, 16 vs 1 shard <= 1.10:
 #     crates/bench/tests/overhead_ratios.rs; a same-instant burst of 2^15
 #     events < 24x one of 2^12: crates/bench/tests/burst_scaling.rs
-#   - event queue lane == binary-heap oracle, both key modes, with stray
-#     pushes below the lane's tail: prop_lane_merges_exactly
-#     (crates/netsim/src/event.rs); every beacon round on the lane, none in
-#     the calendar: beacon_rounds_ride_the_lane_not_the_calendar
-#     (world/tests.rs) and beacon_rounds_ride_each_shards_lane_not_its_calendar
+#   - event queue (a binary heap beside the beacon lane) == bare
+#     binary-heap oracle, both key modes, with stray pushes below the lane's
+#     tail: prop_backends_pop_identically and prop_lane_merges_exactly
+#     (crates/netsim/src/event.rs); every beacon round on the lane, none on
+#     the heap: beacon_rounds_ride_the_lane_not_the_heap (world/tests.rs)
+#     and beacon_rounds_ride_each_shards_lane_not_its_heap
 #     (world/shard/tests.rs); the beacon streams' rising-key debug
 #     assertions hold in the debug run of the simulator's unit tests
 #   - sizing-flag ceilings exit 2 before anything is built, in
@@ -51,6 +52,14 @@
 #     summary pin
 #   - `imobif <fig>` and `scenario run <fig>` write the same artifacts:
 #     figure_and_scenario_commands_write_the_same_artifacts (cli.rs)
+#   - spec values beyond the sim-time ceiling (config::MAX_SIM_SECS) or
+#     out of range in `[ext]` exit 2 from `scenario validate` and `scenario
+#     run`: specs_beyond_the_sim_time_and_ext_limits_exit_2 (cli.rs), with
+#     the field, the limit and the `[ext]` position checked in
+#     crates/experiments/src/scenario/tests.rs
+#   - reproduction record: every file in results/ equals the output of a
+#     fresh `imobif all --flows 100 --seed 2025` (stdout is full_run.md),
+#     checked below in both modes
 #
 # The sweeps, gates and benchmark build their worlds with
 # crates/bench/src/instances.rs, thin wrappers over
@@ -142,11 +151,30 @@ echo "    $scenario_fnv"
     exit 1
 }
 
+echo "==> reproduction record (results/ == imobif all --flows 100 --seed 2025)"
+# EXPERIMENTS.md quotes results/; a code change that moves any figure
+# fails here until results/ is regenerated with the command below.
+record_dir=$(mktemp -d)
+trap 'rm -rf "$spans_dir" "$record_dir"' EXIT
+cargo run --release -q -p imobif-experiments --bin imobif -- \
+    all --flows 100 --seed 2025 --out "$record_dir" >"$record_dir/full_run.md" 2>/dev/null
+for fresh in "$record_dir"/*; do
+    cmp "results/$(basename "$fresh")" "$fresh" || {
+        echo "results/ drifted from the code: regenerate it with" >&2
+        echo "  imobif all --flows 100 --seed 2025 --out results > results/full_run.md" >&2
+        exit 1
+    }
+done
+if [[ $(ls results | wc -l) -ne $(ls "$record_dir" | wc -l) ]]; then
+    echo "results/ holds files the reproduction run does not write" >&2
+    exit 1
+fi
+
 echo "==> benchmark package: tests + bench --smoke (pinned fingerprints)"
 # The benchmark lives in its own workspace (perfbench/). `bench` exits
 # nonzero when any round panics or breaks its pinned output fingerprint.
 bench_dir=$(mktemp -d)
-trap 'rm -rf "$spans_dir" "$bench_dir"' EXIT
+trap 'rm -rf "$spans_dir" "$record_dir" "$bench_dir"' EXIT
 cargo test --release -q --locked --manifest-path perfbench/Cargo.toml
 cargo run --release -q --locked --manifest-path perfbench/Cargo.toml --bin bench -- \
     --smoke --out "$bench_dir" >/dev/null
@@ -158,7 +186,7 @@ fi
 
 echo "==> observability smoke (manifest + metrics artifacts, trace tooling)"
 obs_dir=$(mktemp -d)
-trap 'rm -rf "$obs_dir" "$spans_dir" "$bench_dir"' EXIT
+trap 'rm -rf "$obs_dir" "$spans_dir" "$record_dir" "$bench_dir"' EXIT
 # A small figure run with metrics on must emit a manifest that validates
 # and carries nonzero kernel readings.
 cargo run --release -q -p imobif-experiments --bin imobif -- \

@@ -49,6 +49,7 @@ fn energy_errors_round_trip() {
         EnergyError::InvalidParameter { name: "alpha" },
         EnergyError::InsufficientSamples,
         EnergyError::OutOfRange { name: "flows", value: 0, min: 1, max: 100 },
+        EnergyError::SimTimeTooLong { name: "churn.mean_secs", secs: 1e300, max_secs: 1e9 },
     ] {
         check_leaf(e);
     }
