@@ -1,6 +1,5 @@
-//! The `imobif` binary: short alias for the experiment CLI
-//! ([`imobif_experiments::cli`]) — figures, `trace` tooling and
-//! `manifest-check`.
+//! The `imobif` binary: the experiment CLI ([`imobif_experiments::cli`]) —
+//! figures, scenarios, `trace` and `spans` tooling and `manifest-check`.
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();

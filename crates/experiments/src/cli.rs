@@ -1,5 +1,4 @@
-//! Shared command-line implementation behind the `imobif` and
-//! `imobif-experiments` binaries.
+//! The command-line implementation behind the `imobif` binary.
 //!
 //! The command families:
 //!
@@ -297,7 +296,11 @@ fn scenario_validate(argv: &[String]) -> Result<(), String> {
     }
     let mut failures = 0usize;
     for arg in argv {
-        match load_spec(arg).and_then(|spec| spec.compile().map_err(|e| format!("{arg}: {e}"))) {
+        let compiled = load_spec(arg).and_then(|spec| {
+            let compiled = spec.compile().and_then(|c| c.check_routable().map(|()| c));
+            compiled.map_err(|e| format!("{arg}: {e}"))
+        });
+        match compiled {
             Ok(compiled) => {
                 println!(
                     "ok: {arg} ({} run(s), adapter {})",
@@ -373,8 +376,10 @@ fn scenario_run(argv: &[String]) -> Result<(), String> {
         return Err("--prom requires --metrics".to_string());
     }
     let spec = load_spec(&args.target)?;
-    let compiled =
-        spec.compile_with(args.seed, args.flows).map_err(|e| format!("{}: {e}", args.target))?;
+    let compiled = spec
+        .compile_with(args.seed, args.flows)
+        .and_then(|c| c.check_routable().map(|()| c))
+        .map_err(|e| format!("{}: {e}", args.target))?;
     let registry = if args.metrics { crate::obs::enable_metrics() } else { crate::obs::registry() };
     let mut timer = PhaseTimer::new();
     timer.start("run");
@@ -858,6 +863,30 @@ mod tests {
             let path = path.to_str().expect("utf-8 temp path");
             assert_eq!(run(&argv(&["scenario", "validate", path])), 2, "validate {body}");
             assert_eq!(run(&argv(&["scenario", "run", path, "--flows", "1"])), 2, "run {body}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn specs_that_cannot_run_a_flow_exit_2_before_running() {
+        // A packet interval below half a microsecond paces at zero; two
+        // nodes, or 100 nodes over a 1000 km square, route no flow through
+        // a relay and used to redraw forever.
+        let dir = std::env::temp_dir().join(format!("imobif-scn-norun-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("temp dir");
+        let specs = [
+            ("packet_interval_secs = 1e-7", "invalid model parameter `packet_interval_secs`"),
+            ("node_count = 2", "cannot route a flow"),
+            ("area_side = 1e6", "cannot route a flow"),
+        ];
+        for (i, (line, msg)) in specs.into_iter().enumerate() {
+            let path = dir.join(format!("norun{i}.toml"));
+            fs::write(&path, format!("name = \"norun{i}\"\n[base]\n{line}\n")).expect("written");
+            let path = path.to_str().expect("utf-8 temp path");
+            assert_eq!(run(&argv(&["scenario", "validate", path])), 2, "validate {line}");
+            assert_eq!(run(&argv(&["scenario", "run", path, "--flows", "1"])), 2, "run {line}");
+            let err = scenario_run(&argv(&[path, "--flows", "1"])).unwrap_err();
+            assert!(err.contains(&format!("run `norun{i}`")) && err.contains(msg), "{err}");
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -153,6 +153,79 @@ impl ChurnModel {
     }
 }
 
+/// How a scalar field of [`ScenarioConfig`] is spelled in a spec.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Kind {
+    /// A non-negative integer that must fit a `usize`.
+    Count,
+    /// A non-negative integer.
+    Int,
+    /// A number; written with `{:?}`, which round-trips.
+    Float,
+    /// `true` or `false`.
+    Bool,
+}
+
+/// One scalar field of [`ScenarioConfig`]: its spec key, its kind, and
+/// how to read and write its exact bits (a float's `to_bits`, an integer
+/// itself, a bool as 0 or 1).
+pub(crate) struct Scalar {
+    pub(crate) key: &'static str,
+    pub(crate) kind: Kind,
+    pub(crate) read: fn(&ScenarioConfig) -> u64,
+    pub(crate) write: fn(&mut ScenarioConfig, u64),
+}
+
+macro_rules! scalar {
+    ($field:ident, Count) => {
+        scalar!($field, Count, |c| c.$field as u64, |c, v| c.$field = v as usize)
+    };
+    ($field:ident, Int) => {
+        scalar!($field, Int, |c| c.$field, |c, v| c.$field = v)
+    };
+    ($field:ident, Float) => {
+        scalar!($field, Float, |c| c.$field.to_bits(), |c, v| c.$field = f64::from_bits(v))
+    };
+    ($field:ident, Bool) => {
+        scalar!($field, Bool, |c| u64::from(c.$field), |c, v| c.$field = v != 0)
+    };
+    ($field:ident, $kind:ident, $read:expr, $write:expr) => {
+        Scalar { key: stringify!($field), kind: Kind::$kind, read: $read, write: $write }
+    };
+}
+
+/// Every scalar field of [`ScenarioConfig`], in the canonical writer's
+/// order. The spec parser, the canonical writer and [`ConfigKey`] all read
+/// this table; the energy, topology and churn sub-tables are written and
+/// keyed by their own types.
+pub(crate) static SCALARS: [Scalar; 14] = [
+    scalar!(node_count, Count),
+    scalar!(area_side, Float),
+    scalar!(range, Float),
+    scalar!(a, Float),
+    scalar!(b, Float),
+    scalar!(alpha, Float),
+    scalar!(k, Float),
+    scalar!(mean_flow_bits, Float),
+    scalar!(packet_bits, Int),
+    scalar!(packet_interval_secs, Float),
+    scalar!(max_step, Float),
+    scalar!(initial_mobility_enabled, Bool),
+    scalar!(estimate_factor, Float),
+    scalar!(seed, Int),
+];
+
+/// The exact bits of every field of a [`ScenarioConfig`]. Two configs
+/// share a key only if no field differs in any bit, so floats one ulp
+/// apart, or `0.0` and `-0.0`, never alias. The batch memos key on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct ConfigKey {
+    scalars: [u64; SCALARS.len()],
+    energy: (u8, u64, u64, u64),
+    topology: (u8, u64, u64),
+    churn: (u8, u64),
+}
+
 /// Full description of one simulated scenario.
 ///
 /// # Example
@@ -264,7 +337,8 @@ impl ScenarioConfig {
     /// `2..=MAX_NODES`, [`EnergyError::SimTimeTooLong`] if the packet
     /// interval, the churn mean or the mean flow's paced time exceeds
     /// [`MAX_SIM_SECS`], else [`EnergyError::InvalidParameter`] naming the
-    /// first bad field.
+    /// first bad field (a packet interval that rounds to zero microseconds
+    /// among them).
     pub fn validate(&self) -> Result<(), EnergyError> {
         if !(2..=MAX_NODES).contains(&self.node_count) {
             return Err(EnergyError::OutOfRange {
@@ -290,6 +364,11 @@ impl ScenarioConfig {
             return Err(EnergyError::InvalidParameter { name: "packet_interval_secs" });
         }
         check_sim_secs("packet_interval_secs", self.packet_interval_secs)?;
+        // Sim time counts whole microseconds: a shorter interval paces at
+        // zero, which no flow accepts.
+        if self.packet_interval() == SimDuration::ZERO {
+            return Err(EnergyError::InvalidParameter { name: "packet_interval_secs" });
+        }
         check_sim_secs("mean_flow_bits", self.paced_secs(self.mean_flow_bits))?;
         if !(self.max_step.is_finite() && self.max_step > 0.0) {
             return Err(EnergyError::InvalidParameter { name: "max_step" });
@@ -392,6 +471,17 @@ impl ScenarioConfig {
     #[must_use]
     pub(crate) fn paced_secs(&self, bits: f64) -> f64 {
         bits / self.packet_bits as f64 * self.packet_interval_secs
+    }
+
+    /// This config's [`ConfigKey`].
+    #[must_use]
+    pub(crate) fn key(&self) -> ConfigKey {
+        ConfigKey {
+            scalars: std::array::from_fn(|i| (SCALARS[i].read)(self)),
+            energy: self.initial_energy.key(),
+            topology: self.topology.key(),
+            churn: self.churn.key(),
+        }
     }
 }
 

@@ -8,7 +8,7 @@ use imobif_netsim::TopologyView;
 
 use crate::config::ScenarioConfig;
 use crate::metrics::Summary;
-use crate::report::{fmt2, fmt4, markdown_table};
+use crate::report::{fmt2, fmt4, fmt_bytes, markdown_table};
 use crate::runner::{run_batch, run_batches, BatchSpec, StrategyChoice};
 use crate::scenario::ExtParams;
 use crate::topology::draw_scenario;
@@ -147,6 +147,8 @@ pub struct InitialStatusAblation {
     /// Cost-unaware avg energy ratio on the same flows: the damage a wrong
     /// "enabled" would cause *without* the notification loop.
     pub cost_unaware_avg: f64,
+    /// Mean flow length the ablation ran, in bits.
+    pub mean_flow_bits: f64,
 }
 
 /// Runs the initial-status ablation with the paper's short-flow setting.
@@ -183,6 +185,7 @@ pub fn run_initial_status_with(
         cost_unaware_avg: mean(
             disabled_cases.iter().map(|c| c.cost_unaware_energy_ratio()).collect(),
         ),
+        mean_flow_bits: params.initial_status_mean_flow_bits,
     }
 }
 
@@ -191,10 +194,11 @@ impl InitialStatusAblation {
     #[must_use]
     pub fn to_markdown(&self) -> String {
         format!(
-            "### ext_initial — initial mobility status (100 KB flows)\n\n\
+            "### ext_initial — initial mobility status ({} flows)\n\n\
              iMobif avg energy ratio: initially-disabled {} vs initially-enabled {} \
              (cost-unaware, i.e. no correction at all: {}) — the notification loop \
              limits the damage of a wrong initial status.\n",
+            fmt_bytes(self.mean_flow_bits),
             fmt4(self.disabled_avg),
             fmt4(self.enabled_avg),
             fmt4(self.cost_unaware_avg),
@@ -498,6 +502,8 @@ pub struct MultiFlowStudy {
     pub all_delivered: bool,
     /// Nodes that carried two or more flows simultaneously.
     pub shared_nodes: usize,
+    /// Length of each flow, in bits.
+    pub flow_bits: u64,
 }
 
 /// Runs the multi-flow study with the paper's 2 MB per-flow length.
@@ -584,6 +590,7 @@ pub fn run_multiflow_with(params: &ExtParams, seed: u64) -> MultiFlowStudy {
         informed_ratio: inf_energy / base_energy,
         all_delivered: base_ok && inf_ok,
         shared_nodes: shared,
+        flow_bits,
     }
 }
 
@@ -592,10 +599,11 @@ impl MultiFlowStudy {
     #[must_use]
     pub fn to_markdown(&self) -> String {
         format!(
-            "### ext_multiflow — {} concurrent 2 MB flows in one arena\n\n\
+            "### ext_multiflow — {} concurrent {} flows in one arena\n\n\
              Total energy: no-mobility {} J vs iMobif {} J (ratio {}); {} node(s) carried \
              multiple flows (targets superposed); all flows delivered: {}.\n",
             self.flows,
+            fmt_bytes(self.flow_bits as f64),
             fmt2(self.no_mobility_energy),
             fmt2(self.informed_energy),
             fmt4(self.informed_ratio),
@@ -668,6 +676,17 @@ mod tests {
             r.informed_ratio
         );
         assert!(r.to_markdown().contains("ext_multiflow"));
+    }
+
+    #[test]
+    fn headings_print_the_flow_sizes_the_studies_ran() {
+        let text = "name = \"x\"\nadapter = \"ext\"\n[ext]\nmultiflow_concurrent = 2\n\
+                    multiflow_flow_bits = 80000\ninitial_status_mean_flow_bits = 16000.0\n";
+        let p = crate::scenario::ScenarioSpec::parse(text).expect("parses").ext.expect("[ext]");
+        let initial = run_initial_status_with(&p, 2, 5).to_markdown();
+        assert!(initial.starts_with("### ext_initial — initial mobility status (2 KB flows)\n"));
+        let multiflow = run_multiflow_with(&p, 5).to_markdown();
+        assert!(multiflow.starts_with("### ext_multiflow — 2 concurrent 10 KB flows in one arena"));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! assert_eq!(result.notifications.len(), 3);
 //! ```
 //!
-//! The `imobif-experiments` binary drives the full reproduction:
+//! The crate's `imobif` binary drives the full reproduction:
 //!
 //! ```text
 //! cargo run -p imobif-experiments --release -- all --flows 100 --out results/

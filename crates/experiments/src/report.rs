@@ -59,6 +59,18 @@ pub fn fmt2(x: f64) -> String {
     format!("{x:.2}")
 }
 
+/// Formats a size given in bits as bytes, in the largest of MB, KB and B
+/// it reaches: `16e6` bits is `"2 MB"`, `8e5` is `"100 KB"`.
+#[must_use]
+pub fn fmt_bytes(bits: f64) -> String {
+    let bytes = bits / 8.0;
+    match bytes {
+        b if b >= 1e6 => format!("{} MB", b / 1e6),
+        b if b >= 1e3 => format!("{} KB", b / 1e3),
+        b => format!("{b} B"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,5 +94,10 @@ mod tests {
     fn formatters() {
         assert_eq!(fmt4(1.23456), "1.2346");
         assert_eq!(fmt2(1.234), "1.23");
+        assert_eq!(fmt_bytes(16e6), "2 MB");
+        assert_eq!(fmt_bytes(8e5), "100 KB");
+        assert_eq!(fmt_bytes(80_000.0), "10 KB");
+        assert_eq!(fmt_bytes(12e3), "1.5 KB");
+        assert_eq!(fmt_bytes(800.0), "100 B");
     }
 }

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::config::{ChurnModel, ScenarioConfig};
+use crate::config::{ChurnModel, ConfigKey, ScenarioConfig};
 use crate::memo::{count_lookup, ShardedMemo};
 use crate::topology::{clear_draw_memo, draw_memo_counters, draw_scenario, TopologyDraw};
 
@@ -413,117 +413,40 @@ impl CaseResult {
     }
 }
 
-/// Bit-exact memo key for one `(config, strategy, draw index)` case. Every
-/// float field enters via `to_bits`, so configs that differ in any parameter
-/// — however slightly — occupy distinct entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CaseKey {
-    node_count: usize,
-    area_bits: u64,
-    range_bits: u64,
-    a_bits: u64,
-    b_bits: u64,
-    alpha_bits: u64,
-    k_bits: u64,
-    mean_bits: u64,
-    packet_bits: u64,
-    interval_bits: u64,
-    max_step_bits: u64,
-    energy: (u8, u64, u64, u64),
-    topology: (u8, u64, u64),
-    churn: (u8, u64),
-    initial_mobility_enabled: bool,
-    estimate_bits: u64,
-    seed: u64,
-    choice: StrategyChoice,
-    index: u64,
-}
-
-impl CaseKey {
-    fn of(cfg: &ScenarioConfig, choice: StrategyChoice, index: u64) -> Self {
-        CaseKey {
-            node_count: cfg.node_count,
-            area_bits: cfg.area_side.to_bits(),
-            range_bits: cfg.range.to_bits(),
-            a_bits: cfg.a.to_bits(),
-            b_bits: cfg.b.to_bits(),
-            alpha_bits: cfg.alpha.to_bits(),
-            k_bits: cfg.k.to_bits(),
-            mean_bits: cfg.mean_flow_bits.to_bits(),
-            packet_bits: cfg.packet_bits,
-            interval_bits: cfg.packet_interval_secs.to_bits(),
-            max_step_bits: cfg.max_step.to_bits(),
-            energy: cfg.initial_energy.key(),
-            topology: cfg.topology.key(),
-            churn: cfg.churn.key(),
-            initial_mobility_enabled: cfg.initial_mobility_enabled,
-            estimate_bits: cfg.estimate_factor.to_bits(),
-            seed: cfg.seed,
-            choice,
-            index,
-        }
-    }
-}
-
-/// Bounds the case memo; `imobif-experiments all --flows 100` populates a
-/// few hundred entries.
+/// Bounds the case memo; `imobif all --flows 100` populates a few hundred
+/// entries.
 const CASE_MEMO_CAP: usize = 8192;
 
-fn case_memo() -> &'static ShardedMemo<CaseKey, CaseResult> {
-    static MEMO: OnceLock<ShardedMemo<CaseKey, CaseResult>> = OnceLock::new();
+/// Cases by `(config, strategy, draw index)`: a case reads every field.
+fn case_memo() -> &'static ShardedMemo<(ConfigKey, StrategyChoice, u64), CaseResult> {
+    static MEMO: OnceLock<ShardedMemo<(ConfigKey, StrategyChoice, u64), CaseResult>> =
+        OnceLock::new();
     MEMO.get_or_init(|| ShardedMemo::new(CASE_MEMO_CAP))
 }
 
-/// Memo key for a *no-mobility baseline* instance: only the config fields
-/// such a run physically depends on. Nothing ever moves and notifications
-/// are off under [`MobilityMode::NoMobility`], so the mobility cost `k`,
+/// The memo key of draw `index`'s no-mobility baseline under `cfg`: the
+/// key of `cfg` with the mobility knobs reset to the paper's. Nothing moves
+/// and no notification is sent under [`MobilityMode::NoMobility`], so `k`,
 /// the per-packet movement bound, the estimate factor, the initial mobility
-/// status and the strategy choice cannot influence the result — sweep
-/// points and figure panels that vary only those knobs share one baseline
-/// simulation. The `no_mobility_baseline_ignores_mobility_knobs` test pins
-/// this independence; extend the key if the framework ever grows a
-/// baseline-visible use of an omitted field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct BaselineKey {
-    node_count: usize,
-    area_bits: u64,
-    range_bits: u64,
-    a_bits: u64,
-    b_bits: u64,
-    alpha_bits: u64,
-    mean_bits: u64,
-    packet_bits: u64,
-    interval_bits: u64,
-    energy: (u8, u64, u64, u64),
-    topology: (u8, u64, u64),
-    churn: (u8, u64),
-    seed: u64,
-    index: u64,
+/// status and the strategy cannot change the result, and sweep points and
+/// figure panels that vary only those share one baseline simulation. Every
+/// other field, a future one included, stays in the key. The
+/// `no_mobility_baseline_ignores_mobility_knobs` test pins the
+/// independence.
+fn baseline_key(cfg: &ScenarioConfig, index: u64) -> (ConfigKey, u64) {
+    let paper = ScenarioConfig::paper_default();
+    let projected = ScenarioConfig {
+        k: paper.k,
+        max_step: paper.max_step,
+        estimate_factor: paper.estimate_factor,
+        initial_mobility_enabled: paper.initial_mobility_enabled,
+        ..*cfg
+    };
+    (projected.key(), index)
 }
 
-impl BaselineKey {
-    fn of(cfg: &ScenarioConfig, index: u64) -> Self {
-        BaselineKey {
-            node_count: cfg.node_count,
-            area_bits: cfg.area_side.to_bits(),
-            range_bits: cfg.range.to_bits(),
-            a_bits: cfg.a.to_bits(),
-            b_bits: cfg.b.to_bits(),
-            alpha_bits: cfg.alpha.to_bits(),
-            mean_bits: cfg.mean_flow_bits.to_bits(),
-            packet_bits: cfg.packet_bits,
-            interval_bits: cfg.packet_interval_secs.to_bits(),
-            energy: cfg.initial_energy.key(),
-            topology: cfg.topology.key(),
-            churn: cfg.churn.key(),
-            seed: cfg.seed,
-            index,
-        }
-    }
-}
-
-fn baseline_memo() -> &'static ShardedMemo<BaselineKey, InstanceResult> {
-    static MEMO: OnceLock<ShardedMemo<BaselineKey, InstanceResult>> = OnceLock::new();
+fn baseline_memo() -> &'static ShardedMemo<(ConfigKey, u64), InstanceResult> {
+    static MEMO: OnceLock<ShardedMemo<(ConfigKey, u64), InstanceResult>> = OnceLock::new();
     MEMO.get_or_init(|| ShardedMemo::new(usize::MAX))
 }
 
@@ -619,8 +542,7 @@ fn run_case_in(
     strategy: &Arc<dyn MobilityStrategy>,
     registry: &Arc<StrategyRegistry>,
 ) -> CaseResult {
-    let key = CaseKey::of(cfg, choice, index);
-    let (case, missed) = case_memo().get_or_compute(key, || {
+    let (case, missed) = case_memo().get_or_compute((cfg.key(), choice, index), || {
         let obs = crate::obs::registry();
         let t_draw = obs.is_enabled().then(std::time::Instant::now);
         let draw = draw_scenario(cfg, index);
@@ -628,7 +550,7 @@ fn run_case_in(
             obs.float_counter("phase.scenario_draw_secs").add(t0.elapsed().as_secs_f64());
         }
         let (no_mobility, missed) = baseline_memo()
-            .get_or_compute(BaselineKey::of(cfg, index), || {
+            .get_or_compute(baseline_key(cfg, index), || {
                 run_instance_in(arena, cfg, &draw, MobilityMode::NoMobility, strategy, registry)
             });
         count_lookup(missed, &BASELINE_MEMO_HITS, &BASELINE_MEMO_MISSES);
@@ -821,10 +743,10 @@ mod tests {
 
     #[test]
     fn no_mobility_baseline_ignores_mobility_knobs() {
-        // The BaselineKey omission list in one test: a no-mobility run must
+        // The baseline key's reset list in one test: a no-mobility run must
         // be bit-identical across every mobility-only config knob and across
-        // strategies. If this ever fails, the corresponding field must be
-        // added to `BaselineKey`.
+        // strategies. If this ever fails, `baseline_key` must stop
+        // resetting the corresponding field.
         let base = quick_cfg();
         let reference = {
             let draw = draw_scenario(&base, 0);
@@ -847,6 +769,87 @@ mod tests {
         let draw = draw_scenario(&base, 0);
         let r = run_instance(&base, &draw, MobilityMode::NoMobility, &s);
         assert_eq!(r, reference, "baseline diverged across strategies");
+    }
+
+    #[test]
+    fn memo_keys_track_the_fields_each_result_reads() {
+        use crate::config::{EnergyInit, TopologyFamily};
+        let case = |c: &ScenarioConfig| (c.key(), StrategyChoice::MinEnergy, 3);
+        let baseline = |c: &ScenarioConfig| baseline_key(c, 3);
+        let draw = |c: &ScenarioConfig| crate::topology::draw_key(c, 3);
+
+        let base = ScenarioConfig::paper_default();
+        // Every field, so that a new one fails to compile here until it
+        // has a row below.
+        let ScenarioConfig {
+            node_count: _,
+            area_side: _,
+            range: _,
+            a: _,
+            b: _,
+            alpha: _,
+            k: _,
+            mean_flow_bits: _,
+            packet_bits: _,
+            packet_interval_secs: _,
+            max_step: _,
+            initial_energy: _,
+            initial_mobility_enabled: _,
+            estimate_factor: _,
+            topology: _,
+            churn: _,
+            seed: _,
+        } = base;
+        // The smallest change each field admits: floats move one ulp.
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let rows = [
+            ("node_count", base, ScenarioConfig { node_count: 101, ..base }),
+            ("area_side", base, ScenarioConfig { area_side: up(base.area_side), ..base }),
+            ("range", base, ScenarioConfig { range: up(base.range), ..base }),
+            ("a", base, ScenarioConfig { a: up(base.a), ..base }),
+            ("a", ScenarioConfig { a: 0.0, ..base }, ScenarioConfig { a: -0.0, ..base }),
+            ("b", base, ScenarioConfig { b: up(base.b), ..base }),
+            ("alpha", base, ScenarioConfig { alpha: up(base.alpha), ..base }),
+            ("k", base, ScenarioConfig { k: up(base.k), ..base }),
+            ("mean_flow_bits", base, ScenarioConfig { mean_flow_bits: up(8e6), ..base }),
+            ("packet_bits", base, ScenarioConfig { packet_bits: 8_001, ..base }),
+            (
+                "packet_interval_secs",
+                base,
+                ScenarioConfig { packet_interval_secs: up(1.0), ..base },
+            ),
+            ("max_step", base, ScenarioConfig { max_step: up(base.max_step), ..base }),
+            (
+                "initial_energy",
+                base,
+                ScenarioConfig { initial_energy: EnergyInit::Fixed(up(1e5)), ..base },
+            ),
+            (
+                "initial_mobility_enabled",
+                base,
+                ScenarioConfig { initial_mobility_enabled: true, ..base },
+            ),
+            ("estimate_factor", base, ScenarioConfig { estimate_factor: up(1.0), ..base }),
+            (
+                "topology",
+                base,
+                ScenarioConfig { topology: TopologyFamily::SmallWorld { rewire: 0.0 }, ..base },
+            ),
+            (
+                "churn",
+                base,
+                ScenarioConfig { churn: ChurnModel::RelayExponential { mean_secs: 200.0 }, ..base },
+            ),
+            ("seed", base, ScenarioConfig { seed: 43, ..base }),
+        ];
+        let mobility_knobs = ["k", "max_step", "estimate_factor", "initial_mobility_enabled"];
+        let drawn = ["seed", "node_count", "area_side", "range", "initial_energy", "topology"];
+        for (field, from, to) in rows {
+            assert_ne!(case(&from), case(&to), "case key ignores `{field}`");
+            let (b_from, b_to) = (baseline(&from), baseline(&to));
+            assert_eq!(b_from != b_to, !mobility_knobs.contains(&field), "baseline key, `{field}`");
+            assert_eq!(draw(&from) != draw(&to), drawn.contains(&field), "draw key, `{field}`");
+        }
     }
 
     #[test]

@@ -91,6 +91,27 @@ impl ScenarioSpec {
     }
 }
 
+impl CompiledScenario {
+    /// Draws each run's first flow, past the draw memo, so that an arena
+    /// routing no flow through a relay is an error before anything runs,
+    /// not a panic in a batch worker. The `ext` adapter is skipped: its
+    /// studies draw the paper's configuration, not the runs'.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::Unroutable`] naming the first such run.
+    pub fn check_routable(&self) -> Result<(), ScenarioError> {
+        if self.adapter == Adapter::Ext {
+            return Ok(());
+        }
+        for run in &self.runs {
+            crate::topology::check_routable(&run.config, 0)
+                .map_err(|error| ScenarioError::Unroutable { label: run.label.clone(), error })?;
+        }
+        Ok(())
+    }
+}
+
 /// One run's cases under the generic adapter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenericGroup {

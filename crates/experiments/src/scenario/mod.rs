@@ -26,6 +26,8 @@ use std::sync::OnceLock;
 
 use imobif_energy::EnergyError;
 
+use crate::topology::Unroutable;
+
 pub use compile::{run_generic, CompiledRun, CompiledScenario, GenericGroup, GenericResult};
 pub use spec::{Adapter, ExtParams, ScenarioSpec, VariantSpec};
 pub use toml::ParseError;
@@ -42,6 +44,14 @@ pub enum ScenarioError {
         /// The underlying validation error.
         error: EnergyError,
     },
+    /// A compiled run's arena routes no flow through a relay
+    /// ([`CompiledScenario::check_routable`]).
+    Unroutable {
+        /// Label of the offending run.
+        label: String,
+        /// What the draw tried.
+        error: Unroutable,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -50,6 +60,9 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Parse(e) => write!(f, "parse error: {e}"),
             ScenarioError::Invalid { label, error } => {
                 write!(f, "run `{label}` is invalid: {error}")
+            }
+            ScenarioError::Unroutable { label, error } => {
+                write!(f, "run `{label}` cannot route a flow: {error}")
             }
         }
     }

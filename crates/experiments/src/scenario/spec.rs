@@ -7,7 +7,8 @@ use std::fmt::Write as _;
 use imobif_obs::Json;
 
 use crate::config::{
-    check_sim_secs, ChurnModel, EnergyInit, ScenarioConfig, TopologyFamily, MAX_FLOWS,
+    check_sim_secs, ChurnModel, EnergyInit, Kind, ScenarioConfig, TopologyFamily, MAX_FLOWS,
+    SCALARS,
 };
 use crate::runner::StrategyChoice;
 
@@ -254,12 +255,12 @@ impl ScenarioSpec {
         let _ = writeln!(out, "flows = {}", self.flows);
         out.push('\n');
         out.push_str("[base]\n");
-        write_config_full(&mut out, &self.base, "base");
+        write_config(&mut out, &self.base, None, "base");
         for v in &self.variants {
             out.push('\n');
             out.push_str("[[variant]]\n");
             let _ = writeln!(out, "label = {}", toml_str(&v.label));
-            write_config_diff(&mut out, &self.base, &v.config, "variant");
+            write_config(&mut out, &v.config, Some(&self.base), "variant");
         }
         if let Some(ext) = &self.ext {
             out.push('\n');
@@ -302,78 +303,28 @@ fn float_array(xs: &[f64]) -> String {
     format!("[{}]", items.join(", "))
 }
 
-/// Writes every scalar field plus the energy/topology/churn sub-tables.
-fn write_config_full(out: &mut String, cfg: &ScenarioConfig, ctx: &str) {
-    let _ = writeln!(out, "node_count = {}", cfg.node_count);
-    let _ = writeln!(out, "area_side = {:?}", cfg.area_side);
-    let _ = writeln!(out, "range = {:?}", cfg.range);
-    let _ = writeln!(out, "a = {:?}", cfg.a);
-    let _ = writeln!(out, "b = {:?}", cfg.b);
-    let _ = writeln!(out, "alpha = {:?}", cfg.alpha);
-    let _ = writeln!(out, "k = {:?}", cfg.k);
-    let _ = writeln!(out, "mean_flow_bits = {:?}", cfg.mean_flow_bits);
-    let _ = writeln!(out, "packet_bits = {}", cfg.packet_bits);
-    let _ = writeln!(out, "packet_interval_secs = {:?}", cfg.packet_interval_secs);
-    let _ = writeln!(out, "max_step = {:?}", cfg.max_step);
-    let _ = writeln!(out, "initial_mobility_enabled = {}", cfg.initial_mobility_enabled);
-    let _ = writeln!(out, "estimate_factor = {:?}", cfg.estimate_factor);
-    let _ = writeln!(out, "seed = {}", cfg.seed);
-    write_energy(out, cfg.initial_energy, ctx);
-    write_topology(out, cfg.topology, ctx);
-    write_churn(out, cfg.churn, ctx);
-}
-
-/// Writes only the fields where `cfg` differs from `base` (variant blocks).
-fn write_config_diff(out: &mut String, base: &ScenarioConfig, cfg: &ScenarioConfig, ctx: &str) {
-    if cfg.node_count != base.node_count {
-        let _ = writeln!(out, "node_count = {}", cfg.node_count);
+/// Writes the fields of `cfg` whose bits differ from `base`'s (a variant
+/// block), or every field when there is no `base`: the scalars from
+/// [`SCALARS`], then the energy/topology/churn sub-tables.
+fn write_config(out: &mut String, cfg: &ScenarioConfig, base: Option<&ScenarioConfig>, ctx: &str) {
+    for field in &SCALARS {
+        let bits = (field.read)(cfg);
+        if base.is_some_and(|base| (field.read)(base) == bits) {
+            continue;
+        }
+        let _ = match field.kind {
+            Kind::Count | Kind::Int => writeln!(out, "{} = {bits}", field.key),
+            Kind::Float => writeln!(out, "{} = {:?}", field.key, f64::from_bits(bits)),
+            Kind::Bool => writeln!(out, "{} = {}", field.key, bits != 0),
+        };
     }
-    if cfg.area_side != base.area_side {
-        let _ = writeln!(out, "area_side = {:?}", cfg.area_side);
-    }
-    if cfg.range != base.range {
-        let _ = writeln!(out, "range = {:?}", cfg.range);
-    }
-    if cfg.a != base.a {
-        let _ = writeln!(out, "a = {:?}", cfg.a);
-    }
-    if cfg.b != base.b {
-        let _ = writeln!(out, "b = {:?}", cfg.b);
-    }
-    if cfg.alpha != base.alpha {
-        let _ = writeln!(out, "alpha = {:?}", cfg.alpha);
-    }
-    if cfg.k != base.k {
-        let _ = writeln!(out, "k = {:?}", cfg.k);
-    }
-    if cfg.mean_flow_bits != base.mean_flow_bits {
-        let _ = writeln!(out, "mean_flow_bits = {:?}", cfg.mean_flow_bits);
-    }
-    if cfg.packet_bits != base.packet_bits {
-        let _ = writeln!(out, "packet_bits = {}", cfg.packet_bits);
-    }
-    if cfg.packet_interval_secs != base.packet_interval_secs {
-        let _ = writeln!(out, "packet_interval_secs = {:?}", cfg.packet_interval_secs);
-    }
-    if cfg.max_step != base.max_step {
-        let _ = writeln!(out, "max_step = {:?}", cfg.max_step);
-    }
-    if cfg.initial_mobility_enabled != base.initial_mobility_enabled {
-        let _ = writeln!(out, "initial_mobility_enabled = {}", cfg.initial_mobility_enabled);
-    }
-    if cfg.estimate_factor != base.estimate_factor {
-        let _ = writeln!(out, "estimate_factor = {:?}", cfg.estimate_factor);
-    }
-    if cfg.seed != base.seed {
-        let _ = writeln!(out, "seed = {}", cfg.seed);
-    }
-    if cfg.initial_energy != base.initial_energy {
+    if base.is_none_or(|base| base.initial_energy.key() != cfg.initial_energy.key()) {
         write_energy(out, cfg.initial_energy, ctx);
     }
-    if cfg.topology != base.topology {
+    if base.is_none_or(|base| base.topology.key() != cfg.topology.key()) {
         write_topology(out, cfg.topology, ctx);
     }
-    if cfg.churn != base.churn {
+    if base.is_none_or(|base| base.churn.key() != cfg.churn.key()) {
         write_churn(out, cfg.churn, ctx);
     }
 }
@@ -427,27 +378,12 @@ fn write_churn(out: &mut String, churn: ChurnModel, ctx: &str) {
 /// Applies a `[base]` or `[[variant]]` table's keys onto `cfg`.
 fn apply_config(cfg: &mut ScenarioConfig, table: &Table, ctx: &str) -> Result<(), ParseError> {
     for (key, pos, item) in &table.entries {
+        if let Some(field) = SCALARS.iter().find(|field| field.key == key) {
+            (field.write)(cfg, scalar_bits(field.kind, item, *pos, key)?);
+            continue;
+        }
         match key.as_str() {
             "label" if ctx == "variant" => {} // consumed by the caller
-            "node_count" => {
-                cfg.node_count = usize::try_from(expect_u64(item, *pos, key)?)
-                    .map_err(|_| ParseError::at(*pos, "node_count out of range"))?;
-            }
-            "area_side" => cfg.area_side = expect_f64(item, *pos, key)?,
-            "range" => cfg.range = expect_f64(item, *pos, key)?,
-            "a" => cfg.a = expect_f64(item, *pos, key)?,
-            "b" => cfg.b = expect_f64(item, *pos, key)?,
-            "alpha" => cfg.alpha = expect_f64(item, *pos, key)?,
-            "k" => cfg.k = expect_f64(item, *pos, key)?,
-            "mean_flow_bits" => cfg.mean_flow_bits = expect_f64(item, *pos, key)?,
-            "packet_bits" => cfg.packet_bits = expect_u64(item, *pos, key)?,
-            "packet_interval_secs" => cfg.packet_interval_secs = expect_f64(item, *pos, key)?,
-            "max_step" => cfg.max_step = expect_f64(item, *pos, key)?,
-            "initial_mobility_enabled" => {
-                cfg.initial_mobility_enabled = expect_bool(item, *pos, key)?;
-            }
-            "estimate_factor" => cfg.estimate_factor = expect_f64(item, *pos, key)?,
-            "seed" => cfg.seed = expect_u64(item, *pos, key)?,
             "energy" => {
                 cfg.initial_energy = parse_energy(expect_table(item, *pos, key)?, *pos)?;
             }
@@ -461,6 +397,20 @@ fn apply_config(cfg: &mut ScenarioConfig, table: &Table, ctx: &str) -> Result<()
         }
     }
     Ok(())
+}
+
+/// Reads a scalar field's value as the bits its table entry writes.
+fn scalar_bits(kind: Kind, item: &Item, pos: Pos, key: &str) -> Result<u64, ParseError> {
+    Ok(match kind {
+        Kind::Count => {
+            let n = expect_u64(item, pos, key)?;
+            usize::try_from(n).map_err(|_| ParseError::at(pos, format!("{key} out of range")))?;
+            n
+        }
+        Kind::Int => expect_u64(item, pos, key)?,
+        Kind::Float => expect_f64(item, pos, key)?.to_bits(),
+        Kind::Bool => u64::from(expect_bool(item, pos, key)?),
+    })
 }
 
 fn parse_energy(t: &Table, at: Pos) -> Result<EnergyInit, ParseError> {

@@ -172,6 +172,37 @@ fn compile_rejects_a_mean_flow_paced_beyond_the_sim_time_ceiling() {
     assert!(longest == 5e3 && longest * 1e5 < crate::config::MAX_SIM_SECS, "{longest}");
 }
 
+#[test]
+fn compile_rejects_a_packet_interval_that_rounds_to_zero() {
+    // Sim time counts whole microseconds: 0.1 µs would pace every packet
+    // at once, which installing the flow rejects.
+    let spec = ScenarioSpec::parse("name = \"fast\"\n[base]\npacket_interval_secs = 1e-7\n")
+        .expect("parses");
+    let err = spec.compile().expect_err("a zero pacing interval").to_string();
+    assert_eq!(err, "run `fast` is invalid: invalid model parameter `packet_interval_secs`");
+    let one_us = ScenarioSpec::parse("name = \"us\"\n[base]\npacket_interval_secs = 1e-6\n")
+        .expect("parses");
+    one_us.compile().expect("one microsecond paces");
+}
+
+#[test]
+fn check_routable_names_the_run_whose_arena_routes_no_flow() {
+    let text = "name = \"x\"\n[[variant]]\nlabel = \"ok\"\n\
+                [[variant]]\nlabel = \"pair\"\nnode_count = 2\n";
+    let compiled = ScenarioSpec::parse(text).expect("parses").compile().expect("validates");
+    let err = compiled.check_routable().expect_err("two nodes route no flow through a relay");
+    assert!(matches!(err, ScenarioError::Unroutable { ref label, .. } if label == "pair"), "{err}");
+    let msg = err.to_string();
+    assert!(msg.starts_with("run `pair` cannot route a flow: "), "{msg}");
+    assert!(msg.contains("`node_count` = 2, `area_side` = 150.0, `range` = 30.0"), "{msg}");
+    // The ext studies draw the paper's arena, whatever the runs say.
+    let ext = "name = \"e\"\nadapter = \"ext\"\n[base]\nnode_count = 2\n";
+    ScenarioSpec::parse(ext).unwrap().compile().unwrap().check_routable().expect("not drawn");
+    for name in BUILTIN_NAMES {
+        builtin(name).unwrap().compile().unwrap().check_routable().expect("builtins route");
+    }
+}
+
 /// Parses a spec whose `[ext]` table holds `line` on line 4, column 1,
 /// and returns the error.
 fn ext_error(line: &str) -> toml::ParseError {
@@ -291,5 +322,27 @@ proptest! {
         prop_assert_eq!(spec.base.alpha, alpha);
         let back = ScenarioSpec::parse(&spec.to_toml()).expect("reparses");
         prop_assert_eq!(back, spec);
+    }
+}
+
+#[test]
+fn canonical_toml_of_every_builtin_is_pinned() {
+    // FNV-1a 64 of each builtin's `to_toml()`: the canonical writer's bytes,
+    // which `scenario print` shows and run manifests hash.
+    let pins: [(&str, u64); 9] = [
+        ("fig5", 0x1d8a_c4c2_bbd1_0629),
+        ("fig6", 0xe8b9_a8c0_d5b7_b43f),
+        ("fig7", 0x68af_85a8_a053_272c),
+        ("fig8", 0xf9ab_0d6b_c540_fc27),
+        ("ext", 0xd9c4_84f3_6a5b_af05),
+        ("clustered_urban", 0xebe6_dbc5_35e9_5749),
+        ("churn", 0x79f3_e53f_ff9b_2e7e),
+        ("hetero_batteries", 0x60b5_abfb_f28d_f43b),
+        ("small_world", 0x3419_7f4a_cf9d_d4a2),
+    ];
+    assert_eq!(pins.map(|(name, _)| name), BUILTIN_NAMES);
+    for (name, pin) in pins {
+        let text = builtin(name).expect("registered builtin").to_toml();
+        assert_eq!(imobif_obs::fnv1a64(text.as_bytes()), pin, "`{name}` drifted:\n{text}");
     }
 }

@@ -1,5 +1,6 @@
 //! Random topologies and flow draws.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -9,7 +10,7 @@ use imobif_netsim::{NodeId, TopologyView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::config::{EnergyInit, ScenarioConfig, TopologyFamily};
+use crate::config::{ConfigKey, EnergyInit, ScenarioConfig, TopologyFamily};
 use crate::memo::{count_lookup, ShardedMemo};
 
 /// One randomly drawn flow: endpoints and the pinned greedy route.
@@ -141,42 +142,38 @@ struct DrawSkeleton {
     flow_u: f64,
 }
 
-/// Memo key: exactly the config fields the rng stream and the routing
-/// geometry depend on. Figure variants that differ only in energy-model
-/// constants (`a`, `b`, `alpha`, `k`), flow-length mean, pacing, movement
-/// bound, initial status or estimate factor hit the same entry. Floats are
-/// compared bit-exactly — a near-miss config must redraw, never alias.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct DrawKey {
-    seed: u64,
-    index: u64,
-    node_count: usize,
-    area_bits: u64,
-    range_bits: u64,
-    energy: (u8, u64, u64, u64),
-    topology: (u8, u64, u64),
-}
-
-impl DrawKey {
-    fn of(cfg: &ScenarioConfig, index: u64) -> Self {
-        DrawKey {
-            seed: cfg.seed,
-            index,
-            node_count: cfg.node_count,
-            area_bits: cfg.area_side.to_bits(),
-            range_bits: cfg.range.to_bits(),
-            energy: cfg.initial_energy.key(),
-            topology: cfg.topology.key(),
-        }
-    }
+/// The memo key of draw `index` under `cfg`: the key of `cfg` with every
+/// field the rng stream and the routing geometry ignore reset to the
+/// paper's. Those are the energy-model constants, the flow-length mean and
+/// packet size (the skeleton keeps the flow's raw variate), the pacing, the
+/// churn schedule and the mobility knobs, so figure variants that differ
+/// only in them share one drawing. Every other field, a future one
+/// included, stays in the key.
+pub(crate) fn draw_key(cfg: &ScenarioConfig, index: u64) -> (ConfigKey, u64) {
+    let paper = ScenarioConfig::paper_default();
+    let projected = ScenarioConfig {
+        a: paper.a,
+        b: paper.b,
+        alpha: paper.alpha,
+        k: paper.k,
+        mean_flow_bits: paper.mean_flow_bits,
+        packet_bits: paper.packet_bits,
+        packet_interval_secs: paper.packet_interval_secs,
+        max_step: paper.max_step,
+        initial_mobility_enabled: paper.initial_mobility_enabled,
+        estimate_factor: paper.estimate_factor,
+        churn: paper.churn,
+        ..*cfg
+    };
+    (projected.key(), index)
 }
 
 /// Bounds the memo so unbounded sweeps cannot grow it without limit; a full
-/// `imobif-experiments all --flows 100` run needs ~100 entries.
+/// `imobif all --flows 100` run needs ~200 entries.
 const DRAW_MEMO_CAP: usize = 4096;
 
-fn draw_memo() -> &'static ShardedMemo<DrawKey, Arc<DrawSkeleton>> {
-    static MEMO: OnceLock<ShardedMemo<DrawKey, Arc<DrawSkeleton>>> = OnceLock::new();
+fn draw_memo() -> &'static ShardedMemo<(ConfigKey, u64), Arc<DrawSkeleton>> {
+    static MEMO: OnceLock<ShardedMemo<(ConfigKey, u64), Arc<DrawSkeleton>>> = OnceLock::new();
     MEMO.get_or_init(|| ShardedMemo::new(DRAW_MEMO_CAP))
 }
 
@@ -196,21 +193,54 @@ pub fn clear_draw_memo() {
     draw_memo().clear();
 }
 
+/// Topologies one draw samples before it gives up. Over the shipped specs
+/// at four seeds and 400 flows, one draw in about 14 000 needed a second
+/// topology and none a third; an arena where no pair routes through a
+/// relay (two nodes, or a range far below the node spacing) would
+/// otherwise redraw forever.
+pub const MAX_TOPOLOGY_DRAWS: u32 = 64;
+
+/// A scenario whose arena routes no flow through a relay: no sampled
+/// source/destination pair in [`MAX_TOPOLOGY_DRAWS`] topologies had a
+/// greedy route with at least one relay.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Unroutable {
+    /// The arena's node count.
+    pub node_count: usize,
+    /// The arena's side, in meters.
+    pub area_side: f64,
+    /// The radio range, in meters.
+    pub range: f64,
+}
+
+impl fmt::Display for Unroutable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "no flow routes through a relay in {MAX_TOPOLOGY_DRAWS} drawn topologies \
+             (`node_count` = {}, `area_side` = {:?}, `range` = {:?})",
+            self.node_count, self.area_side, self.range
+        )
+    }
+}
+
+impl std::error::Error for Unroutable {}
+
 fn draw_skeleton(cfg: &ScenarioConfig, index: u64) -> Arc<DrawSkeleton> {
-    let (skeleton, missed) =
-        draw_memo().get_or_compute(DrawKey::of(cfg, index), || compute_skeleton(cfg, index));
+    let (skeleton, missed) = draw_memo().get_or_compute(draw_key(cfg, index), || {
+        Arc::new(compute_skeleton(cfg, index).unwrap_or_else(|e| panic!("{e}")))
+    });
     count_lookup(missed, &DRAW_MEMO_HITS, &DRAW_MEMO_MISSES);
     skeleton
 }
 
-fn compute_skeleton(cfg: &ScenarioConfig, index: u64) -> Arc<DrawSkeleton> {
+fn compute_skeleton(cfg: &ScenarioConfig, index: u64) -> Result<DrawSkeleton, Unroutable> {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ (index.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
-    loop {
+    for _ in 0..MAX_TOPOLOGY_DRAWS {
         let positions = sample_positions(cfg, &mut rng);
         let energies = sample_energies(cfg, &mut rng);
         let topo = TopologyView::new(positions.clone(), vec![true; positions.len()], cfg.range);
         // Try a bounded number of endpoint pairs on this topology.
-        let mut found = None;
         for _ in 0..64 {
             let src = NodeId::new(rng.gen_range(0..cfg.node_count as u32));
             let dst = NodeId::new(rng.gen_range(0..cfg.node_count as u32));
@@ -224,27 +254,31 @@ fn compute_skeleton(cfg: &ScenarioConfig, index: u64) -> Arc<DrawSkeleton> {
                 continue; // no relay to move: mobility is moot
             }
             let flow_u: f64 = rng.gen_range(0.0..1.0);
-            found = Some((src, dst, path, flow_u));
-            break;
-        }
-        if let Some((src, dst, path, flow_u)) = found {
-            return Arc::new(DrawSkeleton { positions, energies, src, dst, path, flow_u });
+            return Ok(DrawSkeleton { positions, energies, src, dst, path, flow_u });
         }
         // Pathological topology: redraw everything.
     }
+    Err(Unroutable { node_count: cfg.node_count, area_side: cfg.area_side, range: cfg.range })
 }
 
 /// Draws a complete scenario instance: a fresh topology, energies, and a
 /// random source/destination pair whose greedy route succeeds with at least
 /// one relay. Topologies where no such pair exists after a bounded number
-/// of tries are redrawn — the standard protocol for random-topology studies
-/// (greedy routing can stall at local maxima; the paper simply reports
-/// statistics over successfully routed flows).
+/// of tries are redrawn, up to [`MAX_TOPOLOGY_DRAWS`] times — the standard
+/// protocol for random-topology studies (greedy routing can stall at local
+/// maxima; the paper simply reports statistics over successfully routed
+/// flows).
 ///
 /// Deterministic per `(cfg.seed, index)`. Draws are memoized on the config
 /// fields the rng stream depends on, so figure variants that re-run the
 /// same `(seed, index)` topology under different energy or flow-length
 /// parameters share one drawing instead of re-routing from scratch.
+///
+/// # Panics
+///
+/// Panics with the [`Unroutable`] message, naming `node_count`,
+/// `area_side` and `range`, if no topology in [`MAX_TOPOLOGY_DRAWS`]
+/// routes a flow through a relay.
 #[must_use]
 pub fn draw_scenario(cfg: &ScenarioConfig, index: u64) -> TopologyDraw {
     let skel = draw_skeleton(cfg, index);
@@ -258,6 +292,13 @@ pub fn draw_scenario(cfg: &ScenarioConfig, index: u64) -> TopologyDraw {
             flow_bits: flow_bits_from_u(cfg, skel.flow_u),
         },
     }
+}
+
+/// Checks that draw `index` of `cfg` finds a flow with a relay, as
+/// [`draw_scenario`] would, but past the memo (its hit/miss totals do not
+/// move) and as an error instead of a panic.
+pub(crate) fn check_routable(cfg: &ScenarioConfig, index: u64) -> Result<(), Unroutable> {
+    compute_skeleton(cfg, index).map(drop)
 }
 
 #[cfg(test)]
@@ -388,6 +429,12 @@ mod tests {
         let mut sw = cfg();
         sw.topology = TopologyFamily::SmallWorld { rewire: 0.1 };
         assert_ne!(draw_scenario(&sw, 0), a, "families must not alias in the memo");
+    }
+
+    #[test]
+    #[should_panic(expected = "(`node_count` = 2, `area_side` = 150.0, `range` = 30.0)")]
+    fn draw_scenario_panics_on_an_arena_that_routes_no_flow() {
+        let _ = draw_scenario(&ScenarioConfig { node_count: 2, ..cfg() }, 0);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 # pin and allocation tests, the simulator's unit tests in release and in
 # debug (among them the neighbor-table oracle, the shard invariance checks
 # and the event queue's lane oracle, whose debug assertions only a debug
-# build keeps), the timing ratios, the reproduction-record check, and the
-# benchmark package's tests and `bench --smoke` — and targets a total wall
-# time of under a minute on a warm build cache.
+# build keeps), the experiment crate's unit tests and memo-claim test, the
+# timing ratios, the reproduction-record check, and the benchmark
+# package's tests and `bench --smoke` — and targets a total wall time of
+# under a minute on a warm build cache.
 #
 # Where each gate lives:
 #   - serial trace pins: tests/trace_causality.rs and tests/determinism.rs
@@ -57,6 +58,19 @@
 #     run`: specs_beyond_the_sim_time_and_ext_limits_exit_2 (cli.rs), with
 #     the field, the limit and the `[ext]` position checked in
 #     crates/experiments/src/scenario/tests.rs
+#   - a packet interval that rounds to zero microseconds, and an arena
+#     that routes no flow through a relay (topology::MAX_TOPOLOGY_DRAWS
+#     bounds the redraws), exit 2 from `scenario validate` and `scenario
+#     run` before anything runs:
+#     specs_that_cannot_run_a_flow_exit_2_before_running (cli.rs)
+#   - scenario specs: every builtin round-trips through `to_toml`, and its
+#     canonical TOML is pinned by FNV
+#     (canonical_toml_of_every_builtin_is_pinned, scenario/tests.rs)
+#   - memo keys: a case keys on every config field, a no-mobility baseline
+#     on all but the four mobility knobs, a topology draw on the six fields
+#     it samples from (memo_keys_track_the_fields_each_result_reads,
+#     runner.rs); each key misses once under concurrent workers
+#     (crates/experiments/tests/memo_claims.rs)
 #   - reproduction record: every file in results/ equals the output of a
 #     fresh `imobif all --flows 100 --seed 2025` (stdout is full_run.md),
 #     checked below in both modes
@@ -111,6 +125,9 @@ if [[ "$SMOKE" == "1" ]]; then
     # Debug too: the queue's and the beacon streams' debug assertions are
     # compiled out of the release run.
     cargo test -q -p imobif-netsim --lib
+
+    echo "==> experiment unit tests (spec round trips and pins, memo keys, memo claims)"
+    cargo test --release -q -p imobif-experiments --lib --test memo_claims
 fi
 
 echo "==> timing ratios (disabled metrics and spans >= 0.99, 16 vs 1 shard <= 1.10, linear bursts)"
