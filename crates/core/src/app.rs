@@ -151,7 +151,10 @@ pub struct ImobifApp {
 
 impl ImobifApp {
     /// Creates an agent whose strategy list holds exactly `strategy` — the
-    /// common single-goal deployment.
+    /// common single-goal deployment. Each call allocates a registry of its
+    /// own; a world of many agents sharing one strategy builds one
+    /// [`StrategyRegistry::single`] and hands each agent a clone of its
+    /// `Arc` through [`ImobifApp::with_registry`].
     #[must_use]
     pub fn new(config: ImobifConfig, strategy: Arc<dyn MobilityStrategy>) -> Self {
         ImobifApp::with_registry(config, Arc::new(StrategyRegistry::single(strategy)))

@@ -5,8 +5,11 @@
 //! `imobif spans` all build their worlds with [`build_arena`].
 
 use std::fmt;
+use std::sync::Arc;
 
-use imobif::{install_flow, FlowHost, FlowSpec, ImobifApp, ImobifConfig, MobilityMode};
+use imobif::{
+    install_flow, FlowHost, FlowSpec, ImobifApp, ImobifConfig, MobilityMode, StrategyRegistry,
+};
 use imobif_energy::{Battery, EnergyError};
 use imobif_geom::Point2;
 use imobif_netsim::routing::GreedyRouter;
@@ -108,6 +111,7 @@ pub fn build_arena<W: FlowHost>(
     };
     cfg.validate().map_err(ArenaError::Config)?;
     let strategy = build_strategy(&cfg, StrategyChoice::MinEnergy);
+    let registry = Arc::new(StrategyRegistry::single(Arc::clone(&strategy)));
     let mut world = make_world(&cfg);
     let app_cfg =
         ImobifConfig { mode: MobilityMode::Informed, max_step: cfg.max_step, ..Default::default() };
@@ -121,7 +125,7 @@ pub fn build_arena<W: FlowHost>(
             world.add_node(
                 p,
                 Battery::new(1e5).expect("valid"),
-                ImobifApp::new(app_cfg, strategy.clone()),
+                ImobifApp::with_registry(app_cfg, Arc::clone(&registry)),
             )
         })
         .collect();

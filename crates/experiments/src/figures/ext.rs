@@ -522,7 +522,7 @@ pub fn run_multiflow(n_concurrent: u32, seed: u64) -> MultiFlowStudy {
 #[must_use]
 pub fn run_multiflow_with(params: &ExtParams, seed: u64) -> MultiFlowStudy {
     let n_concurrent = params.multiflow_concurrent;
-    use imobif::{install_flow, FlowSpec, ImobifApp, ImobifConfig, MobilityMode};
+    use imobif::{install_flow, FlowSpec, ImobifApp, ImobifConfig, MobilityMode, StrategyRegistry};
     use imobif_energy::Battery;
     use imobif_netsim::routing::GreedyRouter;
     use imobif_netsim::{FlowId, NodeId, SimTime, TopologyView, World};
@@ -556,13 +556,14 @@ pub fn run_multiflow_with(params: &ExtParams, seed: u64) -> MultiFlowStudy {
 
     let run = |mode: MobilityMode| -> (f64, bool, usize) {
         let strategy = crate::runner::build_strategy(&cfg, StrategyChoice::MinEnergy);
+        let registry = Arc::new(StrategyRegistry::single(strategy));
         let mut world: World<ImobifApp> = World::new(cfg.sim_config()).expect("valid sim config");
         let app_cfg = ImobifConfig { mode, max_step: cfg.max_step, ..Default::default() };
         for &p in &positions {
             world.add_node(
                 p,
                 Battery::new(1e6).expect("valid battery"),
-                ImobifApp::new(app_cfg, Arc::clone(&strategy)),
+                ImobifApp::with_registry(app_cfg, Arc::clone(&registry)),
             );
         }
         world.start();

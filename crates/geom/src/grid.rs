@@ -34,10 +34,11 @@ const MAX_LOAD: usize = 2;
 ///
 /// A grid-wide clock advances on every `insert`, `update`, `remove`,
 /// `clear` and table growth, and each slot records the clock value of its
-/// last change. A caller that kept the result of a query together with the
-/// [`SpatialGrid::clock`] value it was taken at can ask
-/// [`SpatialGrid::window_unchanged_since`] whether any slot the query reads
-/// has changed since; if none has, the kept result is still exact.
+/// last change. A caller that keeps the result of a query whose radius is
+/// at most the cell size can keep its [`SlotWindow`] and the
+/// [`SpatialGrid::clock`] value it was taken at too: then
+/// [`SpatialGrid::changed_slots`] names the window slots that changed
+/// since, and [`SpatialGrid::window_buckets`] reads just those.
 ///
 /// # Example
 ///
@@ -53,12 +54,18 @@ const MAX_LOAD: usize = 2;
 /// near.sort_unstable();
 /// assert_eq!(near, vec![0, 1]);
 ///
-/// // A move outside the window around the origin leaves it unchanged.
+/// // A move outside the window around the origin changes none of its slots.
+/// let window = grid.slot_window(Point2::new(0.0, 0.0), 30.0);
 /// let stamp = grid.clock();
 /// grid.update(2, Point2::new(75.0, 0.0));
-/// assert!(grid.window_unchanged_since(Point2::new(0.0, 0.0), 30.0, stamp));
+/// assert_eq!(grid.changed_slots(window, stamp), Some(0));
+/// // A move inside it names the one slot it changed, whose bucket now
+/// // holds the moved item.
 /// grid.update(1, Point2::new(25.0, 0.0));
-/// assert!(!grid.window_unchanged_since(Point2::new(0.0, 0.0), 30.0, stamp));
+/// let changed = grid.changed_slots(window, stamp).unwrap();
+/// assert_eq!(changed.count_ones(), 1);
+/// let (_, bucket) = grid.window_buckets(window, changed).next().unwrap();
+/// assert!(bucket.contains(&(1, Point2::new(25.0, 0.0))));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
@@ -160,6 +167,58 @@ impl Window {
     }
 }
 
+/// The slots a range query whose radius is at most the cell size reads:
+/// the center's cell and those of its eight neighbors whose rectangles
+/// come within the radius, each once (a table is at least four slots wide,
+/// so three neighboring columns never alias). A small `Copy` value to keep
+/// beside a cached query result: [`SpatialGrid::changed_slots`] names the
+/// window's slots that changed since the result was taken, and
+/// [`SpatialGrid::window_buckets`] reads them. A table growth or a `clear`
+/// invalidates it.
+///
+/// Window slot `i` (`0..9`) is the cell at offset `(i / 3 - 1, i % 3 - 1)`
+/// from the center's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotWindow {
+    /// The center cell's slot.
+    center: u32,
+    /// Bit `i` is set when window slot `i` is read.
+    mask: u16,
+    /// The `side_bits` of the table the window was taken from.
+    side_bits: u8,
+}
+
+impl SlotWindow {
+    /// A window that reads no slot and that no grid revalidates.
+    pub const EMPTY: SlotWindow = SlotWindow { center: 0, mask: 0, side_bits: 0 };
+
+    /// The window's slots: bit `i` for window slot `i`.
+    #[must_use]
+    pub fn mask(self) -> u16 {
+        self.mask
+    }
+
+    /// The table slot of window slot `i`.
+    fn slot(self, i: u32) -> usize {
+        let bits = u32::from(self.side_bits);
+        let m = (1 << bits) - 1;
+        let sx = ((self.center >> bits) + i / 3).wrapping_sub(1) & m;
+        let sy = ((self.center & m) + i % 3).wrapping_sub(1) & m;
+        ((sx << bits) | sy) as usize
+    }
+}
+
+/// The set bits of `mask`, lowest first.
+fn ones(mut mask: u16) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros();
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
 impl SpatialGrid {
     /// Creates an empty grid with the given cell size in meters.
     ///
@@ -191,8 +250,8 @@ impl SpatialGrid {
     }
 
     /// The grid's change clock: advanced by every mutation. Record it with
-    /// a query result and hand it back to
-    /// [`SpatialGrid::window_unchanged_since`] to revalidate that result.
+    /// a query result and its [`SlotWindow`], and hand both to
+    /// [`SpatialGrid::changed_slots`] to learn which slots to recheck.
     #[must_use]
     pub fn clock(&self) -> u64 {
         self.clock
@@ -204,6 +263,10 @@ impl SpatialGrid {
 
     fn slot_of(&self, p: Point2) -> usize {
         let (gx, gy) = self.cell_of(p);
+        self.slot_of_cell(gx, gy)
+    }
+
+    fn slot_of_cell(&self, gx: i64, gy: i64) -> usize {
         let mask = (1 << self.side_bits) - 1;
         (((gx as u64 & mask) << self.side_bits) | (gy as u64 & mask)) as usize
     }
@@ -360,18 +423,74 @@ impl SpatialGrid {
             .map(|&(k, _)| k)
     }
 
-    /// Returns `true` if no slot that a `query_range(center, radius)` reads
-    /// has changed since the grid's [`SpatialGrid::clock`] read `stamp` —
-    /// in which case that query's result is the same as it was then.
+    /// The window a `query_range(center, radius)` reads, as a value to
+    /// keep beside its result: the same cells, pruned the same way. A
+    /// negative or NaN radius reads no slot, as the query does.
     ///
-    /// The check costs one stamp read per slot in the window (at most 9 for
-    /// a radius ≈ cell-size query). It is conservative: a change to an
-    /// item outside the radius, or to a far cell aliasing into the window,
-    /// also reports a change. `stamp` must come from this grid's `clock()`.
+    /// # Panics
+    ///
+    /// Panics if `radius` exceeds the cell size.
     #[must_use]
-    pub fn window_unchanged_since(&self, center: Point2, radius: f64, stamp: u64) -> bool {
-        stamp >= self.floor
-            && self.window(center, radius).slots().all(|slot| self.stamps[slot] <= stamp)
+    pub fn slot_window(&self, center: Point2, radius: f64) -> SlotWindow {
+        assert!(
+            radius.is_nan() || radius <= self.cell_size,
+            "a slot window's radius must not exceed the cell size"
+        );
+        let (cx, cy) = self.cell_of(center);
+        let (cell, r_sq) = (self.cell_size, radius * radius);
+        let mut mask = 0;
+        if radius >= 0.0 {
+            // Cell indices saturate at the i64 limits: no cell lies beyond.
+            let near = |c: i64| (-1..=1).map(move |d| c.checked_add(d));
+            for (i, gx) in near(cx).enumerate() {
+                let Some(gx) = gx else { continue };
+                let dx = cell_axis_gap(center.x, gx, cell);
+                for (j, gy) in near(cy).enumerate() {
+                    let Some(gy) = gy else { continue };
+                    let dy = cell_axis_gap(center.y, gy, cell);
+                    if dx * dx + dy * dy <= r_sq {
+                        mask |= 1 << (3 * i + j);
+                    }
+                }
+            }
+        }
+        SlotWindow {
+            center: self.slot_of_cell(cx, cy) as u32,
+            mask,
+            side_bits: self.side_bits as u8,
+        }
+    }
+
+    /// Which of `window`'s slots changed since the grid's
+    /// [`SpatialGrid::clock`] read `stamp`, as a mask over window slots:
+    /// each slot an `insert`, `update` or `remove` touched since, whether
+    /// or not the item lies within any radius. `None` when the table grew
+    /// or was cleared since: that changes every slot and invalidates the
+    /// window. Costs one stamp read per window slot, at most 9. `stamp`
+    /// must come from this grid's `clock()`.
+    #[must_use]
+    pub fn changed_slots(&self, window: SlotWindow, stamp: u64) -> Option<u16> {
+        if stamp < self.floor || u32::from(window.side_bits) != self.side_bits {
+            return None;
+        }
+        let changed = ones(window.mask).filter(|&i| self.stamps[window.slot(i)] > stamp);
+        Some(changed.fold(0, |m, i| m | 1 << i))
+    }
+
+    /// The buckets of the window slots `select` names, as `(window slot,
+    /// every (key, position) pair in it)`. They are candidates: the caller
+    /// filters them by distance, as a query does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table grew since `window` was taken.
+    pub fn window_buckets(
+        &self,
+        window: SlotWindow,
+        select: u16,
+    ) -> impl Iterator<Item = (usize, &[(u32, Point2)])> + '_ {
+        assert_eq!(u32::from(window.side_bits), self.side_bits, "the window outlived its table");
+        ones(window.mask & select).map(move |i| (i as usize, self.slots[window.slot(i)].as_slice()))
     }
 
     /// Removes every item while keeping the table and its buckets'
@@ -535,21 +654,71 @@ mod tests {
     }
 
     #[test]
-    fn stamps_track_the_window() {
+    fn changed_slots_name_the_touched_window_slots() {
         let mut g = SpatialGrid::new(10.0);
         g.insert(0, Point2::new(5.0, 5.0));
+        let c = Point2::new(5.0, 5.0);
+        // Every neighbor cell lies 5 m away or more (7.07 m at a corner):
+        // a 4 m window is the center's slot alone, a 10 m one all nine.
+        let (narrow, wide) = (g.slot_window(c, 4.0), g.slot_window(c, 10.0));
+        assert_eq!((narrow.mask(), wide.mask()), (1 << 4, 0x1ff));
         let s = g.clock();
-        assert!(g.window_unchanged_since(Point2::new(5.0, 5.0), 10.0, s));
-        // A change in the window's corner cell beyond the radius is pruned
-        // like the query prunes it; a change inside the window is not.
+        assert_eq!(g.changed_slots(wide, s), Some(0));
+        // A change in the corner cell (-1, -1) beyond the narrow radius is
+        // pruned like the query prunes it.
         g.insert(1, Point2::new(-8.0, -8.0));
-        assert!(g.window_unchanged_since(Point2::new(5.0, 5.0), 4.0, s));
-        assert!(!g.window_unchanged_since(Point2::new(5.0, 5.0), 10.0, s));
+        assert_eq!(g.changed_slots(narrow, s), Some(0));
+        assert_eq!(g.changed_slots(wide, s), Some(1 << 0));
+        // A move to the neighbor cell (-1, 0) changes both slots, and the
+        // item sits in the second one's bucket.
+        g.update(1, Point2::new(-8.0, 5.0));
+        assert_eq!(g.changed_slots(wide, s), Some(0b11));
+        let buckets: Vec<_> = g.window_buckets(wide, 0b11).collect();
+        assert_eq!(buckets, vec![(0, &[][..]), (1, &[(1, Point2::new(-8.0, 5.0))][..])]);
+        // A later stamp sees nothing of either.
+        assert_eq!(g.changed_slots(wide, g.clock()), Some(0));
         let s = g.clock();
         g.clear();
-        assert!(!g.window_unchanged_since(Point2::new(5.0, 5.0), 10.0, s));
-        // An invalid radius always queries empty, so nothing can change it.
-        assert!(g.window_unchanged_since(Point2::ORIGIN, f64::NAN, g.clock()));
+        assert_eq!(g.changed_slots(wide, s), None);
+        // So does a growth: 33 items outgrow the 16-slot table.
+        let w = g.slot_window(c, 10.0);
+        let s = g.clock();
+        for k in 0..33 {
+            g.insert(k, Point2::new(f64::from(k) * 100.0, 0.0));
+        }
+        assert_eq!(g.changed_slots(w, s), None);
+        // An invalid radius reads no slot, so nothing can change it.
+        let nan = g.slot_window(Point2::ORIGIN, f64::NAN);
+        assert_eq!(nan.mask(), 0);
+        assert_eq!(g.changed_slots(nan, g.clock()), Some(0));
+        assert_eq!(g.changed_slots(SlotWindow::EMPTY, g.clock()), None);
+    }
+
+    #[test]
+    fn slot_windows_at_the_saturated_cells_find_their_items() {
+        let mut g = SpatialGrid::new(30.0);
+        g.insert(0, Point2::new(1e300, 0.0));
+        g.insert(1, Point2::new(-1e300, 0.0));
+        // The extreme cells reach out to infinity and no column lies
+        // beyond them: the window is their column alone, the next one in
+        // being far out of range.
+        for (center, key) in [(Point2::new(1e300, 5.0), 0), (Point2::new(-1e300, 5.0), 1)] {
+            let w = g.slot_window(center, 30.0);
+            assert_eq!(w.mask().count_ones(), 3);
+            let found: Vec<u32> = g
+                .window_buckets(w, w.mask())
+                .flat_map(|(_, b)| b)
+                .filter(|&&(_, p)| center.distance_sq_to(p) <= 900.0)
+                .map(|&(k, _)| k)
+                .collect();
+            assert_eq!(found, vec![key]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must not exceed the cell size")]
+    fn slot_window_wider_than_a_cell_panics() {
+        let _ = SpatialGrid::new(10.0).slot_window(Point2::ORIGIN, 10.5);
     }
 
     proptest! {
@@ -583,20 +752,27 @@ mod tests {
             prop_assert_eq!(got, want);
         }
 
-        /// A cached query result plus `window_unchanged_since` is always as
-        /// good as a fresh query: over random insert/update/remove/clear
-        /// sequences, with positions that alias to one slot (offsets in
-        /// whole table widths), radii wider than the table, and growth
-        /// mid-sequence (up to 400 live keys against a 16-slot table, which
-        /// grows past 32 items and again past 128).
+        /// A cached query result revalidated by the changed-slot rule is
+        /// always as good as a fresh query. The rule: when the result's
+        /// window slots that changed since its stamp hold, within the
+        /// radius, only items already in the result, and each as many as
+        /// it did, the result is still exact; otherwise it is read again
+        /// from the same window. The sequences mix inserts, sub-cell moves
+        /// (under 1 m), moves between the slots of one query window,
+        /// removals and clears, with positions that alias to one slot
+        /// (offsets in whole table widths) and growth mid-sequence (up to
+        /// 400 live keys against a 16-slot table, which grows past 32 items
+        /// and again past 128). After every step `changed_slots` must name
+        /// exactly the window slots the steps since the stamp touched, or
+        /// report invalidation after a growth or clear.
         #[test]
         fn prop_cached_query_matches_fresh(
             ops in proptest::collection::vec(
-                (0u8..8, 0u32..400, -3i64..3, -3i64..3, 0.0..10.0f64, 0i64..3),
+                (0u8..10, 0u32..400, -3i64..3, -3i64..3, 0.0..10.0f64, 0i64..3),
                 1..400,
             ),
             queries in proptest::collection::vec(
-                (-3i64..3, -3i64..3, 0.0..10.0f64, 0u8..4),
+                (-3i64..3, -3i64..3, 0.0..10.0f64, 0u8..2),
                 1..6,
             ),
         ) {
@@ -605,6 +781,34 @@ mod tests {
             // sequence can reach, so `far` shifts a point onto the same
             // slot as its near twin.
             const PERIOD: f64 = CELL * 1024.0;
+
+            /// A kept result: its window, stamp, sorted keys, per-slot
+            /// counts, the table slots changed since, and whether a growth
+            /// or clear has happened since.
+            struct Kept {
+                window: SlotWindow,
+                stamp: u64,
+                list: Vec<u32>,
+                counts: [usize; 9],
+                touched: Vec<usize>,
+                invalid: bool,
+            }
+            /// The in-range keys of `window` (sorted) and their per-slot
+            /// counts.
+            fn read(g: &SpatialGrid, (c, r): (Point2, f64), window: SlotWindow) -> Kept {
+                let (mut list, mut counts) = (Vec::new(), [0; 9]);
+                for (i, bucket) in g.window_buckets(window, window.mask()) {
+                    for &(k, p) in bucket {
+                        if c.distance_sq_to(p) <= r * r {
+                            list.push(k);
+                            counts[i] += 1;
+                        }
+                    }
+                }
+                list.sort_unstable();
+                Kept { window, stamp: g.clock(), list, counts, touched: Vec::new(), invalid: false }
+            }
+
             let mut g = SpatialGrid::new(CELL);
             let mut truth: std::collections::HashMap<u32, Point2> = Default::default();
             let point = |cx: i64, cy: i64, jitter: f64, far: i64| {
@@ -616,48 +820,80 @@ mod tests {
             let queries: Vec<(Point2, f64)> = queries
                 .into_iter()
                 .map(|(cx, cy, jitter, kind)| {
-                    let radius = match kind {
-                        0 => jitter,
-                        1 => CELL + jitter,
-                        2 => 3.0 * CELL + jitter,
-                        _ => 1e9,
-                    };
-                    (point(cx, cy, jitter, 0), radius)
+                    (point(cx, cy, jitter, 0), if kind == 0 { jitter } else { CELL })
                 })
                 .collect();
-            let fresh = |g: &SpatialGrid, (c, r): (Point2, f64)| {
-                let mut v = g.query_range(c, r);
-                v.sort_unstable();
-                v
-            };
-            let mut cached: Vec<(u64, Vec<u32>)> =
-                queries.iter().map(|&q| (g.clock(), fresh(&g, q))).collect();
+            let mut kept: Vec<Kept> =
+                queries.iter().map(|&q| read(&g, q, g.slot_window(q.0, q.1))).collect();
             for (op, key, cx, cy, jitter, far) in ops {
-                match op {
-                    0..=4 => {
-                        let p = point(cx, cy, jitter, far);
-                        g.insert(key, p);
+                let to = match op {
+                    0..=4 => Some(point(cx, cy, jitter, far)),
+                    5 | 6 => truth.get(&key).map(|p| {
+                        Point2::new(p.x + jitter / 10.0 - 0.5, p.y + cy as f64 / 6.0)
+                    }),
+                    7 => {
+                        // Somewhere in the window of one query: the few
+                        // keys this moves hop between its slots.
+                        let (c, _) = queries[key as usize % queries.len()];
+                        Some(Point2::new(c.x + (jitter - 5.0) * 1.9, c.y + cy as f64 * 3.1))
+                    }
+                    _ => None,
+                };
+                let key = if op == 7 { key % 8 } else { key };
+                let (bits, was) = (g.side_bits, g.slot_of_key.get(&key).map(|&s| s as usize));
+                let mut touched: Vec<usize> = was.into_iter().collect();
+                let mut cleared = false;
+                match to {
+                    Some(p) => {
+                        touched.push(g.slot_of(p));
+                        if op <= 4 {
+                            g.insert(key, p);
+                        } else {
+                            g.update(key, p);
+                        }
                         truth.insert(key, p);
                     }
-                    5 => {
-                        let p = point(cx, cy, jitter, far);
-                        g.update(key, p);
-                        truth.insert(key, p);
-                    }
-                    7 if key % 64 == 0 => {
+                    None if op == 8 && key % 64 == 0 => {
                         g.clear();
                         truth.clear();
+                        cleared = true;
                     }
-                    _ => prop_assert_eq!(g.remove(key), truth.remove(&key)),
+                    None => prop_assert_eq!(g.remove(key), truth.remove(&key)),
                 }
                 prop_assert_eq!(g.len(), truth.len());
-                for (&q, (stamp, list)) in queries.iter().zip(&mut cached) {
-                    let now = fresh(&g, q);
-                    if g.window_unchanged_since(q.0, q.1, *stamp) {
-                        prop_assert_eq!(&*list, &now);
+                let grew = g.side_bits != bits;
+                for (&q, k) in queries.iter().zip(&mut kept) {
+                    k.touched.extend(&touched);
+                    k.invalid |= cleared || grew;
+                    let mut fresh = g.query_range(q.0, q.1);
+                    fresh.sort_unstable();
+                    let Some(changed) = g.changed_slots(k.window, k.stamp) else {
+                        prop_assert!(k.invalid);
+                        *k = read(&g, q, g.slot_window(q.0, q.1));
+                        prop_assert_eq!(&k.list, &fresh);
+                        continue;
+                    };
+                    prop_assert!(!k.invalid);
+                    let want = ones(k.window.mask)
+                        .filter(|&i| k.touched.contains(&k.window.slot(i)))
+                        .fold(0, |m, i| m | 1 << i);
+                    prop_assert_eq!(changed, want);
+                    let exact = g.window_buckets(k.window, changed).all(|(i, bucket)| {
+                        let mut n = 0;
+                        bucket.iter().filter(|&&(_, p)| q.0.distance_sq_to(p) <= q.1 * q.1).all(
+                            |&(key, _)| {
+                                n += 1;
+                                k.list.binary_search(&key).is_ok()
+                            },
+                        ) && n == k.counts[i]
+                    });
+                    if exact {
+                        prop_assert_eq!(&k.list, &fresh);
+                        k.stamp = g.clock();
+                        k.touched.clear();
                     } else {
-                        *stamp = g.clock();
-                        *list = now;
+                        *k = read(&g, q, k.window);
+                        prop_assert_eq!(&k.list, &fresh);
                     }
                     let mut want: Vec<u32> = truth
                         .iter()
@@ -665,7 +901,7 @@ mod tests {
                         .map(|(&k, _)| k)
                         .collect();
                     want.sort_unstable();
-                    prop_assert_eq!(&*list, &want);
+                    prop_assert_eq!(&k.list, &want);
                 }
             }
         }

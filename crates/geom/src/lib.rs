@@ -11,7 +11,8 @@
 //! * [`Polyline`] — flow paths; chord deviation and spacing statistics are
 //!   how the tests verify the convergence theorems.
 //! * [`Rect`] — the deployment area, with uniform sampling.
-//! * [`SpatialGrid`] — bucketed range queries for neighbor discovery.
+//! * [`SpatialGrid`] — bucketed range queries for neighbor discovery, and
+//!   [`SlotWindow`], the slots one query reads, to revalidate a kept result.
 //!
 //! # Example
 //!
@@ -38,7 +39,7 @@ mod rect;
 mod segment;
 
 pub use error::GeomError;
-pub use grid::SpatialGrid;
+pub use grid::{SlotWindow, SpatialGrid};
 pub use hash::{FxHashMap, FxHashSet};
 pub use point::{Point2, Vec2};
 pub use polyline::Polyline;

@@ -4,7 +4,7 @@
 //! [`BeaconView`] the engine's `Reach` exposes — the serial world's live
 //! columns and grid, or a shard's epoch replica.
 
-use imobif_geom::{Point2, SpatialGrid};
+use imobif_geom::{Point2, SlotWindow, SpatialGrid};
 
 use super::observe::KernelStats;
 use crate::NodeId;
@@ -17,7 +17,9 @@ pub(super) const SMALL_WORLD_SCAN: usize = 32;
 
 /// What a beacon's hearer search reads of the other nodes: position and
 /// liveness columns indexed by global node id, a grid holding exactly the
-/// live nodes, and the radio range.
+/// live nodes, and the radio range. The grid's cells are at least the
+/// range wide (every engine sizes them at `range.max(1.0)`), so a hearer
+/// query reads a [`SlotWindow`] of at most 9 slots.
 pub(crate) struct BeaconView<'a> {
     pub(super) positions: &'a [Point2],
     pub(super) alive: &'a [bool],
@@ -39,32 +41,42 @@ const HEADER: usize = 2;
 
 /// One node's latest hearer list, `pool[offset..offset + len]`, inside a
 /// run of the pool that starts with a [`HEADER`]. `offset` 0 means no run.
-/// The list is still exact for a beacon from `center` while the grid
-/// window around `center` is unchanged since `stamp`.
+/// A grid-path list was read at grid clock `stamp` for a beacon from
+/// `center`, from the slots of `window`, `counts[i]` of its members from
+/// window slot `i` (saturating at `u8::MAX`).
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     center: Point2,
     stamp: u64,
     offset: u32,
     len: u32,
+    window: SlotWindow,
+    counts: [u8; 9],
 }
 
 impl Entry {
-    /// Holds no list: a NaN center equals no beacon position.
-    const EMPTY: Entry =
-        Entry { center: Point2::new(f64::NAN, f64::NAN), stamp: 0, offset: 0, len: 0 };
+    /// Holds no list and revalidates none: a NaN center equals no beacon
+    /// position.
+    const EMPTY: Entry = Entry {
+        center: Point2::new(f64::NAN, f64::NAN),
+        stamp: 0,
+        offset: 0,
+        len: 0,
+        window: SlotWindow::EMPTY,
+        counts: [0; 9],
+    };
 }
 
 /// Every node's latest HELLO hearer list: the authoritative record of who
 /// hears it, which is what lets a beacon write neighbor tables only where
-/// its hearer set changed. A list is revalidated in `O(window slots)`
-/// against the grid's change stamps instead of recomputed by a range
-/// query, a filter and a sort; a recomputed list is diffed against the
-/// stored one.
+/// its hearer set changed. A list is revalidated against the grid's
+/// change stamps over the window it was read from, rechecking only the
+/// slots that changed, instead of recomputed by a range query and a sort;
+/// a recomputed list is diffed against the stored one.
 ///
-/// Storage is one flat 32-byte [`Entry`] per node plus a single `u32` pool
+/// Storage is one flat 56-byte [`Entry`] per node plus a single `u32` pool
 /// holding every list behind a two-word header, so the cache costs about
-/// `40 + 4 × fan-out` bytes a node. A list that outgrows its run moves to
+/// `64 + 4 × fan-out` bytes a node. A list that outgrows its run moves to
 /// the end of the pool (with a quarter of headroom); the run it left is
 /// garbage until the pool is full and at least half garbage, when the
 /// live runs are compacted in place — no list is ever dropped, and no
@@ -100,12 +112,15 @@ impl HearerCache {
     /// the caller owns.
     ///
     /// A world small enough to scan recomputes the set every beacon.
-    /// Beyond that, the stored list is reused while the beacon position
-    /// matches the stored one and [`SpatialGrid::window_unchanged_since`]
-    /// holds. The stored position is what catches a sharded node whose own
-    /// move reaches the replica grid only at the next barrier. Counts the
-    /// beacon, its fan-out, its link changes and the cache hit or miss
-    /// into `stats`.
+    /// Beyond that, a beacon from the stored center asks the grid which
+    /// slots of the stored window changed since the stored stamp. If none
+    /// did, the list is reused; if some did, [`HearerCache::recheck`] reads
+    /// just those, and the list is reused if it passes, else queried again
+    /// over the same window. A new center, or a grid that grew or was
+    /// cleared, queries a new window. The stored center is what catches a sharded node whose
+    /// own move reaches the replica grid only at the next barrier. Counts
+    /// the beacon, its fan-out, its link changes and the cache hit (and
+    /// recheck) or miss into `stats`.
     pub(super) fn links(
         &mut self,
         view: &BeaconView<'_>,
@@ -130,16 +145,39 @@ impl HearerCache {
                     && pos.distance_sq_to(view.positions[i]) <= r_sq)
                     .then_some(i as u32)
             }));
-            self.store(slot, pos, view.grid.clock())
-        } else if e.center == pos && view.grid.window_unchanged_since(pos, view.range, e.stamp) {
-            stats.hello_cache_hits += 1;
-            e.len as usize
+            // A scanned list records no window: the grid path rereads it.
+            self.store(slot, Entry::EMPTY)
         } else {
-            stats.hello_cache_misses += 1;
-            view.grid.query_range_into(pos, view.range, &mut self.scratch);
-            self.scratch.retain(|&k| k != node.raw());
-            self.scratch.sort_unstable();
-            self.store(slot, pos, view.grid.clock())
+            let changed =
+                if e.center == pos { view.grid.changed_slots(e.window, e.stamp) } else { None };
+            match changed {
+                Some(0) => {
+                    stats.hello_cache_hits += 1;
+                    e.len as usize
+                }
+                Some(changed) if self.recheck(view, node, &e, changed) => {
+                    stats.hello_cache_hits += 1;
+                    stats.hello_cache_rechecks += 1;
+                    self.entries[slot].stamp = view.grid.clock();
+                    e.len as usize
+                }
+                _ => {
+                    stats.hello_cache_misses += 1;
+                    let window = match changed {
+                        Some(_) => e.window,
+                        None => view.grid.slot_window(pos, view.range),
+                    };
+                    let counts = self.query(view, node, pos, window);
+                    let key = Entry {
+                        center: pos,
+                        stamp: view.grid.clock(),
+                        window,
+                        counts,
+                        ..Entry::EMPTY
+                    };
+                    self.store(slot, key)
+                }
+            }
         };
         stats.hello_beacons += 1;
         stats.hello_fanout_bins[KernelStats::fanout_bin(len)] += 1;
@@ -147,9 +185,57 @@ impl HearerCache {
         Links { joined: &self.joined, left: &self.left }
     }
 
+    /// Whether `e`'s list is still exact for a beacon from its center,
+    /// given that only the window slots in `changed` changed since its
+    /// stamp: each changed slot must hold, within range, only list members
+    /// other than `node`, and exactly as many as it did. The unchanged
+    /// slots hold the same items, and an item lives in one slot, so the
+    /// hearer set is then a subset of the list of the same size: the list.
+    fn recheck(&self, view: &BeaconView<'_>, node: NodeId, e: &Entry, changed: u16) -> bool {
+        let list = &self.pool[e.offset as usize..][..e.len as usize];
+        let r_sq = view.range * view.range;
+        view.grid.window_buckets(e.window, changed).all(|(i, bucket)| {
+            let mut n = 0;
+            let members = bucket
+                .iter()
+                .filter(|&&(k, p)| k != node.raw() && e.center.distance_sq_to(p) <= r_sq)
+                .all(|&(k, _)| {
+                    n += 1;
+                    list.binary_search(&k).is_ok()
+                });
+            members && n == usize::from(e.counts[i]) && e.counts[i] < u8::MAX
+        })
+    }
+
+    /// Collects the hearers of a beacon `node` sends from `pos` — the live
+    /// nodes other than `node` within range — from the slots of `window`
+    /// into `scratch`, sorted. Returns how many each window slot held.
+    fn query(
+        &mut self,
+        view: &BeaconView<'_>,
+        node: NodeId,
+        pos: Point2,
+        window: SlotWindow,
+    ) -> [u8; 9] {
+        let r_sq = view.range * view.range;
+        let mut counts = [0u8; 9];
+        self.scratch.clear();
+        for (i, bucket) in view.grid.window_buckets(window, window.mask()) {
+            for &(k, p) in bucket {
+                if k != node.raw() && pos.distance_sq_to(p) <= r_sq {
+                    self.scratch.push(k);
+                    counts[i] = counts[i].saturating_add(1);
+                }
+            }
+        }
+        self.scratch.sort_unstable();
+        counts
+    }
+
     /// Diffs `scratch` against `slot`'s stored list into `joined` and
-    /// `left`, then stores it. Returns its length.
-    fn store(&mut self, slot: usize, center: Point2, stamp: u64) -> usize {
+    /// `left`, then stores it, with `key`'s center, stamp, window and
+    /// counts. Returns its length.
+    fn store(&mut self, slot: usize, key: Entry) -> usize {
         let e = self.entries[slot];
         let old = &self.pool[e.offset as usize..][..e.len as usize];
         let len = self.scratch.len();
@@ -174,7 +260,7 @@ impl HearerCache {
             }
             self.pool[offset..][..len].copy_from_slice(&self.scratch);
         }
-        self.entries[slot] = Entry { center, stamp, offset: offset as u32, len: len as u32 };
+        self.entries[slot] = Entry { offset: offset as u32, len: len as u32, ..key };
         len
     }
 

@@ -20,10 +20,16 @@ pub struct KernelStats {
     /// "no hearers", bin `i` covers `2^(i-1) ≤ n < 2^i`, the last bin
     /// collects 64+.
     pub hello_fanout_bins: [u64; 8],
-    /// Beacons whose cached hearer list was still exact. Worlds small
-    /// enough to scan their nodes count neither hits nor misses.
+    /// Beacons whose cached hearer list was still exact: none of its grid
+    /// window's slots had changed, or the ones that had passed a recheck.
+    /// Worlds small enough to scan their nodes count neither hits nor
+    /// misses.
     pub hello_cache_hits: u64,
-    /// Beacons whose hearer list was recomputed by a grid range query.
+    /// The hits among `hello_cache_hits` whose window had changed slots,
+    /// each read to confirm that the list still held.
+    pub hello_cache_rechecks: u64,
+    /// Beacons whose hearer list was recomputed by a range query over its
+    /// grid window.
     pub hello_cache_misses: u64,
     /// Neighbor-table links the beacons changed: hearers that joined a
     /// beacon's hearer set plus hearers that left it. A beacon whose hearer
@@ -88,6 +94,7 @@ impl<A: Application> World<A> {
         registry.counter("kernel.hello_beacons").add(self.engine.stats.hello_beacons);
         registry.counter("kernel.timers_fired").add(self.engine.stats.timers_fired);
         registry.counter("kernel.hello_cache_hits").add(self.engine.stats.hello_cache_hits);
+        registry.counter("kernel.hello_cache_rechecks").add(self.engine.stats.hello_cache_rechecks);
         registry.counter("kernel.hello_cache_misses").add(self.engine.stats.hello_cache_misses);
         registry.counter("kernel.hello_link_changes").add(self.engine.stats.hello_link_changes);
         let fanout =

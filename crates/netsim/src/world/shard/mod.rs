@@ -738,10 +738,11 @@ impl<A: Application> ShardedWorld<A> {
     ///
     /// Families: `shard.*` pipeline/fast-forward/xfer/pool counters,
     /// per-shard `shard.s{i}.events_processed`,
-    /// `kernel.hello_{cache_hits,cache_misses,link_changes}` summed over
-    /// shards, and — when span tracing is on — `spans.{recorded,evicted}`
-    /// plus per-scope `shard.{coord|s{i}}.{phase}_wall_us` histograms and
-    /// `..._secs` totals, with `shard.pool.utilization` derived from the
+    /// `kernel.hello_{cache_hits,cache_rechecks,cache_misses,link_changes}`
+    /// summed over shards, and — when span tracing is on —
+    /// `spans.{recorded,evicted}` plus per-scope
+    /// `shard.{coord|s{i}}.{phase}_wall_us` histograms and `..._secs`
+    /// totals, with `shard.pool.utilization` derived from the
     /// compute/barrier-wait ratio. With tracing enabled,
     /// `trace.{recorded,evicted}` mirrors the serial world's family
     /// (sharded traces are unbounded, so `evicted` is always 0).
@@ -763,6 +764,7 @@ impl<A: Application> ShardedWorld<A> {
         registry.counter("shard.pool.jobs").add(c.pool_jobs);
         let kernel = self.kernel_stats();
         registry.counter("kernel.hello_cache_hits").add(kernel.hello_cache_hits);
+        registry.counter("kernel.hello_cache_rechecks").add(kernel.hello_cache_rechecks);
         registry.counter("kernel.hello_cache_misses").add(kernel.hello_cache_misses);
         registry.counter("kernel.hello_link_changes").add(kernel.hello_link_changes);
         registry.gauge("shard.pool.max_queue_depth").set(c.pool_max_depth as f64);
@@ -994,6 +996,7 @@ impl<A: Application> ShardedWorld<A> {
             total.hello_beacons += s.engine.stats.hello_beacons;
             total.timers_fired += s.engine.stats.timers_fired;
             total.hello_cache_hits += s.engine.stats.hello_cache_hits;
+            total.hello_cache_rechecks += s.engine.stats.hello_cache_rechecks;
             total.hello_cache_misses += s.engine.stats.hello_cache_misses;
             total.hello_link_changes += s.engine.stats.hello_link_changes;
             for (acc, &bin) in

@@ -1077,6 +1077,13 @@ fn hello_cache_is_shard_count_invariant_and_publishes() {
     let base = cache_fingerprint(&mut one, &sc);
     assert!(base.1.hello_cache_hits > 0 && base.1.hello_cache_misses > 0);
     assert_eq!(base.1.hello_cache_hits + base.1.hello_cache_misses, base.1.hello_beacons);
+    // The relay's 1 m steps change its slot but rarely a hearer set.
+    assert!(base.1.hello_cache_rechecks > 0);
+    for shards in [2, 8] {
+        let mut w = make_sharded(shards);
+        w.set_threads(2);
+        assert_eq!(cache_fingerprint(&mut w, &sc), base, "{shards} shards");
+    }
     let mut four = make_sharded(4);
     four.set_threads(2);
     assert_eq!(cache_fingerprint(&mut four, &sc), base);
@@ -1085,6 +1092,7 @@ fn hello_cache_is_shard_count_invariant_and_publishes() {
     four.publish_metrics(&reg);
     let snap = reg.snapshot();
     assert_eq!(snap.counter("kernel.hello_cache_hits"), Some(base.1.hello_cache_hits));
+    assert_eq!(snap.counter("kernel.hello_cache_rechecks"), Some(base.1.hello_cache_rechecks));
     assert_eq!(snap.counter("kernel.hello_cache_misses"), Some(base.1.hello_cache_misses));
     assert_eq!(snap.counter("kernel.hello_link_changes"), Some(base.1.hello_link_changes));
     imobif_obs::promlint::lint(&snap.to_prometheus()).expect("kernel families lint clean");

@@ -319,18 +319,104 @@ fn hello_cache_hits_in_a_static_world_and_publishes() {
     w.run_until(SimTime::from_micros(5_000_000));
     let stats = *w.kernel_stats();
     assert_eq!(stats.hello_link_changes, first.hello_link_changes, "no table write after");
-    // Nothing moves: each node misses once, on its first beacon.
+    // Nothing moves: each node misses once, on its first beacon, and no
+    // slot changes after it.
     assert_eq!(stats.hello_cache_misses, 49);
     assert_eq!(stats.hello_cache_hits + stats.hello_cache_misses, stats.hello_beacons);
     assert!(stats.hello_cache_hits >= 4 * 49);
+    assert_eq!(stats.hello_cache_rechecks, 0);
 
     let registry = imobif_obs::Registry::enabled();
     w.publish_metrics(&registry);
     let snap = registry.snapshot();
     assert_eq!(snap.counter("kernel.hello_cache_hits"), Some(stats.hello_cache_hits));
+    assert_eq!(snap.counter("kernel.hello_cache_rechecks"), Some(0));
     assert_eq!(snap.counter("kernel.hello_cache_misses"), Some(stats.hello_cache_misses));
     assert_eq!(snap.counter("kernel.hello_link_changes"), Some(stats.hello_link_changes));
     imobif_obs::promlint::lint(&snap.to_prometheus()).expect("kernel families lint clean");
+}
+
+/// Test protocol: the timer tagged `i` moves the node to `stops[i]`.
+#[derive(Debug, Default)]
+struct Pacer {
+    stops: Vec<Point2>,
+}
+
+impl Application for Pacer {
+    type Msg = ();
+
+    fn on_message(&mut self, _: &NodeCtx<'_>, _: NodeId, (): (), _: &mut Outbox<()>) {}
+
+    fn on_timer(&mut self, _ctx: &NodeCtx<'_>, tag: u64, out: &mut Outbox<()>) {
+        out.move_toward(self.stops[tag as usize], 10.0);
+    }
+}
+
+#[test]
+fn steps_inside_a_cell_are_rechecked_and_only_a_crossing_recomputes() {
+    // A 7×7 lattice at 20 m with the 30 m range: the mover at (40, 40)
+    // hears its eight nearest nodes (20 or 28.3 m away) and no farther one
+    // (40 m or more), and stays inside its 30 m grid cell.
+    let mut w: World<Pacer> = World::new(SimConfig::default()).unwrap();
+    for p in lattice(7, 20.0) {
+        w.add_node(p, Battery::new(100.0).unwrap(), Pacer::default());
+    }
+    let (mover, corner) = (NodeId::new(2 + 2 * 7), NodeId::new(1 + 7));
+    let home = Point2::new(40.0, 40.0);
+    assert_eq!((w.position(mover), w.position(corner)), (home, Point2::new(20.0, 20.0)));
+    // A 2 m diagonal step away from (20, 20) leaves it 30.3 m away and
+    // every other node's distance on the same side of the range.
+    let d = std::f64::consts::SQRT_2;
+    let stepped = Point2::new(40.0 + d, 40.0 + d);
+    w.app_mut(mover).stops = vec![Point2::new(40.5, 40.0), home, stepped];
+    w.start();
+    w.run_until(SimTime::from_micros(500_000));
+    let first = *w.kernel_stats();
+    assert_eq!((first.hello_beacons, first.hello_cache_misses), (49, 49));
+
+    // Half a meter out and back between every two beacons, for five
+    // periods: the mover's slot changes every period, but every beacon
+    // comes from the same spot and finds the same hearers.
+    for k in 0..5 {
+        w.schedule_timer(mover, SimDuration::from_millis(1000 * k + 100), 0);
+        w.schedule_timer(mover, SimDuration::from_millis(1000 * k + 300), 1);
+    }
+    w.run_until(SimTime::from_micros(5_500_000));
+    let paced = *w.kernel_stats();
+    assert_eq!(paced.hello_beacons, 6 * 49);
+    assert_eq!(paced.hello_cache_misses, first.hello_cache_misses, "every later beacon hits");
+    assert_eq!(paced.hello_cache_hits + paced.hello_cache_misses, paced.hello_beacons);
+    // At least the mover and its eight hearers, every period.
+    assert!(paced.hello_cache_rechecks >= 5 * 9, "{paced:?}");
+    assert_eq!(paced.hello_link_changes, first.hello_link_changes, "no link changes");
+
+    // The crossing step, then the next round beacon by beacon (in node
+    // order): only (20, 20), which no longer hears the mover, and the
+    // mover, which beacons from a new spot, recompute, each finding the
+    // one leaver.
+    w.schedule_timer(mover, SimDuration::from_millis(100), 2);
+    w.run_until(SimTime::from_micros(5_900_000));
+    assert_eq!(w.position(mover), stepped);
+    let mut recomputed = Vec::new();
+    for i in 0..49 {
+        let before = *w.kernel_stats();
+        assert!(w.step());
+        let after = *w.kernel_stats();
+        assert_eq!(after.hello_beacons, before.hello_beacons + 1);
+        if after.hello_cache_misses > before.hello_cache_misses {
+            recomputed.push((i, after.hello_link_changes - before.hello_link_changes));
+        } else {
+            assert_eq!(after.hello_link_changes, before.hello_link_changes, "beacon {i}");
+        }
+    }
+    assert_eq!(recomputed, vec![(corner.index(), 1), (mover.index(), 1)]);
+    // Each froze the other's beacon of the round before; the mover's
+    // other links read this round's board.
+    let now = w.time();
+    let heard = |a, b| w.node(a).neighbor_table().get(b, now).unwrap().heard_at;
+    assert_eq!(heard(mover, corner), SimTime::from_micros(5_000_000));
+    assert_eq!(heard(corner, mover), SimTime::from_micros(5_000_000));
+    assert_eq!(heard(mover, NodeId::new(3 + 3 * 7)), now);
 }
 
 proptest::proptest! {
@@ -338,11 +424,13 @@ proptest::proptest! {
     /// brute-force hearer sets of the node's previous beacon and this one,
     /// over random moves, deaths and beacons, including beacons sent from a
     /// position the grid has not caught up with (a sharded node between its
-    /// own move and the next barrier).
+    /// own move and the next barrier). Most moves are relay-sized steps
+    /// under 1 m, which change a grid slot but rarely a hearer set, so most
+    /// cache hits come through the recheck of the changed slots.
     #[test]
     fn prop_cached_hearers_match_brute_force(
         coords in proptest::collection::vec((0.0..120.0f64, 0.0..120.0f64), 33..60),
-        steps in proptest::collection::vec((0u8..8, 0usize..60, 0.0..120.0f64, 0.0..120.0f64), 1..300),
+        steps in proptest::collection::vec((0u8..10, 0usize..60, 0.0..120.0f64, 0.0..120.0f64), 1..300),
     ) {
         let range = 30.0;
         let mut positions: Vec<Point2> = coords.iter().map(|&(x, y)| Point2::new(x, y)).collect();
@@ -359,9 +447,11 @@ proptest::proptest! {
             let i = who % n;
             let target = Point2::new(x, y);
             match op {
-                0 | 1 if alive[i] => {
-                    // A short move, so lists change by a member or two.
-                    let (p, _) = positions[i].step_toward(target, 8.0);
+                0 | 1 | 4 | 5 if alive[i] => {
+                    // A short move, so lists change by a member or two, or
+                    // a relay's step of at most 1 m.
+                    let max_step = if op == 0 { 8.0 } else { x / 120.0 };
+                    let (p, _) = positions[i].step_toward(target, max_step);
                     positions[i] = p;
                     grid.update(i as u32, p);
                 }
@@ -398,6 +488,7 @@ proptest::proptest! {
             stats.hello_cache_hits + stats.hello_cache_misses,
             stats.hello_beacons
         );
+        proptest::prop_assert!(stats.hello_cache_rechecks <= stats.hello_cache_hits);
     }
 }
 

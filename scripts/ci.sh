@@ -5,10 +5,12 @@
 # exit means the tree is in a committable state.
 #
 # `ci.sh --smoke` runs only the fast subset — release build, the release
-# pin and allocation tests, the simulator's unit tests in release and in
-# debug (among them the neighbor-table oracle, the shard invariance checks
-# and the event queue's lane oracle, whose debug assertions only a debug
-# build keeps), the experiment crate's unit tests and memo-claim test, the
+# pin and allocation tests, the spatial grid's unit tests (its change
+# stamps and slot windows, which the HELLO hearer cache's exactness rests
+# on), the simulator's unit tests in release and in debug (among them the
+# neighbor-table oracle, the shard invariance checks and the event queue's
+# lane oracle, whose debug assertions only a debug build keeps), the
+# experiment crate's unit tests and memo-claim test, the
 # timing ratios, the reproduction-record check, and the benchmark
 # package's tests and `bench --smoke` — and targets a total wall time of
 # under a minute on a warm build cache.
@@ -43,6 +45,19 @@
 #     and beacon_rounds_ride_each_shards_lane_not_its_heap
 #     (world/shard/tests.rs); the beacon streams' rising-key debug
 #     assertions hold in the debug run of the simulator's unit tests
+#   - HELLO hearer cache: a result kept with its slot window and
+#     revalidated by the changed-slot rule == a fresh query, and
+#     `changed_slots` names exactly the touched window slots or reports a
+#     growth or clear: prop_cached_query_matches_fresh and
+#     changed_slots_name_the_touched_window_slots (crates/geom/src/grid.rs);
+#     cached hearers == brute force under 8 m and sub-meter steps:
+#     prop_cached_hearers_match_brute_force (world/tests.rs); a node
+#     pacing inside its cell costs its hearers a recheck, not a recompute,
+#     and a range crossing recomputes exactly the one leave:
+#     steps_inside_a_cell_are_rechecked_and_only_a_crossing_recomputes
+#     (world/tests.rs); hit, recheck and miss counts equal at 1/2/4/8
+#     shards and published: hello_cache_is_shard_count_invariant_and_publishes
+#     (world/shard/tests.rs)
 #   - sizing-flag ceilings exit 2 before anything is built, in
 #     crates/experiments/src/cli.rs: `--threads` on figures and `scenario
 #     run` (batch_thread_counts_above_the_ceiling_are_rejected), `spans
@@ -119,6 +134,9 @@ if [[ "$SMOKE" == "1" ]]; then
     cargo test --release -q -p imobif-bench --test span_determinism --test span_allocs \
         --test spec_parse_allocs --test fig6_allocs --test hello_allocs \
         --test replicate_allocs
+
+    echo "==> spatial grid unit tests (change stamps, slot windows)"
+    cargo test --release -q -p imobif-geom --lib
 
     echo "==> simulator unit tests (neighbor-table oracle, shard invariance, queue lane)"
     cargo test --release -q -p imobif-netsim --lib
