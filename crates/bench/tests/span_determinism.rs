@@ -2,7 +2,8 @@
 //! invisible to the simulation. The sweep workload must reproduce its pins
 //! at every shard count, under the dense step-every-epoch schedule, and
 //! with spans and pooled workers on, and its delta-synced replica must
-//! match ground truth. The thread-sweep workload must reproduce its pin at
+//! match ground truth. Its epoch schedule is pinned too, since no output
+//! shows it. The thread-sweep workload must reproduce its pin at
 //! every worker count, and the fig6 figure bytes their pin with the metrics
 //! registry disabled and enabled.
 
@@ -13,7 +14,7 @@ use imobif_experiments::figures::fig6;
 use imobif_experiments::obs::{disable_metrics, enable_metrics};
 use imobif_experiments::runner::clear_memos;
 use imobif_netsim::{ShardedWorld, SimTime, DEFAULT_SPAN_CAPACITY};
-use imobif_obs::fnv1a64;
+use imobif_obs::{fnv1a64, Registry};
 
 /// The recorded fingerprints of the sweep workload (1 000 nodes, 8 flows,
 /// seed 2025, 10 sim-secs; identical at every shard count).
@@ -29,6 +30,21 @@ const FIG6_CSV_FNV: u64 = 0x67fd_e585_6d82_96c6;
 
 /// Shard counts the sweep workload runs at.
 const SHARD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// The sweep's epochs at every shard count and schedule.
+const SWEEP_EPOCHS: u64 = 222;
+/// The sweep's epochs whose window opened past the previous one's end, in
+/// one `run_until` call (each call counts from its own first epoch, so
+/// `imobif spans summary`, which runs its 10 sim-s in 40 slices, reports
+/// 191).
+const SWEEP_FAST_FORWARDS: u64 = 221;
+/// `(shard-epochs run, idle shard-epochs skipped)` at each of
+/// [`SHARD_COUNTS`] on the activity schedule, which runs only the shards
+/// with an event in the window. No output pin sees these: a schedule that
+/// also ran idle shards, or stepped every shard every epoch, keeps every
+/// fingerprint.
+const SWEEP_SHARD_EPOCHS: [(u64, u64); 5] =
+    [(222, 0), (354, 90), (448, 440), (638, 1_138), (873, 2_679)];
 
 /// The summary fingerprint the sweep pins: packet totals, event count,
 /// bit-exact energy totals, and the first death.
@@ -51,11 +67,14 @@ fn summary_fnv(run: &ArenaRun<ShardedWorld<ImobifApp>>) -> u64 {
 }
 
 /// Runs the sweep workload at `shards`, letting `setup` adjust the world
-/// first, checks both pins and the replica against ground truth, and
-/// returns the finished run.
+/// first, checks both pins, the schedule `(shard-epochs run, idle
+/// shard-epochs skipped)` that `publish_metrics` reports beside the
+/// sweep's epochs and fast-forwards, and the replica against ground
+/// truth, and returns the finished run.
 fn assert_sweep_pins(
     shards: usize,
     label: &str,
+    (shard_epochs, idle): (u64, u64),
     setup: impl FnOnce(&mut ArenaRun<ShardedWorld<ImobifApp>>),
 ) -> ArenaRun<ShardedWorld<ImobifApp>> {
     let mut run = build_sharded_arena(1_000, 8, shards, 2025, true);
@@ -64,6 +83,18 @@ fn assert_sweep_pins(
     assert!(run.delivered_packets() > 0, "sweep arena must deliver packets ({label})");
     assert_eq!(run.world.trace_fnv(), SWEEP_TRACE_FNV, "trace FNV drifted ({label})");
     assert_eq!(summary_fnv(&run), SWEEP_SUMMARY_FNV, "summary FNV drifted ({label})");
+    let registry = Registry::enabled();
+    run.world.publish_metrics(&registry);
+    let snap = registry.snapshot();
+    let schedule = [
+        "shard.epochs",
+        "shard.shard_epochs",
+        "shard.idle_shard_epochs_skipped",
+        "shard.fast_forward.epochs",
+    ]
+    .map(|name| snap.counter(name).unwrap_or_else(|| panic!("{name} published ({label})")));
+    let want = [SWEEP_EPOCHS, shard_epochs, idle, SWEEP_FAST_FORWARDS];
+    assert_eq!(schedule, want, "epoch schedule drifted ({label})");
     if let Err(e) = run.world.verify_replica_sync() {
         panic!("replica diverged from ground truth ({label}): {e}");
     }
@@ -73,17 +104,18 @@ fn assert_sweep_pins(
 #[test]
 fn sweep_pins_hold_at_every_shard_count_schedule_and_span_setting() {
     // Shipping default: activity-scheduled epochs, spans disabled, serial.
-    for shards in SHARD_COUNTS {
-        assert_sweep_pins(shards, &format!("{shards} shards"), |_| {});
+    for (shards, schedule) in SHARD_COUNTS.into_iter().zip(SWEEP_SHARD_EPOCHS) {
+        assert_sweep_pins(shards, &format!("{shards} shards"), schedule, |_| {});
     }
 
-    // The dense step-every-epoch schedule is the reference the
-    // fast-forwarding scheduler must reproduce.
-    assert_sweep_pins(8, "dense epochs", |run| run.world.set_dense_epochs(true));
+    // The dense step-every-epoch schedule is the reference the activity
+    // schedule must reproduce: the same epochs, every shard run in each.
+    let dense = (8 * SWEEP_EPOCHS, 0);
+    assert_sweep_pins(8, "dense epochs", dense, |run| run.world.set_dense_epochs(true));
 
     // Full span tracing plus pooled workers: observability may cost wall
     // time, never results.
-    let spanned = assert_sweep_pins(8, "spans on, 2 threads", |run| {
+    let spanned = assert_sweep_pins(8, "spans on, 2 threads", SWEEP_SHARD_EPOCHS[3], |run| {
         run.world.enable_spans(DEFAULT_SPAN_CAPACITY);
         run.world.set_threads(2);
     });

@@ -178,7 +178,12 @@ impl Window {
 ///
 /// Window slot `i` (`0..9`) is the cell at offset `(i / 3 - 1, i % 3 - 1)`
 /// from the center's.
+///
+/// Packed to 7 bytes, alignment 1, so a cache entry that keeps one beside
+/// 4- and 8-byte fields pads no further than their own alignment needs;
+/// its fields are only ever read by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed)]
 pub struct SlotWindow {
     /// The center cell's slot.
     center: u32,

@@ -74,9 +74,9 @@ impl Entry {
 /// slots that changed, instead of recomputed by a range query and a sort;
 /// a recomputed list is diffed against the stored one.
 ///
-/// Storage is one flat 56-byte [`Entry`] per node plus a single `u32` pool
+/// Storage is one flat 48-byte [`Entry`] per node plus a single `u32` pool
 /// holding every list behind a two-word header, so the cache costs about
-/// `64 + 4 × fan-out` bytes a node. A list that outgrows its run moves to
+/// `56 + 4 × fan-out` bytes a node. A list that outgrows its run moves to
 /// the end of the pool (with a quarter of headroom); the run it left is
 /// garbage until the pool is full and at least half garbage, when the
 /// live runs are compacted in place — no list is ever dropped, and no
@@ -329,4 +329,16 @@ fn diff_sorted(old: &[u32], new: &[u32], joined: &mut Vec<u32>, left: &mut Vec<u
     }
     left.extend_from_slice(&old[i..]);
     joined.extend_from_slice(&new[j..]);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Entry;
+
+    /// The packed 7-byte window leaves the nine counts room inside the
+    /// entry's 8-byte alignment: 16 + 8 + 4 + 4 + 7 + 9 bytes.
+    #[test]
+    fn a_cache_entry_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 48);
+    }
 }

@@ -32,7 +32,7 @@ use crate::node::NodeStore;
 use crate::trace::TraceEvent;
 use crate::{
     Action, Application, EnergyCategory, EnergyLedger, EventQueue, NeighborTable, NodeCtx, NodeId,
-    Outbox, SimConfig, SimDuration, SimTime,
+    Outbox, SimConfig, SimTime,
 };
 
 /// Internal kernel events.
@@ -199,23 +199,14 @@ impl<A: Application> Engine<A> {
         self.events_processed = 0;
     }
 
-    /// Appends a node, reusing a table from `spare_tables` when one is
-    /// left, and returns its slot.
+    /// Appends a node with its neighbor table and returns its slot.
     pub(super) fn add_node(
         &mut self,
         position: Point2,
         battery: Battery,
         app: A,
-        ttl: SimDuration,
-        spare_tables: &mut Vec<NeighborTable>,
+        table: NeighborTable,
     ) -> usize {
-        let table = match spare_tables.pop() {
-            Some(mut t) => {
-                t.reset(ttl);
-                t
-            }
-            None => NeighborTable::new(ttl),
-        };
         let slot = self.nodes.push(position, battery, table);
         self.apps.push(app);
         self.ledger.grow_to(self.nodes.len());

@@ -106,7 +106,14 @@ impl<A: Application> World<A> {
     pub fn add_node(&mut self, position: Point2, battery: Battery, app: A) -> NodeId {
         assert!(!self.started, "nodes must be added before start()");
         let ttl = self.reach.cfg.hello.ttl;
-        let slot = self.engine.add_node(position, battery, app, ttl, &mut self.spare_tables);
+        let table = match self.spare_tables.pop() {
+            Some(mut t) => {
+                t.reset(ttl);
+                t
+            }
+            None => NeighborTable::new(ttl),
+        };
+        let slot = self.engine.add_node(position, battery, app, table);
         let id = NodeId::new(slot as u32);
         if self.engine.nodes.is_alive(slot) {
             self.reach.grid.insert(id.raw(), position);

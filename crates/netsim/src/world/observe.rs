@@ -1,6 +1,10 @@
 //! Observability: trace emission, plain-field kernel counters, and the
 //! one bridge that flushes them into an [`imobif_obs::Registry`].
 
+use std::ops::AddAssign;
+
+use imobif_obs::Registry;
+
 use super::World;
 use crate::trace::RingTrace;
 use crate::{Application, EnergyCategory, NodeId};
@@ -8,8 +12,9 @@ use crate::{Application, EnergyCategory, NodeId};
 /// Plain-field kernel instrumentation, sibling to
 /// [`crate::event::QueueStats`]: ordinary `u64` fields bumped inline on hot
 /// paths (no atomics, no handle branches, no allocation) and flushed into a
-/// registry only by [`World::publish_metrics`]. Reset together with the
-/// world so recycled arenas start clean.
+/// registry only by `KernelStats::publish`, which both engines'
+/// `publish_metrics` call. Reset together with the world so recycled
+/// arenas start clean; a sharded world sums its shards' with `+=`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// HELLO beacons actually broadcast (dead nodes don't beacon).
@@ -46,6 +51,56 @@ impl KernelStats {
     pub(super) fn fanout_bin(n: usize) -> usize {
         ((usize::BITS - n.leading_zeros()) as usize).min(7)
     }
+
+    /// Adds the counters to `registry`: `kernel.hello_beacons`,
+    /// `kernel.timers_fired`, `kernel.hello_cache_{hits,rechecks,misses}`,
+    /// `kernel.hello_link_changes` and the `kernel.hello_fanout` histogram.
+    pub(crate) fn publish(&self, registry: &Registry) {
+        let KernelStats {
+            hello_beacons,
+            timers_fired,
+            hello_fanout_bins,
+            hello_cache_hits,
+            hello_cache_rechecks,
+            hello_cache_misses,
+            hello_link_changes,
+        } = *self;
+        registry.counter("kernel.hello_beacons").add(hello_beacons);
+        registry.counter("kernel.timers_fired").add(timers_fired);
+        registry.counter("kernel.hello_cache_hits").add(hello_cache_hits);
+        registry.counter("kernel.hello_cache_rechecks").add(hello_cache_rechecks);
+        registry.counter("kernel.hello_cache_misses").add(hello_cache_misses);
+        registry.counter("kernel.hello_link_changes").add(hello_link_changes);
+        let fanout =
+            registry.histogram("kernel.hello_fanout", &[0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0]);
+        for (&value, &count) in Self::FANOUT_BIN_VALUES.iter().zip(&hello_fanout_bins) {
+            fanout.observe_n(value as f64, count);
+        }
+    }
+}
+
+/// Field by field: a new field does not compile until it is summed here.
+impl AddAssign for KernelStats {
+    fn add_assign(&mut self, other: KernelStats) {
+        let KernelStats {
+            hello_beacons,
+            timers_fired,
+            hello_fanout_bins,
+            hello_cache_hits,
+            hello_cache_rechecks,
+            hello_cache_misses,
+            hello_link_changes,
+        } = other;
+        self.hello_beacons += hello_beacons;
+        self.timers_fired += timers_fired;
+        for (acc, bin) in self.hello_fanout_bins.iter_mut().zip(hello_fanout_bins) {
+            *acc += bin;
+        }
+        self.hello_cache_hits += hello_cache_hits;
+        self.hello_cache_rechecks += hello_cache_rechecks;
+        self.hello_cache_misses += hello_cache_misses;
+        self.hello_link_changes += hello_link_changes;
+    }
 }
 
 impl<A: Application> World<A> {
@@ -81,7 +136,7 @@ impl<A: Application> World<A> {
     /// so a batch of instances publishes network-wide totals; gauges hold
     /// the most recent run's value. Publishing to a disabled registry is a
     /// no-op beyond a few detached handle constructions.
-    pub fn publish_metrics(&self, registry: &imobif_obs::Registry) {
+    pub fn publish_metrics(&self, registry: &Registry) {
         if !registry.is_enabled() {
             return;
         }
@@ -91,19 +146,7 @@ impl<A: Application> World<A> {
         registry.gauge("queue.max_len").set(q.max_len as f64);
 
         registry.counter("kernel.events_processed").add(self.engine.events_processed);
-        registry.counter("kernel.hello_beacons").add(self.engine.stats.hello_beacons);
-        registry.counter("kernel.timers_fired").add(self.engine.stats.timers_fired);
-        registry.counter("kernel.hello_cache_hits").add(self.engine.stats.hello_cache_hits);
-        registry.counter("kernel.hello_cache_rechecks").add(self.engine.stats.hello_cache_rechecks);
-        registry.counter("kernel.hello_cache_misses").add(self.engine.stats.hello_cache_misses);
-        registry.counter("kernel.hello_link_changes").add(self.engine.stats.hello_link_changes);
-        let fanout =
-            registry.histogram("kernel.hello_fanout", &[0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0]);
-        for (&value, &count) in
-            KernelStats::FANOUT_BIN_VALUES.iter().zip(&self.engine.stats.hello_fanout_bins)
-        {
-            fanout.observe_n(value as f64, count);
-        }
+        self.engine.stats.publish(registry);
 
         let totals = self.engine.ledger.totals();
         for (category, joules) in [

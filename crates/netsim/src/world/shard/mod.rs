@@ -16,11 +16,11 @@
 //! minimum pending event time — without ever receiving an event that lands
 //! inside the window. Each epoch:
 //!
-//! 1. the scheduler pops the next window off a lazy min-heap of per-shard
-//!    next-event times and selects the **active** shards — those with an
-//!    event inside the window. Idle shards are never touched, and sparse
-//!    phases fast-forward the epoch clock in one jump (windows are placed
-//!    at event times, never stepped through empty wall-clock);
+//! 1. the coordinator reads every shard's queue head: the least one opens
+//!    the window, and the **active** shards are those whose head lies
+//!    inside it. Idle shards are never run, and sparse phases
+//!    fast-forward the epoch clock in one jump (windows are placed at
+//!    event times, never stepped through empty wall-clock);
 //! 2. every active shard drains its local queue up to (exclusive) the
 //!    window end, reading remote state only from the epoch-frozen replica
 //!    snapshot and pushing cross-shard consequences into its
@@ -39,8 +39,8 @@
 //! (same source run) or commutes (disjoint state) — a run is
 //! **bit-identical at any shard count and any worker count**. The 1-shard
 //! world is the reference; property tests pin `N`-shard and `N`-worker
-//! traces to it, and pin the activity scheduler to the dense
-//! step-every-epoch schedule.
+//! traces to it, and pin the activity schedule to the dense
+//! step-every-epoch one.
 //!
 //! # Intentional semantic deltas vs [`World`](crate::World)
 //!
@@ -63,8 +63,6 @@ mod reach;
 mod tests;
 mod xfer;
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use imobif_energy::Battery;
@@ -72,14 +70,11 @@ use imobif_geom::Point2;
 use imobif_obs::span::phase;
 use imobif_obs::{Registry, SpanSink, COORD_SHARD};
 
-use super::engine::{self, Event};
+use super::engine::Event;
 use super::observe::KernelStats;
 use crate::hello::Beacon;
 use crate::trace::TraceEvent;
-use crate::{
-    Application, NeighborTable, NodeEnergy, NodeId, SimConfig, SimDuration, SimError, SimTime,
-    TopologyView,
-};
+use crate::{Application, NodeEnergy, NodeId, SimConfig, SimDuration, SimError, SimTime};
 use pool::{Job, WorkerCtx, WorkerPool};
 use profile::EpochCounters;
 pub use profile::EpochProfile;
@@ -158,115 +153,6 @@ impl ShardLayout {
     }
 }
 
-/// The activity scheduler: a lazy min-heap of `(next event time, shard)`
-/// entries plus per-epoch scratch. Entries may be stale (a shard's queue
-/// moved on since the entry was pushed); they are validated against the
-/// live queue on pop and replaced, so the heap never needs decrease-key.
-#[derive(Debug, Default)]
-struct Scheduler {
-    heap: BinaryHeap<Reverse<(SimTime, u32)>>,
-    /// Shards with an event inside the current window, ascending.
-    active: Vec<u32>,
-    /// Window candidates past the run deadline, re-queued after the epoch.
-    deferred: Vec<(SimTime, u32)>,
-    /// Destination shards that received a delivery at the last barrier
-    /// (their heap entries are stale-high and need a fresh push).
-    woken: Vec<u32>,
-    /// `mark[s] == epoch_id` ⇒ shard `s` was already claimed this epoch
-    /// (deduplicates multiple heap entries for one shard).
-    mark: Vec<u64>,
-    epoch_id: u64,
-}
-
-impl Scheduler {
-    fn rebuild<A: Application>(&mut self, shards: &[Shard<A>]) {
-        self.heap.clear();
-        self.active.clear();
-        self.deferred.clear();
-        self.woken.clear();
-        self.mark.clear();
-        self.mark.resize(shards.len(), 0);
-        self.epoch_id = 0;
-        for (i, s) in shards.iter().enumerate() {
-            if let Some(t) = s.engine.queue.peek_time() {
-                self.heap.push(Reverse((t, i as u32)));
-            }
-        }
-    }
-
-    /// The earliest pending event time across all shards, validating (and
-    /// repairing) stale heap entries on the way.
-    fn next_pending<A: Application>(&mut self, shards: &[Shard<A>]) -> Option<SimTime> {
-        loop {
-            let &Reverse((t, s)) = self.heap.peek()?;
-            match shards[s as usize].engine.queue.peek_time() {
-                Some(a) if a == t => return Some(t),
-                Some(a) => {
-                    self.heap.pop();
-                    self.heap.push(Reverse((a, s)));
-                }
-                None => {
-                    self.heap.pop();
-                }
-            }
-        }
-    }
-
-    /// Claims every shard with an event inside `[.., end)` into `active`
-    /// (sorted ascending for deterministic barrier application). Shards
-    /// whose next event lies past `deadline` are deferred, not run.
-    fn collect_active<A: Application>(
-        &mut self,
-        shards: &[Shard<A>],
-        end: SimTime,
-        deadline: SimTime,
-    ) {
-        self.active.clear();
-        self.deferred.clear();
-        self.epoch_id += 1;
-        let eid = self.epoch_id;
-        while let Some(&Reverse((t, s))) = self.heap.peek() {
-            if t >= end {
-                break;
-            }
-            self.heap.pop();
-            if self.mark[s as usize] == eid {
-                continue;
-            }
-            let Some(a) = shards[s as usize].engine.queue.peek_time() else { continue };
-            if a != t {
-                self.heap.push(Reverse((a, s)));
-                continue;
-            }
-            self.mark[s as usize] = eid;
-            if t > deadline {
-                self.deferred.push((t, s));
-            } else {
-                self.active.push(s);
-            }
-        }
-        for &(t, s) in &self.deferred {
-            self.heap.push(Reverse((t, s)));
-        }
-        self.active.sort_unstable();
-    }
-
-    /// Re-queues fresh entries for shards whose queues changed this epoch:
-    /// the ones that ran, and the ones a barrier delivery woke.
-    fn repush<A: Application>(&mut self, shards: &[Shard<A>]) {
-        for i in 0..self.active.len() + self.woken.len() {
-            let s = if i < self.active.len() {
-                self.active[i]
-            } else {
-                self.woken[i - self.active.len()]
-            };
-            if let Some(t) = shards[s as usize].engine.queue.peek_time() {
-                self.heap.push(Reverse((t, s)));
-            }
-        }
-    }
-}
-
 /// The sharded analogue of [`World`](crate::World): the same kernel
 /// semantics partitioned into spatial shards coupled only through
 /// deterministic epoch barriers (see the module docs for the protocol and
@@ -276,7 +162,7 @@ impl Scheduler {
 /// **bit-identical at any shard count and any thread count**; shards and
 /// threads are purely a performance knob. `set_threads(n)` with `n > 1`
 /// processes shards on a persistent pool of `n` worker threads inside each
-/// epoch; the pool parks between epochs and survives `reset_into`.
+/// epoch; the pool parks between epochs and serves every `run_until` call.
 pub struct ShardedWorld<A: Application> {
     cfg: SimConfig,
     layout: ShardLayout,
@@ -289,7 +175,8 @@ pub struct ShardedWorld<A: Application> {
     /// Epoch-frozen global position/liveness snapshot, shared with pool
     /// workers during an epoch and patched in place between epochs.
     replica: Arc<Replica>,
-    sched: Scheduler,
+    /// The shards the current epoch runs, ascending.
+    active: Vec<u32>,
     merge: MergeScratch,
     /// Lazily created worker threads; `None` until a multi-threaded run.
     worker_pool: Option<WorkerPool<A>>,
@@ -297,8 +184,6 @@ pub struct ShardedWorld<A: Application> {
     /// worker threads, recycled forever.
     spare_shards: Vec<Shard<A>>,
     spare_outs: Vec<ShardOutbox<A::Msg>>,
-    /// Neighbor tables recycled across resets, as in `World::reset_into`.
-    spare_tables: Vec<NeighborTable>,
     /// Always-on pipeline counters (plain integer adds, no clock reads).
     counters: EpochCounters,
     /// Span sink; `None` ⇒ zero cost: no timestamps read, no spans built.
@@ -323,30 +208,26 @@ impl<A: Application> ShardedWorld<A> {
     /// `shards` is zero.
     pub fn new(cfg: SimConfig, bounds: (Point2, Point2), shards: usize) -> Result<Self, SimError> {
         cfg.validate()?;
-        Self::validate_sharding(&cfg, shards)?;
+        if cfg.hop_latency == SimDuration::ZERO {
+            return Err(SimError::InvalidConfig { field: "hop_latency" });
+        }
+        if shards == 0 {
+            return Err(SimError::InvalidConfig { field: "shards" });
+        }
         let layout = ShardLayout::new(bounds.0, bounds.1, shards);
         let n = layout.shard_count();
-        let shards = (0..n).map(|_| Shard::new()).collect();
-        let outs = (0..n)
-            .map(|_| {
-                let mut o = ShardOutbox::default();
-                o.reset_dests(n);
-                o
-            })
-            .collect();
         Ok(ShardedWorld {
             replica: Arc::new(Replica::new(cfg.range.max(1.0))),
             cfg,
             layout,
-            shards,
-            outs,
+            shards: (0..n).map(|_| Shard::new()).collect(),
+            outs: (0..n).map(|_| ShardOutbox::new(n)).collect(),
             owner: Vec::new(),
-            sched: Scheduler::default(),
+            active: Vec::new(),
             merge: MergeScratch::default(),
             worker_pool: None,
             spare_shards: Vec::new(),
             spare_outs: Vec::new(),
-            spare_tables: Vec::new(),
             counters: EpochCounters::default(),
             spans: None,
             dense_epochs: false,
@@ -354,70 +235,6 @@ impl<A: Application> ShardedWorld<A> {
             started: false,
             threads: 1,
         })
-    }
-
-    fn validate_sharding(cfg: &SimConfig, shards: usize) -> Result<(), SimError> {
-        if cfg.hop_latency == SimDuration::ZERO {
-            return Err(SimError::InvalidConfig { field: "hop_latency" });
-        }
-        if shards == 0 {
-            return Err(SimError::InvalidConfig { field: "shards" });
-        }
-        Ok(())
-    }
-
-    /// Returns the world to its just-constructed state under a (possibly
-    /// different) configuration, bounds and shard count, keeping every
-    /// allocation — shard node columns, queues, neighbor tables, outbox
-    /// runs, the worker pool — for the next replicate; application
-    /// instances are drained into `recycled_apps`. A reset world is
-    /// observationally identical to a fresh `ShardedWorld::new` with the
-    /// same arguments (property-tested).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ShardedWorld::new`]; the world is unusable only
-    /// if it was already unusable.
-    pub fn reset_into(
-        &mut self,
-        cfg: SimConfig,
-        bounds: (Point2, Point2),
-        shards: usize,
-        recycled_apps: &mut Vec<A>,
-    ) -> Result<(), SimError> {
-        cfg.validate()?;
-        Self::validate_sharding(&cfg, shards)?;
-        let layout = ShardLayout::new(bounds.0, bounds.1, shards);
-        for s in &mut self.shards {
-            s.clear_into(&mut self.spare_tables, recycled_apps);
-        }
-        let n = layout.shard_count();
-        self.shards.truncate(n);
-        while self.shards.len() < n {
-            self.shards.push(self.spare_shards.pop().unwrap_or_else(Shard::new));
-            let shard = self.shards.last_mut().expect("just pushed");
-            shard.clear_into(&mut self.spare_tables, recycled_apps);
-        }
-        self.outs.truncate(n);
-        self.outs.resize_with(n, ShardOutbox::default);
-        for o in &mut self.outs {
-            o.reset_dests(n);
-        }
-        self.owner.clear();
-        let replica = Arc::get_mut(&mut self.replica).expect("replica uniquely held between runs");
-        replica.positions.clear();
-        replica.alive.clear();
-        replica.board.clear();
-        engine::reset_grid(&mut replica.grid, cfg.range);
-        self.cfg = cfg;
-        self.layout = layout;
-        self.counters = EpochCounters::default();
-        if let Some(sp) = &mut self.spans {
-            sp.clear();
-        }
-        self.time = SimTime::ZERO;
-        self.started = false;
-        Ok(())
     }
 
     /// Adds a node with its application instance, returning its global id.
@@ -429,7 +246,7 @@ impl<A: Application> ShardedWorld<A> {
         let si = self.layout.shard_of(position);
         let shard = &mut self.shards[si];
         let ttl = self.cfg.hello.ttl;
-        let slot = shard.add_node(position, battery, app, ttl, &mut self.spare_tables);
+        let slot = shard.add_node(position, battery, app, ttl);
         self.owner.push((si as u32, slot as u32));
         let alive = shard.engine.nodes.is_alive(slot);
         let replica = Arc::get_mut(&mut self.replica).expect("replica uniquely held between runs");
@@ -466,7 +283,7 @@ impl<A: Application> ShardedWorld<A> {
             let beacon = Event::HelloBeacon { node: id };
             keys.push_periodic(&mut engine.queue, SimTime::ZERO, slot as usize, id, beacon);
         }
-        let Self { cfg, owner, shards, outs, replica, sched, merge, counters, spans, .. } = self;
+        let Self { cfg, owner, shards, outs, replica, active, merge, counters, spans, .. } = self;
         let sh = SharedCtx { cfg, owner };
         for (i, &(si, slot)) in owner.iter().enumerate() {
             let (engine, mut reach) =
@@ -478,12 +295,12 @@ impl<A: Application> ShardedWorld<A> {
                 });
             }
         }
-        sched.active.clear();
-        sched.active.extend(0..shards.len() as u32);
+        active.clear();
+        active.extend(0..shards.len() as u32);
         apply_epoch(
             shards,
             outs,
-            sched,
+            active,
             Arc::get_mut(replica).expect("replica uniquely held between runs"),
             merge,
             counters,
@@ -526,13 +343,14 @@ impl<A: Application> ShardedWorld<A> {
         });
         let epoch = self.cfg.hop_latency;
         let dense = self.dense_epochs;
+        let n = self.shards.len() as u32;
         let Self {
             cfg,
             owner,
             shards,
             outs,
             replica,
-            sched,
+            active,
             merge,
             worker_pool,
             spare_shards,
@@ -544,28 +362,21 @@ impl<A: Application> ShardedWorld<A> {
         } = self;
         let sh = SharedCtx { cfg, owner };
         let pool = pool_ctx.map(|ctx| (worker_pool.as_ref().expect("pool created above"), ctx));
-        sched.rebuild(shards);
         // End of the previous window this run, for fast-forward detection.
         let mut prev_end: Option<SimTime> = None;
         loop {
             let t0 = spans.as_ref().map(|sp| sp.now_us());
-            let next = if dense {
-                shards.iter().filter_map(|s| s.engine.queue.peek_time()).min()
-            } else {
-                sched.next_pending(shards)
-            };
-            let Some(next) = next else { break };
+            let head = |s: u32| shards[s as usize].engine.queue.peek_time();
+            let Some(next) = (0..n).filter_map(head).min() else { break };
             if next > deadline {
                 break;
             }
             let eid = counters.epochs;
             let end = next + epoch;
-            if dense {
-                sched.active.clear();
-                sched.active.extend(0..shards.len() as u32);
-            } else {
-                sched.collect_active(shards, end, deadline);
-            }
+            active.clear();
+            active.extend(
+                (0..n).filter(|&s| dense || head(s).is_some_and(|t| t < end && t <= deadline)),
+            );
             if let Some(pe) = prev_end {
                 if next > pe {
                     counters.fast_forward_epochs += 1;
@@ -574,11 +385,11 @@ impl<A: Application> ShardedWorld<A> {
             }
             prev_end = Some(end);
             counters.epochs += 1;
-            counters.shard_epochs += sched.active.len() as u64;
-            counters.idle_shard_epochs_skipped += (shards.len() - sched.active.len()) as u64;
+            counters.shard_epochs += active.len() as u64;
+            counters.idle_shard_epochs_skipped += (shards.len() - active.len()) as u64;
             if pool.is_some() {
-                counters.pool_jobs += sched.active.len() as u64;
-                counters.pool_max_depth = counters.pool_max_depth.max(sched.active.len() as u64);
+                counters.pool_jobs += active.len() as u64;
+                counters.pool_max_depth = counters.pool_max_depth.max(active.len() as u64);
             }
             if let Some(sp) = spans.as_mut() {
                 let now = sp.now_us();
@@ -586,7 +397,7 @@ impl<A: Application> ShardedWorld<A> {
             }
             match &pool {
                 None => {
-                    for &s in &sched.active {
+                    for &s in active.iter() {
                         let c0 = spans.as_ref().map(|sp| sp.now_us());
                         let out = &mut outs[s as usize];
                         shards[s as usize].run_epoch(&sh, replica, out, end, deadline);
@@ -602,7 +413,7 @@ impl<A: Application> ShardedWorld<A> {
                     // each `Done`.
                     let clock = spans.as_ref().map(|sp| sp.clock());
                     let t1 = spans.as_ref().map(|sp| sp.now_us());
-                    for &s in &sched.active {
+                    for &s in active.iter() {
                         let shard = std::mem::replace(
                             &mut shards[s as usize],
                             spare_shards.pop().unwrap_or_else(Shard::new),
@@ -620,7 +431,7 @@ impl<A: Application> ShardedWorld<A> {
                             clock,
                         });
                     }
-                    for _ in 0..sched.active.len() {
+                    for _ in 0..active.len() {
                         let done = pool.collect();
                         if let (Some(sp), Some((a, b))) = (spans.as_mut(), done.span_us) {
                             sp.record(phase::COMPUTE, done.idx, eid, a, b);
@@ -638,16 +449,13 @@ impl<A: Application> ShardedWorld<A> {
             apply_epoch(
                 shards,
                 outs,
-                sched,
+                active,
                 Arc::get_mut(replica).expect("replica uniquely held between epochs"),
                 merge,
                 counters,
                 spans,
                 eid,
             );
-            if !dense {
-                sched.repush(shards);
-            }
             *time = (*time).max(end.min(deadline));
         }
         self.time = self.time.max(deadline);
@@ -737,9 +545,8 @@ impl<A: Application> ShardedWorld<A> {
     /// never touch the registry). No-op on a disabled registry.
     ///
     /// Families: `shard.*` pipeline/fast-forward/xfer/pool counters,
-    /// per-shard `shard.s{i}.events_processed`,
-    /// `kernel.hello_{cache_hits,cache_rechecks,cache_misses,link_changes}`
-    /// summed over shards, and — when span tracing is on —
+    /// per-shard `shard.s{i}.events_processed`, the [`KernelStats`]
+    /// families summed over shards, and — when span tracing is on —
     /// `spans.{recorded,evicted}` plus per-scope
     /// `shard.{coord|s{i}}.{phase}_wall_us` histograms and `..._secs`
     /// totals, with `shard.pool.utilization` derived from the
@@ -762,11 +569,7 @@ impl<A: Application> ShardedWorld<A> {
         registry.counter("shard.xfer.observations_applied").add(c.observations_applied);
         registry.counter("shard.xfer.replica_patches").add(c.replica_patches);
         registry.counter("shard.pool.jobs").add(c.pool_jobs);
-        let kernel = self.kernel_stats();
-        registry.counter("kernel.hello_cache_hits").add(kernel.hello_cache_hits);
-        registry.counter("kernel.hello_cache_rechecks").add(kernel.hello_cache_rechecks);
-        registry.counter("kernel.hello_cache_misses").add(kernel.hello_cache_misses);
-        registry.counter("kernel.hello_link_changes").add(kernel.hello_link_changes);
+        self.kernel_stats().publish(registry);
         registry.gauge("shard.pool.max_queue_depth").set(c.pool_max_depth as f64);
         let workers = self.threads.min(self.shards.len());
         registry.gauge("shard.pool.workers").set(workers as f64);
@@ -912,8 +715,7 @@ impl<A: Application> ShardedWorld<A> {
         self.shards.iter().map(|s| s.engine.queue.len()).sum()
     }
 
-    /// Kernel events processed across all shards since construction or the
-    /// last reset.
+    /// Kernel events processed across all shards since construction.
     #[must_use]
     pub fn events_processed(&self) -> u64 {
         self.shards.iter().map(|s| s.engine.events_processed).sum()
@@ -993,30 +795,9 @@ impl<A: Application> ShardedWorld<A> {
     pub fn kernel_stats(&self) -> KernelStats {
         let mut total = KernelStats::default();
         for s in &self.shards {
-            total.hello_beacons += s.engine.stats.hello_beacons;
-            total.timers_fired += s.engine.stats.timers_fired;
-            total.hello_cache_hits += s.engine.stats.hello_cache_hits;
-            total.hello_cache_rechecks += s.engine.stats.hello_cache_rechecks;
-            total.hello_cache_misses += s.engine.stats.hello_cache_misses;
-            total.hello_link_changes += s.engine.stats.hello_link_changes;
-            for (acc, &bin) in
-                total.hello_fanout_bins.iter_mut().zip(&s.engine.stats.hello_fanout_bins)
-            {
-                *acc += bin;
-            }
+            total += s.engine.stats;
         }
         total
-    }
-
-    /// A routing snapshot of the replica connectivity graph (the
-    /// epoch-frozen positions and liveness every shard reads).
-    #[must_use]
-    pub fn topology_view(&self) -> TopologyView {
-        TopologyView::new(
-            self.replica.positions.clone(),
-            self.replica.alive.clone(),
-            self.cfg.range,
-        )
     }
 
     /// Enables in-memory tracing on every shard. Unlike
@@ -1074,7 +855,7 @@ impl<A: Application> std::fmt::Debug for ShardedWorld<A> {
     }
 }
 
-/// The barrier: applies every active shard's outgoing effect runs.
+/// The barrier: applies the outgoing effect runs of the `active` shards.
 ///
 /// * Replica patches first (source-by-source: per-node order is preserved
 ///   within a source run, and patches for different nodes commute).
@@ -1083,26 +864,23 @@ impl<A: Application> std::fmt::Debug for ShardedWorld<A> {
 ///   entries; same-origin order comes from the single source run).
 /// * Deliveries last, k-way merged per destination in strict global key
 ///   order, because applying one consumes the target's queue sequence and
-///   downstream tie-breaks depend on it. Destinations that receive a
-///   delivery are recorded in `sched.woken` so the activity heap learns
-///   their (possibly earlier) next event time.
+///   downstream tie-breaks depend on it.
 #[allow(clippy::too_many_arguments)]
 fn apply_epoch<A: Application>(
     shards: &mut [Shard<A>],
     outs: &mut [ShardOutbox<A::Msg>],
-    sched: &mut Scheduler,
+    active: &[u32],
     replica: &mut Replica,
     merge: &mut MergeScratch,
     counters: &mut EpochCounters,
     spans: &mut Option<Box<SpanSink>>,
     epoch_id: u64,
 ) {
-    sched.woken.clear();
     let mut delivers = 0u64;
     let mut links = 0u64;
     let mut patches = 0u64;
     let t_rep = spans.as_ref().map(|sp| sp.now_us());
-    for &s in &sched.active {
+    for &s in active {
         let rep_run = &mut outs[s as usize].rep;
         patches += rep_run.len() as u64;
         for patch in rep_run.drain(..) {
@@ -1131,7 +909,7 @@ fn apply_epoch<A: Application>(
         None
     };
     for (d, dest) in shards.iter_mut().enumerate() {
-        for &s in &sched.active {
+        for &s in active {
             let run = &mut outs[s as usize].links[d];
             if run.groups.is_empty() {
                 continue;
@@ -1168,16 +946,12 @@ fn apply_epoch<A: Application>(
     };
     for (d, dest) in shards.iter_mut().enumerate() {
         merge.heap.clear();
-        for &s in &sched.active {
+        for &s in active {
             let run = &outs[s as usize].dlv[d];
             if let Some(head) = run.first() {
                 merge.heap.push(std::cmp::Reverse((head.key, s)));
             }
         }
-        if merge.heap.is_empty() {
-            continue;
-        }
-        sched.woken.push(d as u32);
         while let Some(std::cmp::Reverse((_, s))) = merge.heap.pop() {
             let limit = merge.heap.peek().map(|&std::cmp::Reverse((k, _))| k);
             let run = &mut outs[s as usize].dlv[d];

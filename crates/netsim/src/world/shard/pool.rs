@@ -1,12 +1,10 @@
 //! A persistent shard worker pool.
 //!
-//! PR 6 spawned a `thread::scope` inside every `run_until` call, so batch
-//! drivers that reset and re-run an arena paid thread startup per
-//! replicate. The pool here is created once (lazily, on the first
-//! multi-threaded run), owned by the [`ShardedWorld`]
-//! (crate::ShardedWorld), parked on a channel between epochs, and reused
-//! across `run_until` calls *and* `reset_into` replicates; it is joined
-//! when the world drops or the thread count changes.
+//! The pool is created once (lazily, on the first multi-threaded run),
+//! owned by the [`ShardedWorld`](crate::ShardedWorld), parked on a channel
+//! between epochs, and reused across `run_until` calls, so no call pays
+//! thread startup again; it is joined when the world drops or the thread
+//! count changes.
 //!
 //! The crate forbids `unsafe`, so instead of lifetime-erased borrows the
 //! pool moves state by value: each [`Job`] carries the shard, its outbox,
@@ -32,9 +30,8 @@ use super::xfer::ShardOutbox;
 use crate::{Application, SimConfig, SimTime};
 
 /// Read-only per-run context shared with the workers: an owned snapshot of
-/// the configuration and owner map. Rebuilt once per `run_until` (the owner
-/// map is append-only between resets, so a snapshot taken at run entry is
-/// exact).
+/// the configuration and owner map. Rebuilt once per `run_until` (nodes
+/// join only before `start`, so a snapshot taken at run entry is exact).
 pub(super) struct WorkerCtx {
     pub(super) cfg: SimConfig,
     pub(super) owner: Vec<(u32, u32)>,

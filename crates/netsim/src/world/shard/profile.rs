@@ -19,8 +19,8 @@
 //! coordinator's submit-to-collect wall, now reported separately as the
 //! `barrier_wait` phase). `apply_secs` is the sum of the three barrier
 //! phases (`replica_sync` + `obs_apply` + `xfer_merge`). The counter
-//! fields are cumulative from world construction/reset, not from
-//! profiling enablement.
+//! fields are cumulative from world construction, not from profiling
+//! enablement.
 
 use imobif_obs::span::phase;
 use imobif_obs::SpanSink;

@@ -144,33 +144,18 @@ impl<A: Application> Shard<A> {
         Shard { engine: Engine::new(), keys: ShardKeys::default() }
     }
 
-    /// Returns the shard to its just-constructed state, recycling neighbor
-    /// tables and application instances.
-    pub(super) fn clear_into(
-        &mut self,
-        spare_tables: &mut Vec<NeighborTable>,
-        recycled_apps: &mut Vec<A>,
-    ) {
-        self.engine.clear_into(spare_tables, recycled_apps);
-        let keys = &mut self.keys;
-        keys.qseq.clear();
-        keys.eseq.clear();
-        keys.trace = None;
-        keys.beacon_stamp = 0;
-    }
-
-    /// Admits a node (see [`Engine::add_node`]) and returns its slot.
+    /// Admits a node with an empty neighbor table of lifetime `ttl` (see
+    /// [`Engine::add_node`]) and returns its slot.
     pub(super) fn add_node(
         &mut self,
         position: Point2,
         battery: Battery,
         app: A,
         ttl: SimDuration,
-        spare_tables: &mut Vec<NeighborTable>,
     ) -> usize {
         self.keys.qseq.push(0);
         self.keys.eseq.push(0);
-        self.engine.add_node(position, battery, app, ttl, spare_tables)
+        self.engine.add_node(position, battery, app, NeighborTable::new(ttl))
     }
 
     /// The engine and the reach its handlers run through this epoch.

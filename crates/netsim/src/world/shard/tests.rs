@@ -1,6 +1,6 @@
 //! Sharded-world tests: shard-count/thread-count invariance, the ordering
-//! rules and the serial/sharded agreement run on both engines, reset
-//! identity, and layout geometry.
+//! rules and the serial/sharded agreement run on both engines, the
+//! activity schedule against the dense one, and layout geometry.
 
 use super::super::beacon::{BeaconView, Links, SMALL_WORLD_SCAN};
 use super::super::engine::{Engine, Reach};
@@ -9,7 +9,8 @@ use crate::hello::Beacon;
 use crate::node::NodeStore;
 use crate::trace::{RingTrace, TraceEvent};
 use crate::{
-    EnergyCategory, EventQueue, NeighborEntry, NeighborView, NodeCtx, NodeEnergy, Outbox, World,
+    EnergyCategory, EventQueue, NeighborEntry, NeighborTable, NeighborView, NodeCtx, NodeEnergy,
+    Outbox, World,
 };
 use imobif_energy::PowerLawModel;
 use imobif_geom::SpatialGrid;
@@ -774,7 +775,8 @@ fn reach_calls(joules: [f64; 2], act: impl FnOnce(&mut Engine<Echo>, &mut LogRea
     let mut engine = Engine::new();
     for (x, j) in [(40.0, joules[0]), (60.0, joules[1])] {
         let battery = Battery::new(j).unwrap();
-        engine.add_node(Point2::new(x, 50.0), battery, Echo::default(), cfg.hello.ttl, &mut vec![]);
+        let table = NeighborTable::new(cfg.hello.ttl);
+        engine.add_node(Point2::new(x, 50.0), battery, Echo::default(), table);
     }
     engine.fill_board();
     act(&mut engine, &mut reach);
@@ -949,43 +951,6 @@ proptest::proptest! {
         proptest::prop_assert_eq!(&got_threaded, &base);
     }
 
-    /// Reset-and-reuse is bit-identical to a fresh sharded world, including
-    /// across shard-count changes (the warmup runs at a different count).
-    #[test]
-    fn prop_reset_sharded_world_matches_fresh(
-        coords in proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64), 2..8),
-        joules in 0.001..10.0f64,
-        timers in proptest::collection::vec(0u64..1_000, 0..4),
-        shards in 1usize..6,
-        warm_shards in 1usize..6,
-        warm_n in 1usize..6,
-    ) {
-        let sc = Scenario {
-            positions: coords.iter().map(|&(x, y)| Point2::new(x, y)).collect(),
-            joules,
-            move_y: 10.0,
-            timers,
-            run_micros: 3_000_000,
-        };
-        let mut fresh = make_sharded(shards);
-        let want = run_scenario(&mut fresh, &sc);
-
-        let mut reused = make_sharded(warm_shards);
-        let warmup = Scenario {
-            positions: (0..warm_n).map(|i| Point2::new(5.0 + 13.0 * i as f64, 33.0)).collect(),
-            joules: 0.02,
-            move_y: 70.0,
-            timers: vec![20, 40],
-            run_micros: 2_000_000,
-        };
-        let _ = run_scenario(&mut reused, &warmup);
-        let mut apps = Vec::new();
-        reused.reset_into(SimConfig::default(), BOUNDS, shards, &mut apps).unwrap();
-        proptest::prop_assert_eq!(apps.len(), warm_n, "old apps are recycled to the caller");
-        let got = run_scenario(&mut reused, &sc);
-        proptest::prop_assert_eq!(&got, &want);
-    }
-
     /// The delta-synced replica equals the ground truth rebuilt from every
     /// shard's authoritative state after arbitrary move/kill sequences —
     /// the low-energy scenarios here die mid-run, the mover relocates
@@ -1013,7 +978,7 @@ proptest::proptest! {
         proptest::prop_assert!(sync.is_ok(), "replica diverged: {:?}", sync);
     }
 
-    /// Epoch fast-forward (the activity scheduler skipping idle shards) is
+    /// Epoch fast-forward (the activity schedule skipping idle shards) is
     /// observationally identical to stepping every shard through every
     /// epoch, across 1..16 shards and 1..4 workers.
     #[test]
@@ -1091,10 +1056,23 @@ fn hello_cache_is_shard_count_invariant_and_publishes() {
     let reg = imobif_obs::Registry::enabled();
     four.publish_metrics(&reg);
     let snap = reg.snapshot();
-    assert_eq!(snap.counter("kernel.hello_cache_hits"), Some(base.1.hello_cache_hits));
-    assert_eq!(snap.counter("kernel.hello_cache_rechecks"), Some(base.1.hello_cache_rechecks));
-    assert_eq!(snap.counter("kernel.hello_cache_misses"), Some(base.1.hello_cache_misses));
-    assert_eq!(snap.counter("kernel.hello_link_changes"), Some(base.1.hello_link_changes));
+    let k = four.kernel_stats();
+    assert_eq!(k, base.1);
+    assert_eq!(snap.counter("kernel.hello_beacons"), Some(k.hello_beacons));
+    assert_eq!(snap.counter("kernel.timers_fired"), Some(k.timers_fired));
+    assert!(k.timers_fired > 0, "the scenario's source timers fire");
+    assert_eq!(snap.counter("kernel.hello_cache_hits"), Some(k.hello_cache_hits));
+    assert_eq!(snap.counter("kernel.hello_cache_rechecks"), Some(k.hello_cache_rechecks));
+    assert_eq!(snap.counter("kernel.hello_cache_misses"), Some(k.hello_cache_misses));
+    assert_eq!(snap.counter("kernel.hello_link_changes"), Some(k.hello_link_changes));
+    assert_eq!(k.hello_fanout_bins.iter().sum::<u64>(), k.hello_beacons, "one sample a beacon");
+    match snap.get("kernel.hello_fanout") {
+        Some(imobif_obs::MetricValue::Histogram(h)) => {
+            assert_eq!(h.buckets, k.hello_fanout_bins);
+            assert_eq!(h.count, k.hello_beacons);
+        }
+        other => panic!("expected the fan-out histogram, got {other:?}"),
+    }
     imobif_obs::promlint::lint(&snap.to_prometheus()).expect("kernel families lint clean");
 }
 
@@ -1238,25 +1216,6 @@ proptest::proptest! {
     }
 }
 
-#[test]
-fn reset_with_a_new_range_matches_fresh() {
-    let cfg = SimConfig { range: 20.0, ..SimConfig::default() };
-    let sc = lattice_scenario();
-    let mut fresh = ShardedWorld::new(cfg, BOUNDS, 4).unwrap();
-    let want = cache_fingerprint(&mut fresh, &sc);
-
-    // Fill the caches at the default 30 m range on the same lattice: the
-    // stale entries' centers match the next run's nodes, and their stamps
-    // are far ahead of the replacement grid's restarted clock.
-    let mut reused = make_sharded(4);
-    let warm = cache_fingerprint(&mut reused, &sc);
-    assert!(warm.1.hello_cache_hits > 0);
-    reused.reset_into(cfg, BOUNDS, 4, &mut Vec::new()).unwrap();
-    let got = cache_fingerprint(&mut reused, &sc);
-    assert_eq!(got.0.fnv, want.0.fnv);
-    assert_eq!(got, want);
-}
-
 // ------------------------------------------------------------------ spans
 
 #[test]
@@ -1367,18 +1326,4 @@ fn span_ring_evicts_but_aggregates_and_profile_stay_exact() {
     let sched_count: u64 =
         sink.aggregates().iter().filter(|a| a.name == phase::SCHED).map(|a| a.count).sum();
     assert_eq!(sched_count, p.epochs, "aggregates are exempt from ring eviction");
-}
-
-#[test]
-fn reset_clears_spans_and_counters() {
-    let sc = invariance_scenario();
-    let mut w = make_sharded(4);
-    w.enable_spans(1 << 12);
-    let _ = run_scenario(&mut w, &sc);
-    assert!(w.epoch_profile().expect("enabled").epochs > 0);
-    let mut apps = Vec::new();
-    w.reset_into(SimConfig::default(), BOUNDS, 4, &mut apps).unwrap();
-    let p = w.epoch_profile().expect("span enablement survives reset");
-    assert_eq!(p.epochs, 0);
-    assert_eq!(w.spans().unwrap().recorded(), 0);
 }

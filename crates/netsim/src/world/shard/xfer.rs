@@ -106,22 +106,13 @@ impl<M> Default for ShardOutbox<M> {
 }
 
 impl<M> ShardOutbox<M> {
-    /// Sizes the per-destination runs to `dests` shards, clearing any
-    /// leftover contents and emission marks (capacity is kept).
-    pub(super) fn reset_dests(&mut self, dests: usize) {
-        self.dlv.truncate(dests);
-        self.links.truncate(dests);
-        for run in &mut self.dlv {
-            run.clear();
+    /// An empty outbox with one run of each kind per destination shard.
+    pub(super) fn new(dests: usize) -> Self {
+        ShardOutbox {
+            dlv: std::iter::repeat_with(Vec::new).take(dests).collect(),
+            links: std::iter::repeat_with(LinkRun::default).take(dests).collect(),
+            rep: Vec::new(),
         }
-        for run in &mut self.links {
-            run.groups.clear();
-            run.slots.clear();
-            run.mark = 0;
-        }
-        self.dlv.resize_with(dests, Vec::new);
-        self.links.resize_with(dests, LinkRun::default);
-        self.rep.clear();
     }
 }
 

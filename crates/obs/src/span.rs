@@ -265,15 +265,6 @@ impl SpanSink {
         self.agg.iter().filter(|a| a.name == name).map(|a| a.total_us as f64 / 1e6).sum()
     }
 
-    /// Clears spans and aggregates, keeping the ring allocation and the
-    /// time origin.
-    pub fn clear(&mut self) {
-        self.ring.clear();
-        self.recorded = 0;
-        self.evicted = 0;
-        self.agg.clear();
-    }
-
     /// The retained spans as a JSONL document (one object per line).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
@@ -347,17 +338,5 @@ mod tests {
         let shard = Json::parse(lines[1]).expect("valid json");
         assert_eq!(shard.get("shard").and_then(Json::as_u64), Some(7));
         assert_eq!(shard.get("end_us").and_then(Json::as_u64), Some(9));
-    }
-
-    #[test]
-    fn clear_keeps_capacity() {
-        let mut sink = SpanSink::new(2);
-        sink.record("p", 0, 0, 0, 1);
-        sink.clear();
-        assert_eq!(sink.recorded(), 0);
-        assert_eq!(sink.evicted(), 0);
-        assert_eq!(sink.spans().len(), 0);
-        assert_eq!(sink.capacity(), 2);
-        assert!(sink.aggregates().is_empty());
     }
 }

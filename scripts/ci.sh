@@ -10,6 +10,8 @@
 # on), the simulator's unit tests in release and in debug (among them the
 # neighbor-table oracle, the shard invariance checks and the event queue's
 # lane oracle, whose debug assertions only a debug build keeps), the
+# observability crate's unit tests (span ring and aggregates, JSON depth
+# cap, manifest validation, the Prometheus linter), the
 # experiment crate's unit tests and memo-claim test, the
 # timing ratios, the reproduction-record check, and the benchmark
 # package's tests and `bench --smoke` — and targets a total wall time of
@@ -18,8 +20,11 @@
 # Where each gate lives:
 #   - serial trace pins: tests/trace_causality.rs and tests/determinism.rs
 #   - shard sweep: trace + summary FNVs pinned at 1/2/4/8/16 shards, under
-#     dense epochs (fast-forward == dense), with spans and pooled workers
-#     on, and the delta-synced replica == ground truth:
+#     the dense reference schedule (every shard every epoch == the scan of
+#     shard queue heads that runs only the shards with an event in the
+#     window), with spans and pooled workers on, and the delta-synced
+#     replica == ground truth; the scan's epoch schedule (epochs,
+#     shard-epochs run and skipped, fast-forwards) pinned at every count:
 #     crates/bench/tests/span_determinism.rs
 #   - thread sweep: trace FNV pinned at 1/2/4 workers: span_determinism.rs
 #   - fig6 CSV pinned with the metrics registry disabled and enabled:
@@ -56,8 +61,11 @@
 #     and a range crossing recomputes exactly the one leave:
 #     steps_inside_a_cell_are_rechecked_and_only_a_crossing_recomputes
 #     (world/tests.rs); hit, recheck and miss counts equal at 1/2/4/8
-#     shards and published: hello_cache_is_shard_count_invariant_and_publishes
-#     (world/shard/tests.rs)
+#     shards, and every kernel family (beacons, timers, cache counters,
+#     the fan-out histogram) published equal to kernel_stats() and lint
+#     clean: hello_cache_is_shard_count_invariant_and_publishes
+#     (world/shard/tests.rs); a cache entry stays 48 bytes (the packed slot
+#     window): a_cache_entry_is_48_bytes (world/beacon.rs)
 #   - sizing-flag ceilings exit 2 before anything is built, in
 #     crates/experiments/src/cli.rs: `--threads` on figures and `scenario
 #     run` (batch_thread_counts_above_the_ceiling_are_rejected), `spans
@@ -143,6 +151,9 @@ if [[ "$SMOKE" == "1" ]]; then
     # Debug too: the queue's and the beacon streams' debug assertions are
     # compiled out of the release run.
     cargo test -q -p imobif-netsim --lib
+
+    echo "==> observability unit tests (span ring, JSON depth cap, manifests, promlint)"
+    cargo test --release -q -p imobif-obs --lib
 
     echo "==> experiment unit tests (spec round trips and pins, memo keys, memo claims)"
     cargo test --release -q -p imobif-experiments --lib --test memo_claims
