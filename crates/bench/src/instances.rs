@@ -69,8 +69,7 @@ pub fn build_fig6(mode: MobilityMode, _variant: Variant, draw_index: u64) -> Fig
     let strategy = build_strategy(&cfg, StrategyChoice::MinEnergy);
     let registry = Arc::new(StrategyRegistry::single(Arc::clone(&strategy)));
     let mut world: World<ImobifApp> = World::new(cfg.sim_config()).expect("validated sim config");
-    let instance =
-        setup_instance(&mut world, &mut Vec::new(), &cfg, &draw, mode, &strategy, &registry);
+    let instance = setup_instance(&mut world, &cfg, &draw, mode, &strategy, &registry);
     Fig6Run { world, instance }
 }
 

@@ -138,10 +138,9 @@ pub struct ImobifApp {
     dests: FxHashMap<FlowId, DestFlow>,
     /// Latest per-flow movement targets; multiple concurrent flows are
     /// superposed by [`ImobifApp::combined_target`]. Kept sorted by flow id
-    /// so `combined_target`'s f64 summation order is a function of the
-    /// flows alone — never of hash-map capacity or insertion history —
-    /// which the batch engine's arena-reuse bit-identity guarantee relies
-    /// on.
+    /// so `combined_target` sums the flows in one f64 order, whatever order
+    /// their packets first arrived in: a node's movement is a function of
+    /// its flows, never of a hash map's iteration order.
     targets: Vec<(FlowId, Point2)>,
     /// Per-flow memo of the last strategy evaluation (see
     /// [`DecisionCacheConfig`]).
@@ -174,25 +173,6 @@ impl ImobifApp {
             caches: FxHashMap::default(),
             counters: ImobifCounters::default(),
         }
-    }
-
-    /// Re-arms a used agent for a fresh replicate while keeping every
-    /// collection's allocation: the flow table, source/destination state,
-    /// movement targets, decision caches and counters are all emptied.
-    ///
-    /// Behaviorally equivalent to [`ImobifApp::with_registry`] — the batch
-    /// engine recycles agents through this between replicates, and the
-    /// world-level reset tests assert the reuse is bit-identical to a
-    /// fresh build.
-    pub fn reset(&mut self, config: ImobifConfig, registry: Arc<StrategyRegistry>) {
-        self.config = config;
-        self.registry = registry;
-        self.flows.clear();
-        self.sources.clear();
-        self.dests.clear();
-        self.targets.clear();
-        self.caches.clear();
-        self.counters = ImobifCounters::default();
     }
 
     /// The agent's configuration.

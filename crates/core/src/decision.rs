@@ -143,7 +143,9 @@ pub fn combined_target(weighted: impl IntoIterator<Item = (Point2, f64)>) -> Opt
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DecisionCacheConfig {
     /// Master switch. Disabled means every packet re-evaluates the
-    /// strategy (the pre-cache behavior, kept for A/B benchmarks).
+    /// strategy (the pre-cache behavior). No benchmark sets it; its one
+    /// user is the `perf_equivalence` test, which turns it off in a
+    /// scenario where the cache changes nothing.
     pub enabled: bool,
     /// Maximum absolute drift in any of the three residual energies (J)
     /// before the cached decision is recomputed.

@@ -125,13 +125,6 @@ impl FlowTable {
         v.sort_by_key(|e| e.flow);
         v
     }
-
-    /// Removes every entry while keeping the map's allocation; the batch
-    /// engine's replicate-reuse path calls this instead of rebuilding the
-    /// table. Behaviorally equivalent to [`FlowTable::new`].
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 #[cfg(test)]

@@ -868,6 +868,25 @@ mod tests {
     }
 
     #[test]
+    fn specs_with_fields_their_adapter_drops_exit_2() {
+        let dir = std::env::temp_dir().join(format!("imobif-scn-drops-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("temp dir");
+        let specs = [
+            "adapter = \"fig7\"\n[[variant]]\nlabel = \"a\"\n[[variant]]\nlabel = \"b\"\n",
+            "adapter = \"ext\"\n[base]\nnode_count = 50\nk = 9.0\n",
+            "adapter = \"ext\"\n[[variant]]\nlabel = \"a\"\n",
+        ];
+        for (i, body) in specs.iter().enumerate() {
+            let path = dir.join(format!("drops{i}.toml"));
+            fs::write(&path, format!("name = \"drops{i}\"\n{body}")).expect("spec written");
+            let path = path.to_str().expect("utf-8 temp path");
+            assert_eq!(run(&argv(&["scenario", "validate", path])), 2, "validate {body}");
+            assert_eq!(run(&argv(&["scenario", "run", path, "--flows", "1"])), 2, "run {body}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn specs_that_cannot_run_a_flow_exit_2_before_running() {
         // A packet interval below half a microsecond paces at zero; two
         // nodes, or 100 nodes over a 1000 km square, route no flow through

@@ -87,28 +87,6 @@ pub struct InstanceResult {
     pub final_energies: Vec<f64>,
 }
 
-/// A reusable pool of simulator state for back-to-back instance runs.
-///
-/// The first [`run_instance_in`] call builds a world from scratch; every
-/// later call resets and reuses it — node vectors, spatial-grid buckets,
-/// event-queue storage, neighbor tables and the per-node `ImobifApp`
-/// collections all keep their allocations across replicates. The world-level
-/// reset tests (and `imobif-netsim`'s reset proptest) guarantee a recycled
-/// world is bit-identical to a fresh one.
-#[derive(Default)]
-pub struct InstanceArena {
-    world: Option<World<ImobifApp>>,
-    spare_apps: Vec<ImobifApp>,
-}
-
-impl InstanceArena {
-    /// Creates an empty arena.
-    #[must_use]
-    pub fn new() -> Self {
-        InstanceArena::default()
-    }
-}
-
 /// Runs one flow instance under `mode`, in the path-only world
 /// [`setup_instance`] builds.
 ///
@@ -124,26 +102,7 @@ pub fn run_instance(
     strategy: &Arc<dyn MobilityStrategy>,
 ) -> InstanceResult {
     let registry = Arc::new(StrategyRegistry::single(Arc::clone(strategy)));
-    run_instance_in(&mut InstanceArena::new(), cfg, draw, mode, strategy, &registry)
-}
-
-/// Like [`run_instance`], but recycles the arena's world and application
-/// objects instead of allocating fresh ones.
-///
-/// # Panics
-///
-/// Panics if the scenario config is invalid or flow installation fails —
-/// both indicate a bug in the experiment driver, not a runtime condition.
-#[must_use]
-pub fn run_instance_in(
-    arena: &mut InstanceArena,
-    cfg: &ScenarioConfig,
-    draw: &TopologyDraw,
-    mode: MobilityMode,
-    strategy: &Arc<dyn MobilityStrategy>,
-    registry: &Arc<StrategyRegistry>,
-) -> InstanceResult {
-    run_instance_inner(arena, cfg, draw, mode, strategy, registry, None).0
+    run_instance_inner(cfg, draw, mode, strategy, &registry, None).0
 }
 
 /// Like [`run_instance`], but with kernel tracing enabled: returns the
@@ -163,15 +122,8 @@ pub fn run_instance_traced(
     trace_capacity: usize,
 ) -> (InstanceResult, Vec<TraceEvent>) {
     let registry = Arc::new(StrategyRegistry::single(Arc::clone(strategy)));
-    let (result, trace) = run_instance_inner(
-        &mut InstanceArena::new(),
-        cfg,
-        draw,
-        mode,
-        strategy,
-        &registry,
-        Some(trace_capacity),
-    );
+    let (result, trace) =
+        run_instance_inner(cfg, draw, mode, strategy, &registry, Some(trace_capacity));
     (result, trace.expect("tracing was enabled"))
 }
 
@@ -197,10 +149,9 @@ impl InstanceFlow {
     }
 }
 
-/// Sets up one flow instance in a new or freshly reset `world`: adds the
-/// draw's path nodes (agents recycled from `spare_apps` while any are
-/// left), starts the world, installs the drawn flow as flow 0 under
-/// `mode`, and lowers the scenario's churn schedule into kill events.
+/// Sets up one flow instance in a new `world`: adds the draw's path nodes,
+/// starts the world, installs the drawn flow as flow 0 under `mode`, and
+/// lowers the scenario's churn schedule into kill events.
 ///
 /// The world contains only the flow-path nodes: the paper's other 90+ nodes
 /// neither transmit nor move during a single one-to-one flow, so omitting
@@ -213,7 +164,6 @@ impl InstanceFlow {
 /// both indicate a bug in the calling experiment code.
 pub fn setup_instance(
     world: &mut World<ImobifApp>,
-    spare_apps: &mut Vec<ImobifApp>,
     cfg: &ScenarioConfig,
     draw: &TopologyDraw,
     mode: MobilityMode,
@@ -226,17 +176,10 @@ pub fn setup_instance(
         .path
         .iter()
         .map(|&orig| {
-            let app = match spare_apps.pop() {
-                Some(mut a) => {
-                    a.reset(app_cfg, Arc::clone(registry));
-                    a
-                }
-                None => ImobifApp::with_registry(app_cfg, Arc::clone(registry)),
-            };
             world.add_node(
                 draw.positions[orig.index()],
                 Battery::new(draw.energies[orig.index()]).expect("sampled energies are valid"),
-                app,
+                ImobifApp::with_registry(app_cfg, Arc::clone(registry)),
             )
         })
         .collect();
@@ -261,7 +204,7 @@ pub fn setup_instance(
     // Lower the churn schedule into kernel kill events. Deterministic per
     // instance: the schedule rng is seeded from the scenario seed and the
     // drawn flow's identity, so every mode of a case sees the same failure
-    // times regardless of arena reuse or thread scheduling.
+    // times regardless of thread scheduling.
     if let ChurnModel::RelayExponential { mean_secs } = cfg.churn {
         let mix = cfg.seed
             ^ (draw.flow.src.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -284,7 +227,6 @@ pub fn setup_instance(
 }
 
 fn run_instance_inner(
-    arena: &mut InstanceArena,
     cfg: &ScenarioConfig,
     draw: &TopologyDraw,
     mode: MobilityMode,
@@ -292,26 +234,16 @@ fn run_instance_inner(
     registry: &Arc<StrategyRegistry>,
     trace_capacity: Option<usize>,
 ) -> (InstanceResult, Option<Vec<TraceEvent>>) {
-    // Self-profiling: with metrics on, the engine times its own phases
-    // (arena reset, simulation run) into float counters — CPU-seconds,
-    // summed across worker threads. With metrics off no clock is read.
+    // Self-profiling: with metrics on, the engine times its simulation run
+    // into a float counter — CPU-seconds, summed across worker threads.
+    // With metrics off no clock is read.
     let obs = crate::obs::registry();
-    let t_reset = obs.is_enabled().then(std::time::Instant::now);
-    let mut world: World<ImobifApp> = match arena.world.take() {
-        Some(mut w) => {
-            w.reset_into(cfg.sim_config(), &mut arena.spare_apps).expect("validated sim config");
-            w
-        }
-        None => World::new(cfg.sim_config()).expect("validated sim config"),
-    };
-    if let Some(t0) = t_reset {
-        obs.float_counter("phase.arena_reset_secs").add(t0.elapsed().as_secs_f64());
-    }
+    let mut world = World::new(cfg.sim_config()).expect("validated sim config");
     if let Some(capacity) = trace_capacity {
         world.enable_tracing(capacity);
     }
     let InstanceFlow { ids, flow, total_bits: total, cap } =
-        setup_instance(&mut world, &mut arena.spare_apps, cfg, draw, mode, strategy, registry);
+        setup_instance(&mut world, cfg, draw, mode, strategy, registry);
     let src = ids[0];
     let dst = *ids.last().expect("paths have >= 3 nodes");
     let t_run = obs.is_enabled().then(std::time::Instant::now);
@@ -349,8 +281,8 @@ fn run_instance_inner(
     let trace = world.trace().map(|t| t.events());
     // Flush this run's kernel counters into the engine-wide registry —
     // one publish per instance, nothing on the per-packet path. The
-    // decision-cache counters live in the per-node apps (PR 1), so they
-    // are summed here before the apps are recycled.
+    // decision-cache counters live in the per-node apps, so they are
+    // summed here.
     if obs.is_enabled() {
         world.publish_metrics(&obs);
         let (mut hits, mut misses) = (0u64, 0u64);
@@ -363,8 +295,6 @@ fn run_instance_inner(
         obs.counter("imobif.decision_cache.misses").add(misses);
         obs.counter("engine.instances_run").inc();
     }
-    // Park the used world for the next replicate to recycle.
-    arena.world = Some(world);
     (result, trace)
 }
 
@@ -534,8 +464,7 @@ pub type BatchSpec = (ScenarioConfig, StrategyChoice);
 type PreparedSpec =
     (ScenarioConfig, StrategyChoice, Arc<dyn MobilityStrategy>, Arc<StrategyRegistry>);
 
-fn run_case_in(
-    arena: &mut InstanceArena,
+fn run_case(
     cfg: &ScenarioConfig,
     choice: StrategyChoice,
     index: u64,
@@ -549,32 +478,17 @@ fn run_case_in(
         if let Some(t0) = t_draw {
             obs.float_counter("phase.scenario_draw_secs").add(t0.elapsed().as_secs_f64());
         }
+        let run = |mode| run_instance_inner(cfg, &draw, mode, strategy, registry, None).0;
         let (no_mobility, missed) = baseline_memo()
-            .get_or_compute(baseline_key(cfg, index), || {
-                run_instance_in(arena, cfg, &draw, MobilityMode::NoMobility, strategy, registry)
-            });
+            .get_or_compute(baseline_key(cfg, index), || run(MobilityMode::NoMobility));
         count_lookup(missed, &BASELINE_MEMO_HITS, &BASELINE_MEMO_MISSES);
         CaseResult {
             draw_index: index,
             flow_bits: draw.flow.flow_bits,
             path_len: draw.flow.path.len(),
             no_mobility,
-            cost_unaware: run_instance_in(
-                arena,
-                cfg,
-                &draw,
-                MobilityMode::CostUnaware,
-                strategy,
-                registry,
-            ),
-            informed: run_instance_in(
-                arena,
-                cfg,
-                &draw,
-                MobilityMode::Informed,
-                strategy,
-                registry,
-            ),
+            cost_unaware: run(MobilityMode::CostUnaware),
+            informed: run(MobilityMode::Informed),
         }
     });
     count_lookup(missed, &CASE_MEMO_HITS, &CASE_MEMO_MISSES);
@@ -586,8 +500,7 @@ fn run_case_in(
 ///
 /// The `specs.len() × n_flows` cases flatten into a single pool that all
 /// worker threads drain together, so a slow spec cannot leave cores idle
-/// behind a barrier. Each worker recycles one [`InstanceArena`] across every
-/// case it claims. Results come back grouped by spec, in spec order, each
+/// behind a barrier. Results come back grouped by spec, in spec order, each
 /// group index-ordered — byte-identical at any thread count, because every
 /// case is a pure function of `(spec, index)` and lands in a pre-assigned
 /// slot.
@@ -617,20 +530,17 @@ pub fn run_batches(specs: &[BatchSpec], n_flows: u64) -> Vec<Vec<CaseResult>> {
     let workers = (thread_count() as u64).min(total);
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
-                let mut arena = InstanceArena::new();
-                loop {
-                    let item = next.fetch_add(1, Ordering::Relaxed);
-                    if item >= total {
-                        break;
-                    }
-                    let (spec_idx, index) = ((item / n_flows) as usize, item % n_flows);
-                    let (cfg, choice, strategy, registry) = &prepared[spec_idx];
-                    let case = run_case_in(&mut arena, cfg, *choice, index, strategy, registry);
-                    slots[item as usize]
-                        .set(case)
-                        .expect("each flattened index is claimed by exactly one worker");
+            scope.spawn(|| loop {
+                let item = next.fetch_add(1, Ordering::Relaxed);
+                if item >= total {
+                    break;
                 }
+                let (spec_idx, index) = ((item / n_flows) as usize, item % n_flows);
+                let (cfg, choice, strategy, registry) = &prepared[spec_idx];
+                let case = run_case(cfg, *choice, index, strategy, registry);
+                slots[item as usize]
+                    .set(case)
+                    .expect("each flattened index is claimed by exactly one worker");
             });
         }
     });
@@ -705,22 +615,6 @@ mod tests {
         assert_eq!(a, b);
         let idx: Vec<u64> = a.iter().map(|c| c.draw_index).collect();
         assert_eq!(idx, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn arena_reuse_matches_fresh_worlds() {
-        // The same case computed through one recycled arena three modes in a
-        // row must equal the fresh-world-per-instance path bit for bit.
-        let cfg = quick_cfg();
-        let draw = draw_scenario(&cfg, 2);
-        let strategy = build_strategy(&cfg, StrategyChoice::MinEnergy);
-        let registry = Arc::new(StrategyRegistry::single(Arc::clone(&strategy)));
-        let mut arena = InstanceArena::new();
-        for mode in [MobilityMode::NoMobility, MobilityMode::CostUnaware, MobilityMode::Informed] {
-            let reused = run_instance_in(&mut arena, &cfg, &draw, mode, &strategy, &registry);
-            let fresh = run_instance(&cfg, &draw, mode, &strategy);
-            assert_eq!(reused, fresh, "arena-recycled run diverged under {mode:?}");
-        }
     }
 
     #[test]
@@ -873,7 +767,6 @@ mod tests {
         assert!(cache_total > 0, "informed runs must exercise the decision cache");
         assert!(snap.float("energy.data_joules").unwrap() > 0.0);
         assert!(snap.float("phase.case_run_secs").unwrap() > 0.0);
-        assert!(snap.float("phase.arena_reset_secs").unwrap() > 0.0);
     }
 
     #[test]

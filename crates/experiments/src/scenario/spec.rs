@@ -210,6 +210,7 @@ impl ScenarioSpec {
             }
         }
         let name = name.ok_or_else(|| ParseError::at(Pos::NONE, "missing required key `name`"))?;
+        check_adapter_reads(adapter, root, &base)?;
         let mut variants = Vec::new();
         if let Some((pos, item)) = root.get("variant") {
             let Item::ArrayOfTables(tables) = item else {
@@ -372,6 +373,56 @@ fn write_churn(out: &mut String, churn: ChurnModel, ctx: &str) {
         ChurnModel::RelayExponential { mean_secs } => {
             let _ = writeln!(out, "model = \"relay_exponential\"\nmean_secs = {mean_secs:?}");
         }
+    }
+}
+
+/// Rejects what `adapter` would drop, at the first ignored table or key.
+/// fig5, fig7 and fig8 render only the first run: a second `[[variant]]`
+/// is an error. The ext studies run the paper's configurations at the
+/// spec's seed: any `[[variant]]` is an error, and so is a `[base]` key
+/// other than `seed` whose value (as parsed into `base`) differs from the
+/// paper's. The canonical form writes every `[base]` field, so restating
+/// a paper value stays legal.
+fn check_adapter_reads(
+    adapter: Adapter,
+    root: &Table,
+    base: &ScenarioConfig,
+) -> Result<(), ParseError> {
+    let name = adapter.name();
+    match (adapter, root.get("variant")) {
+        (Adapter::Fig5 | Adapter::Fig7 | Adapter::Fig8, Some((pos, Item::ArrayOfTables(runs)))) => {
+            if let Some(second) = runs.get(1) {
+                let at = second.entries.first().map_or(*pos, |(_, p, _)| *p);
+                let msg =
+                    format!("adapter `{name}` renders only the first run: drop this [[variant]]");
+                return Err(ParseError::at(at, msg));
+            }
+        }
+        (Adapter::Ext, Some((pos, _))) => {
+            return Err(ParseError::at(*pos, "adapter `ext` runs no [[variant]]"));
+        }
+        _ => {}
+    }
+    let (Adapter::Ext, Some((_, Item::Table(table)))) = (adapter, root.get("base")) else {
+        return Ok(());
+    };
+    let paper = ScenarioConfig::paper_default();
+    let differs = |key: &str| match key {
+        "seed" => false,
+        "energy" => base.initial_energy.key() != paper.initial_energy.key(),
+        "topology" => base.topology.key() != paper.topology.key(),
+        "churn" => base.churn.key() != paper.churn.key(),
+        key => SCALARS.iter().any(|f| f.key == key && (f.read)(base) != (f.read)(&paper)),
+    };
+    match table.entries.iter().find(|(key, _, _)| differs(key)) {
+        Some((key, pos, _)) => Err(ParseError::at(
+            *pos,
+            format!(
+                "adapter `ext` runs the paper's configuration and reads only `seed` from \
+                 [base]: `{key}` differs from the paper's value"
+            ),
+        )),
+        None => Ok(()),
     }
 }
 

@@ -196,8 +196,9 @@ fn check_routable_names_the_run_whose_arena_routes_no_flow() {
     assert!(msg.starts_with("run `pair` cannot route a flow: "), "{msg}");
     assert!(msg.contains("`node_count` = 2, `area_side` = 150.0, `range` = 30.0"), "{msg}");
     // The ext studies draw the paper's arena, whatever the runs say.
-    let ext = "name = \"e\"\nadapter = \"ext\"\n[base]\nnode_count = 2\n";
-    ScenarioSpec::parse(ext).unwrap().compile().unwrap().check_routable().expect("not drawn");
+    let mut ext = ScenarioSpec::parse("name = \"e\"\nadapter = \"ext\"\n").unwrap();
+    ext.base.node_count = 2;
+    ext.compile().unwrap().check_routable().expect("not drawn");
     for name in BUILTIN_NAMES {
         builtin(name).unwrap().compile().unwrap().check_routable().expect("builtins route");
     }
@@ -246,6 +247,41 @@ fn ext_keys_are_range_checked_at_their_position() {
                 multiflow_flow_bits = 8000000000000\nrelay_flow_bits = 1\n";
     let ext = ScenarioSpec::parse(edge).expect("at the limits").ext.expect("an [ext] table");
     assert_eq!((ext.multiflow_concurrent, ext.multiflow_flow_bits), (100_000, 8_000_000_000_000));
+}
+
+#[test]
+fn specs_reject_what_their_adapter_drops() {
+    // fig5, fig7 and fig8 render one run: a second [[variant]] is an
+    // error at its first key.
+    for adapter in ["fig5", "fig7", "fig8"] {
+        let head = format!("name = \"x\"\nadapter = \"{adapter}\"\n[[variant]]\nlabel = \"a\"\n");
+        let e = ScenarioSpec::parse(&format!("{head}[[variant]]\nlabel = \"b\"\n")).unwrap_err();
+        let msg = format!("adapter `{adapter}` renders only the first run: drop this [[variant]]");
+        assert_eq!((e.line, e.col, e.msg.as_str()), (6, 1, msg.as_str()));
+        assert_eq!(ScenarioSpec::parse(&head).expect("one run").variants.len(), 1);
+    }
+    // The ext studies run the paper's configuration at the spec's seed: a
+    // [base] value other than the seed may only restate the paper's.
+    let ext = |body: &str| ScenarioSpec::parse(&format!("name = \"x\"\nadapter = \"ext\"\n{body}"));
+    let cases = [
+        ("[base]\nseed = 3\nnode_count = 100\nk = 9.0\n", (6, 1), "`k` differs"),
+        (
+            "[base]\nseed = 3\n\n[base.energy]\nkind = \"fixed\"\njoules = 5.0\n",
+            (6, 1),
+            "`energy` differs",
+        ),
+        ("[[variant]]\nlabel = \"a\"\n", (3, 1), "adapter `ext` runs no [[variant]]"),
+    ];
+    for (body, at, msg) in cases {
+        let e = ext(body).unwrap_err();
+        assert_eq!((e.line, e.col), at, "{body}");
+        assert!(e.msg.contains(msg), "{}", e.msg);
+    }
+    assert_eq!(ext("[base]\nseed = 3\nk = 0.5\n").expect("the paper's k").base.seed, 3);
+    let json = r#"{"name": "j", "adapter": "ext", "base": {"seed": 1, "node_count": 50}}"#;
+    let e = ScenarioSpec::parse(json).unwrap_err();
+    let msg = "reads only `seed` from [base]: `node_count` differs from the paper's value";
+    assert!(e.msg.ends_with(msg), "{}", e.msg);
 }
 
 #[test]

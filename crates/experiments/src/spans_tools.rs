@@ -197,6 +197,8 @@ pub fn summary_markdown(run: &ArenaRun<ShardedWorld<ImobifApp>>, spec: &SpansRun
 
 #[cfg(test)]
 mod tests {
+    use imobif_obs::MetricValue;
+
     use super::*;
 
     fn tiny_spec() -> SpansRunSpec {
@@ -232,5 +234,25 @@ mod tests {
         assert_eq!(sliced.world.events_processed(), whole.world.events_processed());
         assert_eq!(sliced.world.packets_delivered(), whole.world.packets_delivered());
         assert_eq!(sliced.delivered_packets(), whole.delivered_packets());
+        // The epoch schedule's counters, fast-forwards included, do not
+        // depend on how the caller slices the run.
+        let shard_counters = |run: &ArenaRun<ShardedWorld<ImobifApp>>| {
+            let reg = Registry::enabled();
+            run.world.publish_metrics(&reg);
+            let snap = reg.snapshot();
+            let skipped = snap.float("shard.fast_forward.sim_secs_skipped");
+            let counters: Vec<(String, u64)> = snap
+                .entries
+                .into_iter()
+                .filter_map(|(name, value)| match value {
+                    MetricValue::Counter(n) if name.starts_with("shard.") => Some((name, n)),
+                    _ => None,
+                })
+                .collect();
+            (counters, skipped)
+        };
+        let (want, want_skipped) = shard_counters(&whole);
+        assert!(want.iter().any(|(name, n)| name == "shard.fast_forward.epochs" && *n > 0));
+        assert_eq!(shard_counters(&sliced), (want, want_skipped));
     }
 }

@@ -32,13 +32,13 @@ const MAX_LOAD: usize = 2;
 ///
 /// # Change stamps
 ///
-/// A grid-wide clock advances on every `insert`, `update`, `remove`,
-/// `clear` and table growth, and each slot records the clock value of its
-/// last change. A caller that keeps the result of a query whose radius is
-/// at most the cell size can keep its [`SlotWindow`] and the
-/// [`SpatialGrid::clock`] value it was taken at too: then
-/// [`SpatialGrid::changed_slots`] names the window slots that changed
-/// since, and [`SpatialGrid::window_buckets`] reads just those.
+/// A grid-wide clock advances on every `insert`, `update` and `remove`,
+/// and each slot records the clock value of its last change. A caller that
+/// keeps the result of a query whose radius is at most the cell size can
+/// keep its [`SlotWindow`] and the [`SpatialGrid::clock`] value it was
+/// taken at too: then [`SpatialGrid::changed_slots`] names the window
+/// slots that changed since, and [`SpatialGrid::window_buckets`] reads
+/// just those.
 ///
 /// # Example
 ///
@@ -81,9 +81,6 @@ pub struct SpatialGrid {
     stamps: Vec<u64>,
     /// Advances on every mutation.
     clock: u64,
-    /// Clock value of the last `clear` or table growth, which changed
-    /// every slot at once.
-    floor: u64,
     /// Each item's slot; its position lives in the slot's bucket only.
     slot_of_key: FxHashMap<u32, u32>,
 }
@@ -173,8 +170,8 @@ impl Window {
 /// so three neighboring columns never alias). A small `Copy` value to keep
 /// beside a cached query result: [`SpatialGrid::changed_slots`] names the
 /// window's slots that changed since the result was taken, and
-/// [`SpatialGrid::window_buckets`] reads them. A table growth or a `clear`
-/// invalidates it.
+/// [`SpatialGrid::window_buckets`] reads them. A table growth invalidates
+/// it.
 ///
 /// Window slot `i` (`0..9`) is the cell at offset `(i / 3 - 1, i % 3 - 1)`
 /// from the center's.
@@ -243,15 +240,8 @@ impl SpatialGrid {
             slots: std::iter::repeat_with(Vec::new).take(slots).collect(),
             stamps: vec![0; slots],
             clock: 0,
-            floor: 0,
             slot_of_key: FxHashMap::default(),
         }
-    }
-
-    /// The configured cell size in meters.
-    #[must_use]
-    pub fn cell_size(&self) -> f64 {
-        self.cell_size
     }
 
     /// The grid's change clock: advanced by every mutation. Record it with
@@ -280,12 +270,6 @@ impl SpatialGrid {
     fn touch(&mut self, slot: usize) {
         self.clock += 1;
         self.stamps[slot] = self.clock;
-    }
-
-    /// Records a change to every slot at once.
-    fn touch_all(&mut self) {
-        self.clock += 1;
-        self.floor = self.clock;
     }
 
     /// The window of a query; empty when `radius` is negative or not
@@ -363,7 +347,8 @@ impl SpatialGrid {
 
     /// Doubles the table's width and height and re-buckets every item.
     /// Growing fourfold at a time halves the re-bucketing a large build
-    /// does.
+    /// does. Every [`SlotWindow`] taken before reads a narrower table, so
+    /// [`SpatialGrid::changed_slots`] reports it invalid.
     fn grow(&mut self) {
         self.side_bits += 1;
         let slots = 1 << (2 * self.side_bits);
@@ -375,7 +360,6 @@ impl SpatialGrid {
             self.slots[slot].push((key, p));
             *self.slot_of_key.get_mut(&key).expect("stored item has a slot") = slot as u32;
         }
-        self.touch_all();
     }
 
     /// Position of an item, if present.
@@ -470,12 +454,12 @@ impl SpatialGrid {
     /// [`SpatialGrid::clock`] read `stamp`, as a mask over window slots:
     /// each slot an `insert`, `update` or `remove` touched since, whether
     /// or not the item lies within any radius. `None` when the table grew
-    /// or was cleared since: that changes every slot and invalidates the
-    /// window. Costs one stamp read per window slot, at most 9. `stamp`
-    /// must come from this grid's `clock()`.
+    /// since: that changes every slot and invalidates the window. Costs one
+    /// stamp read per window slot, at most 9. `stamp` must come from this
+    /// grid's `clock()`.
     #[must_use]
     pub fn changed_slots(&self, window: SlotWindow, stamp: u64) -> Option<u16> {
-        if stamp < self.floor || u32::from(window.side_bits) != self.side_bits {
+        if u32::from(window.side_bits) != self.side_bits {
             return None;
         }
         let changed = ones(window.mask).filter(|&i| self.stamps[window.slot(i)] > stamp);
@@ -496,18 +480,6 @@ impl SpatialGrid {
     ) -> impl Iterator<Item = (usize, &[(u32, Point2)])> + '_ {
         assert_eq!(u32::from(window.side_bits), self.side_bits, "the window outlived its table");
         ones(window.mask & select).map(move |i| (i as usize, self.slots[window.slot(i)].as_slice()))
-    }
-
-    /// Removes every item while keeping the table and its buckets'
-    /// allocations, so a reused grid reaches steady state without
-    /// reallocating. A cleared grid answers every query exactly like a
-    /// freshly constructed one.
-    pub fn clear(&mut self) {
-        for bucket in &mut self.slots {
-            bucket.clear();
-        }
-        self.slot_of_key.clear();
-        self.touch_all();
     }
 
     /// Iterates over all `(key, position)` pairs in unspecified order.
@@ -605,21 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_but_keeps_answering_queries() {
-        let mut g = SpatialGrid::new(10.0);
-        g.insert(1, Point2::new(5.0, 5.0));
-        g.insert(2, Point2::new(50.0, 50.0));
-        g.clear();
-        assert!(g.is_empty());
-        assert!(g.query_range(Point2::new(5.0, 5.0), 100.0).is_empty());
-        assert_eq!(g.position(1), None);
-        // Reuse after clear behaves like a fresh grid.
-        g.insert(3, Point2::new(5.0, 5.0));
-        assert_eq!(g.query_range(Point2::new(5.0, 5.0), 1.0), vec![3]);
-        assert_eq!(g.len(), 1);
-    }
-
-    #[test]
     fn invalid_radius_returns_empty() {
         let mut g = SpatialGrid::new(10.0);
         g.insert(0, Point2::ORIGIN);
@@ -682,16 +639,13 @@ mod tests {
         assert_eq!(buckets, vec![(0, &[][..]), (1, &[(1, Point2::new(-8.0, 5.0))][..])]);
         // A later stamp sees nothing of either.
         assert_eq!(g.changed_slots(wide, g.clock()), Some(0));
-        let s = g.clock();
-        g.clear();
-        assert_eq!(g.changed_slots(wide, s), None);
-        // So does a growth: 33 items outgrow the 16-slot table.
-        let w = g.slot_window(c, 10.0);
+        // A growth invalidates the window: 33 items outgrow the 16-slot
+        // table.
         let s = g.clock();
         for k in 0..33 {
             g.insert(k, Point2::new(f64::from(k) * 100.0, 0.0));
         }
-        assert_eq!(g.changed_slots(w, s), None);
+        assert_eq!(g.changed_slots(wide, s), None);
         // An invalid radius reads no slot, so nothing can change it.
         let nan = g.slot_window(Point2::ORIGIN, f64::NAN);
         assert_eq!(nan.mask(), 0);
@@ -763,13 +717,13 @@ mod tests {
         /// radius, only items already in the result, and each as many as
         /// it did, the result is still exact; otherwise it is read again
         /// from the same window. The sequences mix inserts, sub-cell moves
-        /// (under 1 m), moves between the slots of one query window,
-        /// removals and clears, with positions that alias to one slot
-        /// (offsets in whole table widths) and growth mid-sequence (up to
-        /// 400 live keys against a 16-slot table, which grows past 32 items
-        /// and again past 128). After every step `changed_slots` must name
-        /// exactly the window slots the steps since the stamp touched, or
-        /// report invalidation after a growth or clear.
+        /// (under 1 m), moves between the slots of one query window and
+        /// removals, with positions that alias to one slot (offsets in
+        /// whole table widths) and growth mid-sequence (up to 400 live keys
+        /// against a 16-slot table, which grows past 32 items and again
+        /// past 128). After every step `changed_slots` must name exactly
+        /// the window slots the steps since the stamp touched, or report
+        /// invalidation after a growth.
         #[test]
         fn prop_cached_query_matches_fresh(
             ops in proptest::collection::vec(
@@ -789,7 +743,7 @@ mod tests {
 
             /// A kept result: its window, stamp, sorted keys, per-slot
             /// counts, the table slots changed since, and whether a growth
-            /// or clear has happened since.
+            /// has happened since.
             struct Kept {
                 window: SlotWindow,
                 stamp: u64,
@@ -847,7 +801,6 @@ mod tests {
                 let key = if op == 7 { key % 8 } else { key };
                 let (bits, was) = (g.side_bits, g.slot_of_key.get(&key).map(|&s| s as usize));
                 let mut touched: Vec<usize> = was.into_iter().collect();
-                let mut cleared = false;
                 match to {
                     Some(p) => {
                         touched.push(g.slot_of(p));
@@ -858,18 +811,13 @@ mod tests {
                         }
                         truth.insert(key, p);
                     }
-                    None if op == 8 && key % 64 == 0 => {
-                        g.clear();
-                        truth.clear();
-                        cleared = true;
-                    }
                     None => prop_assert_eq!(g.remove(key), truth.remove(&key)),
                 }
                 prop_assert_eq!(g.len(), truth.len());
                 let grew = g.side_bits != bits;
                 for (&q, k) in queries.iter().zip(&mut kept) {
                     k.touched.extend(&touched);
-                    k.invalid |= cleared || grew;
+                    k.invalid |= grew;
                     let mut fresh = g.query_range(q.0, q.1);
                     fresh.sort_unstable();
                     let Some(changed) = g.changed_slots(k.window, k.stamp) else {

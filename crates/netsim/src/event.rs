@@ -111,8 +111,7 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Plain-field instrumentation accumulated since construction or the
-    /// last [`EventQueue::clear`].
+    /// Plain-field instrumentation accumulated since construction.
     #[must_use]
     pub fn stats(&self) -> &QueueStats {
         &self.stats
@@ -237,20 +236,6 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Drops every pending event and resets the insertion-sequence counter,
-    /// returning the queue to its freshly-constructed state while keeping
-    /// the backing allocations (heap and lane) for reuse.
-    ///
-    /// After `clear()` the queue is observationally identical to a new
-    /// queue: the same pushes pop in the same order with the same internal
-    /// `(time, seq)` keys.
-    pub fn clear(&mut self) {
-        self.next_seq = 0;
-        self.stats = QueueStats::default();
-        self.heap.clear();
-        self.lane.clear();
-    }
-
     /// The events on the lane, earliest first.
     #[cfg(test)]
     pub(crate) fn lane_events(&self) -> impl Iterator<Item = &E> {
@@ -310,27 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_restores_fresh_state_and_keeps_popping_correctly() {
-        let mut q = EventQueue::new();
-        for i in 0..50u64 {
-            q.push(SimTime::from_micros(i * 40_000), i);
-        }
-        let _ = q.pop();
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.peek_time(), None);
-        assert_eq!(q.pop(), None);
-        // Same pushes as a fresh queue pop identically (seq restarts).
-        q.push(SimTime::from_micros(7), 101);
-        q.push(SimTime::from_micros(7), 102);
-        q.push(SimTime::from_micros(3), 100);
-        assert_eq!(q.pop(), Some((SimTime::from_micros(3), 100)));
-        assert_eq!(q.pop(), Some((SimTime::from_micros(7), 101)));
-        assert_eq!(q.pop(), Some((SimTime::from_micros(7), 102)));
-    }
-
-    #[test]
     fn periodic_reschedules_pop_in_order_over_many_periods() {
         // The kernel's beacon pattern: pop an event at t, push it back at
         // t + 1 s, for 200 periods; order must hold exactly.
@@ -357,11 +321,7 @@ mod tests {
         assert_eq!(q.stats().pushes, 3);
         assert_eq!(q.stats().max_len, 3);
         while q.pop().is_some() {}
-        let stats = *q.stats();
-        assert_eq!(stats.pops, 3);
-        // clear() resets instrumentation along with the queue.
-        q.clear();
-        assert_eq!(*q.stats(), QueueStats::default());
+        assert_eq!(q.stats().pops, 3);
     }
 
     #[test]
@@ -423,9 +383,6 @@ mod tests {
         assert_eq!(popped, [(t(10), 'c'), (t(20), 'b'), (t(20), 'a'), (t(20), 'd')]);
         // Once the lane drains, any push joins it again.
         assert!(q.push_lane_keyed(t(1), 0, 'e'));
-        q.clear();
-        assert_eq!((q.len(), q.lane_events().count()), (0, 0));
-        assert_eq!(*q.stats(), QueueStats::default());
     }
 
     #[test]

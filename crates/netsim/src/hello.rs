@@ -98,16 +98,6 @@ impl NeighborTable {
         self.ttl
     }
 
-    /// Empties the table and re-arms it with a (possibly different) TTL,
-    /// keeping the entry buffers' allocations. Behaviorally equivalent to
-    /// `NeighborTable::new(ttl)`; the world's arena-reuse path recycles
-    /// tables through this instead of reallocating them per replicate.
-    pub fn reset(&mut self, ttl: SimDuration) {
-        self.ttl = ttl;
-        self.live.clear();
-        self.frozen.clear();
-    }
-
     /// Records (or refreshes) a neighbor observation from a beacon, as a
     /// frozen entry.
     pub fn observe(&mut self, id: NodeId, position: Point2, residual_energy: f64, now: SimTime) {

@@ -146,16 +146,6 @@ impl NodeStore {
         self.alive[i] = false;
         self.batteries[i].drain()
     }
-
-    /// Empties the store, handing every neighbor table's allocation to
-    /// `spare` so the reset path can recycle them into the next replicate.
-    pub(crate) fn drain_tables_into(&mut self, spare: &mut Vec<NeighborTable>) {
-        self.positions.clear();
-        self.batteries.clear();
-        self.alive.clear();
-        self.total_moved.clear();
-        spare.append(&mut self.neighbors);
-    }
 }
 
 /// A read-only view of one node's kernel state, borrowed from a
@@ -261,14 +251,5 @@ mod tests {
         s.set_position(0, Point2::new(2.0, 4.0), 2.0);
         assert_eq!(s.total_moved(0), 3.0);
         assert_eq!(s.position(0), Point2::new(2.0, 4.0));
-    }
-
-    #[test]
-    fn drain_tables_recycles_allocations() {
-        let mut s = store(5.0);
-        let mut spare = Vec::new();
-        s.drain_tables_into(&mut spare);
-        assert!(s.is_empty());
-        assert_eq!(spare.len(), 1);
     }
 }

@@ -132,18 +132,6 @@ impl EnergyLedger {
         self.per_node.len()
     }
 
-    /// Zeroes every charge, death record and packet counter while keeping
-    /// the per-node buffers' allocations. Behaviorally equivalent to a
-    /// fresh [`EnergyLedger::new`]; `grow_to` re-populates within the
-    /// retained capacity on reuse.
-    pub fn clear(&mut self) {
-        self.per_node.clear();
-        self.deaths.clear();
-        self.packets_sent = 0;
-        self.packets_delivered = 0;
-        self.packets_dropped = 0;
-    }
-
     /// Records `joules` spent by `node` under `category`.
     ///
     /// # Panics

@@ -96,16 +96,6 @@ pub(super) struct HearerCache {
 }
 
 impl HearerCache {
-    /// Drops every list, keeping the allocations.
-    pub(super) fn clear(&mut self) {
-        self.entries.clear();
-        self.pool.clear();
-        self.garbage = 0;
-        self.scratch.clear();
-        self.joined.clear();
-        self.left.clear();
-    }
-
     /// The change in the set of nodes that hear a beacon `node` sends from
     /// `pos` — every live node other than `node` within range — since the
     /// node's previous beacon. `slot` is the node's entry, one of `slots`
@@ -116,8 +106,8 @@ impl HearerCache {
     /// slots of the stored window changed since the stored stamp. If none
     /// did, the list is reused; if some did, [`HearerCache::recheck`] reads
     /// just those, and the list is reused if it passes, else queried again
-    /// over the same window. A new center, or a grid that grew or was
-    /// cleared, queries a new window. The stored center is what catches a sharded node whose
+    /// over the same window. A new center, or a grid that grew, queries a
+    /// new window. The stored center is what catches a sharded node whose
     /// own move reaches the replica grid only at the next barrier. Counts
     /// the beacon, its fan-out, its link changes and the cache hit (and
     /// recheck) or miss into `stats`.
@@ -300,8 +290,7 @@ impl HearerCache {
 
 #[cfg(test)]
 impl HearerCache {
-    /// Pool words in use: shrinks only when [`HearerCache::compact`] runs
-    /// (or on a clear).
+    /// Pool words in use: shrinks only when [`HearerCache::compact`] runs.
     pub(super) fn pool_len(&self) -> usize {
         self.pool.len()
     }

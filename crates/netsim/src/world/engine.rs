@@ -23,7 +23,7 @@
 //! * a mid-step death records the partial `Moved` *then* `Died`.
 
 use imobif_energy::Battery;
-use imobif_geom::{Point2, SpatialGrid};
+use imobif_geom::Point2;
 
 use super::beacon::{BeaconView, HearerCache, Links};
 use super::observe::KernelStats;
@@ -32,7 +32,7 @@ use crate::node::NodeStore;
 use crate::trace::TraceEvent;
 use crate::{
     Action, Application, EnergyCategory, EnergyLedger, EventQueue, NeighborTable, NodeCtx, NodeId,
-    Outbox, SimConfig, SimTime,
+    Outbox, SimConfig, SimDuration, SimTime,
 };
 
 /// Internal kernel events.
@@ -159,7 +159,7 @@ pub(crate) struct Engine<A: Application> {
     pub(super) stats: KernelStats,
     /// The latest event time processed.
     pub(super) time: SimTime,
-    /// Events processed since construction or the last clear.
+    /// Events processed since construction.
     pub(super) events_processed: u64,
 }
 
@@ -179,35 +179,16 @@ impl<A: Application> Engine<A> {
         }
     }
 
-    /// Returns the engine to its just-constructed state, keeping every
-    /// allocation: neighbor tables go to `spare_tables` and application
-    /// instances to `recycled_apps`.
-    pub(super) fn clear_into(
-        &mut self,
-        spare_tables: &mut Vec<NeighborTable>,
-        recycled_apps: &mut Vec<A>,
-    ) {
-        self.nodes.drain_tables_into(spare_tables);
-        recycled_apps.append(&mut self.apps);
-        self.queue.clear();
-        self.ledger.clear();
-        self.outbox.clear();
-        self.board.clear();
-        self.hearers.clear();
-        self.stats = KernelStats::default();
-        self.time = SimTime::ZERO;
-        self.events_processed = 0;
-    }
-
-    /// Appends a node with its neighbor table and returns its slot.
+    /// Appends a node with an empty neighbor table whose entries expire
+    /// after `ttl`, and returns its slot.
     pub(super) fn add_node(
         &mut self,
         position: Point2,
         battery: Battery,
         app: A,
-        table: NeighborTable,
+        ttl: SimDuration,
     ) -> usize {
-        let slot = self.nodes.push(position, battery, table);
+        let slot = self.nodes.push(position, battery, NeighborTable::new(ttl));
         self.apps.push(app);
         self.ledger.grow_to(self.nodes.len());
         slot
@@ -450,17 +431,5 @@ impl<A: Application> Engine<A> {
         reach.hear(&mut self.nodes, node, record, prev, links);
         let at = self.time + hello.period;
         reach.schedule_periodic(&mut self.queue, at, slot, node, Event::HelloBeacon { node });
-    }
-}
-
-/// Empties `grid` for a run at radio range `range`. The grid keeps its
-/// buckets only while the cell size (derived from the range) is unchanged;
-/// a new range needs a new geometry, whose clock restarts, so no cached
-/// hearer list may outlive it (every caller clears its hearer caches too).
-pub(super) fn reset_grid(grid: &mut SpatialGrid, range: f64) {
-    if grid.cell_size() == range.max(1.0) {
-        grid.clear();
-    } else {
-        *grid = SpatialGrid::new(range.max(1.0));
     }
 }

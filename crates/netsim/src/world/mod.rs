@@ -23,9 +23,7 @@ use imobif_energy::Battery;
 use imobif_geom::{Point2, SpatialGrid};
 
 use crate::node::NodeRef;
-use crate::{
-    Application, EnergyLedger, NeighborTable, NodeId, SimConfig, SimError, SimTime, TopologyView,
-};
+use crate::{Application, EnergyLedger, NodeId, SimConfig, SimError, SimTime, TopologyView};
 use engine::Engine;
 use kernel::SerialReach;
 
@@ -53,9 +51,6 @@ pub struct World<A: Application> {
     engine: Engine<A>,
     reach: SerialReach,
     started: bool,
-    /// Neighbor tables recycled by [`World::reset_into`], handed back out
-    /// by `add_node` so a reused world allocates no new tables.
-    spare_tables: Vec<NeighborTable>,
 }
 
 impl<A: Application> World<A> {
@@ -71,49 +66,14 @@ impl<A: Application> World<A> {
             engine: Engine::new(),
             reach: SerialReach { grid: SpatialGrid::new(cfg.range.max(1.0)), cfg, trace: None },
             started: false,
-            spare_tables: Vec::new(),
         })
-    }
-
-    /// Returns the world to its just-constructed state under a (possibly
-    /// different) configuration, keeping every allocation for the next
-    /// replicate; application instances are drained into `recycled_apps`
-    /// so the caller can reuse theirs too. A reset world is
-    /// observationally identical to a fresh `World::new(cfg)` — the same
-    /// setup produces a bit-identical event trace (asserted by a property
-    /// test). Tracing is disabled by the reset, matching a fresh world.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] if `cfg` fails validation; the
-    /// world is left unchanged in that case.
-    pub fn reset_into(
-        &mut self,
-        cfg: SimConfig,
-        recycled_apps: &mut Vec<A>,
-    ) -> Result<(), SimError> {
-        cfg.validate()?;
-        self.engine.clear_into(&mut self.spare_tables, recycled_apps);
-        engine::reset_grid(&mut self.reach.grid, cfg.range);
-        self.reach.cfg = cfg;
-        self.reach.trace = None;
-        self.started = false;
-        Ok(())
     }
 
     /// Adds a node with its application instance, returning its id.
     /// Panics if called after [`World::start`].
     pub fn add_node(&mut self, position: Point2, battery: Battery, app: A) -> NodeId {
         assert!(!self.started, "nodes must be added before start()");
-        let ttl = self.reach.cfg.hello.ttl;
-        let table = match self.spare_tables.pop() {
-            Some(mut t) => {
-                t.reset(ttl);
-                t
-            }
-            None => NeighborTable::new(ttl),
-        };
-        let slot = self.engine.add_node(position, battery, app, table);
+        let slot = self.engine.add_node(position, battery, app, self.reach.cfg.hello.ttl);
         let id = NodeId::new(slot as u32);
         if self.engine.nodes.is_alive(slot) {
             self.reach.grid.insert(id.raw(), position);
@@ -139,8 +99,8 @@ impl<A: Application> World<A> {
         &self.reach.cfg
     }
 
-    /// Kernel events processed since construction or the last reset. The
-    /// benchmark harness divides this by wall time to report events/second.
+    /// Kernel events processed since construction. The benchmark harness
+    /// divides this by wall time to report events/second.
     #[must_use]
     pub fn events_processed(&self) -> u64 {
         self.engine.events_processed

@@ -13,8 +13,7 @@ use crate::{Application, EnergyCategory, NodeId};
 /// [`crate::event::QueueStats`]: ordinary `u64` fields bumped inline on hot
 /// paths (no atomics, no handle branches, no allocation) and flushed into a
 /// registry only by `KernelStats::publish`, which both engines'
-/// `publish_metrics` call. Reset together with the world so recycled
-/// arenas start clean; a sharded world sums its shards' with `+=`.
+/// `publish_metrics` call. A sharded world sums its shards' with `+=`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// HELLO beacons actually broadcast (dead nodes don't beacon).
@@ -120,8 +119,7 @@ impl<A: Application> World<A> {
         self.reach.trace.as_ref()
     }
 
-    /// Plain-field kernel instrumentation accumulated since construction or
-    /// the last reset.
+    /// Plain-field kernel instrumentation accumulated since construction.
     #[must_use]
     pub fn kernel_stats(&self) -> &KernelStats {
         &self.engine.stats

@@ -191,6 +191,9 @@ pub struct ShardedWorld<A: Application> {
     /// Test-only schedule: run every shard every epoch (the PR 6
     /// behavior) instead of only active shards.
     dense_epochs: bool,
+    /// End of the latest epoch's window, whichever `run_until` call ran
+    /// it: a window opening past it fast-forwarded.
+    prev_end: Option<SimTime>,
     time: SimTime,
     started: bool,
     threads: usize,
@@ -231,6 +234,7 @@ impl<A: Application> ShardedWorld<A> {
             counters: EpochCounters::default(),
             spans: None,
             dense_epochs: false,
+            prev_end: None,
             time: SimTime::ZERO,
             started: false,
             threads: 1,
@@ -357,13 +361,12 @@ impl<A: Application> ShardedWorld<A> {
             spare_outs,
             counters,
             spans,
+            prev_end,
             time,
             ..
         } = self;
         let sh = SharedCtx { cfg, owner };
         let pool = pool_ctx.map(|ctx| (worker_pool.as_ref().expect("pool created above"), ctx));
-        // End of the previous window this run, for fast-forward detection.
-        let mut prev_end: Option<SimTime> = None;
         loop {
             let t0 = spans.as_ref().map(|sp| sp.now_us());
             let head = |s: u32| shards[s as usize].engine.queue.peek_time();
@@ -377,13 +380,13 @@ impl<A: Application> ShardedWorld<A> {
             active.extend(
                 (0..n).filter(|&s| dense || head(s).is_some_and(|t| t < end && t <= deadline)),
             );
-            if let Some(pe) = prev_end {
+            if let Some(pe) = *prev_end {
                 if next > pe {
                     counters.fast_forward_epochs += 1;
                     counters.fast_forward_us_skipped += next.as_micros() - pe.as_micros();
                 }
             }
-            prev_end = Some(end);
+            *prev_end = Some(end);
             counters.epochs += 1;
             counters.shard_epochs += active.len() as u64;
             counters.idle_shard_epochs_skipped += (shards.len() - active.len()) as u64;

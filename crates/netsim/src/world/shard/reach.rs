@@ -18,7 +18,7 @@ use super::xfer::{Dlv, LinkGroup, RepPatch, ShardOutbox, LEAVE};
 use crate::hello::Beacon;
 use crate::node::NodeStore;
 use crate::trace::TraceEvent;
-use crate::{Application, EventQueue, NeighborTable, NodeId, SimConfig, SimDuration, SimTime};
+use crate::{Application, EventQueue, NodeId, SimConfig, SimDuration, SimTime};
 
 /// Deterministic total order for cross-shard deliveries and trace events:
 /// `(emission time, emitting node, per-node emission sequence)`. The key is
@@ -155,7 +155,7 @@ impl<A: Application> Shard<A> {
     ) -> usize {
         self.keys.qseq.push(0);
         self.keys.eseq.push(0);
-        self.engine.add_node(position, battery, app, NeighborTable::new(ttl))
+        self.engine.add_node(position, battery, app, ttl)
     }
 
     /// The engine and the reach its handlers run through this epoch.

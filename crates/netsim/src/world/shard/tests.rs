@@ -775,8 +775,7 @@ fn reach_calls(joules: [f64; 2], act: impl FnOnce(&mut Engine<Echo>, &mut LogRea
     let mut engine = Engine::new();
     for (x, j) in [(40.0, joules[0]), (60.0, joules[1])] {
         let battery = Battery::new(j).unwrap();
-        let table = NeighborTable::new(cfg.hello.ttl);
-        engine.add_node(Point2::new(x, 50.0), battery, Echo::default(), table);
+        engine.add_node(Point2::new(x, 50.0), battery, Echo::default(), cfg.hello.ttl);
     }
     engine.fill_board();
     act(&mut engine, &mut reach);

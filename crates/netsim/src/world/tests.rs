@@ -1,12 +1,12 @@
-//! Serial-world tests: energy charging, death semantics, tracing, the
-//! hearer cache, and the reset-equivalence guarantees. The ordering rules
-//! the handlers share with the sharded world are pinned on both engines by
+//! Serial-world tests: energy charging, death semantics, tracing and the
+//! hearer cache. The ordering rules the handlers share with the sharded
+//! world are pinned on both engines by
 //! `handler_ordering_rules_hold_on_both_engines` in `shard/tests.rs`.
 
 use super::engine::Event;
 use super::*;
 use crate::trace::TraceEvent;
-use crate::{EnergyCategory, NeighborEntry, NodeCtx, Outbox, SimDuration};
+use crate::{EnergyCategory, NeighborTable, NodeCtx, Outbox, SimDuration};
 use imobif_energy::PowerLawModel;
 
 /// Test protocol: forwards a counter along a chain and records receipt.
@@ -115,11 +115,6 @@ fn kernel_stats_and_publish_metrics_flush_everything() {
     let off = imobif_obs::Registry::disabled();
     w.publish_metrics(&off);
     assert!(off.snapshot().entries.is_empty());
-    // Reset clears the plain-field stats with the rest of the world.
-    let mut recycled = Vec::new();
-    w.reset_into(SimConfig::default(), &mut recycled).unwrap();
-    assert_eq!(*w.kernel_stats(), KernelStats::default());
-    assert_eq!(w.engine.queue.stats().pushes, 0);
 }
 
 #[test]
@@ -557,7 +552,7 @@ proptest::proptest! {
             w.engine.queue.push(now, event);
             assert!(w.engine.step(&mut w.reach));
             // Drop the beacon the handler rescheduled: the sequence decides.
-            w.engine.queue.clear();
+            while w.engine.queue.pop().is_some() {}
             if let Some(id) = beacon.filter(|&id| w.is_alive(id)) {
                 let (pos, residual) = (w.position(id), w.residual_energy(id));
                 for (h, table) in push.iter_mut().enumerate() {
@@ -610,175 +605,6 @@ fn assert_views_match(w: &World<Echo>, push: &[NeighborTable], now: SimTime) {
         for j in (0..push.len() as u32).map(NodeId::new) {
             assert_eq!(got.get(j, now), want.get(j, now), "node {h}, peer {j:?}");
         }
-    }
-}
-
-/// Everything the reset-with-a-new-range test compares: the trace FNV,
-/// the kernel counters (fan-out bins come straight from the hearer lists)
-/// and every node's neighbor table.
-fn cache_fingerprint(w: &mut World<Echo>) -> (u64, KernelStats, Vec<Vec<NeighborEntry>>) {
-    let ids: Vec<NodeId> = lattice(7, 14.0)
-        .into_iter()
-        .map(|p| w.add_node(p, Battery::new(10.0).unwrap(), Echo::default()))
-        .collect();
-    w.enable_tracing(1 << 16);
-    for pair in ids.windows(2) {
-        w.app_mut(pair[0]).forward_to = Some(pair[1]);
-    }
-    // A mover crossing the lattice invalidates the windows it passes.
-    w.app_mut(ids[8]).move_target = Some(Point2::new(80.0, 80.0));
-    w.start();
-    for i in 0..8 {
-        w.schedule_timer(ids[0], SimDuration::from_millis(i * 300), i);
-    }
-    w.run_until(SimTime::from_micros(4_000_000));
-    let events = w.trace().expect("tracing enabled").events();
-    let fnv = imobif_obs::fnv1a64(crate::trace::events_to_jsonl(&events).as_bytes());
-    let now = w.time();
-    let tables = ids.iter().map(|&id| w.node(id).neighbor_table().fresh(now)).collect();
-    (fnv, *w.kernel_stats(), tables)
-}
-
-#[test]
-fn reset_with_a_new_range_matches_fresh() {
-    let cfg = |range: f64| SimConfig { range, ..SimConfig::default() };
-    let mut fresh: World<Echo> = World::new(cfg(20.0)).unwrap();
-    let want = cache_fingerprint(&mut fresh);
-
-    // Fill the caches at range 30 on the same lattice: every stale entry's
-    // center matches a node of the next run, and its stamp is far ahead of
-    // the replacement grid's restarted clock.
-    let mut reused = make_world();
-    assert_eq!(reused.config().range, 30.0);
-    let warm = cache_fingerprint(&mut reused);
-    assert!(warm.1.hello_cache_hits > 0);
-    reused.reset_into(cfg(20.0), &mut Vec::new()).unwrap();
-    let got = cache_fingerprint(&mut reused);
-    assert_eq!(got, want);
-}
-
-/// A scenario script for the reset-equivalence tests: a chain of nodes
-/// with forwarding, optional movement, and a handful of source timers.
-#[derive(Debug, Clone)]
-struct Scenario {
-    n: usize,
-    spacing: f64,
-    joules: f64,
-    move_y: f64,
-    timers: Vec<u64>,
-    run_micros: u64,
-}
-
-/// Everything observable about a finished run, compared bit-for-bit.
-#[derive(Debug, PartialEq)]
-struct RunFingerprint {
-    positions: Vec<Point2>,
-    energies: Vec<f64>,
-    total_moved: Vec<f64>,
-    sent: u64,
-    delivered: u64,
-    dropped: u64,
-    events_processed: u64,
-    time: SimTime,
-    trace: Vec<TraceEvent>,
-}
-
-/// Builds the scenario into `w` (fresh or reset), runs it, and
-/// fingerprints the outcome.
-fn run_scenario(w: &mut World<Echo>, sc: &Scenario) -> RunFingerprint {
-    let ids = chain(w, sc.n, sc.spacing, sc.joules);
-    w.enable_tracing(4096);
-    for pair in ids.windows(2) {
-        w.app_mut(pair[0]).forward_to = Some(pair[1]);
-    }
-    if sc.n > 1 {
-        w.app_mut(ids[1]).move_target = Some(Point2::new(sc.spacing * sc.n as f64, sc.move_y));
-    }
-    w.start();
-    for (i, &t) in sc.timers.iter().enumerate() {
-        w.schedule_timer(ids[0], SimDuration::from_millis(t), i as u64);
-    }
-    w.run_until(SimTime::from_micros(sc.run_micros));
-    RunFingerprint {
-        positions: ids.iter().map(|&id| w.position(id)).collect(),
-        energies: ids.iter().map(|&id| w.residual_energy(id)).collect(),
-        total_moved: ids.iter().map(|&id| w.node(id).total_moved()).collect(),
-        sent: w.ledger().packets_sent,
-        delivered: w.ledger().packets_delivered,
-        dropped: w.ledger().packets_dropped,
-        events_processed: w.events_processed(),
-        time: w.time(),
-        trace: w.trace().expect("tracing enabled").events(),
-    }
-}
-
-#[test]
-fn reset_world_is_bit_identical_to_fresh() {
-    let sc = Scenario {
-        n: 4,
-        spacing: 20.0,
-        joules: 10.0,
-        move_y: 9.0,
-        timers: vec![0, 100, 200, 300, 400],
-        run_micros: 10_000_000,
-    };
-    let mut fresh = make_world();
-    let want = run_scenario(&mut fresh, &sc);
-
-    // Run something *different* first so the reused world carries
-    // non-trivial internal state into the reset.
-    let mut reused = make_world();
-    let warmup = Scenario {
-        n: 7,
-        spacing: 15.0,
-        joules: 0.02,
-        move_y: 3.0,
-        timers: vec![50, 60, 70],
-        run_micros: 4_000_000,
-    };
-    let _ = run_scenario(&mut reused, &warmup);
-    let mut apps = Vec::new();
-    reused.reset_into(SimConfig::default(), &mut apps).unwrap();
-    assert_eq!(apps.len(), 7, "old apps are recycled to the caller");
-    let got = run_scenario(&mut reused, &sc);
-    assert_eq!(got, want);
-}
-
-proptest::proptest! {
-    /// Reset-and-reuse is bit-identical to a fresh world across random
-    /// scenarios, including when the warmup scenario (whose allocations
-    /// the reused world inherits) differs arbitrarily.
-    #[test]
-    fn prop_reset_world_matches_fresh_trace(
-        n in 2usize..8,
-        spacing in 5.0..30.0f64,
-        joules in 0.001..10.0f64,
-        move_y in 0.0..20.0f64,
-        timers in proptest::collection::vec(0u64..1_000, 0..6),
-        warm_n in 1usize..8,
-        warm_spacing in 5.0..30.0f64,
-        warm_joules in 0.001..10.0f64,
-    ) {
-        let sc = Scenario {
-            n, spacing, joules, move_y, timers,
-            run_micros: 5_000_000,
-        };
-        let mut fresh = make_world();
-        let want = run_scenario(&mut fresh, &sc);
-
-        let mut reused = make_world();
-        let warmup = Scenario {
-            n: warm_n,
-            spacing: warm_spacing,
-            joules: warm_joules,
-            move_y: 1.0,
-            timers: vec![10, 20],
-            run_micros: 3_000_000,
-        };
-        let _ = run_scenario(&mut reused, &warmup);
-        reused.reset_into(SimConfig::default(), &mut Vec::new()).unwrap();
-        let got = run_scenario(&mut reused, &sc);
-        proptest::prop_assert_eq!(got, want);
     }
 }
 

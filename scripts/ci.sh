@@ -25,7 +25,10 @@
 #     window), with spans and pooled workers on, and the delta-synced
 #     replica == ground truth; the scan's epoch schedule (epochs,
 #     shard-epochs run and skipped, fast-forwards) pinned at every count:
-#     crates/bench/tests/span_determinism.rs
+#     crates/bench/tests/span_determinism.rs; every published shard.*
+#     counter equal whether a run is driven in one run_until call or in
+#     slices: sliced_drive_matches_single_run_until
+#     (crates/experiments/src/spans_tools.rs)
 #   - thread sweep: trace FNV pinned at 1/2/4 workers: span_determinism.rs
 #   - fig6 CSV pinned with the metrics registry disabled and enabled:
 #     span_determinism.rs, plus the spec-driven run in the scenario smoke
@@ -35,7 +38,6 @@
 #     process-global), all in crates/bench/tests/:
 #       fig6_allocs.rs       warmed Fig. 6 instance: 0 per delivered packet
 #       hello_allocs.rs      warmed hello_dense: 0 over 60 sim-s
-#       replicate_allocs.rs  arena replicates after the first: mean < 16
 #       span_allocs.rs       warmed sharded epochs: 0, spans off and on
 #       spec_parse_allocs.rs parsing the shipped specs: <= 300
 #   - timing ratios (release only): disabled metrics >= 0.99, disabled
@@ -53,7 +55,7 @@
 #   - HELLO hearer cache: a result kept with its slot window and
 #     revalidated by the changed-slot rule == a fresh query, and
 #     `changed_slots` names exactly the touched window slots or reports a
-#     growth or clear: prop_cached_query_matches_fresh and
+#     growth: prop_cached_query_matches_fresh and
 #     changed_slots_name_the_touched_window_slots (crates/geom/src/grid.rs);
 #     cached hearers == brute force under 8 m and sub-meter steps:
 #     prop_cached_hearers_match_brute_force (world/tests.rs); a node
@@ -81,6 +83,12 @@
 #     run`: specs_beyond_the_sim_time_and_ext_limits_exit_2 (cli.rs), with
 #     the field, the limit and the `[ext]` position checked in
 #     crates/experiments/src/scenario/tests.rs
+#   - a spec field its adapter would drop (a second [[variant]] under fig5,
+#     fig7 or fig8; any [[variant]], or a [base] value other than the seed
+#     that differs from the paper's, under ext) is a parse error at its
+#     position: specs_reject_what_their_adapter_drops (scenario/tests.rs);
+#     `scenario validate` and `scenario run` exit 2 on it:
+#     specs_with_fields_their_adapter_drops_exit_2 (cli.rs)
 #   - a packet interval that rounds to zero microseconds, and an arena
 #     that routes no flow through a relay (topology::MAX_TOPOLOGY_DRAWS
 #     bounds the redraws), exit 2 from `scenario validate` and `scenario
@@ -140,8 +148,7 @@ if [[ "$SMOKE" == "1" ]]; then
     echo "==> pin tests (serial traces, shard and thread sweeps, fig6 CSV, allocation gates)"
     cargo test --release -q --test determinism --test trace_causality
     cargo test --release -q -p imobif-bench --test span_determinism --test span_allocs \
-        --test spec_parse_allocs --test fig6_allocs --test hello_allocs \
-        --test replicate_allocs
+        --test spec_parse_allocs --test fig6_allocs --test hello_allocs
 
     echo "==> spatial grid unit tests (change stamps, slot windows)"
     cargo test --release -q -p imobif-geom --lib

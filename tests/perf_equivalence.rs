@@ -1,7 +1,12 @@
-//! The decision cache must be *invisible* in simulation results: it may
-//! only change how fast a run executes, never what happens in it. This
-//! test runs the same informed-mobility scenario with the cache on and off
-//! and requires the full kernel traces to be bit-for-bit identical.
+//! The decision cache on and off in one 5-node informed-mobility scenario
+//! where it changes nothing: the full kernel traces must be bit-for-bit
+//! identical. The cache is not invisible everywhere. It reuses a relay's
+//! evaluation while residual energies stay within its tolerances, so a
+//! stale sample can change a destination's verdict: with the cache off,
+//! `imobif all --flows 100 --seed 2025` writes the same Fig. 5 and Fig. 6
+//! CSVs, but Fig. 7's flow 82 sends 3 notifications instead of 2 and
+//! `fig8_lifetime_cdf.csv` changes. This test is the only user of
+//! `DecisionCacheConfig::enabled`.
 
 use std::sync::Arc;
 
