@@ -131,8 +131,18 @@ pub struct ImobifCounters {
 /// this module exercise each role in isolation.
 #[derive(Debug)]
 pub struct ImobifApp {
-    config: ImobifConfig,
     registry: Arc<StrategyRegistry>,
+    agent: Agent,
+}
+
+/// An [`ImobifApp`]'s state apart from its strategy list, with the
+/// protocol handlers. Kept apart so a handler can borrow the strategy a
+/// packet names from the registry while it updates this state: the batch
+/// engine's workers share one registry `Arc`, and a clone per packet would
+/// move its reference count's cache line between their cores.
+#[derive(Debug)]
+struct Agent {
+    config: ImobifConfig,
     flows: FlowTable,
     sources: FxHashMap<FlowId, SourceFlow>,
     dests: FxHashMap<FlowId, DestFlow>,
@@ -164,21 +174,23 @@ impl ImobifApp {
     #[must_use]
     pub fn with_registry(config: ImobifConfig, registry: Arc<StrategyRegistry>) -> Self {
         ImobifApp {
-            config,
             registry,
-            flows: FlowTable::new(),
-            sources: FxHashMap::default(),
-            dests: FxHashMap::default(),
-            targets: Vec::new(),
-            caches: FxHashMap::default(),
-            counters: ImobifCounters::default(),
+            agent: Agent {
+                config,
+                flows: FlowTable::new(),
+                sources: FxHashMap::default(),
+                dests: FxHashMap::default(),
+                targets: Vec::new(),
+                caches: FxHashMap::default(),
+                counters: ImobifCounters::default(),
+            },
         }
     }
 
     /// The agent's configuration.
     #[must_use]
     pub fn config(&self) -> &ImobifConfig {
-        &self.config
+        &self.agent.config
     }
 
     /// The agent's strategy list.
@@ -190,43 +202,44 @@ impl ImobifApp {
     /// Installs a flow-table entry (done by [`crate::install_flow`] at flow
     /// setup; the paper pins each flow's path when routing resolves it).
     pub fn install_entry(&mut self, entry: FlowEntry) {
-        self.flows.install(entry);
+        self.agent.flows.install(entry);
     }
 
     /// Registers this node as the source of `flow`.
     pub fn register_source(&mut self, flow: FlowId, source: SourceFlow) {
-        self.sources.insert(flow, source);
+        self.agent.sources.insert(flow, source);
     }
 
     /// The flow table.
     #[must_use]
     pub fn flow_table(&self) -> &FlowTable {
-        &self.flows
+        &self.agent.flows
     }
 
     /// Source-side state of `flow`, if this node sources it.
     #[must_use]
     pub fn source(&self, flow: FlowId) -> Option<&SourceFlow> {
-        self.sources.get(&flow)
+        self.agent.sources.get(&flow)
     }
 
     /// Destination-side state of `flow`, if this node has received any of
     /// it.
     #[must_use]
     pub fn dest(&self, flow: FlowId) -> Option<&DestFlow> {
-        self.dests.get(&flow)
+        self.agent.dests.get(&flow)
     }
 
     /// Protocol counters.
     #[must_use]
     pub fn counters(&self) -> &ImobifCounters {
-        &self.counters
+        &self.agent.counters
     }
 
     /// The movement target this node currently pursues for `flow`.
     #[must_use]
     pub fn target(&self, flow: FlowId) -> Option<Point2> {
-        self.targets.binary_search_by_key(&flow, |&(f, _)| f).ok().map(|i| self.targets[i].1)
+        let targets = &self.agent.targets;
+        targets.binary_search_by_key(&flow, |&(f, _)| f).ok().map(|i| targets[i].1)
     }
 
     /// Superposes the targets of all flows traversing this node, weighted
@@ -239,6 +252,13 @@ impl ImobifApp {
     /// technical report \[13\]).
     #[must_use]
     pub fn combined_target(&self) -> Option<Point2> {
+        self.agent.combined_target()
+    }
+}
+
+impl Agent {
+    /// See [`ImobifApp::combined_target`].
+    fn combined_target(&self) -> Option<Point2> {
         decision::combined_target(self.targets.iter().map(|&(flow, target)| {
             (target, self.flows.get(flow).map(|e| e.residual_bits.max(1.0)).unwrap_or(1.0))
         }))
@@ -276,7 +296,7 @@ impl ImobifApp {
     fn relay_data(
         &mut self,
         ctx: &NodeCtx<'_>,
-        strategy: Option<Arc<dyn MobilityStrategy>>,
+        strategy: Option<&dyn MobilityStrategy>,
         mut header: DataHeader,
         next: NodeId,
         prev: NodeId,
@@ -297,8 +317,8 @@ impl ImobifApp {
                     },
                     residual_flow_bits: header.residual_flow_bits,
                 };
-                if let Some(d) = self.evaluate(ctx, strategy.as_ref(), header.flow, &inputs) {
-                    decision::fold_sample(strategy.as_ref(), &mut header.aggregate, &d);
+                if let Some(d) = self.evaluate(ctx, strategy, header.flow, &inputs) {
+                    decision::fold_sample(strategy, &mut header.aggregate, &d);
                     match self.targets.binary_search_by_key(&header.flow, |&(f, _)| f) {
                         Ok(i) => self.targets[i].1 = d.target,
                         Err(i) => self.targets.insert(i, (header.flow, d.target)),
@@ -326,7 +346,7 @@ impl ImobifApp {
     /// `UpdateMobilityStatus`, lines 29–36).
     fn deliver_data(
         &mut self,
-        strategy: Option<Arc<dyn MobilityStrategy>>,
+        strategy: Option<&dyn MobilityStrategy>,
         header: DataHeader,
         prev: NodeId,
         out: &mut Outbox<ImobifMsg>,
@@ -343,7 +363,7 @@ impl ImobifApp {
             return;
         };
         let verdict =
-            decision::status_verdict(strategy.as_ref(), &header.aggregate, header.mobility_enabled);
+            decision::status_verdict(strategy, &header.aggregate, header.mobility_enabled);
         let Some(enable) = verdict else {
             return;
         };
@@ -360,7 +380,13 @@ impl ImobifApp {
         );
     }
 
-    fn handle_data(&mut self, ctx: &NodeCtx<'_>, header: DataHeader, out: &mut Outbox<ImobifMsg>) {
+    fn handle_data(
+        &mut self,
+        registry: &StrategyRegistry,
+        ctx: &NodeCtx<'_>,
+        header: DataHeader,
+        out: &mut Outbox<ImobifMsg>,
+    ) {
         let Some(entry) = self.flows.get_mut(header.flow) else {
             self.counters.unroutable_packets += 1;
             return;
@@ -370,7 +396,7 @@ impl ImobifApp {
         let (role, prev, next) = (entry.role, entry.prev, entry.next);
         // Resolve the strategy the header names against the local list
         // (Assumption 1); unknown strategies degrade to plain forwarding.
-        let strategy = self.registry.get(header.strategy).cloned();
+        let strategy = registry.get(header.strategy);
         match role {
             FlowRole::Destination => {
                 let prev = prev.expect("destination entries have a prev");
@@ -418,7 +444,13 @@ impl ImobifApp {
     }
 
     /// Emits the next data packet of `flow` (source role).
-    fn emit_packet(&mut self, ctx: &NodeCtx<'_>, flow: FlowId, out: &mut Outbox<ImobifMsg>) {
+    fn emit_packet(
+        &mut self,
+        registry: &StrategyRegistry,
+        ctx: &NodeCtx<'_>,
+        flow: FlowId,
+        out: &mut Outbox<ImobifMsg>,
+    ) {
         let Some(entry) = self.flows.get(flow).copied() else {
             return;
         };
@@ -433,7 +465,7 @@ impl ImobifApp {
         }
         // A source whose own list lacks the selected strategy still ships
         // the data — mobility simply stays off for the flow.
-        let (aggregate, mobility_enabled) = match self.registry.get(sf.strategy) {
+        let (aggregate, mobility_enabled) = match registry.get(sf.strategy) {
             Some(strategy) => (strategy.init_aggregate(), sf.mobility_enabled),
             None => {
                 self.counters.unknown_strategy += 1;
@@ -478,12 +510,12 @@ impl Application for ImobifApp {
         out: &mut Outbox<ImobifMsg>,
     ) {
         match msg {
-            ImobifMsg::Data(header) => self.handle_data(ctx, header, out),
-            ImobifMsg::Notification(n) => self.handle_notification(n, out),
+            ImobifMsg::Data(header) => self.agent.handle_data(&self.registry, ctx, header, out),
+            ImobifMsg::Notification(n) => self.agent.handle_notification(n, out),
         }
     }
 
     fn on_timer(&mut self, ctx: &NodeCtx<'_>, tag: u64, out: &mut Outbox<ImobifMsg>) {
-        self.emit_packet(ctx, FlowId::new(tag as u32), out)
+        self.agent.emit_packet(&self.registry, ctx, FlowId::new(tag as u32), out)
     }
 }

@@ -6,13 +6,14 @@
 //! node on the path resolves that name against its local registry, so
 //! different flows can run different strategies through the same relay.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::{MaxLifetimeStrategy, MinEnergyStrategy, MobilityStrategy, StrategyKind};
 
 /// An immutable map from [`StrategyKind`] to strategy implementation,
-/// shared by all nodes of a deployment (via `Arc`).
+/// shared by all nodes of a deployment (via `Arc`). The source, every relay
+/// and the destination resolve each data packet's strategy here, so the
+/// map is a table with one slot per kind: a lookup is an index.
 ///
 /// # Example
 ///
@@ -26,7 +27,15 @@ use crate::{MaxLifetimeStrategy, MinEnergyStrategy, MobilityStrategy, StrategyKi
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StrategyRegistry {
-    entries: HashMap<StrategyKind, Arc<dyn MobilityStrategy>>,
+    entries: [Option<Arc<dyn MobilityStrategy>>; 2],
+}
+
+/// The table slot of `kind`.
+fn slot(kind: StrategyKind) -> usize {
+    match kind {
+        StrategyKind::MinTotalEnergy => 0,
+        StrategyKind::MaxSystemLifetime => 1,
+    }
 }
 
 impl StrategyRegistry {
@@ -62,25 +71,26 @@ impl StrategyRegistry {
     /// Registers a strategy under its own [`MobilityStrategy::kind`],
     /// replacing any previous entry for that kind.
     pub fn insert(&mut self, strategy: Arc<dyn MobilityStrategy>) {
-        self.entries.insert(strategy.kind(), strategy);
+        let slot = slot(strategy.kind());
+        self.entries[slot] = Some(strategy);
     }
 
     /// Resolves a strategy by kind.
     #[must_use]
-    pub fn get(&self, kind: StrategyKind) -> Option<&Arc<dyn MobilityStrategy>> {
-        self.entries.get(&kind)
+    pub fn get(&self, kind: StrategyKind) -> Option<&dyn MobilityStrategy> {
+        self.entries[slot(kind)].as_deref()
     }
 
     /// Number of registered strategies.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.iter().flatten().count()
     }
 
     /// Returns `true` if the registry is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 }
 
@@ -110,8 +120,12 @@ mod tests {
         let mut r = StrategyRegistry::new();
         assert!(r.is_empty());
         r.insert(Arc::new(MaxLifetimeStrategy::new(2.0).unwrap()));
-        r.insert(Arc::new(MaxLifetimeStrategy::new(3.0).unwrap()));
+        let replacement: Arc<dyn MobilityStrategy> =
+            Arc::new(MaxLifetimeStrategy::new(3.0).unwrap());
+        r.insert(Arc::clone(&replacement));
         assert_eq!(r.len(), 1);
+        let got = r.get(StrategyKind::MaxSystemLifetime).unwrap();
+        assert!(std::ptr::addr_eq(got, Arc::as_ptr(&replacement)), "the later entry wins");
     }
 
     #[test]

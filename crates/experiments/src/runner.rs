@@ -255,6 +255,8 @@ fn run_instance_inner(
     if let Some(t0) = t_run {
         obs.float_counter("phase.case_run_secs").add(t0.elapsed().as_secs_f64());
     }
+    #[cfg(debug_assertions)]
+    check_energy_books(&world, draw, &ids);
 
     let totals = world.ledger().totals();
     let delivered = world.app(dst).dest(flow).map_or(0, |d| d.received_bits);
@@ -296,6 +298,36 @@ fn run_instance_inner(
         obs.counter("engine.instances_run").inc();
     }
     (result, trace)
+}
+
+/// Checks every path node's energy after a run, in debug builds: a live
+/// node's initial energy is its residual plus its ledger total, a dead
+/// node's residual is zero and its ledger total at most its initial energy
+/// (a death strands what it cannot spend), both within `1e-11` of the
+/// initial energy, and no residual is negative.
+///
+/// # Panics
+///
+/// Panics naming the node and the books that disagree.
+#[cfg(debug_assertions)]
+fn check_energy_books(world: &World<ImobifApp>, draw: &TopologyDraw, ids: &[NodeId]) {
+    for (&orig, &id) in draw.flow.path.iter().zip(ids) {
+        let initial = draw.energies[orig.index()];
+        let residual = world.residual_energy(id);
+        let spent = world.ledger().node(id).total();
+        let slack = 1e-11 * initial;
+        assert!(residual >= 0.0, "{id}: residual {residual} J is negative");
+        if world.is_alive(id) {
+            let gap = initial - residual - spent;
+            assert!(
+                gap.abs() <= slack,
+                "{id}: initial {initial} J != residual {residual} J + spent {spent} J"
+            );
+        } else {
+            assert_eq!(residual, 0.0, "{id}: a dead node keeps {residual} J");
+            assert!(spent <= initial + slack, "{id}: spent {spent} J of {initial} J");
+        }
+    }
 }
 
 /// One flow case: the same drawn flow run under all three modes.
@@ -852,5 +884,19 @@ mod tests {
             }
         }
         assert!(found, "low-energy scenarios should produce deaths");
+    }
+
+    /// Every instance of every builtin, the five paper specs and the four
+    /// families, passes the post-run energy check `run_instance_inner`
+    /// makes in debug builds (`check_energy_books`): conservation per live
+    /// node, no overspend by a dead one, no negative battery.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the energy check runs in debug builds only")]
+    fn every_builtin_keeps_its_energy_books() {
+        let _g = crate::test_lock();
+        for name in crate::scenario::BUILTIN_NAMES {
+            let compiled = crate::scenario::compile_builtin(name, 2025, Some(3));
+            let _ = crate::render::render_scenario(&compiled);
+        }
     }
 }

@@ -103,6 +103,9 @@ impl NodeEnergy {
 pub struct EnergyLedger {
     per_node: Vec<NodeEnergy>,
     deaths: Vec<Option<SimTime>>,
+    /// The least `(time, id)` death in `deaths`, kept as deaths are
+    /// recorded: a run's stop condition reads it after every event.
+    first: Option<(NodeId, SimTime)>,
     /// Packets handed to the medium.
     pub packets_sent: u64,
     /// Packets delivered to a live receiver.
@@ -147,6 +150,9 @@ impl EnergyLedger {
         let slot = &mut self.deaths[node.index()];
         if slot.is_none() {
             *slot = Some(time);
+            if self.first.is_none_or(|(id, t)| (time, node) < (t, id)) {
+                self.first = Some((node, time));
+            }
         }
     }
 
@@ -167,14 +173,11 @@ impl EnergyLedger {
     }
 
     /// The earliest death in the network — the paper's system-lifetime
-    /// event — with the node that died.
+    /// event — with the node that died; of deaths at one instant, the
+    /// lowest id.
     #[must_use]
     pub fn first_death(&self) -> Option<(NodeId, SimTime)> {
-        self.deaths
-            .iter()
-            .enumerate()
-            .filter_map(|(i, d)| d.map(|t| (NodeId::new(i as u32), t)))
-            .min_by_key(|&(id, t)| (t, id))
+        self.first
     }
 
     /// Network-wide energy totals by category.
@@ -235,6 +238,28 @@ mod tests {
         assert_eq!(l.first_death(), Some((NodeId::new(1), SimTime::from_micros(10))));
         assert_eq!(l.death_time(NodeId::new(1)), Some(SimTime::from_micros(10)));
         assert_eq!(l.death_time(NodeId::new(0)), None);
+    }
+
+    proptest::proptest! {
+        /// The kept first death is the least `(time, id)` over every
+        /// node's recorded death after each report, in any report order,
+        /// with repeated nodes (only a first report counts) and equal
+        /// times.
+        #[test]
+        fn prop_first_death_is_the_least_recorded(
+            reports in proptest::collection::vec((0u32..8, 0u64..6), 0..24),
+        ) {
+            let mut l = EnergyLedger::new();
+            l.grow_to(8);
+            for (node, micros) in reports {
+                l.record_death(NodeId::new(node), SimTime::from_micros(micros));
+                let want = (0..8)
+                    .filter_map(|i| l.death_time(NodeId::new(i)).map(|t| (t, NodeId::new(i))))
+                    .min()
+                    .map(|(t, id)| (id, t));
+                proptest::prop_assert_eq!(l.first_death(), want);
+            }
+        }
     }
 
     #[test]

@@ -9,10 +9,11 @@ use imobif_geom::{Point2, SlotWindow, SpatialGrid};
 use super::observe::KernelStats;
 use crate::NodeId;
 
-/// Below this many nodes, HELLO neighbor discovery scans the node array
-/// instead of using the spatial grid's range query and its change stamps:
+/// Up to this many nodes, HELLO neighbor discovery scans the node array
+/// instead of using the spatial grid's range query and its slot windows:
 /// the pinned-path experiment worlds carry only the flow's relays, a dozen
-/// distance checks.
+/// distance checks. A scanned list is reused while its node beacons from
+/// the same spot and the grid's clock stands still.
 pub(super) const SMALL_WORLD_SCAN: usize = 32;
 
 /// What a beacon's hearer search reads of the other nodes: position and
@@ -41,9 +42,10 @@ const HEADER: usize = 2;
 
 /// One node's latest hearer list, `pool[offset..offset + len]`, inside a
 /// run of the pool that starts with a [`HEADER`]. `offset` 0 means no run.
-/// A grid-path list was read at grid clock `stamp` for a beacon from
-/// `center`, from the slots of `window`, `counts[i]` of its members from
-/// window slot `i` (saturating at `u8::MAX`).
+/// The list was read at grid clock `stamp` for a beacon from `center`; a
+/// grid-path list from the slots of `window`, `counts[i]` of its members
+/// from window slot `i` (saturating at `u8::MAX`), a scanned one from no
+/// window.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     center: Point2,
@@ -101,16 +103,22 @@ impl HearerCache {
     /// node's previous beacon. `slot` is the node's entry, one of `slots`
     /// the caller owns.
     ///
-    /// A world small enough to scan recomputes the set every beacon.
-    /// Beyond that, a beacon from the stored center asks the grid which
-    /// slots of the stored window changed since the stored stamp. If none
-    /// did, the list is reused; if some did, [`HearerCache::recheck`] reads
-    /// just those, and the list is reused if it passes, else queried again
-    /// over the same window. A new center, or a grid that grew, queries a
-    /// new window. The stored center is what catches a sharded node whose
-    /// own move reaches the replica grid only at the next barrier. Counts
-    /// the beacon, its fan-out, its link changes and the cache hit (and
-    /// recheck) or miss into `stats`.
+    /// A world small enough to scan reuses the stored list for a beacon
+    /// from the stored center while the grid's clock still reads the stored
+    /// stamp, and scans again otherwise. That is exact: the grid holds
+    /// exactly the live nodes, every insert, update and remove advances its
+    /// clock, and a live node's position changes only with its grid entry
+    /// (a shard's replica takes both at the barrier). Beyond that size, a
+    /// beacon from the stored center asks the grid which slots of the
+    /// stored window changed since the stored stamp. If none did, the list
+    /// is reused; if some did, [`HearerCache::recheck`] reads just those,
+    /// and the list is reused if it passes, else queried again over the
+    /// same window. A new center, or a grid that grew, queries a new
+    /// window. On both paths the stored center is what catches a sharded
+    /// node whose own move reaches the replica only at the next barrier.
+    /// Counts the beacon, its fan-out, its link changes and the cache hit
+    /// (and recheck) or miss into `stats`: a reused list is a hit, a scan
+    /// or a query a miss.
     pub(super) fn links(
         &mut self,
         view: &BeaconView<'_>,
@@ -127,16 +135,23 @@ impl HearerCache {
         self.left.clear();
         let e = self.entries[slot];
         let len = if view.positions.len() <= SMALL_WORLD_SCAN {
-            let r_sq = view.range * view.range;
-            self.scratch.clear();
-            self.scratch.extend((0..view.positions.len()).filter_map(|i| {
-                (i != node.index()
-                    && view.alive[i]
-                    && pos.distance_sq_to(view.positions[i]) <= r_sq)
-                    .then_some(i as u32)
-            }));
-            // A scanned list records no window: the grid path rereads it.
-            self.store(slot, Entry::EMPTY)
+            let stamp = view.grid.clock();
+            if e.center == pos && e.stamp == stamp {
+                stats.hello_cache_hits += 1;
+                e.len as usize
+            } else {
+                stats.hello_cache_misses += 1;
+                let r_sq = view.range * view.range;
+                self.scratch.clear();
+                self.scratch.extend((0..view.positions.len()).filter_map(|i| {
+                    (i != node.index()
+                        && view.alive[i]
+                        && pos.distance_sq_to(view.positions[i]) <= r_sq)
+                        .then_some(i as u32)
+                }));
+                // A scanned list records no window: the grid path rereads it.
+                self.store(slot, Entry { center: pos, stamp, ..Entry::EMPTY })
+            }
         } else {
             let changed =
                 if e.center == pos { view.grid.changed_slots(e.window, e.stamp) } else { None };

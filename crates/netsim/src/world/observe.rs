@@ -24,16 +24,18 @@ pub struct KernelStats {
     /// "no hearers", bin `i` covers `2^(i-1) ≤ n < 2^i`, the last bin
     /// collects 64+.
     pub hello_fanout_bins: [u64; 8],
-    /// Beacons whose cached hearer list was still exact: none of its grid
-    /// window's slots had changed, or the ones that had passed a recheck.
-    /// Worlds small enough to scan their nodes count neither hits nor
-    /// misses.
+    /// Beacons whose cached hearer list was still exact: in a world small
+    /// enough to scan, the node beaconed from the same spot and the grid's
+    /// clock had not moved; past that, none of its grid window's slots had
+    /// changed, or the ones that had passed a recheck. With
+    /// `hello_cache_misses` it sums to `hello_beacons` in every world.
     pub hello_cache_hits: u64,
     /// The hits among `hello_cache_hits` whose window had changed slots,
-    /// each read to confirm that the list still held.
+    /// each read to confirm that the list still held. A scanned world has
+    /// no windows and counts none.
     pub hello_cache_rechecks: u64,
-    /// Beacons whose hearer list was recomputed by a range query over its
-    /// grid window.
+    /// Beacons whose hearer list was recomputed: by a scan of the node
+    /// array in a small world, else by a range query over its grid window.
     pub hello_cache_misses: u64,
     /// Neighbor-table links the beacons changed: hearers that joined a
     /// beacon's hearer set plus hearers that left it. A beacon whose hearer

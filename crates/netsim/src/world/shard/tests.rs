@@ -615,7 +615,10 @@ fn ordering_rules() -> Vec<Rule> {
             mover: None,
             run_millis: 500,
             check: |o| {
-                assert_eq!(o.stats.hello_cache_hits + o.stats.hello_cache_misses, 0);
+                // One round of the row's six nodes: each first scan misses.
+                let s = &o.stats;
+                assert_eq!(s.hello_cache_hits + s.hello_cache_misses, s.hello_beacons);
+                assert_eq!((s.hello_cache_hits, s.hello_cache_misses), (0, 6));
                 assert_eq!(o.heard_by[2], [0, 1, 3, 4], "30 m range hears ±2 hops at 12 m");
             },
         },
@@ -1022,6 +1025,18 @@ fn lattice_scenario() -> Scenario {
     }
 }
 
+/// A six-node path across the shard boundaries whose first relay steps
+/// toward `(50, 90)` on each packet: small enough to scan, so beacons
+/// reuse or rescan the replica's columns.
+fn path_scenario() -> Scenario {
+    Scenario {
+        positions: (0..6)
+            .map(|i| Point2::new(10.0 + 16.0 * i as f64, 40.0 + 4.0 * i as f64))
+            .collect(),
+        ..lattice_scenario()
+    }
+}
+
 /// The run's fingerprint plus what depends on the hearer lists alone: the
 /// kernel counters (fan-out bins) and what each node saw in its table.
 fn cache_fingerprint(
@@ -1036,21 +1051,31 @@ fn cache_fingerprint(
 
 #[test]
 fn hello_cache_is_shard_count_invariant_and_publishes() {
-    let sc = lattice_scenario();
+    for sc in [lattice_scenario(), path_scenario()] {
+        cache_is_shard_count_invariant_and_publishes(&sc);
+    }
+}
+
+/// Hit, recheck, miss and link counts and every output equal at 1, 2, 4
+/// and 8 shards, since a shard's beacons read the replica, and every
+/// kernel family published equal to `kernel_stats()`.
+fn cache_is_shard_count_invariant_and_publishes(sc: &Scenario) {
+    let scanned = sc.positions.len() <= SMALL_WORLD_SCAN;
     let mut one = make_sharded(1);
-    let base = cache_fingerprint(&mut one, &sc);
+    let base = cache_fingerprint(&mut one, sc);
     assert!(base.1.hello_cache_hits > 0 && base.1.hello_cache_misses > 0);
     assert_eq!(base.1.hello_cache_hits + base.1.hello_cache_misses, base.1.hello_beacons);
-    // The relay's 1 m steps change its slot but rarely a hearer set.
-    assert!(base.1.hello_cache_rechecks > 0);
+    // The relay's 1 m steps change its slot but rarely a hearer set; a
+    // scanned world keeps no slots to recheck.
+    assert_eq!(base.1.hello_cache_rechecks > 0, !scanned);
     for shards in [2, 8] {
         let mut w = make_sharded(shards);
         w.set_threads(2);
-        assert_eq!(cache_fingerprint(&mut w, &sc), base, "{shards} shards");
+        assert_eq!(cache_fingerprint(&mut w, sc), base, "{shards} shards");
     }
     let mut four = make_sharded(4);
     four.set_threads(2);
-    assert_eq!(cache_fingerprint(&mut four, &sc), base);
+    assert_eq!(cache_fingerprint(&mut four, sc), base);
 
     let reg = imobif_obs::Registry::enabled();
     four.publish_metrics(&reg);

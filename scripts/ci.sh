@@ -10,6 +10,8 @@
 # on), the simulator's unit tests in release and in debug (among them the
 # neighbor-table oracle, the shard invariance checks and the event queue's
 # lane oracle, whose debug assertions only a debug build keeps), the
+# iMobif core crate's unit and framework tests (the agent's handlers, the
+# strategy registry, the decision kernel), the
 # observability crate's unit tests (span ring and aggregates, JSON depth
 # cap, manifest validation, the Prometheus linter), the
 # experiment crate's unit tests and memo-claim test, the
@@ -57,17 +59,33 @@
 #     `changed_slots` names exactly the touched window slots or reports a
 #     growth: prop_cached_query_matches_fresh and
 #     changed_slots_name_the_touched_window_slots (crates/geom/src/grid.rs);
-#     cached hearers == brute force under 8 m and sub-meter steps:
-#     prop_cached_hearers_match_brute_force (world/tests.rs); a node
+#     cached hearers == brute force under 8 m and sub-meter steps, in
+#     worlds from 2 nodes up, so small worlds' reused scans are checked
+#     too: prop_cached_hearers_match_brute_force (world/tests.rs); a node
 #     pacing inside its cell costs its hearers a recheck, not a recompute,
 #     and a range crossing recomputes exactly the one leave:
 #     steps_inside_a_cell_are_rechecked_and_only_a_crossing_recomputes
-#     (world/tests.rs); hit, recheck and miss counts equal at 1/2/4/8
-#     shards, and every kernel family (beacons, timers, cache counters,
-#     the fan-out histogram) published equal to kernel_stats() and lint
-#     clean: hello_cache_is_shard_count_invariant_and_publishes
-#     (world/shard/tests.rs); a cache entry stays 48 bytes (the packed slot
-#     window): a_cache_entry_is_48_bytes (world/beacon.rs)
+#     (world/tests.rs); hit, recheck, miss and link counts equal at
+#     1/2/4/8 shards, on a lattice and on a scanned six-node path with a
+#     moving relay, and every kernel family (beacons, timers, cache
+#     counters, the fan-out histogram) published equal to kernel_stats()
+#     and lint clean: hello_cache_is_shard_count_invariant_and_publishes
+#     (world/shard/tests.rs); a scanned world counts each beacon as a hit
+#     or a miss: the "scan path finds the hearers" rule of
+#     handler_ordering_rules_hold_on_both_engines (world/shard/tests.rs); a
+#     cache entry stays 48 bytes (the packed slot window):
+#     a_cache_entry_is_48_bytes (world/beacon.rs)
+#   - first death: the ledger's kept first death == the brute-force
+#     (time, id) minimum after every report:
+#     prop_first_death_is_the_least_recorded (crates/netsim/src/stats.rs)
+#   - energy books after every instance run, in debug builds (a live node's
+#     initial energy == residual + ledger, a dead node empty and within
+#     its initial energy, no negative battery), over every builtin at 3
+#     flows: every_builtin_keeps_its_energy_books (runner.rs; the debug
+#     `cargo test` below, ignored in release)
+#   - strategy registry as a table per StrategyKind, and the agent's
+#     handlers borrowing each packet's strategy from it: the core crate's
+#     unit and framework tests (crates/core), run in release by --smoke
 #   - sizing-flag ceilings exit 2 before anything is built, in
 #     crates/experiments/src/cli.rs: `--threads` on figures and `scenario
 #     run` (batch_thread_counts_above_the_ceiling_are_rejected), `spans
@@ -158,6 +176,9 @@ if [[ "$SMOKE" == "1" ]]; then
     # Debug too: the queue's and the beacon streams' debug assertions are
     # compiled out of the release run.
     cargo test -q -p imobif-netsim --lib
+
+    echo "==> iMobif core tests (agent handlers, strategy registry, decision kernel)"
+    cargo test --release -q -p imobif --lib --test framework
 
     echo "==> observability unit tests (span ring, JSON depth cap, manifests, promlint)"
     cargo test --release -q -p imobif-obs --lib
