@@ -849,6 +849,10 @@ mod tests {
     fn specs_beyond_the_sim_time_and_ext_limits_exit_2() {
         let dir = std::env::temp_dir().join(format!("imobif-scn-limits-{}", std::process::id()));
         fs::create_dir_all(&dir).expect("temp dir");
+        // 200,000 nested arrays overflowed the parser's stack before TOML
+        // nesting was capped.
+        let (open, close) = ("[".repeat(200_000), "]".repeat(200_000));
+        let deep = format!("adapter = \"ext\"\n[ext]\nsteps = {open}{close}\n");
         let specs = [
             "[base]\npacket_interval_secs = 1e14\n",
             "[base.churn]\nmodel = \"relay_exponential\"\nmean_secs = 1e300\n",
@@ -856,6 +860,7 @@ mod tests {
             "adapter = \"ext\"\n[ext]\nlambdas = [2.0]\n",
             "adapter = \"ext\"\n[ext]\nmultiflow_flow_bits = 0\n",
             "adapter = \"ext\"\n[ext]\nestimate_factors = [-1.0]\n",
+            &deep,
         ];
         for (i, body) in specs.iter().enumerate() {
             let path = dir.join(format!("limit{i}.toml"));

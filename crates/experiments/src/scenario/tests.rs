@@ -2,6 +2,7 @@
 //! malformed-input diagnostics, and the compile pipeline's overrides and
 //! limits.
 
+use imobif_obs::json::MAX_DEPTH;
 use proptest::prelude::*;
 
 use crate::config::{ChurnModel, EnergyInit, ScenarioConfig, TopologyFamily};
@@ -109,6 +110,21 @@ fn deeply_nested_json_spec_is_a_parse_error() {
     let spec = format!("{{\"name\": {}{}}}", "[".repeat(n), "]".repeat(n));
     let err = ScenarioSpec::parse(&spec).expect_err("nesting beyond the JSON limit");
     assert!(err.msg.contains("nesting deeper than"), "unexpected error: {}", err.msg);
+}
+
+#[test]
+fn deeply_nested_toml_arrays_are_a_positioned_parse_error() {
+    let nested = |n: usize| format!("steps = {}{}", "[".repeat(n), "]".repeat(n));
+    // At the limit the value parses, and `steps` then wants numbers.
+    let err = ext_error(&nested(MAX_DEPTH));
+    assert_eq!((err.line, err.col, err.msg.as_str()), (4, 1, "expected numbers in `steps`"));
+    // Past it, the error points at the first array too deep: the `[` at
+    // column 9 and MAX_DEPTH more.
+    let over = format!("arrays nested deeper than {MAX_DEPTH}");
+    for n in [MAX_DEPTH + 1, 200_000] {
+        let err = ext_error(&nested(n));
+        assert_eq!((err.line, err.col, err.msg.as_str()), (4, 9 + MAX_DEPTH as u32, over.as_str()));
+    }
 }
 
 #[test]

@@ -9,9 +9,12 @@
 //! `[dotted.table]` headers, and `[[array.of.tables]]` headers. Every entry
 //! records the line/column of its key, so semantic errors raised later
 //! ("unknown key", "expected integer") still point at the offending source
-//! position.
+//! position. Arrays nest at most [`MAX_DEPTH`] deep, as JSON specs do, so
+//! hostile input cannot overflow the stack.
 
 use std::fmt;
+
+use imobif_obs::json::MAX_DEPTH;
 
 /// A 1-based source position. `Pos::NONE` (line 0) marks entries that came
 /// from a positionless source such as a converted JSON document.
@@ -206,7 +209,7 @@ fn parse_key_value(
     }
     cur.bump();
     cur.skip_ws();
-    let value = cur.value()?;
+    let value = cur.value(0)?;
     cur.skip_ws();
     if !matches!(cur.peek(), None | Some(b'#')) {
         return Err(ParseError::at(cur.pos(), "unexpected characters after value"));
@@ -308,11 +311,15 @@ impl<'a> Cursor<'a> {
         self.take_while(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
     }
 
-    fn value(&mut self) -> Result<TomlValue, ParseError> {
+    /// Parses one value. `depth` counts the arrays enclosing it.
+    fn value(&mut self, depth: usize) -> Result<TomlValue, ParseError> {
         match self.peek() {
             None => Err(ParseError::at(self.pos(), "expected a value")),
             Some(b'"') => self.string().map(TomlValue::Str),
-            Some(b'[') => self.array(),
+            Some(b'[') if depth == MAX_DEPTH => {
+                Err(ParseError::at(self.pos(), format!("arrays nested deeper than {MAX_DEPTH}")))
+            }
+            Some(b'[') => self.array(depth),
             Some(b't' | b'f') => self.boolean(),
             Some(_) => self.number(),
         }
@@ -379,7 +386,7 @@ impl<'a> Cursor<'a> {
         run
     }
 
-    fn array(&mut self) -> Result<TomlValue, ParseError> {
+    fn array(&mut self, depth: usize) -> Result<TomlValue, ParseError> {
         self.bump(); // '['
         let mut items = Vec::new();
         loop {
@@ -391,7 +398,7 @@ impl<'a> Cursor<'a> {
                     return Ok(TomlValue::Array(items));
                 }
                 _ => {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.bump(),

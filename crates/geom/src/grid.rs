@@ -27,18 +27,17 @@ const MAX_LOAD: usize = 2;
 /// doubles whenever the items outnumber the slots two to one. Memory is
 /// therefore `O(items)` however far apart the points are; cells that alias
 /// to one slot share its bucket, and every query still filters candidates
-/// by exact distance. A query window as wide as the table folds, so each
-/// slot is read once.
+/// by exact distance.
 ///
-/// # Change stamps
+/// # Queries and change stamps
 ///
-/// A grid-wide clock advances on every `insert`, `update` and `remove`,
-/// and each slot records the clock value of its last change. A caller that
-/// keeps the result of a query whose radius is at most the cell size can
-/// keep its [`SlotWindow`] and the [`SpatialGrid::clock`] value it was
-/// taken at too: then [`SpatialGrid::changed_slots`] names the window
-/// slots that changed since, and [`SpatialGrid::window_buckets`] reads
-/// just those.
+/// A query's radius must not exceed the cell size: it reads the
+/// [`SlotWindow`] of the 3×3 cells around its center. A grid-wide clock
+/// advances on every `insert`, `update` and `remove`, and each slot records
+/// the clock value of its last change. A caller that keeps a query result,
+/// its window and the [`SpatialGrid::clock`] value it was taken at can ask
+/// [`SpatialGrid::changed_slots`] which window slots changed since, and
+/// read just those with [`SpatialGrid::window_buckets`].
 ///
 /// # Example
 ///
@@ -50,7 +49,8 @@ const MAX_LOAD: usize = 2;
 /// grid.insert(1, Point2::new(20.0, 0.0));
 /// grid.insert(2, Point2::new(70.0, 0.0));
 ///
-/// let mut near = grid.query_range(Point2::new(0.0, 0.0), 30.0);
+/// let mut near = Vec::new();
+/// grid.query_range_into(Point2::new(0.0, 0.0), 30.0, &mut near);
 /// near.sort_unstable();
 /// assert_eq!(near, vec![0, 1]);
 ///
@@ -96,85 +96,16 @@ fn cell_axis_gap(c: f64, g: i64, cell: f64) -> f64 {
     (lo - c).max(c - hi).max(0.0)
 }
 
-/// The cells a query window covers along one axis.
-#[derive(Debug, Clone, Copy)]
-struct Axis {
-    lo: i64,
-    hi: i64,
-    /// The window is at least as wide as the table: `lo..=hi` are then the
-    /// table's own columns (or rows), each read once, with no pruning.
-    folded: bool,
-}
-
-impl Axis {
-    fn new(center_cell: i64, span: i64, bits: u32) -> Axis {
-        let dim = 1i64 << bits;
-        if span.saturating_mul(2) >= dim - 1 {
-            Axis { lo: 0, hi: dim - 1, folded: true }
-        } else {
-            Axis {
-                lo: center_cell.saturating_sub(span),
-                hi: center_cell.saturating_add(span),
-                folded: false,
-            }
-        }
-    }
-
-    #[inline]
-    fn gap(self, c: f64, g: i64, cell: f64) -> f64 {
-        if self.folded {
-            0.0
-        } else {
-            cell_axis_gap(c, g, cell)
-        }
-    }
-}
-
-/// The slots one range query reads: every cell whose rectangle comes within
-/// the radius, mapped onto the table. Cells entirely outside the radius are
-/// pruned before any slot is touched; for the common radius ≈ cell-size
-/// query that skips most corner cells.
-#[derive(Debug, Clone, Copy)]
-struct Window {
-    center: Point2,
-    r_sq: f64,
-    cell: f64,
-    xs: Axis,
-    ys: Axis,
-    mask: u64,
-    side_bits: u32,
-}
-
-impl Window {
-    /// The window's slots, each once.
-    fn slots(self) -> impl Iterator<Item = usize> {
-        let Window { center, r_sq, cell, xs, ys, mask, side_bits } = self;
-        (xs.lo..=xs.hi)
-            .filter_map(move |gx| {
-                let dx = xs.gap(center.x, gx, cell);
-                let column = ((gx as u64 & mask) << side_bits) as usize;
-                (dx * dx <= r_sq).then_some((column, dx * dx))
-            })
-            .flat_map(move |(column, dx_sq)| {
-                (ys.lo..=ys.hi).filter_map(move |gy| {
-                    let dy = ys.gap(center.y, gy, cell);
-                    (dx_sq + dy * dy <= r_sq).then_some(column | (gy as u64 & mask) as usize)
-                })
-            })
-    }
-}
-
-/// The slots a range query whose radius is at most the cell size reads:
-/// the center's cell and those of its eight neighbors whose rectangles
-/// come within the radius, each once (a table is at least four slots wide,
-/// so three neighboring columns never alias). A small `Copy` value to keep
-/// beside a cached query result: [`SpatialGrid::changed_slots`] names the
-/// window's slots that changed since the result was taken, and
-/// [`SpatialGrid::window_buckets`] reads them. A table growth invalidates
-/// it.
+/// The slots a range query reads: the center's cell and those of its
+/// eight neighbors whose rectangles come within the radius, each once (a
+/// table is at least four slots wide, so three neighboring columns never
+/// alias). A small `Copy` value to keep beside a cached query result:
+/// [`SpatialGrid::changed_slots`] names the window's slots that changed
+/// since the result was taken, and [`SpatialGrid::window_buckets`] reads
+/// them. A table growth invalidates it.
 ///
-/// Window slot `i` (`0..9`) is the cell at offset `(i / 3 - 1, i % 3 - 1)`
-/// from the center's.
+/// The window's slot `i` (`0..9`) is the cell at offset
+/// `(i / 3 - 1, i % 3 - 1)` from the center's.
 ///
 /// Packed to 7 bytes, alignment 1, so a cache entry that keeps one beside
 /// 4- and 8-byte fields pads no further than their own alignment needs;
@@ -222,10 +153,8 @@ fn ones(mut mask: u16) -> impl Iterator<Item = u32> {
 }
 
 impl SpatialGrid {
-    /// Creates an empty grid with the given cell size in meters.
-    ///
-    /// A cell size close to the typical query radius is the sweet spot: a
-    /// radius-`r` query then touches at most 9 cells.
+    /// Creates an empty grid with the given cell size in meters, which
+    /// bounds every query's radius.
     ///
     /// # Panics
     ///
@@ -270,28 +199,6 @@ impl SpatialGrid {
     fn touch(&mut self, slot: usize) {
         self.clock += 1;
         self.stamps[slot] = self.clock;
-    }
-
-    /// The window of a query; empty when `radius` is negative or not
-    /// finite, which always queries empty.
-    fn window(&self, center: Point2, radius: f64) -> Window {
-        let (xs, ys) = if radius.is_finite() && radius >= 0.0 {
-            let span = (radius / self.cell_size).ceil() as i64;
-            let (cx, cy) = self.cell_of(center);
-            (Axis::new(cx, span, self.side_bits), Axis::new(cy, span, self.side_bits))
-        } else {
-            let empty = Axis { lo: 1, hi: 0, folded: true };
-            (empty, empty)
-        };
-        Window {
-            center,
-            r_sq: radius * radius,
-            cell: self.cell_size,
-            xs,
-            ys,
-            mask: (1 << self.side_bits) - 1,
-            side_bits: self.side_bits,
-        }
     }
 
     /// Number of items currently stored.
@@ -369,52 +276,47 @@ impl SpatialGrid {
         self.slots[slot].iter().find(|&&(k, _)| k == key).map(|&(_, p)| p)
     }
 
-    /// All item keys within `radius` meters of `center` (inclusive),
-    /// including an item exactly at `center`.
+    /// Clears `out` and fills it with the keys of all items within
+    /// `radius` meters of `center`, inclusive, in unspecified order; a
+    /// negative or NaN radius finds none. Hot paths keep one scratch `Vec`
+    /// alive across queries, so the steady state allocates nothing.
     ///
-    /// The result order is unspecified; callers that need determinism should
-    /// sort. The query itself is exact — the grid only prunes candidates.
-    #[must_use]
-    pub fn query_range(&self, center: Point2, radius: f64) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.query_range_into(center, radius, &mut out);
-        out
-    }
-
-    /// Like [`SpatialGrid::query_range`], but clears and fills a
-    /// caller-provided buffer instead of allocating. Hot paths keep one
-    /// scratch `Vec` alive across queries so the steady state allocates
-    /// nothing.
+    /// # Panics
+    ///
+    /// Panics if `radius` exceeds the cell size.
     pub fn query_range_into(&self, center: Point2, radius: f64, out: &mut Vec<u32>) {
         out.clear();
-        let window = self.window(center, radius);
-        // `for_each` folds the nested window iterator internally, which
-        // measured faster than a `for` loop over it.
-        window.slots().for_each(|slot| {
-            for &(key, p) in &self.slots[slot] {
-                if center.distance_sq_to(p) <= window.r_sq {
+        let r_sq = radius * radius;
+        let window = self.slot_window(center, radius);
+        // `for_each` folds the window's iterator internally, which measured
+        // faster than a `for` loop or an `extend` over it.
+        self.window_buckets(window, window.mask()).for_each(|(_, bucket)| {
+            for &(key, p) in bucket {
+                if center.distance_sq_to(p) <= r_sq {
                     out.push(key);
                 }
             }
         });
     }
 
-    /// Iterates over the keys within `radius` meters of `center` without
-    /// allocating. Same exact semantics as [`SpatialGrid::query_range`]
-    /// (inclusive radius, unspecified order); callers that need determinism
-    /// should collect and sort.
+    /// The keys [`SpatialGrid::query_range_into`] finds, as an iterator
+    /// that allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `radius` exceeds the cell size.
     pub fn query_range_iter(&self, center: Point2, radius: f64) -> impl Iterator<Item = u32> + '_ {
-        let window = self.window(center, radius);
-        window
-            .slots()
-            .flat_map(move |slot| &self.slots[slot])
-            .filter(move |&&(_, p)| center.distance_sq_to(p) <= window.r_sq)
+        let r_sq = radius * radius;
+        let window = self.slot_window(center, radius);
+        self.window_buckets(window, window.mask())
+            .flat_map(|(_, bucket)| bucket)
+            .filter(move |&&(_, p)| center.distance_sq_to(p) <= r_sq)
             .map(|&(k, _)| k)
     }
 
-    /// The window a `query_range(center, radius)` reads, as a value to
-    /// keep beside its result: the same cells, pruned the same way. A
-    /// negative or NaN radius reads no slot, as the query does.
+    /// The slots a range query reads, as a value to keep beside its result:
+    /// the center's cell and each neighbor cell whose rectangle comes
+    /// within `radius`. A negative or NaN radius reads no slot.
     ///
     /// # Panics
     ///
@@ -429,15 +331,15 @@ impl SpatialGrid {
         let (cell, r_sq) = (self.cell_size, radius * radius);
         let mut mask = 0;
         if radius >= 0.0 {
-            // Cell indices saturate at the i64 limits: no cell lies beyond.
-            let near = |c: i64| (-1..=1).map(move |d| c.checked_add(d));
-            for (i, gx) in near(cx).enumerate() {
-                let Some(gx) = gx else { continue };
-                let dx = cell_axis_gap(center.x, gx, cell);
-                for (j, gy) in near(cy).enumerate() {
-                    let Some(gy) = gy else { continue };
-                    let dy = cell_axis_gap(center.y, gy, cell);
-                    if dx * dx + dy * dy <= r_sq {
+            // Each column's and row's squared gap, once. Cell indices
+            // saturate at the i64 limits: no cell lies beyond.
+            let gaps_sq = |c: f64, g: i64| {
+                [-1, 0, 1].map(|d| g.checked_add(d).map(|g| cell_axis_gap(c, g, cell).powi(2)))
+            };
+            let rows = gaps_sq(center.y, cy);
+            for (i, dx_sq) in gaps_sq(center.x, cx).into_iter().enumerate() {
+                for (j, dy_sq) in rows.into_iter().enumerate() {
+                    if dx_sq.zip(dy_sq).is_some_and(|(dx_sq, dy_sq)| dx_sq + dy_sq <= r_sq) {
                         mask |= 1 << (3 * i + j);
                     }
                 }
@@ -481,17 +383,20 @@ impl SpatialGrid {
         assert_eq!(u32::from(window.side_bits), self.side_bits, "the window outlived its table");
         ones(window.mask & select).map(move |i| (i as usize, self.slots[window.slot(i)].as_slice()))
     }
-
-    /// Iterates over all `(key, position)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, Point2)> + '_ {
-        self.slots.iter().flatten().copied()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The keys `query_range_into` finds, sorted.
+    fn query(g: &SpatialGrid, center: Point2, radius: f64) -> Vec<u32> {
+        let mut out = Vec::new();
+        g.query_range_into(center, radius, &mut out);
+        out.sort_unstable();
+        out
+    }
 
     #[test]
     #[should_panic(expected = "cell_size must be positive")]
@@ -506,7 +411,7 @@ mod tests {
         g.insert(7, Point2::new(5.0, 5.0));
         assert_eq!(g.len(), 1);
         assert_eq!(g.position(7), Some(Point2::new(5.0, 5.0)));
-        assert_eq!(g.query_range(Point2::new(5.0, 5.0), 0.0), vec![7]);
+        assert_eq!(query(&g, Point2::new(5.0, 5.0), 0.0), vec![7]);
         assert_eq!(g.remove(7), Some(Point2::new(5.0, 5.0)));
         assert!(g.is_empty());
         assert_eq!(g.remove(7), None);
@@ -517,8 +422,8 @@ mod tests {
         let mut g = SpatialGrid::new(10.0);
         g.insert(1, Point2::new(1.0, 1.0));
         g.update(1, Point2::new(95.0, 95.0));
-        assert!(g.query_range(Point2::new(1.0, 1.0), 5.0).is_empty());
-        assert_eq!(g.query_range(Point2::new(95.0, 95.0), 5.0), vec![1]);
+        assert!(query(&g, Point2::new(1.0, 1.0), 5.0).is_empty());
+        assert_eq!(query(&g, Point2::new(95.0, 95.0), 5.0), vec![1]);
         assert_eq!(g.len(), 1);
     }
 
@@ -537,16 +442,14 @@ mod tests {
         g.insert(0, Point2::new(0.0, 0.0));
         g.insert(1, Point2::new(30.0, 0.0));
         g.insert(2, Point2::new(30.1, 0.0));
-        let mut near = g.query_range(Point2::new(0.0, 0.0), 30.0);
-        near.sort_unstable();
-        assert_eq!(near, vec![0, 1]);
+        assert_eq!(query(&g, Point2::new(0.0, 0.0), 30.0), vec![0, 1]);
     }
 
     #[test]
     fn query_handles_negative_coordinates() {
         let mut g = SpatialGrid::new(10.0);
         g.insert(3, Point2::new(-25.0, -25.0));
-        assert_eq!(g.query_range(Point2::new(-20.0, -20.0), 10.0), vec![3]);
+        assert_eq!(query(&g, Point2::new(-20.0, -20.0), 10.0), vec![3]);
     }
 
     #[test]
@@ -571,8 +474,8 @@ mod tests {
             g.update(1, Point2::new(15.0, 5.0));
             g.update(1, Point2::new(5.0, 5.0));
         }
-        assert_eq!(g.query_range(Point2::new(5.0, 5.0), 1.0), vec![1]);
-        assert!(g.query_range(Point2::new(15.0, 5.0), 1.0).is_empty());
+        assert_eq!(query(&g, Point2::new(5.0, 5.0), 1.0), vec![1]);
+        assert!(query(&g, Point2::new(15.0, 5.0), 1.0).is_empty());
         assert_eq!(g.len(), 1);
     }
 
@@ -580,8 +483,8 @@ mod tests {
     fn invalid_radius_returns_empty() {
         let mut g = SpatialGrid::new(10.0);
         g.insert(0, Point2::ORIGIN);
-        assert!(g.query_range(Point2::ORIGIN, f64::NAN).is_empty());
-        assert!(g.query_range(Point2::ORIGIN, -1.0).is_empty());
+        assert!(query(&g, Point2::ORIGIN, f64::NAN).is_empty());
+        assert!(query(&g, Point2::ORIGIN, -1.0).is_empty());
     }
 
     #[test]
@@ -592,10 +495,8 @@ mod tests {
         g.insert(0, Point2::new(1e300, 0.0));
         g.insert(1, Point2::new(1e300, 10.0));
         g.insert(2, Point2::new(-1e300, 0.0));
-        let mut near = g.query_range(Point2::new(1e300, 0.0), 30.0);
-        near.sort_unstable();
-        assert_eq!(near, vec![0, 1]);
-        assert_eq!(g.query_range(Point2::new(-1e300, 5.0), 30.0), vec![2]);
+        assert_eq!(query(&g, Point2::new(1e300, 0.0), 30.0), vec![0, 1]);
+        assert_eq!(query(&g, Point2::new(-1e300, 5.0), 30.0), vec![2]);
     }
 
     #[test]
@@ -604,8 +505,8 @@ mod tests {
         g.insert(0, Point2::new(0.0, 0.0));
         g.insert(1, Point2::new(1e12, 1e12));
         assert_eq!(g.slots.len(), 16);
-        assert_eq!(g.query_range(Point2::new(1e12, 1e12), 30.0), vec![1]);
-        assert_eq!(g.query_range(Point2::ORIGIN, 30.0), vec![0]);
+        assert_eq!(query(&g, Point2::new(1e12, 1e12), 30.0), vec![1]);
+        assert_eq!(query(&g, Point2::ORIGIN, 30.0), vec![0]);
         // Growth keeps the table within a constant factor of the items.
         for i in 0..1000u32 {
             g.insert(i + 2, Point2::new(f64::from(i) * 1e9, 0.0));
@@ -680,35 +581,55 @@ mod tests {
         let _ = SpatialGrid::new(10.0).slot_window(Point2::ORIGIN, 10.5);
     }
 
+    #[test]
+    #[should_panic(expected = "must not exceed the cell size")]
+    fn query_range_into_wider_than_a_cell_panics() {
+        SpatialGrid::new(10.0).query_range_into(Point2::ORIGIN, 10.5, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "must not exceed the cell size")]
+    fn query_range_iter_wider_than_a_cell_panics() {
+        let _ = SpatialGrid::new(10.0).query_range_iter(Point2::ORIGIN, 10.5);
+    }
+
     proptest! {
-        /// The grid query must agree exactly with the brute-force scan.
+        /// The grid query must agree exactly with the brute-force scan, at
+        /// every radius up to the cell size: a sampled one, 0 and exactly
+        /// the cell size. Half the queries are centered on an item, which
+        /// a radius-0 query must find.
         #[test]
         fn prop_query_matches_brute_force(
             items in proptest::collection::vec((0u32..64, -200.0..200.0f64, -200.0..200.0f64), 0..64),
             qx in -200.0..200.0f64,
             qy in -200.0..200.0f64,
-            radius in 0.0..100.0f64,
+            on_item in 0u8..2,
+            radius in 0.0..=17.0f64,
         ) {
             let mut g = SpatialGrid::new(17.0);
             let mut truth: std::collections::HashMap<u32, Point2> = Default::default();
-            for (k, x, y) in items {
+            for &(k, x, y) in &items {
                 let p = Point2::new(x, y);
                 g.insert(k, p);
                 truth.insert(k, p);
             }
-            let center = Point2::new(qx, qy);
-            let mut got = g.query_range(center, radius);
-            got.sort_unstable();
-            let mut iterated: Vec<u32> = g.query_range_iter(center, radius).collect();
-            iterated.sort_unstable();
-            prop_assert_eq!(&iterated, &got);
-            let mut want: Vec<u32> = truth
-                .iter()
-                .filter(|(_, p)| center.distance_to(**p) <= radius)
-                .map(|(&k, _)| k)
-                .collect();
-            want.sort_unstable();
-            prop_assert_eq!(got, want);
+            let center = match items.last() {
+                Some(&(k, _, _)) if on_item == 1 => truth[&k],
+                _ => Point2::new(qx, qy),
+            };
+            for radius in [radius, 0.0, 17.0] {
+                let got = query(&g, center, radius);
+                let mut iterated: Vec<u32> = g.query_range_iter(center, radius).collect();
+                iterated.sort_unstable();
+                prop_assert_eq!(&iterated, &got);
+                let mut want: Vec<u32> = truth
+                    .iter()
+                    .filter(|(_, p)| center.distance_to(**p) <= radius)
+                    .map(|(&k, _)| k)
+                    .collect();
+                want.sort_unstable();
+                prop_assert_eq!(got, want);
+            }
         }
 
         /// A cached query result revalidated by the changed-slot rule is
@@ -818,8 +739,7 @@ mod tests {
                 for (&q, k) in queries.iter().zip(&mut kept) {
                     k.touched.extend(&touched);
                     k.invalid |= grew;
-                    let mut fresh = g.query_range(q.0, q.1);
-                    fresh.sort_unstable();
+                    let fresh = query(&g, q.0, q.1);
                     let Some(changed) = g.changed_slots(k.window, k.stamp) else {
                         prop_assert!(k.invalid);
                         *k = read(&g, q, g.slot_window(q.0, q.1));

@@ -145,30 +145,6 @@ impl NeighborTable {
         self.live.clear();
     }
 
-    /// Removes a neighbor explicitly (e.g. on death notification).
-    pub fn forget(&mut self, id: NodeId) {
-        if let Ok(i) = self.live.binary_search(&id) {
-            self.live.remove(i);
-        }
-        if let Ok(i) = self.frozen_index(id) {
-            self.frozen.remove(i);
-        }
-    }
-
-    /// Drops frozen entries stale at `now`, returning how many were
-    /// removed.
-    ///
-    /// Freshness is already enforced on read; this is housekeeping to bound
-    /// memory in long simulations, where a table keeps a frozen entry for
-    /// every peer its node stopped hearing. Linked entries are never swept:
-    /// they read the beacon board, which the table does not see.
-    pub fn sweep(&mut self, now: SimTime) -> usize {
-        let before = self.frozen.len();
-        let ttl = self.ttl;
-        self.frozen.retain(|(_, b)| now - b.heard_at <= ttl);
-        before - self.frozen.len()
-    }
-
     /// The table's entries. A table outside a world holds only observed
     /// entries, so its view needs no beacon board.
     #[must_use]
@@ -340,25 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_removes_stale() {
-        let mut nt = NeighborTable::new(SimDuration::from_secs(3));
-        nt.observe(NodeId::new(1), Point2::ORIGIN, 1.0, t(0));
-        nt.observe(NodeId::new(2), Point2::ORIGIN, 1.0, t(10));
-        assert_eq!(nt.sweep(t(10)), 1);
-        assert_eq!(nt.len(), 1);
-        assert!(!nt.is_empty());
-    }
-
-    #[test]
-    fn sweep_keeps_linked_entries() {
-        let mut nt = NeighborTable::new(SimDuration::from_secs(3));
-        nt.join(NodeId::new(1));
-        nt.observe(NodeId::new(2), Point2::ORIGIN, 1.0, t(0));
-        assert_eq!(nt.sweep(t(10)), 1);
-        assert_eq!(nt.len(), 1, "the link stays: its record is on the board");
-    }
-
-    #[test]
     fn linked_entries_read_the_board_until_frozen() {
         let mut board = vec![beacon(0.0, 1.0, 0); 4];
         let mut nt = NeighborTable::new(SimDuration::from_secs(3));
@@ -380,15 +337,5 @@ mod tests {
         board[1] = beacon(1.5, 8.0, 3);
         assert_eq!(ids(&nt, &board), [(1, 1.0), (2, 0.0), (3, 3.0)], "death froze the links");
         assert_eq!(nt.len(), 3);
-    }
-
-    #[test]
-    fn forget_removes_entry() {
-        let mut nt = NeighborTable::new(SimDuration::from_secs(3));
-        nt.observe(NodeId::new(1), Point2::ORIGIN, 1.0, t(0));
-        nt.join(NodeId::new(2));
-        nt.forget(NodeId::new(1));
-        nt.forget(NodeId::new(2));
-        assert!(nt.is_empty());
     }
 }

@@ -255,5 +255,34 @@ mod tests {
                 }
             }
         }
+
+        /// `neighbors_into` equals a brute-force scan over every live node,
+        /// with a quarter of the nodes dead, at ranges from 0.1 m (where
+        /// the grid's cells clamp to 1 m) to 60 m, drawn log-uniformly.
+        /// The nodes spread over 1–8 ranges, so every range has neighbors.
+        #[test]
+        fn prop_neighbors_match_brute_force(
+            nodes in proptest::collection::vec((0.0..1.0f64, 0.0..1.0f64, 0u8..4), 1..60),
+            range_exp in 0.0..=1.0f64,
+            spread in 1.0..8.0f64,
+        ) {
+            let range = 0.1 * 600f64.powf(range_exp);
+            let side = spread * range;
+            let positions: Vec<Point2> =
+                nodes.iter().map(|&(x, y, _)| Point2::new(x * side, y * side)).collect();
+            let alive: Vec<bool> = nodes.iter().map(|&(_, _, kind)| kind != 0).collect();
+            let t = TopologyView::new(positions.clone(), alive.clone(), range);
+            let mut got = Vec::new();
+            for (i, &p) in positions.iter().enumerate() {
+                t.neighbors_into(NodeId::new(i as u32), &mut got);
+                let want: Vec<NodeId> = (0..positions.len())
+                    .filter(|&j| {
+                        alive[i] && alive[j] && j != i && p.distance_to(positions[j]) <= range
+                    })
+                    .map(|j| NodeId::new(j as u32))
+                    .collect();
+                prop_assert_eq!(&got, &want);
+            }
+        }
     }
 }

@@ -37,21 +37,15 @@ pub(crate) struct Links<'a> {
     pub(crate) left: &'a [u32],
 }
 
-/// Pool words before every list: its owner's slot and its capacity.
-const HEADER: usize = 2;
-
-/// One node's latest hearer list, `pool[offset..offset + len]`, inside a
-/// run of the pool that starts with a [`HEADER`]. `offset` 0 means no run.
-/// The list was read at grid clock `stamp` for a beacon from `center`; a
-/// grid-path list from the slots of `window`, `counts[i]` of its members
-/// from window slot `i` (saturating at `u8::MAX`), a scanned one from no
-/// window.
-#[derive(Debug, Clone, Copy)]
+/// One node's latest hearer list, sorted. The list was read at grid clock
+/// `stamp` for a beacon from `center`; a grid-path list from the slots of
+/// `window`, `counts[i]` of its members from window slot `i` (saturating at
+/// `u8::MAX`), a scanned one from no window.
+#[derive(Debug, Clone)]
 struct Entry {
     center: Point2,
     stamp: u64,
-    offset: u32,
-    len: u32,
+    list: Vec<u32>,
     window: SlotWindow,
     counts: [u8; 9],
 }
@@ -62,11 +56,31 @@ impl Entry {
     const EMPTY: Entry = Entry {
         center: Point2::new(f64::NAN, f64::NAN),
         stamp: 0,
-        offset: 0,
-        len: 0,
+        list: Vec::new(),
         window: SlotWindow::EMPTY,
         counts: [0; 9],
     };
+
+    /// Whether the list is still exact for a beacon from its center, given
+    /// that only the window slots in `changed` changed since its stamp:
+    /// each changed slot must hold, within range, only list members other
+    /// than `node`, and exactly as many as it did. The unchanged slots hold
+    /// the same items, and an item lives in one slot, so the hearer set is
+    /// then a subset of the list of the same size: the list.
+    fn recheck(&self, view: &BeaconView<'_>, node: NodeId, changed: u16) -> bool {
+        let r_sq = view.range * view.range;
+        view.grid.window_buckets(self.window, changed).all(|(i, bucket)| {
+            let mut n = 0;
+            let members = bucket
+                .iter()
+                .filter(|&&(k, p)| k != node.raw() && self.center.distance_sq_to(p) <= r_sq)
+                .all(|&(k, _)| {
+                    n += 1;
+                    self.list.binary_search(&k).is_ok()
+                });
+            members && n == usize::from(self.counts[i]) && self.counts[i] < u8::MAX
+        })
+    }
 }
 
 /// Every node's latest HELLO hearer list: the authoritative record of who
@@ -76,20 +90,13 @@ impl Entry {
 /// slots that changed, instead of recomputed by a range query and a sort;
 /// a recomputed list is diffed against the stored one.
 ///
-/// Storage is one flat 48-byte [`Entry`] per node plus a single `u32` pool
-/// holding every list behind a two-word header, so the cache costs about
-/// `56 + 4 × fan-out` bytes a node. A list that outgrows its run moves to
-/// the end of the pool (with a quarter of headroom); the run it left is
-/// garbage until the pool is full and at least half garbage, when the
-/// live runs are compacted in place — no list is ever dropped, and no
-/// allocation is made.
+/// Storage is one 64-byte [`Entry`] per node, each owning its list's
+/// `Vec`: a changed list is copied into the old one's capacity, so a list
+/// allocates only when it outgrows every earlier version of itself.
 #[derive(Debug, Default)]
 pub(super) struct HearerCache {
     /// Indexed by the caller's node slot.
     entries: Vec<Entry>,
-    pool: Vec<u32>,
-    /// Pool words no entry owns any more.
-    garbage: usize,
     /// The latest scanned or recomputed list.
     scratch: Vec<u32>,
     /// The latest beacon's [`Links`].
@@ -111,7 +118,7 @@ impl HearerCache {
     /// (a shard's replica takes both at the barrier). Beyond that size, a
     /// beacon from the stored center asks the grid which slots of the
     /// stored window changed since the stored stamp. If none did, the list
-    /// is reused; if some did, [`HearerCache::recheck`] reads just those,
+    /// is reused; if some did, [`Entry::recheck`] reads just those,
     /// and the list is reused if it passes, else queried again over the
     /// same window. A new center, or a grid that grew, queries a new
     /// window. On both paths the stored center is what catches a sharded
@@ -133,12 +140,12 @@ impl HearerCache {
         }
         self.joined.clear();
         self.left.clear();
-        let e = self.entries[slot];
+        let e = &self.entries[slot];
         let len = if view.positions.len() <= SMALL_WORLD_SCAN {
             let stamp = view.grid.clock();
             if e.center == pos && e.stamp == stamp {
                 stats.hello_cache_hits += 1;
-                e.len as usize
+                e.list.len()
             } else {
                 stats.hello_cache_misses += 1;
                 let r_sq = view.range * view.range;
@@ -158,13 +165,14 @@ impl HearerCache {
             match changed {
                 Some(0) => {
                     stats.hello_cache_hits += 1;
-                    e.len as usize
+                    e.list.len()
                 }
-                Some(changed) if self.recheck(view, node, &e, changed) => {
+                Some(changed) if e.recheck(view, node, changed) => {
                     stats.hello_cache_hits += 1;
                     stats.hello_cache_rechecks += 1;
+                    let len = e.list.len();
                     self.entries[slot].stamp = view.grid.clock();
-                    e.len as usize
+                    len
                 }
                 _ => {
                     stats.hello_cache_misses += 1;
@@ -188,28 +196,6 @@ impl HearerCache {
         stats.hello_fanout_bins[KernelStats::fanout_bin(len)] += 1;
         stats.hello_link_changes += (self.joined.len() + self.left.len()) as u64;
         Links { joined: &self.joined, left: &self.left }
-    }
-
-    /// Whether `e`'s list is still exact for a beacon from its center,
-    /// given that only the window slots in `changed` changed since its
-    /// stamp: each changed slot must hold, within range, only list members
-    /// other than `node`, and exactly as many as it did. The unchanged
-    /// slots hold the same items, and an item lives in one slot, so the
-    /// hearer set is then a subset of the list of the same size: the list.
-    fn recheck(&self, view: &BeaconView<'_>, node: NodeId, e: &Entry, changed: u16) -> bool {
-        let list = &self.pool[e.offset as usize..][..e.len as usize];
-        let r_sq = view.range * view.range;
-        view.grid.window_buckets(e.window, changed).all(|(i, bucket)| {
-            let mut n = 0;
-            let members = bucket
-                .iter()
-                .filter(|&&(k, p)| k != node.raw() && e.center.distance_sq_to(p) <= r_sq)
-                .all(|&(k, _)| {
-                    n += 1;
-                    list.binary_search(&k).is_ok()
-                });
-            members && n == usize::from(e.counts[i]) && e.counts[i] < u8::MAX
-        })
     }
 
     /// Collects the hearers of a beacon `node` sends from `pos` — the live
@@ -241,73 +227,15 @@ impl HearerCache {
     /// `left`, then stores it, with `key`'s center, stamp, window and
     /// counts. Returns its length.
     fn store(&mut self, slot: usize, key: Entry) -> usize {
-        let e = self.entries[slot];
-        let old = &self.pool[e.offset as usize..][..e.len as usize];
-        let len = self.scratch.len();
-        let mut offset = e.offset as usize;
+        let mut list = std::mem::take(&mut self.entries[slot].list);
         // Most recomputed lists are unchanged: no diff, no copy.
-        if old != self.scratch {
-            diff_sorted(old, &self.scratch, &mut self.joined, &mut self.left);
-            let cap = if offset == 0 { 0 } else { self.pool[offset - 1] as usize };
-            if len > cap {
-                // Give up the run first, so a compaction reclaims it.
-                self.entries[slot] = Entry::EMPTY;
-                if offset != 0 {
-                    self.garbage += HEADER + cap;
-                }
-                // A list that grew once tends to keep changing; give it room.
-                let cap = if cap == 0 { len } else { len + len / 4 + 1 };
-                self.make_room(HEADER + cap);
-                offset = self.pool.len() + HEADER;
-                assert!(offset + cap <= u32::MAX as usize, "hearer pool outgrew u32 offsets");
-                self.pool.extend_from_slice(&[slot as u32, cap as u32]);
-                self.pool.resize(offset + cap, 0);
-            }
-            self.pool[offset..][..len].copy_from_slice(&self.scratch);
+        if list != self.scratch {
+            diff_sorted(&list, &self.scratch, &mut self.joined, &mut self.left);
+            list.clone_from(&self.scratch);
         }
-        self.entries[slot] = Entry { offset: offset as u32, len: len as u32, ..key };
+        let len = list.len();
+        self.entries[slot] = Entry { list, ..key };
         len
-    }
-
-    /// Ensures the pool has room for `need` more words: by compacting it
-    /// when it is full and at least half garbage, else by growing it by an
-    /// eighth (not doubling: the pool is most of the cache's memory).
-    fn make_room(&mut self, need: usize) {
-        if self.pool.len() + need <= self.pool.capacity() {
-            return;
-        }
-        if self.garbage * 2 >= self.pool.len() {
-            self.compact();
-        }
-        if self.pool.len() + need > self.pool.capacity() {
-            self.pool.reserve_exact(need.max(self.pool.len() / 8));
-        }
-    }
-
-    /// Slides every owned run down over the garbage, in pool order. A run
-    /// is owned when its header's slot still points at it.
-    fn compact(&mut self) {
-        let (mut read, mut write) = (0, 0);
-        while read < self.pool.len() {
-            let (owner, cap) = (self.pool[read] as usize, self.pool[read + 1] as usize);
-            let run = HEADER + cap;
-            if self.entries[owner].offset as usize == read + HEADER {
-                self.pool.copy_within(read..read + run, write);
-                self.entries[owner].offset = (write + HEADER) as u32;
-                write += run;
-            }
-            read += run;
-        }
-        self.pool.truncate(write);
-        self.garbage = 0;
-    }
-}
-
-#[cfg(test)]
-impl HearerCache {
-    /// Pool words in use: shrinks only when [`HearerCache::compact`] runs.
-    pub(super) fn pool_len(&self) -> usize {
-        self.pool.len()
     }
 }
 
@@ -339,10 +267,11 @@ fn diff_sorted(old: &[u32], new: &[u32], joined: &mut Vec<u32>, left: &mut Vec<u
 mod tests {
     use super::Entry;
 
-    /// The packed 7-byte window leaves the nine counts room inside the
-    /// entry's 8-byte alignment: 16 + 8 + 4 + 4 + 7 + 9 bytes.
+    /// The packed 7-byte window and the nine counts share the entry's last
+    /// 16 bytes: 16 + 8 + 24 + 7 + 9. Unpacked, the window would take 8
+    /// bytes at alignment 4 and push the entry to 72.
     #[test]
-    fn a_cache_entry_is_48_bytes() {
-        assert_eq!(std::mem::size_of::<Entry>(), 48);
+    fn a_cache_entry_is_64_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 64);
     }
 }

@@ -73,8 +73,16 @@
 #     (world/shard/tests.rs); a scanned world counts each beacon as a hit
 #     or a miss: the "scan path finds the hearers" rule of
 #     handler_ordering_rules_hold_on_both_engines (world/shard/tests.rs); a
-#     cache entry stays 48 bytes (the packed slot window):
-#     a_cache_entry_is_48_bytes (world/beacon.rs)
+#     cache entry stays 64 bytes (the packed slot window):
+#     a_cache_entry_is_64_bytes (world/beacon.rs)
+#   - range queries: the grid's one query window == brute force at sampled
+#     radii, 0 and exactly the cell size, and a wider radius panics:
+#     prop_query_matches_brute_force,
+#     query_range_into_wider_than_a_cell_panics and
+#     query_range_iter_wider_than_a_cell_panics (crates/geom/src/grid.rs);
+#     TopologyView's neighbors == brute force with dead nodes, at ranges
+#     from 0.1 m (cells clamped to 1 m) to 60 m:
+#     prop_neighbors_match_brute_force (crates/netsim/src/medium.rs)
 #   - first death: the ledger's kept first death == the brute-force
 #     (time, id) minimum after every report:
 #     prop_first_death_is_the_least_recorded (crates/netsim/src/stats.rs)
@@ -97,10 +105,14 @@
 #   - `imobif <fig>` and `scenario run <fig>` write the same artifacts:
 #     figure_and_scenario_commands_write_the_same_artifacts (cli.rs)
 #   - spec values beyond the sim-time ceiling (config::MAX_SIM_SECS) or
-#     out of range in `[ext]` exit 2 from `scenario validate` and `scenario
-#     run`: specs_beyond_the_sim_time_and_ext_limits_exit_2 (cli.rs), with
+#     out of range in `[ext]`, and TOML arrays nested 200,000 deep, exit 2
+#     from `scenario validate` and `scenario run`:
+#     specs_beyond_the_sim_time_and_ext_limits_exit_2 (cli.rs), with
 #     the field, the limit and the `[ext]` position checked in
-#     crates/experiments/src/scenario/tests.rs
+#     crates/experiments/src/scenario/tests.rs; TOML arrays nest at most
+#     imobif_obs::json::MAX_DEPTH (128) deep, the error at the first `[`
+#     past it: deeply_nested_toml_arrays_are_a_positioned_parse_error
+#     (scenario/tests.rs)
 #   - a spec field its adapter would drop (a second [[variant]] under fig5,
 #     fig7 or fig8; any [[variant]], or a [base] value other than the seed
 #     that differs from the paper's, under ext) is a parse error at its
