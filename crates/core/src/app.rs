@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use imobif_geom::{FxHashMap, Point2};
+use imobif_geom::Point2;
 use imobif_netsim::{Application, EnergyCategory, FlowId, NodeCtx, NodeId, Outbox, SimDuration};
 use serde::{Deserialize, Serialize};
 
@@ -127,8 +127,8 @@ pub struct ImobifCounters {
 ///
 /// # Example
 ///
-/// See [`crate::install_flow`] for an end-to-end example; unit tests in
-/// this module exercise each role in isolation.
+/// See [`crate::install_flow`] for an end-to-end example; the crate's
+/// `tests/framework.rs` exercises each role.
 #[derive(Debug)]
 pub struct ImobifApp {
     registry: Arc<StrategyRegistry>,
@@ -143,18 +143,12 @@ pub struct ImobifApp {
 #[derive(Debug)]
 struct Agent {
     config: ImobifConfig,
+    /// One record per flow, sorted by flow id: the table entry, the source
+    /// and destination state, the movement target (superposed by
+    /// [`ImobifApp::combined_target`] in flow-id order, so a node's
+    /// movement is a function of its flows, never of arrival order) and the
+    /// decision cache (see [`DecisionCacheConfig`]).
     flows: FlowTable,
-    sources: FxHashMap<FlowId, SourceFlow>,
-    dests: FxHashMap<FlowId, DestFlow>,
-    /// Latest per-flow movement targets; multiple concurrent flows are
-    /// superposed by [`ImobifApp::combined_target`]. Kept sorted by flow id
-    /// so `combined_target` sums the flows in one f64 order, whatever order
-    /// their packets first arrived in: a node's movement is a function of
-    /// its flows, never of a hash map's iteration order.
-    targets: Vec<(FlowId, Point2)>,
-    /// Per-flow memo of the last strategy evaluation (see
-    /// [`DecisionCacheConfig`]).
-    caches: FxHashMap<FlowId, DecisionCache>,
     counters: ImobifCounters,
 }
 
@@ -175,15 +169,7 @@ impl ImobifApp {
     pub fn with_registry(config: ImobifConfig, registry: Arc<StrategyRegistry>) -> Self {
         ImobifApp {
             registry,
-            agent: Agent {
-                config,
-                flows: FlowTable::new(),
-                sources: FxHashMap::default(),
-                dests: FxHashMap::default(),
-                targets: Vec::new(),
-                caches: FxHashMap::default(),
-                counters: ImobifCounters::default(),
-            },
+            agent: Agent { config, flows: FlowTable::new(), counters: ImobifCounters::default() },
         }
     }
 
@@ -205,9 +191,19 @@ impl ImobifApp {
         self.agent.flows.install(entry);
     }
 
-    /// Registers this node as the source of `flow`.
+    /// Registers this node as the source of `flow`, replacing any source
+    /// state it had.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no entry for `flow` is installed: the source state lives
+    /// in the flow's record, so [`ImobifApp::install_entry`] comes first
+    /// (as [`crate::install_flow`] does).
     pub fn register_source(&mut self, flow: FlowId, source: SourceFlow) {
-        self.agent.sources.insert(flow, source);
+        let Some(record) = self.agent.flows.record_mut(flow) else {
+            panic!("{flow:?} has no flow entry at its source");
+        };
+        record.source = Some(source);
     }
 
     /// The flow table.
@@ -219,14 +215,14 @@ impl ImobifApp {
     /// Source-side state of `flow`, if this node sources it.
     #[must_use]
     pub fn source(&self, flow: FlowId) -> Option<&SourceFlow> {
-        self.agent.sources.get(&flow)
+        self.agent.flows.record(flow)?.source.as_ref()
     }
 
     /// Destination-side state of `flow`, if this node has received any of
     /// it.
     #[must_use]
     pub fn dest(&self, flow: FlowId) -> Option<&DestFlow> {
-        self.agent.dests.get(&flow)
+        self.agent.flows.record(flow)?.dest.as_ref()
     }
 
     /// Protocol counters.
@@ -238,8 +234,7 @@ impl ImobifApp {
     /// The movement target this node currently pursues for `flow`.
     #[must_use]
     pub fn target(&self, flow: FlowId) -> Option<Point2> {
-        let targets = &self.agent.targets;
-        targets.binary_search_by_key(&flow, |&(f, _)| f).ok().map(|i| targets[i].1)
+        self.agent.flows.record(flow)?.target
     }
 
     /// Superposes the targets of all flows traversing this node, weighted
@@ -259,42 +254,46 @@ impl ImobifApp {
 impl Agent {
     /// See [`ImobifApp::combined_target`].
     fn combined_target(&self) -> Option<Point2> {
-        decision::combined_target(self.targets.iter().map(|&(flow, target)| {
-            (target, self.flows.get(flow).map(|e| e.residual_bits.max(1.0)).unwrap_or(1.0))
-        }))
+        let records = self.flows.records().iter();
+        decision::combined_target(
+            records.filter_map(|r| Some((r.target?, r.entry.residual_bits.max(1.0)))),
+        )
     }
 
-    /// One strategy evaluation — [`decision::evaluate_relay`] served from
-    /// the per-flow cache when the inputs are within tolerance of the last
-    /// computed ones (see [`DecisionCacheConfig`]).
+    /// One strategy evaluation for the flow of record `i` —
+    /// [`decision::evaluate_relay`] served from the record's cache when the
+    /// inputs are within tolerance of the last computed ones (see
+    /// [`DecisionCacheConfig`]).
     fn evaluate(
         &mut self,
+        i: usize,
         ctx: &NodeCtx<'_>,
         strategy: &dyn MobilityStrategy,
-        flow: FlowId,
         inputs: &DecisionInputs,
     ) -> Option<Decision> {
         let cache_cfg = self.config.cache;
+        let cache = &mut self.flows.records_mut()[i].cache;
         if cache_cfg.enabled {
-            if let Some(cached) = self.caches.get(&flow) {
-                if let Some(hit) = cached.lookup(inputs, &cache_cfg) {
-                    self.counters.cache_hits += 1;
-                    return hit;
-                }
+            if let Some(hit) = cache.as_ref().and_then(|c| c.lookup(inputs, &cache_cfg)) {
+                self.counters.cache_hits += 1;
+                return hit;
             }
         }
         self.counters.cache_misses += 1;
         let outcome =
             decision::evaluate_relay(strategy, inputs, ctx.tx_model(), ctx.mobility_model());
         if cache_cfg.enabled {
-            self.caches.insert(flow, DecisionCache::store(*inputs, outcome));
+            *cache = Some(DecisionCache::store(*inputs, outcome));
         }
         outcome
     }
 
-    /// Relay-side handling of a data packet (Fig. 1 lines 12–27).
+    /// Relay-side handling of a data packet (Fig. 1 lines 12–27) for the
+    /// flow of record `i`.
+    #[allow(clippy::too_many_arguments)]
     fn relay_data(
         &mut self,
+        i: usize,
         ctx: &NodeCtx<'_>,
         strategy: Option<&dyn MobilityStrategy>,
         mut header: DataHeader,
@@ -317,12 +316,9 @@ impl Agent {
                     },
                     residual_flow_bits: header.residual_flow_bits,
                 };
-                if let Some(d) = self.evaluate(ctx, strategy, header.flow, &inputs) {
+                if let Some(d) = self.evaluate(i, ctx, strategy, &inputs) {
                     decision::fold_sample(strategy, &mut header.aggregate, &d);
-                    match self.targets.binary_search_by_key(&header.flow, |&(f, _)| f) {
-                        Ok(i) => self.targets[i].1 = d.target,
-                        Err(i) => self.targets.insert(i, (header.flow, d.target)),
-                    }
+                    self.flows.records_mut()[i].target = Some(d.target);
                     if self.config.mode.should_move(header.mobility_enabled) {
                         if let Some(combined) = self.combined_target() {
                             self.counters.moves_executed += 1;
@@ -343,15 +339,16 @@ impl Agent {
     }
 
     /// Destination-side handling (Fig. 1 lines 7–11 and
-    /// `UpdateMobilityStatus`, lines 29–36).
+    /// `UpdateMobilityStatus`, lines 29–36) for the flow of record `i`.
     fn deliver_data(
         &mut self,
+        i: usize,
         strategy: Option<&dyn MobilityStrategy>,
         header: DataHeader,
         prev: NodeId,
         out: &mut Outbox<ImobifMsg>,
     ) {
-        let dest = self.dests.entry(header.flow).or_default();
+        let dest = self.flows.records_mut()[i].dest.get_or_insert_with(DestFlow::default);
         dest.received_bits += header.payload_bits;
         dest.received_packets += 1;
         dest.last_aggregate = Some(header.aggregate);
@@ -387,10 +384,11 @@ impl Agent {
         header: DataHeader,
         out: &mut Outbox<ImobifMsg>,
     ) {
-        let Some(entry) = self.flows.get_mut(header.flow) else {
+        let Ok(i) = self.flows.find(header.flow) else {
             self.counters.unroutable_packets += 1;
             return;
         };
+        let entry = &mut self.flows.records_mut()[i].entry;
         entry.residual_bits = header.residual_flow_bits;
         entry.mobility_enabled = header.mobility_enabled;
         let (role, prev, next) = (entry.role, entry.prev, entry.next);
@@ -400,12 +398,12 @@ impl Agent {
         match role {
             FlowRole::Destination => {
                 let prev = prev.expect("destination entries have a prev");
-                self.deliver_data(strategy, header, prev, out);
+                self.deliver_data(i, strategy, header, prev, out);
             }
             FlowRole::Relay => {
                 let next = next.expect("relay entries have a next");
                 let prev = prev.expect("relay entries have a prev");
-                self.relay_data(ctx, strategy, header, next, prev, out);
+                self.relay_data(i, ctx, strategy, header, next, prev, out);
             }
             FlowRole::Source => {
                 // A data packet delivered to its own source is a routing
@@ -416,13 +414,13 @@ impl Agent {
     }
 
     fn handle_notification(&mut self, n: Notification, out: &mut Outbox<ImobifMsg>) {
-        let Some(entry) = self.flows.get(n.flow) else {
+        let Some(record) = self.flows.record_mut(n.flow) else {
             self.counters.unroutable_packets += 1;
             return;
         };
-        match entry.role {
+        match record.entry.role {
             FlowRole::Source => {
-                if let Some(sf) = self.sources.get_mut(&n.flow) {
+                if let Some(sf) = &mut record.source {
                     if sf.mobility_enabled != n.enable {
                         sf.mobility_enabled = n.enable;
                         sf.status_changes += 1;
@@ -430,7 +428,7 @@ impl Agent {
                 }
             }
             FlowRole::Relay | FlowRole::Destination => {
-                if let Some(prev) = entry.prev {
+                if let Some(prev) = record.entry.prev {
                     self.counters.notifications_forwarded += 1;
                     out.send(
                         prev,
@@ -451,13 +449,10 @@ impl Agent {
         flow: FlowId,
         out: &mut Outbox<ImobifMsg>,
     ) {
-        let Some(entry) = self.flows.get(flow).copied() else {
+        let Some(record) = self.flows.record_mut(flow) else {
             return;
         };
-        let Some(next) = entry.next else {
-            return;
-        };
-        let Some(sf) = self.sources.get_mut(&flow) else {
+        let (Some(next), Some(sf)) = (record.entry.next, &mut record.source) else {
             return;
         };
         if sf.is_finished() {
@@ -472,7 +467,6 @@ impl Agent {
                 (Aggregate::min_identity(), false)
             }
         };
-        let sf = self.sources.get_mut(&flow).expect("checked above");
         let payload = sf.packet_bits.min(sf.remaining_bits());
         // `f_ℓ`: the residual flow length *including* this packet, scaled by
         // the (possibly imperfect) application estimate.
@@ -481,7 +475,7 @@ impl Agent {
         let header = DataHeader {
             flow,
             source: ctx.id(),
-            destination: entry.destination,
+            destination: record.entry.destination,
             strategy: sf.strategy,
             mobility_enabled,
             residual_flow_bits: residual_estimate,
@@ -517,5 +511,63 @@ impl Application for ImobifApp {
 
     fn on_timer(&mut self, ctx: &NodeCtx<'_>, tag: u64, out: &mut Outbox<ImobifMsg>) {
         self.agent.emit_packet(&self.registry, ctx, FlowId::new(tag as u32), out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MinEnergyStrategy;
+
+    fn app() -> ImobifApp {
+        ImobifApp::new(ImobifConfig::default(), Arc::new(MinEnergyStrategy::new()))
+    }
+
+    fn source(total_bits: u64) -> SourceFlow {
+        SourceFlow {
+            total_bits,
+            sent_bits: 0,
+            packet_bits: 8_000,
+            interval: SimDuration::from_secs_f64(1.0),
+            mobility_enabled: true,
+            estimate_factor: 1.0,
+            seq: 0,
+            status_changes: 0,
+            strategy: StrategyKind::MinTotalEnergy,
+        }
+    }
+
+    /// The registry, the config, the flow records' `Vec` and the counters:
+    /// a node without flows carries nothing else.
+    #[test]
+    fn an_app_is_at_most_144_bytes() {
+        assert!(std::mem::size_of::<ImobifApp>() <= 144, "{}", std::mem::size_of::<ImobifApp>());
+    }
+
+    #[test]
+    #[should_panic(expected = "has no flow entry at its source")]
+    fn register_source_needs_the_flow_entry() {
+        app().register_source(FlowId::new(3), source(8_000));
+    }
+
+    /// Each flow's state is in its record: installing a flow's entry again
+    /// keeps it, and flows stay in flow-id order whatever order they come.
+    #[test]
+    fn flow_state_lives_beside_its_entry() {
+        let mut app = app();
+        let (s, d) = (NodeId::new(0), NodeId::new(9));
+        for f in [7, 2, 5] {
+            let flow = FlowId::new(f);
+            app.install_entry(FlowEntry::new(flow, s, d, None, Some(NodeId::new(1))));
+        }
+        let flow = FlowId::new(5);
+        app.register_source(flow, source(16_000));
+        app.install_entry(FlowEntry::new(flow, s, d, None, Some(NodeId::new(2))));
+        assert_eq!(app.source(flow), Some(&source(16_000)));
+        assert_eq!(app.flow_table().get(flow).and_then(|e| e.next), Some(NodeId::new(2)));
+        let unset = (app.source(FlowId::new(2)), app.dest(flow), app.target(flow));
+        assert_eq!(unset, (None, None, None));
+        let order: Vec<u32> = app.flow_table().entries().iter().map(|e| e.flow.raw()).collect();
+        assert_eq!(order, [2, 5, 7]);
     }
 }

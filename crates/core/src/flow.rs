@@ -1,9 +1,11 @@
 //! Per-node flow tables.
 
-use imobif_geom::FxHashMap;
-
+use imobif_geom::Point2;
 use imobif_netsim::{FlowId, NodeId};
 use serde::{Deserialize, Serialize};
+
+use crate::decision::DecisionCache;
+use crate::{DestFlow, SourceFlow};
 
 /// A node's role on a flow path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,9 +75,30 @@ impl FlowEntry {
 }
 
 /// The flow table: all flows traversing one node.
+///
+/// One record per flow, in a `Vec` sorted by flow id: the [`FlowEntry`]
+/// beside the state an [`ImobifApp`](crate::ImobifApp) keeps for that flow.
+/// A node with no flow allocates nothing, and a lookup is one binary search
+/// over the node's few flows.
 #[derive(Debug, Clone, Default)]
 pub struct FlowTable {
-    entries: FxHashMap<FlowId, FlowEntry>,
+    records: Vec<FlowRecord>,
+}
+
+/// What one node keeps about one flow: its table entry and the agent's
+/// per-flow state, each `None` until the flow gives it one.
+#[derive(Debug, Clone)]
+pub(crate) struct FlowRecord {
+    pub(crate) entry: FlowEntry,
+    /// Set by [`ImobifApp::register_source`](crate::ImobifApp::register_source)
+    /// at the flow's source.
+    pub(crate) source: Option<SourceFlow>,
+    /// Set by the first data packet delivered at the destination.
+    pub(crate) dest: Option<DestFlow>,
+    /// A relay's latest movement target for the flow.
+    pub(crate) target: Option<Point2>,
+    /// A relay's last strategy evaluation for the flow.
+    pub(crate) cache: Option<DecisionCache>,
 }
 
 impl FlowTable {
@@ -85,45 +108,81 @@ impl FlowTable {
         FlowTable::default()
     }
 
-    /// Installs (or replaces) an entry.
+    /// Installs (or replaces) an entry. Replacing keeps the flow's agent
+    /// state; a new flow's record grows the table by exactly one slot, so
+    /// a relay of one flow holds one record.
     pub fn install(&mut self, entry: FlowEntry) {
-        self.entries.insert(entry.flow, entry);
+        match self.find(entry.flow) {
+            Ok(i) => self.records[i].entry = entry,
+            Err(i) => {
+                self.records.reserve_exact(1);
+                let record =
+                    FlowRecord { entry, source: None, dest: None, target: None, cache: None };
+                self.records.insert(i, record);
+            }
+        }
     }
 
-    /// Removes an entry, returning it if present.
+    /// Removes an entry with the flow's agent state, returning the entry if
+    /// present.
     pub fn remove(&mut self, flow: FlowId) -> Option<FlowEntry> {
-        self.entries.remove(&flow)
+        let i = self.find(flow).ok()?;
+        Some(self.records.remove(i).entry)
     }
 
     /// Looks up an entry.
     #[must_use]
     pub fn get(&self, flow: FlowId) -> Option<&FlowEntry> {
-        self.entries.get(&flow)
+        self.record(flow).map(|r| &r.entry)
     }
 
     /// Looks up an entry mutably.
     pub fn get_mut(&mut self, flow: FlowId) -> Option<&mut FlowEntry> {
-        self.entries.get_mut(&flow)
+        self.record_mut(flow).map(|r| &mut r.entry)
     }
 
     /// Number of flows traversing the node.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.records.len()
     }
 
     /// Returns `true` if no flows traverse the node.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.records.is_empty()
     }
 
     /// All entries, sorted by flow id for deterministic iteration.
     #[must_use]
     pub fn entries(&self) -> Vec<&FlowEntry> {
-        let mut v: Vec<&FlowEntry> = self.entries.values().collect();
-        v.sort_by_key(|e| e.flow);
-        v
+        self.records.iter().map(|r| &r.entry).collect()
+    }
+
+    /// The index of `flow`'s record in [`FlowTable::records`], or where
+    /// it would be inserted.
+    pub(crate) fn find(&self, flow: FlowId) -> Result<usize, usize> {
+        self.records.binary_search_by_key(&flow, |r| r.entry.flow)
+    }
+
+    /// `flow`'s record.
+    pub(crate) fn record(&self, flow: FlowId) -> Option<&FlowRecord> {
+        self.find(flow).ok().map(|i| &self.records[i])
+    }
+
+    /// `flow`'s record, mutably.
+    pub(crate) fn record_mut(&mut self, flow: FlowId) -> Option<&mut FlowRecord> {
+        self.find(flow).ok().map(|i| &mut self.records[i])
+    }
+
+    /// Every record, in flow-id order.
+    pub(crate) fn records(&self) -> &[FlowRecord] {
+        &self.records
+    }
+
+    /// Every record, in flow-id order, mutably; the slice keeps the order.
+    pub(crate) fn records_mut(&mut self) -> &mut [FlowRecord] {
+        &mut self.records
     }
 }
 

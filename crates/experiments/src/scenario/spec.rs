@@ -140,23 +140,25 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`]; TOML errors carry exact line/column, JSON
-    /// errors carry the underlying byte-offset message.
+    /// Returns a [`ParseError`] with the line and column it points at:
+    /// the offending key or value, or the document's start for a missing
+    /// key. A JSON syntax error's message also names its byte offset.
     pub fn parse(text: &str) -> Result<ScenarioSpec, ParseError> {
-        let table = if text.trim_start().starts_with('{') {
-            let json = Json::parse(text).map_err(|msg| ParseError {
-                line: 0,
-                col: 0,
-                msg: format!("json: {msg}"),
-            })?;
-            json_to_table(&json)?
-        } else {
-            toml::parse(text)?
-        };
-        ScenarioSpec::from_table(&table)
+        let start = text.len() - text.trim_start().len();
+        if start == text.len() || !text[start..].starts_with('{') {
+            return ScenarioSpec::from_table(&toml::parse(text)?, Pos { line: 1, col: 1 });
+        }
+        let (json, keys) = Json::parse_with_key_offsets(text)
+            .map_err(|e| ParseError::at(LineCols::new(text).pos(e.at), format!("json: {e}")))?;
+        let mut lines = LineCols::new(text);
+        let root = lines.pos(start);
+        let mut keys = keys.into_iter().map(|at| lines.pos(at));
+        ScenarioSpec::from_table(&json_to_table(&json, root, &mut keys)?, root)
     }
 
-    fn from_table(root: &Table) -> Result<ScenarioSpec, ParseError> {
+    /// Builds a spec from its document's root table; `start` is where the
+    /// document starts, the position of a missing required key.
+    fn from_table(root: &Table, start: Pos) -> Result<ScenarioSpec, ParseError> {
         let mut name = None;
         let mut description = String::new();
         let mut adapter = Adapter::Generic;
@@ -209,7 +211,7 @@ impl ScenarioSpec {
                 }
             }
         }
-        let name = name.ok_or_else(|| ParseError::at(Pos::NONE, "missing required key `name`"))?;
+        let name = name.ok_or_else(|| ParseError::at(start, "missing required key `name`"))?;
         check_adapter_reads(adapter, root, &base)?;
         let mut variants = Vec::new();
         if let Some((pos, item)) = root.get("variant") {
@@ -221,7 +223,7 @@ impl ScenarioSpec {
                     Some((p, i)) => (*p, expect_str(i, *p, "label")?),
                     None => {
                         return Err(ParseError::at(
-                            root.get("variant").map_or(Pos::NONE, |(p, _)| *p),
+                            root.get("variant").map_or(start, |(p, _)| *p),
                             "every [[variant]] needs a `label`",
                         ));
                     }
@@ -696,43 +698,84 @@ fn check_keys(t: &Table, _at: Pos, allowed: &[&str]) -> Result<(), ParseError> {
     Ok(())
 }
 
-/// Converts a parsed JSON document into the positionless table model, so
-/// JSON specs flow through the same builder as TOML ones. Objects become
+/// Converts a parsed JSON object at `at` into the table model, so JSON
+/// specs flow through the same builder as TOML ones. Objects become
 /// tables; arrays whose members are all objects become arrays-of-tables.
-fn json_to_table(json: &Json) -> Result<Table, ParseError> {
+/// `keys` yields the position of every object key in document order, as
+/// [`Json::parse_with_key_offsets`] reports them, and the walk takes them
+/// in that order.
+fn json_to_table(
+    json: &Json,
+    at: Pos,
+    keys: &mut impl Iterator<Item = Pos>,
+) -> Result<Table, ParseError> {
     let Json::Obj(entries) = json else {
-        return Err(ParseError::at(Pos::NONE, "a JSON spec must be an object"));
+        return Err(ParseError::at(at, "a JSON spec must be an object"));
     };
     let mut table = Table::default();
     for (key, value) in entries {
-        table.insert(key.clone(), Pos::NONE, json_to_item(value)?);
+        let pos = keys.next().unwrap_or(at);
+        table.insert(key.clone(), pos, json_to_item(value, pos, keys)?);
     }
     Ok(table)
 }
 
-fn json_to_item(value: &Json) -> Result<Item, ParseError> {
+/// Converts the value of the key at `at`.
+fn json_to_item(
+    value: &Json,
+    at: Pos,
+    keys: &mut impl Iterator<Item = Pos>,
+) -> Result<Item, ParseError> {
     Ok(match value {
-        Json::Obj(_) => Item::Table(json_to_table(value)?),
+        Json::Obj(_) => Item::Table(json_to_table(value, at, keys)?),
         Json::Arr(items)
             if items.iter().all(|v| matches!(v, Json::Obj(_))) && !items.is_empty() =>
         {
-            Item::ArrayOfTables(items.iter().map(json_to_table).collect::<Result<Vec<_>, _>>()?)
+            let tables = items.iter().map(|item| json_to_table(item, at, keys));
+            Item::ArrayOfTables(tables.collect::<Result<Vec<_>, _>>()?)
         }
-        other => Item::Value(json_to_value(other)?),
+        other => Item::Value(json_to_value(other, at)?),
     })
 }
 
-fn json_to_value(value: &Json) -> Result<TomlValue, ParseError> {
+fn json_to_value(value: &Json, at: Pos) -> Result<TomlValue, ParseError> {
     Ok(match value {
         Json::Bool(b) => TomlValue::Bool(*b),
         Json::Str(s) => TomlValue::Str(s.clone()),
         Json::Num(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => TomlValue::Int(*n as i64),
         Json::Num(n) => TomlValue::Float(*n),
-        Json::Arr(items) => {
-            TomlValue::Array(items.iter().map(json_to_value).collect::<Result<Vec<_>, _>>()?)
-        }
+        Json::Arr(items) => TomlValue::Array(
+            items.iter().map(|item| json_to_value(item, at)).collect::<Result<Vec<_>, _>>()?,
+        ),
         Json::Null | Json::Obj(_) => {
-            return Err(ParseError::at(Pos::NONE, "unsupported JSON value in spec"));
+            return Err(ParseError::at(at, "unsupported JSON value in spec"));
         }
     })
+}
+
+/// Line and column of byte offsets into a text, for offsets that rise from
+/// one call to the next: one pass over the text in all. Columns count
+/// characters, as the TOML cursor's do.
+struct LineCols<'a> {
+    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
+    at: Pos,
+}
+
+impl<'a> LineCols<'a> {
+    fn new(text: &'a str) -> Self {
+        LineCols { chars: text.char_indices().peekable(), at: Pos { line: 1, col: 1 } }
+    }
+
+    /// The position of byte offset `offset`, which is not below the last
+    /// one asked for.
+    fn pos(&mut self, offset: usize) -> Pos {
+        while let Some((_, c)) = self.chars.next_if(|&(i, _)| i < offset) {
+            if c == '\n' {
+                self.at = Pos { line: self.at.line.saturating_add(1), col: 1 };
+            } else {
+                self.at.col = self.at.col.saturating_add(1);
+            }
+        }
+        self.at
+    }
 }

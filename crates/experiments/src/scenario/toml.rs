@@ -9,34 +9,29 @@
 //! `[dotted.table]` headers, and `[[array.of.tables]]` headers. Every entry
 //! records the line/column of its key, so semantic errors raised later
 //! ("unknown key", "expected integer") still point at the offending source
-//! position. Arrays nest at most [`MAX_DEPTH`] deep, as JSON specs do, so
-//! hostile input cannot overflow the stack.
+//! position. Arrays nest at most [`MAX_DEPTH`] deep, as JSON specs do, and
+//! so do tables (a header names at most that many segments), so hostile
+//! input cannot overflow the stack, in parsing or in dropping the document.
 
 use std::fmt;
 
 use imobif_obs::json::MAX_DEPTH;
 
-/// A 1-based source position. `Pos::NONE` (line 0) marks entries that came
-/// from a positionless source such as a converted JSON document.
+/// A 1-based source position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pos {
-    /// 1-based line number (0 = unknown).
+    /// 1-based line number.
     pub line: u32,
-    /// 1-based column number (0 = unknown).
+    /// 1-based column number, counting characters.
     pub col: u32,
-}
-
-impl Pos {
-    /// The "no position" marker used for JSON-derived documents.
-    pub const NONE: Pos = Pos { line: 0, col: 0 };
 }
 
 /// A parse or spec-building error carrying the source position it points at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    /// 1-based line (0 if unknown).
+    /// 1-based line.
     pub line: u32,
-    /// 1-based column (0 if unknown).
+    /// 1-based column, counting characters.
     pub col: u32,
     /// Human-readable description.
     pub msg: String,
@@ -52,11 +47,7 @@ impl ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "{}", self.msg)
-        } else {
-            write!(f, "line {}, column {}: {}", self.line, self.col, self.msg)
-        }
+        write!(f, "line {}, column {}: {}", self.line, self.col, self.msg)
     }
 }
 
@@ -147,6 +138,9 @@ fn parse_header(cur: &mut Cursor<'_>, root: &mut Table) -> Result<Vec<String>, P
         let seg = cur.bare_key();
         if seg.is_empty() {
             return Err(ParseError::at(seg_pos, "expected a key inside table header"));
+        }
+        if segments.len() == MAX_DEPTH {
+            return Err(ParseError::at(seg_pos, format!("tables nested deeper than {MAX_DEPTH}")));
         }
         segments.push(seg.to_owned());
         cur.skip_ws();

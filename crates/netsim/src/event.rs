@@ -4,12 +4,16 @@
 //! a FIFO for one stream whose `(time, key)` only increase, such as the
 //! HELLO beacons every node sends at exactly `k·P`: a lane push is an
 //! append and a lane pop takes the front, so the stream never enters the
-//! heap and is never sifted. Every other event (deliveries, application
-//! timers, movement steps) goes on the heap, which holds only a few of them
-//! at a time. `pop` and `peek_time` take whichever of the lane's head and
-//! the heap's head has the smaller `(time, key)`. A lane push whose key is
-//! not above the lane's tail goes to the heap instead (and the push
-//! reports it), so the merge is exact for any caller.
+//! heap and is never sifted. A lane entry is its time, its key and a `u32`
+//! id (the beaconing node), 24 bytes, not a whole event: the stream's
+//! events differ only in that id. Every other event (deliveries,
+//! application timers, movement steps) goes on the heap, which holds only a
+//! few of them at a time. [`EventQueue::pop_next`] and `peek_time` take
+//! whichever of the lane's head and the heap's head has the smaller
+//! `(time, key)`; a lane pop hands back the id, and builds no event. A lane
+//! push whose key is not above the lane's tail goes to the heap instead, as
+//! the event its caller builds for it (and the push reports it), so the
+//! merge is exact for any caller.
 //!
 //! It pops in exactly `(time, key)` order, where the key is the insertion
 //! sequence or a caller-chosen tiebreak; the property tests compare its pop
@@ -65,8 +69,8 @@ pub struct EventQueue<E> {
     /// Every pending event not on the lane, earliest `(time, seq)` on top.
     heap: BinaryHeap<Scheduled<E>>,
     /// The monotone lane: ascending by `(time, seq)`, so its front is its
-    /// earliest event (see the module docs).
-    lane: VecDeque<Scheduled<E>>,
+    /// earliest entry (see the module docs).
+    lane: VecDeque<LaneEntry>,
     next_seq: u64,
     stats: QueueStats,
 }
@@ -76,6 +80,26 @@ struct Scheduled<E> {
     time: SimTime,
     seq: u64,
     event: E,
+}
+
+/// One pending entry of the lane: its `(time, seq)` and the id its event
+/// would carry.
+#[derive(Debug, Clone, Copy)]
+struct LaneEntry {
+    time: SimTime,
+    seq: u64,
+    id: u32,
+}
+
+/// What [`EventQueue::pop_next`] takes off the queue: a heap event, or the
+/// id of a lane entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Popped<E> {
+    /// An event pushed with `push`, `push_keyed`, or a lane push that fell
+    /// to the heap.
+    Event(E),
+    /// The id of an entry that rode the lane.
+    Lane(u32),
 }
 
 // Reverse ordering: BinaryHeap is a max-heap, we want earliest first.
@@ -151,35 +175,42 @@ impl<E> EventQueue<E> {
         self.count_push();
     }
 
-    /// Schedules `event` at `time` on the monotone lane, under the next
-    /// insertion sequence number, and returns `true`. If `time` lies before
-    /// the lane's latest event the lane would fall out of order, so the
-    /// event goes to the heap instead and the call returns `false`: either
-    /// way it pops in exact `(time, seq)` order.
+    /// Schedules the entry `id` at `time` on the monotone lane, under the
+    /// next insertion sequence number, and returns `true`; it pops from
+    /// [`EventQueue::pop_next`] as [`Popped::Lane`]`(id)`. If `time` lies
+    /// before the lane's latest entry the lane would fall out of order, so
+    /// the event `stray` builds goes to the heap instead and the call
+    /// returns `false`: either way it pops in exact `(time, seq)` order.
     ///
     /// Meant for a stream whose times only rise, such as a fixed-period
-    /// beacon rescheduled at its pop time plus the period: its events then
-    /// never enter the heap.
-    pub fn push_lane(&mut self, time: SimTime, event: E) -> bool {
+    /// beacon rescheduled at its pop time plus the period: its entries then
+    /// never enter the heap, and no event is built for them.
+    pub fn push_lane(&mut self, time: SimTime, id: u32, stray: impl FnOnce() -> E) -> bool {
         let seq = self.take_seq();
-        self.push_to_lane(Scheduled { time, seq, event })
+        self.push_to_lane(LaneEntry { time, seq, id }, stray)
     }
 
     /// [`EventQueue::push_lane`] under a caller-chosen key (see
-    /// [`EventQueue::push_keyed`]): the event joins the lane if
-    /// `(time, key)` is above the lane's latest event, and the heap
-    /// otherwise. Returns whether it joined the lane.
-    pub fn push_lane_keyed(&mut self, time: SimTime, key: u64, event: E) -> bool {
-        self.push_to_lane(Scheduled { time, seq: key, event })
+    /// [`EventQueue::push_keyed`]): the entry joins the lane if
+    /// `(time, key)` is above the lane's latest entry, and `stray()` joins
+    /// the heap otherwise. Returns whether it joined the lane.
+    pub fn push_lane_keyed(
+        &mut self,
+        time: SimTime,
+        key: u64,
+        id: u32,
+        stray: impl FnOnce() -> E,
+    ) -> bool {
+        self.push_to_lane(LaneEntry { time, seq: key, id }, stray)
     }
 
-    fn push_to_lane(&mut self, item: Scheduled<E>) -> bool {
+    fn push_to_lane(&mut self, entry: LaneEntry, stray: impl FnOnce() -> E) -> bool {
         let in_order =
-            self.lane.back().is_none_or(|tail| (tail.time, tail.seq) < (item.time, item.seq));
+            self.lane.back().is_none_or(|tail| (tail.time, tail.seq) < (entry.time, entry.seq));
         if in_order {
-            self.lane.push_back(item);
+            self.lane.push_back(entry);
         } else {
-            self.heap.push(item);
+            self.heap.push(Scheduled { time: entry.time, seq: entry.seq, event: stray() });
         }
         self.count_push();
         in_order
@@ -194,16 +225,37 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Removes and returns the earliest event: the lane's head or the
-    /// heap's, whichever has the smaller `(time, key)`.
+    /// Removes and returns the earliest entry: the lane's head or the
+    /// heap's, whichever has the smaller `(time, key)`. A lane entry comes
+    /// back as its id.
     // Always inlined into the event loop. Out of line, the fast path copies
     // the popped entry field by field through a return slot, and the serial
     // 5 000-node arena benchmark (`arena_5k_serial`) ran measurably slower.
     #[inline(always)]
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let item = if self.lane_first() { self.lane.pop_front() } else { self.heap.pop() };
+    pub fn pop_next(&mut self) -> Option<(SimTime, Popped<E>)> {
+        let item = if self.lane_first() {
+            self.lane.pop_front().map(|l| (l.time, Popped::Lane(l.id)))
+        } else {
+            self.heap.pop().map(|s| (s.time, Popped::Event(s.event)))
+        };
         self.stats.pops += item.is_some() as u64;
-        item.map(|s| (s.time, s.event))
+        item
+    }
+
+    /// Removes and returns the earliest event of a queue whose lane is
+    /// unused: every push went through [`EventQueue::push`] or
+    /// [`EventQueue::push_keyed`]. A queue with lane pushes pops through
+    /// [`EventQueue::pop_next`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the earliest entry is on the lane.
+    #[inline(always)]
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_next().map(|(time, popped)| match popped {
+            Popped::Event(event) => (time, event),
+            Popped::Lane(id) => panic!("lane entry {id} popped through pop(); use pop_next()"),
+        })
     }
 
     /// Whether the earliest pending event is the lane's head.
@@ -220,7 +272,7 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         match (self.lane.front(), self.heap.peek()) {
             (Some(l), Some(h)) => Some(l.time.min(h.time)),
-            (l, h) => l.or(h).map(|s| s.time),
+            (l, h) => l.map(|l| l.time).or(h.map(|h| h.time)),
         }
     }
 
@@ -236,10 +288,10 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// The events on the lane, earliest first.
+    /// The ids on the lane, earliest first.
     #[cfg(test)]
-    pub(crate) fn lane_events(&self) -> impl Iterator<Item = &E> {
-        self.lane.iter().map(|s| &s.event)
+    pub(crate) fn lane_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.lane.iter().map(|l| l.id)
     }
 
     /// The events on the heap, in no order.
@@ -352,37 +404,59 @@ mod tests {
 
     #[test]
     fn lane_and_heap_merge_by_time_then_key() {
+        use Popped::{Event, Lane};
         let mut q = EventQueue::new();
         let t = SimTime::from_micros;
-        assert!(q.push_lane(t(10), "lane-0"));
+        let stray = || unreachable!("every lane push here is in order");
+        assert!(q.push_lane(t(10), 0, stray));
         q.push(t(10), "cal-1");
-        assert!(q.push_lane(t(10), "lane-2"));
+        assert!(q.push_lane(t(10), 2, stray));
         q.push(t(5), "cal-3");
         assert_eq!((q.len(), q.peek_time()), (4, Some(t(5))));
-        assert_eq!(q.pop(), Some((t(5), "cal-3")));
-        assert_eq!(q.pop(), Some((t(10), "lane-0")));
-        assert_eq!(q.pop(), Some((t(10), "cal-1")));
+        assert_eq!(q.pop_next(), Some((t(5), Event("cal-3"))));
+        assert_eq!(q.pop_next(), Some((t(10), Lane(0))));
+        assert_eq!(q.pop_next(), Some((t(10), Event("cal-1"))));
         assert_eq!((q.len(), q.peek_time()), (1, Some(t(10))));
-        assert_eq!(q.pop(), Some((t(10), "lane-2")));
-        assert_eq!((q.len(), q.peek_time(), q.pop()), (0, None, None));
+        assert_eq!(q.pop_next(), Some((t(10), Lane(2))));
+        assert_eq!((q.len(), q.peek_time(), q.pop_next()), (0, None, None));
         let stats = *q.stats();
         assert_eq!((stats.pushes, stats.pops, stats.max_len), (4, 4, 4));
     }
 
     #[test]
     fn lane_push_below_its_tail_goes_to_the_heap() {
+        use Popped::{Event, Lane};
         let mut q = EventQueue::new();
         let t = SimTime::from_micros;
-        assert!(q.push_lane_keyed(t(20), 5, 'a'));
-        assert!(!q.push_lane_keyed(t(20), 3, 'b'), "a smaller key at the tail's instant");
-        assert!(!q.push_lane_keyed(t(10), 9, 'c'), "an earlier instant");
-        assert!(q.push_lane_keyed(t(20), 6, 'd'));
-        assert_eq!(q.lane_events().count(), 2);
+        assert!(q.push_lane_keyed(t(20), 5, 0, || 'a'));
+        assert!(!q.push_lane_keyed(t(20), 3, 1, || 'b'), "a smaller key at the tail's instant");
+        assert!(!q.push_lane_keyed(t(10), 9, 2, || 'c'), "an earlier instant");
+        assert!(q.push_lane_keyed(t(20), 6, 3, || 'd'));
+        assert_eq!(q.lane_ids().collect::<Vec<_>>(), [0, 3]);
         assert_eq!(q.heap_events().count(), 2);
-        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(popped, [(t(10), 'c'), (t(20), 'b'), (t(20), 'a'), (t(20), 'd')]);
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop_next()).collect();
+        assert_eq!(
+            popped,
+            [(t(10), Event('c')), (t(20), Event('b')), (t(20), Lane(0)), (t(20), Lane(3))]
+        );
         // Once the lane drains, any push joins it again.
-        assert!(q.push_lane_keyed(t(1), 0, 'e'));
+        assert!(q.push_lane_keyed(t(1), 0, 4, || 'e'));
+    }
+
+    #[test]
+    #[should_panic(expected = "lane entry 7 popped through pop()")]
+    fn pop_refuses_a_lane_entry() {
+        let mut q: EventQueue<char> = EventQueue::new();
+        q.push(SimTime::from_micros(2), 'h');
+        q.push_lane(SimTime::from_micros(1), 7, || 'l');
+        let _ = q.pop();
+    }
+
+    /// A lane entry is its time, its key and an id: a quarter of a
+    /// scheduled simulator event.
+    #[test]
+    fn a_lane_entry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<LaneEntry>(), 24);
     }
 
     #[test]
@@ -404,13 +478,18 @@ mod tests {
     /// A future-event list [`run_schedule`] can push to and pop from: the
     /// queue under test or the binary-heap oracle.
     trait FutureEvents {
-        fn push(&mut self, time: SimTime, i: usize);
+        /// Pushes the `i`th event under `key`, or under the queue's own
+        /// sequence (which then equals `i`) when `key` is `None`.
+        fn push(&mut self, time: SimTime, key: Option<u64>, i: usize);
         fn pop(&mut self) -> Option<(SimTime, usize)>;
     }
 
     impl FutureEvents for EventQueue<usize> {
-        fn push(&mut self, time: SimTime, i: usize) {
-            EventQueue::push(self, time, i);
+        fn push(&mut self, time: SimTime, key: Option<u64>, i: usize) {
+            match key {
+                Some(key) => EventQueue::push_keyed(self, time, key, i),
+                None => EventQueue::push(self, time, i),
+            }
         }
         fn pop(&mut self) -> Option<(SimTime, usize)> {
             EventQueue::pop(self)
@@ -418,10 +497,10 @@ mod tests {
     }
 
     /// The oracle: `Scheduled`'s reversed ordering makes the max-heap pop
-    /// the earliest `(time, seq)` first. The push index is the sequence.
+    /// the earliest `(time, seq)` first.
     impl FutureEvents for BinaryHeap<Scheduled<usize>> {
-        fn push(&mut self, time: SimTime, i: usize) {
-            BinaryHeap::push(self, Scheduled { time, seq: i as u64, event: i });
+        fn push(&mut self, time: SimTime, key: Option<u64>, i: usize) {
+            BinaryHeap::push(self, Scheduled { time, seq: key.unwrap_or(i as u64), event: i });
         }
         fn pop(&mut self) -> Option<(SimTime, usize)> {
             BinaryHeap::pop(self).map(|s| (s.time, s.event))
@@ -429,10 +508,18 @@ mod tests {
     }
 
     /// Drives an interleaved push/pop schedule and returns the pop trace.
-    fn run_schedule(q: &mut impl FutureEvents, script: &[(u64, bool)]) -> Vec<(SimTime, usize)> {
+    /// With `keyed` set, the `i`th push carries the unique caller key
+    /// `(node << 32) | i` of one of five nodes, which falls as often as it
+    /// rises, as a shard's keys do.
+    fn run_schedule(
+        q: &mut impl FutureEvents,
+        script: &[(u64, bool)],
+        keyed: bool,
+    ) -> Vec<(SimTime, usize)> {
         let mut popped = Vec::new();
         for (i, &(t, also_pop)) in script.iter().enumerate() {
-            q.push(SimTime::from_micros(t), i);
+            let key = keyed.then(|| ((i as u64 * 7) % 5) << 32 | i as u64);
+            q.push(SimTime::from_micros(t), key, i);
             if also_pop {
                 if let Some(item) = q.pop() {
                     popped.push(item);
@@ -508,8 +595,8 @@ mod tests {
                     self.q.push_keyed(at, key, uid);
                     false
                 }
-                (true, false) => self.q.push_lane(at, uid),
-                (true, true) => self.q.push_lane_keyed(at, key, uid),
+                (true, false) => self.q.push_lane(at, uid as u32, || uid),
+                (true, true) => self.q.push_lane_keyed(at, key, uid as u32, || uid),
             };
             if lane {
                 let fits = self.lane_len == 0 || self.lane_tail < (at, key);
@@ -528,10 +615,20 @@ mod tests {
             self.oracle.push(Scheduled { time: at, seq: key, event: uid });
         }
 
-        /// Pops both sides and compares; a popped periodic event goes back
-        /// on the lane one period later while `repush` holds.
+        /// Pops both sides and compares; an entry that joined the lane must
+        /// pop as its id, any other as its event. A popped periodic event
+        /// goes back on the lane one period later while `repush` holds.
         fn pop(&mut self, repush: bool) -> Option<SimTime> {
-            let got = self.q.pop();
+            let got = self.q.pop_next().map(|(t, popped)| match popped {
+                Popped::Event(uid) => {
+                    assert!(!self.on_lane[uid], "event {uid} joined the lane");
+                    (t, uid)
+                }
+                Popped::Lane(id) => {
+                    assert!(self.on_lane[id as usize], "entry {id} fell to the heap");
+                    (t, id as usize)
+                }
+            });
             assert_eq!(got, self.oracle.pop().map(|s| (s.time, s.event)));
             let (t, uid) = got?;
             if self.on_lane[uid] {
@@ -590,9 +687,10 @@ mod tests {
             prop_assert_eq!(popped, n);
         }
 
-        /// The queue pops the exact same `(time, seq)` sequence as the
+        /// The queue pops the exact same `(time, key)` sequence as the
         /// heap oracle, including under interleaved pushes and pops and
-        /// across multi-day time spans.
+        /// across multi-day time spans, under its own sequence and under
+        /// caller keys.
         #[test]
         fn prop_backends_pop_identically(
             script in proptest::collection::vec(
@@ -602,9 +700,11 @@ mod tests {
         ) {
             let script: Vec<(u64, bool)> =
                 script.into_iter().map(|(t, p)| (t, p == 0)).collect();
-            let queue = run_schedule(&mut EventQueue::new(), &script);
-            let heap = run_schedule(&mut BinaryHeap::new(), &script);
-            prop_assert_eq!(queue, heap);
+            for keyed in [false, true] {
+                let queue = run_schedule(&mut EventQueue::new(), &script, keyed);
+                let heap = run_schedule(&mut BinaryHeap::new(), &script, keyed);
+                prop_assert_eq!(queue, heap);
+            }
         }
 
         /// On monotone schedules (every push at or after the last pop, the

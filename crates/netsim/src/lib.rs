@@ -94,7 +94,7 @@ mod world;
 pub use app::{Action, Application, NodeCtx, Outbox, PeerInfo};
 pub use config::{HelloConfig, SimConfig};
 pub use error::{RouteError, SimError};
-pub use event::{EventQueue, QueueStats};
+pub use event::{EventQueue, Popped, QueueStats};
 pub use hello::{NeighborEntry, NeighborTable, NeighborView};
 pub use id::{FlowId, NodeId};
 pub use medium::TopologyView;

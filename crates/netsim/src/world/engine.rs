@@ -32,7 +32,7 @@ use crate::node::NodeStore;
 use crate::trace::TraceEvent;
 use crate::{
     Action, Application, EnergyCategory, EnergyLedger, EventQueue, NeighborTable, NodeCtx, NodeId,
-    Outbox, SimConfig, SimDuration, SimTime,
+    Outbox, Popped, SimConfig, SimDuration, SimTime,
 };
 
 /// Internal kernel events.
@@ -42,7 +42,8 @@ pub(crate) enum Event<M> {
     Deliver { from: NodeId, to: NodeId, msg: M },
     /// An application timer firing at `node`.
     AppTimer { node: NodeId, tag: u64 },
-    /// A periodic HELLO beacon due at `node`.
+    /// A periodic HELLO beacon due at `node`, pushed by hand or fallen
+    /// below the lane's tail; a beacon on the lane is its node id alone.
     HelloBeacon { node: NodeId },
     /// An externally scheduled failure (churn / duty-cycle schedules): take
     /// `node` out of service when the clock reaches the event, unless it
@@ -76,19 +77,20 @@ pub(crate) trait Reach<M> {
         event: Event<M>,
     );
 
-    /// Queues the next event of `id`'s fixed-period stream — its HELLO
-    /// beacon — on the queue's monotone lane, under the key
-    /// [`Reach::schedule`] would give it. Every node's first beacon goes at
-    /// the same instant, in node-id order, and each later one at its pop
-    /// time plus the fixed period; pops come in `(time, key)` order, so
-    /// both engines' keys reach the lane in rising order.
+    /// Queues `id`'s next HELLO beacon, the event of its fixed-period
+    /// stream, on the queue's monotone lane as the node id alone, under the
+    /// key [`Reach::schedule`] would give it. Every node's first beacon
+    /// goes at the same instant, in node-id order, and each later one at
+    /// its pop time plus the fixed period; pops come in `(time, key)`
+    /// order, so both engines' keys reach the lane in rising order. A
+    /// push below the lane's tail goes to the heap as
+    /// [`Event::HelloBeacon`].
     fn schedule_periodic(
         &mut self,
         queue: &mut EventQueue<Event<M>>,
         at: SimTime,
         slot: usize,
         id: NodeId,
-        event: Event<M>,
     );
 
     /// Schedules the arrival of a packet `from` (engine slot `slot`) sent
@@ -113,16 +115,17 @@ pub(crate) trait Reach<M> {
     /// a copy of it.
     fn board<'a>(&'a self, own: &'a [Beacon]) -> &'a [Beacon];
 
-    /// Publishes `origin`'s beacon: `record` is its new board record, and
-    /// `links` the hearers that joined or left its hearer set. A joiner
-    /// links `origin`; a leaver freezes `prev`, the previous record, which
-    /// is the last beacon it heard. Link changes for dead hearers are
-    /// skipped: a dying node froze its links.
+    /// Publishes `origin`'s beacon, whose new record the engine has written
+    /// on its own board at `slot`: `links` are the hearers that joined or
+    /// left its hearer set. A joiner links `origin`; a leaver freezes
+    /// `prev`, the previous record, which is the last beacon it heard.
+    /// Link changes for dead hearers are skipped: a dying node froze its
+    /// links.
     fn hear(
         &mut self,
         nodes: &mut NodeStore,
         origin: NodeId,
-        record: Beacon,
+        slot: usize,
         prev: Beacon,
         links: Links<'_>,
     );
@@ -209,8 +212,10 @@ impl<A: Application> Engine<A> {
     }
 
     /// Processes the next event. Returns `false` when the queue is empty.
+    /// A beacon off the lane is its node id, handed straight to
+    /// [`Engine::hello_beacon`].
     pub(super) fn step<R: Reach<A::Msg>>(&mut self, reach: &mut R) -> bool {
-        let Some((t, event)) = self.queue.pop() else {
+        let Some((t, popped)) = self.queue.pop_next() else {
             return false;
         };
         // The clock never runs backwards even if an action scheduled
@@ -218,6 +223,13 @@ impl<A: Application> Engine<A> {
         self.time = self.time.max(t);
         self.events_processed += 1;
         let time = self.time;
+        let event = match popped {
+            Popped::Lane(node) => {
+                self.hello_beacon(reach, NodeId::new(node));
+                return true;
+            }
+            Popped::Event(event) => event,
+        };
         match event {
             Event::Deliver { from, to, msg } => {
                 let slot = reach.slot_of(to);
@@ -428,8 +440,8 @@ impl<A: Application> Engine<A> {
         let slots = self.nodes.len();
         let view = reach.beacon_view(&self.nodes);
         let links = self.hearers.links(&view, &mut self.stats, node, slot, slots, pos);
-        reach.hear(&mut self.nodes, node, record, prev, links);
+        reach.hear(&mut self.nodes, node, slot, prev, links);
         let at = self.time + hello.period;
-        reach.schedule_periodic(&mut self.queue, at, slot, node, Event::HelloBeacon { node });
+        reach.schedule_periodic(&mut self.queue, at, slot, node);
     }
 }

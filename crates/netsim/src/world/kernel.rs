@@ -59,10 +59,9 @@ impl<M> Reach<M> for SerialReach {
         queue: &mut EventQueue<Event<M>>,
         at: SimTime,
         _slot: usize,
-        _id: NodeId,
-        event: Event<M>,
+        id: NodeId,
     ) {
-        let in_lane = queue.push_lane(at, event);
+        let in_lane = queue.push_lane(at, id.raw(), || Event::HelloBeacon { node: id });
         debug_assert!(in_lane, "a beacon at {at:?} fell below the lane's tail");
     }
 
@@ -94,13 +93,13 @@ impl<M> Reach<M> for SerialReach {
         own
     }
 
-    /// The engine already wrote `record` on its own board, which hooks
+    /// The engine already wrote the record on its own board, which hooks
     /// read; only the links change here.
     fn hear(
         &mut self,
         nodes: &mut NodeStore,
         origin: NodeId,
-        _record: Beacon,
+        _slot: usize,
         prev: Beacon,
         links: Links<'_>,
     ) {
@@ -151,8 +150,7 @@ impl<A: Application> World<A> {
         // deterministic beacon order. The whole round goes on the lane.
         for i in 0..self.engine.nodes.len() {
             let node = NodeId::new(i as u32);
-            let beacon = Event::HelloBeacon { node };
-            self.reach.schedule_periodic(&mut self.engine.queue, now, i, node, beacon);
+            self.reach.schedule_periodic(&mut self.engine.queue, now, i, node);
         }
         for i in 0..self.engine.nodes.len() {
             if self.engine.nodes.is_alive(i) {

@@ -284,8 +284,7 @@ impl<A: Application> ShardedWorld<A> {
         for (i, &(si, slot)) in self.owner.iter().enumerate() {
             let id = NodeId::new(i as u32);
             let Shard { engine, keys } = &mut self.shards[si as usize];
-            let beacon = Event::HelloBeacon { node: id };
-            keys.push_periodic(&mut engine.queue, SimTime::ZERO, slot as usize, id, beacon);
+            keys.push_periodic(&mut engine.queue, SimTime::ZERO, slot as usize, id);
         }
         let Self { cfg, owner, shards, outs, replica, active, merge, counters, spans, .. } = self;
         let sh = SharedCtx { cfg, owner };
@@ -885,6 +884,7 @@ fn apply_epoch<A: Application>(
     let t_rep = spans.as_ref().map(|sp| sp.now_us());
     for &s in active {
         let rep_run = &mut outs[s as usize].rep;
+        let board = &shards[s as usize].engine.board;
         patches += rep_run.len() as u64;
         for patch in rep_run.drain(..) {
             match patch {
@@ -900,7 +900,9 @@ fn apply_epoch<A: Application>(
                         replica.grid.remove(node.raw());
                     }
                 }
-                RepPatch::Beacon { node, record } => replica.board[node.index()] = record,
+                RepPatch::Beacon { node, slot } => {
+                    replica.board[node.index()] = board[slot as usize];
+                }
             }
         }
     }
@@ -913,7 +915,8 @@ fn apply_epoch<A: Application>(
     };
     for (d, dest) in shards.iter_mut().enumerate() {
         for &s in active {
-            let run = &mut outs[s as usize].links[d];
+            let ShardOutbox { links: runs, frozen, .. } = &mut outs[s as usize];
+            let run = &mut runs[d];
             if run.groups.is_empty() {
                 continue;
             }
@@ -930,7 +933,7 @@ fn apply_epoch<A: Application>(
                         if change & LEAVE == 0 {
                             table.join(g.origin);
                         } else {
-                            table.freeze(g.origin, g.frozen);
+                            table.freeze(g.origin, frozen[g.frozen as usize]);
                         }
                     }
                 }
@@ -939,6 +942,9 @@ fn apply_epoch<A: Application>(
             run.groups.clear();
             run.slots.clear();
         }
+    }
+    for &s in active {
+        outs[s as usize].frozen.clear();
     }
     let t_dlv = if let Some(sp) = spans.as_mut() {
         let now = sp.now_us();

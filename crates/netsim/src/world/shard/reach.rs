@@ -14,7 +14,7 @@ use imobif_geom::{Point2, SpatialGrid};
 
 use super::super::beacon::{BeaconView, Links};
 use super::super::engine::{Engine, Event, Reach};
-use super::xfer::{Dlv, LinkGroup, RepPatch, ShardOutbox, LEAVE};
+use super::xfer::{Dlv, LinkGroup, RepPatch, ShardOutbox, LEAVE, NO_FROZEN};
 use crate::hello::Beacon;
 use crate::node::NodeStore;
 use crate::trace::TraceEvent;
@@ -107,20 +107,19 @@ impl ShardKeys {
         queue.push_keyed(at, key, event);
     }
 
-    /// Queues `id`'s next beacon on the lane under its next queue key. The
-    /// shard's clock never runs back, and beacons that pop at one instant
-    /// pop in key order, which is node-id order: the keys of their
-    /// successors rise with the id.
+    /// Queues `id`'s next beacon on the lane, as its id, under its next
+    /// queue key. The shard's clock never runs back, and beacons that pop
+    /// at one instant pop in key order, which is node-id order: the keys of
+    /// their successors rise with the id.
     pub(super) fn push_periodic<M>(
         &mut self,
         queue: &mut EventQueue<Event<M>>,
         at: SimTime,
         slot: usize,
         id: NodeId,
-        event: Event<M>,
     ) {
         let key = self.qkey(slot, id);
-        let in_lane = queue.push_lane_keyed(at, key, event);
+        let in_lane = queue.push_lane_keyed(at, key, id.raw(), || Event::HelloBeacon { node: id });
         debug_assert!(in_lane, "node {id:?}'s beacon at {at:?} fell below the lane's tail");
     }
 
@@ -236,9 +235,8 @@ impl<M> Reach<M> for ShardReach<'_, M> {
         at: SimTime,
         slot: usize,
         id: NodeId,
-        event: Event<M>,
     ) {
-        self.keys.push_periodic(queue, at, slot, id, event);
+        self.keys.push_periodic(queue, at, slot, id);
     }
 
     /// Local deliveries also go through the outbox: enqueueing them early
@@ -274,21 +272,29 @@ impl<M> Reach<M> for ShardReach<'_, M> {
         &self.rep.board
     }
 
-    /// Sends the record as a replica patch and the link changes as one
-    /// grouped run entry per destination shard, all applied at the next
-    /// barrier — HELLO processing latency of at most one epoch, identical
-    /// at every shard count.
+    /// Sends a replica patch naming the owner's board slot, whose record
+    /// the barrier copies, and the link changes as one grouped run entry
+    /// per destination shard, all applied at the next barrier — HELLO
+    /// processing latency of at most one epoch, identical at every shard
+    /// count. A beacon with leavers stores `prev` once, for every
+    /// destination's group to name.
     fn hear(
         &mut self,
         _nodes: &mut NodeStore,
         origin: NodeId,
-        record: Beacon,
+        slot: usize,
         prev: Beacon,
         links: Links<'_>,
     ) {
-        self.xout.rep.push(RepPatch::Beacon { node: origin, record });
+        self.xout.rep.push(RepPatch::Beacon { node: origin, slot: slot as u32 });
         self.keys.beacon_stamp += 1;
         let stamp = self.keys.beacon_stamp;
+        let frozen = if links.left.is_empty() {
+            NO_FROZEN
+        } else {
+            self.xout.frozen.push(prev);
+            (self.xout.frozen.len() - 1) as u32
+        };
         let joins = links.joined.iter().map(|&h| (h, 0));
         for (h, leave) in joins.chain(links.left.iter().map(|&h| (h, LEAVE))) {
             let (dsi, dslot) = self.sh.owner[h as usize];
@@ -296,7 +302,7 @@ impl<M> Reach<M> for ShardReach<'_, M> {
             if run.mark != stamp {
                 run.mark = stamp;
                 let start = run.slots.len() as u32;
-                run.groups.push(LinkGroup { origin, frozen: prev, start, len: 0 });
+                run.groups.push(LinkGroup { origin, start, len: 0, frozen });
             }
             run.slots.push(dslot | leave);
             run.groups.last_mut().expect("group opened above").len += 1;

@@ -725,11 +725,10 @@ impl Reach<u32> for LogReach {
         queue: &mut EventQueue<Event<u32>>,
         at: SimTime,
         _slot: usize,
-        _id: NodeId,
-        event: Event<u32>,
+        id: NodeId,
     ) {
         self.calls.push(Call::Periodic(at));
-        assert!(queue.push_lane(at, event));
+        assert!(queue.push_lane(at, id.raw(), || Event::HelloBeacon { node: id }));
     }
     fn deliver(
         &mut self,
@@ -755,7 +754,7 @@ impl Reach<u32> for LogReach {
     fn board<'a>(&'a self, own: &'a [Beacon]) -> &'a [Beacon] {
         own
     }
-    fn hear(&mut self, _: &mut NodeStore, _: NodeId, _: Beacon, _: Beacon, links: Links<'_>) {
+    fn hear(&mut self, _: &mut NodeStore, _: NodeId, _: usize, _: Beacon, links: Links<'_>) {
         self.calls.push(Call::Hear(links.joined.to_vec(), links.left.to_vec()));
     }
     fn moved(&mut self, id: NodeId, _to: Point2) {

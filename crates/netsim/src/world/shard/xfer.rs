@@ -15,18 +15,22 @@
 //!   the source runs of each destination — no sort. Strict key order
 //!   matters here because applying a delivery consumes the *target's*
 //!   queue sequence, which downstream tie-breaks depend on.
-//! * **Link changes** ([`LinkGroup`]) are grouped: one group per beacon per
-//!   destination shard whose hearers joined or left the beacon's hearer
-//!   set, plus a flat array of destination-local hearer slots, each
-//!   marked join or leave. A beacon whose hearer set is unchanged sends
-//!   none; its record travels as a replica patch instead. Changes for
-//!   *different* origins touch different table entries and commute, and
-//!   changes for the *same* origin are already ordered within their single
-//!   source run — groups need no key and no merge at all.
+//! * **Link changes** ([`LinkGroup`]) are grouped: one 16-byte group per
+//!   beacon per destination shard whose hearers joined or left the
+//!   beacon's hearer set, plus a flat array of destination-local hearer
+//!   slots, each marked join or leave. A beacon with leavers stores the
+//!   record they freeze once, in the source outbox's `frozen` column, and
+//!   its groups name it by index; joiners read no record. A beacon whose
+//!   hearer set is unchanged sends no group, only its replica patch.
+//!   Changes for *different* origins touch different table entries and
+//!   commute, and changes for the *same* origin are already ordered within
+//!   their single source run — groups need no key and no merge at all.
 //! * **Replica patches** ([`RepPatch`]) are keyless position, liveness and
-//!   beacon-board deltas. A node's patches all come from its one owner
-//!   shard (runs preserve per-node order) and patches for different nodes
-//!   touch disjoint replica entries, so runs are applied source-by-source.
+//!   beacon-board deltas; a beacon patch names the owner's board slot, and
+//!   the barrier copies the record from there. A node's patches all come
+//!   from its one owner shard (runs preserve per-node order) and patches
+//!   for different nodes touch disjoint replica entries, so runs are
+//!   applied source-by-source.
 //!
 //! The buffers are owned by the coordinator (not the shard), sized to the
 //! shard count, and recycled every epoch: steady-state barriers allocate
@@ -53,15 +57,20 @@ pub(super) struct Dlv<M> {
 /// Marks a leaver in [`LinkRun::slots`]; a slot without it is a joiner.
 pub(super) const LEAVE: u32 = 1 << 31;
 
+/// [`LinkGroup::frozen`] of a beacon without leavers.
+pub(super) const NO_FROZEN: u32 = u32::MAX;
+
 /// One HELLO beacon's link changes landing in one destination shard: the
-/// origin, the record its leavers freeze (the origin's previous beacon),
-/// and a `start..start + len` window into the run's flat slot array.
+/// origin, a `start..start + len` window into the run's flat slot array,
+/// and where the record its leavers freeze (the origin's previous beacon)
+/// sits in the source outbox's [`ShardOutbox::frozen`] column —
+/// [`NO_FROZEN`] when the beacon has no leavers, since joiners read none.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct LinkGroup {
     pub(super) origin: NodeId,
-    pub(super) frozen: Beacon,
     pub(super) start: u32,
     pub(super) len: u32,
+    pub(super) frozen: u32,
 }
 
 /// The link-change run for one destination shard.
@@ -78,12 +87,15 @@ pub(super) struct LinkRun {
 
 /// A keyless replica delta: the owner shard's position, liveness and
 /// beacon-board changes, applied to the epoch-frozen
-/// [`Replica`](super::reach::Replica) in emission order.
+/// [`Replica`](super::reach::Replica) in emission order. A beacon names
+/// its node's board slot in the owner shard, and the barrier copies that
+/// record: only a beacon writes a board record, so at the barrier the
+/// owner's record is the epoch's last beacon of the node.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum RepPatch {
     Moved { node: NodeId, to: Point2 },
     Died { node: NodeId },
-    Beacon { node: NodeId, record: Beacon },
+    Beacon { node: NodeId, slot: u32 },
 }
 
 /// One shard's outgoing effects for the current epoch, partitioned by
@@ -95,13 +107,16 @@ pub(super) struct ShardOutbox<M> {
     pub(super) dlv: Vec<Vec<Dlv<M>>>,
     /// `links[d]`: grouped link changes bound for shard `d`.
     pub(super) links: Vec<LinkRun>,
+    /// The records leavers freeze, one per beacon with leavers, named by
+    /// the groups of every destination.
+    pub(super) frozen: Vec<Beacon>,
     /// Replica deltas for nodes this shard owns.
     pub(super) rep: Vec<RepPatch>,
 }
 
 impl<M> Default for ShardOutbox<M> {
     fn default() -> Self {
-        ShardOutbox { dlv: Vec::new(), links: Vec::new(), rep: Vec::new() }
+        ShardOutbox { dlv: Vec::new(), links: Vec::new(), frozen: Vec::new(), rep: Vec::new() }
     }
 }
 
@@ -111,6 +126,7 @@ impl<M> ShardOutbox<M> {
         ShardOutbox {
             dlv: std::iter::repeat_with(Vec::new).take(dests).collect(),
             links: std::iter::repeat_with(LinkRun::default).take(dests).collect(),
+            frozen: Vec::new(),
             rep: Vec::new(),
         }
     }
@@ -124,4 +140,17 @@ impl<M> ShardOutbox<M> {
 #[derive(Debug, Default)]
 pub(super) struct MergeScratch {
     pub(super) heap: std::collections::BinaryHeap<std::cmp::Reverse<(XKey, u32)>>,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A link group names its frozen record instead of carrying it, and a
+    /// beacon patch names a board slot: neither copies a 32-byte record.
+    #[test]
+    fn a_link_group_is_16_bytes_and_a_patch_24() {
+        assert_eq!(std::mem::size_of::<LinkGroup>(), 16);
+        assert_eq!(std::mem::size_of::<RepPatch>(), 24);
+    }
 }

@@ -275,12 +275,8 @@ fn lattice(side: usize, spacing: f64) -> Vec<Point2> {
 /// The nodes whose beacons sit on `queue`'s lane, in lane order, and the
 /// number of beacons on its heap.
 pub(super) fn beacon_layout<M>(queue: &crate::EventQueue<Event<M>>) -> (Vec<NodeId>, usize) {
-    let lane = queue.lane_events().map(|e| match e {
-        Event::HelloBeacon { node } => *node,
-        _ => panic!("only beacons ride the lane"),
-    });
     let on_heap = queue.heap_events().filter(|e| matches!(e, Event::HelloBeacon { .. }));
-    (lane.collect(), on_heap.count())
+    (queue.lane_ids().map(NodeId::new).collect(), on_heap.count())
 }
 
 #[test]
@@ -552,7 +548,7 @@ proptest::proptest! {
             w.engine.queue.push(now, event);
             assert!(w.engine.step(&mut w.reach));
             // Drop the beacon the handler rescheduled: the sequence decides.
-            while w.engine.queue.pop().is_some() {}
+            while w.engine.queue.pop_next().is_some() {}
             if let Some(id) = beacon.filter(|&id| w.is_alive(id)) {
                 let (pos, residual) = (w.position(id), w.residual_energy(id));
                 for (h, table) in push.iter_mut().enumerate() {

@@ -17,6 +17,29 @@ use std::fmt::Write as _;
 /// the stack. serde_json uses the same limit.
 pub const MAX_DEPTH: usize = 128;
 
+/// A JSON syntax error: what is wrong, and the byte offset in the text
+/// where the parser found it. Displays as `{msg} at byte {at}`, the text
+/// [`Json::parse`] returns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SyntaxError {
+    /// Byte offset into the parsed text.
+    pub at: usize,
+    /// What is wrong there.
+    pub msg: String,
+}
+
+impl SyntaxError {
+    fn new(at: usize, msg: impl Into<String>) -> Self {
+        SyntaxError { at, msg: msg.into() }
+    }
+}
+
+impl std::fmt::Display for SyntaxError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} at byte {}", self.msg, self.at)
+    }
+}
+
 /// A JSON value. Object keys keep insertion order so rendered artifacts are
 /// deterministic and diff-friendly.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,17 +155,33 @@ impl Json {
     }
 
     /// Parses a complete JSON document (trailing whitespace allowed).
-    /// Arrays and objects may nest at most [`MAX_DEPTH`] deep.
+    /// Arrays and objects may nest at most [`MAX_DEPTH`] deep. An error
+    /// names the byte offset it was found at.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
+        parse_document(text, &mut |_| {}).map_err(|e| e.to_string())
     }
+
+    /// Parses like [`Json::parse`], and also returns the byte offset of
+    /// every object key's opening quote, in document order: the order a
+    /// walk meets the keys that visits each object's entries in turn and
+    /// descends into each value before the next key.
+    pub fn parse_with_key_offsets(text: &str) -> Result<(Json, Vec<usize>), SyntaxError> {
+        let mut keys = Vec::new();
+        let value = parse_document(text, &mut |at| keys.push(at))?;
+        Ok((value, keys))
+    }
+}
+
+/// Parses a whole document, handing `key` each object key's offset.
+fn parse_document(text: &str, key: &mut impl FnMut(usize)) -> Result<Json, SyntaxError> {
+    let bytes = text.as_bytes();
+    let mut pos = 0;
+    let value = parse_value(bytes, &mut pos, 0, key)?;
+    skip_ws(bytes, &mut pos);
+    if pos != bytes.len() {
+        return Err(SyntaxError::new(pos, "trailing garbage"));
+    }
+    Ok(value)
 }
 
 fn render_string(s: &str, out: &mut String) {
@@ -170,13 +209,18 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
 }
 
 /// Parses one value. `depth` counts the arrays and objects enclosing it.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_value(
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    key: &mut impl FnMut(usize),
+) -> Result<Json, SyntaxError> {
     skip_ws(bytes, pos);
     if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+        return Err(SyntaxError::new(*pos, format!("nesting deeper than {MAX_DEPTH}")));
     }
     match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
+        None => Err(SyntaxError::new(*pos, "unexpected end of input")),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -190,7 +234,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(bytes, pos, depth + 1, key)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -198,7 +242,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                         *pos += 1;
                         return Ok(Json::Arr(items));
                     }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
+                    _ => return Err(SyntaxError::new(*pos, "expected ',' or ']'")),
                 }
             }
         }
@@ -212,13 +256,14 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                key(*pos);
+                let name = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
+                    return Err(SyntaxError::new(*pos, "expected ':'"));
                 }
                 *pos += 1;
-                entries.push((key, parse_value(bytes, pos, depth + 1)?));
+                entries.push((name, parse_value(bytes, pos, depth + 1, key)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -226,7 +271,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                         *pos += 1;
                         return Ok(Json::Obj(entries));
                     }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+                    _ => return Err(SyntaxError::new(*pos, "expected ',' or '}'")),
                 }
             }
         }
@@ -234,29 +279,31 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
     }
 }
 
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
+fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, SyntaxError> {
     if bytes[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
         Ok(value)
     } else {
-        Err(format!("invalid literal at byte {pos}"))
+        Err(SyntaxError::new(*pos, "invalid literal"))
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, SyntaxError> {
+    let start = *pos;
     if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
+        return Err(SyntaxError::new(start, "expected string"));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
         match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
+            None => return Err(SyntaxError::new(start, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
             Some(b'\\') => {
+                let escape = *pos;
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -268,33 +315,40 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|_| "bad \\u escape")?;
+                        let hex = bytes
+                            .get(*pos + 1..*pos + 5)
+                            .ok_or_else(|| SyntaxError::new(escape, "truncated \\u escape"))?;
+                        let bad = || SyntaxError::new(escape, "bad \\u escape");
+                        let hex = std::str::from_utf8(hex).map_err(|_| bad())?;
+                        if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                            return Err(bad());
+                        }
+                        let code = u32::from_str_radix(hex, 16).map_err(|_| bad())?;
                         // Surrogate pairs are not produced by our renderer;
                         // map lone surrogates to the replacement character.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
-                    _ => return Err(format!("bad escape at byte {pos}")),
+                    _ => return Err(SyntaxError::new(*pos, "bad escape")),
                 }
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a valid &str).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one piece:
+                // both are ASCII, so the run ends on a character boundary
+                // of the (valid UTF-8) input.
+                let run = bytes[*pos..].iter().position(|&b| b == b'"' || b == b'\\');
+                let end = run.map_or(bytes.len(), |n| *pos + n);
+                let text = std::str::from_utf8(&bytes[*pos..end])
+                    .map_err(|_| SyntaxError::new(*pos, "invalid UTF-8"))?;
+                out.push_str(text);
+                *pos = end;
             }
         }
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, SyntaxError> {
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
@@ -305,7 +359,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
         .map(Json::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
+        .ok_or_else(|| SyntaxError::new(start, "invalid number"))
 }
 
 #[cfg(test)]
@@ -361,6 +415,22 @@ mod tests {
         assert_eq!(value, Json::Arr(vec![]));
         let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
         assert!(Json::parse(&over).is_err());
+    }
+
+    /// Keys come in the order a walk meets them that descends into each
+    /// value before the next key, and every error names its offset.
+    #[test]
+    fn key_offsets_follow_document_order_and_errors_name_bytes() {
+        let text = r#"{"a": {"b": [{"c": 1}], "d": 2}, "e": null}"#;
+        let (json, keys) = Json::parse_with_key_offsets(text).expect("parses");
+        let names: Vec<&str> = keys.iter().map(|&at| &text[at + 1..at + 2]).collect();
+        assert_eq!(names, ["a", "b", "c", "d", "e"]);
+        assert_eq!(json.get("e"), Some(&Json::Null));
+        for (bad, at) in [("", 0), ("[1,", 3), ("\"ab", 0), ("\"\\u12", 1), ("\"\\u+041\"", 1)] {
+            let err = Json::parse_with_key_offsets(bad).expect_err(bad);
+            assert_eq!(err.at, at, "{bad}: {err}");
+            assert_eq!(Json::parse(bad), Err(err.to_string()));
+        }
     }
 
     #[test]

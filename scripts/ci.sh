@@ -5,7 +5,7 @@
 # exit means the tree is in a committable state.
 #
 # `ci.sh --smoke` runs only the fast subset — release build, the release
-# pin and allocation tests, the spatial grid's unit tests (its change
+# pin, allocation and heap tests, the spatial grid's unit tests (its change
 # stamps and slot windows, which the HELLO hearer cache's exactness rests
 # on), the simulator's unit tests in release and in debug (among them the
 # neighbor-table oracle, the shard invariance checks and the event queue's
@@ -14,7 +14,8 @@
 # strategy registry, the decision kernel), the
 # observability crate's unit tests (span ring and aggregates, JSON depth
 # cap, manifest validation, the Prometheus linter), the
-# experiment crate's unit tests and memo-claim test, the
+# experiment crate's unit tests, memo-claim test and parser property
+# tests, the
 # timing ratios, the reproduction-record check, and the benchmark
 # package's tests and `bench --smoke` — and targets a total wall time of
 # under a minute on a warm build cache.
@@ -36,19 +37,28 @@
 #     span_determinism.rs, plus the spec-driven run in the scenario smoke
 #   - fig6 CSV identical at 1/4/16 batch workers:
 #     crates/experiments/tests/thread_determinism.rs
-#   - allocation gates, each its own test binary (the counting allocator is
-#     process-global), all in crates/bench/tests/:
+#   - allocation gates, each its own test binary with the counting
+#     allocator installed, all in crates/bench/tests/; each counts only
+#     the calling thread's allocations (alloc_track::thread_allocs), and
+#     span_allocs.rs asserts its sharded worlds run on that thread:
 #       fig6_allocs.rs       warmed Fig. 6 instance: 0 per delivered packet
 #       hello_allocs.rs      warmed hello_dense: 0 over 60 sim-s
 #       span_allocs.rs       warmed sharded epochs: 0, spans off and on
 #       spec_parse_allocs.rs parsing the shipped specs: <= 300
+#   - heap gate: live bytes per node of the 5,000-node arena after 1 sim-s,
+#     serial and on 4 shards (barrier runs included), at most 5% above
+#     their readings: crates/bench/tests/arena_heap.rs; the sizes it rests
+#     on are pinned: an_app_is_at_most_144_bytes (crates/core/src/app.rs),
+#     a_lane_entry_is_24_bytes (crates/netsim/src/event.rs),
+#     a_link_group_is_16_bytes_and_a_patch_24 (world/shard/xfer.rs)
 #   - timing ratios (release only): disabled metrics >= 0.99, disabled
 #     spans >= 0.99, 16 vs 1 shard <= 1.10:
 #     crates/bench/tests/overhead_ratios.rs; a same-instant burst of 2^15
 #     events < 24x one of 2^12: crates/bench/tests/burst_scaling.rs
-#   - event queue (a binary heap beside the beacon lane) == bare
-#     binary-heap oracle, both key modes, with stray pushes below the lane's
-#     tail: prop_backends_pop_identically and prop_lane_merges_exactly
+#   - event queue (a binary heap beside the beacon lane of node ids) ==
+#     bare binary-heap oracle, both key modes, with stray pushes below the
+#     lane's tail, and a lane entry pops as its id exactly when it joined
+#     the lane: prop_backends_pop_identically and prop_lane_merges_exactly
 #     (crates/netsim/src/event.rs); every beacon round on the lane, none on
 #     the heap: beacon_rounds_ride_the_lane_not_the_heap (world/tests.rs)
 #     and beacon_rounds_ride_each_shards_lane_not_its_heap
@@ -104,6 +114,12 @@
 #     summary pin
 #   - `imobif <fig>` and `scenario run <fig>` write the same artifacts:
 #     figure_and_scenario_commands_write_the_same_artifacts (cli.rs)
+#   - hostile parser input (mutated shipped specs, traces and manifests,
+#     random bytes, token soup, nesting 200,000 deep, 400-digit numerals):
+#     no panic, every spec error positioned by line and column (JSON specs
+#     included), every JSON syntax error by byte offset, every trace error
+#     by line; TOML tables nest at most 128 deep; a 4 MB JSON string
+#     parses in linear time: crates/experiments/tests/parser_props.rs
 #   - spec values beyond the sim-time ceiling (config::MAX_SIM_SECS) or
 #     out of range in `[ext]`, and TOML arrays nested 200,000 deep, exit 2
 #     from `scenario validate` and `scenario run`:
@@ -175,10 +191,10 @@ if [[ "$SMOKE" == "0" ]]; then
 fi
 
 if [[ "$SMOKE" == "1" ]]; then
-    echo "==> pin tests (serial traces, shard and thread sweeps, fig6 CSV, allocation gates)"
+    echo "==> pin tests (serial traces, shard and thread sweeps, fig6 CSV, allocation and heap gates)"
     cargo test --release -q --test determinism --test trace_causality
     cargo test --release -q -p imobif-bench --test span_determinism --test span_allocs \
-        --test spec_parse_allocs --test fig6_allocs --test hello_allocs
+        --test spec_parse_allocs --test fig6_allocs --test hello_allocs --test arena_heap
 
     echo "==> spatial grid unit tests (change stamps, slot windows)"
     cargo test --release -q -p imobif-geom --lib
@@ -195,8 +211,8 @@ if [[ "$SMOKE" == "1" ]]; then
     echo "==> observability unit tests (span ring, JSON depth cap, manifests, promlint)"
     cargo test --release -q -p imobif-obs --lib
 
-    echo "==> experiment unit tests (spec round trips and pins, memo keys, memo claims)"
-    cargo test --release -q -p imobif-experiments --lib --test memo_claims
+    echo "==> experiment unit tests (spec round trips and pins, memo keys, memo claims, hostile parser input)"
+    cargo test --release -q -p imobif-experiments --lib --test memo_claims --test parser_props
 fi
 
 echo "==> timing ratios (disabled metrics and spans >= 0.99, 16 vs 1 shard <= 1.10, linear bursts)"
