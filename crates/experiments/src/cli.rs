@@ -955,6 +955,39 @@ mod tests {
         let _ = fs::remove_dir_all(&dir2);
     }
 
+    /// `manifest-check` names a field of the wrong type, and where its key
+    /// sits in the file.
+    #[test]
+    fn manifest_check_names_a_wrong_field_and_its_offset() {
+        let manifest = RunManifest {
+            tool: "imobif-experiments".into(),
+            targets: vec!["fig6".into()],
+            config_hash: 1,
+            seed: 2025,
+            flows: 8,
+            threads: 1,
+            phases: Vec::new(),
+            trace: imobif_obs::TraceHealth::default(),
+            scenario: None,
+            metrics: Registry::enabled().snapshot(),
+        };
+        let text = manifest.render().replace("\"tool\":\"imobif-experiments\"", "\"tool\":5");
+        let path =
+            std::env::temp_dir().join(format!("imobif-manifest-{}.json", std::process::id()));
+        fs::write(&path, &text).expect("manifest written");
+        let path_s = path.to_str().expect("utf-8 temp path").to_string();
+        let err = manifest_check_cmd(&argv(&[&path_s])).expect_err("tool is a number");
+        let at = text.find("\"tool\"").expect("tool key");
+        assert_eq!(
+            err,
+            format!(
+                "{path_s}: invalid manifest: tool: expected a string, found a number at byte {at}"
+            )
+        );
+        assert_eq!(run(&argv(&["manifest-check", &path_s])), 2);
+        let _ = fs::remove_file(&path);
+    }
+
     #[test]
     fn spans_flame_writes_parseable_artifacts() {
         let dir = std::env::temp_dir().join(format!("imobif-spans-flame-{}", std::process::id()));

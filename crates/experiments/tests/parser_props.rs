@@ -10,8 +10,9 @@
 //! input may panic. A spec error names its line and column (line 1 or
 //! later; a JSON spec's syntax error also names its byte offset), a JSON
 //! syntax error its byte offset, and a trace error its line. A manifest
-//! that is valid JSON but breaks the schema names the field instead: a
-//! missing field has no position in the text.
+//! that is valid JSON but breaks the schema names the field instead, and
+//! the byte offset of a present field's key: a missing field has no
+//! position in the text.
 
 use imobif_experiments::scenario::toml::{self, Item, Table, TomlValue};
 use imobif_experiments::scenario::{builtin_source, ScenarioSpec, BUILTIN_NAMES};

@@ -276,6 +276,12 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Time of the earliest pending event off the lane, if any.
+    #[must_use]
+    pub(crate) fn heap_peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|h| h.time)
+    }
+
     /// Number of pending events, lane included.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -135,6 +135,14 @@ impl NeighborTable {
         }
     }
 
+    /// Links every id of the ascending list `ids` into this empty table, at
+    /// exact capacity: the node joined each one's hearer set.
+    pub(crate) fn link_all(&mut self, ids: &[u32]) {
+        debug_assert!(self.is_empty(), "link_all fills an empty table");
+        debug_assert!(ids.is_sorted_by(|a, b| a < b), "link_all takes ascending ids");
+        self.live = ids.iter().map(|&k| NodeId::new(k)).collect();
+    }
+
     /// Freezes every linked entry at its `board` record: the node stopped
     /// hearing (it died).
     pub(crate) fn freeze_all(&mut self, board: &[Beacon]) {
@@ -313,6 +321,17 @@ mod tests {
         assert_eq!(buf, nt.view().fresh(t(6)));
         let iterated: Vec<NeighborEntry> = nt.view().iter_fresh(t(6)).collect();
         assert_eq!(iterated, buf);
+    }
+
+    #[test]
+    fn link_all_fills_an_empty_table_at_exact_capacity() {
+        let board = [beacon(0.0, 1.0, 0), beacon(1.0, 2.0, 1), beacon(2.0, 3.0, 1)];
+        let mut nt = NeighborTable::new(SimDuration::from_secs(3));
+        nt.link_all(&[0, 2]);
+        assert_eq!(nt.live.capacity(), 2);
+        let entries = nt.view_with(&board).fresh(t(1));
+        let got: Vec<(u32, f64)> = entries.iter().map(|e| (e.id.raw(), e.position.x)).collect();
+        assert_eq!(got, [(0, 0.0), (2, 2.0)], "linked entries read the board");
     }
 
     #[test]

@@ -198,9 +198,21 @@ impl HearerCache {
         Links { joined: &self.joined, left: &self.left }
     }
 
+    /// `slot`'s stored hearer list, ascending: empty if the node never
+    /// beaconed.
+    pub(super) fn list(&self, slot: usize) -> &[u32] {
+        self.entries.get(slot).map_or(&[], |e| &e.list)
+    }
+
     /// Collects the hearers of a beacon `node` sends from `pos` — the live
     /// nodes other than `node` within range — from the slots of `window`
     /// into `scratch`, sorted. Returns how many each window slot held.
+    ///
+    /// The filter has no branch: every candidate is written at the end of
+    /// the list, which grows by the range test's outcome, so a hearer's id
+    /// stays and the next candidate overwrites a non-hearer's. About a
+    /// third of the candidates pass, so a branch on the test would
+    /// mispredict often.
     fn query(
         &mut self,
         view: &BeaconView<'_>,
@@ -210,15 +222,18 @@ impl HearerCache {
     ) -> [u8; 9] {
         let r_sq = view.range * view.range;
         let mut counts = [0u8; 9];
-        self.scratch.clear();
+        let mut len = 0;
         for (i, bucket) in view.grid.window_buckets(window, window.mask()) {
+            self.scratch.resize(len + bucket.len(), 0);
+            let mut hits = 0;
             for &(k, p) in bucket {
-                if k != node.raw() && pos.distance_sq_to(p) <= r_sq {
-                    self.scratch.push(k);
-                    counts[i] = counts[i].saturating_add(1);
-                }
+                self.scratch[len + hits] = k;
+                hits += usize::from((k != node.raw()) & (pos.distance_sq_to(p) <= r_sq));
             }
+            counts[i] = u8::try_from(hits).unwrap_or(u8::MAX);
+            len += hits;
         }
+        self.scratch.truncate(len);
         self.scratch.sort_unstable();
         counts
     }

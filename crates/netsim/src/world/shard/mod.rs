@@ -28,10 +28,11 @@
 //!    count: the active shards run in place, or on the worker pool;
 //! 3. at the barrier, keyless replica patches update the frozen
 //!    position, liveness and beacon-board snapshot in O(changes), grouped
-//!    HELLO link changes update hearer tables, and deliveries are k-way
-//!    merged per destination in their shard-count-independent key order
-//!    `(time, origin node, per-node sequence)` and enqueued on the owner
-//!    shards.
+//!    HELLO link changes update hearer tables (a first epoch of free
+//!    beacons alone links every table from its node's hearer list
+//!    instead), and deliveries are k-way merged per destination in their
+//!    shard-count-independent key order `(time, origin node, per-node
+//!    sequence)` and enqueued on the owner shards.
 //!
 //! Because the delivery keys, the per-node queue keys, and the window
 //! boundaries are all derived from values independent of the shard
@@ -70,7 +71,7 @@ use imobif_geom::Point2;
 use imobif_obs::span::phase;
 use imobif_obs::{Registry, SpanSink, COORD_SHARD};
 
-use super::engine::Event;
+use super::engine::{Engine, Event};
 use super::observe::KernelStats;
 use crate::hello::Beacon;
 use crate::trace::TraceEvent;
@@ -386,6 +387,17 @@ impl<A: Application> ShardedWorld<A> {
                 }
             }
             *prev_end = Some(end);
+            // A first epoch of free beacons alone (every heap head lies
+            // past its window) links the tables at its barrier from the
+            // hearer lists: the bulk join (DESIGN.md §12.2).
+            let bulk_join = eid == 0
+                && !cfg.hello.charge_energy
+                && shards.iter().all(|s| s.engine.queue.heap_peek_time().is_none_or(|t| t >= end));
+            if bulk_join {
+                for &s in active.iter() {
+                    outs[s as usize].bulk_join = true;
+                }
+            }
             counters.epochs += 1;
             counters.shard_epochs += active.len() as u64;
             counters.idle_shard_epochs_skipped += (shards.len() - active.len()) as u64;
@@ -861,9 +873,11 @@ impl<A: Application> std::fmt::Debug for ShardedWorld<A> {
 ///
 /// * Replica patches first (source-by-source: per-node order is preserved
 ///   within a source run, and patches for different nodes commute).
-/// * Grouped link changes next, destination-major for table locality —
-///   they need no merge (changes for different origins touch different
-///   entries; same-origin order comes from the single source run).
+/// * Link changes next: a bulk-join epoch's tables are linked from the
+///   hearer lists, then grouped changes apply destination-major for table
+///   locality — they need no merge (changes for different origins touch
+///   different entries; same-origin order comes from the single source
+///   run).
 /// * Deliveries last, k-way merged per destination in strict global key
 ///   order, because applying one consumes the target's queue sequence and
 ///   downstream tie-breaks depend on it.
@@ -913,6 +927,11 @@ fn apply_epoch<A: Application>(
     } else {
         None
     };
+    for &s in active {
+        if std::mem::take(&mut outs[s as usize].bulk_join) {
+            links += link_hearer_lists(&mut shards[s as usize].engine);
+        }
+    }
     for (d, dest) in shards.iter_mut().enumerate() {
         for &s in active {
             let ShardOutbox { links: runs, frozen, .. } = &mut outs[s as usize];
@@ -957,6 +976,13 @@ fn apply_epoch<A: Application>(
         merge.heap.clear();
         for &s in active {
             let run = &outs[s as usize].dlv[d];
+            // The merge below restores the global order only from runs
+            // that are in key order: a shard pops same-instant events in
+            // node-id key order (DESIGN.md §12.2).
+            debug_assert!(
+                run.is_sorted_by(|a, b| a.key < b.key),
+                "shard {s}'s deliveries to shard {d} are out of key order"
+            );
             if let Some(head) = run.first() {
                 merge.heap.push(std::cmp::Reverse((head.key, s)));
             }
@@ -983,4 +1009,23 @@ fn apply_epoch<A: Application>(
     counters.delivers_merged += delivers;
     counters.observations_applied += links;
     counters.replica_patches += patches;
+}
+
+/// The bulk join: links every live node's table to its own hearer list,
+/// and returns the links made. Exact at the barrier of a first epoch that
+/// ran only free beacons: nothing has moved or died since the replica was
+/// written, every live node beaconed from its replica position, and the
+/// distance test is symmetric, so the nodes a node hears are the nodes
+/// that hear it — the joins the epoch's beacons would have sent it.
+fn link_hearer_lists<A: Application>(engine: &mut Engine<A>) -> u64 {
+    let Engine { nodes, hearers, .. } = engine;
+    let mut links = 0;
+    for slot in 0..nodes.len() {
+        if nodes.is_alive(slot) {
+            let list = hearers.list(slot);
+            links += list.len() as u64;
+            nodes.neighbor_table_mut(slot).link_all(list);
+        }
+    }
+    links
 }

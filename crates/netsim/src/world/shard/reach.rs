@@ -277,7 +277,8 @@ impl<M> Reach<M> for ShardReach<'_, M> {
     /// per destination shard, all applied at the next barrier — HELLO
     /// processing latency of at most one epoch, identical at every shard
     /// count. A beacon with leavers stores `prev` once, for every
-    /// destination's group to name.
+    /// destination's group to name. In a bulk-join epoch the barrier links
+    /// every table from the hearer lists instead, and no change is sent.
     fn hear(
         &mut self,
         _nodes: &mut NodeStore,
@@ -287,6 +288,10 @@ impl<M> Reach<M> for ShardReach<'_, M> {
         links: Links<'_>,
     ) {
         self.xout.rep.push(RepPatch::Beacon { node: origin, slot: slot as u32 });
+        if self.xout.bulk_join {
+            debug_assert!(links.left.is_empty(), "no hearer leaves before anything moves");
+            return;
+        }
         self.keys.beacon_stamp += 1;
         let stamp = self.keys.beacon_stamp;
         let frozen = if links.left.is_empty() {

@@ -122,6 +122,12 @@ impl<A: Application> ShardedWorld<A> {
         let (si, slot) = self.locate(id);
         self.shards[si].engine.nodes.neighbor_table(slot).view_with(&self.replica.board)
     }
+
+    /// The slots the link runs have room for: 0 until some beacon ships a
+    /// link change, since the runs keep their buffers.
+    fn link_slot_capacity(&self) -> usize {
+        self.outs.iter().flat_map(|o| &o.links).map(|r| r.slots.capacity()).sum()
+    }
 }
 
 /// Both engines behind one interface, so a scenario, its fingerprint and
@@ -1100,8 +1106,9 @@ fn cache_is_shard_count_invariant_and_publishes(sc: &Scenario) {
 }
 
 /// On a static sharded world the first round's barrier links every
-/// hearer; afterwards a beacon sends only its board record, so no link run
-/// carries anything and no table is written.
+/// hearer from the hearer lists, with no link run carrying anything;
+/// afterwards a beacon sends only its board record, so no table is
+/// written.
 #[test]
 fn static_world_stops_writing_tables_after_the_first_round() {
     let sc = lattice_scenario();
@@ -1114,6 +1121,7 @@ fn static_world_stops_writing_tables_after_the_first_round() {
     let first = w.counters.observations_applied;
     let links: usize = (0..sc.positions.len() as u32).map(|i| w.table(NodeId::new(i)).len()).sum();
     assert_eq!(first, links as u64, "one join per hearer of a first-round beacon");
+    assert_eq!(w.link_slot_capacity(), 0, "the first barrier shipped no link slot");
     assert_eq!(w.kernel_stats().hello_link_changes, first);
     let patches = w.counters.replica_patches;
     w.run_until(SimTime::from_micros(5_000_000));
@@ -1141,34 +1149,41 @@ impl Application for Walker {
     }
 }
 
-proptest::proptest! {
-    /// The sharded twin of the serial reference oracle: after every epoch,
-    /// every node's view — dead ones included — equals a push table that
-    /// observes each beacon of the epoch into every hearer the epoch's
-    /// replica shows, skipping hearers dead at the barrier. That is the
-    /// rule the barrier applied when beacons carried their payload to each
-    /// hearer.
-    ///
-    /// Nodes walk on timers, fail on scheduled kills (some at a beacon
-    /// instant, when peers' records are still in flight), and a
-    /// beacon-sized battery dies at its third charged beacon; 1-5 shards,
-    /// one or two workers, and worlds on both sides of the small-world
-    /// scan. A leaver frozen with its origin's new record, a death that
-    /// freezes its links from its own shard's board, a lost leave mark or
-    /// a link change applied to a dead hearer fails the comparison.
-    #[test]
-    fn prop_sharded_board_and_links_match_barrier_push_tables(
-        coords in proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64, 0u8..4), 2..48),
-        moves in proptest::collection::vec(
+/// The sharded twin of the serial reference oracle: after every epoch,
+/// every node's view — dead ones included — equals a push table that
+/// observes each beacon of the epoch into every hearer the epoch's replica
+/// shows, skipping hearers dead at the barrier. That is the rule the
+/// barrier applied when beacons carried their payload to each hearer.
+///
+/// Nodes walk on timers, fail on scheduled kills (some at a beacon
+/// instant, when peers' records are still in flight), and when beacons
+/// are charged, which each case draws, a beacon-sized battery dies at its
+/// third beacon; 1-5 shards, one or two workers, and worlds on both sides
+/// of the small-world scan. A leaver frozen with its origin's new record,
+/// a death that freezes its links from its own shard's board, a lost
+/// leave mark or a link change applied to a dead hearer fails the
+/// comparison. Free beacons with nothing else in the first epoch take the
+/// bulk join, every other case the per-beacon joins, and both must run.
+#[test]
+fn prop_sharded_board_and_links_match_barrier_push_tables() {
+    use proptest::Strategy;
+    let name = "prop_sharded_board_and_links_match_barrier_push_tables";
+    let mut paths = [0u32; 2];
+    proptest::run_cases(name, |rng| {
+        let coords =
+            proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64, 0u8..4), 2..48).generate(rng);
+        let moves = proptest::collection::vec(
             (0usize..48, 0u64..5_000, 0.0..100.0f64, 0.0..100.0f64),
             0..40,
-        ),
-        kills in proptest::collection::vec((0usize..48, 0u64..5, 0u64..1_000), 0..6),
-        shards in 1usize..6,
-        threads in 1usize..3,
-    ) {
+        )
+        .generate(rng);
+        let kills =
+            proptest::collection::vec((0usize..48, 0u64..5, 0u64..1_000), 0..6).generate(rng);
+        let shards = (1usize..6).generate(rng);
+        let threads = (1usize..3).generate(rng);
+        let charge = (0u8..2).generate(rng) == 1;
         let mut cfg = SimConfig::default();
-        cfg.hello.charge_energy = true;
+        cfg.hello.charge_energy = charge;
         let per_beacon = cfg.tx.energy(cfg.range, cfg.hello.bits as f64);
         let mut w = ShardedWorld::new(cfg, BOUNDS, shards).unwrap();
         w.set_threads(threads);
@@ -1182,15 +1197,30 @@ proptest::proptest! {
             let tag = ((x * 100.0) as u64) << 32 | (y * 100.0) as u64;
             w.schedule_timer(NodeId::new((who % n) as u32), SimDuration::from_millis(ms), tag);
         }
-        for &(who, secs, ms) in &kills {
-            let id = NodeId::new((who % n) as u32);
-            // Every other kill lands on a beacon instant.
+        // Every other kill lands on a beacon instant.
+        let kill_at = |&(_, secs, ms): &(usize, u64, u64)| {
             let offset = if ms % 2 == 0 { 0 } else { ms * 1_000 };
-            let at = SimTime::from_micros(secs * 1_000_000 + offset);
+            SimTime::from_micros(secs * 1_000_000 + offset)
+        };
+        for kill in &kills {
+            let id = NodeId::new((kill.0 % n) as u32);
             let (si, slot) = w.locate(id);
             let Shard { engine, keys } = &mut w.shards[si];
-            keys.push(&mut engine.queue, at, slot, id, Event::ScheduledKill { node: id });
+            keys.push(
+                &mut engine.queue,
+                kill_at(kill),
+                slot,
+                id,
+                Event::ScheduledKill { node: id },
+            );
         }
+        let first_end = SimTime::ZERO + cfg.hop_latency;
+        let bulk = !charge
+            && moves
+                .iter()
+                .all(|&(_, ms, ..)| SimTime::ZERO + SimDuration::from_millis(ms) >= first_end)
+            && kills.iter().all(|k| kill_at(k) >= first_end);
+        paths[usize::from(bulk)] += 1;
         let mut push: Vec<NeighborTable> =
             (0..n).map(|_| NeighborTable::new(cfg.hello.ttl)).collect();
         let r_sq = cfg.range * cfg.range;
@@ -1205,19 +1235,27 @@ proptest::proptest! {
             // Runs exactly the epoch `next` opens.
             let end = next + cfg.hop_latency;
             w.run_until(SimTime::from_micros(end.as_micros() - 1));
+            if end == first_end {
+                let shipped = w.link_slot_capacity() > 0;
+                let linked = w.counters.observations_applied > 0;
+                proptest::prop_assert!(!(bulk && shipped), "the bulk join ships no link slot");
+                proptest::prop_assert!(bulk || shipped || !linked, "per-beacon joins ship slots");
+            }
             for (j, &was) in board.iter().enumerate() {
-                // Every charged beacon lowers the residual: a changed record
-                // is a beacon sent this epoch.
+                // A record stamped inside the window is a beacon sent this
+                // epoch. Every node is alive at start, so the first round
+                // rewrites every record `start` wrote at 0 (a free beacon
+                // leaves it bit-identical).
                 let record = w.replica.board[j];
-                if record == was {
+                if record.heard_at < next {
+                    proptest::prop_assert_eq!(record, was);
                     continue;
                 }
-                proptest::prop_assert!(next <= record.heard_at && record.heard_at < end);
+                proptest::prop_assert!(record.heard_at < end);
                 let origin = NodeId::new(j as u32);
                 for (i, table) in push.iter_mut().enumerate() {
-                    let heard = i != j
-                        && alive[i]
-                        && record.position.distance_sq_to(positions[i]) <= r_sq;
+                    let heard =
+                        i != j && alive[i] && record.position.distance_sq_to(positions[i]) <= r_sq;
                     if heard && w.is_alive(NodeId::new(i as u32)) {
                         let Beacon { position, residual_energy, heard_at } = record;
                         table.observe(origin, position, residual_energy, heard_at);
@@ -1236,6 +1274,89 @@ proptest::proptest! {
         }
         let sync = w.verify_replica_sync();
         proptest::prop_assert!(sync.is_ok(), "replica diverged: {:?}", sync);
+    });
+    assert!(paths.iter().all(|&k| k > 0), "per-beacon and bulk cases: {paths:?}");
+}
+
+/// One half of the bulk-join check: `nodes` (kind 0 dead at start, kind 1 a
+/// source forwarding to the next node, kind 2 stepping toward the middle on
+/// each packet) on `shards` shards, traced, with source timers at 1.5 s and
+/// 3 s. `first_timer` adds a zero-delay timer on node `t`, which forwards
+/// nothing: a heap event inside the first epoch.
+fn bulk_join_world(
+    nodes: &[(f64, f64, u8)],
+    shards: usize,
+    threads: usize,
+    t: usize,
+    first_timer: bool,
+) -> ShardedWorld<Echo> {
+    let mut w = make_sharded(shards);
+    w.set_threads(threads);
+    let n = nodes.len();
+    for &(x, y, kind) in nodes {
+        w.add(Point2::new(x, y), if kind == 0 { 0.0 } else { 10.0 });
+    }
+    w.trace_on();
+    for (i, &(_, _, kind)) in nodes.iter().enumerate() {
+        let id = NodeId::new(i as u32);
+        match kind {
+            1 if i != t => w.echo(id).forward_to = Some(NodeId::new(((i + 1) % n) as u32)),
+            2 => w.echo(id).move_target = Some(Point2::new(50.0, 50.0)),
+            _ => {}
+        }
+    }
+    w.begin();
+    if first_timer {
+        w.timer(NodeId::new(t as u32), 0, 0);
+    }
+    for (i, &(_, _, kind)) in nodes.iter().enumerate() {
+        if kind == 1 && i != t {
+            w.timer(NodeId::new(i as u32), 1_500, i as u64);
+            w.timer(NodeId::new(i as u32), 3_000, i as u64);
+        }
+    }
+    w
+}
+
+/// What the bulk join must leave as the per-beacon joins do: every table,
+/// the kernel counters but `timers_fired`, the applied observations, a
+/// replica in sync and the merged trace.
+fn bulk_join_outcome(w: &ShardedWorld<Echo>) -> (Vec<Vec<[u64; 5]>>, KernelStats, u64, u64) {
+    let tables =
+        (0..w.node_count() as u32).map(|i| table_bits(w.table(NodeId::new(i)), w.time())).collect();
+    let stats = KernelStats { timers_fired: 0, ..w.kernel_stats() };
+    w.verify_replica_sync().expect("the replica matches the owners");
+    (tables, stats, w.counters.observations_applied, w.trace_fnv())
+}
+
+proptest::proptest! {
+    /// The bulk join against the per-beacon joins it replaces, on random
+    /// sharded worlds: 2–300 nodes, some dead at start, 1–16 shards, one or
+    /// two workers. Each world is built twice, as it is and with one
+    /// zero-delay timer that forces the per-beacon path, and both agree
+    /// after the first barrier and again after 5 sim-s, once sources have
+    /// sent and relays moved.
+    #[test]
+    fn prop_bulk_join_matches_per_beacon_joins(
+        nodes in proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64, 0u8..8), 2..300),
+        shards in 1usize..17,
+        threads in 1usize..3,
+        t in 0usize..300,
+    ) {
+        let t = t % nodes.len();
+        let mut bulk = bulk_join_world(&nodes, shards, threads, t, false);
+        let mut joins = bulk_join_world(&nodes, shards, threads, t, true);
+        for secs in [0, 5] {
+            let at = SimTime::from_micros(secs * 1_000_000);
+            bulk.run_until(at);
+            joins.run_until(at);
+            if secs == 0 {
+                proptest::prop_assert_eq!(bulk.link_slot_capacity(), 0, "the bulk join ran");
+                let linked = joins.counters.observations_applied > 0;
+                proptest::prop_assert_eq!(joins.link_slot_capacity() > 0, linked, "joins shipped");
+            }
+            proptest::prop_assert_eq!(bulk_join_outcome(&bulk), bulk_join_outcome(&joins));
+        }
     }
 }
 

@@ -112,11 +112,21 @@ pub(super) struct ShardOutbox<M> {
     pub(super) frozen: Vec<Beacon>,
     /// Replica deltas for nodes this shard owns.
     pub(super) rep: Vec<RepPatch>,
+    /// Set for a first epoch that runs only free beacons: its barrier
+    /// links every table from its node's hearer list, so the epoch ships
+    /// no link change.
+    pub(super) bulk_join: bool,
 }
 
 impl<M> Default for ShardOutbox<M> {
     fn default() -> Self {
-        ShardOutbox { dlv: Vec::new(), links: Vec::new(), frozen: Vec::new(), rep: Vec::new() }
+        ShardOutbox {
+            dlv: Vec::new(),
+            links: Vec::new(),
+            frozen: Vec::new(),
+            rep: Vec::new(),
+            bulk_join: false,
+        }
     }
 }
 
@@ -126,8 +136,7 @@ impl<M> ShardOutbox<M> {
         ShardOutbox {
             dlv: std::iter::repeat_with(Vec::new).take(dests).collect(),
             links: std::iter::repeat_with(LinkRun::default).take(dests).collect(),
-            frozen: Vec::new(),
-            rep: Vec::new(),
+            ..Self::default()
         }
     }
 }

@@ -47,15 +47,13 @@ impl TraceHealth {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<TraceHealth, String> {
-        let field = |key: &str| {
-            json.get(key).and_then(Json::as_u64).ok_or_else(|| format!("trace: missing {key}"))
-        };
+    fn from_json(json: &Json) -> Result<TraceHealth, Fault<'_>> {
+        let count = |key| field(json, "trace.", key, COUNT, Json::as_u64);
         Ok(TraceHealth {
-            trace_recorded: field("trace_recorded")?,
-            trace_evicted: field("trace_evicted")?,
-            spans_recorded: field("spans_recorded")?,
-            spans_evicted: field("spans_evicted")?,
+            trace_recorded: count("trace_recorded")?,
+            trace_evicted: count("trace_evicted")?,
+            spans_recorded: count("spans_recorded")?,
+            spans_evicted: count("spans_evicted")?,
         })
     }
 }
@@ -84,23 +82,13 @@ impl ScenarioInfo {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<ScenarioInfo, String> {
+    fn from_json(json: &Json) -> Result<ScenarioInfo, Fault<'_>> {
+        let text = |key| field(json, "scenario.", key, STRING, Json::as_str).map(str::to_string);
         Ok(ScenarioInfo {
-            name: json
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("scenario: missing name")?
-                .to_string(),
-            spec_hash: json
-                .get("spec_hash")
-                .and_then(Json::as_hex)
-                .ok_or("scenario: missing/invalid spec_hash")?,
-            adapter: json
-                .get("adapter")
-                .and_then(Json::as_str)
-                .ok_or("scenario: missing adapter")?
-                .to_string(),
-            runs: json.get("runs").and_then(Json::as_u64).ok_or("scenario: missing runs")? as u32,
+            name: text("name")?,
+            spec_hash: field(json, "scenario.", "spec_hash", HEX, Json::as_hex)?,
+            adapter: text("adapter")?,
+            runs: field(json, "scenario.", "runs", COUNT, Json::as_u64)? as u32,
         })
     }
 }
@@ -203,68 +191,153 @@ impl RunManifest {
         self.to_json().render()
     }
 
-    /// Parses and schema-validates a manifest document.
+    /// Parses and schema-validates a manifest document. A missing field
+    /// reads `missing {field}`, a present one of the wrong type or value
+    /// `{field}: expected {what}, found {kind}`.
     pub fn from_json(json: &Json) -> Result<RunManifest, String> {
-        let version =
-            json.get("schema_version").and_then(Json::as_u64).ok_or("missing schema_version")?;
-        if !(MANIFEST_MIN_SCHEMA_VERSION..=MANIFEST_SCHEMA_VERSION).contains(&version) {
-            return Err(format!(
-                "unsupported schema_version {version} \
-                 (want {MANIFEST_MIN_SCHEMA_VERSION}..={MANIFEST_SCHEMA_VERSION})"
-            ));
-        }
+        RunManifest::read(json).map_err(|f| f.msg)
+    }
+
+    fn read(json: &Json) -> Result<RunManifest, Fault<'_>> {
+        let supported = MANIFEST_MIN_SCHEMA_VERSION..=MANIFEST_SCHEMA_VERSION;
+        let want = format!("a version in {supported:?}");
+        let version = field(json, "", "schema_version", &want, |v| {
+            v.as_u64().filter(|v| supported.contains(v))
+        })?;
         let trace = match json.get("trace") {
-            Some(t) => TraceHealth::from_json(t)?,
+            Some(_) => TraceHealth::from_json(field(json, "", "trace", OBJECT, object)?)?,
             None if version < 2 => TraceHealth::default(),
-            None => return Err("missing trace block (required from schema v2)".into()),
+            None => return Err("missing trace (required from schema v2)".to_string().into()),
         };
         let scenario = match json.get("scenario") {
-            Some(s) => Some(ScenarioInfo::from_json(s)?),
+            Some(_) => Some(ScenarioInfo::from_json(field(json, "", "scenario", OBJECT, object)?)?),
             None => None,
         };
-        let targets = json
-            .get("targets")
-            .and_then(Json::as_arr)
-            .ok_or("missing targets")?
+        // A list item has no key of its own: its fault points at the list's.
+        let targets = field(json, "", "targets", ARRAY, Json::as_arr)?
             .iter()
-            .map(|t| t.as_str().map(str::to_string).ok_or("non-string target"))
+            .enumerate()
+            .map(|(i, t)| {
+                t.as_str().map(str::to_string).ok_or_else(|| Fault {
+                    msg: format!("targets[{i}]: expected {STRING}, found {}", kind(t)),
+                    value: json.get("targets"),
+                })
+            })
             .collect::<Result<Vec<_>, _>>()?;
-        let phases = json
-            .get("phases")
-            .and_then(Json::as_arr)
-            .ok_or("missing phases")?
+        let phases = field(json, "", "phases", ARRAY, Json::as_arr)?
             .iter()
-            .map(|p| {
-                let name = p.get("name").and_then(Json::as_str).ok_or("phase missing name")?;
+            .enumerate()
+            .map(|(i, p)| {
+                let scope = format!("phases[{i}].");
+                let name = field(p, &scope, "name", STRING, Json::as_str)?;
                 let secs =
-                    p.get("wall_secs").and_then(Json::as_f64).ok_or("phase missing wall_secs")?;
-                if secs < 0.0 {
-                    return Err(format!("phase {name}: negative wall_secs"));
-                }
+                    field(p, &scope, "wall_secs", SECONDS, |v| v.as_f64().filter(|&s| s >= 0.0))?;
                 Ok((name.to_string(), secs))
             })
-            .collect::<Result<Vec<_>, String>>()?;
+            .collect::<Result<Vec<_>, Fault<'_>>>()?;
         Ok(RunManifest {
-            tool: json.get("tool").and_then(Json::as_str).ok_or("missing tool")?.to_string(),
+            tool: field(json, "", "tool", STRING, Json::as_str)?.to_string(),
             targets,
-            config_hash: json
-                .get("config_hash")
-                .and_then(Json::as_hex)
-                .ok_or("missing/invalid config_hash")?,
-            seed: json.get("seed").and_then(Json::as_hex).ok_or("missing/invalid seed")?,
-            flows: json.get("flows").and_then(Json::as_u64).ok_or("missing flows")? as u32,
-            threads: json.get("threads").and_then(Json::as_u64).ok_or("missing threads")? as usize,
+            config_hash: field(json, "", "config_hash", HEX, Json::as_hex)?,
+            seed: field(json, "", "seed", HEX, Json::as_hex)?,
+            flows: field(json, "", "flows", COUNT, Json::as_u64)? as u32,
+            threads: field(json, "", "threads", COUNT, Json::as_u64)? as usize,
             phases,
             trace,
             scenario,
-            metrics: Snapshot::from_json(json.get("metrics").ok_or("missing metrics")?)?,
+            metrics: Snapshot::from_json(field(json, "", "metrics", OBJECT, object)?)?,
         })
     }
 
-    /// Validates raw manifest text; `Ok` carries the parsed manifest.
+    /// Validates raw manifest text; `Ok` carries the parsed manifest. Errors
+    /// read as [`RunManifest::from_json`]'s, and a present field's also
+    /// names the byte offset of its key (a syntax error names its own).
     pub fn validate(text: &str) -> Result<RunManifest, String> {
-        RunManifest::from_json(&Json::parse(text)?)
+        let (json, keys) = Json::parse_with_key_offsets(text).map_err(|e| e.to_string())?;
+        RunManifest::read(&json).map_err(|f| {
+            match f.value.and_then(|v| key_offset(&json, &keys, v)) {
+                Some(at) => format!("{} at byte {at}", f.msg),
+                None => f.msg,
+            }
+        })
     }
+}
+
+/// What a schema check found wrong, and the value it is about: `None` for
+/// a missing field, which has no place in the text.
+struct Fault<'a> {
+    msg: String,
+    value: Option<&'a Json>,
+}
+
+impl From<String> for Fault<'_> {
+    fn from(msg: String) -> Self {
+        Fault { msg, value: None }
+    }
+}
+
+const COUNT: &str = "a non-negative integer";
+const SECONDS: &str = "a non-negative number";
+const STRING: &str = "a string";
+const HEX: &str = "a 0x-prefixed hex string";
+const ARRAY: &str = "an array";
+const OBJECT: &str = "an object";
+
+/// Reads field `key` of `obj` with `read`, which accepts what `want`
+/// describes; `scope` names the enclosing block. A missing field reads
+/// `missing {scope}{key}`, a present one `read` refuses
+/// `{scope}{key}: expected {want}, found {kind}`.
+fn field<'a, T>(
+    obj: &'a Json,
+    scope: &str,
+    key: &str,
+    want: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, Fault<'a>> {
+    let Some(value) = obj.get(key) else {
+        return Err(format!("missing {scope}{key}").into());
+    };
+    read(value).ok_or_else(|| Fault {
+        msg: format!("{scope}{key}: expected {want}, found {}", kind(value)),
+        value: Some(value),
+    })
+}
+
+fn object(v: &Json) -> Option<&Json> {
+    matches!(v, Json::Obj(_)).then_some(v)
+}
+
+/// What kind of JSON value `v` is, for an error message.
+fn kind(v: &Json) -> &'static str {
+    match v {
+        Json::Null => "null",
+        Json::Bool(_) => "a boolean",
+        Json::Num(_) => "a number",
+        Json::Str(_) => "a string",
+        Json::Arr(_) => "an array",
+        Json::Obj(_) => "an object",
+    }
+}
+
+/// The byte offset of the key whose value is `target` (the same node, not
+/// an equal one) in `root`, given every key's offset in document order as
+/// [`Json::parse_with_key_offsets`] lists them.
+fn key_offset(root: &Json, offsets: &[usize], target: &Json) -> Option<usize> {
+    fn walk(v: &Json, target: &Json, keys: &mut std::slice::Iter<'_, usize>) -> Option<usize> {
+        match v {
+            Json::Obj(entries) => entries.iter().find_map(|(_, value)| {
+                let at = *keys.next()?;
+                if std::ptr::eq(value, target) {
+                    Some(at)
+                } else {
+                    walk(value, target, keys)
+                }
+            }),
+            Json::Arr(items) => items.iter().find_map(|item| walk(item, target, keys)),
+            _ => None,
+        }
+    }
+    walk(root, target, &mut offsets.iter())
 }
 
 #[cfg(test)]
@@ -316,6 +389,102 @@ mod tests {
         // v2 documents must carry the trace block.
         assert!(RunManifest::validate(&good.replace("\"trace\"", "\"trce\"")).is_err());
         assert!(RunManifest::validate("not json").is_err());
+    }
+
+    /// `sample()` rendered with `key` set to `value`, or removed.
+    fn with_field(key: &str, value: Option<Json>) -> String {
+        let Json::Obj(mut entries) = sample().to_json() else { panic!("an object") };
+        let at = entries.iter().position(|(k, _)| k == key).expect("a sample field");
+        match value {
+            Some(v) => entries[at].1 = v,
+            None => drop(entries.remove(at)),
+        }
+        Json::Obj(entries).render()
+    }
+
+    /// Every required field, removed and then given a value of the wrong
+    /// type: a missing one reads as missing, a wrong one with what was
+    /// expected and what was found, and `validate` adds its key's offset.
+    #[test]
+    fn schema_errors_tell_missing_fields_from_wrong_ones() {
+        let cases = [
+            ("schema_version", Json::str("3"), "expected a version in 1..=3, found a string"),
+            ("trace", Json::Num(1.0), "expected an object, found a number"),
+            ("targets", Json::Obj(vec![]), "expected an array, found an object"),
+            ("phases", Json::Null, "expected an array, found null"),
+            ("tool", Json::Num(5.0), "expected a string, found a number"),
+            ("config_hash", Json::Num(7.0), "expected a 0x-prefixed hex string, found a number"),
+            ("seed", Json::str("2025"), "expected a 0x-prefixed hex string, found a string"),
+            ("flows", Json::Num(-1.0), "expected a non-negative integer, found a number"),
+            ("threads", Json::Bool(true), "expected a non-negative integer, found a boolean"),
+            ("metrics", Json::Arr(vec![]), "expected an object, found an array"),
+        ];
+        for (key, bad, want) in cases {
+            let missing = RunManifest::validate(&with_field(key, None)).expect_err(key);
+            match key {
+                "trace" => assert_eq!(missing, "missing trace (required from schema v2)"),
+                _ => assert_eq!(missing, format!("missing {key}")),
+            }
+            let text = with_field(key, Some(bad));
+            let at = text.find(&format!("\"{key}\"")).expect("the key is in the text");
+            let wrong = RunManifest::validate(&text).expect_err(key);
+            assert_eq!(wrong, format!("{key}: {want} at byte {at}"));
+            let json = Json::parse(&text).expect("valid JSON");
+            assert_eq!(RunManifest::from_json(&json).expect_err(key), format!("{key}: {want}"));
+        }
+        let v5 = with_field("schema_version", Some(Json::Num(5.0)));
+        let err = RunManifest::validate(&v5).expect_err("v5");
+        assert!(err.starts_with("schema_version: expected a version in 1..=3, found a number"));
+    }
+
+    /// Fields inside the trace and scenario blocks and the phase and target
+    /// lists are named by their place; a list item has no key of its own,
+    /// so it points at its list's.
+    #[test]
+    fn schema_errors_name_fields_inside_blocks_and_lists() {
+        let mut m = sample();
+        m.scenario = Some(ScenarioInfo {
+            name: "churn".into(),
+            spec_hash: 1,
+            adapter: "generic".into(),
+            runs: 3,
+        });
+        let good = m.render();
+        let at = |text: &str, pat: &str| text.find(pat).expect("pattern in text");
+        let text = good.replace("\"trace_evicted\":20", "\"trace_evicted\":\"20\"");
+        assert_eq!(
+            RunManifest::validate(&text).expect_err("trace field"),
+            format!(
+                "trace.trace_evicted: expected a non-negative integer, found a string at byte {}",
+                at(&text, "\"trace_evicted\"")
+            )
+        );
+        let text = good.replace("\"wall_secs\":1.5", "\"wall_secs\":-1.5");
+        assert_eq!(
+            RunManifest::validate(&text).expect_err("phase"),
+            format!(
+                "phases[1].wall_secs: expected a non-negative number, found a number at byte {}",
+                at(&text, "\"wall_secs\":-1.5")
+            )
+        );
+        let text = good.replace("\"fig6\"", "6");
+        assert_eq!(
+            RunManifest::validate(&text).expect_err("target"),
+            format!(
+                "targets[1]: expected a string, found a number at byte {}",
+                at(&text, "\"targets\"")
+            )
+        );
+        let text = good.replace("\"runs\":3", "\"rns\":3");
+        assert_eq!(RunManifest::validate(&text).expect_err("scenario"), "missing scenario.runs");
+        let text = good.replace("\"name\":\"draw\"", "\"name\":[]");
+        assert_eq!(
+            RunManifest::validate(&text).expect_err("phase name"),
+            format!(
+                "phases[0].name: expected a string, found an array at byte {}",
+                at(&text, "\"name\":[]")
+            )
+        );
     }
 
     #[test]

@@ -64,6 +64,20 @@
 #     and beacon_rounds_ride_each_shards_lane_not_its_heap
 #     (world/shard/tests.rs); the beacon streams' rising-key debug
 #     assertions hold in the debug run of the simulator's unit tests
+#   - neighbor tables: board records and link sets == push tables after
+#     every step (serial) and every epoch (sharded; each case draws
+#     charged or free beacons, so the first barrier's bulk join and the
+#     per-beacon joins both run, and both are counted):
+#     prop_board_and_links_match_push_tables (world/tests.rs) and
+#     prop_sharded_board_and_links_match_barrier_push_tables
+#     (world/shard/tests.rs); the bulk join == the per-beacon joins in
+#     tables, kernel counters, applied observations, replica and trace, on
+#     worlds of 2-300 nodes over 1-16 shards with nodes dead at start:
+#     prop_bulk_join_matches_per_beacon_joins (world/shard/tests.rs)
+#   - barrier delivery merge: every active source's run to a destination
+#     is in key order before the k-way merge, a debug assertion in
+#     apply_epoch (world/shard/mod.rs) that the debug run of the
+#     simulator's unit tests carries
 #   - HELLO hearer cache: a result kept with its slot window and
 #     revalidated by the changed-slot rule == a fresh query, and
 #     `changed_slots` names exactly the touched window slots or reports a
