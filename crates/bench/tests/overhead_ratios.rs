@@ -91,7 +91,7 @@ fn span_round() -> (f64, f64) {
         let t0 = Instant::now();
         w.run_until(cap);
         w.publish_metrics(&disabled);
-        assert!(w.epoch_profile().is_none(), "spans must stay disabled");
+        assert!(w.spans().is_none(), "spans must stay disabled");
         samples.push((base, t0.elapsed().as_secs_f64()));
     }
     paired_ratios(&samples)

@@ -21,7 +21,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn warmed_sharded_epochs_allocate_zero_with_spans_off_and_on() {
     // Spans disabled — the shipping default.
     let mut w = build_sharded_hello_dense(16);
-    assert_eq!(w.threads(), 1, "the epochs must run on this thread, with no worker pool");
+    assert_eq!(w.threads(), 1, "the epochs must run on this thread, with no scoped threads");
     w.run_until(SimTime::from_micros(5_000_000));
     let before = alloc_track::thread_allocs();
     w.run_until(SimTime::from_micros(25_000_000));
@@ -33,7 +33,7 @@ fn warmed_sharded_epochs_allocate_zero_with_spans_off_and_on() {
 
     // Spans enabled: a small ring so steady state exercises eviction too.
     let mut w = build_sharded_hello_dense(16);
-    assert_eq!(w.threads(), 1, "the epochs must run on this thread, with no worker pool");
+    assert_eq!(w.threads(), 1, "the epochs must run on this thread, with no scoped threads");
     w.enable_spans(1 << 10);
     w.run_until(SimTime::from_micros(5_000_000));
     let before = alloc_track::thread_allocs();

@@ -1,10 +1,10 @@
-//! Shard count, worker threads, the epoch schedule and span tracing must be
+//! Shard count, thread count, the epoch schedule and span tracing must be
 //! invisible to the simulation. The sweep workload must reproduce its pins
 //! at every shard count, under the dense step-every-epoch schedule, and
-//! with spans and pooled workers on, and its delta-synced replica must
-//! match ground truth. Its epoch schedule is pinned too, since no output
-//! shows it. The thread-sweep workload must reproduce its pin at
-//! every worker count, and the fig6 figure bytes their pin with the metrics
+//! with spans on at two threads, and its delta-synced replica must match
+//! ground truth. Its epoch schedule is pinned too, since no output shows
+//! it. The thread-sweep workload must reproduce its pin at
+//! every thread count, and the fig6 figure bytes their pin with the metrics
 //! registry disabled and enabled.
 
 use imobif::ImobifApp;
@@ -22,7 +22,7 @@ const SWEEP_TRACE_FNV: u64 = 0x20de_a642_2e6d_913c;
 /// See [`SWEEP_TRACE_FNV`].
 const SWEEP_SUMMARY_FNV: u64 = 0xbca0_645b_b9b7_1a01;
 /// The thread-sweep trace fingerprint (5 000 nodes, 16 flows, 8 shards,
-/// seed 2025, 10 sim-secs; identical at every worker-thread count).
+/// seed 2025, 10 sim-secs; identical at every thread count).
 const THREAD_SWEEP_TRACE_FNV: u64 = 0x112d_658e_8cfd_184f;
 /// FNV-1a 64 of `fig6::run(8, 2025).to_csv()` at the pre-observability
 /// tip — the figure bytes the instrumented engine must still produce.
@@ -113,8 +113,8 @@ fn sweep_pins_hold_at_every_shard_count_schedule_and_span_setting() {
     let dense = (8 * SWEEP_EPOCHS, 0);
     assert_sweep_pins(8, "dense epochs", dense, |run| run.world.set_dense_epochs(true));
 
-    // Full span tracing plus pooled workers: observability may cost wall
-    // time, never results.
+    // Full span tracing on two threads: observability and threads may cost
+    // wall time, never results.
     let spanned = assert_sweep_pins(8, "spans on, 2 threads", SWEEP_SHARD_EPOCHS[3], |run| {
         run.world.enable_spans(DEFAULT_SPAN_CAPACITY);
         run.world.set_threads(2);

@@ -6,8 +6,11 @@
 //! from simulation parameters using global information. In this paper we
 //! extend that work by designing algorithms and protocols for the
 //! collection and distribution of the benefit/cost information to enable
-//! local decision making." The oracle here *is* that global calculation —
-//! the upper bound a distributed mechanism should approach.
+//! local decision making." The oracle here *is* that global calculation: a
+//! global-information reference to compare the distributed mechanism
+//! against, not a bound on what it can reach. It moves every relay or
+//! none, and a schedule that moves some relays part of the way can spend
+//! less than either.
 
 use imobif_energy::{mobility_break_even_bits, EnergyError, LinearMobilityCost, PowerLawModel};
 use imobif_geom::{Point2, Polyline};

@@ -14,7 +14,8 @@ use std::time::Instant;
 
 use imobif::ImobifApp;
 use imobif_netsim::{ShardedWorld, SimTime};
-use imobif_obs::{PhaseAgg, Registry, COORD_SHARD};
+use imobif_obs::span::phase;
+use imobif_obs::{PhaseAgg, Registry, Snapshot, COORD_SHARD};
 
 use crate::arena::{build_arena, sharded_world, ArenaError, ArenaRun};
 use crate::flame::scope_label;
@@ -42,7 +43,8 @@ pub struct SpansRunSpec {
     pub flows: usize,
     /// Spatial shards.
     pub shards: usize,
-    /// Worker threads (1 = serial coordinator loop).
+    /// Threads an epoch's active shards run on (1 = the calling thread
+    /// alone).
     pub threads: usize,
     /// Simulated seconds to run.
     pub secs: u64,
@@ -104,28 +106,45 @@ pub fn drive(run: &mut ArenaRun<ShardedWorld<ImobifApp>>, spec: &SpansRunSpec) {
             continue;
         }
         let wall = t0.elapsed().as_secs_f64();
-        let p = run.world.epoch_profile().unwrap_or_default();
+        let snap = published(run);
+        let epochs = snap.counter("shard.epochs").unwrap_or(0);
         let frac = i as f64 / SLICES as f64;
-        let rate = if wall > last_wall {
-            (p.epochs - last_epochs) as f64 / (wall - last_wall)
-        } else {
-            0.0
-        };
+        let rate =
+            if wall > last_wall { (epochs - last_epochs) as f64 / (wall - last_wall) } else { 0.0 };
         let eta = if frac > 0.0 { wall / frac * (1.0 - frac) } else { 0.0 };
         eprint!(
             "\rspans: {:3.0}% sim | {} epochs @ {:.0}/s | {:.1} active shards | eta {:.1}s   ",
             frac * 100.0,
-            p.epochs,
+            epochs,
             rate,
-            p.mean_active_shards(),
+            mean_active_shards(&snap),
             eta
         );
         let _ = std::io::stderr().flush();
-        last_epochs = p.epochs;
+        last_epochs = epochs;
         last_wall = wall;
     }
     if spec.progress {
         eprintln!();
+    }
+}
+
+/// The metric families the run publishes
+/// ([`ShardedWorld::publish_metrics`]).
+fn published(run: &ArenaRun<ShardedWorld<ImobifApp>>) -> Snapshot {
+    let reg = Registry::enabled();
+    run.world.publish_metrics(&reg);
+    reg.snapshot()
+}
+
+/// Mean shards run per epoch, from the published epoch counters.
+fn mean_active_shards(snap: &Snapshot) -> f64 {
+    let count = |name| snap.counter(name).unwrap_or(0);
+    let epochs = count("shard.epochs");
+    if epochs == 0 {
+        0.0
+    } else {
+        count("shard.shard_epochs") as f64 / epochs as f64
     }
 }
 
@@ -145,35 +164,36 @@ pub fn sorted_aggregates(run: &ArenaRun<ShardedWorld<ImobifApp>>) -> Vec<PhaseAg
 /// per-`(scope, phase)` wall-time table.
 #[must_use]
 pub fn summary_markdown(run: &ArenaRun<ShardedWorld<ImobifApp>>, spec: &SpansRunSpec) -> String {
-    let p = run.world.epoch_profile().unwrap_or_default();
+    let snap = published(run);
+    let count = |name: &str| snap.counter(name).unwrap_or(0);
     let sp = run.world.spans();
     let (recorded, evicted) = sp.map_or((0, 0), |s| (s.recorded(), s.evicted()));
+    let secs = |phases: &[&str]| sp.map_or(0.0, |s| phases.iter().map(|&p| s.total_secs(p)).sum());
     let mut out = format!(
         "# spans summary — {} nodes, {} flows, {} shards, {} thread(s), {}s sim, seed {}\n\n",
         spec.nodes, spec.flows, spec.shards, spec.threads, spec.secs, spec.seed
     );
     out.push_str(&format!(
         "epochs: {} | shard-epochs: {} (mean {:.2} active) | idle skipped: {}\n",
-        p.epochs,
-        p.shard_epochs,
-        p.mean_active_shards(),
-        p.idle_shard_epochs_skipped
+        count("shard.epochs"),
+        count("shard.shard_epochs"),
+        mean_active_shards(&snap),
+        count("shard.idle_shard_epochs_skipped")
     ));
-    let reg = Registry::enabled();
-    run.world.publish_metrics(&reg);
-    let snap = reg.snapshot();
     out.push_str(&format!(
         "fast-forward: {} epochs ({:.3} sim-secs skipped) | xfer: {} delivers, \
          {} observations, {} replica patches\n",
-        snap.counter("shard.fast_forward.epochs").unwrap_or(0),
+        count("shard.fast_forward.epochs"),
         snap.float("shard.fast_forward.sim_secs_skipped").unwrap_or(0.0),
-        p.delivers_merged,
-        p.observations_applied,
-        p.replica_patches
+        count("shard.xfer.delivers_merged"),
+        count("shard.xfer.observations_applied"),
+        count("shard.xfer.replica_patches")
     ));
     out.push_str(&format!(
         "wall: sched {:.3}s | compute {:.3}s (summed per shard) | apply {:.3}s\n",
-        p.sched_secs, p.compute_secs, p.apply_secs
+        secs(&[phase::SCHED]),
+        secs(&[phase::COMPUTE]),
+        secs(&[phase::REPLICA_SYNC, phase::OBS_APPLY, phase::XFER_MERGE])
     ));
     out.push_str(&format!(
         "spans recorded: {recorded} (evicted from ring: {evicted}) | packets delivered: {}\n\n",
@@ -211,8 +231,7 @@ mod tests {
         let mut run = prepare(&spec).expect("valid arena");
         drive(&mut run, &spec);
         assert_eq!(run.world.time(), SimTime::from_micros(spec.secs * 1_000_000));
-        let p = run.world.epoch_profile().expect("spans enabled");
-        assert!(p.epochs > 0);
+        assert!(published(&run).counter("shard.epochs").is_some_and(|n| n > 0));
         let md = summary_markdown(&run, &spec);
         assert!(md.contains("| coord | sched |"));
         assert!(md.contains("| shard0 | compute |"));

@@ -101,5 +101,5 @@ pub use medium::TopologyView;
 pub use node::{NodeRef, NodeStore};
 pub use stats::{EnergyCategory, EnergyLedger, NodeEnergy};
 pub use time::{SimDuration, SimTime};
-pub use world::shard::{EpochProfile, ShardLayout, ShardedWorld, DEFAULT_SPAN_CAPACITY};
+pub use world::shard::{ShardLayout, ShardedWorld, DEFAULT_SPAN_CAPACITY};
 pub use world::{KernelStats, World};

@@ -25,7 +25,9 @@
 //!    window end, reading remote state only from the epoch-frozen replica
 //!    snapshot and pushing cross-shard consequences into its
 //!    per-destination outbox runs. One epoch loop serves every thread
-//!    count: the active shards run in place, or on the worker pool;
+//!    count: the active shards run in place on the calling thread, or,
+//!    with more than one thread and more than one active shard, in
+//!    contiguous shares on scoped threads that borrow them for the epoch;
 //! 3. at the barrier, keyless replica patches update the frozen
 //!    position, liveness and beacon-board snapshot in O(changes), grouped
 //!    HELLO link changes update hearer tables (a first epoch of free
@@ -38,8 +40,8 @@
 //! boundaries are all derived from values independent of the shard
 //! assignment — and every barrier effect either keeps its per-node order
 //! (same source run) or commutes (disjoint state) — a run is
-//! **bit-identical at any shard count and any worker count**. The 1-shard
-//! world is the reference; property tests pin `N`-shard and `N`-worker
+//! **bit-identical at any shard count and any thread count**. The 1-shard
+//! world is the reference; property tests pin `N`-shard and `N`-thread
 //! traces to it, and pin the activity schedule to the dense
 //! step-every-epoch one.
 //!
@@ -57,14 +59,11 @@
 //! All deltas are identical at every shard count, so experiments compare
 //! sharded runs against sharded runs.
 
-mod pool;
 mod profile;
 mod reach;
 #[cfg(test)]
 mod tests;
 mod xfer;
-
-use std::sync::Arc;
 
 use imobif_energy::Battery;
 use imobif_geom::Point2;
@@ -76,9 +75,7 @@ use super::observe::KernelStats;
 use crate::hello::Beacon;
 use crate::trace::TraceEvent;
 use crate::{Application, NodeEnergy, NodeId, SimConfig, SimDuration, SimError, SimTime};
-use pool::{Job, WorkerCtx, WorkerPool};
 use profile::EpochCounters;
-pub use profile::EpochProfile;
 use reach::{Replica, Shard, SharedCtx, XKey};
 use xfer::{MergeScratch, RepPatch, ShardOutbox, LEAVE};
 
@@ -161,9 +158,10 @@ impl ShardLayout {
 ///
 /// Output — traces, energy totals, packet counters, death times — is
 /// **bit-identical at any shard count and any thread count**; shards and
-/// threads are purely a performance knob. `set_threads(n)` with `n > 1`
-/// processes shards on a persistent pool of `n` worker threads inside each
-/// epoch; the pool parks between epochs and serves every `run_until` call.
+/// threads are purely a performance knob. With `set_threads(n)`, `n > 1`,
+/// an epoch that activates more than one shard splits them into at most
+/// `n` contiguous shares: the calling thread runs one, and a scoped thread
+/// each other, borrowing its shards and outboxes for that epoch only.
 pub struct ShardedWorld<A: Application> {
     cfg: SimConfig,
     layout: ShardLayout,
@@ -173,18 +171,12 @@ pub struct ShardedWorld<A: Application> {
     outs: Vec<ShardOutbox<A::Msg>>,
     /// Global node id → `(shard, slot within shard)`.
     owner: Vec<(u32, u32)>,
-    /// Epoch-frozen global position/liveness snapshot, shared with pool
-    /// workers during an epoch and patched in place between epochs.
-    replica: Arc<Replica>,
+    /// Epoch-frozen global position/liveness snapshot, read by every shard
+    /// during an epoch and patched in place at its barrier.
+    replica: Replica,
     /// The shards the current epoch runs, ascending.
     active: Vec<u32>,
     merge: MergeScratch,
-    /// Lazily created worker threads; `None` until a multi-threaded run.
-    worker_pool: Option<WorkerPool<A>>,
-    /// Empty shard/outbox shells swapped in while the real ones are out on
-    /// worker threads, recycled forever.
-    spare_shards: Vec<Shard<A>>,
-    spare_outs: Vec<ShardOutbox<A::Msg>>,
     /// Always-on pipeline counters (plain integer adds, no clock reads).
     counters: EpochCounters,
     /// Span sink; `None` ⇒ zero cost: no timestamps read, no spans built.
@@ -221,7 +213,7 @@ impl<A: Application> ShardedWorld<A> {
         let layout = ShardLayout::new(bounds.0, bounds.1, shards);
         let n = layout.shard_count();
         Ok(ShardedWorld {
-            replica: Arc::new(Replica::new(cfg.range.max(1.0))),
+            replica: Replica::new(cfg.range.max(1.0)),
             cfg,
             layout,
             shards: (0..n).map(|_| Shard::new()).collect(),
@@ -229,9 +221,6 @@ impl<A: Application> ShardedWorld<A> {
             owner: Vec::new(),
             active: Vec::new(),
             merge: MergeScratch::default(),
-            worker_pool: None,
-            spare_shards: Vec::new(),
-            spare_outs: Vec::new(),
             counters: EpochCounters::default(),
             spans: None,
             dense_epochs: false,
@@ -254,7 +243,7 @@ impl<A: Application> ShardedWorld<A> {
         let slot = shard.add_node(position, battery, app, ttl);
         self.owner.push((si as u32, slot as u32));
         let alive = shard.engine.nodes.is_alive(slot);
-        let replica = Arc::get_mut(&mut self.replica).expect("replica uniquely held between runs");
+        let replica = &mut self.replica;
         replica.positions.push(position);
         replica.alive.push(alive);
         if alive {
@@ -278,10 +267,9 @@ impl<A: Application> ShardedWorld<A> {
         for shard in &mut self.shards {
             shard.engine.fill_board();
         }
-        let replica = Arc::get_mut(&mut self.replica).expect("replica uniquely held between runs");
-        replica.board.reserve_exact(self.owner.len());
+        self.replica.board.reserve_exact(self.owner.len());
         let owners = self.owner.iter().map(|&(si, slot)| (si as usize, slot as usize));
-        replica.board.extend(owners.map(|(si, slot)| self.shards[si].engine.board[slot]));
+        self.replica.board.extend(owners.map(|(si, slot)| self.shards[si].engine.board[slot]));
         for (i, &(si, slot)) in self.owner.iter().enumerate() {
             let id = NodeId::new(i as u32);
             let Shard { engine, keys } = &mut self.shards[si as usize];
@@ -301,16 +289,7 @@ impl<A: Application> ShardedWorld<A> {
         }
         active.clear();
         active.extend(0..shards.len() as u32);
-        apply_epoch(
-            shards,
-            outs,
-            active,
-            Arc::get_mut(replica).expect("replica uniquely held between runs"),
-            merge,
-            counters,
-            spans,
-            0,
-        );
+        apply_epoch(shards, outs, active, replica, merge, counters, spans, 0);
     }
 
     /// Schedules an application timer from outside (used by experiment
@@ -323,30 +302,22 @@ impl<A: Application> ShardedWorld<A> {
     }
 
     /// Runs epochs until the clock passes `deadline` or every queue drains.
-    /// With `set_threads(n > 1)`, active shards are processed by the
-    /// persistent `n`-worker pool inside each epoch; the output is
-    /// identical either way.
+    /// With `set_threads(n > 1)`, an epoch with more than one active shard
+    /// runs them in at most `n` contiguous shares on scoped threads, the
+    /// calling thread taking one; the output is identical either way.
     ///
     /// # Panics
     ///
     /// Panics if the world was not started.
     pub fn run_until(&mut self, deadline: SimTime)
     where
-        A: Send + 'static,
-        A::Msg: Send + 'static,
+        A: Send,
+        A::Msg: Send,
     {
         assert!(self.started, "run_until() before start()");
-        let workers = self.threads.min(self.shards.len());
-        // The pool and its owned context exist only for multi-threaded
-        // runs; a single worker runs the active shards in place.
-        let pool_ctx = (workers > 1).then(|| {
-            if self.worker_pool.as_ref().is_none_or(|p| p.workers() != workers) {
-                self.worker_pool = Some(WorkerPool::new(workers));
-            }
-            Arc::new(WorkerCtx { cfg: self.cfg, owner: self.owner.clone() })
-        });
         let epoch = self.cfg.hop_latency;
         let dense = self.dense_epochs;
+        let threads = self.threads;
         let n = self.shards.len() as u32;
         let Self {
             cfg,
@@ -356,9 +327,6 @@ impl<A: Application> ShardedWorld<A> {
             replica,
             active,
             merge,
-            worker_pool,
-            spare_shards,
-            spare_outs,
             counters,
             spans,
             prev_end,
@@ -366,7 +334,6 @@ impl<A: Application> ShardedWorld<A> {
             ..
         } = self;
         let sh = SharedCtx { cfg, owner };
-        let pool = pool_ctx.map(|ctx| (worker_pool.as_ref().expect("pool created above"), ctx));
         loop {
             let t0 = spans.as_ref().map(|sp| sp.now_us());
             let head = |s: u32| shards[s as usize].engine.queue.peek_time();
@@ -401,75 +368,24 @@ impl<A: Application> ShardedWorld<A> {
             counters.epochs += 1;
             counters.shard_epochs += active.len() as u64;
             counters.idle_shard_epochs_skipped += (shards.len() - active.len()) as u64;
-            if pool.is_some() {
-                counters.pool_jobs += active.len() as u64;
-                counters.pool_max_depth = counters.pool_max_depth.max(active.len() as u64);
-            }
             if let Some(sp) = spans.as_mut() {
                 let now = sp.now_us();
                 sp.record(phase::SCHED, COORD_SHARD, eid, t0.unwrap_or(now), now);
             }
-            match &pool {
-                None => {
-                    for &s in active.iter() {
-                        let c0 = spans.as_ref().map(|sp| sp.now_us());
-                        let out = &mut outs[s as usize];
-                        shards[s as usize].run_epoch(&sh, replica, out, end, deadline);
-                        if let Some(sp) = spans.as_mut() {
-                            let now = sp.now_us();
-                            sp.record(phase::COMPUTE, s, eid, c0.unwrap_or(now), now);
-                        }
-                    }
-                }
-                Some((pool, ctx)) => {
-                    // Workers time their own compute spans against a copy
-                    // of the sink's clock and ship `(start, end)` back with
-                    // each `Done`.
-                    let clock = spans.as_ref().map(|sp| sp.clock());
-                    let t1 = spans.as_ref().map(|sp| sp.now_us());
-                    for &s in active.iter() {
-                        let shard = std::mem::replace(
-                            &mut shards[s as usize],
-                            spare_shards.pop().unwrap_or_else(Shard::new),
-                        );
-                        let spare_out = spare_outs.pop().unwrap_or_default();
-                        let out = std::mem::replace(&mut outs[s as usize], spare_out);
-                        pool.submit(Job {
-                            idx: s,
-                            shard,
-                            out,
-                            end,
-                            deadline,
-                            rep: Arc::clone(replica),
-                            ctx: Arc::clone(ctx),
-                            clock,
-                        });
-                    }
-                    for _ in 0..active.len() {
-                        let done = pool.collect();
-                        if let (Some(sp), Some((a, b))) = (spans.as_mut(), done.span_us) {
-                            sp.record(phase::COMPUTE, done.idx, eid, a, b);
-                        }
-                        let idx = done.idx as usize;
-                        spare_shards.push(std::mem::replace(&mut shards[idx], done.shard));
-                        spare_outs.push(std::mem::replace(&mut outs[idx], done.out));
-                    }
+            if threads > 1 && active.len() > 1 {
+                run_shares(shards, outs, active, &sh, replica, end, deadline, threads, spans, eid);
+            } else {
+                for &s in active.iter() {
+                    let c0 = spans.as_ref().map(|sp| sp.now_us());
+                    let out = &mut outs[s as usize];
+                    shards[s as usize].run_epoch(&sh, replica, out, end, deadline);
                     if let Some(sp) = spans.as_mut() {
                         let now = sp.now_us();
-                        sp.record(phase::BARRIER_WAIT, COORD_SHARD, eid, t1.unwrap_or(now), now);
+                        sp.record(phase::COMPUTE, s, eid, c0.unwrap_or(now), now);
                     }
                 }
             }
-            apply_epoch(
-                shards,
-                outs,
-                active,
-                Arc::get_mut(replica).expect("replica uniquely held between epochs"),
-                merge,
-                counters,
-                spans,
-                eid,
-            );
+            apply_epoch(shards, outs, active, replica, merge, counters, spans, eid);
             *time = (*time).max(end.min(deadline));
         }
         self.time = self.time.max(deadline);
@@ -511,12 +427,11 @@ impl<A: Application> ShardedWorld<A> {
         &self.cfg
     }
 
-    /// Sets the number of shard-processing threads used by
-    /// [`ShardedWorld::run_until`] (clamped to at least 1; capped at the
-    /// shard count at run time). Purely a performance knob — the output is
-    /// identical at any setting. The worker pool is created lazily on the
-    /// first multi-threaded run and persists until the count changes or
-    /// the world drops.
+    /// Sets the number of threads [`ShardedWorld::run_until`] runs an
+    /// epoch's active shards on (clamped to at least 1). Purely a
+    /// performance knob — the output is identical at any setting. Above 1,
+    /// an epoch with more than one active shard spawns its scoped threads
+    /// and joins them before its barrier; nothing outlives the epoch.
     pub fn set_threads(&mut self, n: usize) {
         self.threads = n.max(1);
     }
@@ -546,25 +461,15 @@ impl<A: Application> ShardedWorld<A> {
         self.spans.as_deref()
     }
 
-    /// The epoch profile derived from the always-on pipeline counters and
-    /// the span aggregates; `None` until span tracing is enabled. See [`profile`](EpochProfile)'s module docs for the
-    /// format change vs the pre-span profiler.
-    #[must_use]
-    pub fn epoch_profile(&self) -> Option<EpochProfile> {
-        self.spans.as_deref().map(|sp| EpochProfile::derive(&self.counters, sp))
-    }
-
     /// Flushes the engine's pipeline counters, per-shard families, and
     /// span aggregates into `registry`, once per call (the run loops
     /// never touch the registry). No-op on a disabled registry.
     ///
-    /// Families: `shard.*` pipeline/fast-forward/xfer/pool counters,
-    /// per-shard `shard.s{i}.events_processed`, the [`KernelStats`]
-    /// families summed over shards, and — when span tracing is on —
-    /// `spans.{recorded,evicted}` plus per-scope
-    /// `shard.{coord|s{i}}.{phase}_wall_us` histograms and `..._secs`
-    /// totals, with `shard.pool.utilization` derived from the
-    /// compute/barrier-wait ratio. With tracing enabled,
+    /// Families: `shard.*` pipeline/fast-forward/xfer counters, per-shard
+    /// `shard.s{i}.events_processed`, the [`KernelStats`] families summed
+    /// over shards, and — when span tracing is on — `spans.{recorded,
+    /// evicted}` plus per-scope `shard.{coord|s{i}}.{phase}_wall_us`
+    /// histograms and `..._secs` totals. With tracing enabled,
     /// `trace.{recorded,evicted}` mirrors the serial world's family
     /// (sharded traces are unbounded, so `evicted` is always 0).
     pub fn publish_metrics(&self, registry: &Registry) {
@@ -582,11 +487,7 @@ impl<A: Application> ShardedWorld<A> {
         registry.counter("shard.xfer.delivers_merged").add(c.delivers_merged);
         registry.counter("shard.xfer.observations_applied").add(c.observations_applied);
         registry.counter("shard.xfer.replica_patches").add(c.replica_patches);
-        registry.counter("shard.pool.jobs").add(c.pool_jobs);
         self.kernel_stats().publish(registry);
-        registry.gauge("shard.pool.max_queue_depth").set(c.pool_max_depth as f64);
-        let workers = self.threads.min(self.shards.len());
-        registry.gauge("shard.pool.workers").set(workers as f64);
         registry.gauge("shard.count").set(self.shards.len() as f64);
         for (i, s) in self.shards.iter().enumerate() {
             registry
@@ -618,11 +519,6 @@ impl<A: Application> ShardedWorld<A> {
                 registry
                     .float_counter(&format!("shard.{scope}.{}_secs", agg.name))
                     .add(agg.total_us as f64 / 1e6);
-            }
-            let compute = sp.total_secs(phase::COMPUTE);
-            let barrier = sp.total_secs(phase::BARRIER_WAIT);
-            if barrier > 0.0 && workers > 0 {
-                registry.gauge("shard.pool.utilization").set(compute / (workers as f64 * barrier));
             }
         }
     }
@@ -866,6 +762,73 @@ impl<A: Application> std::fmt::Debug for ShardedWorld<A> {
             .field("threads", &self.threads)
             .field("started", &self.started)
             .finish_non_exhaustive()
+    }
+}
+
+/// One active shard of a threaded epoch, borrowed with its outbox for the
+/// epoch, and the `(start_us, end_us)` of its compute span when spans are
+/// on.
+struct Job<'a, A: Application> {
+    idx: u32,
+    shard: &'a mut Shard<A>,
+    out: &'a mut ShardOutbox<A::Msg>,
+    span_us: Option<(u64, u64)>,
+}
+
+/// Step 2 of a threaded epoch: splits the `active` shards into at most
+/// `threads` contiguous shares, runs the first on the calling thread and
+/// each other on a scoped thread, every one reading the frozen `replica`.
+/// A scoped thread cannot borrow the span sink, so each share times its
+/// shards against a copy of the sink's clock; after the scope the
+/// coordinator records their `compute` spans in shard order, then the
+/// epoch's `barrier_wait`.
+#[allow(clippy::too_many_arguments)]
+fn run_shares<A: Application + Send>(
+    shards: &mut [Shard<A>],
+    outs: &mut [ShardOutbox<A::Msg>],
+    active: &[u32],
+    sh: &SharedCtx<'_>,
+    replica: &Replica,
+    end: SimTime,
+    deadline: SimTime,
+    threads: usize,
+    spans: &mut Option<Box<SpanSink>>,
+    epoch_id: u64,
+) where
+    A::Msg: Send,
+{
+    let clock = spans.as_ref().map(|sp| sp.clock());
+    let t1 = clock.map(|c| c.now_us());
+    let mut wanted = active.iter().copied().peekable();
+    let mut jobs: Vec<Job<'_, A>> = shards
+        .iter_mut()
+        .zip(outs.iter_mut())
+        .zip(0u32..)
+        .filter_map(|((shard, out), idx)| {
+            wanted.next_if_eq(&idx).map(|_| Job { idx, shard, out, span_us: None })
+        })
+        .collect();
+    let run = |job: &mut Job<'_, A>| {
+        let start = clock.map(|c| c.now_us());
+        job.shard.run_epoch(sh, replica, job.out, end, deadline);
+        job.span_us = clock.zip(start).map(|(c, a)| (a, c.now_us()));
+    };
+    std::thread::scope(|scope| {
+        let mut shares = jobs.chunks_mut(active.len().div_ceil(threads));
+        let own = shares.next();
+        for share in shares {
+            scope.spawn(move || share.iter_mut().for_each(run));
+        }
+        own.into_iter().flatten().for_each(run);
+    });
+    if let Some(sp) = spans.as_mut() {
+        for job in &jobs {
+            if let Some((a, b)) = job.span_us {
+                sp.record(phase::COMPUTE, job.idx, epoch_id, a, b);
+            }
+        }
+        let now = sp.now_us();
+        sp.record(phase::BARRIER_WAIT, COORD_SHARD, epoch_id, t1.unwrap_or(now), now);
     }
 }
 

@@ -39,9 +39,9 @@ pub(super) struct XKey {
 /// the beacon board, indexed by global node id, plus a spatial grid over
 /// the live nodes for beacon fan-out queries. Only the barrier writes it,
 /// from the owner shards' [`RepPatch`] runs — O(changes) per epoch, never a
-/// rebuild. The coordinator hands it to workers behind an `Arc` and
-/// regains exclusive access (`Arc::get_mut`) once every worker has
-/// reported its epoch done.
+/// rebuild. During an epoch every active shard reads it through a shared
+/// borrow, on scoped threads too; the barrier patches it in place once
+/// the epoch's threads have joined, so it is never copied or shared.
 #[derive(Debug)]
 pub(super) struct Replica {
     pub(super) positions: Vec<Point2>,

@@ -961,7 +961,7 @@ proptest::proptest! {
     /// The delta-synced replica equals the ground truth rebuilt from every
     /// shard's authoritative state after arbitrary move/kill sequences —
     /// the low-energy scenarios here die mid-run, the mover relocates
-    /// across shard boundaries, and the pool path is exercised too.
+    /// across shard boundaries, and the threaded path is exercised too.
     #[test]
     fn prop_delta_synced_replica_matches_ground_truth(
         coords in proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64), 2..9),
@@ -987,7 +987,7 @@ proptest::proptest! {
 
     /// Epoch fast-forward (the activity schedule skipping idle shards) is
     /// observationally identical to stepping every shard through every
-    /// epoch, across 1..16 shards and 1..4 workers.
+    /// epoch, across 1..16 shards and 1..4 threads.
     #[test]
     fn prop_fast_forward_matches_dense_epochs(
         coords in proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64), 2..9),
@@ -1158,7 +1158,7 @@ impl Application for Walker {
 /// Nodes walk on timers, fail on scheduled kills (some at a beacon
 /// instant, when peers' records are still in flight), and when beacons
 /// are charged, which each case draws, a beacon-sized battery dies at its
-/// third beacon; 1-5 shards, one or two workers, and worlds on both sides
+/// third beacon; 1-5 shards, one or two threads, and worlds on both sides
 /// of the small-world scan. A leaver frozen with its origin's new record,
 /// a death that freezes its links from its own shard's board, a lost
 /// leave mark or a link change applied to a dead hearer fails the
@@ -1229,7 +1229,7 @@ fn prop_sharded_board_and_links_match_barrier_push_tables() {
             w.shards.iter().filter_map(|s| s.engine.queue.peek_time()).min()
         };
         while let Some(next) = next_event(&w).filter(|&t| t <= deadline) {
-            let rep = &*w.replica;
+            let rep = &w.replica;
             let (positions, alive, board) =
                 (rep.positions.clone(), rep.alive.clone(), rep.board.clone());
             // Runs exactly the epoch `next` opens.
@@ -1332,7 +1332,7 @@ fn bulk_join_outcome(w: &ShardedWorld<Echo>) -> (Vec<Vec<[u64; 5]>>, KernelStats
 proptest::proptest! {
     /// The bulk join against the per-beacon joins it replaces, on random
     /// sharded worlds: 2–300 nodes, some dead at start, 1–16 shards, one or
-    /// two workers. Each world is built twice, as it is and with one
+    /// two threads. Each world is built twice, as it is and with one
     /// zero-delay timer that forces the per-beacon path, and both agree
     /// after the first barrier and again after 5 sim-s, once sources have
     /// sent and relays moved.
@@ -1362,6 +1362,22 @@ proptest::proptest! {
 
 // ------------------------------------------------------------------ spans
 
+/// Compute spans per shard, indexed by shard id.
+fn compute_spans_per_shard(w: &ShardedWorld<Echo>) -> Vec<u64> {
+    let mut counts = vec![0; w.shard_count()];
+    let sink = w.spans().expect("spans enabled");
+    for a in sink.aggregates().iter().filter(|a| a.name == phase::COMPUTE) {
+        counts[a.shard as usize] += a.count;
+    }
+    counts
+}
+
+/// Spans recorded under `name`, over every scope.
+fn span_count(w: &ShardedWorld<Echo>, name: &str) -> u64 {
+    let sink = w.spans().expect("spans enabled");
+    sink.aggregates().iter().filter(|a| a.name == name).map(|a| a.count).sum()
+}
+
 #[test]
 fn spans_do_not_perturb_any_observable() {
     let sc = invariance_scenario();
@@ -1380,41 +1396,46 @@ fn spans_do_not_perturb_any_observable() {
         assert!(phases.contains(&want), "missing phase {want}: {phases:?}");
     }
 
-    let mut pooled = make_sharded(4);
-    pooled.set_threads(2);
-    pooled.enable_spans(1 << 12);
-    let got = run_scenario(&mut pooled, &sc);
-    assert_eq!(got, base, "span tracing on the pooled path changed output");
-    let sink = pooled.spans().expect("spans enabled");
+    let mut threaded = make_sharded(4);
+    threaded.set_threads(2);
+    threaded.enable_spans(1 << 12);
+    let got = run_scenario(&mut threaded, &sc);
+    assert_eq!(got, base, "span tracing on the threaded path changed output");
+    let sink = threaded.spans().expect("spans enabled");
     assert!(
         sink.aggregates().iter().any(|a| a.name == phase::BARRIER_WAIT),
-        "pooled runs record barrier_wait spans"
+        "threaded runs record barrier_wait spans"
     );
-    assert!(
-        sink.aggregates().iter().any(|a| a.name == phase::COMPUTE && a.shard != COORD_SHARD),
-        "worker-timed compute spans carry real shard ids"
-    );
+    // Each share's compute spans land under their own shard, none lost:
+    // the same count per shard as the one-thread run, summing to the
+    // published shard-epochs.
+    let per_shard = compute_spans_per_shard(&threaded);
+    assert_eq!(per_shard, compute_spans_per_shard(&spanned), "compute spans per shard");
+    let reg = imobif_obs::Registry::enabled();
+    threaded.publish_metrics(&reg);
+    let shard_epochs = reg.snapshot().counter("shard.shard_epochs").expect("published");
+    assert_eq!(per_shard.iter().sum::<u64>(), shard_epochs, "one compute span per shard-epoch");
 }
 
 #[test]
-fn epoch_profile_is_derived_from_counters_and_span_aggregates() {
+fn span_aggregates_count_the_published_epochs() {
     let sc = invariance_scenario();
     let mut w = make_sharded(4);
-    assert!(w.epoch_profile().is_none(), "no profile before enabling");
+    assert!(w.spans().is_none(), "no spans before enabling");
     w.enable_spans(DEFAULT_SPAN_CAPACITY);
     let _ = run_scenario(&mut w, &sc);
-    let p = w.epoch_profile().expect("profiling enabled");
-    assert!(p.epochs > 0);
-    assert!(p.shard_epochs >= p.epochs, "at least one shard runs per epoch");
-    assert!(p.mean_active_shards() <= 4.0);
-    assert!(p.sched_secs >= 0.0 && p.compute_secs >= 0.0 && p.apply_secs >= 0.0);
-    let sink = w.spans().expect("profiling is span-backed");
-    let sched_count: u64 =
-        sink.aggregates().iter().filter(|a| a.name == phase::SCHED).map(|a| a.count).sum();
-    assert_eq!(sched_count, p.epochs, "one sched span per epoch");
-    let compute_count: u64 =
-        sink.aggregates().iter().filter(|a| a.name == phase::COMPUTE).map(|a| a.count).sum();
-    assert_eq!(compute_count, p.shard_epochs, "one compute span per shard-epoch");
+    let reg = imobif_obs::Registry::enabled();
+    w.publish_metrics(&reg);
+    let snap = reg.snapshot();
+    let epochs = snap.counter("shard.epochs").expect("family present");
+    let shard_epochs = snap.counter("shard.shard_epochs").expect("family present");
+    assert!(epochs > 0);
+    assert!(
+        (epochs..=4 * epochs).contains(&shard_epochs),
+        "one to four of the 4 shards run per epoch"
+    );
+    assert_eq!(span_count(&w, phase::SCHED), epochs, "one sched span per epoch");
+    assert_eq!(span_count(&w, phase::COMPUTE), shard_epochs, "one compute span per shard-epoch");
 }
 
 #[test]
@@ -1423,16 +1444,16 @@ fn publish_metrics_flushes_shard_families() {
     let mut w = make_sharded(4);
     w.enable_spans(1 << 12);
     let _ = run_scenario(&mut w, &sc);
-    let p = w.epoch_profile().expect("spans enabled");
 
     let reg = imobif_obs::Registry::enabled();
     w.publish_metrics(&reg);
     let snap = reg.snapshot();
-    assert_eq!(snap.counter("shard.epochs"), Some(p.epochs));
-    assert_eq!(snap.counter("shard.shard_epochs"), Some(p.shard_epochs));
-    assert_eq!(snap.counter("shard.xfer.delivers_merged"), Some(p.delivers_merged));
-    assert_eq!(snap.counter("shard.xfer.observations_applied"), Some(p.observations_applied));
-    assert_eq!(snap.counter("shard.xfer.replica_patches"), Some(p.replica_patches));
+    let c = w.counters;
+    assert_eq!(snap.counter("shard.epochs"), Some(c.epochs));
+    assert_eq!(snap.counter("shard.shard_epochs"), Some(c.shard_epochs));
+    assert_eq!(snap.counter("shard.xfer.delivers_merged"), Some(c.delivers_merged));
+    assert_eq!(snap.counter("shard.xfer.observations_applied"), Some(c.observations_applied));
+    assert_eq!(snap.counter("shard.xfer.replica_patches"), Some(c.replica_patches));
     assert!(
         snap.counter("shard.fast_forward.epochs").expect("family present") > 0,
         "sparse timer schedule fast-forwards"
@@ -1445,7 +1466,7 @@ fn publish_metrics_flushes_shard_families() {
     // Traces were enabled by run_scenario; the trace family mirrors them.
     assert_eq!(snap.counter("trace.recorded"), Some(w.trace_events_recorded()));
     match snap.get("shard.coord.sched_wall_us") {
-        Some(imobif_obs::MetricValue::Histogram(h)) => assert_eq!(h.count, p.epochs),
+        Some(imobif_obs::MetricValue::Histogram(h)) => assert_eq!(h.count, c.epochs),
         other => panic!("expected sched wall histogram, got {other:?}"),
     }
     // Prometheus rendering of the full family set lints clean.
@@ -1457,7 +1478,7 @@ fn publish_metrics_flushes_shard_families() {
 }
 
 #[test]
-fn span_ring_evicts_but_aggregates_and_profile_stay_exact() {
+fn span_ring_evicts_but_aggregates_stay_exact() {
     let sc = invariance_scenario();
     let mut w = make_sharded(4);
     w.enable_spans(8);
@@ -1466,8 +1487,8 @@ fn span_ring_evicts_but_aggregates_and_profile_stay_exact() {
     assert!(sink.recorded() > 8, "run outgrows a tiny ring");
     assert_eq!(sink.evicted(), sink.recorded() - 8);
     assert_eq!(sink.spans().len(), 8);
-    let p = w.epoch_profile().expect("profile still derivable");
-    let sched_count: u64 =
-        sink.aggregates().iter().filter(|a| a.name == phase::SCHED).map(|a| a.count).sum();
-    assert_eq!(sched_count, p.epochs, "aggregates are exempt from ring eviction");
+    let reg = imobif_obs::Registry::enabled();
+    w.publish_metrics(&reg);
+    let epochs = reg.snapshot().counter("shard.epochs");
+    assert_eq!(Some(span_count(&w, phase::SCHED)), epochs, "aggregates are exempt from eviction");
 }

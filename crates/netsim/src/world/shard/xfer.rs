@@ -118,25 +118,15 @@ pub(super) struct ShardOutbox<M> {
     pub(super) bulk_join: bool,
 }
 
-impl<M> Default for ShardOutbox<M> {
-    fn default() -> Self {
-        ShardOutbox {
-            dlv: Vec::new(),
-            links: Vec::new(),
-            frozen: Vec::new(),
-            rep: Vec::new(),
-            bulk_join: false,
-        }
-    }
-}
-
 impl<M> ShardOutbox<M> {
     /// An empty outbox with one run of each kind per destination shard.
     pub(super) fn new(dests: usize) -> Self {
         ShardOutbox {
             dlv: std::iter::repeat_with(Vec::new).take(dests).collect(),
             links: std::iter::repeat_with(LinkRun::default).take(dests).collect(),
-            ..Self::default()
+            frozen: Vec::new(),
+            rep: Vec::new(),
+            bulk_join: false,
         }
     }
 }

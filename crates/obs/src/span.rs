@@ -14,9 +14,9 @@
 //! is pre-sized, and the aggregate table saturates at
 //! `phases × (shards + 1)` entries after the first few epochs.
 //!
-//! Workers on other threads cannot borrow the sink, so they time against a
-//! copy of the sink's [`SpanClock`] and ship `(start_us, end_us)` pairs
-//! back for the coordinator to record.
+//! Scoped threads cannot borrow the sink, so they time against a copy of
+//! the sink's [`SpanClock`] and hand `(start_us, end_us)` pairs back for
+//! the coordinator to record.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -34,8 +34,8 @@ pub mod phase {
     pub const SCHED: &str = "sched";
     /// One shard's event loop over one epoch window.
     pub const COMPUTE: &str = "compute";
-    /// Coordinator wall time from first job submit to last job collected
-    /// (pooled runs only).
+    /// Coordinator wall time around a threaded epoch's scope, from entry
+    /// to the join of its last share (threaded epochs only).
     pub const BARRIER_WAIT: &str = "barrier_wait";
     /// K-way merge of cross-shard deliveries at the barrier.
     pub const XFER_MERGE: &str = "xfer_merge";
@@ -131,8 +131,9 @@ impl PhaseAgg {
     }
 }
 
-/// A copyable time origin for timing spans off-thread: workers carry one
-/// by value and ship `(start_us, end_us)` pairs back to the sink owner.
+/// A copyable time origin for timing spans off-thread: a scoped thread
+/// carries one by value and hands `(start_us, end_us)` pairs back to the
+/// sink owner.
 #[derive(Debug, Clone, Copy)]
 pub struct SpanClock(Instant);
 

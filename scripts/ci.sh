@@ -25,14 +25,17 @@
 #   - shard sweep: trace + summary FNVs pinned at 1/2/4/8/16 shards, under
 #     the dense reference schedule (every shard every epoch == the scan of
 #     shard queue heads that runs only the shards with an event in the
-#     window), with spans and pooled workers on, and the delta-synced
+#     window), with spans on at two threads, and the delta-synced
 #     replica == ground truth; the scan's epoch schedule (epochs,
 #     shard-epochs run and skipped, fast-forwards) pinned at every count:
 #     crates/bench/tests/span_determinism.rs; every published shard.*
 #     counter equal whether a run is driven in one run_until call or in
 #     slices: sliced_drive_matches_single_run_until
 #     (crates/experiments/src/spans_tools.rs)
-#   - thread sweep: trace FNV pinned at 1/2/4 workers: span_determinism.rs
+#   - thread sweep: trace FNV pinned at 1/2/4 threads: span_determinism.rs;
+#     the CLI's threaded epochs end to end in release: `spans summary` at
+#     --threads 1 and 2 print the same epochs, fast-forward and
+#     packets-delivered counts (checked below in both modes)
 #   - fig6 CSV pinned with the metrics registry disabled and enabled:
 #     span_determinism.rs, plus the spec-driven run in the scenario smoke
 #   - fig6 CSV identical at 1/4/16 batch workers:
@@ -252,6 +255,22 @@ grep -q '"spans_recorded"' "$spans_dir/run_manifest.json"
 grep -q '^shard_epochs ' "$spans_dir/metrics.prom"
 cargo run --release -q -p imobif-experiments --bin imobif -- \
     manifest-check "$spans_dir/run_manifest.json"
+
+echo "==> spans summary at 1 and 2 threads (same epochs, fast-forwards, deliveries)"
+# The threaded epoch runs its active shards on scoped threads; its output
+# must not depend on that.
+spans_counts() {
+    cargo run --release -q -p imobif-experiments --bin imobif -- \
+        spans summary --nodes 300 --flows 4 --shards 4 --secs 5 --threads "$1" |
+        grep -E '^(epochs|fast-forward):|packets delivered:' | sed 's/^spans recorded.*| //'
+}
+one_thread=$(spans_counts 1)
+two_threads=$(spans_counts 2)
+if [[ -z "$one_thread" || "$one_thread" != "$two_threads" ]]; then
+    echo "spans summary differs between 1 and 2 threads:" >&2
+    diff <(echo "$one_thread") <(echo "$two_threads") >&2 || true
+    exit 1
+fi
 
 echo "==> scenario smoke (spec validation + spec-driven figure identity)"
 # Every shipped spec must validate (parse + compile + per-run config
