@@ -1,5 +1,5 @@
-//! A direct-mapped spatial grid for range queries, with per-slot change
-//! stamps that let a caller revalidate a cached query result.
+//! A direct-mapped spatial grid for range queries, with a change clock
+//! that tells a caller whether anything moved since it kept a result.
 
 use crate::hash::FxHashMap;
 use crate::Point2;
@@ -29,15 +29,15 @@ const MAX_LOAD: usize = 2;
 /// to one slot share its bucket, and every query still filters candidates
 /// by exact distance.
 ///
-/// # Queries and change stamps
+/// # Queries and moves
 ///
-/// A query's radius must not exceed the cell size: it reads the
-/// [`SlotWindow`] of the 3×3 cells around its center. A grid-wide clock
-/// advances on every `insert`, `update` and `remove`, and each slot records
-/// the clock value of its last change. A caller that keeps a query result,
-/// its window and the [`SpatialGrid::clock`] value it was taken at can ask
-/// [`SpatialGrid::changed_slots`] which window slots changed since, and
-/// read just those with [`SpatialGrid::window_buckets`].
+/// A query's radius must not exceed the cell size: it reads the buckets of
+/// the 3×3 cells around its center ([`SpatialGrid::range_buckets`]). A
+/// caller that keeps query results can learn which of them an item's move
+/// changed: [`SpatialGrid::for_each_flip`] names the items within range of
+/// exactly one of the item's old and new positions. A grid-wide
+/// [`SpatialGrid::clock`] advances on every `insert`, `update` and
+/// `remove`, for a caller that keeps results only while nothing moved.
 ///
 /// # Example
 ///
@@ -54,18 +54,13 @@ const MAX_LOAD: usize = 2;
 /// near.sort_unstable();
 /// assert_eq!(near, vec![0, 1]);
 ///
-/// // A move outside the window around the origin changes none of its slots.
-/// let window = grid.slot_window(Point2::new(0.0, 0.0), 30.0);
-/// let stamp = grid.clock();
-/// grid.update(2, Point2::new(75.0, 0.0));
-/// assert_eq!(grid.changed_slots(window, stamp), Some(0));
-/// // A move inside it names the one slot it changed, whose bucket now
-/// // holds the moved item.
-/// grid.update(1, Point2::new(25.0, 0.0));
-/// let changed = grid.changed_slots(window, stamp).unwrap();
-/// assert_eq!(changed.count_ones(), 1);
-/// let (_, bucket) = grid.window_buckets(window, changed).next().unwrap();
-/// assert!(bucket.contains(&(1, Point2::new(25.0, 0.0))));
+/// // Item 2 steps from (70, 0) to (45, 0): it comes within 30 m of item 1
+/// // alone, and stays out of item 0's range.
+/// let from = grid.update(2, Point2::new(45.0, 0.0));
+/// assert_eq!(from, Some(Point2::new(70.0, 0.0)));
+/// let mut flipped = Vec::new();
+/// grid.for_each_flip(from.unwrap(), Some(Point2::new(45.0, 0.0)), 30.0, |k| flipped.push(k));
+/// assert_eq!(flipped, vec![1]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
@@ -77,8 +72,6 @@ pub struct SpatialGrid {
     /// Each slot's `(key, position)` pairs: a range query reads positions
     /// straight from the buckets.
     slots: Vec<Vec<(u32, Point2)>>,
-    /// Per slot, the clock value of its last change.
-    stamps: Vec<u64>,
     /// Advances on every mutation.
     clock: u64,
     /// Each item's slot; its position lives in the slot's bucket only.
@@ -99,46 +92,14 @@ fn cell_axis_gap(c: f64, g: i64, cell: f64) -> f64 {
 /// The slots a range query reads: the center's cell and those of its
 /// eight neighbors whose rectangles come within the radius, each once (a
 /// table is at least four slots wide, so three neighboring columns never
-/// alias). A small `Copy` value to keep beside a cached query result:
-/// [`SpatialGrid::changed_slots`] names the window's slots that changed
-/// since the result was taken, and [`SpatialGrid::window_buckets`] reads
-/// them. A table growth invalidates it.
-///
-/// The window's slot `i` (`0..9`) is the cell at offset
+/// alias). Window slot `i` (`0..9`) is the cell at offset
 /// `(i / 3 - 1, i % 3 - 1)` from the center's.
-///
-/// Packed to 7 bytes, alignment 1, so a cache entry that keeps one beside
-/// 4- and 8-byte fields pads no further than their own alignment needs;
-/// its fields are only ever read by value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(C, packed)]
-pub struct SlotWindow {
+#[derive(Debug, Clone, Copy)]
+struct SlotWindow {
     /// The center cell's slot.
     center: u32,
     /// Bit `i` is set when window slot `i` is read.
     mask: u16,
-    /// The `side_bits` of the table the window was taken from.
-    side_bits: u8,
-}
-
-impl SlotWindow {
-    /// A window that reads no slot and that no grid revalidates.
-    pub const EMPTY: SlotWindow = SlotWindow { center: 0, mask: 0, side_bits: 0 };
-
-    /// The window's slots: bit `i` for window slot `i`.
-    #[must_use]
-    pub fn mask(self) -> u16 {
-        self.mask
-    }
-
-    /// The table slot of window slot `i`.
-    fn slot(self, i: u32) -> usize {
-        let bits = u32::from(self.side_bits);
-        let m = (1 << bits) - 1;
-        let sx = ((self.center >> bits) + i / 3).wrapping_sub(1) & m;
-        let sy = ((self.center & m) + i % 3).wrapping_sub(1) & m;
-        ((sx << bits) | sy) as usize
-    }
 }
 
 /// The set bits of `mask`, lowest first.
@@ -162,20 +123,18 @@ impl SpatialGrid {
     #[must_use]
     pub fn new(cell_size: f64) -> Self {
         assert!(cell_size.is_finite() && cell_size > 0.0, "cell_size must be positive and finite");
-        let slots = 1 << (2 * MIN_SIDE_BITS);
         SpatialGrid {
             cell_size,
             side_bits: MIN_SIDE_BITS,
-            slots: std::iter::repeat_with(Vec::new).take(slots).collect(),
-            stamps: vec![0; slots],
+            slots: std::iter::repeat_with(Vec::new).take(1 << (2 * MIN_SIDE_BITS)).collect(),
             clock: 0,
             slot_of_key: FxHashMap::default(),
         }
     }
 
-    /// The grid's change clock: advanced by every mutation. Record it with
-    /// a query result and its [`SlotWindow`], and hand both to
-    /// [`SpatialGrid::changed_slots`] to learn which slots to recheck.
+    /// The grid's change clock: advanced by every `insert`, `update` and
+    /// `remove`. A query result kept at one reading is still exact while
+    /// the clock reads the same.
     #[must_use]
     pub fn clock(&self) -> u64 {
         self.clock
@@ -195,12 +154,6 @@ impl SpatialGrid {
         (((gx as u64 & mask) << self.side_bits) | (gy as u64 & mask)) as usize
     }
 
-    /// Records a change to `slot`.
-    fn touch(&mut self, slot: usize) {
-        self.clock += 1;
-        self.stamps[slot] = self.clock;
-    }
-
     /// Number of items currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -213,55 +166,53 @@ impl SpatialGrid {
         self.slot_of_key.is_empty()
     }
 
-    /// Inserts an item, or moves it if the key is already present.
-    pub fn insert(&mut self, key: u32, position: Point2) {
+    /// Inserts an item, or moves it if the key is already present, and
+    /// returns its previous position.
+    pub fn insert(&mut self, key: u32, position: Point2) -> Option<Point2> {
+        self.clock += 1;
         let slot = self.slot_of(position);
         let Some(old_slot) = self.slot_of_key.insert(key, slot as u32) else {
             self.slots[slot].push((key, position));
-            self.touch(slot);
             if self.slot_of_key.len() > MAX_LOAD * self.slots.len() {
                 self.grow();
             }
-            return;
+            return None;
         };
         let old_slot = old_slot as usize;
         let bucket = &mut self.slots[old_slot];
         let i = bucket.iter().position(|&(k, _)| k == key).expect("stored item is in its slot");
         if old_slot == slot {
-            bucket[i].1 = position;
+            Some(std::mem::replace(&mut bucket[i].1, position))
         } else {
-            bucket.swap_remove(i);
+            let (_, from) = bucket.swap_remove(i);
             self.slots[slot].push((key, position));
-            self.touch(old_slot);
+            Some(from)
         }
-        self.touch(slot);
     }
 
-    /// Updates the position of an existing item; inserts it if absent.
-    pub fn update(&mut self, key: u32, position: Point2) {
-        self.insert(key, position);
+    /// Updates the position of an existing item, or inserts it if absent,
+    /// and returns its previous position.
+    pub fn update(&mut self, key: u32, position: Point2) -> Option<Point2> {
+        self.insert(key, position)
     }
 
     /// Removes an item, returning its last position if it was present.
     pub fn remove(&mut self, key: u32) -> Option<Point2> {
         let slot = self.slot_of_key.remove(&key)? as usize;
+        self.clock += 1;
         let bucket = &mut self.slots[slot];
         let i = bucket.iter().position(|&(k, _)| k == key).expect("stored item is in its slot");
-        let (_, position) = bucket.swap_remove(i);
-        self.touch(slot);
-        Some(position)
+        Some(bucket.swap_remove(i).1)
     }
 
     /// Doubles the table's width and height and re-buckets every item.
     /// Growing fourfold at a time halves the re-bucketing a large build
-    /// does. Every [`SlotWindow`] taken before reads a narrower table, so
-    /// [`SpatialGrid::changed_slots`] reports it invalid.
+    /// does.
     fn grow(&mut self) {
         self.side_bits += 1;
         let slots = 1 << (2 * self.side_bits);
         let old = std::mem::take(&mut self.slots);
         self.slots = std::iter::repeat_with(Vec::new).take(slots).collect();
-        self.stamps = vec![0; slots];
         for (key, p) in old.into_iter().flatten() {
             let slot = self.slot_of(p);
             self.slots[slot].push((key, p));
@@ -287,10 +238,9 @@ impl SpatialGrid {
     pub fn query_range_into(&self, center: Point2, radius: f64, out: &mut Vec<u32>) {
         out.clear();
         let r_sq = radius * radius;
-        let window = self.slot_window(center, radius);
         // `for_each` folds the window's iterator internally, which measured
         // faster than a `for` loop or an `extend` over it.
-        self.window_buckets(window, window.mask()).for_each(|(_, bucket)| {
+        self.range_buckets(center, radius).for_each(|bucket| {
             for &(key, p) in bucket {
                 if center.distance_sq_to(p) <= r_sq {
                     out.push(key);
@@ -307,25 +257,74 @@ impl SpatialGrid {
     /// Panics if `radius` exceeds the cell size.
     pub fn query_range_iter(&self, center: Point2, radius: f64) -> impl Iterator<Item = u32> + '_ {
         let r_sq = radius * radius;
-        let window = self.slot_window(center, radius);
-        self.window_buckets(window, window.mask())
-            .flat_map(|(_, bucket)| bucket)
+        self.range_buckets(center, radius)
+            .flatten()
             .filter(move |&&(_, p)| center.distance_sq_to(p) <= r_sq)
             .map(|&(k, _)| k)
     }
 
-    /// The slots a range query reads, as a value to keep beside its result:
-    /// the center's cell and each neighbor cell whose rectangle comes
-    /// within `radius`. A negative or NaN radius reads no slot.
+    /// Calls `f` with the key of every item within `radius` of exactly one
+    /// of `a` and `b`, each once, in unspecified order; with `b` `None`,
+    /// of every item within `radius` of `a`. These are the items whose
+    /// range queries at their own positions an item stepping from `a` to
+    /// `b` (or leaving from `a`) enters or leaves: each test is the one
+    /// such a query makes, since `distance_sq_to` is symmetric bit for
+    /// bit. Allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if `radius` exceeds the cell size.
-    #[must_use]
-    pub fn slot_window(&self, center: Point2, radius: f64) -> SlotWindow {
+    pub fn for_each_flip(&self, a: Point2, b: Option<Point2>, radius: f64, mut f: impl FnMut(u32)) {
+        let r_sq = radius * radius;
+        let near = |c: Point2, p: Point2| c.distance_sq_to(p) <= r_sq;
+        let mut side = |c: Point2, other: Option<Point2>| {
+            for &(key, p) in self.range_buckets(c, radius).flatten() {
+                if near(c, p) && !other.is_some_and(|o| near(o, p)) {
+                    f(key);
+                }
+            }
+        };
+        side(a, b);
+        if let Some(b) = b {
+            side(b, Some(a));
+        }
+    }
+
+    /// The buckets a query of `radius` around `center` reads: the center's
+    /// cell and each neighbor cell whose rectangle comes within `radius`,
+    /// each once. Their items are candidates that the caller filters by
+    /// distance, as a query does. A negative or NaN radius reads none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `radius` exceeds the cell size.
+    pub fn range_buckets(
+        &self,
+        center: Point2,
+        radius: f64,
+    ) -> impl Iterator<Item = &[(u32, Point2)]> + '_ {
+        let window = self.slot_window(center, radius);
+        ones(window.mask).map(move |i| self.slots[self.window_slot(window, i)].as_slice())
+    }
+
+    /// The table slot of `window`'s slot `i`.
+    fn window_slot(&self, window: SlotWindow, i: u32) -> usize {
+        let bits = self.side_bits;
+        let m = (1 << bits) - 1;
+        let sx = ((window.center >> bits) + i / 3).wrapping_sub(1) & m;
+        let sy = ((window.center & m) + i % 3).wrapping_sub(1) & m;
+        ((sx << bits) | sy) as usize
+    }
+
+    /// The [`SlotWindow`] a query of `radius` around `center` reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `radius` exceeds the cell size.
+    fn slot_window(&self, center: Point2, radius: f64) -> SlotWindow {
         assert!(
             radius.is_nan() || radius <= self.cell_size,
-            "a slot window's radius must not exceed the cell size"
+            "a query's radius must not exceed the cell size"
         );
         let (cx, cy) = self.cell_of(center);
         let (cell, r_sq) = (self.cell_size, radius * radius);
@@ -345,43 +344,7 @@ impl SpatialGrid {
                 }
             }
         }
-        SlotWindow {
-            center: self.slot_of_cell(cx, cy) as u32,
-            mask,
-            side_bits: self.side_bits as u8,
-        }
-    }
-
-    /// Which of `window`'s slots changed since the grid's
-    /// [`SpatialGrid::clock`] read `stamp`, as a mask over window slots:
-    /// each slot an `insert`, `update` or `remove` touched since, whether
-    /// or not the item lies within any radius. `None` when the table grew
-    /// since: that changes every slot and invalidates the window. Costs one
-    /// stamp read per window slot, at most 9. `stamp` must come from this
-    /// grid's `clock()`.
-    #[must_use]
-    pub fn changed_slots(&self, window: SlotWindow, stamp: u64) -> Option<u16> {
-        if u32::from(window.side_bits) != self.side_bits {
-            return None;
-        }
-        let changed = ones(window.mask).filter(|&i| self.stamps[window.slot(i)] > stamp);
-        Some(changed.fold(0, |m, i| m | 1 << i))
-    }
-
-    /// The buckets of the window slots `select` names, as `(window slot,
-    /// every (key, position) pair in it)`. They are candidates: the caller
-    /// filters them by distance, as a query does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table grew since `window` was taken.
-    pub fn window_buckets(
-        &self,
-        window: SlotWindow,
-        select: u16,
-    ) -> impl Iterator<Item = (usize, &[(u32, Point2)])> + '_ {
-        assert_eq!(u32::from(window.side_bits), self.side_bits, "the window outlived its table");
-        ones(window.mask & select).map(move |i| (i as usize, self.slots[window.slot(i)].as_slice()))
+        SlotWindow { center: self.slot_of_cell(cx, cy) as u32, mask }
     }
 }
 
@@ -513,45 +476,22 @@ mod tests {
         }
         assert!(g.slots.len() * MAX_LOAD >= g.len());
         assert!(g.slots.len() <= 2 * g.len());
-        assert_eq!(g.stamps.len(), g.slots.len());
     }
 
     #[test]
-    fn changed_slots_name_the_touched_window_slots() {
+    fn the_clock_advances_on_every_change_and_moves_return_the_old_position() {
         let mut g = SpatialGrid::new(10.0);
-        g.insert(0, Point2::new(5.0, 5.0));
-        let c = Point2::new(5.0, 5.0);
-        // Every neighbor cell lies 5 m away or more (7.07 m at a corner):
-        // a 4 m window is the center's slot alone, a 10 m one all nine.
-        let (narrow, wide) = (g.slot_window(c, 4.0), g.slot_window(c, 10.0));
-        assert_eq!((narrow.mask(), wide.mask()), (1 << 4, 0x1ff));
-        let s = g.clock();
-        assert_eq!(g.changed_slots(wide, s), Some(0));
-        // A change in the corner cell (-1, -1) beyond the narrow radius is
-        // pruned like the query prunes it.
-        g.insert(1, Point2::new(-8.0, -8.0));
-        assert_eq!(g.changed_slots(narrow, s), Some(0));
-        assert_eq!(g.changed_slots(wide, s), Some(1 << 0));
-        // A move to the neighbor cell (-1, 0) changes both slots, and the
-        // item sits in the second one's bucket.
-        g.update(1, Point2::new(-8.0, 5.0));
-        assert_eq!(g.changed_slots(wide, s), Some(0b11));
-        let buckets: Vec<_> = g.window_buckets(wide, 0b11).collect();
-        assert_eq!(buckets, vec![(0, &[][..]), (1, &[(1, Point2::new(-8.0, 5.0))][..])]);
-        // A later stamp sees nothing of either.
-        assert_eq!(g.changed_slots(wide, g.clock()), Some(0));
-        // A growth invalidates the window: 33 items outgrow the 16-slot
-        // table.
-        let s = g.clock();
-        for k in 0..33 {
-            g.insert(k, Point2::new(f64::from(k) * 100.0, 0.0));
-        }
-        assert_eq!(g.changed_slots(wide, s), None);
-        // An invalid radius reads no slot, so nothing can change it.
-        let nan = g.slot_window(Point2::ORIGIN, f64::NAN);
-        assert_eq!(nan.mask(), 0);
-        assert_eq!(g.changed_slots(nan, g.clock()), Some(0));
-        assert_eq!(g.changed_slots(SlotWindow::EMPTY, g.clock()), None);
+        let c0 = g.clock();
+        assert_eq!(g.insert(1, Point2::new(1.0, 1.0)), None);
+        assert_eq!(g.update(1, Point2::new(2.0, 1.0)), Some(Point2::new(1.0, 1.0)));
+        assert_eq!(g.update(1, Point2::new(25.0, 1.0)), Some(Point2::new(2.0, 1.0)));
+        assert_eq!(g.clock(), c0 + 3);
+        // Queries and the removal of an absent key change nothing.
+        let _ = query(&g, Point2::ORIGIN, 10.0);
+        assert_eq!(g.remove(2), None);
+        assert_eq!(g.clock(), c0 + 3);
+        assert_eq!(g.remove(1), Some(Point2::new(25.0, 1.0)));
+        assert_eq!(g.clock(), c0 + 4);
     }
 
     #[test]
@@ -563,11 +503,10 @@ mod tests {
         // beyond them: the window is their column alone, the next one in
         // being far out of range.
         for (center, key) in [(Point2::new(1e300, 5.0), 0), (Point2::new(-1e300, 5.0), 1)] {
-            let w = g.slot_window(center, 30.0);
-            assert_eq!(w.mask().count_ones(), 3);
+            assert_eq!(g.slot_window(center, 30.0).mask.count_ones(), 3);
             let found: Vec<u32> = g
-                .window_buckets(w, w.mask())
-                .flat_map(|(_, b)| b)
+                .range_buckets(center, 30.0)
+                .flatten()
                 .filter(|&&(_, p)| center.distance_sq_to(p) <= 900.0)
                 .map(|&(k, _)| k)
                 .collect();
@@ -632,151 +571,58 @@ mod tests {
             }
         }
 
-        /// A cached query result revalidated by the changed-slot rule is
-        /// always as good as a fresh query. The rule: when the result's
-        /// window slots that changed since its stamp hold, within the
-        /// radius, only items already in the result, and each as many as
-        /// it did, the result is still exact; otherwise it is read again
-        /// from the same window. The sequences mix inserts, sub-cell moves
-        /// (under 1 m), moves between the slots of one query window and
-        /// removals, with positions that alias to one slot (offsets in
-        /// whole table widths) and growth mid-sequence (up to 400 live keys
-        /// against a 16-slot table, which grows past 32 items and again
-        /// past 128). After every step `changed_slots` must name exactly
-        /// the window slots the steps since the stamp touched, or report
-        /// invalidation after a growth.
+        /// The flip enumeration names exactly the items within range of
+        /// one of its two points and not the other, each once; with no
+        /// second point, exactly the items within range of the first.
+        /// Items and points cluster in a few cells, so many items lie near
+        /// both points, and half the items sit a whole table width away
+        /// (`far`), so their cells alias onto the points' slots. Up to 300
+        /// keys against a 16-slot table grow it twice. Half the second
+        /// points are a sub-meter step from the first, a relay's pace.
         #[test]
-        fn prop_cached_query_matches_fresh(
-            ops in proptest::collection::vec(
-                (0u8..10, 0u32..400, -3i64..3, -3i64..3, 0.0..10.0f64, 0i64..3),
-                1..400,
+        fn prop_flips_match_brute_force(
+            items in proptest::collection::vec(
+                (0u32..300, -2i64..2, -2i64..2, 0.0..10.0f64, 0.0..10.0f64, 0u8..2),
+                0..300,
             ),
-            queries in proptest::collection::vec(
-                (-3i64..3, -3i64..3, 0.0..10.0f64, 0u8..2),
-                1..6,
-            ),
+            a in (-15.0..15.0f64, -15.0..15.0f64),
+            b in (-15.0..15.0f64, -15.0..15.0f64, 0u8..3),
+            radius in 0.0..=10.0f64,
         ) {
             const CELL: f64 = 10.0;
-            // Aliasing offset: a multiple of every table width the
-            // sequence can reach, so `far` shifts a point onto the same
-            // slot as its near twin.
+            // A multiple of every table width the items can reach.
             const PERIOD: f64 = CELL * 1024.0;
-
-            /// A kept result: its window, stamp, sorted keys, per-slot
-            /// counts, the table slots changed since, and whether a growth
-            /// has happened since.
-            struct Kept {
-                window: SlotWindow,
-                stamp: u64,
-                list: Vec<u32>,
-                counts: [usize; 9],
-                touched: Vec<usize>,
-                invalid: bool,
-            }
-            /// The in-range keys of `window` (sorted) and their per-slot
-            /// counts.
-            fn read(g: &SpatialGrid, (c, r): (Point2, f64), window: SlotWindow) -> Kept {
-                let (mut list, mut counts) = (Vec::new(), [0; 9]);
-                for (i, bucket) in g.window_buckets(window, window.mask()) {
-                    for &(k, p) in bucket {
-                        if c.distance_sq_to(p) <= r * r {
-                            list.push(k);
-                            counts[i] += 1;
-                        }
-                    }
-                }
-                list.sort_unstable();
-                Kept { window, stamp: g.clock(), list, counts, touched: Vec::new(), invalid: false }
-            }
-
             let mut g = SpatialGrid::new(CELL);
             let mut truth: std::collections::HashMap<u32, Point2> = Default::default();
-            let point = |cx: i64, cy: i64, jitter: f64, far: i64| {
-                Point2::new(
-                    cx as f64 * CELL + jitter + far as f64 * PERIOD,
-                    cy as f64 * CELL + (10.0 - jitter),
-                )
-            };
-            let queries: Vec<(Point2, f64)> = queries
-                .into_iter()
-                .map(|(cx, cy, jitter, kind)| {
-                    (point(cx, cy, jitter, 0), if kind == 0 { jitter } else { CELL })
-                })
-                .collect();
-            let mut kept: Vec<Kept> =
-                queries.iter().map(|&q| read(&g, q, g.slot_window(q.0, q.1))).collect();
-            for (op, key, cx, cy, jitter, far) in ops {
-                let to = match op {
-                    0..=4 => Some(point(cx, cy, jitter, far)),
-                    5 | 6 => truth.get(&key).map(|p| {
-                        Point2::new(p.x + jitter / 10.0 - 0.5, p.y + cy as f64 / 6.0)
-                    }),
-                    7 => {
-                        // Somewhere in the window of one query: the few
-                        // keys this moves hop between its slots.
-                        let (c, _) = queries[key as usize % queries.len()];
-                        Some(Point2::new(c.x + (jitter - 5.0) * 1.9, c.y + cy as f64 * 3.1))
-                    }
-                    _ => None,
-                };
-                let key = if op == 7 { key % 8 } else { key };
-                let (bits, was) = (g.side_bits, g.slot_of_key.get(&key).map(|&s| s as usize));
-                let mut touched: Vec<usize> = was.into_iter().collect();
-                match to {
-                    Some(p) => {
-                        touched.push(g.slot_of(p));
-                        if op <= 4 {
-                            g.insert(key, p);
-                        } else {
-                            g.update(key, p);
-                        }
-                        truth.insert(key, p);
-                    }
-                    None => prop_assert_eq!(g.remove(key), truth.remove(&key)),
-                }
-                prop_assert_eq!(g.len(), truth.len());
-                let grew = g.side_bits != bits;
-                for (&q, k) in queries.iter().zip(&mut kept) {
-                    k.touched.extend(&touched);
-                    k.invalid |= grew;
-                    let fresh = query(&g, q.0, q.1);
-                    let Some(changed) = g.changed_slots(k.window, k.stamp) else {
-                        prop_assert!(k.invalid);
-                        *k = read(&g, q, g.slot_window(q.0, q.1));
-                        prop_assert_eq!(&k.list, &fresh);
-                        continue;
-                    };
-                    prop_assert!(!k.invalid);
-                    let want = ones(k.window.mask)
-                        .filter(|&i| k.touched.contains(&k.window.slot(i)))
-                        .fold(0, |m, i| m | 1 << i);
-                    prop_assert_eq!(changed, want);
-                    let exact = g.window_buckets(k.window, changed).all(|(i, bucket)| {
-                        let mut n = 0;
-                        bucket.iter().filter(|&&(_, p)| q.0.distance_sq_to(p) <= q.1 * q.1).all(
-                            |&(key, _)| {
-                                n += 1;
-                                k.list.binary_search(&key).is_ok()
-                            },
-                        ) && n == k.counts[i]
-                    });
-                    if exact {
-                        prop_assert_eq!(&k.list, &fresh);
-                        k.stamp = g.clock();
-                        k.touched.clear();
-                    } else {
-                        *k = read(&g, q, k.window);
-                        prop_assert_eq!(&k.list, &fresh);
-                    }
-                    let mut want: Vec<u32> = truth
-                        .iter()
-                        .filter(|(_, p)| q.0.distance_sq_to(**p) <= q.1 * q.1)
-                        .map(|(&k, _)| k)
-                        .collect();
-                    want.sort_unstable();
-                    prop_assert_eq!(&k.list, &want);
-                }
+            for &(k, cx, cy, x, y, far) in &items {
+                let p = Point2::new(
+                    cx as f64 * CELL + x + f64::from(far) * PERIOD,
+                    cy as f64 * CELL + y,
+                );
+                g.insert(k, p);
+                truth.insert(k, p);
             }
+            let a = Point2::new(a.0, a.1);
+            let b = match b.2 {
+                0 => None,
+                1 => Some(Point2::new(b.0, b.1)),
+                _ => Some(Point2::new(a.x + b.0 / 15.0, a.y + b.1 / 15.0)),
+            };
+            let mut got = Vec::new();
+            g.for_each_flip(a, b, radius, |k| got.push(k));
+            got.sort_unstable();
+            let near = |c: Point2, p: Point2| c.distance_sq_to(p) <= radius * radius;
+            let mut want: Vec<u32> = truth
+                .iter()
+                .filter(|&(_, &p)| near(a, p) != b.is_some_and(|b| near(b, p)))
+                .map(|(&k, _)| k)
+                .collect();
+            want.sort_unstable();
+            prop_assert_eq!(&got, &want);
+            // No point flips against itself.
+            got.clear();
+            g.for_each_flip(a, Some(a), radius, |k| got.push(k));
+            prop_assert!(got.is_empty());
         }
     }
 }

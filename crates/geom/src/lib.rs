@@ -12,7 +12,7 @@
 //!   how the tests verify the convergence theorems.
 //! * [`Rect`] — the deployment area, with uniform sampling.
 //! * [`SpatialGrid`] — bucketed range queries for neighbor discovery, and
-//!   [`SlotWindow`], the slots one query reads, to revalidate a kept result.
+//!   the items a move takes into or out of range of a point.
 //!
 //! # Example
 //!
@@ -39,7 +39,7 @@ mod rect;
 mod segment;
 
 pub use error::GeomError;
-pub use grid::{SlotWindow, SpatialGrid};
+pub use grid::SpatialGrid;
 pub use hash::{FxHashMap, FxHashSet};
 pub use point::{Point2, Vec2};
 pub use polyline::Polyline;

@@ -130,11 +130,14 @@ pub(crate) trait Reach<M> {
         links: Links<'_>,
     );
 
-    /// Publishes that `id` now stands at `to`.
-    fn moved(&mut self, id: NodeId, to: Point2);
+    /// Publishes that `id` now stands at `to`. The serial world also
+    /// forgets, in `hearers`, the kept lists the step changed; a shard
+    /// leaves that to the barrier.
+    fn moved(&mut self, nodes: &NodeStore, hearers: &mut HearerCache, id: NodeId, to: Point2);
 
-    /// Publishes that `id` died.
-    fn died(&mut self, id: NodeId);
+    /// Publishes that `id` died, and, like [`Reach::moved`], forgets the
+    /// kept lists that heard it in the serial world.
+    fn died(&mut self, nodes: &NodeStore, hearers: &mut HearerCache, id: NodeId);
 
     /// Keeps the trace record node `id` (engine slot `slot`) emits. Builds
     /// it only when tracing is on.
@@ -155,8 +158,8 @@ pub(crate) struct Engine<A: Application> {
     /// Slot-indexed beacon board: each node's latest HELLO beacon, written
     /// whole at start ([`Engine::fill_board`]).
     pub(super) board: Vec<Beacon>,
-    /// Every node's HELLO hearer list, revalidated against the grid of
-    /// the [`Reach::beacon_view`].
+    /// Every node's HELLO hearer list, kept until a move or a death
+    /// forgets it.
     pub(super) hearers: HearerCache,
     /// Plain-field kernel instrumentation (see [`KernelStats`]).
     pub(super) stats: KernelStats,
@@ -345,7 +348,9 @@ impl<A: Application> Engine<A> {
     }
 
     /// Moves `id` toward `target` by at most `max_step` meters, charging
-    /// the locomotion law. A node that cannot afford the full step
+    /// the locomotion law, and forgets its own hearer list: its next
+    /// beacon goes out from elsewhere, or, in a shard, before the barrier
+    /// has seen where it went. A node that cannot afford the full step
     /// moves as far as its battery allows, drains, and dies mid-step.
     fn move_node<R: Reach<A::Msg>>(
         &mut self,
@@ -364,10 +369,11 @@ impl<A: Application> Engine<A> {
         let residual = self.nodes.residual(slot);
         let time = self.time;
         let full_step = cost <= residual;
+        self.hearers.forget(slot);
         let energy = if full_step {
             self.nodes.battery_mut(slot).try_consume(cost).expect("checked affordable");
             self.nodes.set_position(slot, new_pos, moved);
-            reach.moved(id, new_pos);
+            reach.moved(&self.nodes, &mut self.hearers, id, new_pos);
             cost
         } else {
             // Move as far as the battery allows, then die mid-step. A node
@@ -377,7 +383,7 @@ impl<A: Application> Engine<A> {
             if affordable > 0.0 && affordable.is_finite() {
                 (new_pos, moved) = pos.step_toward(target, affordable);
                 self.nodes.set_position(slot, new_pos, moved);
-                reach.moved(id, new_pos);
+                reach.moved(&self.nodes, &mut self.hearers, id, new_pos);
             }
             self.nodes.battery_mut(slot).drain()
         };
@@ -406,7 +412,7 @@ impl<A: Application> Engine<A> {
         self.nodes.neighbor_table_mut(slot).freeze_all(reach.board(&self.board));
         let time = self.time;
         self.ledger.record_death(NodeId::new(slot as u32), time);
-        reach.died(id);
+        reach.died(&self.nodes, &mut self.hearers, id);
         reach.trace(slot, id, || TraceEvent::Died { time, node: id });
     }
 

@@ -5,11 +5,12 @@
 //! once — a delivery goes on the world's own queue, a beacon's link
 //! changes reach the hearers' tables as it is sent, hooks read the
 //! engine's own beacon board, and a move or death updates the spatial
-//! grid. The handlers themselves live in [`engine`](super::engine).
+//! grid and forgets the hearer lists it changed. The handlers themselves
+//! live in [`engine`](super::engine).
 
 use imobif_geom::{Point2, SpatialGrid};
 
-use super::beacon::{BeaconView, Links};
+use super::beacon::{BeaconView, HearerCache, Links};
 use super::engine::{Event, Reach};
 use super::World;
 use crate::hello::Beacon;
@@ -115,14 +116,18 @@ impl<M> Reach<M> for SerialReach {
         }
     }
 
-    #[inline]
-    fn moved(&mut self, id: NodeId, to: Point2) {
-        self.grid.update(id.raw(), to);
+    fn moved(&mut self, nodes: &NodeStore, hearers: &mut HearerCache, id: NodeId, to: Point2) {
+        if let Some(from) = self.grid.update(id.raw(), to) {
+            let view = Reach::<M>::beacon_view(self, nodes);
+            view.for_each_flip(from, Some(to), |k| hearers.forget(k as usize));
+        }
     }
 
-    #[inline]
-    fn died(&mut self, id: NodeId) {
-        self.grid.remove(id.raw());
+    fn died(&mut self, nodes: &NodeStore, hearers: &mut HearerCache, id: NodeId) {
+        if let Some(at) = self.grid.remove(id.raw()) {
+            let view = Reach::<M>::beacon_view(self, nodes);
+            view.for_each_flip(at, None, |k| hearers.forget(k as usize));
+        }
     }
 
     #[inline]

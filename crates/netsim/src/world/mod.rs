@@ -154,6 +154,18 @@ impl<A: Application> World<A> {
         self.engine.queue.len()
     }
 
+    /// Test hook: checks that every live node's kept HELLO hearer list —
+    /// the one its next beacon from where it stands would reuse — equals
+    /// a brute-force hearer set from there over the live columns.
+    #[doc(hidden)]
+    pub fn verify_hearer_lists(&self) -> Result<(), String> {
+        let nodes = &self.engine.nodes;
+        let view = engine::Reach::<A::Msg>::beacon_view(&self.reach, nodes);
+        (0..nodes.len()).filter(|&i| nodes.is_alive(i)).try_for_each(|i| {
+            self.engine.hearers.verify(&view, NodeId::new(i as u32), i, nodes.position(i))
+        })
+    }
+
     /// A routing snapshot of the current connectivity graph.
     #[must_use]
     pub fn topology_view(&self) -> TopologyView {

@@ -24,16 +24,12 @@ pub struct KernelStats {
     /// "no hearers", bin `i` covers `2^(i-1) ≤ n < 2^i`, the last bin
     /// collects 64+.
     pub hello_fanout_bins: [u64; 8],
-    /// Beacons whose cached hearer list was still exact: in a world small
-    /// enough to scan, the node beaconed from the same spot and the grid's
-    /// clock had not moved; past that, none of its grid window's slots had
-    /// changed, or the ones that had passed a recheck. With
-    /// `hello_cache_misses` it sums to `hello_beacons` in every world.
+    /// Beacons whose cached hearer list was still exact: the node beaconed
+    /// from the same spot, and in a world small enough to scan the grid's
+    /// clock had not moved, past that no move or death had forgotten the
+    /// list. With `hello_cache_misses` it sums to `hello_beacons` in every
+    /// world.
     pub hello_cache_hits: u64,
-    /// The hits among `hello_cache_hits` whose window had changed slots,
-    /// each read to confirm that the list still held. A scanned world has
-    /// no windows and counts none.
-    pub hello_cache_rechecks: u64,
     /// Beacons whose hearer list was recomputed: by a scan of the node
     /// array in a small world, else by a range query over its grid window.
     pub hello_cache_misses: u64,
@@ -54,7 +50,7 @@ impl KernelStats {
     }
 
     /// Adds the counters to `registry`: `kernel.hello_beacons`,
-    /// `kernel.timers_fired`, `kernel.hello_cache_{hits,rechecks,misses}`,
+    /// `kernel.timers_fired`, `kernel.hello_cache_{hits,misses}`,
     /// `kernel.hello_link_changes` and the `kernel.hello_fanout` histogram.
     pub(crate) fn publish(&self, registry: &Registry) {
         let KernelStats {
@@ -62,14 +58,12 @@ impl KernelStats {
             timers_fired,
             hello_fanout_bins,
             hello_cache_hits,
-            hello_cache_rechecks,
             hello_cache_misses,
             hello_link_changes,
         } = *self;
         registry.counter("kernel.hello_beacons").add(hello_beacons);
         registry.counter("kernel.timers_fired").add(timers_fired);
         registry.counter("kernel.hello_cache_hits").add(hello_cache_hits);
-        registry.counter("kernel.hello_cache_rechecks").add(hello_cache_rechecks);
         registry.counter("kernel.hello_cache_misses").add(hello_cache_misses);
         registry.counter("kernel.hello_link_changes").add(hello_link_changes);
         let fanout =
@@ -88,7 +82,6 @@ impl AddAssign for KernelStats {
             timers_fired,
             hello_fanout_bins,
             hello_cache_hits,
-            hello_cache_rechecks,
             hello_cache_misses,
             hello_link_changes,
         } = other;
@@ -98,7 +91,6 @@ impl AddAssign for KernelStats {
             *acc += bin;
         }
         self.hello_cache_hits += hello_cache_hits;
-        self.hello_cache_rechecks += hello_cache_rechecks;
         self.hello_cache_misses += hello_cache_misses;
         self.hello_link_changes += hello_link_changes;
     }

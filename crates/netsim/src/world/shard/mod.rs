@@ -70,6 +70,7 @@ use imobif_geom::Point2;
 use imobif_obs::span::phase;
 use imobif_obs::{Registry, SpanSink, COORD_SHARD};
 
+use super::beacon::BeaconView;
 use super::engine::{Engine, Event};
 use super::observe::KernelStats;
 use crate::hello::Beacon;
@@ -77,7 +78,7 @@ use crate::trace::TraceEvent;
 use crate::{Application, NodeEnergy, NodeId, SimConfig, SimDuration, SimError, SimTime};
 use profile::EpochCounters;
 use reach::{Replica, Shard, SharedCtx, XKey};
-use xfer::{MergeScratch, RepPatch, ShardOutbox, LEAVE};
+use xfer::{BarrierScratch, RepPatch, ShardOutbox, LEAVE};
 
 /// A span ring capacity for [`ShardedWorld::enable_spans`] that holds the
 /// raw spans of a typical run (phase aggregates are exact at any
@@ -176,7 +177,7 @@ pub struct ShardedWorld<A: Application> {
     replica: Replica,
     /// The shards the current epoch runs, ascending.
     active: Vec<u32>,
-    merge: MergeScratch,
+    scratch: BarrierScratch,
     /// Always-on pipeline counters (plain integer adds, no clock reads).
     counters: EpochCounters,
     /// Span sink; `None` ⇒ zero cost: no timestamps read, no spans built.
@@ -220,7 +221,7 @@ impl<A: Application> ShardedWorld<A> {
             outs: (0..n).map(|_| ShardOutbox::new(n)).collect(),
             owner: Vec::new(),
             active: Vec::new(),
-            merge: MergeScratch::default(),
+            scratch: BarrierScratch::default(),
             counters: EpochCounters::default(),
             spans: None,
             dense_epochs: false,
@@ -275,7 +276,7 @@ impl<A: Application> ShardedWorld<A> {
             let Shard { engine, keys } = &mut self.shards[si as usize];
             keys.push_periodic(&mut engine.queue, SimTime::ZERO, slot as usize, id);
         }
-        let Self { cfg, owner, shards, outs, replica, active, merge, counters, spans, .. } = self;
+        let Self { cfg, owner, shards, outs, replica, active, scratch, counters, spans, .. } = self;
         let sh = SharedCtx { cfg, owner };
         for (i, &(si, slot)) in owner.iter().enumerate() {
             let (engine, mut reach) =
@@ -289,7 +290,7 @@ impl<A: Application> ShardedWorld<A> {
         }
         active.clear();
         active.extend(0..shards.len() as u32);
-        apply_epoch(shards, outs, active, replica, merge, counters, spans, 0);
+        apply_epoch(shards, outs, active, &sh, replica, scratch, counters, spans, 0);
     }
 
     /// Schedules an application timer from outside (used by experiment
@@ -326,7 +327,7 @@ impl<A: Application> ShardedWorld<A> {
             outs,
             replica,
             active,
-            merge,
+            scratch,
             counters,
             spans,
             prev_end,
@@ -385,7 +386,7 @@ impl<A: Application> ShardedWorld<A> {
                     }
                 }
             }
-            apply_epoch(shards, outs, active, replica, merge, counters, spans, eid);
+            apply_epoch(shards, outs, active, &sh, replica, scratch, counters, spans, eid);
             *time = (*time).max(end.min(deadline));
         }
         self.time = self.time.max(deadline);
@@ -575,6 +576,29 @@ impl<A: Application> ShardedWorld<A> {
             }
         }
         Ok(())
+    }
+
+    /// Test hook: checks that every live node's kept HELLO hearer list —
+    /// the one its next beacon from where it stands would reuse — equals
+    /// a brute-force hearer set from there over the replica. Valid between
+    /// runs, when the replica has taken every patch and every marking.
+    #[doc(hidden)]
+    pub fn verify_hearer_lists(&self) -> Result<(), String> {
+        let rep = &self.replica;
+        let view = BeaconView {
+            positions: &rep.positions,
+            alive: &rep.alive,
+            grid: &rep.grid,
+            range: self.cfg.range,
+        };
+        self.owner.iter().enumerate().try_for_each(|(i, &(si, slot))| {
+            let engine = &self.shards[si as usize].engine;
+            let slot = slot as usize;
+            if !engine.nodes.is_alive(slot) {
+                return Ok(());
+            }
+            engine.hearers.verify(&view, NodeId::new(i as u32), slot, engine.nodes.position(slot))
+        })
     }
 
     /// Whether a node is alive.
@@ -836,6 +860,9 @@ fn run_shares<A: Application + Send>(
 ///
 /// * Replica patches first (source-by-source: per-node order is preserved
 ///   within a source run, and patches for different nodes commute).
+/// * Then the marking: every node the patches moved or killed steps once
+///   on the replica's grid, and the hearer lists its step changed are
+///   forgotten ([`mark_steps`]).
 /// * Link changes next: a bulk-join epoch's tables are linked from the
 ///   hearer lists, then grouped changes apply destination-major for table
 ///   locality — they need no merge (changes for different origins touch
@@ -849,8 +876,9 @@ fn apply_epoch<A: Application>(
     shards: &mut [Shard<A>],
     outs: &mut [ShardOutbox<A::Msg>],
     active: &[u32],
+    sh: &SharedCtx<'_>,
     replica: &mut Replica,
-    merge: &mut MergeScratch,
+    scratch: &mut BarrierScratch,
     counters: &mut EpochCounters,
     spans: &mut Option<Box<SpanSink>>,
     epoch_id: u64,
@@ -868,13 +896,13 @@ fn apply_epoch<A: Application>(
                 RepPatch::Moved { node, to } => {
                     replica.positions[node.index()] = to;
                     if replica.alive[node.index()] {
-                        replica.grid.update(node.raw(), to);
+                        scratch.movers.push(node);
                     }
                 }
                 RepPatch::Died { node } => {
                     if replica.alive[node.index()] {
                         replica.alive[node.index()] = false;
-                        replica.grid.remove(node.raw());
+                        scratch.movers.push(node);
                     }
                 }
                 RepPatch::Beacon { node, slot } => {
@@ -883,6 +911,7 @@ fn apply_epoch<A: Application>(
             }
         }
     }
+    mark_steps(shards, sh, replica, scratch);
     let t_obs = if let Some(sp) = spans.as_mut() {
         let now = sp.now_us();
         sp.record(phase::REPLICA_SYNC, COORD_SHARD, epoch_id, t_rep.unwrap_or(now), now);
@@ -936,7 +965,7 @@ fn apply_epoch<A: Application>(
         None
     };
     for (d, dest) in shards.iter_mut().enumerate() {
-        merge.heap.clear();
+        scratch.heap.clear();
         for &s in active {
             let run = &outs[s as usize].dlv[d];
             // The merge below restores the global order only from runs
@@ -947,11 +976,11 @@ fn apply_epoch<A: Application>(
                 "shard {s}'s deliveries to shard {d} are out of key order"
             );
             if let Some(head) = run.first() {
-                merge.heap.push(std::cmp::Reverse((head.key, s)));
+                scratch.heap.push(std::cmp::Reverse((head.key, s)));
             }
         }
-        while let Some(std::cmp::Reverse((_, s))) = merge.heap.pop() {
-            let limit = merge.heap.peek().map(|&std::cmp::Reverse((k, _))| k);
+        while let Some(std::cmp::Reverse((_, s))) = scratch.heap.pop() {
+            let limit = scratch.heap.peek().map(|&std::cmp::Reverse((k, _))| k);
             let run = &mut outs[s as usize].dlv[d];
             let upto = limit.map_or(run.len(), |lk| run.partition_point(|x| x.key < lk));
             delivers += upto as u64;
@@ -961,7 +990,7 @@ fn apply_epoch<A: Application>(
                 keys.push(&mut engine.queue, x.arrival, x.slot as usize, x.to, event);
             }
             if let Some(head) = run.first() {
-                merge.heap.push(std::cmp::Reverse((head.key, s)));
+                scratch.heap.push(std::cmp::Reverse((head.key, s)));
             }
         }
     }
@@ -972,6 +1001,45 @@ fn apply_epoch<A: Application>(
     counters.delivers_merged += delivers;
     counters.observations_applied += links;
     counters.replica_patches += patches;
+}
+
+/// Moves the replica grid's entry of every node the barrier's patches
+/// moved or killed to its final replica state, then forgets the hearer
+/// lists each step changed ([`BeaconView::for_each_flip`]).
+///
+/// A node's first grid move of the barrier starts from its pre-barrier
+/// position, where every list the epoch computed read it, and a later one
+/// finds it already at its final position, so each node steps once. The
+/// steps are marked only once the grid holds them all: a node that moved
+/// and then beaconed in the epoch keeps a list centered where it ended,
+/// so another node's step must be tested against that position, not the
+/// pre-barrier one a patch loop would still find if that node's own patch
+/// lands later.
+fn mark_steps<A: Application>(
+    shards: &mut [Shard<A>],
+    sh: &SharedCtx<'_>,
+    replica: &mut Replica,
+    scratch: &mut BarrierScratch,
+) {
+    let Replica { positions, alive, grid, .. } = replica;
+    for node in scratch.movers.drain(..) {
+        let i = node.index();
+        let to = alive[i].then(|| positions[i]);
+        let from = match to {
+            Some(to) => grid.update(node.raw(), to),
+            None => grid.remove(node.raw()),
+        };
+        if let Some(from) = from.filter(|&from| to != Some(from)) {
+            scratch.steps.push((from, to));
+        }
+    }
+    let view = BeaconView { positions, alive, grid, range: sh.cfg.range };
+    for (from, to) in scratch.steps.drain(..) {
+        view.for_each_flip(from, to, |k| {
+            let (si, slot) = sh.owner[k as usize];
+            shards[si as usize].engine.hearers.forget(slot as usize);
+        });
+    }
 }
 
 /// The bulk join: links every live node's table to its own hearer list,

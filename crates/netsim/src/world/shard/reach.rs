@@ -12,7 +12,7 @@
 use imobif_energy::Battery;
 use imobif_geom::{Point2, SpatialGrid};
 
-use super::super::beacon::{BeaconView, Links};
+use super::super::beacon::{BeaconView, HearerCache, Links};
 use super::super::engine::{Engine, Event, Reach};
 use super::xfer::{Dlv, LinkGroup, RepPatch, ShardOutbox, LEAVE, NO_FROZEN};
 use crate::hello::Beacon;
@@ -314,13 +314,15 @@ impl<M> Reach<M> for ShardReach<'_, M> {
         }
     }
 
+    /// The barrier moves the replica's grid entry and forgets the lists
+    /// the step changed, once every patch of the epoch has landed.
     #[inline]
-    fn moved(&mut self, id: NodeId, to: Point2) {
+    fn moved(&mut self, _: &NodeStore, _: &mut HearerCache, id: NodeId, to: Point2) {
         self.xout.rep.push(RepPatch::Moved { node: id, to });
     }
 
     #[inline]
-    fn died(&mut self, id: NodeId) {
+    fn died(&mut self, _: &NodeStore, _: &mut HearerCache, id: NodeId) {
         self.xout.rep.push(RepPatch::Died { node: id });
     }
 

@@ -2,7 +2,7 @@
 //! rules and the serial/sharded agreement run on both engines, the
 //! activity schedule against the dense one, and layout geometry.
 
-use super::super::beacon::{BeaconView, Links, SMALL_WORLD_SCAN};
+use super::super::beacon::{BeaconView, HearerCache, Links, SMALL_WORLD_SCAN};
 use super::super::engine::{Engine, Reach};
 use super::*;
 use crate::hello::Beacon;
@@ -763,10 +763,10 @@ impl Reach<u32> for LogReach {
     fn hear(&mut self, _: &mut NodeStore, _: NodeId, _: usize, _: Beacon, links: Links<'_>) {
         self.calls.push(Call::Hear(links.joined.to_vec(), links.left.to_vec()));
     }
-    fn moved(&mut self, id: NodeId, _to: Point2) {
+    fn moved(&mut self, _: &NodeStore, _: &mut HearerCache, id: NodeId, _to: Point2) {
         self.calls.push(Call::Moved(id));
     }
-    fn died(&mut self, id: NodeId) {
+    fn died(&mut self, _: &NodeStore, _: &mut HearerCache, id: NodeId) {
         self.calls.push(Call::Died(id));
     }
     fn trace(&mut self, _slot: usize, _id: NodeId, event: impl FnOnce() -> TraceEvent) {
@@ -1061,18 +1061,15 @@ fn hello_cache_is_shard_count_invariant_and_publishes() {
     }
 }
 
-/// Hit, recheck, miss and link counts and every output equal at 1, 2, 4
-/// and 8 shards, since a shard's beacons read the replica, and every
-/// kernel family published equal to `kernel_stats()`.
+/// Hit, miss and link counts and every output equal at 1, 2, 4 and 8
+/// shards, since a shard's beacons read the replica, and every kernel
+/// family published equal to `kernel_stats()`.
 fn cache_is_shard_count_invariant_and_publishes(sc: &Scenario) {
-    let scanned = sc.positions.len() <= SMALL_WORLD_SCAN;
     let mut one = make_sharded(1);
     let base = cache_fingerprint(&mut one, sc);
     assert!(base.1.hello_cache_hits > 0 && base.1.hello_cache_misses > 0);
     assert_eq!(base.1.hello_cache_hits + base.1.hello_cache_misses, base.1.hello_beacons);
-    // The relay's 1 m steps change its slot but rarely a hearer set; a
-    // scanned world keeps no slots to recheck.
-    assert_eq!(base.1.hello_cache_rechecks > 0, !scanned);
+    one.verify_hearer_lists().expect("every kept list is exact");
     for shards in [2, 8] {
         let mut w = make_sharded(shards);
         w.set_threads(2);
@@ -1091,7 +1088,6 @@ fn cache_is_shard_count_invariant_and_publishes(sc: &Scenario) {
     assert_eq!(snap.counter("kernel.timers_fired"), Some(k.timers_fired));
     assert!(k.timers_fired > 0, "the scenario's source timers fire");
     assert_eq!(snap.counter("kernel.hello_cache_hits"), Some(k.hello_cache_hits));
-    assert_eq!(snap.counter("kernel.hello_cache_rechecks"), Some(k.hello_cache_rechecks));
     assert_eq!(snap.counter("kernel.hello_cache_misses"), Some(k.hello_cache_misses));
     assert_eq!(snap.counter("kernel.hello_link_changes"), Some(k.hello_link_changes));
     assert_eq!(k.hello_fanout_bins.iter().sum::<u64>(), k.hello_beacons, "one sample a beacon");
@@ -1271,6 +1267,8 @@ fn prop_sharded_board_and_links_match_barrier_push_tables() {
                     proptest::prop_assert_eq!(got.get(j, now), want.get(j, now));
                 }
             }
+            let kept = w.verify_hearer_lists();
+            proptest::prop_assert!(kept.is_ok(), "stale hearer list: {:?}", kept);
         }
         let sync = w.verify_replica_sync();
         proptest::prop_assert!(sync.is_ok(), "replica diverged: {:?}", sync);
@@ -1329,6 +1327,55 @@ fn bulk_join_outcome(w: &ShardedWorld<Echo>) -> (Vec<Vec<[u64; 5]>>, KernelStats
     (tables, stats, w.counters.observations_applied, w.trace_fnv())
 }
 
+/// Runs `w` to `deadline` one epoch at a time, the schedule one call
+/// would run, and checks its kept hearer lists at every barrier.
+fn run_checking_lists<A: Application + Send>(w: &mut ShardedWorld<A>, deadline: SimTime)
+where
+    A::Msg: Send,
+{
+    let heads =
+        |w: &ShardedWorld<A>| w.shards.iter().filter_map(|s| s.engine.queue.peek_time()).min();
+    while let Some(next) = heads(w).filter(|&t| t <= deadline) {
+        let end = next + w.cfg.hop_latency;
+        w.run_until(SimTime::from_micros(end.as_micros() - 1).min(deadline));
+        let kept = w.verify_hearer_lists();
+        assert!(kept.is_ok(), "stale hearer list after the epoch at {next:?}: {kept:?}");
+    }
+    w.run_until(deadline);
+}
+
+/// A node that moves and then beacons keeps a list centered where it
+/// ended. Another node's step in the same epoch must be tested against
+/// that position even when its shard's patches land first, before the
+/// replica has taken the first node's move: here node Y, in shard 0,
+/// steps from 31 m to 29 m of where node X ends, but stays within range
+/// of where X started, 19 and 17 m away.
+#[test]
+fn a_step_is_marked_against_where_a_moved_beaconer_ended() {
+    let mut w = ShardedWorld::new(SimConfig::default(), BOUNDS, 2).unwrap();
+    let cm = |p: Point2| ((p.x * 100.0) as u64) << 32 | (p.y * 100.0) as u64;
+    let (y_from, y_to) = (Point2::new(41.0, 49.0), Point2::new(43.0, 49.0));
+    let (x_from, x_to) = (Point2::new(60.0, 51.0), Point2::new(72.0, 51.0));
+    let y = w.add_node(y_from, Battery::new(1e3).unwrap(), Walker);
+    let x = w.add_node(x_from, Battery::new(1e3).unwrap(), Walker);
+    assert_eq!((w.layout().shard_of(y_from), w.layout().shard_of(x_from)), (0, 1));
+    let r_sq = w.config().range * w.config().range;
+    assert!(x_to.distance_sq_to(y_from) > r_sq && x_to.distance_sq_to(y_to) <= r_sq);
+    assert!(x_from.distance_sq_to(y_from) <= r_sq && x_from.distance_sq_to(y_to) <= r_sq);
+    // Far fillers, 46 m or more from both, make the world too big to scan.
+    for i in 0..SMALL_WORLD_SCAN - 1 {
+        w.add_node(Point2::new(1.0 + 3.0 * i as f64, 97.0), Battery::new(1e3).unwrap(), Walker);
+    }
+    w.start();
+    // Both steps go half a millisecond before the beacon round at 1 s,
+    // inside the one epoch that runs it.
+    w.schedule_timer(y, SimDuration::from_micros(999_500), cm(y_to));
+    w.schedule_timer(x, SimDuration::from_micros(999_500), cm(x_to));
+    run_checking_lists(&mut w, SimTime::from_micros(2_500_000));
+    assert_eq!((w.position(x), w.position(y)), (x_to, y_to));
+    assert!(w.table(x).get(y, w.time()).is_some(), "X hears Y again from its 2 s beacon");
+}
+
 proptest::proptest! {
     /// The bulk join against the per-beacon joins it replaces, on random
     /// sharded worlds: 2–300 nodes, some dead at start, 1–16 shards, one or
@@ -1348,8 +1395,8 @@ proptest::proptest! {
         let mut joins = bulk_join_world(&nodes, shards, threads, t, true);
         for secs in [0, 5] {
             let at = SimTime::from_micros(secs * 1_000_000);
-            bulk.run_until(at);
-            joins.run_until(at);
+            run_checking_lists(&mut bulk, at);
+            run_checking_lists(&mut joins, at);
             if secs == 0 {
                 proptest::prop_assert_eq!(bulk.link_slot_capacity(), 0, "the bulk join ran");
                 let linked = joins.counters.observations_applied > 0;

@@ -131,14 +131,20 @@ impl<M> ShardOutbox<M> {
     }
 }
 
-/// Reusable scratch for the barrier's k-way delivery merge: a binary heap
-/// of `(head key, source shard)` run cursors. The merge pops the run with
-/// the smallest head, drains its prefix up to the next-smallest head
-/// (moving elements by value), and re-pushes the run if it still has
-/// items — no sort, no clones, no allocation after warmup.
+/// Reusable barrier scratch, which allocates nothing after warmup.
+///
+/// `heap` holds the k-way delivery merge's `(head key, source shard)` run
+/// cursors: the merge pops the run with the smallest head, drains its
+/// prefix up to the next-smallest head (moving elements by value), and
+/// re-pushes the run if it still has items — no sort, no clones.
 #[derive(Debug, Default)]
-pub(super) struct MergeScratch {
+pub(super) struct BarrierScratch {
     pub(super) heap: std::collections::BinaryHeap<std::cmp::Reverse<(XKey, u32)>>,
+    /// The nodes the epoch's patches moved or killed, once per patch.
+    pub(super) movers: Vec<NodeId>,
+    /// Each mover's step, once: its pre-barrier replica position and its
+    /// final one, `None` once dead.
+    pub(super) steps: Vec<(Point2, Option<Point2>)>,
 }
 
 #[cfg(test)]

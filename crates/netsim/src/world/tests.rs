@@ -310,18 +310,16 @@ fn hello_cache_hits_in_a_static_world_and_publishes() {
     w.run_until(SimTime::from_micros(5_000_000));
     let stats = *w.kernel_stats();
     assert_eq!(stats.hello_link_changes, first.hello_link_changes, "no table write after");
-    // Nothing moves: each node misses once, on its first beacon, and no
-    // slot changes after it.
+    // Nothing moves: each node misses once, on its first beacon, and
+    // nothing forgets its list after it.
     assert_eq!(stats.hello_cache_misses, 49);
     assert_eq!(stats.hello_cache_hits + stats.hello_cache_misses, stats.hello_beacons);
     assert!(stats.hello_cache_hits >= 4 * 49);
-    assert_eq!(stats.hello_cache_rechecks, 0);
 
     let registry = imobif_obs::Registry::enabled();
     w.publish_metrics(&registry);
     let snap = registry.snapshot();
     assert_eq!(snap.counter("kernel.hello_cache_hits"), Some(stats.hello_cache_hits));
-    assert_eq!(snap.counter("kernel.hello_cache_rechecks"), Some(0));
     assert_eq!(snap.counter("kernel.hello_cache_misses"), Some(stats.hello_cache_misses));
     assert_eq!(snap.counter("kernel.hello_link_changes"), Some(stats.hello_link_changes));
     imobif_obs::promlint::lint(&snap.to_prometheus()).expect("kernel families lint clean");
@@ -343,8 +341,27 @@ impl Application for Pacer {
     }
 }
 
+/// Steps `w` through one beacon round, node by node, and returns the nodes
+/// that recomputed their hearer lists, each with its link changes.
+fn recomputed_in_a_round(w: &mut World<Pacer>) -> Vec<(usize, u64)> {
+    let mut recomputed = Vec::new();
+    for i in 0..w.node_count() {
+        let before = *w.kernel_stats();
+        assert!(w.step());
+        let after = *w.kernel_stats();
+        assert_eq!(after.hello_beacons, before.hello_beacons + 1);
+        if after.hello_cache_misses > before.hello_cache_misses {
+            recomputed.push((i, after.hello_link_changes - before.hello_link_changes));
+        } else {
+            assert_eq!(after.hello_link_changes, before.hello_link_changes, "beacon {i}");
+        }
+    }
+    w.verify_hearer_lists().expect("every kept list is exact");
+    recomputed
+}
+
 #[test]
-fn steps_inside_a_cell_are_rechecked_and_only_a_crossing_recomputes() {
+fn pacing_inside_a_cell_recomputes_only_the_mover_and_a_crossing_also_the_corner() {
     // A 7×7 lattice at 20 m with the 30 m range: the mover at (40, 40)
     // hears its eight nearest nodes (20 or 28.3 m away) and no farther one
     // (40 m or more), and stays inside its 30 m grid cell.
@@ -366,41 +383,30 @@ fn steps_inside_a_cell_are_rechecked_and_only_a_crossing_recomputes() {
     assert_eq!((first.hello_beacons, first.hello_cache_misses), (49, 49));
 
     // Half a meter out and back between every two beacons, for five
-    // periods: the mover's slot changes every period, but every beacon
-    // comes from the same spot and finds the same hearers.
+    // periods: no node's hearer set changes, so the mover, whose own move
+    // forgets its list, is the one beacon that recomputes.
     for k in 0..5 {
         w.schedule_timer(mover, SimDuration::from_millis(1000 * k + 100), 0);
         w.schedule_timer(mover, SimDuration::from_millis(1000 * k + 300), 1);
     }
-    w.run_until(SimTime::from_micros(5_500_000));
+    for k in 1..=5 {
+        w.run_until(SimTime::from_micros(k * 1_000_000 - 1));
+        assert_eq!(w.position(mover), home);
+        assert_eq!(recomputed_in_a_round(&mut w), vec![(mover.index(), 0)], "round {k}");
+    }
     let paced = *w.kernel_stats();
     assert_eq!(paced.hello_beacons, 6 * 49);
-    assert_eq!(paced.hello_cache_misses, first.hello_cache_misses, "every later beacon hits");
-    assert_eq!(paced.hello_cache_hits + paced.hello_cache_misses, paced.hello_beacons);
-    // At least the mover and its eight hearers, every period.
-    assert!(paced.hello_cache_rechecks >= 5 * 9, "{paced:?}");
+    assert_eq!(paced.hello_cache_misses, first.hello_cache_misses + 5);
     assert_eq!(paced.hello_link_changes, first.hello_link_changes, "no link changes");
 
-    // The crossing step, then the next round beacon by beacon (in node
-    // order): only (20, 20), which no longer hears the mover, and the
-    // mover, which beacons from a new spot, recompute, each finding the
-    // one leaver.
+    // The crossing step takes the mover out of the corner's range, which
+    // forgets the corner's list: the next round recomputes just the corner
+    // and the mover, each finding the one leaver.
+    w.run_until(SimTime::from_micros(5_500_000));
     w.schedule_timer(mover, SimDuration::from_millis(100), 2);
-    w.run_until(SimTime::from_micros(5_900_000));
+    w.run_until(SimTime::from_micros(5_999_999));
     assert_eq!(w.position(mover), stepped);
-    let mut recomputed = Vec::new();
-    for i in 0..49 {
-        let before = *w.kernel_stats();
-        assert!(w.step());
-        let after = *w.kernel_stats();
-        assert_eq!(after.hello_beacons, before.hello_beacons + 1);
-        if after.hello_cache_misses > before.hello_cache_misses {
-            recomputed.push((i, after.hello_link_changes - before.hello_link_changes));
-        } else {
-            assert_eq!(after.hello_link_changes, before.hello_link_changes, "beacon {i}");
-        }
-    }
-    assert_eq!(recomputed, vec![(corner.index(), 1), (mover.index(), 1)]);
+    assert_eq!(recomputed_in_a_round(&mut w), vec![(corner.index(), 1), (mover.index(), 1)]);
     // Each froze the other's beacon of the round before; the mover's
     // other links read this round's board.
     let now = w.time();
@@ -410,78 +416,149 @@ fn steps_inside_a_cell_are_rechecked_and_only_a_crossing_recomputes() {
     assert_eq!(heard(mover, NodeId::new(3 + 3 * 7)), now);
 }
 
+/// The hearer cache against a brute-force oracle: node columns and a grid
+/// of the live nodes, told of every move and death as the engines tell
+/// their caches.
+struct CacheBench {
+    positions: Vec<Point2>,
+    alive: Vec<bool>,
+    grid: SpatialGrid,
+    cache: beacon::HearerCache,
+    stats: KernelStats,
+    /// Each node's hearer set at its latest beacon, by brute force.
+    heard: Vec<Vec<u32>>,
+}
+
+impl CacheBench {
+    const RANGE: f64 = 30.0;
+
+    fn view(&self) -> beacon::BeaconView<'_> {
+        beacon::BeaconView {
+            positions: &self.positions,
+            alive: &self.alive,
+            grid: &self.grid,
+            range: Self::RANGE,
+        }
+    }
+
+    /// Node `i` steps to `to`, or dies (`None`): the grid takes the step,
+    /// then the lists it changed are forgotten.
+    fn step(&mut self, i: usize, to: Option<Point2>) {
+        let from = match to {
+            Some(to) => {
+                self.positions[i] = to;
+                self.grid.update(i as u32, to)
+            }
+            None => {
+                self.alive[i] = false;
+                self.grid.remove(i as u32)
+            }
+        };
+        let from = from.expect("a live node is on the grid");
+        let Self { positions, alive, grid, cache, .. } = self;
+        let view = beacon::BeaconView { positions, alive, grid, range: Self::RANGE };
+        view.for_each_flip(from, to, |k| cache.forget(k as usize));
+    }
+
+    /// Node `i` beacons from `from`; its link changes must be the
+    /// difference between the brute-force hearer sets of its last two
+    /// beacons.
+    fn beacon(&mut self, i: usize, from: Point2) {
+        let n = self.positions.len();
+        let r_sq = Self::RANGE * Self::RANGE;
+        let want: Vec<u32> = (0..n)
+            .filter(|&j| j != i && self.alive[j] && from.distance_sq_to(self.positions[j]) <= r_sq)
+            .map(|j| j as u32)
+            .collect();
+        let prev = std::mem::replace(&mut self.heard[i], want);
+        let now = &self.heard[i];
+        let joined: Vec<u32> = now.iter().copied().filter(|k| !prev.contains(k)).collect();
+        let left: Vec<u32> = prev.iter().copied().filter(|k| !now.contains(k)).collect();
+        let Self { positions, alive, grid, cache, stats, .. } = self;
+        let view = beacon::BeaconView { positions, alive, grid, range: Self::RANGE };
+        let got = cache.links(&view, stats, NodeId::new(i as u32), i, n, from);
+        proptest::prop_assert_eq!(got.joined, &joined[..]);
+        proptest::prop_assert_eq!(got.left, &left[..]);
+    }
+}
+
 proptest::proptest! {
     /// Every beacon's link changes are the difference between the
     /// brute-force hearer sets of the node's previous beacon and this one,
-    /// over random moves, deaths and beacons, including beacons sent from a
-    /// position the grid has not caught up with (a sharded node between its
-    /// own move and the next barrier). Most moves are relay-sized steps
-    /// under 1 m, which change a grid slot but rarely a hearer set, so in a
-    /// world past the small-world scan most cache hits come through the
-    /// recheck of the changed slots; a world of up to `SMALL_WORLD_SCAN`
-    /// nodes reuses a scanned list only while nothing moved or died.
+    /// over random moves, deaths and beacons of live nodes, when the cache
+    /// is told of them as the engines tell it: a move forgets the mover's
+    /// own list, and once the grid holds a move or a death, the lists of
+    /// the live nodes it takes into or out of range are forgotten. Op 3 is
+    /// a sharded node's own move: its list is forgotten, it beacons from
+    /// the new spot, and only then does the grid catch up, as at the
+    /// barrier. Op 6 walks a node back to where it last beaconed, where
+    /// only the own-move forget keeps its list from being reused. Most
+    /// moves are relay-sized steps under 1 m, which rarely change a
+    /// hearer set. A world past `SMALL_WORLD_SCAN` nodes reuses a list
+    /// until something forgets it, a smaller one only while nothing moved
+    /// or died. After every op, each live node's kept list must equal a
+    /// brute-force hearer set.
     #[test]
     fn prop_cached_hearers_match_brute_force(
         coords in proptest::collection::vec((0.0..120.0f64, 0.0..120.0f64), 2..60),
         steps in proptest::collection::vec((0u8..10, 0usize..60, 0.0..120.0f64, 0.0..120.0f64), 1..300),
     ) {
-        let range = 30.0;
-        let mut positions: Vec<Point2> = coords.iter().map(|&(x, y)| Point2::new(x, y)).collect();
+        let positions: Vec<Point2> = coords.iter().map(|&(x, y)| Point2::new(x, y)).collect();
         let n = positions.len();
-        let mut alive = vec![true; n];
-        let mut grid = SpatialGrid::new(range);
+        let mut grid = SpatialGrid::new(CacheBench::RANGE);
         for (i, &p) in positions.iter().enumerate() {
             grid.insert(i as u32, p);
         }
-        let mut cache = beacon::HearerCache::default();
-        let mut stats = KernelStats::default();
-        let mut heard: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut beaconed = positions.clone();
+        let mut b = CacheBench {
+            positions,
+            alive: vec![true; n],
+            grid,
+            cache: beacon::HearerCache::default(),
+            stats: KernelStats::default(),
+            heard: vec![Vec::new(); n],
+        };
         for (op, who, x, y) in steps {
             let i = who % n;
+            if !b.alive[i] {
+                continue;
+            }
             let target = Point2::new(x, y);
             match op {
-                0 | 1 | 4 | 5 if alive[i] => {
-                    // A short move, so lists change by a member or two, or
-                    // a relay's step of at most 1 m.
-                    let max_step = if op == 0 { 8.0 } else { x / 120.0 };
-                    let (p, _) = positions[i].step_toward(target, max_step);
-                    positions[i] = p;
-                    grid.update(i as u32, p);
+                0 | 1 | 4 | 5 | 6 => {
+                    // A short move, so lists change by a member or two, a
+                    // relay's step of at most 1 m, or the way back.
+                    let to = match op {
+                        0 => b.positions[i].step_toward(target, 8.0).0,
+                        6 => beaconed[i],
+                        _ => b.positions[i].step_toward(target, x / 120.0).0,
+                    };
+                    b.cache.forget(i);
+                    b.step(i, Some(to));
                 }
-                2 if alive[i] && x < 15.0 => {
-                    alive[i] = false;
-                    grid.remove(i as u32);
+                2 if x < 15.0 => b.step(i, None),
+                3 => {
+                    b.cache.forget(i);
+                    b.beacon(i, target);
+                    beaconed[i] = target;
+                    b.step(i, Some(target));
                 }
                 _ => {
-                    let from = if op == 3 { target } else { positions[i] };
-                    let view = beacon::BeaconView {
-                        positions: &positions,
-                        alive: &alive,
-                        grid: &grid,
-                        range,
-                    };
-                    let got = cache.links(&view, &mut stats, NodeId::new(i as u32), i, n, from);
-                    let want: Vec<u32> = (0..n)
-                        .filter(|&j| {
-                            j != i && alive[j] && from.distance_sq_to(positions[j]) <= range * range
-                        })
-                        .map(|j| j as u32)
-                        .collect();
-                    let prev = std::mem::replace(&mut heard[i], want);
-                    let joined: Vec<u32> =
-                        heard[i].iter().copied().filter(|k| !prev.contains(k)).collect();
-                    let left: Vec<u32> =
-                        prev.iter().copied().filter(|k| !heard[i].contains(k)).collect();
-                    proptest::prop_assert_eq!(got.joined, &joined[..]);
-                    proptest::prop_assert_eq!(got.left, &left[..]);
+                    let from = b.positions[i];
+                    b.beacon(i, from);
+                    beaconed[i] = from;
                 }
+            }
+            let view = b.view();
+            for j in (0..n).filter(|&j| b.alive[j]) {
+                let kept = b.cache.verify(&view, NodeId::new(j as u32), j, b.positions[j]);
+                proptest::prop_assert!(kept.is_ok(), "{:?}", kept);
             }
         }
         proptest::prop_assert_eq!(
-            stats.hello_cache_hits + stats.hello_cache_misses,
-            stats.hello_beacons
+            b.stats.hello_cache_hits + b.stats.hello_cache_misses,
+            b.stats.hello_beacons
         );
-        proptest::prop_assert!(stats.hello_cache_rechecks <= stats.hello_cache_hits);
     }
 }
 
@@ -590,8 +667,9 @@ proptest::proptest! {
 }
 
 /// Every node's view — `fresh`, `len` and `get` for every peer — equals
-/// its push table's.
+/// its push table's, and every kept hearer list is exact.
 fn assert_views_match(w: &World<Echo>, push: &[NeighborTable], now: SimTime) {
+    w.verify_hearer_lists().expect("every kept hearer list is exact");
     for (h, table) in push.iter().enumerate() {
         let (got, want) = (w.node(NodeId::new(h as u32)).neighbor_table(), table.view());
         assert_eq!(got.fresh(now), want.fresh(now), "node {h} at {now:?}");

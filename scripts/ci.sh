@@ -5,11 +5,12 @@
 # exit means the tree is in a committable state.
 #
 # `ci.sh --smoke` runs only the fast subset — release build, the release
-# pin, allocation and heap tests, the spatial grid's unit tests (its change
-# stamps and slot windows, which the HELLO hearer cache's exactness rests
-# on), the simulator's unit tests in release and in debug (among them the
-# neighbor-table oracle, the shard invariance checks and the event queue's
-# lane oracle, whose debug assertions only a debug build keeps), the
+# pin, allocation and heap tests, the spatial grid's unit tests (its query
+# window and flip enumeration, which the HELLO hearer cache's exactness
+# rests on), the simulator's unit tests in release and in debug (among
+# them the neighbor-table oracle, the shard invariance checks and the
+# event queue's lane oracle, whose debug assertions only a debug build
+# keeps), the
 # iMobif core crate's unit and framework tests (the agent's handlers, the
 # strategy registry, the decision kernel), the
 # observability crate's unit tests (span ring and aggregates, JSON depth
@@ -43,9 +44,14 @@
 #   - allocation gates, each its own test binary with the counting
 #     allocator installed, all in crates/bench/tests/; each counts only
 #     the calling thread's allocations (alloc_track::thread_allocs), and
-#     span_allocs.rs asserts its sharded worlds run on that thread:
+#     span_allocs.rs and move_allocs.rs assert their sharded worlds run
+#     on that thread:
 #       fig6_allocs.rs       warmed Fig. 6 instance: 0 per delivered packet
 #       hello_allocs.rs      warmed hello_dense: 0 over 60 sim-s
+#       move_allocs.rs       warmed lattice whose relay paces inside its
+#                            cell (the hearer-list marking, the barrier's
+#                            mover buffers): 0 over 60 sim-s, serial and
+#                            on 4 shards
 #       span_allocs.rs       warmed sharded epochs: 0, spans off and on
 #       spec_parse_allocs.rs parsing the shipped specs: <= 300
 #   - heap gate: live bytes per node of the 5,000-node arena after 1 sim-s,
@@ -53,7 +59,8 @@
 #     their readings: crates/bench/tests/arena_heap.rs; the sizes it rests
 #     on are pinned: an_app_is_at_most_144_bytes (crates/core/src/app.rs),
 #     a_lane_entry_is_24_bytes (crates/netsim/src/event.rs),
-#     a_link_group_is_16_bytes_and_a_patch_24 (world/shard/xfer.rs)
+#     a_link_group_is_16_bytes_and_a_patch_24 (world/shard/xfer.rs),
+#     a_cache_entry_is_48_bytes (world/beacon.rs)
 #   - timing ratios (release only): disabled metrics >= 0.99, disabled
 #     spans >= 0.99, 16 vs 1 shard <= 1.10:
 #     crates/bench/tests/overhead_ratios.rs; a same-instant burst of 2^15
@@ -76,32 +83,37 @@
 #     (world/shard/tests.rs); the bulk join == the per-beacon joins in
 #     tables, kernel counters, applied observations, replica and trace, on
 #     worlds of 2-300 nodes over 1-16 shards with nodes dead at start:
-#     prop_bulk_join_matches_per_beacon_joins (world/shard/tests.rs)
+#     prop_bulk_join_matches_per_beacon_joins (world/shard/tests.rs); all
+#     three check every kept hearer list against brute force
+#     (verify_hearer_lists) after every step or epoch
 #   - barrier delivery merge: every active source's run to a destination
 #     is in key order before the k-way merge, a debug assertion in
 #     apply_epoch (world/shard/mod.rs) that the debug run of the
 #     simulator's unit tests carries
-#   - HELLO hearer cache: a result kept with its slot window and
-#     revalidated by the changed-slot rule == a fresh query, and
-#     `changed_slots` names exactly the touched window slots or reports a
-#     growth: prop_cached_query_matches_fresh and
-#     changed_slots_name_the_touched_window_slots (crates/geom/src/grid.rs);
-#     cached hearers == brute force under 8 m and sub-meter steps, in
-#     worlds from 2 nodes up, so small worlds' reused scans are checked
-#     too: prop_cached_hearers_match_brute_force (world/tests.rs); a node
-#     pacing inside its cell costs its hearers a recheck, not a recompute,
-#     and a range crossing recomputes exactly the one leave:
-#     steps_inside_a_cell_are_rechecked_and_only_a_crossing_recomputes
-#     (world/tests.rs); hit, recheck, miss and link counts equal at
-#     1/2/4/8 shards, on a lattice and on a scanned six-node path with a
-#     moving relay, and every kernel family (beacons, timers, cache
-#     counters, the fan-out histogram) published equal to kernel_stats()
-#     and lint clean: hello_cache_is_shard_count_invariant_and_publishes
+#   - HELLO hearer cache: the flip enumeration names exactly the items
+#     within range of one of two points, not both:
+#     prop_flips_match_brute_force (crates/geom/src/grid.rs); cached
+#     hearers == brute force when the cache is told of moves and deaths as
+#     the engines tell it (a sharded node's own move included), and every
+#     kept list exact after every op, in worlds from 2 nodes up, so small
+#     worlds' clock rule is checked too:
+#     prop_cached_hearers_match_brute_force (world/tests.rs); a node
+#     pacing inside its cell costs only its own list a recompute, and a
+#     range crossing recomputes exactly the crossed node and the mover:
+#     pacing_inside_a_cell_recomputes_only_the_mover_and_a_crossing_also_the_corner
+#     (world/tests.rs); the barrier marks a step against where a node
+#     that moved and then beaconed ended, even when the step's patches
+#     land first: a_step_is_marked_against_where_a_moved_beaconer_ended
+#     (world/shard/tests.rs); hit, miss and link counts equal at 1/2/4/8
+#     shards, on a lattice and on a scanned six-node path with a moving
+#     relay, and every kernel family (beacons, timers, cache counters, the
+#     fan-out histogram) published equal to kernel_stats() and lint clean:
+#     hello_cache_is_shard_count_invariant_and_publishes
 #     (world/shard/tests.rs); a scanned world counts each beacon as a hit
 #     or a miss: the "scan path finds the hearers" rule of
 #     handler_ordering_rules_hold_on_both_engines (world/shard/tests.rs); a
-#     cache entry stays 64 bytes (the packed slot window):
-#     a_cache_entry_is_64_bytes (world/beacon.rs)
+#     cache entry stays 48 bytes: a_cache_entry_is_48_bytes
+#     (world/beacon.rs)
 #   - range queries: the grid's one query window == brute force at sampled
 #     radii, 0 and exactly the cell size, and a wider radius panics:
 #     prop_query_matches_brute_force,
@@ -211,9 +223,10 @@ if [[ "$SMOKE" == "1" ]]; then
     echo "==> pin tests (serial traces, shard and thread sweeps, fig6 CSV, allocation and heap gates)"
     cargo test --release -q --test determinism --test trace_causality
     cargo test --release -q -p imobif-bench --test span_determinism --test span_allocs \
-        --test spec_parse_allocs --test fig6_allocs --test hello_allocs --test arena_heap
+        --test spec_parse_allocs --test fig6_allocs --test hello_allocs --test move_allocs \
+        --test arena_heap
 
-    echo "==> spatial grid unit tests (change stamps, slot windows)"
+    echo "==> spatial grid unit tests (query window, flip enumeration)"
     cargo test --release -q -p imobif-geom --lib
 
     echo "==> simulator unit tests (neighbor-table oracle, shard invariance, queue lane)"
