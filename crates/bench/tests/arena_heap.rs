@@ -23,15 +23,17 @@ const SEED: u64 = 2025;
 /// Before each node kept one flow record instead of four maps and the
 /// beacon lane held node ids, it read 1,187.1; before a hearer-list entry
 /// shrank from 64 to 48 bytes and the grid dropped its per-slot change
-/// stamps, 824.1.
-const SERIAL_BYTES_PER_NODE: f64 = 801.5;
+/// stamps, 824.1; before the entry dropped its grid-clock stamp (48 to 40
+/// bytes), 801.5.
+const SERIAL_BYTES_PER_NODE: f64 = 793.5;
 
 /// Live bytes per node of the arena on four shards when the ceiling was
 /// set. Before those changes and the barrier runs that name beacon records
 /// instead of copying them, it read 1,493.9; before the first barrier
 /// linked every table from the hearer lists, 1,048.1; before the 48-byte
-/// hearer-list entry and the stamp-free grid, 935.1.
-const SHARDED_BYTES_PER_NODE: f64 = 912.5;
+/// hearer-list entry and the stamp-free grid, 935.1; before the 40-byte
+/// entry and the flat barrier runs, 912.5.
+const SHARDED_BYTES_PER_NODE: f64 = 903.8;
 
 /// How far above its reading a world may grow.
 const SLACK: f64 = 1.05;

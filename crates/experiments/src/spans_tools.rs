@@ -25,9 +25,8 @@ use crate::flame::scope_label;
 /// deadlines could overflow.
 pub const MAX_SECS: u64 = 1_000_000;
 
-/// Largest shard count `imobif spans` accepts (`--shards`). Every shard
-/// keeps an outbox run per destination shard, so the table grows with the
-/// square of the count: about 84 MB of run headers at the ceiling.
+/// Largest shard count `imobif spans` accepts (`--shards`). Every epoch
+/// reads every shard's queue head, so scheduling grows with the count.
 pub const MAX_SHARDS: usize = 1024;
 
 /// Largest span ring `imobif spans` accepts (`--span-cap`), in spans. The

@@ -1,5 +1,5 @@
-//! A direct-mapped spatial grid for range queries, with a change clock
-//! that tells a caller whether anything moved since it kept a result.
+//! A direct-mapped spatial grid for range queries, which tells a caller
+//! that keeps results which of them an item's move changed.
 
 use crate::hash::FxHashMap;
 use crate::Point2;
@@ -35,9 +35,7 @@ const MAX_LOAD: usize = 2;
 /// the 3×3 cells around its center ([`SpatialGrid::range_buckets`]). A
 /// caller that keeps query results can learn which of them an item's move
 /// changed: [`SpatialGrid::for_each_flip`] names the items within range of
-/// exactly one of the item's old and new positions. A grid-wide
-/// [`SpatialGrid::clock`] advances on every `insert`, `update` and
-/// `remove`, for a caller that keeps results only while nothing moved.
+/// exactly one of the item's old and new positions.
 ///
 /// # Example
 ///
@@ -72,8 +70,6 @@ pub struct SpatialGrid {
     /// Each slot's `(key, position)` pairs: a range query reads positions
     /// straight from the buckets.
     slots: Vec<Vec<(u32, Point2)>>,
-    /// Advances on every mutation.
-    clock: u64,
     /// Each item's slot; its position lives in the slot's bucket only.
     slot_of_key: FxHashMap<u32, u32>,
 }
@@ -127,17 +123,8 @@ impl SpatialGrid {
             cell_size,
             side_bits: MIN_SIDE_BITS,
             slots: std::iter::repeat_with(Vec::new).take(1 << (2 * MIN_SIDE_BITS)).collect(),
-            clock: 0,
             slot_of_key: FxHashMap::default(),
         }
-    }
-
-    /// The grid's change clock: advanced by every `insert`, `update` and
-    /// `remove`. A query result kept at one reading is still exact while
-    /// the clock reads the same.
-    #[must_use]
-    pub fn clock(&self) -> u64 {
-        self.clock
     }
 
     fn cell_of(&self, p: Point2) -> (i64, i64) {
@@ -169,7 +156,6 @@ impl SpatialGrid {
     /// Inserts an item, or moves it if the key is already present, and
     /// returns its previous position.
     pub fn insert(&mut self, key: u32, position: Point2) -> Option<Point2> {
-        self.clock += 1;
         let slot = self.slot_of(position);
         let Some(old_slot) = self.slot_of_key.insert(key, slot as u32) else {
             self.slots[slot].push((key, position));
@@ -199,7 +185,6 @@ impl SpatialGrid {
     /// Removes an item, returning its last position if it was present.
     pub fn remove(&mut self, key: u32) -> Option<Point2> {
         let slot = self.slot_of_key.remove(&key)? as usize;
-        self.clock += 1;
         let bucket = &mut self.slots[slot];
         let i = bucket.iter().position(|&(k, _)| k == key).expect("stored item is in its slot");
         Some(bucket.swap_remove(i).1)
@@ -479,19 +464,14 @@ mod tests {
     }
 
     #[test]
-    fn the_clock_advances_on_every_change_and_moves_return_the_old_position() {
+    fn moves_and_removals_return_the_old_position() {
         let mut g = SpatialGrid::new(10.0);
-        let c0 = g.clock();
         assert_eq!(g.insert(1, Point2::new(1.0, 1.0)), None);
         assert_eq!(g.update(1, Point2::new(2.0, 1.0)), Some(Point2::new(1.0, 1.0)));
         assert_eq!(g.update(1, Point2::new(25.0, 1.0)), Some(Point2::new(2.0, 1.0)));
-        assert_eq!(g.clock(), c0 + 3);
-        // Queries and the removal of an absent key change nothing.
-        let _ = query(&g, Point2::ORIGIN, 10.0);
         assert_eq!(g.remove(2), None);
-        assert_eq!(g.clock(), c0 + 3);
         assert_eq!(g.remove(1), Some(Point2::new(25.0, 1.0)));
-        assert_eq!(g.clock(), c0 + 4);
+        assert_eq!(g.len(), 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::NodeId;
 /// instead of using the spatial grid's range query: the pinned-path
 /// experiment worlds carry only the flow's relays, a dozen distance
 /// checks. A scanned list is reused while its node beacons from the same
-/// spot and the grid's clock stands still.
+/// spot and no node has moved or died since.
 pub(super) const SMALL_WORLD_SCAN: usize = 32;
 
 /// What a beacon's hearer search reads of the other nodes: position and
@@ -34,11 +34,13 @@ impl BeaconView<'_> {
     /// node's step from `from` to `to`, or its death at `from` (`to` is
     /// `None`), made stale: the live nodes within range of exactly one of
     /// the two points, at their grid positions. The grid must already
-    /// hold the step. A world small enough to scan keeps its lists by the
-    /// grid's clock instead, and names none.
+    /// hold the step. A world small enough to scan names every node: a
+    /// dozen stores, where a path world's relay moves on every packet.
     pub(super) fn for_each_flip(&self, from: Point2, to: Option<Point2>, forget: impl FnMut(u32)) {
         if self.positions.len() > SMALL_WORLD_SCAN {
             self.grid.for_each_flip(from, to, self.range, forget);
+        } else {
+            (0..self.positions.len() as u32).for_each(forget);
         }
     }
 }
@@ -52,14 +54,12 @@ pub(crate) struct Links<'a> {
     pub(crate) left: &'a [u32],
 }
 
-/// One node's latest hearer list, sorted, read for a beacon from `center`
-/// at grid clock `stamp`. A forgotten list keeps its members, for the next
-/// list to be diffed against, and a NaN center, which equals no beacon
-/// position.
+/// One node's latest hearer list, sorted, read for a beacon from `center`.
+/// A forgotten list keeps its members, for the next list to be diffed
+/// against, and a NaN center, which equals no beacon position.
 #[derive(Debug, Clone)]
 struct Entry {
     center: Point2,
-    stamp: u64,
     list: Vec<u32>,
 }
 
@@ -72,7 +72,7 @@ const NOWHERE: Point2 = Point2::new(f64::NAN, f64::NAN);
 /// changed it, and otherwise recomputes it and diffs it against the
 /// stored one.
 ///
-/// Storage is one 48-byte [`Entry`] per node, each owning its list's
+/// Storage is one 40-byte [`Entry`] per node, each owning its list's
 /// `Vec`: a changed list is copied into the old one's capacity, so a list
 /// allocates only when it outgrows every earlier version of itself.
 #[derive(Debug, Default)]
@@ -103,11 +103,11 @@ impl HearerCache {
         pos: Point2,
     ) -> Links<'_> {
         if self.entries.len() < slots {
-            self.entries.resize(slots, Entry { center: NOWHERE, stamp: 0, list: Vec::new() });
+            self.entries.resize(slots, Entry { center: NOWHERE, list: Vec::new() });
         }
         self.joined.clear();
         self.left.clear();
-        let len = if let Some(list) = self.kept(view, slot, pos) {
+        let len = if let Some(list) = self.kept(slot, pos) {
             stats.hello_cache_hits += 1;
             list.len()
         } else {
@@ -117,7 +117,7 @@ impl HearerCache {
             } else {
                 self.query(view, node, pos);
             }
-            self.store(slot, pos, view.grid.clock())
+            self.store(slot, pos)
         };
         stats.hello_beacons += 1;
         stats.hello_fanout_bins[KernelStats::fanout_bin(len)] += 1;
@@ -125,26 +125,21 @@ impl HearerCache {
         Links { joined: &self.joined, left: &self.left }
     }
 
-    /// The list a beacon from `pos` reuses as `slot`'s hearers, if any.
+    /// The list a beacon from `pos` reuses as `slot`'s hearers, if any: a
+    /// list is reused for a beacon from its center until it is forgotten
+    /// ([`HearerCache::forget`]).
     ///
-    /// A world small enough to scan reuses a list for a beacon from its
-    /// center while the grid's clock still reads its stamp: the grid holds
-    /// exactly the live nodes, and every insert, update and remove
-    /// advances its clock.
-    ///
-    /// Past that size a list is reused for a beacon from its center until
-    /// it is forgotten ([`HearerCache::forget`]). The engines forget a
-    /// node's own list when it moves, and, when a node steps or dies, the
-    /// lists of the live nodes it takes into or out of range
-    /// ([`BeaconView::for_each_flip`]): the serial world at once, a
-    /// sharded one at the barrier, once every patch has landed, against
-    /// every node's final replica position. So a list not forgotten
-    /// belongs to a node that has not moved since it beaconed, and a node
-    /// lies on it exactly when it is within range of its center.
-    fn kept(&self, view: &BeaconView<'_>, slot: usize, pos: Point2) -> Option<&[u32]> {
+    /// The engines forget a node's own list when it moves, and, when a
+    /// node steps or dies, the lists of the live nodes it takes into or
+    /// out of range ([`BeaconView::for_each_flip`], every list in a world
+    /// small enough to scan): the serial world at once, a sharded one at
+    /// the barrier, once every patch has landed, against every node's
+    /// final replica position. So a list not forgotten belongs to a node
+    /// that has not moved since it beaconed, and a node lies on it exactly
+    /// when it is within range of its center.
+    fn kept(&self, slot: usize, pos: Point2) -> Option<&[u32]> {
         let e = self.entries.get(slot)?;
-        let scanned = view.positions.len() <= SMALL_WORLD_SCAN;
-        (e.center == pos && (!scanned || e.stamp == view.grid.clock())).then_some(&e.list[..])
+        (e.center == pos).then_some(&e.list[..])
     }
 
     /// Forgets `slot`'s kept list: the node's next beacon recomputes it.
@@ -169,7 +164,7 @@ impl HearerCache {
         slot: usize,
         pos: Point2,
     ) -> Result<(), String> {
-        let Some(list) = self.kept(view, slot, pos) else { return Ok(()) };
+        let Some(list) = self.kept(slot, pos) else { return Ok(()) };
         let mut want = Vec::new();
         scan(view, node, pos, &mut want);
         if list == want {
@@ -203,9 +198,9 @@ impl HearerCache {
     }
 
     /// Diffs `scratch` against `slot`'s stored list into `joined` and
-    /// `left`, then stores it for beacons from `center` at grid clock
-    /// `stamp`. Returns its length.
-    fn store(&mut self, slot: usize, center: Point2, stamp: u64) -> usize {
+    /// `left`, then stores it for beacons from `center`. Returns its
+    /// length.
+    fn store(&mut self, slot: usize, center: Point2) -> usize {
         let e = &mut self.entries[slot];
         // Most recomputed lists are unchanged: no diff, no copy.
         if e.list != self.scratch {
@@ -213,7 +208,6 @@ impl HearerCache {
             e.list.clone_from(&self.scratch);
         }
         e.center = center;
-        e.stamp = stamp;
         e.list.len()
     }
 }
@@ -257,9 +251,9 @@ fn diff_sorted(old: &[u32], new: &[u32], joined: &mut Vec<u32>, left: &mut Vec<u
 mod tests {
     use super::Entry;
 
-    /// A center, a clock stamp and a list: 16 + 8 + 24.
+    /// A center and a list: 16 + 24.
     #[test]
-    fn a_cache_entry_is_48_bytes() {
-        assert_eq!(std::mem::size_of::<Entry>(), 48);
+    fn a_cache_entry_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 40);
     }
 }

@@ -25,10 +25,8 @@ pub struct KernelStats {
     /// collects 64+.
     pub hello_fanout_bins: [u64; 8],
     /// Beacons whose cached hearer list was still exact: the node beaconed
-    /// from the same spot, and in a world small enough to scan the grid's
-    /// clock had not moved, past that no move or death had forgotten the
-    /// list. With `hello_cache_misses` it sums to `hello_beacons` in every
-    /// world.
+    /// from the same spot, and no move or death had forgotten the list. With
+    /// `hello_cache_misses` it sums to `hello_beacons` in every world.
     pub hello_cache_hits: u64,
     /// Beacons whose hearer list was recomputed: by a scan of the node
     /// array in a small world, else by a range query over its grid window.

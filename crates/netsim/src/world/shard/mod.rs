@@ -23,17 +23,17 @@
 //!    event times, never stepped through empty wall-clock);
 //! 2. every active shard drains its local queue up to (exclusive) the
 //!    window end, reading remote state only from the epoch-frozen replica
-//!    snapshot and pushing cross-shard consequences into its
-//!    per-destination outbox runs. One epoch loop serves every thread
+//!    snapshot and pushing cross-shard consequences into its outbox
+//!    runs, one per effect class. One epoch loop serves every thread
 //!    count: the active shards run in place on the calling thread, or,
 //!    with more than one thread and more than one active shard, in
 //!    contiguous shares on scoped threads that borrow them for the epoch;
 //! 3. at the barrier, keyless replica patches update the frozen
-//!    position, liveness and beacon-board snapshot in O(changes), grouped
-//!    HELLO link changes update hearer tables (a first epoch of free
-//!    beacons alone links every table from its node's hearer list
-//!    instead), and deliveries are k-way merged per destination in their
-//!    shard-count-independent key order `(time, origin node, per-node
+//!    position, liveness and beacon-board snapshot in O(changes), HELLO
+//!    link changes update hearer tables (a first epoch of free beacons
+//!    alone links every table from its node's hearer list instead), and
+//!    the deliveries of every active shard are sorted once by their
+//!    shard-count-independent key `(time, origin node, per-node
 //!    sequence)` and enqueued on the owner shards.
 //!
 //! Because the delivery keys, the per-node queue keys, and the window
@@ -177,7 +177,7 @@ pub struct ShardedWorld<A: Application> {
     replica: Replica,
     /// The shards the current epoch runs, ascending.
     active: Vec<u32>,
-    scratch: BarrierScratch,
+    scratch: BarrierScratch<A::Msg>,
     /// Always-on pipeline counters (plain integer adds, no clock reads).
     counters: EpochCounters,
     /// Span sink; `None` ⇒ zero cost: no timestamps read, no spans built.
@@ -218,7 +218,7 @@ impl<A: Application> ShardedWorld<A> {
             cfg,
             layout,
             shards: (0..n).map(|_| Shard::new()).collect(),
-            outs: (0..n).map(|_| ShardOutbox::new(n)).collect(),
+            outs: (0..n).map(|_| ShardOutbox::default()).collect(),
             owner: Vec::new(),
             active: Vec::new(),
             scratch: BarrierScratch::default(),
@@ -864,13 +864,12 @@ fn run_shares<A: Application + Send>(
 ///   on the replica's grid, and the hearer lists its step changed are
 ///   forgotten ([`mark_steps`]).
 /// * Link changes next: a bulk-join epoch's tables are linked from the
-///   hearer lists, then grouped changes apply destination-major for table
-///   locality — they need no merge (changes for different origins touch
-///   different entries; same-origin order comes from the single source
-///   run).
-/// * Deliveries last, k-way merged per destination in strict global key
-///   order, because applying one consumes the target's queue sequence and
-///   downstream tie-breaks depend on it.
+///   hearer lists, then each source's changes apply in emission order —
+///   they need no sort (changes for different origins touch different
+///   entries; same-origin order comes from the single source run).
+/// * Deliveries last, sorted once into strict global key order, because
+///   enqueueing one uses up its target's queue sequence and downstream
+///   tie-breaks depend on it.
 #[allow(clippy::too_many_arguments)]
 fn apply_epoch<A: Application>(
     shards: &mut [Shard<A>],
@@ -878,12 +877,11 @@ fn apply_epoch<A: Application>(
     active: &[u32],
     sh: &SharedCtx<'_>,
     replica: &mut Replica,
-    scratch: &mut BarrierScratch,
+    scratch: &mut BarrierScratch<A::Msg>,
     counters: &mut EpochCounters,
     spans: &mut Option<Box<SpanSink>>,
     epoch_id: u64,
 ) {
-    let mut delivers = 0u64;
     let mut links = 0u64;
     let mut patches = 0u64;
     let t_rep = spans.as_ref().map(|sp| sp.now_us());
@@ -920,42 +918,28 @@ fn apply_epoch<A: Application>(
         None
     };
     for &s in active {
-        if std::mem::take(&mut outs[s as usize].bulk_join) {
+        let ShardOutbox { links: run, frozen, bulk_join, .. } = &mut outs[s as usize];
+        if std::mem::take(bulk_join) {
             links += link_hearer_lists(&mut shards[s as usize].engine);
         }
-    }
-    for (d, dest) in shards.iter_mut().enumerate() {
-        for &s in active {
-            let ShardOutbox { links: runs, frozen, .. } = &mut outs[s as usize];
-            let run = &mut runs[d];
-            if run.groups.is_empty() {
-                continue;
-            }
-            for g in &run.groups {
-                for &change in &run.slots[g.start as usize..(g.start + g.len) as usize] {
-                    // Liveness is checked against the owner's ground truth
-                    // at application time: a hearer that died inside the
-                    // epoch froze its links at the board it could read,
-                    // and takes no change from this epoch, at any shard
-                    // count.
-                    let slot = (change & !LEAVE) as usize;
-                    if dest.engine.nodes.is_alive(slot) {
-                        let table = dest.engine.nodes.neighbor_table_mut(slot);
-                        if change & LEAVE == 0 {
-                            table.join(g.origin);
-                        } else {
-                            table.freeze(g.origin, frozen[g.frozen as usize]);
-                        }
-                    }
+        links += run.len() as u64;
+        for change in run.drain(..) {
+            let (si, slot) = sh.owner[(change.hearer & !LEAVE) as usize];
+            let nodes = &mut shards[si as usize].engine.nodes;
+            // Liveness is checked against the owner's ground truth at
+            // application time: a hearer that died inside the epoch froze
+            // its links at the board it could read, and takes no change
+            // from this epoch, at any shard count.
+            if nodes.is_alive(slot as usize) {
+                let table = nodes.neighbor_table_mut(slot as usize);
+                if change.hearer & LEAVE == 0 {
+                    table.join(change.origin);
+                } else {
+                    table.freeze(change.origin, frozen[change.frozen as usize]);
                 }
             }
-            links += run.slots.len() as u64;
-            run.groups.clear();
-            run.slots.clear();
         }
-    }
-    for &s in active {
-        outs[s as usize].frozen.clear();
+        frozen.clear();
     }
     let t_dlv = if let Some(sp) = spans.as_mut() {
         let now = sp.now_us();
@@ -964,35 +948,17 @@ fn apply_epoch<A: Application>(
     } else {
         None
     };
-    for (d, dest) in shards.iter_mut().enumerate() {
-        scratch.heap.clear();
-        for &s in active {
-            let run = &outs[s as usize].dlv[d];
-            // The merge below restores the global order only from runs
-            // that are in key order: a shard pops same-instant events in
-            // node-id key order (DESIGN.md §12.2).
-            debug_assert!(
-                run.is_sorted_by(|a, b| a.key < b.key),
-                "shard {s}'s deliveries to shard {d} are out of key order"
-            );
-            if let Some(head) = run.first() {
-                scratch.heap.push(std::cmp::Reverse((head.key, s)));
-            }
-        }
-        while let Some(std::cmp::Reverse((_, s))) = scratch.heap.pop() {
-            let limit = scratch.heap.peek().map(|&std::cmp::Reverse((k, _))| k);
-            let run = &mut outs[s as usize].dlv[d];
-            let upto = limit.map_or(run.len(), |lk| run.partition_point(|x| x.key < lk));
-            delivers += upto as u64;
-            for x in run.drain(..upto) {
-                let Shard { engine, keys } = dest;
-                let event = Event::Deliver { from: x.from, to: x.to, msg: x.msg };
-                keys.push(&mut engine.queue, x.arrival, x.slot as usize, x.to, event);
-            }
-            if let Some(head) = run.first() {
-                scratch.heap.push(std::cmp::Reverse((head.key, s)));
-            }
-        }
+    for &s in active {
+        scratch.dlv.append(&mut outs[s as usize].dlv);
+    }
+    scratch.dlv.sort_unstable_by_key(|x| x.key);
+    debug_assert!(scratch.dlv.is_sorted_by(|a, b| a.key < b.key), "two deliveries share a key");
+    let delivers = scratch.dlv.len() as u64;
+    for x in scratch.dlv.drain(..) {
+        let (si, slot) = sh.owner[x.to.index()];
+        let Shard { engine, keys } = &mut shards[si as usize];
+        let event = Event::Deliver { from: x.from, to: x.to, msg: x.msg };
+        keys.push(&mut engine.queue, x.arrival, slot as usize, x.to, event);
     }
     if let Some(sp) = spans.as_mut() {
         let now = sp.now_us();
@@ -1019,7 +985,7 @@ fn mark_steps<A: Application>(
     shards: &mut [Shard<A>],
     sh: &SharedCtx<'_>,
     replica: &mut Replica,
-    scratch: &mut BarrierScratch,
+    scratch: &mut BarrierScratch<A::Msg>,
 ) {
     let Replica { positions, alive, grid, .. } = replica;
     for node in scratch.movers.drain(..) {

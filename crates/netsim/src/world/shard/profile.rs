@@ -29,7 +29,7 @@ pub(super) struct EpochCounters {
     /// Shard event loops skipped because the shard had no event inside
     /// the window.
     pub(super) idle_shard_epochs_skipped: u64,
-    /// Cross-shard deliveries routed through the k-way merge.
+    /// Cross-shard deliveries the barriers sorted and enqueued.
     pub(super) delivers_merged: u64,
     /// HELLO link changes (a hearer joining or leaving a beacon's hearer
     /// set) applied at barriers, dead hearers' skipped ones included.

@@ -5,8 +5,8 @@
 //! tables, beacon board, local ledger, local queue). Every consequence that
 //! touches another node — a packet delivery, a HELLO link change, a
 //! position, liveness or beacon record other shards must see — goes into
-//! the epoch's [`ShardOutbox`], partitioned by destination shard at
-//! emission, and is applied at the next epoch barrier (see
+//! the epoch's [`ShardOutbox`], one run per effect class in emission
+//! order, and is applied at the next epoch barrier (see
 //! [`xfer`](super::xfer) for the run layout and the ordering argument).
 
 use imobif_energy::Battery;
@@ -14,7 +14,7 @@ use imobif_geom::{Point2, SpatialGrid};
 
 use super::super::beacon::{BeaconView, HearerCache, Links};
 use super::super::engine::{Engine, Event, Reach};
-use super::xfer::{Dlv, LinkGroup, RepPatch, ShardOutbox, LEAVE, NO_FROZEN};
+use super::xfer::{Dlv, LinkChange, RepPatch, ShardOutbox, LEAVE};
 use crate::hello::Beacon;
 use crate::node::NodeStore;
 use crate::trace::TraceEvent;
@@ -25,8 +25,8 @@ use crate::{Application, EventQueue, NodeId, SimConfig, SimDuration, SimTime};
 /// independent of shard assignment — ordering between *different* nodes
 /// never consults `seq`, and one node's `seq` values are assigned in its
 /// own event order, which every shard layout reproduces. That is what
-/// makes the barrier merge (and the merged trace) bit-identical at any
-/// shard count.
+/// makes the barrier's delivery order (and the merged trace) bit-identical
+/// at any shard count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(super) struct XKey {
     pub(super) time: SimTime,
@@ -80,9 +80,6 @@ pub(super) struct ShardKeys {
     /// Per-slot sequence for [`XKey`]s (deliveries and trace events).
     eseq: Vec<u32>,
     pub(super) trace: Option<Vec<(XKey, TraceEvent)>>,
-    /// Monotonic beacon counter; stamps destination link runs so a beacon
-    /// can open at most one group per destination.
-    beacon_stamp: u64,
 }
 
 impl ShardKeys {
@@ -251,9 +248,8 @@ impl<M> Reach<M> for ShardReach<'_, M> {
         arrival: SimTime,
         msg: M,
     ) {
-        let (dsi, dslot) = self.sh.owner[to.index()];
         let key = self.keys.ekey(slot, from, now);
-        self.xout.dlv[dsi as usize].push(Dlv { key, arrival, from, to, slot: dslot, msg });
+        self.xout.dlv.push(Dlv { key, arrival, from, to, msg });
     }
 
     fn beacon_view<'a>(&'a self, _nodes: &'a NodeStore) -> BeaconView<'a> {
@@ -273,12 +269,12 @@ impl<M> Reach<M> for ShardReach<'_, M> {
     }
 
     /// Sends a replica patch naming the owner's board slot, whose record
-    /// the barrier copies, and the link changes as one grouped run entry
-    /// per destination shard, all applied at the next barrier — HELLO
-    /// processing latency of at most one epoch, identical at every shard
-    /// count. A beacon with leavers stores `prev` once, for every
-    /// destination's group to name. In a bulk-join epoch the barrier links
-    /// every table from the hearer lists instead, and no change is sent.
+    /// the barrier copies, and one link change per joiner and leaver, all
+    /// applied at the next barrier — HELLO processing latency of at most
+    /// one epoch, identical at every shard count. A beacon with leavers
+    /// stores `prev` once, for each of its leavers to name. In a bulk-join
+    /// epoch the barrier links every table from the hearer lists instead,
+    /// and no change is sent.
     fn hear(
         &mut self,
         _nodes: &mut NodeStore,
@@ -292,26 +288,13 @@ impl<M> Reach<M> for ShardReach<'_, M> {
             debug_assert!(links.left.is_empty(), "no hearer leaves before anything moves");
             return;
         }
-        self.keys.beacon_stamp += 1;
-        let stamp = self.keys.beacon_stamp;
-        let frozen = if links.left.is_empty() {
-            NO_FROZEN
-        } else {
+        let frozen = self.xout.frozen.len() as u32;
+        if !links.left.is_empty() {
             self.xout.frozen.push(prev);
-            (self.xout.frozen.len() - 1) as u32
-        };
-        let joins = links.joined.iter().map(|&h| (h, 0));
-        for (h, leave) in joins.chain(links.left.iter().map(|&h| (h, LEAVE))) {
-            let (dsi, dslot) = self.sh.owner[h as usize];
-            let run = &mut self.xout.links[dsi as usize];
-            if run.mark != stamp {
-                run.mark = stamp;
-                let start = run.slots.len() as u32;
-                run.groups.push(LinkGroup { origin, start, len: 0, frozen });
-            }
-            run.slots.push(dslot | leave);
-            run.groups.last_mut().expect("group opened above").len += 1;
         }
+        let leavers = links.left.iter().map(|&h| h | LEAVE);
+        let changes = links.joined.iter().copied().chain(leavers);
+        self.xout.links.extend(changes.map(|hearer| LinkChange { origin, hearer, frozen }));
     }
 
     /// The barrier moves the replica's grid entry and forgets the lists

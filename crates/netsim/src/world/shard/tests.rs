@@ -123,10 +123,10 @@ impl<A: Application> ShardedWorld<A> {
         self.shards[si].engine.nodes.neighbor_table(slot).view_with(&self.replica.board)
     }
 
-    /// The slots the link runs have room for: 0 until some beacon ships a
-    /// link change, since the runs keep their buffers.
-    fn link_slot_capacity(&self) -> usize {
-        self.outs.iter().flat_map(|o| &o.links).map(|r| r.slots.capacity()).sum()
+    /// The link changes the runs have room for: 0 until some beacon ships
+    /// one, since the runs keep their buffers.
+    fn link_run_capacity(&self) -> usize {
+        self.outs.iter().map(|o| o.links.capacity()).sum()
     }
 }
 
@@ -338,6 +338,32 @@ fn cross_shard_chain_delivers_and_charges_like_a_chain_should() {
     // The ledger total equals the battery drawdown.
     let drawdown: f64 = ids.iter().map(|&id| 10.0 - w.residual_energy(id)).sum();
     assert!((w.totals().total() - drawdown).abs() < 1e-9);
+}
+
+/// Two nodes in two other shards each send a hub one packet at the same
+/// instant. The hub takes them in key order, lower sender id first, as in
+/// one shard: the barrier sorts the epoch's deliveries, where appending
+/// them shard by shard would hand it shard 2's sender first.
+#[test]
+fn same_instant_deliveries_from_two_shards_arrive_in_key_order() {
+    let receipts = |shards| {
+        let mut w = make_sharded(shards);
+        let ids =
+            [(49.0, 49.0), (51.0, 51.0), (49.0, 51.0)].map(|(x, y)| w.add(Point2::new(x, y), 10.0));
+        if shards == 4 {
+            assert_eq!(ids.map(|id| w.layout().shard_of(w.position(id))), [0, 3, 2]);
+        }
+        w.start();
+        for &id in &ids[1..] {
+            w.echo(id).forward_to = Some(ids[0]);
+            w.schedule_timer(id, SimDuration::from_millis(10), 7);
+        }
+        w.run_until(SimTime::from_micros(1_000_000));
+        w.app(ids[0]).received.clone()
+    };
+    let serial = receipts(1);
+    assert_eq!(serial, [(NodeId::new(1), 7), (NodeId::new(2), 7)]);
+    assert_eq!(receipts(4), serial);
 }
 
 #[test]
@@ -1117,7 +1143,7 @@ fn static_world_stops_writing_tables_after_the_first_round() {
     let first = w.counters.observations_applied;
     let links: usize = (0..sc.positions.len() as u32).map(|i| w.table(NodeId::new(i)).len()).sum();
     assert_eq!(first, links as u64, "one join per hearer of a first-round beacon");
-    assert_eq!(w.link_slot_capacity(), 0, "the first barrier shipped no link slot");
+    assert_eq!(w.link_run_capacity(), 0, "the first barrier shipped no link change");
     assert_eq!(w.kernel_stats().hello_link_changes, first);
     let patches = w.counters.replica_patches;
     w.run_until(SimTime::from_micros(5_000_000));
@@ -1232,10 +1258,10 @@ fn prop_sharded_board_and_links_match_barrier_push_tables() {
             let end = next + cfg.hop_latency;
             w.run_until(SimTime::from_micros(end.as_micros() - 1));
             if end == first_end {
-                let shipped = w.link_slot_capacity() > 0;
+                let shipped = w.link_run_capacity() > 0;
                 let linked = w.counters.observations_applied > 0;
-                proptest::prop_assert!(!(bulk && shipped), "the bulk join ships no link slot");
-                proptest::prop_assert!(bulk || shipped || !linked, "per-beacon joins ship slots");
+                proptest::prop_assert!(!(bulk && shipped), "the bulk join ships no link change");
+                proptest::prop_assert!(bulk || shipped || !linked, "per-beacon joins ship changes");
             }
             for (j, &was) in board.iter().enumerate() {
                 // A record stamped inside the window is a beacon sent this
@@ -1398,9 +1424,9 @@ proptest::proptest! {
             run_checking_lists(&mut bulk, at);
             run_checking_lists(&mut joins, at);
             if secs == 0 {
-                proptest::prop_assert_eq!(bulk.link_slot_capacity(), 0, "the bulk join ran");
+                proptest::prop_assert_eq!(bulk.link_run_capacity(), 0, "the bulk join ran");
                 let linked = joins.counters.observations_applied > 0;
-                proptest::prop_assert_eq!(joins.link_slot_capacity() > 0, linked, "joins shipped");
+                proptest::prop_assert_eq!(joins.link_run_capacity() > 0, linked, "joins shipped");
             }
             proptest::prop_assert_eq!(bulk_join_outcome(&bulk), bulk_join_outcome(&joins));
         }

@@ -494,10 +494,9 @@ proptest::proptest! {
     /// barrier. Op 6 walks a node back to where it last beaconed, where
     /// only the own-move forget keeps its list from being reused. Most
     /// moves are relay-sized steps under 1 m, which rarely change a
-    /// hearer set. A world past `SMALL_WORLD_SCAN` nodes reuses a list
-    /// until something forgets it, a smaller one only while nothing moved
-    /// or died. After every op, each live node's kept list must equal a
-    /// brute-force hearer set.
+    /// hearer set. A world of at most `SMALL_WORLD_SCAN` nodes forgets
+    /// every list at each step or death. After every op, each live node's
+    /// kept list must equal a brute-force hearer set.
     #[test]
     fn prop_cached_hearers_match_brute_force(
         coords in proptest::collection::vec((0.0..120.0f64, 0.0..120.0f64), 2..60),

@@ -59,8 +59,8 @@
 #     their readings: crates/bench/tests/arena_heap.rs; the sizes it rests
 #     on are pinned: an_app_is_at_most_144_bytes (crates/core/src/app.rs),
 #     a_lane_entry_is_24_bytes (crates/netsim/src/event.rs),
-#     a_link_group_is_16_bytes_and_a_patch_24 (world/shard/xfer.rs),
-#     a_cache_entry_is_48_bytes (world/beacon.rs)
+#     a_link_change_is_12_bytes_and_a_patch_24 (world/shard/xfer.rs),
+#     a_cache_entry_is_40_bytes (world/beacon.rs)
 #   - timing ratios (release only): disabled metrics >= 0.99, disabled
 #     spans >= 0.99, 16 vs 1 shard <= 1.10:
 #     crates/bench/tests/overhead_ratios.rs; a same-instant burst of 2^15
@@ -86,17 +86,20 @@
 #     prop_bulk_join_matches_per_beacon_joins (world/shard/tests.rs); all
 #     three check every kept hearer list against brute force
 #     (verify_hearer_lists) after every step or epoch
-#   - barrier delivery merge: every active source's run to a destination
-#     is in key order before the k-way merge, a debug assertion in
-#     apply_epoch (world/shard/mod.rs) that the debug run of the
-#     simulator's unit tests carries
+#   - barrier delivery order: the epoch's deliveries, sorted once, strictly
+#     ascend by key, a debug assertion in apply_epoch
+#     (world/shard/mod.rs) that the debug run of the simulator's unit
+#     tests carries; two same-instant deliveries from two shards reach
+#     their node in key order, as on one shard:
+#     same_instant_deliveries_from_two_shards_arrive_in_key_order
+#     (world/shard/tests.rs)
 #   - HELLO hearer cache: the flip enumeration names exactly the items
 #     within range of one of two points, not both:
 #     prop_flips_match_brute_force (crates/geom/src/grid.rs); cached
 #     hearers == brute force when the cache is told of moves and deaths as
 #     the engines tell it (a sharded node's own move included), and every
 #     kept list exact after every op, in worlds from 2 nodes up, so small
-#     worlds' clock rule is checked too:
+#     worlds' rule (a move or death forgets every list) is checked too:
 #     prop_cached_hearers_match_brute_force (world/tests.rs); a node
 #     pacing inside its cell costs only its own list a recompute, and a
 #     range crossing recomputes exactly the crossed node and the mover:
@@ -112,7 +115,7 @@
 #     (world/shard/tests.rs); a scanned world counts each beacon as a hit
 #     or a miss: the "scan path finds the hearers" rule of
 #     handler_ordering_rules_hold_on_both_engines (world/shard/tests.rs); a
-#     cache entry stays 48 bytes: a_cache_entry_is_48_bytes
+#     cache entry stays 40 bytes: a_cache_entry_is_40_bytes
 #     (world/beacon.rs)
 #   - range queries: the grid's one query window == brute force at sampled
 #     radii, 0 and exactly the cell size, and a wider radius panics:
